@@ -5,7 +5,7 @@ bias-experiment harness, and chi-squared sample-size recommendations.
 """
 
 from .dataset import AttributeBlock, block, generate_dataset
-from .errors import InvalidInputError, ScanLimitError
+from .errors import InvalidInputError
 from .generators import (
     GeneratorKind,
     GeneratorSpec,
@@ -78,7 +78,6 @@ __all__ = [
     "MeasureValue",
     "RepresentativenessReport",
     "Rule",
-    "ScanLimitError",
     "SeededRng",
     "Sweep",
     "TrackedSubset",

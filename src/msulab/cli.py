@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import measures
 from .dataset import AttributeBlock, generate_dataset
-from .errors import InvalidInputError, ScanLimitError
+from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng
 from .harness import (
     DEFAULT_MASTER_SEED,
@@ -37,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except (InvalidInputError, ScanLimitError) as exc:
+    except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,3 @@
 
 class InvalidInputError(ValueError):
     """An argument violates a precondition of the operation it was passed to."""
-
-
-class ScanLimitError(RuntimeError):
-    """An ascending search exceeded its hard iteration cap without converging."""

@@ -518,52 +518,100 @@ def bias(curve: BiasCurve, theta: float, measure: str | None = None) -> list[flo
     return [m - theta if m is not None else None for m in means]
 
 
+# The keys config_from_json reads; any other key is most likely a typo.
+_CONFIG_FIELDS = frozenset({
+    "name", "rule", "sweep", "n_informative", "attribute_card", "n_noninformative",
+    "class_card", "sample_size_policy", "replicates", "master_seed", "kononenko_k",
+    "xor_noise", "theta_ref",
+})
+
+
 def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
     """Build a config from its JSON form (see README for the schema)."""
-    data = json.loads(text_or_mapping) if isinstance(text_or_mapping, str) else dict(text_or_mapping)
+    try:
+        data = json.loads(text_or_mapping) if isinstance(text_or_mapping, str) else text_or_mapping
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"experiment config is not valid JSON: {exc}") from None
+    _check_object(data, "experiment config")
+    unknown = sorted(set(data) - _CONFIG_FIELDS)
+    if unknown:
+        raise InvalidInputError(f"unknown experiment config field(s): {', '.join(unknown)}")
     try:
         sweep_data = data["sweep"]
+        _check_object(sweep_data, "sweep")
         if "values" in sweep_data:
-            values = tuple(int(v) for v in sweep_data["values"])
+            values = tuple(_json_int(v, "sweep value") for v in sweep_data["values"])
         else:
-            values = tuple(range(int(sweep_data["start"]), int(sweep_data["stop"]) + 1))
+            start = _json_int(sweep_data["start"], "sweep start")
+            values = tuple(range(start, _json_int(sweep_data["stop"], "sweep stop") + 1))
         sweep = Sweep(kind=sweep_data["kind"], values=values)
         policy_data = data.get("sample_size_policy")
         policy: SampleSizePolicy | None
         if policy_data is None:
             policy = None
+        elif not isinstance(policy_data, Mapping):
+            raise InvalidInputError(f"unknown sample size policy {policy_data!r}")
         elif "fixed" in policy_data:
-            policy = FixedSampleSize(int(policy_data["fixed"]))
+            policy = FixedSampleSize(_json_int(policy_data["fixed"], "fixed sample size"))
         elif "computed" in policy_data:
-            policy = ComputedSampleSize(float(policy_data["computed"]))
+            policy = ComputedSampleSize(_json_float(policy_data["computed"], "computed factor"))
         else:
             raise InvalidInputError(f"unknown sample size policy {policy_data!r}")
 
-        def int_or_range(value):
+        def int_or_range(key, default):
+            value = data.get(key, default)
             if isinstance(value, (list, tuple)):
                 lo, hi = value
-                return (int(lo), int(hi))
-            return int(value)
+                return (_json_int(lo, key), _json_int(hi, key))
+            return _json_int(value, key)
 
+        theta_ref = data.get("theta_ref")
         return ExperimentConfig(
             name=str(data["name"]),
             rule=Rule(data["rule"]),
             sweep=sweep,
-            n_informative=int_or_range(data.get("n_informative", 0)),
-            attribute_card=int_or_range(data.get("attribute_card", 2)),
-            n_noninformative=int_or_range(data.get("n_noninformative", 0)),
-            class_card=int(data.get("class_card", 2)),
+            n_informative=int_or_range("n_informative", 0),
+            attribute_card=int_or_range("attribute_card", 2),
+            n_noninformative=int_or_range("n_noninformative", 0),
+            class_card=_json_int(data.get("class_card", 2), "class_card"),
             sample_size_policy=policy,
-            replicates=int(data.get("replicates", DEFAULT_REPLICATES)),
-            master_seed=int(data.get("master_seed", DEFAULT_MASTER_SEED)),
-            kononenko_k=float(data.get("kononenko_k", 1.0)),
-            xor_noise=float(data.get("xor_noise", 0.05)),
-            theta_ref=(None if data.get("theta_ref") is None else float(data["theta_ref"])),
+            replicates=_json_int(data.get("replicates", DEFAULT_REPLICATES), "replicates"),
+            master_seed=_json_int(data.get("master_seed", DEFAULT_MASTER_SEED), "master_seed"),
+            kononenko_k=_json_float(data.get("kononenko_k", 1.0), "kononenko_k"),
+            xor_noise=_json_float(data.get("xor_noise", 0.05), "xor_noise"),
+            theta_ref=None if theta_ref is None else _json_float(theta_ref, "theta_ref"),
         )
     except KeyError as exc:
         raise InvalidInputError(f"experiment config is missing field {exc}") from None
     except ValueError as exc:
         raise InvalidInputError(f"bad experiment config: {exc}") from None
+
+
+def _check_object(value, what: str) -> None:
+    if not isinstance(value, Mapping):
+        raise InvalidInputError(f"{what} must be a JSON object, got {type(value).__name__}")
+
+
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass and int() truncates a fraction: both hide typos
+    if not isinstance(value, bool) and (not isinstance(value, float) or value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_float(value, what: str) -> float:
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise InvalidInputError(f"{what} must be a finite number, got {value!r}")
 
 
 def with_overrides(

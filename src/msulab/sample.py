@@ -30,7 +30,11 @@ class CategoricalSample:
     column_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        codes = np.asarray(self.codes, dtype=np.int64)
+        codes = np.asarray(self.codes)
+        # only float input can carry a fraction; integer columns skip the check
+        if codes.dtype.kind == "f" and not (np.isfinite(codes) & (codes == np.trunc(codes))).all():
+            raise InvalidInputError("category codes must be finite whole numbers")
+        codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim != 2:
             raise InvalidInputError(f"codes must be a 2-D matrix, got ndim={codes.ndim}")
         m, p = codes.shape

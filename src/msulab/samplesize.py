@@ -5,24 +5,40 @@ statistically implausible.
 A sample is "totally representative" when every possible joint value
 combination appears at least once. The canonical extreme sample models the
 mildest failure of that goal: exactly one empty cell, everything else as
-balanced as the row count allows. Scanning the goodness-of-fit statistic of
-that construction over m gives the smallest sample size m* at which such a
-gap is rejected at level alpha.
+balanced as the row count allows. The smallest sample size m* at which the
+goodness-of-fit statistic of that construction rejects such a gap at level
+alpha is the chi-squared sample-size recommendation.
+
+m* has a closed form to search. Over k equiprobable cells, with n = k - 1 and
+m = qn + r, the extreme sample has r cells at q + 1, n - r at q and one at 0,
+so its statistic is
+
+    X2(m) = m/n + k r (n - r) / (m n),
+
+which lies between m/n and m/n + k n / (4 m). Every m above n * critical is
+rejected, and none below the upper root of m/n + k n / (4 m) = critical is:
+m* lies in a window of about k/4 values, a few blocks of constant q. The float
+statistic that decides each m near the critical value takes O(1) time, since
+its k cell terms take only three distinct values.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from scipy.optimize import brentq
 from scipy.special import gammaincc
 
-from .errors import InvalidInputError, ScanLimitError
+from .errors import InvalidInputError
 
-# Ascending m scans stop here; hitting the cap is an error, not a hang.
-SCAN_LIMIT = 10**7
+# Beyond 2**52 cells the cell counts q + 1 near m* stop being exact floats and
+# the float statistic drifts from the chi-squared statistic it computes.
+MAX_CELLS = 2**52
 
 
 @dataclass(frozen=True)
@@ -154,27 +170,120 @@ def extreme_sample_chi2(m: int, k: int, probabilities: Sequence[float] | None = 
     return chi2_statistic(extreme_sample(m, k, probabilities), probabilities)
 
 
-def min_representative_m(
-    k: int, alpha: float = 0.05, probabilities: Sequence[float] | None = None
-) -> int:
-    """Smallest m whose canonical extreme sample is rejected at level alpha.
+def min_representative_m(k: int, alpha: float = 0.05) -> int:
+    """Smallest m >= k - 1 whose equiprobable extreme sample is rejected at level alpha.
 
-    Ascending scan from m = k - 1; the empty cell's statistic term grows
-    linearly in m so a crossing exists. Degrees of freedom are k - 1 (no
-    parameters are estimated from the data).
+    Degrees of freedom are k - 1 (no parameters are estimated from the data).
+    The answer is the first m at which `extreme_sample_chi2(m, k)` exceeds the
+    critical value, bit for bit as an ascending scan from m = k - 1 finds it,
+    in a time that does not grow with k:
+
+    - With n = k - 1 and m = qn + r, the statistic is
+      m/n + k r (n - r) / (m n), so it lies between m/n and
+      m/n + k n / (4 m). No m below the upper root of
+      m/n + k n / (4 m) = critical is rejected and every m above
+      n * critical is, so m* lies in a window of about k/4 values, widened
+      by the few ulps the float statistic may round either way.
+    - Within a block of constant q the closed form is concave in r; a
+      bisection finds where it first comes within rounding distance of the
+      critical value.
+    - From there the float statistic decides. Consecutive m that share the
+      float m/k share its three cell terms (`_extreme_terms`), so over such a
+      run the exact sum is linear in r and its first rejected r is solved
+      for, not scanned. The rounding band holds a handful of runs at any k.
     """
     k = int(k)
     if k < 2:
         raise InvalidInputError(f"need at least two cells, got {k}")
+    if k > MAX_CELLS:
+        raise InvalidInputError(
+            f"a joint space of {k} cells exceeds the {MAX_CELLS} the float statistic resolves"
+        )
     critical = chi2_critical(alpha, k - 1)
-    m = k - 1
-    while extreme_sample_chi2(m, k, probabilities) <= critical:
-        m += 1
-        if m > SCAN_LIMIT:
-            raise ScanLimitError(
-                f"no extreme-sample rejection below m={SCAN_LIMIT} for k={k}, alpha={alpha}"
-            )
-    return m
+    n = k - 1
+    # Up to MAX_CELLS the closed form and the float statistic each lie within
+    # 2 eps of the exact statistic, so this band holds every m they disagree on.
+    slack = 8 * sys.float_info.epsilon * critical
+    below, above = critical - slack, critical + slack
+    lo = n
+    if 1 + k / 4 <= below:
+        # The upper bound at m = n is under `below`, so it stays under up to
+        # its upper root n (b + sqrt(b^2 - k)) / 2, floored here in integers.
+        num, den = below.as_integer_ratio()
+        lo = max(n, n * (num + math.isqrt(num * num - k * den * den)) // (2 * den))
+
+    def closed_form(m: int) -> float:
+        r = m % n
+        return m / n + k * r * (n - r) / (m * n)
+
+    m = lo
+    while True:
+        q = m // n
+        end = q * n + n - 1
+        # over the block of constant q the closed form rises up to `peak`
+        # (the root of its derivative) and falls after it
+        peak = min(max(math.isqrt(n * k * q * (q + 1)), m), end)
+        m += bisect_left(range(m, peak + 1), True, key=lambda x: closed_form(x) > below)
+        while m <= end and (m <= peak or closed_form(m) > below):
+            if closed_form(m) > above:
+                return m
+            last = min(_run_end(m, k), end)
+            found = _first_rejected(m, last, k, critical)
+            if found is not None:
+                return found
+            m = last + 1
+        m = end + 1
+
+
+def _extreme_terms(m: int, k: int) -> tuple[int, Fraction, Fraction, Fraction]:
+    """r and the three distinct float cell terms of the extreme sample, as exact fractions.
+
+    With m = q (k - 1) + r the sample has r cells at q + 1, k - 1 - r at q and
+    one empty cell; each term is computed exactly as `chi2_statistic` does.
+    """
+    q, r = divmod(m, k - 1)
+    e = m / k
+    return (r, *(Fraction((o - e) ** 2 / e) for o in (q + 1, q, 0)))
+
+
+def _extreme_chi2(m: int, k: int) -> float:
+    """`extreme_sample_chi2(m, k)` for equiprobable cells in O(1), bit for bit.
+
+    `math.fsum` returns the correctly rounded sum of its float terms, and the
+    k terms take only three values: summing them with their multiplicities in
+    exact rational arithmetic and rounding once gives the same float.
+    """
+    r, up, level, empty = _extreme_terms(m, k)
+    return float(up * r + level * (k - 1 - r) + empty)
+
+
+def _run_end(m: int, k: int) -> int:
+    """Last m' >= m whose float m'/k equals the float m/k."""
+    e = m / k
+    midpoint = (Fraction(e) + Fraction(math.nextafter(e, math.inf))) / 2
+    last = max(m, math.floor(midpoint * k))
+    return last if last / k == e else last - 1
+
+
+def _first_rejected(first: int, last: int, k: int, critical: float) -> int | None:
+    """First m in [first, last] with `_extreme_chi2(m, k) > critical`, or None.
+
+    The range lies in one block of constant q and shares the float m/k, so the
+    three cell terms are fixed and their exact sum is linear in r: the first
+    rejected m is solved for, not scanned.
+    """
+    r, up, level, empty = _extreme_terms(first, k)
+    cross = first
+    if up > level:
+        # the float sum exceeds critical once the exact sum passes the
+        # midpoint to the next float (at the midpoint it may round either way)
+        midpoint = (Fraction(critical) + Fraction(math.nextafter(critical, math.inf))) / 2
+        r_cross = math.floor((midpoint - level * (k - 1) - empty) / (up - level))
+        cross = max(first, first - r + r_cross)
+    for m in (cross, cross + 1):
+        if m <= last and _extreme_chi2(m, k) > critical:
+            return m
+    return None
 
 
 @dataclass(frozen=True)

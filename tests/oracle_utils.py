@@ -66,3 +66,18 @@ def coded_table(*columns: str) -> CategoricalSample:
         coded_cols.append([seen.setdefault(l, len(seen)) for l in labels])
         cards.append(len(seen))
     return CategoricalSample.from_columns(coded_cols, cards)
+
+
+def scan_min_representative_m(k: int, alpha: float = 0.05) -> int:
+    """Smallest m whose equiprobable extreme sample is rejected: the ascending
+    scan from m = k - 1 that rebuilds the k-cell sample at every step."""
+    from msulab import InvalidInputError, chi2_critical, extreme_sample_chi2
+
+    k = int(k)
+    if k < 2:
+        raise InvalidInputError(f"need at least two cells, got {k}")
+    critical = chi2_critical(alpha, k - 1)
+    m = k - 1
+    while extreme_sample_chi2(m, k) <= critical:
+        m += 1
+    return m

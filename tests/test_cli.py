@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,14 @@ class TestExperiment:
         code, out2, _ = run(capsys, "experiment", "--config", str(path))
         assert out1 == out2
 
+    def test_non_object_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        code, out, err = run(capsys, "experiment", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert "JSON object" in err
+
     def test_computed_sample_sizes_recorded(self, tmp_path, capsys):
         out_path = tmp_path / "curve.csv"
         code, _, _ = run(capsys, "experiment", "fig-xor-2", "--replicates", "2",
@@ -228,6 +240,19 @@ class TestRecommend:
         code, _, err = run(capsys, "recommend", "--cards", "2,x")
         assert code == 1
         assert "error" in err
+
+    def test_module_entry_point_answers_large_joint_space(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "msulab", "recommend", "--cards", ",".join(["2"] * 10)],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "multivariate cardinality: 2048"
+        assert lines[2].startswith("chi-squared minimal m* (alpha=0.05, df=2047, ")
+        assert int(lines[2].rsplit(":", 1)[1]) > 2048
 
 
 class TestChi2Scan:

@@ -279,6 +279,8 @@ class TestPresets:
 
 
 class TestConfigJson:
+    BASE = {"name": "x", "rule": "mk", "n_informative": 2, "sweep": {"kind": "sample_size", "values": [10]}}
+
     def test_round_trip(self):
         text = json.dumps(
             {
@@ -322,6 +324,25 @@ class TestConfigJson:
             config_from_json(
                 {"name": "x", "rule": "nope", "sweep": {"kind": "sample_size", "values": [10]}}
             )
+
+    def test_non_object_rejected(self):
+        for text in ("[1, 2]", "5", '"config"', "null"):
+            with pytest.raises(InvalidInputError, match="JSON object"):
+                config_from_json(text)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(InvalidInputError, match="replicate"):
+            config_from_json({**self.BASE, "replicate": 5})
+
+    def test_boolean_count_rejected(self):
+        for value in (True, False):
+            with pytest.raises(InvalidInputError, match="replicates"):
+                config_from_json({**self.BASE, "replicates": value})
+
+    def test_non_finite_theta_ref_rejected(self):
+        for value in ("nan", float("nan"), float("inf"), "-inf"):
+            with pytest.raises(InvalidInputError, match="theta_ref"):
+                config_from_json({**self.BASE, "theta_ref": value})
 
 
 class TestConfigValidation:

@@ -38,6 +38,15 @@ MSU_TABLE_B = 0.10379348602265456
 MSU_TABLE_C = 0.178662090205769
 
 
+def test_fractional_float_codes_rejected():
+    for bad in (0.7, 1.9, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            CategoricalSample([[0, 1], [bad, 0]], (2, 2))
+    whole = CategoricalSample(np.array([[0.0, 1.0], [1.0, 0.0]]), (2, 2))
+    assert whole.codes.dtype == np.int64
+    assert whole.codes.tolist() == [[0, 1], [1, 0]]
+
+
 def two_binary_exhaustive() -> CategoricalSample:
     return CategoricalSample([[0, 0], [0, 1], [1, 0], [1, 1]], (2, 2))
 

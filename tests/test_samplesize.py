@@ -1,17 +1,16 @@
 """Tests for joint-space arithmetic and the chi-squared sample-size machinery."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
-import msulab.samplesize as samplesize
 from msulab import (
     CardinalityProfile,
     InvalidInputError,
     RepresentativenessReport,
-    ScanLimitError,
     chi2_critical,
     chi2_statistic,
     extreme_sample,
@@ -21,6 +20,8 @@ from msulab import (
     multivariate_cardinality,
     representativeness_report,
 )
+from msulab.samplesize import MAX_CELLS, _extreme_chi2
+from oracle_utils import scan_min_representative_m
 
 # Values from standard chi-squared tables (6+ digits), frozen.
 CRITICAL_05_7 = 14.06714
@@ -174,13 +175,43 @@ class TestMinRepresentativeM:
         assert values == sorted(values)
 
     def test_skewed_probabilities_need_more_rows(self):
+        # at the equiprobable m*, a gap in the least likely of skewed cells is
+        # still plausible: the skewed extreme sample is not rejected yet
         skewed = [0.55, 0.15, 0.15, 0.05, 0.04, 0.03, 0.02, 0.01]
-        assert min_representative_m(8, 0.05, probabilities=skewed) > min_representative_m(8, 0.05)
+        m_star = min_representative_m(8, 0.05)
+        assert extreme_sample_chi2(m_star, 8) > chi2_critical(0.05, 7)
+        assert extreme_sample_chi2(m_star, 8, probabilities=skewed) <= chi2_critical(0.05, 7)
 
-    def test_scan_cap_reported(self, monkeypatch):
-        monkeypatch.setattr(samplesize, "SCAN_LIMIT", 20)
-        with pytest.raises(ScanLimitError):
-            min_representative_m(8, 0.05)
+    def test_matches_ascending_scan(self):
+        for alpha in (0.01, 0.05, 0.10):
+            for k in range(2, 61):
+                assert min_representative_m(k, alpha) == scan_min_representative_m(k, alpha), (k, alpha)
+
+    def test_benchmark_reference_values(self):
+        assert min_representative_m(128, 0.05) == 19581
+        assert min_representative_m(256, 0.05) == 74752
+
+    def test_large_joint_space_answers_at_once(self):
+        for k in (2**20, 10**9, MAX_CELLS):
+            start = time.perf_counter()
+            m_star = min_representative_m(k, 0.05)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 0.1, k
+            critical = chi2_critical(0.05, k - 1)
+            assert _extreme_chi2(m_star, k) > critical >= _extreme_chi2(m_star - 1, k)
+
+    def test_joint_space_beyond_float_resolution_rejected(self):
+        with pytest.raises(InvalidInputError, match="cells"):
+            min_representative_m(MAX_CELLS + 1, 0.05)
+
+
+class TestClosedFormStatistic:
+    def test_equals_extreme_sample_chi2_bit_for_bit(self):
+        rng = np.random.default_rng(20170707)
+        for _ in range(3000):
+            k = int(rng.integers(2, 401))
+            m = int(rng.integers(k - 1, 50 * k * k))
+            assert _extreme_chi2(m, k) == extreme_sample_chi2(m, k), (m, k)
 
 
 class TestRepresentativenessReport:
