@@ -6,6 +6,7 @@ import argparse
 import io
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import measures
@@ -16,7 +17,6 @@ from .harness import (
     DEFAULT_MASTER_SEED,
     config_from_json,
     run_experiment,
-    with_overrides,
 )
 from .ingest import read_csv, sample_to_csv, write_text_atomic
 from .presets import CATALOG, preset
@@ -214,7 +214,8 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         config = config_from_json(text)
     else:
         config = preset(args.preset)
-    config = with_overrides(config, replicates=args.replicates, master_seed=args.seed)
+    overrides = {"replicates": args.replicates, "master_seed": args.seed}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
     curve = run_experiment(config)
     for sweep_value, message in curve.errors:

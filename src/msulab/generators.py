@@ -21,6 +21,7 @@ can safely run in parallel.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ class GeneratorSpec:
         if self.kind is GeneratorKind.KONONENKO:
             if self.cardinality < 2:
                 raise InvalidInputError("a Kononenko attribute requires cardinality >= 2")
-            if self.k <= 0:
-                raise InvalidInputError("informativeness k must be positive")
+            if not (self.k > 0) or not math.isfinite(self.k):
+                raise InvalidInputError(f"informativeness k must be finite and positive, got {self.k}")
         if not 0.0 <= self.noise < 1.0:
             raise InvalidInputError("noise must lie in [0, 1)")
 
@@ -108,8 +109,8 @@ def kononenko_first_half_prob(i: int, k: float, class_card: int) -> float:
         raise InvalidInputError("class cardinality must be positive")
     if not 1 <= i <= class_card:
         raise InvalidInputError(f"class index {i} outside 1..{class_card}")
-    if k <= 0:
-        raise InvalidInputError("informativeness k must be positive")
+    if not (k > 0) or not math.isfinite(k):
+        raise InvalidInputError(f"informativeness k must be finite and positive, got {k}")
     p = 1.0 / (i + k * class_card)
     return p if i % 2 == 0 else 1.0 - p
 

@@ -1,9 +1,9 @@
 """Monte Carlo engine for bias experiments over synthetic attribute sets.
 
 An experiment sweeps one axis (attribute cardinality, sample size, attribute
-count, or count of added noise attributes), generates `replicates` independent
-datasets per sweep point, evaluates the configured measures on each, and
-aggregates means and standard deviations into a curve.
+count, or count of added noise attributes), evaluates the configured measures
+on `replicates` independent datasets per sweep point, and aggregates means and
+standard deviations into a curve.
 
 Replicate r of every sweep point draws from streams keyed by
 (master_seed, r, column path). Points of a sweep therefore share their
@@ -11,9 +11,16 @@ replicate randomness: along a sample-size sweep the datasets are nested (row
 prefixes), and along count sweeps existing columns keep their draws. Shared
 draws leave each point's distribution untouched while removing independent
 sampling noise from the *differences* between neighboring points, which is
-what makes stabilization visible at a few hundred replicates. Any point can
-still be recomputed in isolation from (config, sweep_value, replicate_index)
-alone.
+what makes stabilization visible at a few hundred replicates.
+
+The engine uses the nesting. Points with the same layout (blocks and tracked
+subsets) differ only in m, as every point of a sample-size sweep does; per
+replicate such a layout gets one dataset, generated at its largest m, and
+each point reads its first m rows. Each distinct column subset is keyed once
+and counted for all row prefixes in one pass, and a marginal shared by several
+measures is counted once. `run_replicate(config, sweep_value, replicate_index)`
+remains the isolated recomputation of one point: the same path on a layout of
+that point alone, with the same floats.
 """
 
 from __future__ import annotations
@@ -21,13 +28,16 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
+
+import numpy as np
 
 from .dataset import AttributeBlock, generate_dataset
 from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng
-from .measures import msu, symmetrical_uncertainty
+from .measures import entropy_rows, msu_from_entropies
+from .sample import normalize_columns, prefix_counts
 from .samplesize import (
     CardinalityProfile,
     heuristic_sample_size,
@@ -81,8 +91,8 @@ class ComputedSampleSize:
     factor: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.factor <= 0:
-            raise InvalidInputError(f"factor must be positive, got {self.factor}")
+        if not (math.isfinite(self.factor) and self.factor > 0):
+            raise InvalidInputError(f"factor must be finite and positive, got {self.factor}")
 
 
 SampleSizePolicy = FixedSampleSize | ComputedSampleSize
@@ -252,7 +262,6 @@ class ResolvedPoint:
     m: int
     blocks: tuple[AttributeBlock | None, ...]
     tracked: tuple[tuple[str, tuple[str, ...], bool], ...]  # (label, column names, with_su)
-    sample_size: int
 
 
 def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
@@ -294,7 +303,6 @@ def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
         m=m,
         blocks=tuple(blocks),
         tracked=tuple(active),
-        sample_size=m,
     )
 
 
@@ -343,30 +351,57 @@ def run_replicate(
 ) -> dict[str, float]:
     """Generate one dataset for a sweep point and evaluate its measures."""
     point = resolve_point(config, sweep_value)
-    return _run_resolved(config, point, replicate_index)
+    labels, values = _run_layout(config, [point], replicate_index)
+    return dict(zip(labels, values[0]))
 
 
-def _run_resolved(
-    config: ExperimentConfig, point: ResolvedPoint, replicate_index: int
-) -> dict[str, float]:
+def _run_layout(
+    config: ExperimentConfig, points: Sequence[ResolvedPoint], replicate_index: int
+) -> tuple[list[str], list[list[float]]]:
+    """Measure labels, and each point's values, on one replicate of a layout.
+
+    The points share blocks and tracked subsets, so one dataset at the
+    largest m serves them all: a point of m rows reads its first m rows.
+    """
+    layout = points[0]
     rng = SeededRng(config.master_seed, replicate_index)
+    prefixes = sorted({p.m for p in points})
     sample = generate_dataset(
-        point.m,
+        prefixes[-1],
         config.class_card,
-        point.blocks,
+        layout.blocks,
         rng,
         k=config.kononenko_k,
         xor_noise=config.xor_noise,
     )
     class_idx = sample.n_columns - 1
-    values: dict[str, float] = {}
-    for label, col_names, with_su in point.tracked:
+    entropies: dict[tuple[int, ...], list[float]] = {}  # subset -> per prefix
+
+    def subset_entropies(subset: tuple[int, ...]) -> list[float]:
+        if subset not in entropies:
+            entropies[subset] = [
+                h for counts in prefix_counts(sample, subset, prefixes) for h in entropy_rows(counts)
+            ]
+        return entropies[subset]
+
+    labels: list[str] = []
+    per_prefix: list[list[float]] = []  # per measure, its value at each prefix
+    for label, col_names, with_su in layout.tracked:
         cols = [sample.column_index(n) for n in col_names]
-        values[f"msu_{label}"] = msu(sample, cols + [class_idx]).value
+        measures = [(f"msu_{label}", cols + [class_idx])]
         if with_su:
-            for name, idx in zip(col_names, cols):
-                values[f"su_{name}"] = symmetrical_uncertainty(sample, idx, class_idx).value
-    return values
+            measures += [(f"su_{name}", [idx, class_idx]) for name, idx in zip(col_names, cols)]
+        for measure, measure_cols in measures:
+            subset = normalize_columns(sample, measure_cols)
+            marginals = [subset_entropies((c,)) for c in subset]
+            joint = subset_entropies(subset)
+            labels.append(measure)
+            per_prefix.append([
+                msu_from_entropies([h[i] for h in marginals], joint[i]).value
+                for i in range(len(prefixes))
+            ])
+    row = {m: i for i, m in enumerate(prefixes)}
+    return labels, [[series[row[p.m]] for series in per_prefix] for p in points]
 
 
 @dataclass(frozen=True)
@@ -431,26 +466,46 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
     if config.representativeness_scan:
         return _run_representativeness_scan(config)
 
+    n_points = len(config.sweep.values)
+    points: dict[int, ResolvedPoint] = {}
+    failures: dict[int, str] = {}
+    for i, sweep_value in enumerate(config.sweep.values):
+        try:
+            points[i] = resolve_point(config, sweep_value)
+        except InvalidInputError as exc:
+            failures[i] = str(exc)
+    layouts: dict[tuple, list[int]] = {}
+    for i, point in points.items():
+        layouts.setdefault((point.blocks, point.tracked), []).append(i)
+
+    # point index -> measure labels and values[measure, replicate]
+    results: dict[int, tuple[list[str], np.ndarray]] = {}
+    for members in layouts.values():
+        layout = [points[i] for i in members]
+        try:
+            labels, first = _run_layout(config, layout, 0)
+            values = np.empty((len(members), len(labels), config.replicates))
+            values[:, :, 0] = first
+            for r in range(1, config.replicates):
+                values[:, :, r] = _run_layout(config, layout, r)[1]
+        except InvalidInputError as exc:
+            failures.update((i, str(exc)) for i in members)
+            continue
+        for j, i in enumerate(members):
+            results[i] = (labels, values[j])
+
     sample_sizes: list[int | None] = []
     per_measure: dict[str, list[MeasureStats | None]] = {}
     errors: list[tuple[int, str]] = []
-    n_points = len(config.sweep.values)
-
     for i, sweep_value in enumerate(config.sweep.values):
-        try:
-            point = resolve_point(config, sweep_value)
-            collected: dict[str, list[float]] = {}
-            for r in range(config.replicates):
-                for label, value in _run_resolved(config, point, r).items():
-                    collected.setdefault(label, []).append(value)
-        except InvalidInputError as exc:
-            errors.append((sweep_value, str(exc)))
+        if i in failures:
+            errors.append((sweep_value, failures[i]))
             sample_sizes.append(None)
             continue
-        sample_sizes.append(point.sample_size)
-        for label, values in collected.items():
+        sample_sizes.append(points[i].m)
+        for label, values in zip(*results[i]):
             series = per_measure.setdefault(label, [None] * n_points)
-            mean, std = _mean_std(values)
+            mean, std = _mean_std(values.tolist())
             series[i] = MeasureStats(mean=mean, std=std, n=len(values))
 
     return BiasCurve(
@@ -612,17 +667,3 @@ def _json_float(value, what: str) -> float:
             if math.isfinite(number):
                 return number
     raise InvalidInputError(f"{what} must be a finite number, got {value!r}")
-
-
-def with_overrides(
-    config: ExperimentConfig,
-    replicates: int | None = None,
-    master_seed: int | None = None,
-) -> ExperimentConfig:
-    """Copy of a config with run-scale knobs replaced."""
-    updates = {}
-    if replicates is not None:
-        updates["replicates"] = replicates
-    if master_seed is not None:
-        updates["master_seed"] = master_seed
-    return replace(config, **updates) if updates else config

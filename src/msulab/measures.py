@@ -37,11 +37,20 @@ class MeasureValue:
         return self.value
 
 
+def entropy_rows(counts: np.ndarray) -> list[float]:
+    """Entropy in bits of each row of a count matrix with positive row sums.
+
+    A zero cell contributes an exact 0 term, so a row gives the same float as
+    its positive counts alone.
+    """
+    p = counts / counts.sum(axis=1, keepdims=True)
+    terms = p * np.log2(np.where(counts > 0, p, 1.0))
+    return [-math.fsum(row) + 0.0 for row in terms.tolist()]  # + 0.0 avoids -0.0
+
+
 def _entropy_bits(counts: np.ndarray) -> float:
-    """Entropy in bits of a positive count vector (zeros already removed)."""
-    total = counts.sum()
-    p = counts / total
-    return -math.fsum((p * np.log2(p)).tolist()) + 0.0  # avoid -0.0
+    """Entropy in bits of a count vector: the one-row case of `entropy_rows`."""
+    return entropy_rows(counts[np.newaxis])[0]
 
 
 def _clean_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -129,15 +138,19 @@ def _clamp_unit(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _normalized_total_correlation(sample: CategoricalSample, subset: tuple[int, ...]) -> MeasureValue:
-    n = len(subset)
-    marginals = [_column_entropy(sample, c) for c in subset]
+def msu_from_entropies(marginals: Sequence[float], h_joint: float) -> MeasureValue:
+    """MSU from the marginal entropies of n >= 2 columns and their joint entropy."""
+    n = len(marginals)
     h_sum = math.fsum(marginals)
     if h_sum == 0.0:
         return MeasureValue(0.0, degenerate=True)
-    h_joint = _entropy_bits(joint_counts(sample, subset))
     value = (n / (n - 1)) * (h_sum - h_joint) / h_sum
     return MeasureValue(_clamp_unit(value))
+
+
+def _normalized_total_correlation(sample: CategoricalSample, subset: tuple[int, ...]) -> MeasureValue:
+    marginals = [_column_entropy(sample, c) for c in subset]
+    return msu_from_entropies(marginals, _entropy_bits(joint_counts(sample, subset)))
 
 
 def msu(sample: CategoricalSample, cols: Sequence[int]) -> MeasureValue:

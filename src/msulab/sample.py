@@ -9,15 +9,17 @@ are built from observed counts only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
 
-# Joint spaces up to this many cells are counted with a dense bincount;
-# larger (but int64-addressable) spaces fall back to sparse key counting.
+# Joint spaces up to this many cells are counted with a dense bincount over
+# their mixed-radix keys; larger ones are first renumbered to the observed
+# cells. It also caps the size of one prefix count matrix.
 _DENSE_CELL_LIMIT = 1 << 21
 
 
@@ -109,34 +111,74 @@ def joint_counts(sample: CategoricalSample, cols: Sequence[int]) -> np.ndarray:
 
     The cell order is deterministic for a given sample (ascending mixed-radix
     key over the sorted column subset), so repeated calls return identical
-    arrays.
+    arrays. This is the one-prefix case of `prefix_counts`.
+    """
+    (counts,) = prefix_counts(sample, cols, (sample.n_rows,))
+    return counts[0]
+
+
+def prefix_counts(
+    sample: CategoricalSample, cols: Sequence[int], prefixes: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """Joint counts over `cols` of the row prefixes `codes[:n]`, n in `prefixes`.
+
+    `prefixes` must be strictly ascending row counts. Each yielded matrix
+    holds the counts of consecutive prefixes, one row each, in ascending cell
+    key order; cells absent from all of its rows are dropped, so the last row
+    has no zero. No matrix exceeds `_DENSE_CELL_LIMIT` elements unless a
+    single row does. Every row is counted from the rows' cell ids in one
+    pass: the ids are keyed once, and each prefix adds the rows after the
+    previous one to its counts.
     """
     subset = normalize_columns(sample, cols)
-    codes = sample.codes[:, subset]
-    dims = [sample.cardinalities[c] for c in subset]
-    space = 1
-    for d in dims:
-        space *= d
+    bounds = [int(n) for n in prefixes]
+    if not bounds or bounds[0] < 1 or sorted(set(bounds)) != bounds:
+        raise InvalidInputError(f"prefixes must be strictly ascending and positive, got {bounds}")
+    if bounds[-1] > sample.n_rows:
+        raise InvalidInputError(f"prefix of {bounds[-1]} rows exceeds the sample's {sample.n_rows}")
+    ids, n_cells = _cell_ids(
+        sample.codes[: bounds[-1], subset], [sample.cardinalities[c] for c in subset]
+    )
+    per_chunk = max(1, _DENSE_CELL_LIMIT // n_cells)
+    start = 0
+    running = None
+    for first in range(0, len(bounds), per_chunk):
+        chunk = bounds[first : first + per_chunk]
+        rows = ids[start : chunk[-1]]
+        if len(chunk) == 1:
+            counts = np.bincount(rows, minlength=n_cells)[np.newaxis]
+        else:
+            # offset each row's id by its prefix slot, then accumulate slots
+            slot = np.repeat(np.arange(0, len(chunk) * n_cells, n_cells), np.diff([start, *chunk]))
+            counts = np.bincount(slot + rows, minlength=len(chunk) * n_cells)
+            counts = counts.reshape(len(chunk), n_cells).cumsum(axis=0)
+        if running is not None:
+            counts += running
+        running = counts[-1]
+        start = chunk[-1]
+        yield counts[:, running > 0]
 
-    if space <= _DENSE_CELL_LIMIT:
-        keys = _mixed_radix_keys(codes, dims)
-        counts = np.bincount(keys, minlength=space)
-        return counts[counts > 0]
-    if space < (1 << 62):
-        keys = _mixed_radix_keys(codes, dims)
-        _, counts = np.unique(keys, return_counts=True)
-        return counts
-    # Joint space not addressable in int64: count distinct rows directly.
-    _, counts = np.unique(codes, axis=0, return_counts=True)
-    return counts
 
+def _cell_ids(codes: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Per-row cell ids over the columns of `codes`, and the id space size.
 
-def _mixed_radix_keys(codes: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    Dense spaces use the mixed-radix key itself; larger ones are renumbered
+    to the observed keys (or, past int64, to the observed rows) in ascending
+    order.
+    """
+    space = math.prod(dims)
+    if space >= 1 << 62:
+        # joint space not addressable in int64: number the distinct rows
+        cells, ids = np.unique(codes, axis=0, return_inverse=True)
+        return ids.reshape(-1), len(cells)
     keys = np.zeros(codes.shape[0], dtype=np.int64)
     for j, d in enumerate(dims):
         keys *= d
         keys += codes[:, j]
-    return keys
+    if space <= _DENSE_CELL_LIMIT:
+        return keys, space
+    cells, ids = np.unique(keys, return_inverse=True)
+    return ids.reshape(-1), len(cells)
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,8 @@ def multivariate_cardinality(profile: CardinalityProfile) -> int:
 
 def heuristic_sample_size(profile: CardinalityProfile, factor: float = 10.0) -> int:
     """factor x multivariate cardinality, rounded up."""
-    if factor <= 0:
-        raise InvalidInputError(f"factor must be positive, got {factor}")
+    if not (math.isfinite(factor) and factor > 0):
+        raise InvalidInputError(f"factor must be finite and positive, got {factor}")
     space = multivariate_cardinality(profile)
     if float(factor).is_integer():
         return int(factor) * space

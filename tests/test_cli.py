@@ -125,6 +125,16 @@ class TestGenerate:
         with pytest.raises(SystemExit):
             main(["generate", "--rule", "xor", "--cards", "3,3", "--m", "10"])
 
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_non_finite_k_exits_1_without_dataset(self, tmp_path, capsys, k):
+        out = tmp_path / "data.csv"
+        code, stdout, err = run(
+            capsys, "generate", "--rule", "mk", "--cards", "3", "--m", "5", "--k", k, "--out", str(out)
+        )
+        assert code == 1
+        assert stdout == "" and not out.exists()
+        assert "informativeness k" in err and "Traceback" not in err
+
     def test_uniform_requires_cards(self, capsys):
         with pytest.raises(SystemExit):
             main(["generate", "--rule", "uniform", "--m", "10"])
@@ -236,6 +246,11 @@ class TestRecommend:
         assert code == 0
         assert "degenerate" in err
 
+    def test_infinite_factor_exits_1(self, capsys):
+        code, out, err = run(capsys, "recommend", "--cards", "2", "--factor", "inf")
+        assert code == 1
+        assert "factor must be finite" in err and "Traceback" not in err
+
     def test_bad_cards_rejected(self, capsys):
         code, _, err = run(capsys, "recommend", "--cards", "2,x")
         assert code == 1
@@ -272,6 +287,12 @@ class TestChi2Scan:
         code, out, _ = run(capsys, "chi2-scan", "--cards", "2,2", "--class-card", "2")
         assert code == 0
         assert out.splitlines()[1].startswith("8,7,")
+
+    def test_nan_factor_exits_1(self, capsys):
+        code, out, err = run(capsys, "chi2-scan", "--cells", "8", "--factor", "nan")
+        assert code == 1
+        assert out == ""
+        assert "factor must be finite" in err and "Traceback" not in err
 
     def test_requires_one_source(self, capsys):
         with pytest.raises(SystemExit):

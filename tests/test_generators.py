@@ -108,6 +108,11 @@ class TestKononenkoProbability:
         with pytest.raises(InvalidInputError):
             kononenko_first_half_prob(1, 0.0, 2)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k_rejected(self, k):
+        with pytest.raises(InvalidInputError, match="informativeness"):
+            kononenko_first_half_prob(1, k, 2)
+
 
 class TestGenKononenko:
     def test_even_cardinality_split(self):
@@ -191,6 +196,11 @@ class TestGeneratorSpec:
     def test_kononenko_requires_two_values(self):
         with pytest.raises(InvalidInputError):
             GeneratorSpec(GeneratorKind.KONONENKO, cardinality=1)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+    def test_kononenko_k_must_be_finite_and_positive(self, k):
+        with pytest.raises(InvalidInputError, match="informativeness"):
+            GeneratorSpec(GeneratorKind.KONONENKO, cardinality=4, k=k)
 
     def test_valid_specs(self):
         GeneratorSpec(GeneratorKind.UNIFORM, cardinality=7)

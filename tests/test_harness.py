@@ -23,7 +23,9 @@ from msulab import (
     run_experiment,
     run_replicate,
 )
-from msulab.harness import CountRule, _mean_std, resolve_point
+from msulab import harness
+from msulab.dataset import generate_dataset
+from msulab.harness import CountRule, MeasureStats, _mean_std, resolve_point
 
 
 def _desk(config, replicates, sweep_values=None):
@@ -377,6 +379,11 @@ class TestConfigValidation:
                 sample_size_policy=FixedSampleSize(10),
             )
 
+    @pytest.mark.parametrize("factor", [0.0, math.nan, math.inf])
+    def test_computed_factor_must_be_finite_and_positive(self, factor):
+        with pytest.raises(InvalidInputError, match="factor"):
+            ComputedSampleSize(factor)
+
     def test_unknown_sweep_kind(self):
         with pytest.raises(InvalidInputError):
             Sweep("verticality", (1, 2))
@@ -392,3 +399,61 @@ class TestConfigValidation:
         curve = run_experiment(cfg)
         assert "msu_informative" not in curve.measures
         assert curve.measures["msu_noninformative"][0] is not None
+
+
+def _json_sample_size_sweep():
+    # unsorted, with a repeated value and an infeasible 0
+    return config_from_json({
+        "name": "json-sweep", "rule": "mk", "n_informative": 2, "attribute_card": 3,
+        "n_noninformative": 1, "class_card": 3, "replicates": 3,
+        "sweep": {"kind": "sample_size", "values": [40, 12, 0, 25, 12, 100]},
+    })
+
+
+class TestNestedEngine:
+    """run_experiment reads sweep points as row prefixes of one dataset per
+    replicate; it must agree bit for bit with recomputing each point alone."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [_desk(preset("fig-b2"), 3), _desk(preset("fig-e1"), 4), _json_sample_size_sweep()],
+        ids=["fig-b2", "fig-e1", "json"],
+    )
+    def test_matches_isolated_recomputation(self, config):
+        curve = run_experiment(config)
+        expected_errors = []
+        for i, value in enumerate(config.sweep.values):
+            try:
+                resolve_point(config, value)
+            except InvalidInputError as exc:
+                expected_errors.append((value, str(exc)))
+                assert curve.sample_sizes[i] is None
+                assert all(series[i] is None for series in curve.measures.values())
+                continue
+            assert curve.sample_sizes[i] == value
+            reps = [run_replicate(config, value, r) for r in range(config.replicates)]
+            assert list(reps[0]) == [m for m in curve.measures if curve.measures[m][i] is not None]
+            for label in reps[0]:
+                mean, std = _mean_std([rep[label] for rep in reps])
+                assert curve.measures[label][i] == MeasureStats(mean, std, config.replicates)
+        assert list(curve.errors) == expected_errors
+
+    def test_sample_size_sweep_builds_one_dataset_per_replicate(self, monkeypatch):
+        built = []
+
+        def counting(m, *args, **kwargs):
+            built.append(m)
+            return generate_dataset(m, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_dataset", counting)
+        run_experiment(_desk(preset("fig-b2"), 4))
+        assert built == [150] * 4
+
+    def test_layout_failure_reported_for_each_of_its_points(self):
+        # an XOR-derived class needs class cardinality 2: every point fails alike
+        cfg = dataclasses.replace(preset("fig-b1"), class_card=3, sweep=Sweep("sample_size", (9, 0, 8)))
+        curve = run_experiment(cfg)
+        assert [v for v, _ in curve.errors] == [9, 0, 8]
+        assert "class cardinality 2" in curve.errors[0][1]
+        assert curve.errors[1] == (0, "sample size 0 is infeasible")
+        assert curve.measures == {}

@@ -7,14 +7,18 @@ import pytest
 
 from msulab import (
     CategoricalSample,
+    InvalidInputError,
     conditional_entropy,
+    entropy,
     information_gain,
     joint_entropy,
     msu,
     symmetrical_uncertainty,
     total_correlation,
 )
-from msulab.sample import joint_counts
+from msulab import sample as sample_module
+from msulab.measures import entropy_rows
+from msulab.sample import joint_counts, prefix_counts
 from oracle_utils import brute_force_msu, random_sample
 
 N_CASES = 1000
@@ -120,3 +124,34 @@ def test_sparse_and_dense_counting_paths_agree():
         assert sorted(joint_counts(mid, cols).tolist()) == reference
         assert sorted(joint_counts(giant, cols).tolist()) == reference
     assert msu(giant, [0, 1, 2]).value == msu(small, [0, 1, 2]).value
+
+
+@pytest.mark.parametrize("cards", [(3, 3, 3), (3, 2**30, 2**30), (2**40, 2**40, 2**40)])
+@pytest.mark.parametrize("limit", [sample_module._DENSE_CELL_LIMIT, 40])
+def test_prefix_counts_match_counts_of_each_prefix(cards, limit, monkeypatch):
+    # dense, renumbered-key and distinct-row paths; a tiny limit forces chunks
+    monkeypatch.setattr(sample_module, "_DENSE_CELL_LIMIT", limit)
+    rng = np.random.default_rng(7)
+    sample = CategoricalSample(rng.integers(0, 3, size=(60, 3)), cards)
+    prefixes = [1, 2, 5, 17, 18, 40, 60]
+    for cols in ([0], [2, 0], [0, 1, 2]):
+        rows = [row for chunk in prefix_counts(sample, cols, prefixes) for row in chunk]
+        assert len(rows) == len(prefixes)
+        for n, row in zip(prefixes, rows):
+            head = CategoricalSample(sample.codes[:n], cards)
+            assert row[row > 0].tolist() == joint_counts(head, cols).tolist()
+
+
+def test_prefix_counts_reject_unordered_prefixes():
+    sample = CategoricalSample(np.zeros((5, 2), dtype=np.int64), (2, 2))
+    for prefixes in ([], [0, 3], [3, 2], [2, 2], [6]):
+        with pytest.raises(InvalidInputError):
+            list(prefix_counts(sample, [0, 1], prefixes))
+
+
+def test_entropy_rows_match_entropy_of_positive_counts():
+    rng = np.random.default_rng(11)
+    counts = rng.integers(0, 4, size=(300, 9))
+    counts[counts.sum(axis=1) == 0, 0] = 1
+    for row, h in zip(counts, entropy_rows(counts)):
+        assert h == entropy(row[row > 0]).value

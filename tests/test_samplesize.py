@@ -61,6 +61,11 @@ class TestHeuristicSampleSize:
         with pytest.raises(InvalidInputError):
             heuristic_sample_size(CardinalityProfile((2, 2), 2), factor=0)
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factor_rejected(self, factor):
+        with pytest.raises(InvalidInputError, match="factor"):
+            heuristic_sample_size(CardinalityProfile((2, 2), 2), factor=factor)
+
 
 class TestChi2Critical:
     def test_reference_values(self):
