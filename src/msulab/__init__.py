@@ -8,7 +8,6 @@ from .dataset import AttributeBlock, block, generate_dataset
 from .errors import InvalidInputError
 from .generators import (
     GeneratorKind,
-    GeneratorSpec,
     SeededRng,
     binary_entropy,
     gen_class,
@@ -21,10 +20,11 @@ from .generators import (
 from .harness import (
     BiasCurve,
     ComputedSampleSize,
+    CountRule,
     ExperimentConfig,
     FixedSampleSize,
+    GroupSpec,
     MeasureStats,
-    Rule,
     Sweep,
     TrackedSubset,
     bias,
@@ -44,7 +44,7 @@ from .measures import (
     total_correlation,
 )
 from .presets import CATALOG, preset
-from .sample import CategoricalSample, JointHistogram
+from .sample import CategoricalSample
 from .samplesize import (
     CardinalityProfile,
     RepresentativenessReport,
@@ -67,17 +67,16 @@ __all__ = [
     "CardinalityProfile",
     "CategoricalSample",
     "ComputedSampleSize",
+    "CountRule",
     "ExperimentConfig",
     "FixedSampleSize",
     "GeneratorKind",
-    "GeneratorSpec",
+    "GroupSpec",
     "IngestedDataset",
     "InvalidInputError",
-    "JointHistogram",
     "MeasureStats",
     "MeasureValue",
     "RepresentativenessReport",
-    "Rule",
     "SeededRng",
     "Sweep",
     "TrackedSubset",

@@ -53,6 +53,12 @@ class AttributeBlock:
             raise InvalidInputError("attribute cardinality must be at least 2")
 
 
+def check_xor_class(class_card: int) -> None:
+    """Reject a class cardinality other than 2 where an XOR pair derives the class."""
+    if class_card != 2:
+        raise InvalidInputError("an XOR-derived class requires class cardinality 2")
+
+
 def block(prefix: str, kind: GeneratorKind, count: int, cardinality: int) -> AttributeBlock:
     """Block with auto-numbered names prefix1..prefixN."""
     if count < 1:
@@ -91,8 +97,7 @@ def generate_dataset(
 
     columns: dict[str, np.ndarray] = {}
     if xor_blocks:
-        if class_card != 2:
-            raise InvalidInputError("an XOR-derived class requires class cardinality 2")
+        check_xor_class(class_card)
         bi = xor_blocks[0]
         pair = blocks[bi]
         f1, f2, class_codes = gen_xor_pair(m, xor_noise, rng.stream(bi + 1, 0))

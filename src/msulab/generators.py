@@ -36,29 +36,6 @@ class GeneratorKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class GeneratorSpec:
-    """Parameters of one attribute generator."""
-
-    kind: GeneratorKind
-    cardinality: int
-    k: float = 1.0
-    noise: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.cardinality < 1:
-            raise InvalidInputError("cardinality must be positive")
-        if self.kind is GeneratorKind.XOR_PAIR and self.cardinality != 2:
-            raise InvalidInputError("an XOR pair requires attribute cardinality 2")
-        if self.kind is GeneratorKind.KONONENKO:
-            if self.cardinality < 2:
-                raise InvalidInputError("a Kononenko attribute requires cardinality >= 2")
-            if not (self.k > 0) or not math.isfinite(self.k):
-                raise InvalidInputError(f"informativeness k must be finite and positive, got {self.k}")
-        if not 0.0 <= self.noise < 1.0:
-            raise InvalidInputError("noise must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
 class SeededRng:
     """Replicate-scoped source of independent, reproducible column streams.
 
@@ -99,6 +76,12 @@ def gen_uniform(card: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, card, size=_check_m(m), dtype=np.int64)
 
 
+def check_k(k: float) -> None:
+    """Reject a Kononenko informativeness k that is not finite and positive."""
+    if not (k > 0) or not math.isfinite(k):
+        raise InvalidInputError(f"informativeness k must be finite and positive, got {k}")
+
+
 def kononenko_first_half_prob(i: int, k: float, class_card: int) -> float:
     """Probability that a Kononenko attribute falls in its lower half-alphabet.
 
@@ -109,8 +92,7 @@ def kononenko_first_half_prob(i: int, k: float, class_card: int) -> float:
         raise InvalidInputError("class cardinality must be positive")
     if not 1 <= i <= class_card:
         raise InvalidInputError(f"class index {i} outside 1..{class_card}")
-    if not (k > 0) or not math.isfinite(k):
-        raise InvalidInputError(f"informativeness k must be finite and positive, got {k}")
+    check_k(k)
     p = 1.0 / (i + k * class_card)
     return p if i % 2 == 0 else 1.0 - p
 
@@ -153,6 +135,12 @@ def gen_kononenko(
     return np.where(in_lower, lower_vals, upper_vals)
 
 
+def check_xor_noise(noise: float) -> None:
+    """Reject an XOR class flip probability outside [0, 0.5)."""
+    if not 0.0 <= noise < 0.5:
+        raise InvalidInputError(f"noise must lie in [0, 0.5), got {noise}")
+
+
 def gen_xor_pair(
     m: int, noise: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,8 +151,7 @@ def gen_xor_pair(
     per-row Bernoulli flip. Noise of 0.5 or more would leave the class
     uncorrelated or anti-correlated with the pair, so it is rejected.
     """
-    if not 0.0 <= noise < 0.5:
-        raise InvalidInputError(f"noise must lie in [0, 0.5), got {noise}")
+    check_xor_noise(noise)
     draws = rng.random((_check_m(m), 3))
     f1 = (draws[:, 0] < 0.5).astype(np.int64)
     f2 = (draws[:, 1] < 0.5).astype(np.int64)
@@ -188,6 +175,5 @@ def xor_population_msu(noise: float) -> float:
     2 + h(noise) bits, so the total correlation is 1 - h(noise) and the
     normalized value is (1 - h(noise)) / 2.
     """
-    if not 0.0 <= noise < 0.5:
-        raise InvalidInputError(f"noise must lie in [0, 0.5), got {noise}")
+    check_xor_noise(noise)
     return (1.0 - binary_entropy(noise)) / 2.0

@@ -5,6 +5,13 @@ count, or count of added noise attributes), evaluates the configured measures
 on `replicates` independent datasets per sweep point, and aggregates means and
 standard deviations into a curve.
 
+Its layout is one list of attribute groups (`GroupSpec`: a generator family, a
+column count and a cardinality, each fixed or following the sweep) and the
+tracked subsets of those groups whose MSU (and optionally per-column SU) the
+curve reports. `resolve_point` turns a sweep value into the concrete blocks,
+column sets and sample size. `config_from_json` reads this layout from its
+JSON form; the preset catalog is written in that form too.
+
 Replicate r of every sweep point draws from streams keyed by
 (master_seed, r, column path). Points of a sweep therefore share their
 replicate randomness: along a sample-size sweep the datasets are nested (row
@@ -25,7 +32,6 @@ that point alone, with the same floats.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
@@ -33,9 +39,9 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import AttributeBlock, generate_dataset
+from .dataset import AttributeBlock, check_xor_class, generate_dataset
 from .errors import InvalidInputError
-from .generators import GeneratorKind, SeededRng
+from .generators import GeneratorKind, SeededRng, check_k, check_xor_noise
 from .measures import entropy_rows, msu_from_entropies
 from .sample import normalize_columns, prefix_counts
 from .samplesize import (
@@ -47,15 +53,8 @@ from .samplesize import (
 
 DEFAULT_MASTER_SEED = 20170707
 DEFAULT_REPLICATES = 1000
-
-
-class Rule(enum.Enum):
-    """Which attribute families the experiment generates."""
-
-    MK = "mk"
-    XOR = "xor"
-    BOTH = "both"
-    NONE = "none"
+# Significance level of the chi-squared m* reported by a representativeness scan.
+SCAN_ALPHA = 0.05
 
 
 _SWEEP_KINDS = ("cardinality", "sample_size", "attribute_count", "noise_attribute_count")
@@ -164,31 +163,26 @@ class TrackedSubset:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: generation rule, sweep axis, sizes, seeding.
+    """One experiment: attribute groups, tracked subsets, sweep axis, sizes, seeding.
 
-    `n_informative`, `attribute_card` and `n_noninformative` may each be an int
-    or an inclusive (lo, hi) range; a range marks the field driven by the sweep
-    axis. Explicit `groups`/`tracked` override the rule-based defaults for
-    layouts the scalar fields cannot express.
+    `groups` lay out the generated columns in order. A group's position is
+    the seed-stream slot of its columns (see `msulab.dataset`), so a group
+    whose count is 0 at a point still holds its slot. `tracked` names the
+    groups whose columns are measured together.
     """
 
     name: str
-    rule: Rule
     sweep: Sweep
-    n_informative: int | tuple[int, int] = 0
-    attribute_card: int | tuple[int, int] = 2
-    n_noninformative: int | tuple[int, int] = 0
+    groups: tuple[GroupSpec, ...]
+    tracked: tuple[TrackedSubset, ...]
     class_card: int = 2
     sample_size_policy: SampleSizePolicy | None = None
     replicates: int = DEFAULT_REPLICATES
     master_seed: int = DEFAULT_MASTER_SEED
     kononenko_k: float = 1.0
     xor_noise: float = 0.05
-    groups: tuple[GroupSpec, ...] | None = None
-    tracked: tuple[TrackedSubset, ...] | None = None
     theta_ref: float | None = None
     representativeness_scan: bool = False
-    scan_alpha: float = 0.05
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -198,60 +192,19 @@ class ExperimentConfig:
         if self.sweep.kind == "sample_size":
             if self.sample_size_policy is not None:
                 raise InvalidInputError("a sample-size sweep fixes m per point; drop the policy")
-        elif self.sample_size_policy is None and not self.representativeness_scan:
+        elif self.sample_size_policy is None:
             raise InvalidInputError("experiments without a sample-size sweep need a policy")
-        if self.groups is None:
-            swept = [
-                kind
-                for kind, val in (
-                    ("cardinality", self.attribute_card),
-                    ("attribute_count", self.n_informative),
-                    ("attribute_count", self.n_noninformative),
-                )
-                if isinstance(val, tuple)
-            ]
-            if self.sweep.kind == "cardinality" and "cardinality" not in swept:
-                raise InvalidInputError("cardinality sweep needs attribute_card as a (lo, hi) range")
-            if self.sweep.kind in ("attribute_count", "noise_attribute_count") and not any(
-                isinstance(v, tuple) for v in (self.n_informative, self.n_noninformative)
-            ):
-                raise InvalidInputError("count sweep needs a count field as a (lo, hi) range")
-
-
-def _as_count_rule(value: int | tuple[int, int]) -> int | CountRule:
-    if isinstance(value, tuple):
-        return CountRule(window=(int(value[0]), int(value[1])))
-    return int(value)
-
-
-def _default_groups(config: ExperimentConfig) -> tuple[GroupSpec, ...]:
-    card: int | str = "sweep" if isinstance(config.attribute_card, tuple) else int(config.attribute_card)
-    n_inf = config.n_informative
-    n_non = config.n_noninformative
-    groups: list[GroupSpec] = []
-    if config.rule in (Rule.XOR, Rule.BOTH):
-        groups.append(GroupSpec("xor", GeneratorKind.XOR_PAIR, 2, 2))
-    if config.rule is Rule.MK:
-        groups.append(GroupSpec("mk", GeneratorKind.KONONENKO, _as_count_rule(n_inf), card))
-    elif config.rule is Rule.BOTH:
-        # counts of informative attributes include the XOR pair itself
-        if isinstance(n_inf, tuple):
-            mk_count: int | CountRule = CountRule(offset=-2, window=(int(n_inf[0]), int(n_inf[1])))
-        else:
-            mk_count = max(int(n_inf) - 2, 0)
-        groups.append(GroupSpec("mk", GeneratorKind.KONONENKO, mk_count, card))
-    groups.append(GroupSpec("u", GeneratorKind.UNIFORM, _as_count_rule(n_non), card))
-    return tuple(groups)
-
-
-def _default_tracked(config: ExperimentConfig, groups: tuple[GroupSpec, ...]) -> tuple[TrackedSubset, ...]:
-    names = tuple(g.name for g in groups)
-    if config.rule is Rule.MK and "mk" in names and "u" in names:
-        return (
-            TrackedSubset("informative", ("mk",)),
-            TrackedSubset("noninformative", ("u",)),
-        )
-    return (TrackedSubset("set", names),)
+        SeededRng(self.master_seed)  # rejects a negative seed
+        check_k(self.kononenko_k)
+        check_xor_noise(self.xor_noise)
+        if any(g.family is GeneratorKind.XOR_PAIR for g in self.groups):
+            check_xor_class(self.class_card)
+        names = [g.name for g in self.groups]
+        if len(set(names)) != len(names):
+            raise InvalidInputError(f"group names must be unique, got {names}")
+        unknown = sorted({n for sub in self.tracked for n in sub.groups} - set(names))
+        if unknown:
+            raise InvalidInputError(f"tracked subsets name unknown group(s): {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -267,13 +220,10 @@ class ResolvedPoint:
 def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
     """Turn a sweep value into blocks, tracked column sets and a sample size."""
     sweep_value = int(sweep_value)
-    groups = config.groups if config.groups is not None else _default_groups(config)
-    tracked = config.tracked if config.tracked is not None else _default_tracked(config, groups)
-
     blocks: list[AttributeBlock | None] = []
     group_columns: dict[str, tuple[str, ...]] = {}
     group_cards: dict[str, int] = {}
-    for g in groups:
+    for g in config.groups:
         count = g.resolve_count(sweep_value)
         card = g.resolve_card(sweep_value)
         if g.family is GeneratorKind.XOR_PAIR and count not in (0, 2):
@@ -288,13 +238,13 @@ def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
         group_cards[g.name] = card
 
     active: list[tuple[str, tuple[str, ...], bool]] = []
-    for sub in tracked:
+    for sub in config.tracked:
         if not sub.active(sweep_value):
             continue
-        cols = tuple(n for gname in sub.groups for n in group_columns.get(gname, ()))
+        cols = tuple(n for gname in sub.groups for n in group_columns[gname])
         if cols:
             active.append((sub.label, cols, sub.with_su))
-    if not active and not config.representativeness_scan:
+    if not active:
         raise InvalidInputError(f"no tracked subset is active at sweep value {sweep_value}")
 
     m = _resolve_sample_size(config, sweep_value, active, group_cards, group_columns)
@@ -532,14 +482,11 @@ def _run_representativeness_scan(config: ExperimentConfig) -> BiasCurve:
     errors: list[tuple[int, str]] = []
     for sweep_value in config.sweep.values:
         try:
-            groups = config.groups if config.groups is not None else _default_groups(config)
-            cards: list[int] = []
-            for g in groups:
-                count = g.resolve_count(sweep_value)
-                cards.extend([g.resolve_card(sweep_value)] * count)
-            profile = CardinalityProfile(tuple(cards), config.class_card)
+            blocks = resolve_point(config, sweep_value).blocks
+            cards = tuple(b.cardinality for b in blocks if b is not None for _ in b.names)
+            profile = CardinalityProfile(cards, config.class_card)
             k_cells = multivariate_cardinality(profile)
-            star = min_representative_m(k_cells, config.scan_alpha)
+            star = min_representative_m(k_cells, SCAN_ALPHA)
             heur = heuristic_sample_size(profile, factor)
         except InvalidInputError as exc:
             errors.append((sweep_value, str(exc)))
@@ -573,12 +520,15 @@ def bias(curve: BiasCurve, theta: float, measure: str | None = None) -> list[flo
     return [m - theta if m is not None else None for m in means]
 
 
-# The keys config_from_json reads; any other key is most likely a typo.
+# The keys config_from_json reads in each object; any other key is most likely a typo.
 _CONFIG_FIELDS = frozenset({
-    "name", "rule", "sweep", "n_informative", "attribute_card", "n_noninformative",
-    "class_card", "sample_size_policy", "replicates", "master_seed", "kononenko_k",
-    "xor_noise", "theta_ref",
+    "name", "sweep", "groups", "tracked", "class_card", "sample_size_policy", "replicates",
+    "master_seed", "kononenko_k", "xor_noise", "theta_ref", "representativeness_scan",
 })
+_SWEEP_FIELDS = frozenset({"kind", "values", "start", "stop"})
+_GROUP_FIELDS = frozenset({"name", "family", "count", "cardinality"})
+_COUNT_FIELDS = frozenset({"fixed", "offset", "window", "binary_equivalent"})
+_TRACKED_FIELDS = frozenset({"label", "groups", "with_su", "window"})
 
 
 def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
@@ -587,15 +537,14 @@ def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
         data = json.loads(text_or_mapping) if isinstance(text_or_mapping, str) else text_or_mapping
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"experiment config is not valid JSON: {exc}") from None
-    _check_object(data, "experiment config")
-    unknown = sorted(set(data) - _CONFIG_FIELDS)
-    if unknown:
-        raise InvalidInputError(f"unknown experiment config field(s): {', '.join(unknown)}")
+    _check_object(data, "experiment config", _CONFIG_FIELDS)
     try:
         sweep_data = data["sweep"]
-        _check_object(sweep_data, "sweep")
+        _check_object(sweep_data, "sweep", _SWEEP_FIELDS)
         if "values" in sweep_data:
-            values = tuple(_json_int(v, "sweep value") for v in sweep_data["values"])
+            values = tuple(
+                _json_int(v, "sweep value") for v in _json_list(sweep_data["values"], "sweep values")
+            )
         else:
             start = _json_int(sweep_data["start"], "sweep start")
             values = tuple(range(start, _json_int(sweep_data["stop"], "sweep stop") + 1))
@@ -612,22 +561,12 @@ def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
             policy = ComputedSampleSize(_json_float(policy_data["computed"], "computed factor"))
         else:
             raise InvalidInputError(f"unknown sample size policy {policy_data!r}")
-
-        def int_or_range(key, default):
-            value = data.get(key, default)
-            if isinstance(value, (list, tuple)):
-                lo, hi = value
-                return (_json_int(lo, key), _json_int(hi, key))
-            return _json_int(value, key)
-
         theta_ref = data.get("theta_ref")
         return ExperimentConfig(
             name=str(data["name"]),
-            rule=Rule(data["rule"]),
             sweep=sweep,
-            n_informative=int_or_range("n_informative", 0),
-            attribute_card=int_or_range("attribute_card", 2),
-            n_noninformative=int_or_range("n_noninformative", 0),
+            groups=tuple(_group_from_json(g) for g in _json_list(data["groups"], "groups")),
+            tracked=tuple(_tracked_from_json(t) for t in _json_list(data["tracked"], "tracked")),
             class_card=_json_int(data.get("class_card", 2), "class_card"),
             sample_size_policy=policy,
             replicates=_json_int(data.get("replicates", DEFAULT_REPLICATES), "replicates"),
@@ -635,6 +574,9 @@ def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
             kononenko_k=_json_float(data.get("kononenko_k", 1.0), "kononenko_k"),
             xor_noise=_json_float(data.get("xor_noise", 0.05), "xor_noise"),
             theta_ref=None if theta_ref is None else _json_float(theta_ref, "theta_ref"),
+            representativeness_scan=_json_bool(
+                data.get("representativeness_scan", False), "representativeness_scan"
+            ),
         )
     except KeyError as exc:
         raise InvalidInputError(f"experiment config is missing field {exc}") from None
@@ -642,9 +584,65 @@ def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
         raise InvalidInputError(f"bad experiment config: {exc}") from None
 
 
-def _check_object(value, what: str) -> None:
+def _group_from_json(data) -> GroupSpec:
+    _check_object(data, "group", _GROUP_FIELDS)
+    count = data["count"]
+    if isinstance(count, Mapping):
+        _check_object(count, "group count", _COUNT_FIELDS)
+        fixed = count.get("fixed")
+        count = CountRule(
+            fixed=None if fixed is None else _json_int(fixed, "count fixed"),
+            offset=_json_int(count.get("offset", 0), "count offset"),
+            window=_json_window(count.get("window"), "count window"),
+            binary_equivalent=_json_bool(count.get("binary_equivalent", False), "binary_equivalent"),
+        )
+    else:
+        count = _json_int(count, "group count")
+    card = data["cardinality"]
+    return GroupSpec(
+        name=str(data["name"]),
+        family=GeneratorKind(data["family"]),
+        count=count,
+        cardinality=card if card == "sweep" else _json_int(card, "group cardinality"),
+    )
+
+
+def _tracked_from_json(data) -> TrackedSubset:
+    _check_object(data, "tracked subset", _TRACKED_FIELDS)
+    return TrackedSubset(
+        label=str(data["label"]),
+        groups=tuple(str(g) for g in _json_list(data["groups"], "tracked groups")),
+        with_su=_json_bool(data.get("with_su", False), "with_su"),
+        window=_json_window(data.get("window"), "tracked window"),
+    )
+
+
+def _check_object(value, what: str, fields: frozenset[str]) -> None:
     if not isinstance(value, Mapping):
         raise InvalidInputError(f"{what} must be a JSON object, got {type(value).__name__}")
+    unknown = sorted(set(value) - fields)
+    if unknown:
+        raise InvalidInputError(f"unknown {what} field(s): {', '.join(unknown)}")
+
+
+def _json_list(value, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInputError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
+def _json_window(value, what: str) -> tuple[int, int] | None:
+    if value is None:
+        return None
+    if len(_json_list(value, what)) != 2:
+        raise InvalidInputError(f"{what} must be a [lo, hi] pair, got {value!r}")
+    return (_json_int(value[0], what), _json_int(value[1], what))
+
+
+def _json_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise InvalidInputError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _json_int(value, what: str) -> int:

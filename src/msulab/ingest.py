@@ -43,10 +43,6 @@ def read_csv(path: str | Path) -> IngestedDataset:
         raise InvalidInputError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def parse_csv_text(text: str, source: str = "<string>") -> IngestedDataset:
-    return _parse(io.StringIO(text), source)
-
-
 def _parse(fh: IO[str], source: str) -> IngestedDataset:
     reader = csv.reader(fh)
     try:

@@ -5,188 +5,169 @@ implements: cardinality sweeps at fixed and computed sample sizes, sample-size
 sweeps for individually and collectively informative attribute sets, attribute
 count sweeps, noise-addition sweeps, and the goodness-of-fit scan that
 compares the chi-squared minimal sample size against the 10x rule.
+
+Every preset is written in the JSON config form (README, "JSON experiment
+configs") and built by `config_from_json`, so a config file can run anything
+the catalog runs. Group names, order and zero-count groups are part of a
+preset: a group's position is the seed-stream slot of its columns (see
+`msulab.dataset`), so moving or dropping one would change the curves.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInputError
-from .generators import GeneratorKind, xor_population_msu
-from .harness import (
-    ComputedSampleSize,
-    CountRule,
-    ExperimentConfig,
-    FixedSampleSize,
-    GroupSpec,
-    Rule,
-    Sweep,
-    TrackedSubset,
-)
+from .generators import xor_population_msu
+from .harness import ExperimentConfig, config_from_json
 
 # The univariate cardinalities exercised by the cardinality sweeps.
 CARD_SWEEP_2_40 = (2, 4, 5, 8, 10, 16, 20, 30, 32, 40)
 CARD_SWEEP_4_64 = (4, 8, 16, 32, 64)
 
 
-def _fig_a(name: str, class_card: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        name=name,
-        rule=Rule.MK,
-        sweep=Sweep("cardinality", CARD_SWEEP_2_40),
-        n_informative=1,
-        attribute_card=(2, 40),
-        n_noninformative=1,
-        class_card=class_card,
-        sample_size_policy=FixedSampleSize(1000),
-        tracked=(TrackedSubset("set", ("mk", "u"), with_su=True),),
-    )
+def _group(name: str, family: str, count, cardinality: int | str = 2) -> dict:
+    return {"name": name, "family": family, "count": count, "cardinality": cardinality}
 
 
-def _fig_e(name: str, m_hi: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        name=name,
-        rule=Rule.MK,
-        sweep=Sweep("sample_size", tuple(range(8, m_hi + 1))),
-        n_informative=2,
-        attribute_card=2,
-        n_noninformative=2,
-    )
+def _tracked(label: str, *groups: str, with_su: bool = False, window=None) -> dict:
+    return {"label": label, "groups": list(groups), "with_su": with_su, "window": window}
 
 
-def _fig_b(name: str, m_hi: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        name=name,
-        rule=Rule.XOR,
-        sweep=Sweep("sample_size", tuple(range(8, m_hi + 1))),
-        n_informative=2,
-        attribute_card=2,
-        tracked=(TrackedSubset("set", ("xor",), with_su=True),),
-        theta_ref=xor_population_msu(0.05),
-    )
+def _span(kind: str, start: int, stop: int) -> dict:
+    return {"kind": kind, "start": start, "stop": stop}
 
 
-def _paired_cardinality(name: str, family: GeneratorKind, rule: Rule) -> ExperimentConfig:
+def _cards(values: tuple[int, ...]) -> dict:
+    return {"kind": "cardinality", "values": values}
+
+
+def _fig_a(name: str, class_card: int) -> dict:
+    return {
+        "name": name,
+        "sweep": _cards(CARD_SWEEP_2_40),
+        "groups": [_group("mk", "kononenko", 1, "sweep"), _group("u", "uniform", 1, "sweep")],
+        "tracked": [_tracked("set", "mk", "u", with_su=True)],
+        "class_card": class_card,
+        "sample_size_policy": {"fixed": 1000},
+    }
+
+
+def _mk_pairs(name: str, sweep: dict, cardinality: int | str, policy=None) -> dict:
+    # two individually informative attributes and two non-informative ones
+    return {
+        "name": name,
+        "sweep": sweep,
+        "groups": [
+            _group("mk", "kononenko", 2, cardinality),
+            _group("u", "uniform", 2, cardinality),
+        ],
+        "tracked": [_tracked("informative", "mk"), _tracked("noninformative", "u")],
+        "sample_size_policy": policy,
+    }
+
+
+def _fig_b(name: str, m_hi: int) -> dict:
+    return {
+        "name": name,
+        "sweep": _span("sample_size", 8, m_hi),
+        "groups": [_group("xor", "xor_pair", 2), _group("u", "uniform", 0)],
+        "tracked": [_tracked("set", "xor", with_su=True)],
+        "theta_ref": xor_population_msu(0.05),
+    }
+
+
+def _paired_cardinality(name: str, family: str, theta_ref: float | None) -> dict:
     # Two layouts of equal joint-space size per point: a pair of attributes of
     # the swept cardinality V versus 2*log2(V) binary attributes.
-    return ExperimentConfig(
-        name=name,
-        rule=rule,
-        sweep=Sweep("cardinality", CARD_SWEEP_4_64),
-        n_informative=(4, 12) if rule is Rule.MK else 0,
-        attribute_card=(4, 64),
-        n_noninformative=(4, 12) if rule is Rule.NONE else 0,
-        sample_size_policy=FixedSampleSize(5000),
-        groups=(
-            GroupSpec("bin", family, CountRule(binary_equivalent=True), 2),
-            GroupSpec("wide", family, 2, "sweep"),
-        ),
-        tracked=(
-            TrackedSubset("binary", ("bin",)),
-            TrackedSubset("wide", ("wide",)),
-        ),
-        theta_ref=0.0 if rule is Rule.NONE else None,
-    )
+    return {
+        "name": name,
+        "sweep": _cards(CARD_SWEEP_4_64),
+        "groups": [
+            _group("bin", family, {"binary_equivalent": True}),
+            _group("wide", family, 2, "sweep"),
+        ],
+        "tracked": [_tracked("binary", "bin"), _tracked("wide", "wide")],
+        "sample_size_policy": {"fixed": 5000},
+        "theta_ref": theta_ref,
+    }
 
 
-def _fig_f(name: str, policy) -> ExperimentConfig:
-    return ExperimentConfig(
-        name=name,
-        rule=Rule.MK,
-        sweep=Sweep("cardinality", CARD_SWEEP_2_40),
-        n_informative=2,
-        attribute_card=(2, 40),
-        n_noninformative=2,
-        sample_size_policy=policy,
-    )
-
-
-def _count_sweep_groups(hi_mk: int, hi_shared: int) -> tuple[GroupSpec, ...]:
-    return (
-        GroupSpec("mk", GeneratorKind.KONONENKO, CountRule(window=(2, hi_mk)), 2),
-        GroupSpec("u", GeneratorKind.UNIFORM, CountRule(window=(2, hi_shared)), 2),
-        GroupSpec("xor", GeneratorKind.XOR_PAIR, CountRule(fixed=2, window=(2, hi_shared)), 2),
-        GroupSpec("upad", GeneratorKind.UNIFORM, CountRule(offset=-2, window=(2, hi_shared)), 2),
-    )
-
-
-def _fig_g(name: str, policy, hi_mk: int, hi_shared: int) -> ExperimentConfig:
+def _fig_g(name: str, policy: dict, hi_mk: int, hi_shared: int) -> dict:
     # Three subsets per point s: s individually informative attributes,
     # s non-informative ones, and an XOR pair padded with s - 2 uniform
     # attributes as the collectively informative set.
-    return ExperimentConfig(
-        name=name,
-        rule=Rule.BOTH,
-        sweep=Sweep("attribute_count", tuple(range(2, hi_mk + 1))),
-        n_informative=(2, hi_mk),
-        attribute_card=2,
-        n_noninformative=(2, hi_shared),
-        sample_size_policy=policy,
-        groups=_count_sweep_groups(hi_mk, hi_shared),
-        tracked=(
-            TrackedSubset("informative", ("mk",), window=(2, hi_mk)),
-            TrackedSubset("noninformative", ("u",), window=(2, hi_shared)),
-            TrackedSubset("collective", ("xor", "upad"), window=(2, hi_shared)),
-        ),
-    )
+    mk_window, shared = [2, hi_mk], [2, hi_shared]
+    return {
+        "name": name,
+        "sweep": _span("attribute_count", 2, hi_mk),
+        "groups": [
+            _group("mk", "kononenko", {"window": mk_window}),
+            _group("u", "uniform", {"window": shared}),
+            _group("xor", "xor_pair", {"fixed": 2, "window": shared}),
+            _group("upad", "uniform", {"offset": -2, "window": shared}),
+        ],
+        "tracked": [
+            _tracked("informative", "mk", window=mk_window),
+            _tracked("noninformative", "u", window=shared),
+            _tracked("collective", "xor", "upad", window=shared),
+        ],
+        "sample_size_policy": policy,
+    }
 
 
-def _fig_xor_noise(name: str, policy) -> ExperimentConfig:
-    return ExperimentConfig(
-        name=name,
-        rule=Rule.XOR,
-        sweep=Sweep("noise_attribute_count", tuple(range(1, 14))),
-        n_informative=2,
-        attribute_card=2,
-        n_noninformative=(1, 13),
-        sample_size_policy=policy,
-    )
+def _fig_xor_noise(name: str, policy: dict) -> dict:
+    return {
+        "name": name,
+        "sweep": _span("noise_attribute_count", 1, 13),
+        "groups": [_group("xor", "xor_pair", 2), _group("u", "uniform", {"window": [1, 13]})],
+        "tracked": [_tracked("set", "xor", "u")],
+        "sample_size_policy": policy,
+    }
 
 
-def _fig_xor_mk(name: str, policy) -> ExperimentConfig:
-    return ExperimentConfig(
-        name=name,
-        rule=Rule.BOTH,
-        sweep=Sweep("attribute_count", tuple(range(3, 16))),
-        n_informative=(3, 15),
-        attribute_card=2,
-        n_noninformative=0,
-        sample_size_policy=policy,
-    )
-
-
-def _chi_scan() -> ExperimentConfig:
-    return ExperimentConfig(
-        name="chi-scan",
-        rule=Rule.NONE,
-        sweep=Sweep("attribute_count", (2, 3, 4)),
-        n_noninformative=(2, 4),
-        attribute_card=2,
-        sample_size_policy=ComputedSampleSize(10.0),
-        replicates=1,
-        representativeness_scan=True,
-    )
+def _fig_xor_mk(name: str, policy: dict) -> dict:
+    # the informative count includes the XOR pair itself
+    return {
+        "name": name,
+        "sweep": _span("attribute_count", 3, 15),
+        "groups": [
+            _group("xor", "xor_pair", 2),
+            _group("mk", "kononenko", {"offset": -2, "window": [3, 15]}),
+            _group("u", "uniform", 0),
+        ],
+        "tracked": [_tracked("set", "xor", "mk", "u")],
+        "sample_size_policy": policy,
+    }
 
 
 _PRESETS = {
-    "fig-a1": lambda: _fig_a("fig-a1", class_card=10),
-    "fig-a2": lambda: _fig_a("fig-a2", class_card=2),
-    "fig-e1": lambda: _fig_e("fig-e1", 50),
-    "fig-e2": lambda: _fig_e("fig-e2", 150),
-    "fig-b1": lambda: _fig_b("fig-b1", 50),
-    "fig-b2": lambda: _fig_b("fig-b2", 150),
-    "fig-c": lambda: _paired_cardinality("fig-c", GeneratorKind.KONONENKO, Rule.MK),
-    "fig-d": lambda: _paired_cardinality("fig-d", GeneratorKind.UNIFORM, Rule.NONE),
-    "fig-f1": lambda: _fig_f("fig-f1", FixedSampleSize(5000)),
-    "fig-f2": lambda: _fig_f("fig-f2", ComputedSampleSize(10.0)),
+    "fig-a1": _fig_a("fig-a1", class_card=10),
+    "fig-a2": _fig_a("fig-a2", class_card=2),
+    "fig-e1": _mk_pairs("fig-e1", _span("sample_size", 8, 50), 2),
+    "fig-e2": _mk_pairs("fig-e2", _span("sample_size", 8, 150), 2),
+    "fig-b1": _fig_b("fig-b1", 50),
+    "fig-b2": _fig_b("fig-b2", 150),
+    "fig-c": _paired_cardinality("fig-c", "kononenko", None),
+    "fig-d": _paired_cardinality("fig-d", "uniform", 0.0),
+    "fig-f1": _mk_pairs("fig-f1", _cards(CARD_SWEEP_2_40), "sweep", {"fixed": 5000}),
+    "fig-f2": _mk_pairs("fig-f2", _cards(CARD_SWEEP_2_40), "sweep", {"computed": 10}),
     # fig-g runs up to 20 informative attributes at a fixed 1000 rows; its
     # computed-size twin stops at 13, where the 10x rule already asks for
     # 163840 rows per replicate.
-    "fig-g": lambda: _fig_g("fig-g", FixedSampleSize(1000), hi_mk=20, hi_shared=13),
-    "fig-h": lambda: _fig_g("fig-h", ComputedSampleSize(10.0), hi_mk=13, hi_shared=13),
-    "fig-xor-1": lambda: _fig_xor_noise("fig-xor-1", FixedSampleSize(600)),
-    "fig-xor-2": lambda: _fig_xor_noise("fig-xor-2", ComputedSampleSize(10.0)),
-    "fig-xor-3": lambda: _fig_xor_mk("fig-xor-3", FixedSampleSize(600)),
-    "fig-xor-4": lambda: _fig_xor_mk("fig-xor-4", ComputedSampleSize(10.0)),
-    "chi-scan": _chi_scan,
+    "fig-g": _fig_g("fig-g", {"fixed": 1000}, hi_mk=20, hi_shared=13),
+    "fig-h": _fig_g("fig-h", {"computed": 10}, hi_mk=13, hi_shared=13),
+    "fig-xor-1": _fig_xor_noise("fig-xor-1", {"fixed": 600}),
+    "fig-xor-2": _fig_xor_noise("fig-xor-2", {"computed": 10}),
+    "fig-xor-3": _fig_xor_mk("fig-xor-3", {"fixed": 600}),
+    "fig-xor-4": _fig_xor_mk("fig-xor-4", {"computed": 10}),
+    "chi-scan": {
+        "name": "chi-scan",
+        "sweep": {"kind": "attribute_count", "values": [2, 3, 4]},
+        "groups": [_group("u", "uniform", {"window": [2, 4]})],
+        "tracked": [_tracked("set", "u")],
+        "sample_size_policy": {"computed": 10},
+        "replicates": 1,
+        "representativeness_scan": True,
+    },
 }
 
 CATALOG = tuple(_PRESETS)
@@ -195,8 +176,8 @@ CATALOG = tuple(_PRESETS)
 def preset(name: str) -> ExperimentConfig:
     """Configuration for a named catalog entry."""
     try:
-        factory = _PRESETS[name]
+        mapping = _PRESETS[name]
     except KeyError:
         known = ", ".join(CATALOG)
         raise InvalidInputError(f"unknown preset {name!r}; catalog: {known}") from None
-    return factory()
+    return config_from_json(mapping)

@@ -10,8 +10,8 @@ are built from observed counts only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -179,34 +179,3 @@ def _cell_ids(codes: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, int]:
         return keys, space
     cells, ids = np.unique(keys, return_inverse=True)
     return ids.reshape(-1), len(cells)
-
-
-@dataclass(frozen=True)
-class JointHistogram:
-    """Counts over value tuples of a chosen column subset.
-
-    `cell_counts` holds observed cells only; absent tuples have count zero.
-    """
-
-    column_subset: tuple[int, ...]
-    cell_counts: Mapping[tuple[int, ...], int]
-    total: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        total = sum(self.cell_counts.values())
-        if self.total and self.total != total:
-            raise InvalidInputError(f"cell counts sum to {total}, expected total {self.total}")
-        object.__setattr__(self, "total", total)
-        if any(c < 0 for c in self.cell_counts.values()):
-            raise InvalidInputError("cell counts must be non-negative")
-
-    @classmethod
-    def from_sample(cls, sample: CategoricalSample, cols: Sequence[int]) -> "JointHistogram":
-        subset = normalize_columns(sample, cols)
-        codes = sample.codes[:, subset]
-        rows, counts = np.unique(codes, axis=0, return_counts=True)
-        cells = {tuple(int(v) for v in row): int(n) for row, n in zip(rows, counts)}
-        return cls(column_subset=subset, cell_counts=cells, total=sample.n_rows)
-
-    def counts(self) -> list[int]:
-        return list(self.cell_counts.values())

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,14 @@ TABLE_B_CSV = "f1,f2,clase\n" + "\n".join(
     f"{a},{b},{c}"
     for a, b, c in zip("abbbaaaa", "sstt" "sstt", "pqpq" "pqpq")
 ) + "\n"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def group(name, family, count, cardinality=2):
+    return {"name": name, "family": family, "count": count, "cardinality": cardinality}
 
 
 def run(capsys, *argv):
@@ -156,9 +165,9 @@ class TestExperiment:
     def test_config_file_run_and_rerun_identical(self, tmp_path, capsys):
         cfg = {
             "name": "tiny",
-            "rule": "xor",
             "sweep": {"kind": "sample_size", "start": 20, "stop": 24},
-            "n_informative": 2,
+            "groups": [group("xor", "xor_pair", 2)],
+            "tracked": [{"label": "set", "groups": ["xor"]}],
             "replicates": 3,
             "master_seed": 5,
         }
@@ -170,6 +179,8 @@ class TestExperiment:
         assert header == "sweep_value,measure_name,mean,stddev,n_replicates,sample_size_used"
         code, out2, _ = run(capsys, "experiment", "--config", str(path))
         assert out1 == out2
+        # the curve this experiment gave in its rule-based form
+        assert sha256(out1) == "6f3d399980f3f8b6075020719cf1310722f6b9f72d77eceef099990d00cbf430"
 
     def test_non_object_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -194,10 +205,9 @@ class TestExperiment:
     def test_replicate_count_recorded(self, tmp_path, capsys):
         cfg = {
             "name": "tiny",
-            "rule": "none",
             "sweep": {"kind": "cardinality", "values": [2, 3]},
-            "n_noninformative": 2,
-            "attribute_card": [2, 3],
+            "groups": [group("u", "uniform", 2, "sweep")],
+            "tracked": [{"label": "set", "groups": ["u"]}],
             "sample_size_policy": {"fixed": 40},
             "replicates": 6,
         }
@@ -208,13 +218,14 @@ class TestExperiment:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert {r[4] for r in rows} == {"6"}
         assert {r[5] for r in rows} == {"40"}
+        assert sha256(out) == "e741100f2397f2c77885e5d5f0b6f7128e44b18b0bbde5aac9381898a782d75d"
 
     def test_skipped_points_warn_on_stderr(self, tmp_path, capsys):
         cfg = {
             "name": "tiny",
-            "rule": "mk",
             "sweep": {"kind": "sample_size", "values": [0, 12]},
-            "n_informative": 2,
+            "groups": [group("mk", "kononenko", 2)],
+            "tracked": [{"label": "informative", "groups": ["mk"]}],
             "replicates": 2,
         }
         path = tmp_path / "cfg.json"
@@ -223,6 +234,30 @@ class TestExperiment:
         assert code == 0
         assert "skipped" in err
         assert all(not line.startswith("0,") for line in out.splitlines()[1:])
+        assert sha256(out) == "dcfe0747efd691e49f942134213f2050dbeedf9d84d063dfc82b175a6a102814"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("master_seed", -3), ("xor_noise", 0.7), ("kononenko_k", -1), ("class_card", 3)],
+    )
+    def test_config_wide_invalid_value_exits_1(self, tmp_path, capsys, field, value):
+        cfg = {
+            "name": "tiny",
+            "sweep": {"kind": "sample_size", "values": [12]},
+            "groups": [group("xor", "xor_pair", 2), group("mk", "kononenko", 2)],
+            "tracked": [{"label": "set", "groups": ["xor", "mk"]}],
+            field: value,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "experiment", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_negative_seed_exits_1(self, capsys):
+        code, out, err = run(capsys, "experiment", "fig-b2", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: master_seed and stream_id must be non-negative\n"
 
 
 class TestRecommend:

@@ -11,7 +11,6 @@ from msulab import (
     AttributeBlock,
     CategoricalSample,
     GeneratorKind,
-    GeneratorSpec,
     InvalidInputError,
     SeededRng,
     binary_entropy,
@@ -25,6 +24,8 @@ from msulab import (
     symmetrical_uncertainty,
     xor_population_msu,
 )
+from msulab.dataset import check_xor_class
+from msulab.generators import check_k, check_xor_noise
 
 
 def _rng(seed=4242, stream=0, *path):
@@ -189,23 +190,30 @@ class TestGenXorPair:
 
 
 class TestGeneratorSpec:
+    """Checks on a generator's parameters: family, cardinality, k and noise."""
+
     def test_xor_requires_binary(self):
-        with pytest.raises(InvalidInputError):
-            GeneratorSpec(GeneratorKind.XOR_PAIR, cardinality=3)
+        with pytest.raises(InvalidInputError, match="cardinality 2"):
+            AttributeBlock(("a", "b"), GeneratorKind.XOR_PAIR, 3)
+        with pytest.raises(InvalidInputError, match="class cardinality 2"):
+            check_xor_class(3)
 
     def test_kononenko_requires_two_values(self):
         with pytest.raises(InvalidInputError):
-            GeneratorSpec(GeneratorKind.KONONENKO, cardinality=1)
+            AttributeBlock(("a",), GeneratorKind.KONONENKO, 1)
 
     @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
     def test_kononenko_k_must_be_finite_and_positive(self, k):
         with pytest.raises(InvalidInputError, match="informativeness"):
-            GeneratorSpec(GeneratorKind.KONONENKO, cardinality=4, k=k)
+            check_k(k)
 
     def test_valid_specs(self):
-        GeneratorSpec(GeneratorKind.UNIFORM, cardinality=7)
-        GeneratorSpec(GeneratorKind.KONONENKO, cardinality=4, k=2.0)
-        GeneratorSpec(GeneratorKind.XOR_PAIR, cardinality=2, noise=0.1)
+        AttributeBlock(("a",), GeneratorKind.UNIFORM, 7)
+        AttributeBlock(("a",), GeneratorKind.KONONENKO, 4)
+        AttributeBlock(("a", "b"), GeneratorKind.XOR_PAIR, 2)
+        check_k(2.0)
+        check_xor_noise(0.1)
+        check_xor_class(2)
 
 
 class TestGenerateDataset:

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo experiment harness and the preset catalog."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -13,8 +14,9 @@ from msulab import (
     ComputedSampleSize,
     ExperimentConfig,
     FixedSampleSize,
+    GeneratorKind,
+    GroupSpec,
     InvalidInputError,
-    Rule,
     Sweep,
     TrackedSubset,
     bias,
@@ -23,9 +25,19 @@ from msulab import (
     run_experiment,
     run_replicate,
 )
-from msulab import harness
+from msulab import harness, presets
 from msulab.dataset import generate_dataset
 from msulab.harness import CountRule, MeasureStats, _mean_std, resolve_point
+
+
+def _group(name, family, count, cardinality=2):
+    return {"name": name, "family": family, "count": count, "cardinality": cardinality}
+
+
+def _curve_sha256(config):
+    buffer = io.StringIO()
+    run_experiment(config).write_csv(buffer)
+    return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
 
 
 def _desk(config, replicates, sweep_values=None):
@@ -107,17 +119,18 @@ class TestRunReplicate:
         assert sorted(values) == ["msu_set", "su_xor1", "su_xor2"]
 
     def test_informative_pair_measurably_informative(self):
-        cfg = ExperimentConfig(
-            name="mk-pair",
-            rule=Rule.MK,
-            sweep=Sweep("sample_size", (100_000,)),
-            n_informative=2,
-            attribute_card=2,
-            n_noninformative=0,
-        )
+        cfg = config_from_json({
+            "name": "mk-pair",
+            "sweep": {"kind": "sample_size", "values": [100_000]},
+            "groups": [_group("mk", "kononenko", 2), _group("u", "uniform", 0)],
+            "tracked": [{"label": "informative", "groups": ["mk"]},
+                        {"label": "noninformative", "groups": ["u"]}],
+        })
         values = run_replicate(cfg, 100_000, 0)
         # population value for this layout is about 0.13
         assert values["msu_informative"] > 0.05
+        # the value the rule-based form of this layout gave
+        assert values == {"msu_informative": 0.13347752499870144}
 
     def test_values_lie_in_unit_interval(self):
         cfg = preset("fig-g")
@@ -258,12 +271,20 @@ class TestPresets:
 
     def test_fig_xor_1_noise_sweep(self):
         cfg = preset("fig-xor-1")
-        assert cfg.n_noninformative == (1, 13)
+        assert cfg.groups[1] == GroupSpec("u", GeneratorKind.UNIFORM, CountRule(window=(1, 13)), 2)
         assert cfg.sweep.values == tuple(range(1, 14))
         assert cfg.sample_size_policy == FixedSampleSize(600)
 
     def test_fig_g_uses_both_rules(self):
-        assert preset("fig-g").rule is Rule.BOTH
+        # individually (Kononenko) and collectively (XOR) informative groups
+        families = [g.family for g in preset("fig-g").groups]
+        assert families == [GeneratorKind.KONONENKO, GeneratorKind.UNIFORM,
+                            GeneratorKind.XOR_PAIR, GeneratorKind.UNIFORM]
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_round_trips_through_json_text(self, name):
+        mapping = presets._PRESETS[name]
+        assert config_from_json(json.loads(json.dumps(mapping))) == preset(name)
 
     def test_fig_b2_point_count(self):
         assert len(preset("fig-b2").sweep.values) == 143
@@ -280,18 +301,25 @@ class TestPresets:
         assert preset("fig-f1").replicates == 1000
 
 
+# Two Kononenko and two uniform binary attributes, measured as two subsets.
+MK_LAYOUT = {
+    "groups": [_group("mk", "kononenko", 2), _group("u", "uniform", 2)],
+    "tracked": [{"label": "informative", "groups": ["mk"]},
+                {"label": "noninformative", "groups": ["u"]}],
+}
+
+
 class TestConfigJson:
-    BASE = {"name": "x", "rule": "mk", "n_informative": 2, "sweep": {"kind": "sample_size", "values": [10]}}
+    BASE = {"name": "x", "sweep": {"kind": "sample_size", "values": [10]}, **MK_LAYOUT}
 
     def test_round_trip(self):
         text = json.dumps(
             {
                 "name": "custom",
-                "rule": "mk",
                 "sweep": {"kind": "sample_size", "start": 8, "stop": 20},
-                "n_informative": 2,
-                "attribute_card": 2,
-                "n_noninformative": 1,
+                "groups": [_group("mk", "kononenko", 2), _group("u", "uniform", 1)],
+                "tracked": [{"label": "informative", "groups": ["mk"], "with_su": False},
+                            {"label": "noninformative", "groups": ["u"], "window": None}],
                 "class_card": 2,
                 "sample_size_policy": None,
                 "replicates": 4,
@@ -299,33 +327,59 @@ class TestConfigJson:
             }
         )
         cfg = config_from_json(text)
-        assert cfg.rule is Rule.MK
+        assert cfg.groups == (
+            GroupSpec("mk", GeneratorKind.KONONENKO, 2, 2),
+            GroupSpec("u", GeneratorKind.UNIFORM, 1, 2),
+        )
+        assert cfg.tracked == (TrackedSubset("informative", ("mk",)),
+                               TrackedSubset("noninformative", ("u",)))
         assert cfg.sweep.values == tuple(range(8, 21))
         assert cfg.replicates == 4
         curve = run_experiment(cfg)
         assert len(curve.sweep_values) == 13
+        # the curve this experiment gave in its rule-based form
+        assert _curve_sha256(cfg) == "5b08f1d388825f35fcde140a5dc5a608128c4d41aa012783992e7f3481ef19ef"
 
     def test_policy_forms(self):
         base = {
-            "name": "c", "rule": "none", "n_noninformative": 2, "attribute_card": 3,
-            "sweep": {"kind": "cardinality", "values": [3]},
+            "name": "c", "sweep": {"kind": "cardinality", "values": [3]},
+            "groups": [_group("u", "uniform", 2, "sweep")],
+            "tracked": [{"label": "set", "groups": ["u"]}],
         }
-        fixed = config_from_json({**base, "attribute_card": [2, 8], "sample_size_policy": {"fixed": 50}})
+        fixed = config_from_json({**base, "sample_size_policy": {"fixed": 50}})
         assert fixed.sample_size_policy == FixedSampleSize(50)
-        computed = config_from_json(
-            {**base, "attribute_card": [2, 8], "sample_size_policy": {"computed": 5}}
-        )
+        computed = config_from_json({**base, "sample_size_policy": {"computed": 5}})
         assert computed.sample_size_policy == ComputedSampleSize(5.0)
 
+    def test_count_rules(self):
+        cfg = config_from_json({
+            **self.BASE,
+            "groups": [
+                _group("a", "uniform", {"window": [2, 9]}),
+                _group("b", "uniform", {"fixed": 2, "offset": 0, "window": [2, 9]}),
+                _group("c", "uniform", {"offset": -2}),
+                _group("d", "uniform", {"binary_equivalent": True}),
+            ],
+            "tracked": [{"label": "set", "groups": ["a", "b", "c", "d"], "window": [2, 9]}],
+        })
+        assert [g.count for g in cfg.groups] == [
+            CountRule(window=(2, 9)),
+            CountRule(fixed=2, window=(2, 9)),
+            CountRule(offset=-2),
+            CountRule(binary_equivalent=True),
+        ]
+        assert cfg.tracked[0].window == (2, 9)
+
     def test_missing_field_reported(self):
-        with pytest.raises(InvalidInputError, match="name"):
-            config_from_json({"rule": "mk", "sweep": {"kind": "sample_size", "values": [10]}})
+        for field in ("name", "groups", "tracked"):
+            data = {k: v for k, v in self.BASE.items() if k != field}
+            with pytest.raises(InvalidInputError, match=field):
+                config_from_json(data)
 
     def test_bad_rule_reported(self):
-        with pytest.raises(InvalidInputError):
-            config_from_json(
-                {"name": "x", "rule": "nope", "sweep": {"kind": "sample_size", "values": [10]}}
-            )
+        # the scalar rule form is gone: groups and tracked subsets are the only layout
+        with pytest.raises(InvalidInputError, match="unknown experiment config field.*rule"):
+            config_from_json({**self.BASE, "rule": "mk"})
 
     def test_non_object_rejected(self):
         for text in ("[1, 2]", "5", '"config"', "null"):
@@ -346,15 +400,81 @@ class TestConfigJson:
             with pytest.raises(InvalidInputError, match="theta_ref"):
                 config_from_json({**self.BASE, "theta_ref": value})
 
+    @pytest.mark.parametrize(
+        "group, match",
+        [
+            ({"count": True}, "group count"),
+            ({"count": 1.5}, "group count"),
+            ({"cardinality": 2.5}, "group cardinality"),
+            ({"cardinality": "wide"}, "group cardinality"),
+            ({"family": "gaussian"}, "gaussian"),
+            ({"count": {"window": [2]}}, "count window"),
+            ({"count": {"window": [2, 4.5]}}, "count window"),
+            ({"count": {"fixed": False}}, "count fixed"),
+            ({"count": {"offset": 0.5}}, "count offset"),
+            ({"count": {"binary_equivalent": 1}}, "binary_equivalent"),
+            ({"count": {"step": 2}}, "unknown group count field.*step"),
+            ({"colour": "red"}, "unknown group field.*colour"),
+        ],
+    )
+    def test_group_fields_checked(self, group, match):
+        data = {**self.BASE, "groups": [{**_group("mk", "kononenko", 2), **group}],
+                "tracked": [{"label": "set", "groups": ["mk"]}]}
+        with pytest.raises(InvalidInputError, match=match):
+            config_from_json(data)
+
+    @pytest.mark.parametrize(
+        "subset, match",
+        [
+            ({"with_su": "yes"}, "with_su"),
+            ({"window": [1, 2, 3]}, "tracked window"),
+            ({"window": [True, 5]}, "tracked window"),
+            ({"groups": "mk"}, "tracked groups"),
+            ({"label": "s", "groups": ["mk"], "weight": 1}, "unknown tracked subset field"),
+        ],
+    )
+    def test_tracked_fields_checked(self, subset, match):
+        data = {**self.BASE, "tracked": [{"label": "s", "groups": ["mk"], **subset}]}
+        with pytest.raises(InvalidInputError, match=match):
+            config_from_json(data)
+
+    def test_scan_flag_must_be_boolean(self):
+        with pytest.raises(InvalidInputError, match="representativeness_scan"):
+            config_from_json({**self.BASE, "representativeness_scan": 1})
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("master_seed", -3, "non-negative"),
+            ("xor_noise", 0.7, "noise"),
+            ("xor_noise", -0.1, "noise"),
+            ("kononenko_k", -1, "informativeness"),
+            ("kononenko_k", 0, "informativeness"),
+        ],
+    )
+    def test_config_wide_values_rejected_when_built(self, field, value, match):
+        with pytest.raises(InvalidInputError, match=match):
+            config_from_json({**self.BASE, field: value})
+
+    def test_xor_group_needs_binary_class(self):
+        data = {**self.BASE, "groups": [_group("xor", "xor_pair", 2)],
+                "tracked": [{"label": "set", "groups": ["xor"]}]}
+        assert config_from_json(data).class_card == 2
+        with pytest.raises(InvalidInputError, match="class cardinality 2"):
+            config_from_json({**data, "class_card": 3})
+
 
 class TestConfigValidation:
+    GROUPS = (GroupSpec("mk", GeneratorKind.KONONENKO, 2, 2),)
+    TRACKED = (TrackedSubset("informative", ("mk",)),)
+
     def test_sample_size_sweep_refuses_policy(self):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(
                 name="bad",
-                rule=Rule.MK,
                 sweep=Sweep("sample_size", (10,)),
-                n_informative=2,
+                groups=self.GROUPS,
+                tracked=self.TRACKED,
                 sample_size_policy=FixedSampleSize(10),
             )
 
@@ -362,21 +482,35 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             ExperimentConfig(
                 name="bad",
-                rule=Rule.MK,
                 sweep=Sweep("cardinality", (2, 4)),
-                n_informative=2,
-                attribute_card=(2, 4),
+                groups=(GroupSpec("mk", GeneratorKind.KONONENKO, 2, "sweep"),),
+                tracked=self.TRACKED,
             )
 
     def test_cardinality_sweep_needs_range_field(self):
-        with pytest.raises(InvalidInputError):
+        # a cardinality sweep drives the groups whose cardinality is "sweep";
+        # every cataloged one has such a group
+        swept = [name for name in CATALOG if preset(name).sweep.kind == "cardinality"]
+        assert swept == ["fig-a1", "fig-a2", "fig-c", "fig-d", "fig-f1", "fig-f2"]
+        for name in swept:
+            assert any(g.cardinality == "sweep" for g in preset(name).groups), name
+
+    def test_duplicate_group_names_rejected(self):
+        with pytest.raises(InvalidInputError, match="unique"):
             ExperimentConfig(
                 name="bad",
-                rule=Rule.MK,
-                sweep=Sweep("cardinality", (2, 4)),
-                n_informative=2,
-                attribute_card=2,
-                sample_size_policy=FixedSampleSize(10),
+                sweep=Sweep("sample_size", (10,)),
+                groups=self.GROUPS + (GroupSpec("mk", GeneratorKind.UNIFORM, 1, 2),),
+                tracked=self.TRACKED,
+            )
+
+    def test_tracked_subset_naming_unknown_group_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown group.*noise"):
+            ExperimentConfig(
+                name="bad",
+                sweep=Sweep("sample_size", (10,)),
+                groups=self.GROUPS,
+                tracked=self.TRACKED + (TrackedSubset("u", ("mk", "noise")),),
             )
 
     @pytest.mark.parametrize("factor", [0.0, math.nan, math.inf])
@@ -404,10 +538,18 @@ class TestConfigValidation:
 def _json_sample_size_sweep():
     # unsorted, with a repeated value and an infeasible 0
     return config_from_json({
-        "name": "json-sweep", "rule": "mk", "n_informative": 2, "attribute_card": 3,
-        "n_noninformative": 1, "class_card": 3, "replicates": 3,
+        "name": "json-sweep",
+        "groups": [_group("mk", "kononenko", 2, 3), _group("u", "uniform", 1, 3)],
+        "tracked": [{"label": "informative", "groups": ["mk"]},
+                    {"label": "noninformative", "groups": ["u"]}],
+        "class_card": 3, "replicates": 3,
         "sweep": {"kind": "sample_size", "values": [40, 12, 0, 25, 12, 100]},
     })
+
+
+def test_json_sample_size_sweep_gives_the_rule_based_curve():
+    digest = "f69755cb325db22b43cbc1dce8465c5becdb9c4f409e0d7f378e4e3b19466252"
+    assert _curve_sha256(_json_sample_size_sweep()) == digest
 
 
 class TestNestedEngine:
@@ -450,10 +592,15 @@ class TestNestedEngine:
         assert built == [150] * 4
 
     def test_layout_failure_reported_for_each_of_its_points(self):
-        # an XOR-derived class needs class cardinality 2: every point fails alike
-        cfg = dataclasses.replace(preset("fig-b1"), class_card=3, sweep=Sweep("sample_size", (9, 0, 8)))
+        # a dataset holds at most one XOR pair: every point fails alike
+        cfg = config_from_json({
+            "name": "two-pairs", "replicates": 2,
+            "sweep": {"kind": "sample_size", "values": [9, 0, 8]},
+            "groups": [_group("x", "xor_pair", 2), _group("y", "xor_pair", 2)],
+            "tracked": [{"label": "set", "groups": ["x", "y"]}],
+        })
         curve = run_experiment(cfg)
         assert [v for v, _ in curve.errors] == [9, 0, 8]
-        assert "class cardinality 2" in curve.errors[0][1]
+        assert "at most one XOR pair" in curve.errors[0][1]
         assert curve.errors[1] == (0, "sample size 0 is infeasible")
         assert curve.measures == {}
