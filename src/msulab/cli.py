@@ -22,9 +22,7 @@ from .ingest import read_csv, sample_to_csv, write_text_atomic
 from .presets import CATALOG, preset
 from .samplesize import (
     CardinalityProfile,
-    chi2_critical,
     heuristic_sample_size,
-    min_representative_m,
     multivariate_cardinality,
     representativeness_report,
 )
@@ -90,9 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_recommend)
 
     p = sub.add_parser("chi2-scan", help="minimal representative m per cell count vs the heuristic")
-    p.add_argument("--cells", help="comma-separated joint-space sizes, e.g. 8,12,15,18")
-    p.add_argument("--cards", help="attribute cardinalities to derive the cell count from")
-    p.add_argument("--class-card", type=int, default=2, dest="class_card")
+    p.add_argument("--cells", required=True, help="comma-separated joint-space sizes, e.g. 8,12,15,18")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--factor", type=float, default=10.0)
     p.add_argument("--out", help="output path (default: stdout)")
@@ -111,7 +107,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return values
 
 
-def _pick_seed(arg_seed: int | None) -> int:
+def _pick_seed(arg_seed: int | None, default: int) -> int:
+    """--seed, else the MSULAB_SEED environment variable, else `default`."""
     if arg_seed is not None:
         return arg_seed
     env = os.environ.get(SEED_ENV_VAR)
@@ -120,7 +117,7 @@ def _pick_seed(arg_seed: int | None) -> int:
             return int(env)
         except ValueError:
             raise InvalidInputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_MASTER_SEED
+    return default
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -194,7 +191,7 @@ def _cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         blocks = [
             AttributeBlock((f"f{i}",), kind, card) for i, card in enumerate(cards, start=1)
         ]
-    rng = SeededRng(master_seed=_pick_seed(args.seed), stream_id=0)
+    rng = SeededRng(master_seed=_pick_seed(args.seed, DEFAULT_MASTER_SEED), stream_id=0)
     sample = generate_dataset(
         args.m, args.class_card, blocks, rng, k=args.k, xor_noise=args.noise
     )
@@ -214,8 +211,9 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         config = config_from_json(text)
     else:
         config = preset(args.preset)
-    overrides = {"replicates": args.replicates, "master_seed": args.seed}
-    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    config = replace(config, master_seed=_pick_seed(args.seed, config.master_seed))
+    if args.replicates is not None:
+        config = replace(config, replicates=args.replicates)
 
     curve = run_experiment(config)
     for sweep_value, message in curve.errors:
@@ -241,21 +239,13 @@ def _cmd_recommend(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _cmd_chi2_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if (args.cells is None) == (args.cards is None):
-        parser.error("give either --cells or --cards")
-    if args.cells is not None:
-        cells = _parse_int_list(args.cells, "--cells")
-    else:
-        cards = _parse_int_list(args.cards, "--cards")
-        cells = [multivariate_cardinality(CardinalityProfile(tuple(cards), args.class_card))]
     lines = ["cells,df,critical_value,m_star,heuristic_m"]
-    for k in cells:
+    for k in _parse_int_list(args.cells, "--cells"):
         if k < 2:
             raise InvalidInputError(f"cell count must be at least 2, got {k}")
-        critical = chi2_critical(args.alpha, k - 1)
-        m_star = min_representative_m(k, args.alpha)
-        heuristic = heuristic_sample_size(CardinalityProfile((), k), args.factor)
-        lines.append(f"{k},{k - 1},{critical!r},{m_star},{heuristic}")
+        report = representativeness_report(CardinalityProfile((), k), args.alpha, args.factor)
+        lines.append(f"{k},{report.df},{report.critical_value!r},{report.chi2_m_star},"
+                     f"{report.heuristic_m}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

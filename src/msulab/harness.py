@@ -44,12 +44,7 @@ from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_k, check_xor_noise
 from .measures import entropy_rows, msu_from_entropies
 from .sample import normalize_columns, prefix_counts
-from .samplesize import (
-    CardinalityProfile,
-    heuristic_sample_size,
-    min_representative_m,
-    multivariate_cardinality,
-)
+from .samplesize import CardinalityProfile, heuristic_sample_size, representativeness_report
 
 DEFAULT_MASTER_SEED = 20170707
 DEFAULT_REPLICATES = 1000
@@ -194,14 +189,26 @@ class ExperimentConfig:
                 raise InvalidInputError("a sample-size sweep fixes m per point; drop the policy")
         elif self.sample_size_policy is None:
             raise InvalidInputError("experiments without a sample-size sweep need a policy")
+        if self.representativeness_scan and not isinstance(self.sample_size_policy, ComputedSampleSize):
+            raise InvalidInputError("a representativeness scan needs a computed sample size policy")
         SeededRng(self.master_seed)  # rejects a negative seed
         check_k(self.kononenko_k)
         check_xor_noise(self.xor_noise)
-        if any(g.family is GeneratorKind.XOR_PAIR for g in self.groups):
+        xor_groups = sum(g.family is GeneratorKind.XOR_PAIR for g in self.groups)
+        if xor_groups > 1:
+            raise InvalidInputError("at most one xor_pair group is supported")
+        if xor_groups:
             check_xor_class(self.class_card)
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
             raise InvalidInputError(f"group names must be unique, got {names}")
+        # a group's columns are its name plus 1, 2, ...: `a` and `a1` both make `a11`
+        for a in names:
+            for b in names:
+                if b.startswith(a) and b[len(a):].isdecimal():
+                    raise InvalidInputError(
+                        f"group name {b!r} is {a!r} followed by digits, so their column names can collide"
+                    )
         unknown = sorted({n for sub in self.tracked for n in sub.groups} - set(names))
         if unknown:
             raise InvalidInputError(f"tracked subsets name unknown group(s): {', '.join(unknown)}")
@@ -471,37 +478,32 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
 
 def _run_representativeness_scan(config: ExperimentConfig) -> BiasCurve:
     """Deterministic variant: per point, report chi-squared m* and the heuristic m."""
-    factor = (
-        config.sample_size_policy.factor
-        if isinstance(config.sample_size_policy, ComputedSampleSize)
-        else 10.0
-    )
-    m_star: list[MeasureStats | None] = []
-    heuristic: list[MeasureStats | None] = []
-    cells: list[MeasureStats | None] = []
+    factor = config.sample_size_policy.factor  # a scan config has a computed policy
+    series: dict[str, list[MeasureStats | None]] = {"cells": [], "m_star": [], "heuristic_m": []}
     errors: list[tuple[int, str]] = []
     for sweep_value in config.sweep.values:
         try:
             blocks = resolve_point(config, sweep_value).blocks
             cards = tuple(b.cardinality for b in blocks if b is not None for _ in b.names)
-            profile = CardinalityProfile(cards, config.class_card)
-            k_cells = multivariate_cardinality(profile)
-            star = min_representative_m(k_cells, SCAN_ALPHA)
-            heur = heuristic_sample_size(profile, factor)
+            report = representativeness_report(
+                CardinalityProfile(cards, config.class_card), SCAN_ALPHA, factor
+            )
         except InvalidInputError as exc:
             errors.append((sweep_value, str(exc)))
-            for series in (m_star, heuristic, cells):
-                series.append(None)
-            continue
-        cells.append(MeasureStats(float(k_cells), 0.0, 1))
-        m_star.append(MeasureStats(float(star), 0.0, 1))
-        heuristic.append(MeasureStats(float(heur), 0.0, 1))
+            values = [None] * 3
+        else:
+            values = [
+                MeasureStats(float(v), 0.0, 1)
+                for v in (report.multivariate_cardinality, report.chi2_m_star, report.heuristic_m)
+            ]
+        for points, value in zip(series.values(), values):
+            points.append(value)
     return BiasCurve(
         name=config.name,
         sweep_kind=config.sweep.kind,
         sweep_values=config.sweep.values,
         sample_sizes=tuple([None] * len(config.sweep.values)),
-        measures={"cells": cells, "m_star": m_star, "heuristic_m": heuristic},
+        measures=series,
         errors=tuple(errors),
     )
 
@@ -646,20 +648,19 @@ def _json_bool(value, what: str) -> bool:
 
 
 def _json_int(value, what: str) -> int:
-    # bool is an int subclass and int() truncates a fraction: both hide typos
-    if not isinstance(value, bool) and (not isinstance(value, float) or value.is_integer()):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
+    # only a JSON number: bool is an int subclass, and a string or a fraction hides a typo
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
     raise InvalidInputError(f"{what} must be an integer, got {value!r}")
 
 
 def _json_float(value, what: str) -> float:
-    if not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
-        except (TypeError, ValueError):
+        except OverflowError:
             pass
         else:
             if math.isfinite(number):

@@ -1,6 +1,6 @@
 """Plug-in information-theoretic measures over categorical samples.
 
-All estimators use maximum-likelihood (empirical frequency) probabilities,
+All estimators use maximum-likelihood (empirical frequency) estimates,
 count / m, with the 0 * log 0 := 0 convention and logarithms in base 2, so
 every entropy-like quantity is in bits. Normalized measures (pairwise and
 multivariate symmetrical uncertainty) are dimensionless in [0, 1].
@@ -99,7 +99,7 @@ def conditional_entropy(
     """H(X|Y) = H(X,Y) - H(Y), in bits.
 
     The chain-rule form equals the defining double sum over p(y) p(x|y) for
-    plug-in probabilities, and needs only two histograms.
+    plug-in estimates, and needs only two histograms.
     """
     xs, ys = _disjoint_union(sample, x_cols, y_cols)
     h_joint = _entropy_bits(joint_counts(sample, xs + ys))

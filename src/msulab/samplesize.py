@@ -18,8 +18,13 @@ so its statistic is
 which lies between m/n and m/n + k n / (4 m). Every m above n * critical is
 rejected, and none below the upper root of m/n + k n / (4 m) = critical is:
 m* lies in a window of about k/4 values, a few blocks of constant q. The float
-statistic that decides each m near the critical value takes O(1) time, since
-its k cell terms take only three distinct values.
+statistic that decides each m near the critical value, `extreme_sample_chi2`,
+takes O(1) time, since its k cell terms take only three distinct values.
+
+`representativeness_report` is the one place that turns a joint space into
+its degrees of freedom, critical value, m* and 10x heuristic: `msulab
+recommend`, `msulab chi2-scan` and a representativeness-scan experiment all
+read it.
 """
 
 from __future__ import annotations
@@ -101,10 +106,10 @@ def chi2_critical(alpha: float, df: int) -> float:
     return float(brentq(upper_tail, 0.0, hi, xtol=1e-10, maxiter=200))
 
 
-def chi2_statistic(observed: Sequence[int], probabilities: Sequence[float] | None = None) -> float:
-    """Goodness-of-fit statistic sum (O - E)^2 / E against a multinomial null.
+def chi2_statistic(observed: Sequence[int]) -> float:
+    """Goodness-of-fit statistic sum (O - E)^2 / E against equiprobable cells.
 
-    Expected counts are m * p_i; the default null is equiprobable cells.
+    Each of the k cells expects m / k of the m observations.
     """
     obs = [int(o) for o in observed]
     k = len(obs)
@@ -115,59 +120,40 @@ def chi2_statistic(observed: Sequence[int], probabilities: Sequence[float] | Non
     m = sum(obs)
     if m == 0:
         raise InvalidInputError("observed counts must not all be zero")
-    probs = _check_probabilities(probabilities, k)
-    expected = [m / k] * k if probs is None else [m * p for p in probs]
-    return math.fsum((o - e) ** 2 / e for o, e in zip(obs, expected))
+    e = m / k
+    return math.fsum((o - e) ** 2 / e for o in obs)
 
 
-def _check_probabilities(probabilities: Sequence[float] | None, k: int) -> list[float] | None:
-    if probabilities is None:
-        return None
-    probs = [float(p) for p in probabilities]
-    if len(probs) != k:
-        raise InvalidInputError(f"expected {k} probabilities, got {len(probs)}")
-    if any(p <= 0 for p in probs):
-        raise InvalidInputError("cell probabilities must all be positive")
-    if abs(math.fsum(probs) - 1.0) > 1e-9:
-        raise InvalidInputError("cell probabilities must sum to 1")
-    return probs
-
-
-def extreme_sample(m: int, k: int, probabilities: Sequence[float] | None = None) -> list[int]:
+def extreme_sample(m: int, k: int) -> list[int]:
     """Canonical under-covered sample: one empty cell, the rest balanced.
 
-    Equiprobable cells (the default) spread m as evenly as possible over the
-    first k-1 cells (m mod (k-1) of them get the extra unit) with the empty
-    cell last. With explicit probabilities the empty cell is the least likely
-    one, where a zero is most plausible, and m is apportioned over the other
-    cells by largest remainder on the renormalized probabilities.
+    m is spread as evenly as possible over the first k-1 cells (m mod (k-1)
+    of them get the extra unit) with the empty cell last.
     """
+    m, k = _check_extreme(m, k)
+    q, r = divmod(m, k - 1)
+    return [q + 1] * r + [q] * (k - 1 - r) + [0]
+
+
+def extreme_sample_chi2(m: int, k: int) -> float:
+    """`chi2_statistic(extreme_sample(m, k))` in O(1), bit for bit.
+
+    `math.fsum` returns the correctly rounded sum of its float terms, and the
+    k terms take only three values: summing them with their multiplicities in
+    exact rational arithmetic and rounding once gives the same float.
+    """
+    m, k = _check_extreme(m, k)
+    r, up, level, empty = _extreme_terms(m, k)
+    return float(up * r + level * (k - 1 - r) + empty)
+
+
+def _check_extreme(m: int, k: int) -> tuple[int, int]:
     m, k = int(m), int(k)
     if k < 2:
         raise InvalidInputError(f"need at least two cells, got {k}")
     if m < k - 1:
         raise InvalidInputError(f"m={m} cannot fill {k - 1} cells with at least one item each")
-    probs = _check_probabilities(probabilities, k)
-    if probs is None:
-        q, r = divmod(m, k - 1)
-        return [q + 1] * r + [q] * (k - 1 - r) + [0]
-
-    zero_cell = probs.index(min(probs))
-    rest = [(i, p) for i, p in enumerate(probs) if i != zero_cell]
-    scale = math.fsum(p for _, p in rest)
-    quotas = [(i, m * p / scale) for i, p in rest]
-    counts = {i: int(q) for i, q in quotas}
-    shortfall = m - sum(counts.values())
-    by_remainder = sorted(quotas, key=lambda iq: (-(iq[1] - int(iq[1])), iq[0]))
-    for i, _ in by_remainder[:shortfall]:
-        counts[i] += 1
-    counts[zero_cell] = 0
-    return [counts[i] for i in range(k)]
-
-
-def extreme_sample_chi2(m: int, k: int, probabilities: Sequence[float] | None = None) -> float:
-    """Goodness-of-fit statistic of the canonical extreme sample."""
-    return chi2_statistic(extreme_sample(m, k, probabilities), probabilities)
+    return m, k
 
 
 def min_representative_m(k: int, alpha: float = 0.05) -> int:
@@ -192,7 +178,11 @@ def min_representative_m(k: int, alpha: float = 0.05) -> int:
       run the exact sum is linear in r and its first rejected r is solved
       for, not scanned. The rounding band holds a handful of runs at any k.
     """
-    k = int(k)
+    return _critical_and_m_star(int(k), alpha)[1]
+
+
+def _critical_and_m_star(k: int, alpha: float) -> tuple[float, int]:
+    """`chi2_critical(alpha, k - 1)` and the m* it gives: the one search for m*."""
     if k < 2:
         raise InvalidInputError(f"need at least two cells, got {k}")
     if k > MAX_CELLS:
@@ -226,11 +216,11 @@ def min_representative_m(k: int, alpha: float = 0.05) -> int:
         m += bisect_left(range(m, peak + 1), True, key=lambda x: closed_form(x) > below)
         while m <= end and (m <= peak or closed_form(m) > below):
             if closed_form(m) > above:
-                return m
+                return critical, m
             last = min(_run_end(m, k), end)
             found = _first_rejected(m, last, k, critical)
             if found is not None:
-                return found
+                return critical, found
             m = last + 1
         m = end + 1
 
@@ -246,17 +236,6 @@ def _extreme_terms(m: int, k: int) -> tuple[int, Fraction, Fraction, Fraction]:
     return (r, *(Fraction((o - e) ** 2 / e) for o in (q + 1, q, 0)))
 
 
-def _extreme_chi2(m: int, k: int) -> float:
-    """`extreme_sample_chi2(m, k)` for equiprobable cells in O(1), bit for bit.
-
-    `math.fsum` returns the correctly rounded sum of its float terms, and the
-    k terms take only three values: summing them with their multiplicities in
-    exact rational arithmetic and rounding once gives the same float.
-    """
-    r, up, level, empty = _extreme_terms(m, k)
-    return float(up * r + level * (k - 1 - r) + empty)
-
-
 def _run_end(m: int, k: int) -> int:
     """Last m' >= m whose float m'/k equals the float m/k."""
     e = m / k
@@ -266,7 +245,7 @@ def _run_end(m: int, k: int) -> int:
 
 
 def _first_rejected(first: int, last: int, k: int, critical: float) -> int | None:
-    """First m in [first, last] with `_extreme_chi2(m, k) > critical`, or None.
+    """First m in [first, last] with `extreme_sample_chi2(m, k) > critical`, or None.
 
     The range lies in one block of constant q and shares the float m/k, so the
     three cell terms are fixed and their exact sum is linear in r: the first
@@ -281,7 +260,7 @@ def _first_rejected(first: int, last: int, k: int, critical: float) -> int | Non
         r_cross = math.floor((midpoint - level * (k - 1) - empty) / (up - level))
         cross = max(first, first - r + r_cross)
     for m in (cross, cross + 1):
-        if m <= last and _extreme_chi2(m, k) > critical:
+        if m <= last and extreme_sample_chi2(m, k) > critical:
             return m
     return None
 
@@ -298,25 +277,30 @@ class RepresentativenessReport:
     critical_value: float
 
     def __post_init__(self) -> None:
-        if self.chi2_m_star < self.multivariate_cardinality:
+        if self.chi2_m_star < self.df:
             raise InvalidInputError(
-                f"m*={self.chi2_m_star} cannot cover a joint space of "
-                f"{self.multivariate_cardinality} combinations"
+                f"m*={self.chi2_m_star} cannot fill the {self.df} non-empty cells of an "
+                f"extreme sample over {self.multivariate_cardinality} combinations"
             )
 
 
 def representativeness_report(
     profile: CardinalityProfile, alpha: float = 0.05, factor: float = 10.0
 ) -> RepresentativenessReport:
-    """Full recommendation for a profile: joint space, heuristic m, chi-squared m*."""
+    """Full recommendation for a profile: joint space, heuristic m, chi-squared m*.
+
+    The critical value is evaluated once and serves both the report and m*.
+    """
     space = multivariate_cardinality(profile)
     if space < 2:
         raise InvalidInputError("joint value space must have at least two combinations")
+    heuristic_m = heuristic_sample_size(profile, factor)
+    critical, m_star = _critical_and_m_star(space, alpha)
     return RepresentativenessReport(
         multivariate_cardinality=space,
-        heuristic_m=heuristic_sample_size(profile, factor),
-        chi2_m_star=min_representative_m(space, alpha),
+        heuristic_m=heuristic_m,
+        chi2_m_star=m_star,
         alpha=alpha,
         df=space - 1,
-        critical_value=chi2_critical(alpha, space - 1),
+        critical_value=critical,
     )

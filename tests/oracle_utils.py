@@ -70,14 +70,15 @@ def coded_table(*columns: str) -> CategoricalSample:
 
 def scan_min_representative_m(k: int, alpha: float = 0.05) -> int:
     """Smallest m whose equiprobable extreme sample is rejected: the ascending
-    scan from m = k - 1 that rebuilds the k-cell sample at every step."""
-    from msulab import InvalidInputError, chi2_critical, extreme_sample_chi2
+    scan from m = k - 1 that rebuilds the k-cell sample and sums its statistic
+    at every step."""
+    from msulab import InvalidInputError, chi2_critical, chi2_statistic, extreme_sample
 
     k = int(k)
     if k < 2:
         raise InvalidInputError(f"need at least two cells, got {k}")
     critical = chi2_critical(alpha, k - 1)
     m = k - 1
-    while extreme_sample_chi2(m, k) <= critical:
+    while chi2_statistic(extreme_sample(m, k)) <= critical:
         m += 1
     return m

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import msulab.samplesize as samplesize
 from msulab import msu, read_csv
 from msulab.cli import main
 
@@ -129,6 +130,39 @@ class TestGenerate:
             "--out", str(default_out))
         assert env_out.read_bytes() == flag_out.read_bytes()
         assert env_out.read_bytes() != default_out.read_bytes()
+
+    def test_seed_environment_override_in_experiment(self, capsys, monkeypatch):
+        argv = ("experiment", "fig-b1", "--replicates", "2")
+        monkeypatch.setenv("MSULAB_SEED", "5")
+        _, env_out, _ = run(capsys, *argv)
+        _, flag_out, _ = run(capsys, *argv, "--seed", "7")
+        monkeypatch.delenv("MSULAB_SEED")
+        _, seed5_out, _ = run(capsys, *argv, "--seed", "5")
+        _, seed7_out, _ = run(capsys, *argv, "--seed", "7")
+        _, default_out, _ = run(capsys, *argv)
+        assert env_out == seed5_out != default_out
+        assert flag_out == seed7_out != env_out
+
+    def test_seed_environment_overrides_config_seed(self, tmp_path, capsys, monkeypatch):
+        cfg = {
+            "name": "tiny",
+            "sweep": {"kind": "sample_size", "values": [20]},
+            "groups": [group("u", "uniform", 2)],
+            "tracked": [{"label": "set", "groups": ["u"]}],
+            "replicates": 3,
+            "master_seed": 5,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        _, config_out, _ = run(capsys, "experiment", "--config", str(path))
+        monkeypatch.setenv("MSULAB_SEED", "9")
+        _, env_out, _ = run(capsys, "experiment", "--config", str(path))
+        _, flag_out, _ = run(capsys, "experiment", "--config", str(path), "--seed", "5")
+        monkeypatch.setenv("MSULAB_SEED", "x")
+        code, out, err = run(capsys, "experiment", "--config", str(path))
+        assert env_out != config_out == flag_out
+        assert (code, out) == (1, "")
+        assert "MSULAB_SEED must be an integer" in err
 
     def test_xor_refuses_cards(self, capsys):
         with pytest.raises(SystemExit):
@@ -254,6 +288,27 @@ class TestExperiment:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            [group("x", "xor_pair", 2), group("y", "xor_pair", 2)],
+            [group("a", "uniform", 11), group("a1", "uniform", 1)],
+        ],
+        ids=["two-xor-pairs", "colliding-column-names"],
+    )
+    def test_layout_failing_at_every_point_exits_1(self, tmp_path, capsys, groups):
+        cfg = {
+            "name": "tiny",
+            "sweep": {"kind": "sample_size", "values": [12, 20]},
+            "groups": groups,
+            "tracked": [{"label": "set", "groups": [g["name"] for g in groups]}],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "experiment", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_negative_seed_exits_1(self, capsys):
         code, out, err = run(capsys, "experiment", "fig-b2", "--seed", "-1")
         assert (code, out) == (1, "")
@@ -318,10 +373,19 @@ class TestChi2Scan:
         assert int(table[18][3]) == 467
         assert [int(table[k][4]) for k in (8, 12, 15, 18)] == [80, 120, 150, 180]
 
-    def test_cells_from_cards(self, capsys):
-        code, out, _ = run(capsys, "chi2-scan", "--cards", "2,2", "--class-card", "2")
+    def test_cards_are_for_recommend(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chi2-scan", "--cards", "2,2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_one_critical_value_per_cell_count(self, capsys, monkeypatch):
+        calls = []
+        real = samplesize.chi2_critical
+        monkeypatch.setattr(samplesize, "chi2_critical", lambda *a: calls.append(a) or real(*a))
+        code, _, _ = run(capsys, "chi2-scan", "--cells", "8,16")
         assert code == 0
-        assert out.splitlines()[1].startswith("8,7,")
+        assert calls == [(0.05, 7), (0.05, 15)]
 
     def test_nan_factor_exits_1(self, capsys):
         code, out, err = run(capsys, "chi2-scan", "--cells", "8", "--factor", "nan")

@@ -456,6 +456,58 @@ class TestConfigJson:
         with pytest.raises(InvalidInputError, match=match):
             config_from_json({**self.BASE, field: value})
 
+    @pytest.mark.parametrize(
+        "groups, match",
+        [
+            ([_group("x", "xor_pair", 2), _group("y", "xor_pair", 2)], "at most one xor_pair group"),
+            ([_group("a", "uniform", 11), _group("a1", "uniform", 1)], "'a1' is 'a' followed by digits"),
+            ([_group("u12", "uniform", 1), _group("u", "uniform", 2)], "'u12' is 'u' followed by digits"),
+        ],
+    )
+    def test_layout_failing_at_every_point_rejected_when_built(self, groups, match):
+        data = {**self.BASE, "groups": groups,
+                "tracked": [{"label": "set", "groups": [g["name"] for g in groups]}]}
+        with pytest.raises(InvalidInputError, match=match):
+            config_from_json(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("replicates", "2"),
+            ("master_seed", "5"),
+            ("class_card", "2"),
+            ("kononenko_k", "1"),
+            ("xor_noise", "0.05"),
+            ("theta_ref", "0.5"),
+            ("sweep", {"kind": "sample_size", "values": ["20"]}),
+            ("sweep", {"kind": "sample_size", "start": "8", "stop": 10}),
+            ("groups", [{**_group("mk", "kononenko", 2), "count": "1"}]),
+            ("groups", [{**_group("mk", "kononenko", 2), "cardinality": "2"}]),
+            ("groups", [{**_group("mk", "kononenko", {"fixed": "2"})}]),
+            ("tracked", [{"label": "s", "groups": ["mk"], "window": ["1", 3]}]),
+        ],
+    )
+    def test_numeric_strings_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match="must be an integer|must be a finite number"):
+            config_from_json({**self.BASE, field: value})
+
+    def test_integers_are_numbers(self):
+        cfg = config_from_json({**self.BASE, "kononenko_k": 2, "xor_noise": 0, "theta_ref": 1})
+        assert (cfg.kononenko_k, cfg.xor_noise, cfg.theta_ref) == (2.0, 0.0, 1.0)
+        assert all(type(v) is float for v in (cfg.kononenko_k, cfg.xor_noise, cfg.theta_ref))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"sample_size_policy": {"fixed": 40}},
+            {"sample_size_policy": None, "sweep": {"kind": "sample_size", "values": [10]}},
+        ],
+    )
+    def test_scan_needs_computed_policy(self, changes):
+        data = {**presets._PRESETS["chi-scan"], **changes}
+        with pytest.raises(InvalidInputError, match="computed sample size policy"):
+            config_from_json(data)
+
     def test_xor_group_needs_binary_class(self):
         data = {**self.BASE, "groups": [_group("xor", "xor_pair", 2)],
                 "tracked": [{"label": "set", "groups": ["xor"]}]}
@@ -591,16 +643,23 @@ class TestNestedEngine:
         run_experiment(_desk(preset("fig-b2"), 4))
         assert built == [150] * 4
 
-    def test_layout_failure_reported_for_each_of_its_points(self):
-        # a dataset holds at most one XOR pair: every point fails alike
+    def test_layout_failure_reported_for_each_of_its_points(self, monkeypatch):
+        # layouts that fail at every point are rejected when the config is
+        # built, so the dataset step is made to fail here: every point of the
+        # layout fails alike
+        def failing(*args, **kwargs):
+            raise InvalidInputError("the layout cannot be generated")
+
+        monkeypatch.setattr(harness, "generate_dataset", failing)
         cfg = config_from_json({
-            "name": "two-pairs", "replicates": 2,
+            "name": "failing", "replicates": 2,
             "sweep": {"kind": "sample_size", "values": [9, 0, 8]},
-            "groups": [_group("x", "xor_pair", 2), _group("y", "xor_pair", 2)],
-            "tracked": [{"label": "set", "groups": ["x", "y"]}],
+            "groups": [_group("x", "xor_pair", 2)],
+            "tracked": [{"label": "set", "groups": ["x"]}],
         })
         curve = run_experiment(cfg)
         assert [v for v, _ in curve.errors] == [9, 0, 8]
-        assert "at most one XOR pair" in curve.errors[0][1]
+        assert curve.errors[0] == (9, "the layout cannot be generated")
+        assert curve.errors[2] == (8, "the layout cannot be generated")
         assert curve.errors[1] == (0, "sample size 0 is infeasible")
         assert curve.measures == {}

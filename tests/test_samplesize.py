@@ -20,7 +20,7 @@ from msulab import (
     multivariate_cardinality,
     representativeness_report,
 )
-from msulab.samplesize import MAX_CELLS, _extreme_chi2
+from msulab.samplesize import MAX_CELLS
 from oracle_utils import scan_min_representative_m
 
 # Values from standard chi-squared tables (6+ digits), frozen.
@@ -110,16 +110,6 @@ class TestExtremeSample:
             assert counts.count(0) == 1
             assert counts[-1] == 0
 
-    def test_weighted_zero_goes_to_least_likely_cell(self):
-        counts = extreme_sample(100, 4, probabilities=[0.4, 0.1, 0.3, 0.2])
-        assert counts[1] == 0
-        assert sum(counts) == 100
-
-    def test_weighted_apportionment_tracks_probabilities(self):
-        counts = extreme_sample(90, 4, probabilities=[0.5, 0.25, 0.2, 0.05])
-        assert counts[3] == 0
-        assert counts == [int(round(90 * p / 0.95)) for p in (0.5, 0.25, 0.2)] + [0]
-
 
 class TestChi2Statistic:
     def test_published_observed_vector(self):
@@ -134,14 +124,6 @@ class TestChi2Statistic:
         # k=2: (0 - m/2)^2 / (m/2) + (m - m/2)^2 / (m/2) = m
         for m in (4, 10, 121):
             assert chi2_statistic([0, m]) == pytest.approx(float(m), abs=1e-12)
-
-    def test_zero_probability_rejected(self):
-        with pytest.raises(InvalidInputError):
-            chi2_statistic([5, 5], probabilities=[1.0, 0.0])
-
-    def test_probability_sum_checked(self):
-        with pytest.raises(InvalidInputError):
-            chi2_statistic([5, 5], probabilities=[0.7, 0.7])
 
 
 class TestExtremeSampleChi2:
@@ -179,14 +161,6 @@ class TestMinRepresentativeM:
         values = [min_representative_m(k, 0.05) for k in (8, 12, 15, 18)]
         assert values == sorted(values)
 
-    def test_skewed_probabilities_need_more_rows(self):
-        # at the equiprobable m*, a gap in the least likely of skewed cells is
-        # still plausible: the skewed extreme sample is not rejected yet
-        skewed = [0.55, 0.15, 0.15, 0.05, 0.04, 0.03, 0.02, 0.01]
-        m_star = min_representative_m(8, 0.05)
-        assert extreme_sample_chi2(m_star, 8) > chi2_critical(0.05, 7)
-        assert extreme_sample_chi2(m_star, 8, probabilities=skewed) <= chi2_critical(0.05, 7)
-
     def test_matches_ascending_scan(self):
         for alpha in (0.01, 0.05, 0.10):
             for k in range(2, 61):
@@ -203,7 +177,7 @@ class TestMinRepresentativeM:
             elapsed = time.perf_counter() - start
             assert elapsed < 0.1, k
             critical = chi2_critical(0.05, k - 1)
-            assert _extreme_chi2(m_star, k) > critical >= _extreme_chi2(m_star - 1, k)
+            assert extreme_sample_chi2(m_star, k) > critical >= extreme_sample_chi2(m_star - 1, k)
 
     def test_joint_space_beyond_float_resolution_rejected(self):
         with pytest.raises(InvalidInputError, match="cells"):
@@ -216,7 +190,14 @@ class TestClosedFormStatistic:
         for _ in range(3000):
             k = int(rng.integers(2, 401))
             m = int(rng.integers(k - 1, 50 * k * k))
-            assert _extreme_chi2(m, k) == extreme_sample_chi2(m, k), (m, k)
+            assert extreme_sample_chi2(m, k) == chi2_statistic(extreme_sample(m, k)), (m, k)
+
+    def test_rejects_what_extreme_sample_rejects(self):
+        for m, k in ((6, 8), (5, 1), (0, 0)):
+            with pytest.raises(InvalidInputError):
+                extreme_sample(m, k)
+            with pytest.raises(InvalidInputError):
+                extreme_sample_chi2(m, k)
 
 
 class TestRepresentativenessReport:
@@ -227,6 +208,13 @@ class TestRepresentativenessReport:
         assert report.chi2_m_star == 99
         assert report.df == 7
         assert report.critical_value == pytest.approx(CRITICAL_05_7, abs=1e-3)
+
+    def test_mstar_may_be_the_extreme_sample_itself(self):
+        # below a critical value of 1 the k - 1 rows of the extreme sample are
+        # already rejected
+        report = representativeness_report(CardinalityProfile((), 2), alpha=0.5)
+        assert report.critical_value < 1.0
+        assert report.chi2_m_star == 1 == report.df
 
     def test_mstar_covers_joint_space(self):
         with pytest.raises(InvalidInputError):
