@@ -30,12 +30,10 @@ from .harness import (
     bias,
     config_from_json,
     run_experiment,
-    run_replicate,
 )
 from .ingest import IngestedDataset, read_csv, sample_to_csv
 from .measures import (
     MeasureValue,
-    conditional_entropy,
     entropy,
     information_gain,
     joint_entropy,
@@ -49,8 +47,6 @@ from .samplesize import (
     CardinalityProfile,
     RepresentativenessReport,
     chi2_critical,
-    chi2_statistic,
-    extreme_sample,
     extreme_sample_chi2,
     heuristic_sample_size,
     min_representative_m,
@@ -84,11 +80,8 @@ __all__ = [
     "binary_entropy",
     "block",
     "chi2_critical",
-    "chi2_statistic",
-    "conditional_entropy",
     "config_from_json",
     "entropy",
-    "extreme_sample",
     "extreme_sample_chi2",
     "gen_class",
     "gen_kononenko",
@@ -106,7 +99,6 @@ __all__ = [
     "read_csv",
     "representativeness_report",
     "run_experiment",
-    "run_replicate",
     "sample_to_csv",
     "symmetrical_uncertainty",
     "total_correlation",

@@ -23,11 +23,11 @@ what makes stabilization visible at a few hundred replicates.
 The engine uses the nesting. Points with the same layout (blocks and tracked
 subsets) differ only in m, as every point of a sample-size sweep does; per
 replicate such a layout gets one dataset, generated at its largest m, and
-each point reads its first m rows. Each distinct column subset is keyed once
-and counted for all row prefixes in one pass, and a marginal shared by several
-measures is counted once. `run_replicate(config, sweep_value, replicate_index)`
-remains the isolated recomputation of one point: the same path on a layout of
-that point alone, with the same floats.
+each point reads its first m rows. Every measure comes from
+`msulab.measures.msu_at_prefixes` at those row prefixes, so the dataset's
+entropy table counts each distinct column subset once for all prefixes, and a
+marginal shared by several measures once. A layout of one point is the
+isolated recomputation of that point, with the same floats.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ import numpy as np
 from .dataset import AttributeBlock, check_xor_class, generate_dataset
 from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_k, check_xor_noise
-from .measures import entropy_rows, msu_from_entropies
-from .sample import normalize_columns, prefix_counts
+from .measures import msu_at_prefixes
 from .samplesize import CardinalityProfile, heuristic_sample_size, representativeness_report
 
 DEFAULT_MASTER_SEED = 20170707
@@ -113,8 +112,8 @@ class CountRule:
         if self.fixed is not None:
             return self.fixed
         if self.binary_equivalent:
-            n = 2 * math.log2(sweep_value)
-            if not n.is_integer():
+            # log2 needs a positive sweep value
+            if sweep_value < 1 or not (n := 2 * math.log2(sweep_value)).is_integer():
                 raise InvalidInputError(
                     f"sweep value {sweep_value} has no binary-equivalent attribute count"
                 )
@@ -303,15 +302,6 @@ def _resolve_sample_size(
     raise InvalidInputError("experiment has no way to determine the sample size")
 
 
-def run_replicate(
-    config: ExperimentConfig, sweep_value: int, replicate_index: int
-) -> dict[str, float]:
-    """Generate one dataset for a sweep point and evaluate its measures."""
-    point = resolve_point(config, sweep_value)
-    labels, values = _run_layout(config, [point], replicate_index)
-    return dict(zip(labels, values[0]))
-
-
 def _run_layout(
     config: ExperimentConfig, points: Sequence[ResolvedPoint], replicate_index: int
 ) -> tuple[list[str], list[list[float]]]:
@@ -332,15 +322,6 @@ def _run_layout(
         xor_noise=config.xor_noise,
     )
     class_idx = sample.n_columns - 1
-    entropies: dict[tuple[int, ...], list[float]] = {}  # subset -> per prefix
-
-    def subset_entropies(subset: tuple[int, ...]) -> list[float]:
-        if subset not in entropies:
-            entropies[subset] = [
-                h for counts in prefix_counts(sample, subset, prefixes) for h in entropy_rows(counts)
-            ]
-        return entropies[subset]
-
     labels: list[str] = []
     per_prefix: list[list[float]] = []  # per measure, its value at each prefix
     for label, col_names, with_su in layout.tracked:
@@ -349,14 +330,8 @@ def _run_layout(
         if with_su:
             measures += [(f"su_{name}", [idx, class_idx]) for name, idx in zip(col_names, cols)]
         for measure, measure_cols in measures:
-            subset = normalize_columns(sample, measure_cols)
-            marginals = [subset_entropies((c,)) for c in subset]
-            joint = subset_entropies(subset)
             labels.append(measure)
-            per_prefix.append([
-                msu_from_entropies([h[i] for h in marginals], joint[i]).value
-                for i in range(len(prefixes))
-            ])
+            per_prefix.append([v.value for v in msu_at_prefixes(sample, measure_cols, prefixes)])
     row = {m: i for i, m in enumerate(prefixes)}
     return labels, [[series[row[p.m]] for series in per_prefix] for p in points]
 
@@ -565,7 +540,7 @@ def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
             raise InvalidInputError(f"unknown sample size policy {policy_data!r}")
         theta_ref = data.get("theta_ref")
         return ExperimentConfig(
-            name=str(data["name"]),
+            name=_json_str(data["name"], "experiment name"),
             sweep=sweep,
             groups=tuple(_group_from_json(g) for g in _json_list(data["groups"], "groups")),
             tracked=tuple(_tracked_from_json(t) for t in _json_list(data["tracked"], "tracked")),
@@ -602,7 +577,7 @@ def _group_from_json(data) -> GroupSpec:
         count = _json_int(count, "group count")
     card = data["cardinality"]
     return GroupSpec(
-        name=str(data["name"]),
+        name=_json_str(data["name"], "group name"),
         family=GeneratorKind(data["family"]),
         count=count,
         cardinality=card if card == "sweep" else _json_int(card, "group cardinality"),
@@ -612,8 +587,10 @@ def _group_from_json(data) -> GroupSpec:
 def _tracked_from_json(data) -> TrackedSubset:
     _check_object(data, "tracked subset", _TRACKED_FIELDS)
     return TrackedSubset(
-        label=str(data["label"]),
-        groups=tuple(str(g) for g in _json_list(data["groups"], "tracked groups")),
+        label=_json_str(data["label"], "tracked label"),
+        groups=tuple(
+            _json_str(g, "tracked group") for g in _json_list(data["groups"], "tracked groups")
+        ),
         with_su=_json_bool(data.get("with_su", False), "with_su"),
         window=_json_window(data.get("window"), "tracked window"),
     )
@@ -644,6 +621,12 @@ def _json_window(value, what: str) -> tuple[int, int] | None:
 def _json_bool(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise InvalidInputError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _json_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidInputError(f"{what} must be a string, got {value!r}")
     return value
 
 

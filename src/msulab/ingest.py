@@ -3,7 +3,9 @@
 Cells are opaque strings: no numeric parsing, no missing-value magic. Each
 column gets a dictionary of labels in first-appearance order and the cell
 strings become the matching integer codes, so decoding a code through the
-dictionary reproduces the original cell exactly.
+dictionary reproduces the original cell exactly. A file that is not UTF-8
+text, or that holds a field over the csv module's size limit, is rejected
+with `InvalidInputError` naming the file.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Iterator
 
 from .errors import InvalidInputError
 from .sample import CategoricalSample
@@ -38,13 +40,18 @@ def read_csv(path: str | Path) -> IngestedDataset:
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            return _parse(fh, str(path))
+            reader = csv.reader(fh)
+            try:
+                return _parse(reader, str(path))
+            except csv.Error as exc:  # e.g. a field over the csv module's size limit
+                raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from None
 
 
-def _parse(fh: IO[str], source: str) -> IngestedDataset:
-    reader = csv.reader(fh)
+def _parse(reader: Iterator[list[str]], source: str) -> IngestedDataset:
     try:
         header = next(reader)
     except StopIteration:

@@ -8,6 +8,13 @@ multivariate symmetrical uncertainty) are dimensionless in [0, 1].
 Entropy terms are accumulated with math.fsum, which rounds the exact sum.
 That makes every measure invariant, bit for bit, under row permutations and
 bijective relabelings of category codes (those only reorder the terms).
+
+Every measure over a sample reads its entropies from one table that the
+sample carries: `subset_entropies` counts a column subset's histogram at
+given row prefixes once and keeps the floats. A public measure reads the
+table at all rows; the Monte Carlo engine reads it at each sweep point's row
+prefix, through the same `msu_at_prefixes`. A sample therefore returns the
+same floats however often, and in whatever order, it is measured.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .sample import CategoricalSample, joint_counts, normalize_columns
+from .sample import CategoricalSample, normalize_columns, prefix_counts
 
 # Normalized measures may land a few ulp outside [0, 1]; anything farther out
 # signals a real defect and is raised instead of clamped.
@@ -48,11 +55,6 @@ def entropy_rows(counts: np.ndarray) -> list[float]:
     return [-math.fsum(row) + 0.0 for row in terms.tolist()]  # + 0.0 avoids -0.0
 
 
-def _entropy_bits(counts: np.ndarray) -> float:
-    """Entropy in bits of a count vector: the one-row case of `entropy_rows`."""
-    return entropy_rows(counts[np.newaxis])[0]
-
-
 def _clean_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:
     arr = np.asarray(counts)
     if arr.ndim != 1 or arr.size == 0:
@@ -71,16 +73,31 @@ def _clean_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:
 
 def entropy(counts: Sequence[int] | np.ndarray) -> MeasureValue:
     """Shannon entropy H = -sum p_i log2 p_i of a count vector, in bits."""
-    return MeasureValue(_entropy_bits(_clean_counts(counts)))
+    return MeasureValue(entropy_rows(_clean_counts(counts)[np.newaxis])[0])
+
+
+def subset_entropies(
+    sample: CategoricalSample, cols: Sequence[int], prefixes: Sequence[int] | None = None
+) -> tuple[float, ...]:
+    """Entropy in bits of the joint histogram over `cols` at each row prefix.
+
+    `prefixes` are strictly ascending row counts, all rows by default. The
+    sample keeps every entropy counted here, keyed by sorted subset and
+    prefixes, so each histogram is counted once per sample.
+    """
+    subset = normalize_columns(sample, cols)
+    key = (subset, (sample.n_rows,) if prefixes is None else tuple(prefixes))
+    table = sample._entropies
+    if key not in table:
+        table[key] = tuple(
+            [h for counts in prefix_counts(sample, subset, key[1]) for h in entropy_rows(counts)]
+        )
+    return table[key]
 
 
 def joint_entropy(sample: CategoricalSample, cols: Sequence[int]) -> MeasureValue:
     """Entropy of the joint histogram over a column subset, in bits."""
-    return MeasureValue(_entropy_bits(joint_counts(sample, cols)))
-
-
-def _column_entropy(sample: CategoricalSample, col: int) -> float:
-    return _entropy_bits(joint_counts(sample, [col]))
+    return MeasureValue(subset_entropies(sample, cols)[0])
 
 
 def _disjoint_union(
@@ -93,20 +110,6 @@ def _disjoint_union(
     return xs, ys
 
 
-def conditional_entropy(
-    sample: CategoricalSample, x_cols: Sequence[int], y_cols: Sequence[int]
-) -> MeasureValue:
-    """H(X|Y) = H(X,Y) - H(Y), in bits.
-
-    The chain-rule form equals the defining double sum over p(y) p(x|y) for
-    plug-in estimates, and needs only two histograms.
-    """
-    xs, ys = _disjoint_union(sample, x_cols, y_cols)
-    h_joint = _entropy_bits(joint_counts(sample, xs + ys))
-    h_y = _entropy_bits(joint_counts(sample, ys))
-    return MeasureValue(h_joint - h_y)
-
-
 def information_gain(
     sample: CategoricalSample, x_cols: Sequence[int], y_cols: Sequence[int]
 ) -> MeasureValue:
@@ -116,9 +119,9 @@ def information_gain(
     identical float.
     """
     xs, ys = _disjoint_union(sample, x_cols, y_cols)
-    h_x = _entropy_bits(joint_counts(sample, xs))
-    h_y = _entropy_bits(joint_counts(sample, ys))
-    h_joint = _entropy_bits(joint_counts(sample, xs + ys))
+    (h_x,) = subset_entropies(sample, xs)
+    (h_y,) = subset_entropies(sample, ys)
+    (h_joint,) = subset_entropies(sample, xs + ys)
     return MeasureValue(h_x + h_y - h_joint)
 
 
@@ -127,8 +130,8 @@ def total_correlation(sample: CategoricalSample, cols: Sequence[int]) -> Measure
     subset = normalize_columns(sample, cols)
     if len(subset) < 2:
         raise InvalidInputError("total correlation needs at least two columns")
-    marginals = [_column_entropy(sample, c) for c in subset]
-    h_joint = _entropy_bits(joint_counts(sample, subset))
+    marginals = [subset_entropies(sample, (c,))[0] for c in subset]
+    (h_joint,) = subset_entropies(sample, subset)
     return MeasureValue(math.fsum(marginals) - h_joint)
 
 
@@ -138,32 +141,37 @@ def _clamp_unit(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def msu_from_entropies(marginals: Sequence[float], h_joint: float) -> MeasureValue:
-    """MSU from the marginal entropies of n >= 2 columns and their joint entropy."""
-    n = len(marginals)
-    h_sum = math.fsum(marginals)
-    if h_sum == 0.0:
-        return MeasureValue(0.0, degenerate=True)
-    value = (n / (n - 1)) * (h_sum - h_joint) / h_sum
-    return MeasureValue(_clamp_unit(value))
+def msu_at_prefixes(
+    sample: CategoricalSample, cols: Sequence[int], prefixes: Sequence[int] | None = None
+) -> list[MeasureValue]:
+    """MSU over n >= 2 columns at each row prefix (all rows by default).
 
-
-def _normalized_total_correlation(sample: CategoricalSample, subset: tuple[int, ...]) -> MeasureValue:
-    marginals = [_column_entropy(sample, c) for c in subset]
-    return msu_from_entropies(marginals, _entropy_bits(joint_counts(sample, subset)))
+    (n / (n - 1)) * total correlation / sum of marginal entropies. Where every
+    column is constant the ratio is 0/0; the value 0 is returned with the
+    degenerate flag set.
+    """
+    subset = normalize_columns(sample, cols)
+    n = len(subset)
+    if n < 2:
+        raise InvalidInputError("msu needs at least two columns")
+    marginals = [subset_entropies(sample, (c,), prefixes) for c in subset]
+    values = []
+    for h_joint, *hs in zip(subset_entropies(sample, subset, prefixes), *marginals):
+        h_sum = math.fsum(hs)
+        if h_sum == 0.0:
+            values.append(MeasureValue(0.0, degenerate=True))
+        else:
+            values.append(MeasureValue(_clamp_unit((n / (n - 1)) * (h_sum - h_joint) / h_sum)))
+    return values
 
 
 def msu(sample: CategoricalSample, cols: Sequence[int]) -> MeasureValue:
     """Multivariate symmetrical uncertainty in [0, 1] over n >= 2 columns.
 
-    (n / (n - 1)) * total_correlation / sum of marginal entropies. When every
-    column is constant the ratio is 0/0; the value 0 is returned with the
-    degenerate flag set.
+    `msu_at_prefixes` at all rows, including its 0/0 convention.
     """
-    subset = normalize_columns(sample, cols)
-    if len(subset) < 2:
-        raise InvalidInputError("msu needs at least two columns")
-    return _normalized_total_correlation(sample, subset)
+    (value,) = msu_at_prefixes(sample, cols)
+    return value
 
 
 def symmetrical_uncertainty(sample: CategoricalSample, x_col: int, y_col: int) -> MeasureValue:
@@ -173,5 +181,5 @@ def symmetrical_uncertainty(sample: CategoricalSample, x_col: int, y_col: int) -
     """
     if int(x_col) == int(y_col):
         raise InvalidInputError("symmetrical uncertainty needs two distinct columns")
-    subset = normalize_columns(sample, [x_col, y_col])
-    return _normalized_total_correlation(sample, subset)
+    (value,) = msu_at_prefixes(sample, [x_col, y_col])
+    return value

@@ -10,7 +10,7 @@ are built from observed counts only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,6 +30,9 @@ class CategoricalSample:
     codes: np.ndarray
     cardinalities: tuple[int, ...]
     column_names: tuple[str, ...] | None = None
+    # (sorted column subset, row prefixes) -> entropy at each prefix; only
+    # `msulab.measures.subset_entropies` fills and reads it
+    _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         codes = np.asarray(self.codes)

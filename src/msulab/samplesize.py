@@ -34,7 +34,6 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from scipy.optimize import brentq
 from scipy.special import gammaincc
@@ -106,54 +105,23 @@ def chi2_critical(alpha: float, df: int) -> float:
     return float(brentq(upper_tail, 0.0, hi, xtol=1e-10, maxiter=200))
 
 
-def chi2_statistic(observed: Sequence[int]) -> float:
-    """Goodness-of-fit statistic sum (O - E)^2 / E against equiprobable cells.
-
-    Each of the k cells expects m / k of the m observations.
-    """
-    obs = [int(o) for o in observed]
-    k = len(obs)
-    if k < 2:
-        raise InvalidInputError("need at least two cells")
-    if any(o < 0 for o in obs):
-        raise InvalidInputError("observed counts must be non-negative")
-    m = sum(obs)
-    if m == 0:
-        raise InvalidInputError("observed counts must not all be zero")
-    e = m / k
-    return math.fsum((o - e) ** 2 / e for o in obs)
-
-
-def extreme_sample(m: int, k: int) -> list[int]:
-    """Canonical under-covered sample: one empty cell, the rest balanced.
-
-    m is spread as evenly as possible over the first k-1 cells (m mod (k-1)
-    of them get the extra unit) with the empty cell last.
-    """
-    m, k = _check_extreme(m, k)
-    q, r = divmod(m, k - 1)
-    return [q + 1] * r + [q] * (k - 1 - r) + [0]
-
-
 def extreme_sample_chi2(m: int, k: int) -> float:
-    """`chi2_statistic(extreme_sample(m, k))` in O(1), bit for bit.
+    """Chi-squared statistic of the m-row extreme sample over k equiprobable cells.
 
-    `math.fsum` returns the correctly rounded sum of its float terms, and the
-    k terms take only three values: summing them with their multiplicities in
-    exact rational arithmetic and rounding once gives the same float.
+    The statistic is the correctly rounded sum, as `math.fsum` gives it, of
+    the k float terms (O - E)^2 / E with E = m / k. With m = q (k - 1) + r
+    the extreme sample has r cells at O = q + 1, k - 1 - r at O = q and one
+    empty cell, so the terms take only three values: they are summed with
+    their multiplicities in exact rational arithmetic and rounded once, in
+    O(1) time.
     """
-    m, k = _check_extreme(m, k)
-    r, up, level, empty = _extreme_terms(m, k)
-    return float(up * r + level * (k - 1 - r) + empty)
-
-
-def _check_extreme(m: int, k: int) -> tuple[int, int]:
     m, k = int(m), int(k)
     if k < 2:
         raise InvalidInputError(f"need at least two cells, got {k}")
     if m < k - 1:
         raise InvalidInputError(f"m={m} cannot fill {k - 1} cells with at least one item each")
-    return m, k
+    r, up, level, empty = _extreme_terms(m, k)
+    return float(up * r + level * (k - 1 - r) + empty)
 
 
 def min_representative_m(k: int, alpha: float = 0.05) -> int:
@@ -229,7 +197,7 @@ def _extreme_terms(m: int, k: int) -> tuple[int, Fraction, Fraction, Fraction]:
     """r and the three distinct float cell terms of the extreme sample, as exact fractions.
 
     With m = q (k - 1) + r the sample has r cells at q + 1, k - 1 - r at q and
-    one empty cell; each term is computed exactly as `chi2_statistic` does.
+    one empty cell; each term is the float (O - E)^2 / E with E = m / k.
     """
     q, r = divmod(m, k - 1)
     e = m / k

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from msulab import CategoricalSample
+from msulab import CategoricalSample, InvalidInputError, chi2_critical
 
 
 def entropy_of_counts(counts, total=None) -> float:
@@ -68,12 +68,43 @@ def coded_table(*columns: str) -> CategoricalSample:
     return CategoricalSample.from_columns(coded_cols, cards)
 
 
+def chi2_statistic(observed) -> float:
+    """Goodness-of-fit statistic sum (O - E)^2 / E against equiprobable cells.
+
+    Each of the k cells expects m / k of the m observations.
+    """
+    obs = [int(o) for o in observed]
+    k = len(obs)
+    if k < 2:
+        raise InvalidInputError("need at least two cells")
+    if any(o < 0 for o in obs):
+        raise InvalidInputError("observed counts must be non-negative")
+    m = sum(obs)
+    if m == 0:
+        raise InvalidInputError("observed counts must not all be zero")
+    e = m / k
+    return math.fsum((o - e) ** 2 / e for o in obs)
+
+
+def extreme_sample(m: int, k: int) -> list[int]:
+    """Canonical under-covered sample: one empty cell, the rest balanced.
+
+    m is spread as evenly as possible over the first k-1 cells (m mod (k-1)
+    of them get the extra unit) with the empty cell last.
+    """
+    m, k = int(m), int(k)
+    if k < 2:
+        raise InvalidInputError(f"need at least two cells, got {k}")
+    if m < k - 1:
+        raise InvalidInputError(f"m={m} cannot fill {k - 1} cells with at least one item each")
+    q, r = divmod(m, k - 1)
+    return [q + 1] * r + [q] * (k - 1 - r) + [0]
+
+
 def scan_min_representative_m(k: int, alpha: float = 0.05) -> int:
     """Smallest m whose equiprobable extreme sample is rejected: the ascending
     scan from m = k - 1 that rebuilds the k-cell sample and sums its statistic
     at every step."""
-    from msulab import InvalidInputError, chi2_critical, chi2_statistic, extreme_sample
-
     k = int(k)
     if k < 2:
         raise InvalidInputError(f"need at least two cells, got {k}")

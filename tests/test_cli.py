@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import msulab.samplesize as samplesize
-from msulab import msu, read_csv
+from msulab import InvalidInputError, msu, read_csv
 from msulab.cli import main
 
 TABLE_B_CSV = "f1,f2,clase\n" + "\n".join(
@@ -396,3 +397,75 @@ class TestChi2Scan:
     def test_requires_one_source(self, capsys):
         with pytest.raises(SystemExit):
             main(["chi2-scan"])
+
+
+class TestReadCsv:
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\nx,caf\xe9\n")
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}: not UTF-8 text")):
+            read_csv(path)
+
+    def test_oversized_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b\nx,y\nx," + "z" * 140_000 + "\n")
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}:3: field larger than field limit")):
+            read_csv(path)
+
+
+def _config_file(tmp_path, **changes):
+    cfg = {
+        "name": "tiny",
+        "sweep": {"kind": "sample_size", "values": [12]},
+        "groups": [group("mk", "kononenko", 2)],
+        "tracked": [{"label": "set", "groups": ["mk"]}],
+        **changes,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["experiment", "--config", str(path)]
+
+
+def _csv_file(tmp_path, content):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    return ["measure", str(path), "--su", "a,b"]
+
+
+# malformed input -> argv that feeds it to the CLI
+MALFORMED = {
+    "config-name-number": lambda tmp: _config_file(tmp, name=5),
+    "group-name-null": lambda tmp: _config_file(
+        tmp, groups=[group(None, "kononenko", 2)], tracked=[{"label": "set", "groups": ["None"]}]
+    ),
+    "tracked-label-number": lambda tmp: _config_file(tmp, tracked=[{"label": 7, "groups": ["mk"]}]),
+    "tracked-group-number": lambda tmp: _config_file(tmp, tracked=[{"label": "s", "groups": [1]}]),
+    "csv-not-utf8": lambda tmp: _csv_file(tmp, b"a,b\nx,caf\xe9\n"),
+    "csv-field-too-large": lambda tmp: _csv_file(tmp, b"a,b\nx," + b"z" * 140_000 + b"\n"),
+    "factor-nan": lambda tmp: ["recommend", "--cards", "2,2", "--factor", "nan"],
+    "k-nan": lambda tmp: ["generate", "--rule", "mk", "--cards", "3", "--m", "5", "--k", "nan"],
+    "seed-negative": lambda tmp: ["generate", "--rule", "uniform", "--cards", "2", "--m", "5",
+                                  "--seed", "-1"],
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_exits_1_with_an_error_line(self, tmp_path, capsys, case):
+        code, out, err = run(capsys, *MALFORMED[case](tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_binary_equivalent_point_below_one_is_skipped(self, tmp_path, capsys):
+        argv = _config_file(
+            tmp_path,
+            sweep={"kind": "cardinality", "values": [0, 4]},
+            groups=[group("b", "uniform", {"binary_equivalent": True})],
+            tracked=[{"label": "set", "groups": ["b"]}],
+            sample_size_policy={"computed": 10},
+            replicates=2,
+        )
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert err == "warning: point 0 skipped: sweep value 0 has no binary-equivalent attribute count\n"
+        assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [["4", "msu_set"]]

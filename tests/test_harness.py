@@ -23,7 +23,6 @@ from msulab import (
     config_from_json,
     preset,
     run_experiment,
-    run_replicate,
 )
 from msulab import harness, presets
 from msulab.dataset import generate_dataset
@@ -32,6 +31,13 @@ from msulab.harness import CountRule, MeasureStats, _mean_std, resolve_point
 
 def _group(name, family, count, cardinality=2):
     return {"name": name, "family": family, "count": count, "cardinality": cardinality}
+
+
+def run_replicate(config, sweep_value, replicate_index):
+    """Measure values of one replicate of one sweep point, run on its own."""
+    point = resolve_point(config, sweep_value)
+    labels, values = harness._run_layout(config, [point], replicate_index)
+    return dict(zip(labels, values[0]))
 
 
 def _curve_sha256(config):
@@ -103,6 +109,11 @@ class TestCountRule:
         assert rule.resolve(64) == 12
         with pytest.raises(InvalidInputError):
             rule.resolve(6)
+
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_binary_equivalent_needs_positive_sweep_value(self, value):
+        with pytest.raises(InvalidInputError, match=f"sweep value {value} has no binary-equivalent"):
+            CountRule(binary_equivalent=True).resolve(value)
 
 
 class TestRunReplicate:
@@ -490,6 +501,22 @@ class TestConfigJson:
     def test_numeric_strings_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match="must be an integer|must be a finite number"):
             config_from_json({**self.BASE, field: value})
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"name": 5}, "experiment name must be a string, got 5"),
+            ({"groups": [{**_group("mk", "kononenko", 2), "name": None}],
+              "tracked": [{"label": "s", "groups": ["None"]}]}, "group name must be a string, got None"),
+            ({"tracked": [{"label": 7, "groups": ["mk"]}]}, "tracked label must be a string, got 7"),
+            ({"tracked": [{"label": "s", "groups": [1]}]}, "tracked group must be a string, got 1"),
+            ({"tracked": [{"label": "s", "groups": [None]}]}, "tracked group must be a string, got None"),
+        ],
+        ids=["config-name", "group-name", "tracked-label", "tracked-group", "tracked-group-null"],
+    )
+    def test_non_string_names_rejected(self, changes, match):
+        with pytest.raises(InvalidInputError, match=match):
+            config_from_json({**self.BASE, **changes})
 
     def test_integers_are_numbers(self):
         cfg = config_from_json({**self.BASE, "kononenko_k": 2, "xor_noise": 0, "theta_ref": 1})

@@ -5,6 +5,7 @@ Expected values were produced by the independent oracles in oracle_utils
 re-derive them inline so the freeze stays honest.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from msulab import (
     CategoricalSample,
     InvalidInputError,
-    conditional_entropy,
     entropy,
     information_gain,
     joint_entropy,
@@ -21,6 +21,8 @@ from msulab import (
     symmetrical_uncertainty,
     total_correlation,
 )
+from msulab import measures
+from msulab.measures import msu_at_prefixes, subset_entropies
 from msulab.sample import joint_counts, normalize_columns
 from oracle_utils import coded_table, entropy_of_counts
 
@@ -107,15 +109,17 @@ class TestJointEntropy:
 
 
 class TestConditionalEntropy:
+    """H(X|Y) as the joint-entropy difference H(X,Y) - H(Y)."""
+
     def test_duplicated_column_fully_determines(self):
         x = [0, 1, 0, 1, 1]
         sample = CategoricalSample.from_columns([x, x], (2, 2))
-        assert conditional_entropy(sample, [0], [1]).value == 0.0
+        assert joint_entropy(sample, [0, 1]).value == joint_entropy(sample, [1]).value
 
     def test_independent_uniform(self):
         sample = two_binary_exhaustive()
-        assert conditional_entropy(sample, [0], [1]).value == 1.0
-        assert conditional_entropy(sample, [0], [1]).value == joint_entropy(sample, [0]).value
+        assert joint_entropy(sample, [0, 1]).value - joint_entropy(sample, [1]).value == 1.0
+        assert joint_entropy(sample, [0]).value == 1.0
 
     def test_noisy_xor_population_table(self):
         # exhaustive table with P(class = xor) = 38/40 = 0.95 per input combo
@@ -124,15 +128,11 @@ class TestConditionalEntropy:
             for f2 in (0, 1):
                 rows += [[f1, f2, f1 ^ f2]] * 38 + [[f1, f2, 1 - (f1 ^ f2)]] * 2
         sample = CategoricalSample(rows, (2, 2, 2))
-        value = conditional_entropy(sample, [2], [0, 1]).value
+        value = joint_entropy(sample, [0, 1, 2]).value - joint_entropy(sample, [0, 1]).value
         assert value == pytest.approx(H_BERNOULLI_95, abs=1e-12)
         assert H_BERNOULLI_95 == pytest.approx(
             -(0.95 * math.log2(0.95) + 0.05 * math.log2(0.05)), abs=1e-15
         )
-
-    def test_overlap_rejected(self):
-        with pytest.raises(InvalidInputError):
-            conditional_entropy(TABLE_A, [0, 1], [1, 2])
 
 
 class TestInformationGain:
@@ -156,6 +156,8 @@ class TestInformationGain:
     def test_overlap_rejected(self):
         with pytest.raises(InvalidInputError):
             information_gain(TABLE_A, [0], [0])
+        with pytest.raises(InvalidInputError):
+            information_gain(TABLE_A, [0, 1], [1, 2])
 
 
 class TestSymmetricalUncertainty:
@@ -274,3 +276,39 @@ class TestJointHistogram:
     def test_entropy_of_histogram_counts_matches(self):
         counts = joint_counts(TABLE_C, [0, 1, 2])
         assert entropy(counts).value == joint_entropy(TABLE_C, [0, 1, 2]).value
+
+
+class TestEntropyTable:
+    """A sample counts each (column subset, row prefixes) histogram once."""
+
+    def test_each_subset_counted_once_per_sample(self, monkeypatch):
+        calls = []
+        counts = measures.prefix_counts
+
+        def counting(sample, cols, prefixes):
+            calls.append(tuple(cols))
+            return counts(sample, cols, prefixes)
+
+        monkeypatch.setattr(measures, "prefix_counts", counting)
+        sample = CategoricalSample(TABLE_C.codes, TABLE_C.cardinalities)
+        first = msu(sample, [0, 1, 2])
+        assert len(calls) == 4  # three marginals and the joint histogram
+        symmetrical_uncertainty(sample, 0, 2)
+        assert calls[4:] == [(0, 2)]  # the marginals are already in the table
+        assert msu(sample, [2, 0, 1]) == first
+        assert len(calls) == 5
+
+        copy = dataclasses.replace(sample)
+        assert msu(copy, [0, 1, 2]) == first
+        assert len(calls) == 9  # a new sample starts with an empty table
+
+    def test_prefixes_are_part_of_the_key(self):
+        sample = CategoricalSample(np.random.default_rng(3).integers(0, 3, size=(40, 3)), (3, 3, 3))
+        m = sample.n_rows
+        whole = msu_at_prefixes(sample, [0, 1, 2])
+        assert whole == [msu(sample, [0, 1, 2])]
+        series = msu_at_prefixes(sample, [0, 1, 2], [1, m // 2 + 1, m])
+        assert series[-1] == whole[0]
+        head = CategoricalSample(sample.codes[: m // 2 + 1], sample.cardinalities)
+        assert series[1] == msu(head, [0, 1, 2])
+        assert subset_entropies(sample, [2, 0], [m]) == (joint_entropy(sample, [0, 2]).value,)

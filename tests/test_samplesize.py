@@ -12,8 +12,6 @@ from msulab import (
     InvalidInputError,
     RepresentativenessReport,
     chi2_critical,
-    chi2_statistic,
-    extreme_sample,
     extreme_sample_chi2,
     heuristic_sample_size,
     min_representative_m,
@@ -21,7 +19,7 @@ from msulab import (
     representativeness_report,
 )
 from msulab.samplesize import MAX_CELLS
-from oracle_utils import scan_min_representative_m
+from oracle_utils import chi2_statistic, extreme_sample, scan_min_representative_m
 
 # Values from standard chi-squared tables (6+ digits), frozen.
 CRITICAL_05_7 = 14.06714
