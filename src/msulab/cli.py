@@ -218,6 +218,8 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     curve = run_experiment(config)
     for sweep_value, message in curve.errors:
         print(f"warning: point {sweep_value} skipped: {message}", file=sys.stderr)
+    if len(curve.errors) == len(curve.sweep_values):
+        raise InvalidInputError("every sweep point was skipped; nothing was measured")
     buffer = io.StringIO()
     curve.write_csv(buffer)
     _emit(buffer.getvalue(), args.out)

@@ -94,8 +94,7 @@ def sample_to_csv(sample: CategoricalSample) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(sample.column_names)
-    for row in sample.codes:
-        writer.writerow([str(int(v)) for v in row])
+    writer.writerows(sample.codes.tolist())
     return out.getvalue()
 
 

@@ -5,6 +5,14 @@ declared cardinality (alphabet size); codes live in [0, cardinality). Declared
 cardinality may exceed the number of codes actually observed, which matters for
 sample-size arithmetic but never for the plug-in probability estimates: those
 are built from observed counts only.
+
+The codes are stored column-major: one read-only, Fortran-ordered int64
+matrix, so each column is one contiguous block of memory. Joint histograms
+key their cells from those columns directly, and `from_columns` (the path of
+generated and CSV data) writes each input column straight into its place in
+the matrix. Every sample, however it is built, passes the same validation in
+`__post_init__`; a matrix given to the constructor is copied first, one that
+`from_columns` filled is not copied again.
 """
 
 from __future__ import annotations
@@ -23,9 +31,28 @@ from .errors import InvalidInputError
 _DENSE_CELL_LIMIT = 1 << 21
 
 
+class _Filled:
+    """A code matrix that `from_columns` allocated, so no caller holds it."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+
+
+def _check_whole(codes: np.ndarray) -> None:
+    # only float input can carry a fraction; integer input skips the check
+    if codes.dtype.kind == "f" and not (np.isfinite(codes) & (codes == np.trunc(codes))).all():
+        raise InvalidInputError("category codes must be finite whole numbers")
+
+
 @dataclass(frozen=True)
 class CategoricalSample:
-    """Immutable m x p matrix of category codes with per-column cardinalities."""
+    """Immutable m x p matrix of category codes with per-column cardinalities.
+
+    Two samples are equal when their codes, cardinalities and column names
+    are; the memory layout of the codes does not matter.
+    """
 
     codes: np.ndarray
     cardinalities: tuple[int, ...]
@@ -35,11 +62,13 @@ class CategoricalSample:
     _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        codes = np.asarray(self.codes)
-        # only float input can carry a fraction; integer columns skip the check
-        if codes.dtype.kind == "f" and not (np.isfinite(codes) & (codes == np.trunc(codes))).all():
-            raise InvalidInputError("category codes must be finite whole numbers")
-        codes = np.asarray(codes, dtype=np.int64)
+        if isinstance(self.codes, _Filled):
+            codes = self.codes.matrix  # its columns were checked as they were written
+        else:
+            codes = np.asarray(self.codes)
+            _check_whole(codes)
+            # the defensive copy, column-major like every sample's codes
+            codes = np.array(codes, dtype=np.int64, order="F")
         if codes.ndim != 2:
             raise InvalidInputError(f"codes must be a 2-D matrix, got ndim={codes.ndim}")
         m, p = codes.shape
@@ -52,17 +81,25 @@ class CategoricalSample:
             raise InvalidInputError("cardinalities must be positive")
         if codes.min() < 0:
             raise InvalidInputError("category codes must be non-negative")
-        if (codes >= np.asarray(cards, dtype=np.int64)).any():
+        if (codes.max(axis=0) >= np.asarray(cards, dtype=np.int64)).any():
             raise InvalidInputError("a category code exceeds its column's declared cardinality")
         if self.column_names is not None:
             names = tuple(self.column_names)
             if len(names) != p:
                 raise InvalidInputError(f"expected {p} column names, got {len(names)}")
             object.__setattr__(self, "column_names", names)
-        codes = codes.copy()
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "cardinalities", cards)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.cardinalities == other.cardinalities
+            and self.column_names == other.column_names
+            and bool(np.array_equal(self.codes, other.codes))
+        )
 
     @property
     def n_rows(self) -> int:
@@ -87,8 +124,29 @@ class CategoricalSample:
         cardinalities: Sequence[int],
         column_names: Sequence[str] | None = None,
     ) -> "CategoricalSample":
-        codes = np.column_stack([np.asarray(c, dtype=np.int64) for c in columns])
-        return cls(codes, tuple(cardinalities), tuple(column_names) if column_names else None)
+        """Sample whose j-th column holds `columns[j]`.
+
+        The columns must be 1-D and of equal length. Each is written into its
+        place in a new column-major matrix, which the constructor validates
+        without copying it again.
+        """
+        arrays = [np.asarray(c) for c in columns]
+        if not arrays:
+            raise InvalidInputError("sample must have at least one column")
+        for a in arrays:
+            if a.ndim != 1:
+                raise InvalidInputError(f"each column must be 1-D, got ndim={a.ndim}")
+            if len(a) != len(arrays[0]):
+                raise InvalidInputError(
+                    f"columns must have equal lengths, got {len(arrays[0])} and {len(a)}"
+                )
+        codes = np.empty((len(arrays[0]), len(arrays)), dtype=np.int64, order="F")
+        for j, a in enumerate(arrays):
+            _check_whole(a)
+            codes[:, j] = a
+        return cls(
+            _Filled(codes), tuple(cardinalities), tuple(column_names) if column_names else None
+        )
 
 
 def normalize_columns(sample: CategoricalSample, cols: Sequence[int]) -> tuple[int, ...]:
@@ -140,7 +198,7 @@ def prefix_counts(
     if bounds[-1] > sample.n_rows:
         raise InvalidInputError(f"prefix of {bounds[-1]} rows exceeds the sample's {sample.n_rows}")
     ids, n_cells = _cell_ids(
-        sample.codes[: bounds[-1], subset], [sample.cardinalities[c] for c in subset]
+        [sample.codes[: bounds[-1], c] for c in subset], [sample.cardinalities[c] for c in subset]
     )
     per_chunk = max(1, _DENSE_CELL_LIMIT // n_cells)
     start = 0
@@ -162,22 +220,25 @@ def prefix_counts(
         yield counts[:, running > 0]
 
 
-def _cell_ids(codes: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, int]:
-    """Per-row cell ids over the columns of `codes`, and the id space size.
+def _cell_ids(columns: Sequence[np.ndarray], dims: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Per-row cell ids over equal-length code columns, and the id space size.
 
-    Dense spaces use the mixed-radix key itself; larger ones are renumbered
-    to the observed keys (or, past int64, to the observed rows) in ascending
-    order.
+    Dense spaces use the mixed-radix key itself (one column is its own key);
+    larger ones are renumbered to the observed keys (or, past int64, to the
+    observed rows) in ascending order.
     """
     space = math.prod(dims)
     if space >= 1 << 62:
         # joint space not addressable in int64: number the distinct rows
-        cells, ids = np.unique(codes, axis=0, return_inverse=True)
+        cells, ids = np.unique(np.column_stack(columns), axis=0, return_inverse=True)
         return ids.reshape(-1), len(cells)
-    keys = np.zeros(codes.shape[0], dtype=np.int64)
-    for j, d in enumerate(dims):
-        keys *= d
-        keys += codes[:, j]
+    keys = columns[0]
+    if len(columns) > 1:
+        keys = keys * dims[1]  # a new array: the sample's own column is never written
+        keys += columns[1]
+        for column, d in zip(columns[2:], dims[2:]):
+            keys *= d
+            keys += column
     if space <= _DENSE_CELL_LIMIT:
         return keys, space
     cells, ids = np.unique(keys, return_inverse=True)

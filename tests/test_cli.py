@@ -469,3 +469,22 @@ class TestMalformedInput:
         assert code == 0
         assert err == "warning: point 0 skipped: sweep value 0 has no binary-equivalent attribute count\n"
         assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [["4", "msu_set"]]
+
+    def test_every_point_skipped_exits_1(self, tmp_path, capsys):
+        # with one measured point the run exits 0 (the test above)
+        out_path = tmp_path / "curve.csv"
+        argv = _config_file(
+            tmp_path,
+            sweep={"kind": "cardinality", "values": [0, -2]},
+            groups=[group("b", "uniform", {"binary_equivalent": True})],
+            tracked=[{"label": "set", "groups": ["b"]}],
+            sample_size_policy={"computed": 10},
+            replicates=2,
+        )
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["warning", "warning", "error"]
+        assert lines[1].startswith("warning: point -2 skipped: ")
+        assert lines[2] == "error: every sweep point was skipped; nothing was measured"
+        assert not out_path.exists()

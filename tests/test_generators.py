@@ -1,6 +1,7 @@
 """Tests for the synthetic attribute generators and dataset assembly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,24 @@ class TestGenerateDataset:
         for j, card in enumerate(sample.cardinalities):
             col = sample.codes[:, j]
             assert col.min() >= 0 and col.max() < card
+
+    def test_codes_are_one_column_major_matrix_built_without_a_copy(self):
+        blocks = [
+            block("x", GeneratorKind.XOR_PAIR, 2, 2),
+            block("mk", GeneratorKind.KONONENKO, 7, 4),
+            block("u", GeneratorKind.UNIFORM, 6, 3),
+        ]
+        generate_dataset(10, 2, blocks, SeededRng(3, 0))  # warm caches out of the trace
+        tracemalloc.start()
+        try:
+            sample = generate_dataset(200_000, 2, blocks, SeededRng(3, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sample.codes.shape == (200_000, 16)
+        assert sample.codes.flags.f_contiguous and not sample.codes.flags.writeable
+        # the generated columns plus the matrix; a further full copy would pass 3x
+        assert peak < 2.5 * sample.codes.nbytes
 
 
 class TestAttributeBlock:

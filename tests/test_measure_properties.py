@@ -1,5 +1,6 @@
 """Property tests for the measures: bounds, identities, invariances, oracle agreement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +134,42 @@ def test_prefix_counts_match_counts_of_each_prefix(cards, limit, monkeypatch):
         for n, row in zip(prefixes, rows):
             head = CategoricalSample(sample.codes[:n], cards)
             assert row[row > 0].tolist() == joint_counts(head, cols).tolist()
+
+
+def _row_major(sample):
+    """A fresh copy of `sample` whose codes are stored row-major (C order)."""
+    copy = dataclasses.replace(sample)
+    codes = np.ascontiguousarray(copy.codes)
+    codes.flags.writeable = False
+    object.__setattr__(copy, "codes", codes)
+    return copy
+
+
+@pytest.mark.parametrize("cards", [(3, 3, 3), (3, 2**30, 2**30), (2**40, 2**40, 2**40)])
+@pytest.mark.parametrize("limit", [sample_module._DENSE_CELL_LIMIT, 40])
+def test_counts_and_measures_do_not_depend_on_memory_layout(cards, limit, monkeypatch):
+    # dense, renumbered-key and distinct-row paths; a tiny limit forces chunks
+    monkeypatch.setattr(sample_module, "_DENSE_CELL_LIMIT", limit)
+    rng = np.random.default_rng(17)
+    f_order = CategoricalSample(rng.integers(0, 3, size=(60, 3)), cards)
+    c_order = _row_major(f_order)
+    assert f_order.codes.flags.f_contiguous and not f_order.codes.flags.c_contiguous
+    assert c_order.codes.flags.c_contiguous and not c_order.codes.flags.f_contiguous
+    prefixes = [1, 2, 5, 17, 18, 40, 60]
+    chunks = []
+    for cols in ([0], [2, 0], [0, 1, 2]):
+        f_counts = list(prefix_counts(f_order, cols, prefixes))
+        c_counts = list(prefix_counts(c_order, cols, prefixes))
+        assert len(f_counts) == len(c_counts)
+        chunks.append(len(f_counts))
+        for f, c in zip(f_counts, c_counts):
+            assert f.dtype == c.dtype and np.array_equal(f, c)
+        assert np.array_equal(joint_counts(f_order, cols), joint_counts(c_order, cols))
+    assert (max(chunks) > 1) == (limit == 40)
+    assert repr(msu(f_order, [0, 1, 2])) == repr(msu(c_order, [0, 1, 2]))
+    for x, y in ((0, 1), (0, 2), (1, 2)):
+        f_su = symmetrical_uncertainty(f_order, x, y)
+        assert repr(f_su) == repr(symmetrical_uncertainty(c_order, x, y))
 
 
 def test_prefix_counts_reject_unordered_prefixes():

@@ -248,6 +248,43 @@ class TestSampleValidation:
         with pytest.raises(ValueError):
             sample.codes[0, 0] = 1
 
+    def test_from_columns_without_columns_rejected(self):
+        with pytest.raises(InvalidInputError, match="at least one column"):
+            CategoricalSample.from_columns([], ())
+
+    def test_from_columns_of_unequal_length_rejected(self):
+        with pytest.raises(InvalidInputError, match="equal lengths"):
+            CategoricalSample.from_columns([[0, 1, 0], [1, 0]], (2, 2))
+
+    def test_from_columns_not_1d_rejected(self):
+        with pytest.raises(InvalidInputError, match="1-D"):
+            CategoricalSample.from_columns([[[0]], [[1]]], (2, 2))
+
+    def test_from_columns_fractional_code_rejected(self):
+        with pytest.raises(InvalidInputError, match="whole numbers"):
+            CategoricalSample.from_columns([[0, 1], [0.5, 1]], (2, 2))
+
+    def test_codes_are_column_major(self):
+        for sample in (
+            CategoricalSample(np.ascontiguousarray([[0, 1], [1, 2]]), (2, 3)),
+            CategoricalSample.from_columns([[0, 1], [1, 2]], (2, 3)),
+        ):
+            assert sample.codes.flags.f_contiguous
+            assert sample.codes.tolist() == [[0, 1], [1, 2]]
+
+    def test_equality_compares_codes_cardinalities_and_names(self):
+        sample = CategoricalSample.from_columns([[0, 1, 1], [2, 0, 1]], (2, 3), ("a", "b"))
+        msu(sample, [0, 1])  # a filled entropy table takes no part in equality
+        rebuilt = CategoricalSample(np.ascontiguousarray(sample.codes), (2, 3), ("a", "b"))
+        assert sample == dataclasses.replace(sample)
+        assert sample == rebuilt
+        changed = sample.codes.copy()
+        changed[2, 1] = 2
+        assert sample != CategoricalSample(changed, (2, 3), ("a", "b"))
+        assert sample != CategoricalSample(sample.codes, (2, 4), ("a", "b"))
+        assert sample != CategoricalSample(sample.codes, (2, 3), ("a", "c"))
+        assert sample != CategoricalSample(sample.codes, (2, 3))
+
     def test_declared_cardinality_may_exceed_observed(self):
         narrow = CategoricalSample([[0], [1]], (2,))
         wide = CategoricalSample([[0], [1]], (9,))
