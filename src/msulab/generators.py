@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .sample import MAX_CARDINALITY
 
 
 class GeneratorKind(enum.Enum):
@@ -59,20 +60,29 @@ def _check_m(m: int) -> int:
     m = int(m)
     if m < 1:
         raise InvalidInputError(f"sample size must be at least 1, got {m}")
+    if m > MAX_CARDINALITY:  # rows are counted in int64 like codes
+        raise InvalidInputError(f"sample size must not exceed {MAX_CARDINALITY}, got {m}")
     return m
+
+
+def _check_card(card: int, what: str = "cardinality") -> None:
+    if card < 2:
+        raise InvalidInputError(f"{what} must be at least 2, got {card}")
+    if card > MAX_CARDINALITY:
+        raise InvalidInputError(
+            f"{what} must not exceed {MAX_CARDINALITY} (int64 codes), got {card}"
+        )
 
 
 def gen_class(card: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. uniform class column over {0, ..., card-1}."""
-    if card < 2:
-        raise InvalidInputError(f"class cardinality must be at least 2, got {card}")
+    _check_card(card, "class cardinality")
     return rng.integers(0, card, size=_check_m(m), dtype=np.int64)
 
 
 def gen_uniform(card: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Non-informative column: i.i.d. uniform, independent of everything else."""
-    if card < 2:
-        raise InvalidInputError(f"cardinality must be at least 2, got {card}")
+    _check_card(card)
     return rng.integers(0, card, size=_check_m(m), dtype=np.int64)
 
 
@@ -97,6 +107,13 @@ def kononenko_first_half_prob(i: int, k: float, class_card: int) -> float:
     return p if i % 2 == 0 else 1.0 - p
 
 
+def _first_half_probs(i: np.ndarray, k: float, class_card: int) -> np.ndarray:
+    """kononenko_first_half_prob at each 1-based index in `i`, bit for bit:
+    the same int-to-float conversion, add, divide and subtract."""
+    p = 1.0 / (i + k * class_card)
+    return np.where(i % 2 == 0, p, 1.0 - p)
+
+
 def gen_kononenko(
     class_codes: np.ndarray,
     cardinality: int,
@@ -111,8 +128,7 @@ def gen_kononenko(
     kononenko_first_half_prob for its class value, then a uniform member of the
     chosen half.
     """
-    if cardinality < 2:
-        raise InvalidInputError(f"cardinality must be at least 2, got {cardinality}")
+    _check_card(cardinality)
     codes = np.asarray(class_codes, dtype=np.int64)
     if codes.ndim != 1 or codes.size == 0:
         raise InvalidInputError("class column must be a non-empty 1-D array")
@@ -121,14 +137,20 @@ def gen_kononenko(
     if codes.min() < 0 or codes.max() >= class_card:
         raise InvalidInputError("class codes exceed the class cardinality")
 
-    p_first = np.array(
-        [kononenko_first_half_prob(i, k, class_card) for i in range(1, class_card + 1)]
-    )
+    # Once per class value and looked up by row while there are no more
+    # values than rows (the usual case, and the cheaper one), else once per
+    # row, so the cost follows m, never class_card.
+    check_k(k)
+    m = codes.size
+    top = int(codes.max()) + 1
+    if top <= m:
+        p_first = _first_half_probs(np.arange(1, top + 1), k, class_card)[codes]
+    else:
+        p_first = _first_half_probs(codes + 1, k, class_card)
     lower = cardinality // 2
     upper = cardinality - lower
-    m = codes.size
     draws = rng.random((m, 2))  # one row of draws per sample row: (half, member)
-    in_lower = draws[:, 0] < p_first[codes]
+    in_lower = draws[:, 0] < p_first
     member = draws[:, 1]
     lower_vals = np.minimum((member * lower).astype(np.int64), lower - 1)
     upper_vals = lower + np.minimum((member * upper).astype(np.int64), upper - 1)

@@ -30,6 +30,9 @@ from .errors import InvalidInputError
 # cells. It also caps the size of one prefix count matrix.
 _DENSE_CELL_LIMIT = 1 << 21
 
+# Codes are int64, so no column's alphabet may be larger than this.
+MAX_CARDINALITY = int(np.iinfo(np.int64).max)
+
 
 class _Filled:
     """A code matrix that `from_columns` allocated, so no caller holds it."""
@@ -40,18 +43,28 @@ class _Filled:
         self.matrix = matrix
 
 
-def _check_whole(codes: np.ndarray) -> None:
+def _code_array(values) -> np.ndarray:
+    """`values` as a numeric array of whole-number codes, not yet cast."""
+    try:
+        codes = np.asarray(values)
+    except (TypeError, ValueError):
+        raise InvalidInputError("category codes must form a rectangle of numbers") from None
+    # strings, None and other objects are not codes, even when they spell one
+    if codes.dtype.kind not in "biuf":
+        raise InvalidInputError(f"category codes must be numbers, got dtype {codes.dtype}")
     # only float input can carry a fraction; integer input skips the check
     if codes.dtype.kind == "f" and not (np.isfinite(codes) & (codes == np.trunc(codes))).all():
         raise InvalidInputError("category codes must be finite whole numbers")
+    return codes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoricalSample:
     """Immutable m x p matrix of category codes with per-column cardinalities.
 
     Two samples are equal when their codes, cardinalities and column names
-    are; the memory layout of the codes does not matter.
+    are; the memory layout of the codes does not matter. Samples are not
+    hashable.
     """
 
     codes: np.ndarray
@@ -59,16 +72,14 @@ class CategoricalSample:
     column_names: tuple[str, ...] | None = None
     # (sorted column subset, row prefixes) -> entropy at each prefix; only
     # `msulab.measures.subset_entropies` fills and reads it
-    _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _entropies: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.codes, _Filled):
             codes = self.codes.matrix  # its columns were checked as they were written
         else:
-            codes = np.asarray(self.codes)
-            _check_whole(codes)
             # the defensive copy, column-major like every sample's codes
-            codes = np.array(codes, dtype=np.int64, order="F")
+            codes = np.array(_code_array(self.codes), dtype=np.int64, order="F")
         if codes.ndim != 2:
             raise InvalidInputError(f"codes must be a 2-D matrix, got ndim={codes.ndim}")
         m, p = codes.shape
@@ -79,6 +90,8 @@ class CategoricalSample:
             raise InvalidInputError(f"expected {p} cardinalities, got {len(cards)}")
         if any(c < 1 for c in cards):
             raise InvalidInputError("cardinalities must be positive")
+        if any(c > MAX_CARDINALITY for c in cards):
+            raise InvalidInputError(f"cardinalities must not exceed {MAX_CARDINALITY} (int64 codes)")
         if codes.min() < 0:
             raise InvalidInputError("category codes must be non-negative")
         if (codes.max(axis=0) >= np.asarray(cards, dtype=np.int64)).any():
@@ -130,7 +143,7 @@ class CategoricalSample:
         place in a new column-major matrix, which the constructor validates
         without copying it again.
         """
-        arrays = [np.asarray(c) for c in columns]
+        arrays = [_code_array(c) for c in columns]
         if not arrays:
             raise InvalidInputError("sample must have at least one column")
         for a in arrays:
@@ -142,7 +155,6 @@ class CategoricalSample:
                 )
         codes = np.empty((len(arrays[0]), len(arrays)), dtype=np.int64, order="F")
         for j, a in enumerate(arrays):
-            _check_whole(a)
             codes[:, j] = a
         return cls(
             _Filled(codes), tuple(cardinalities), tuple(column_names) if column_names else None

@@ -25,6 +25,11 @@ takes O(1) time, since its k cell terms take only three distinct values.
 its degrees of freedom, critical value, m* and 10x heuristic: `msulab
 recommend`, `msulab chi2-scan` and a representativeness-scan experiment all
 read it.
+
+Only `chi2_critical` needs scipy (Brent's method on the regularized upper
+incomplete gamma). It imports the two routines itself, so only its first call
+pays the 0.5 s or so that loading scipy takes: importing msulab, measuring,
+generating data and the Monte Carlo experiments load numpy only.
 """
 
 from __future__ import annotations
@@ -34,9 +39,6 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-
-from scipy.optimize import brentq
-from scipy.special import gammaincc
 
 from .errors import InvalidInputError
 
@@ -95,6 +97,10 @@ def chi2_critical(alpha: float, df: int) -> float:
     df = int(df)
     if df < 1:
         raise InvalidInputError(f"degrees of freedom must be at least 1, got {df}")
+    # imported here: loading scipy takes about 0.5 s, and only recommend, chi2-scan
+    # and a representativeness scan need it
+    from scipy.optimize import brentq
+    from scipy.special import gammaincc
 
     def upper_tail(x: float) -> float:
         return gammaincc(df / 2.0, x / 2.0) - alpha

@@ -34,6 +34,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def python(*args, timeout):
+    """Run a fresh interpreter with msulab on its path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestMeasure:
     def test_msu_of_relabeled_table(self, tmp_path, capsys):
         path = tmp_path / "table.csv"
@@ -348,12 +360,7 @@ class TestRecommend:
         assert "error" in err
 
     def test_module_entry_point_answers_large_joint_space(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-m", "msulab", "recommend", "--cards", ",".join(["2"] * 10)],
-            capture_output=True, text=True, timeout=10, env=env,
-        )
+        done = python("-m", "msulab", "recommend", "--cards", ",".join(["2"] * 10), timeout=10)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert lines[0] == "multivariate cardinality: 2048"
@@ -488,3 +495,83 @@ class TestMalformedInput:
         assert lines[1].startswith("warning: point -2 skipped: ")
         assert lines[2] == "error: every sweep point was skipped; nothing was measured"
         assert not out_path.exists()
+
+
+# Runs in a fresh interpreter: this one has imported scipy for its own tests.
+COLD_START = """
+import sys
+import msulab
+from msulab.cli import main
+
+def loaded(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
+
+assert not loaded("scipy"), ("import msulab", loaded("scipy"))
+assert main(["measure", sys.argv[1], "--msu", "f1,f2,clase"]) == 0
+assert not loaded("scipy"), ("measure", loaded("scipy"))
+assert main(["experiment", "fig-b1", "--replicates", "2"]) == 0
+assert not loaded("scipy"), ("experiment fig-b1", loaded("scipy"))
+critical = msulab.chi2_critical(0.05, 7)
+assert loaded("scipy.optimize") and loaded("scipy.special"), "chi2_critical"
+print(repr(critical))
+"""
+
+
+def test_only_chi2_critical_loads_scipy(tmp_path):
+    csv_path = tmp_path / "b.csv"
+    csv_path.write_text(TABLE_B_CSV)
+    done = python("-c", COLD_START, str(csv_path), timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == repr(samplesize.chi2_critical(0.05, 7))
+
+
+def _card_sweep_file(tmp_path, value, policy):
+    return _config_file(
+        tmp_path,
+        sweep={"kind": "cardinality", "values": [value]},
+        groups=[group("u", "uniform", 2, "sweep")],
+        tracked=[{"label": "set", "groups": ["u"]}],
+        sample_size_policy=policy,
+    )
+
+
+# declared cardinalities and sizes at and past the int64 range -> (argv, exit code);
+# a huge class cardinality must not hang, one past int64 must be an input error
+LARGE_CARDINALITY = {
+    "mk-class-card-1e11": (
+        lambda tmp: ["generate", "--rule", "mk", "--m", "3", "--cards", "2",
+                     "--class-card", "99999999999"], 0),
+    "config-mk-class-card-1e11": (
+        lambda tmp: _config_file(tmp, class_card=10**11, replicates=2), 0),
+    "uniform-class-card-1e20": (
+        lambda tmp: ["generate", "--rule", "uniform", "--m", "3", "--cards", "2",
+                     "--class-card", "99999999999999999999"], 1),
+    "mk-cards-1e20": (
+        lambda tmp: ["generate", "--rule", "mk", "--m", "3", "--cards", "99999999999999999999"], 1),
+    "uniform-m-1e20": (
+        lambda tmp: ["generate", "--rule", "uniform", "--m", "99999999999999999999",
+                     "--cards", "2"], 1),
+    "config-class-card-2**64": (lambda tmp: _config_file(tmp, class_card=2**64), 1),
+    "config-cardinality-sweep-2**64": (
+        lambda tmp: _card_sweep_file(tmp, 2**64, {"fixed": 12}), 1),
+    "config-computed-size-2**64": (
+        lambda tmp: _card_sweep_file(tmp, 2**64, {"computed": 10}), 1),
+    "config-sample-size-sweep-2**64": (
+        lambda tmp: _config_file(tmp, sweep={"kind": "sample_size", "values": [2**64]}), 1),
+}
+
+
+@pytest.mark.parametrize("case", LARGE_CARDINALITY)
+def test_large_cardinality_answers_promptly(tmp_path, case):
+    argv, expected = LARGE_CARDINALITY[case]
+    done = python("-m", "msulab", *argv(tmp_path), timeout=10)
+    assert done.returncode == expected, done.stderr
+    assert "Traceback" not in done.stderr
+    if expected == 0:
+        assert done.stderr == "" and done.stdout
+    else:
+        assert done.stdout == ""
+        # skipped sweep points warn first; one error line ends the run
+        *warnings, error = done.stderr.splitlines()
+        assert error.startswith("error: ")
+        assert all(line.startswith("warning: ") for line in warnings)

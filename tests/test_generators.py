@@ -156,6 +156,67 @@ class TestGenKononenko:
         with pytest.raises(InvalidInputError):
             gen_kononenko(np.array([0, 1]), 1, 1.0, _rng())
 
+    @pytest.mark.parametrize(
+        "class_card, m", [(2, 500), (7, 40), (10**11, 50), (2**63 - 1, 9)],
+        ids=["binary", "small", "huge", "int64-max"],
+    )
+    def test_rows_follow_the_first_half_probability_of_their_class(self, class_card, m):
+        # every row must be drawn with exactly the float that
+        # kononenko_first_half_prob gives its class value
+        cls = gen_class(class_card, m, _rng(11))
+        col = gen_kononenko(cls, 4, 0.5, _rng(12), class_card=class_card)
+        draws = _rng(12).random((m, 2))
+        expected = [
+            d < kononenko_first_half_prob(int(c) + 1, 0.5, class_card)
+            for d, c in zip(draws[:, 0], cls)
+        ]
+        assert (col < 2).tolist() == expected
+
+    @pytest.mark.parametrize("copies", [1, 2], ids=["4-rows", "8-rows"])
+    @pytest.mark.parametrize("class_card", [2, 7, 10**11, 2**63 - 1])
+    def test_half_threshold_is_the_scalar_probability_bit_for_bit(self, class_card, copies):
+        # a half draw equal to the scalar probability must pick the upper half
+        # and the next float down the lower one, which holds only when the
+        # per-row threshold is that very float; with 7 classes, 4 rows take the
+        # per-row probabilities and 8 rows the per-class lookup
+        cls = np.tile(np.array([0, 1, 2, class_card - 1]) % class_card, copies)
+        p = np.array([kononenko_first_half_prob(int(c) + 1, 0.3, class_card) for c in cls])
+
+        class Draws:
+            def __init__(self, half):
+                self.half = half
+
+            def random(self, shape):
+                return np.column_stack([self.half, np.zeros(shape[0])])
+
+        at = gen_kononenko(cls, 4, 0.3, Draws(p), class_card=class_card)
+        below = gen_kononenko(cls, 4, 0.3, Draws(np.nextafter(p, 0.0)), class_card=class_card)
+        assert (at >= 2).all() and (below < 2).all()
+
+
+class TestInt64Bounds:
+    """Cardinalities and row counts past int64 are input errors, not numpy's."""
+
+    @pytest.mark.parametrize("card", [2**63, 2**64, 10**20])
+    def test_cardinality_past_int64_rejected(self, card):
+        codes = np.array([0, 1])
+        for draw in (
+            lambda: gen_class(card, 3, _rng()),
+            lambda: gen_uniform(card, 3, _rng()),
+            lambda: gen_kononenko(codes, card, 1.0, _rng(), class_card=2),
+        ):
+            with pytest.raises(InvalidInputError, match="must not exceed"):
+                draw()
+
+    def test_largest_int64_cardinality_accepted(self):
+        assert gen_uniform(2**63 - 1, 4, _rng()).dtype == np.int64
+
+    @pytest.mark.parametrize("m", [2**63, 2**64])
+    def test_sample_size_past_int64_rejected(self, m):
+        for draw in (lambda: gen_class(2, m, _rng()), lambda: gen_xor_pair(m, 0.1, _rng())):
+            with pytest.raises(InvalidInputError, match="sample size must not exceed"):
+                draw()
+
 
 class TestGenXorPair:
     def test_no_noise_is_pure_xor(self):

@@ -264,6 +264,50 @@ class TestSampleValidation:
         with pytest.raises(InvalidInputError, match="whole numbers"):
             CategoricalSample.from_columns([[0, 1], [0.5, 1]], (2, 2))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CategoricalSample.from_columns([["a", "b"]], (2,)),
+            lambda: CategoricalSample.from_columns([["1", "0"]], (2,)),
+            lambda: CategoricalSample.from_columns([[0, None]], (2,)),
+            lambda: CategoricalSample([[None]], (2,)),
+            lambda: CategoricalSample([["0"]], (2,)),
+            lambda: CategoricalSample(np.array([[0]], dtype=complex), (2,)),
+        ],
+        ids=["letters", "numeric-strings", "none-column", "none", "string-matrix", "complex"],
+    )
+    def test_codes_that_are_not_numbers_rejected(self, build):
+        with pytest.raises(InvalidInputError, match="must be numbers"):
+            build()
+
+    def test_ragged_codes_rejected(self):
+        with pytest.raises(InvalidInputError, match="rectangle"):
+            CategoricalSample([[0, 1], [1]], (2, 2))
+        with pytest.raises(InvalidInputError, match="rectangle"):
+            CategoricalSample.from_columns([[[0, 1], [1]]], (2,))
+
+    def test_cardinality_past_int64_rejected(self):
+        largest = 2**63 - 1
+        assert CategoricalSample([[0]], (largest,)).cardinalities == (largest,)
+        for card in (2**63, 2**64):
+            with pytest.raises(InvalidInputError, match="must not exceed"):
+                CategoricalSample([[0]], (card,))
+            with pytest.raises(InvalidInputError, match="must not exceed"):
+                CategoricalSample.from_columns([[0]], (card,))
+
+    def test_boolean_and_unsigned_codes_accepted(self):
+        sample = CategoricalSample.from_columns(
+            [np.array([True, False]), np.array([1, 2], dtype=np.uint8)], (2, 3)
+        )
+        assert sample.codes.dtype == np.int64
+        assert sample.codes.tolist() == [[1, 1], [0, 2]]
+
+    def test_unhashable(self):
+        sample = CategoricalSample([[0, 1]], (2, 2))
+        with pytest.raises(TypeError, match="unhashable type: 'CategoricalSample'"):
+            hash(sample)
+        assert type(sample).__hash__ is None
+
     def test_codes_are_column_major(self):
         for sample in (
             CategoricalSample(np.ascontiguousarray([[0, 1], [1, 2]]), (2, 3)),
