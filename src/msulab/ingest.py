@@ -6,6 +6,12 @@ strings become the matching integer codes, so decoding a code through the
 dictionary reproduces the original cell exactly. A file that is not UTF-8
 text, or that holds a field over the csv module's size limit, is rejected
 with `InvalidInputError` naming the file.
+
+Coding is column-wise: rows are read `_CHUNK_ROWS` at a time and each
+column of a chunk is coded with one dictionary lookup per cell, giving the
+codes a row-by-row reading would. A row of the wrong length is reported once
+its chunk is read, so a csv error or an undecodable byte later in the same
+chunk is reported first; either is an `InvalidInputError`.
 """
 
 from __future__ import annotations
@@ -14,12 +20,20 @@ import csv
 import io
 import os
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from .errors import InvalidInputError
 from .sample import CategoricalSample
+
+# Rows read, transposed and coded at a time. A few thousand rows keep a
+# chunk's cells in cache; transposing the whole file at once is slower.
+_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -62,23 +76,29 @@ def _parse(reader: Iterator[list[str]], source: str) -> IngestedDataset:
         raise InvalidInputError(f"{source}: duplicate column names in header")
 
     p = len(header)
-    label_codes: list[dict[str, int]] = [{} for _ in range(p)]
-    rows: list[list[int]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != p:
-            raise InvalidInputError(f"{source}:{lineno}: expected {p} cells, got {len(row)}")
-        coded = []
-        for j, cell in enumerate(row):
-            table = label_codes[j]
-            code = table.setdefault(cell, len(table))
-            coded.append(code)
-        rows.append(coded)
-    if not rows:
+    # a missing label gets the next code, its table's length before the insert
+    tables = [defaultdict() for _ in range(p)]
+    for table in tables:
+        table.default_factory = table.__len__
+    parts: list[list[np.ndarray]] = [[] for _ in range(p)]
+    lineno = 2
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        if set(map(len, rows)) != {p}:
+            i = next(i for i, row in enumerate(rows) if len(row) != p)
+            raise InvalidInputError(f"{source}:{lineno + i}: expected {p} cells, got {len(rows[i])}")
+        for table, column, coded in zip(tables, zip(*rows), parts):
+            coded.append(np.fromiter(map(table.__getitem__, column), np.int64, len(rows)))
+        lineno += len(rows)
+    if not parts[0]:  # not one chunk was read
         raise InvalidInputError(f"{source}: no data rows")
 
-    dictionaries = tuple(tuple(table) for table in label_codes)
+    dictionaries = tuple(tuple(table) for table in tables)
+    columns = []
+    for coded in parts:  # join each column, dropping its chunks as it goes
+        columns.append(np.concatenate(coded))
+        coded.clear()
     sample = CategoricalSample.from_columns(
-        list(zip(*rows)),
+        columns,
         cardinalities=[len(d) for d in dictionaries],
         column_names=header,
     )

@@ -55,6 +55,10 @@ def _code_array(values) -> np.ndarray:
     # only float input can carry a fraction; integer input skips the check
     if codes.dtype.kind == "f" and not (np.isfinite(codes) & (codes == np.trunc(codes))).all():
         raise InvalidInputError("category codes must be finite whole numbers")
+    # the int64 cast would wrap these to negative codes; the bound is 2**63,
+    # not MAX_CARDINALITY, which a float compare would round up to 2**63
+    if codes.dtype.kind in "uf" and codes.size and codes.max() >= MAX_CARDINALITY + 1:
+        raise InvalidInputError(f"category code {int(codes.max())} is past int64 (max {MAX_CARDINALITY})")
     return codes
 
 

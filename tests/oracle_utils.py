@@ -7,6 +7,7 @@ code with the production estimators.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -113,3 +114,30 @@ def scan_min_representative_m(k: int, alpha: float = 0.05) -> int:
     while chi2_statistic(extreme_sample(m, k)) <= critical:
         m += 1
     return m
+
+
+def reference_read_csv(path):
+    """(header, dictionaries, sample) of a CSV coded row by row: one
+    `dict.setdefault` per cell, codes in first-appearance order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        p = len(header)
+        label_codes: list[dict[str, int]] = [{} for _ in range(p)]
+        rows: list[list[int]] = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != p:
+                raise InvalidInputError(f"{path}:{lineno}: expected {p} cells, got {len(row)}")
+            coded = []
+            for j, cell in enumerate(row):
+                table = label_codes[j]
+                code = table.setdefault(cell, len(table))
+                coded.append(code)
+            rows.append(coded)
+    dictionaries = tuple(tuple(table) for table in label_codes)
+    sample = CategoricalSample.from_columns(
+        list(zip(*rows)),
+        cardinalities=[len(d) for d in dictionaries],
+        column_names=header,
+    )
+    return tuple(header), dictionaries, sample

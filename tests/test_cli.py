@@ -449,6 +449,9 @@ MALFORMED = {
     "tracked-group-number": lambda tmp: _config_file(tmp, tracked=[{"label": "s", "groups": [1]}]),
     "csv-not-utf8": lambda tmp: _csv_file(tmp, b"a,b\nx,caf\xe9\n"),
     "csv-field-too-large": lambda tmp: _csv_file(tmp, b"a,b\nx," + b"z" * 140_000 + b"\n"),
+    "csv-ragged-row": lambda tmp: _csv_file(tmp, b"a,b\nx,y\nx\nx,y\n"),
+    "csv-ragged-row-past-first-chunk": lambda tmp: _csv_file(tmp, b"a,b\n" + b"x,y\n" * 5000 + b"x\n"),
+    "csv-header-only": lambda tmp: _csv_file(tmp, b"a,b\n"),
     "factor-nan": lambda tmp: ["recommend", "--cards", "2,2", "--factor", "nan"],
     "k-nan": lambda tmp: ["generate", "--rule", "mk", "--cards", "3", "--m", "5", "--k", "nan"],
     "seed-negative": lambda tmp: ["generate", "--rule", "uniform", "--cards", "2", "--m", "5",

@@ -1,0 +1,146 @@
+"""Tests for CSV ingestion: the chunked column coder against the row-by-row
+reference coder, error reporting, and memory use."""
+
+import csv
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from msulab import CategoricalSample, InvalidInputError, read_csv
+from msulab.ingest import _CHUNK_ROWS, sample_to_csv
+from oracle_utils import reference_read_csv
+
+CHUNK = _CHUNK_ROWS
+
+# cells the csv module must quote, or that are easy to mishandle
+AWKWARD_LABELS = [
+    "", " ", "a,b", 'say "hi"', '"', "line\nbreak", "cr\rlf\r\n", ",,", "ñandú", "日本語", "🎲",
+    "Ünïcödé, \"quoted\"\nand broken",
+]
+
+
+def write_rows(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def random_rows(rng, m, p):
+    """m rows over p columns of mixed labels; column 0 gains new labels late."""
+    pools = [
+        AWKWARD_LABELS + [f"v{i}" for i in range(int(rng.integers(1, 40)))] for _ in range(p)
+    ]
+    rows = [[pool[int(rng.integers(len(pool)))] for pool in pools] for _ in range(m)]
+    # labels that first appear after the first chunk, in first and later columns
+    for i in range(CHUNK, m, max(1, CHUNK // 3)):
+        rows[i][-1] = f"late-é-{i % 7}"
+        rows[i][0] = f"late-{i}"
+    return rows
+
+
+def assert_matches_reference(path):
+    header, dictionaries, sample = reference_read_csv(path)
+    data = read_csv(path)
+    assert data.header == header
+    assert data.dictionaries == dictionaries
+    assert data.sample == sample
+    assert data.sample.codes.flags.f_contiguous
+    return data
+
+
+class TestCoderOracle:
+    @pytest.mark.parametrize(
+        "m", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17],
+        ids=["one", "chunk-1", "chunk", "chunk+1", "several-chunks"],
+    )
+    def test_same_codes_as_the_row_by_row_coder(self, tmp_path, m):
+        rng = np.random.default_rng(m)
+        path = tmp_path / "data.csv"
+        for trial in range(2):
+            p = int(rng.integers(1, 6))
+            header = [f"c{j},\"{trial}\"" if j % 2 else f"c{j}" for j in range(p)]
+            rows = random_rows(rng, m, p)
+            write_rows(path, header, rows)
+            data = assert_matches_reference(path)
+            assert [data.decode_row(i) for i in range(m)] == [tuple(r) for r in rows]
+            if m > CHUNK:
+                assert f"late-{CHUNK}" in data.dictionaries[0]
+
+    def test_codes_follow_first_appearance_across_chunks(self, tmp_path):
+        path = tmp_path / "data.csv"
+        labels = ["b"] * CHUNK + ["a", "c", "b", "a"]
+        write_rows(path, ["x"], [[v] for v in labels])
+        data = assert_matches_reference(path)
+        assert data.dictionaries == (("b", "a", "c"),)
+        assert data.sample.codes[CHUNK - 1:, 0].tolist() == [0, 1, 2, 0, 1]
+        assert data.sample.cardinalities == (3,)
+
+
+class TestReadCsvErrors:
+    @pytest.mark.parametrize(
+        "bad", [0, 2, CHUNK - 1, CHUNK, CHUNK + 9],
+        ids=["first-row", "first-chunk", "chunk-end", "second-chunk-start", "second-chunk"],
+    )
+    def test_ragged_row_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "ragged.csv"
+        rows = [["x", "y"]] * (CHUNK + 20)
+        rows[bad] = ["x"]
+        write_rows(path, ["a", "b"], rows)
+        # the header is line 1, data row i is line i + 2
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}:{bad + 2}: expected 2 cells, got 1")):
+            read_csv(path)
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}:{bad + 2}:")):
+            reference_read_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", ": empty file, expected a header row"),
+            ("\n", ": header must name every column"),
+            ("a,,c\n1,2,3\n", ": header must name every column"),
+            ("a,b,a\n1,2,3\n", ": duplicate column names in header"),
+            ("a,b\n", ": no data rows"),
+            ("a,b", ": no data rows"),
+            ("a,b\nx,y\n\nx,y\n", ":3: expected 2 cells, got 0"),
+            ("a,b\nx,y\nx,y,z\n", ":3: expected 2 cells, got 3"),
+        ],
+        ids=["empty-file", "blank-header", "blank-header-name", "duplicate-names",
+             "header-only", "header-without-newline", "blank-line", "extra-cell"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}{message}")):
+            read_csv(path)
+
+    def test_ragged_row_and_bad_byte_in_one_chunk_is_an_input_error(self, tmp_path):
+        # a chunk is checked once it has been read, so either error may be reported
+        path = tmp_path / "both.csv"
+        path.write_bytes(b"a,b\nx,y\nx\nx,caf\xe9\n")
+        with pytest.raises(InvalidInputError, match=re.escape(str(path))):
+            read_csv(path)
+
+
+class TestReadCsvMemory:
+    def test_peak_stays_near_the_code_matrix(self, tmp_path):
+        rng = np.random.default_rng(11)
+        cards = [2, 2, 3] + [40] * 4 + [2] * 6 + [3] * 6
+        codes = np.column_stack([rng.integers(0, c, size=100_000) for c in cards])
+        sample = CategoricalSample(codes, tuple(cards), tuple(f"c{j}" for j in range(19)))
+        path = tmp_path / "big.csv"
+        path.write_text(sample_to_csv(sample), encoding="utf-8")
+        small = tmp_path / "small.csv"
+        small.write_text("a\nx\n", encoding="utf-8")
+        read_csv(small)  # warm caches out of the trace
+        tracemalloc.start()
+        try:
+            data = read_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.sample.codes.shape == (100_000, 19)
+        # coded chunks plus the matrix; a per-row list of ints would pass 3.5x
+        assert peak < 3.5 * data.sample.codes.nbytes

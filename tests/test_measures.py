@@ -295,6 +295,32 @@ class TestSampleValidation:
             with pytest.raises(InvalidInputError, match="must not exceed"):
                 CategoricalSample.from_columns([[0]], (card,))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CategoricalSample([[2**63]], (2,)),
+            lambda: CategoricalSample.from_columns([[2**63]], (2,)),
+            lambda: CategoricalSample.from_columns([np.array([0, 2**64 - 1], dtype=np.uint64)], (2,)),
+            lambda: CategoricalSample(np.array([[0], [2**63]], dtype=np.uint64), (2,)),
+            lambda: CategoricalSample([[2.0**63]], (2,)),
+            lambda: CategoricalSample.from_columns([[1e30]], (2,)),
+        ],
+        ids=["int", "int-column", "uint64-column", "uint64-matrix", "float", "float-column"],
+    )
+    def test_code_past_int64_named_as_such(self, build):
+        # a positive code must not wrap to a negative int64 on the cast
+        with pytest.raises(InvalidInputError, match="is past int64"):
+            build()
+
+    def test_largest_int64_code_reaches_the_cardinality_check(self):
+        for codes in ([[2**63 - 1]], np.array([[2**63 - 1]], dtype=np.uint64)):
+            with pytest.raises(InvalidInputError, match="exceeds its column's declared cardinality"):
+                CategoricalSample(codes, (2,))
+        sample = CategoricalSample.from_columns(
+            [np.array([2**63 - 2], dtype=np.uint64)], (2**63 - 1,)
+        )
+        assert sample.codes.tolist() == [[2**63 - 2]]
+
     def test_boolean_and_unsigned_codes_accepted(self):
         sample = CategoricalSample.from_columns(
             [np.array([True, False]), np.array([1, 2], dtype=np.uint8)], (2, 3)
