@@ -20,13 +20,21 @@ draws leave each point's distribution untouched while removing independent
 sampling noise from the *differences* between neighboring points, which is
 what makes stabilization visible at a few hundred replicates.
 
-The engine uses the nesting. Points with the same layout (blocks and tracked
-subsets) differ only in m, as every point of a sample-size sweep does; per
-replicate such a layout gets one dataset, generated at its largest m, and
-each point reads its first m rows. Every measure comes from
+The engine uses the nesting. Two points nest when every group has the same
+cardinality at both, and the XOR group, which the class is drawn from when
+present, is present at both or absent at both. Group names number their
+columns name1..nameN and every column keeps its stream path, so a point's
+columns are a name prefix of the widest block at each group position. Per
+replicate a set of nested points gets one dataset: it holds each position's
+widest block, generated at the set's largest m, and each point reads its own
+columns, by name, at its first m rows. A sample-size sweep is one such set,
+and so is a count sweep whose cardinalities stay fixed; the points of a
+cardinality sweep never nest. Where that union dataset would hold more cells
+(rows x columns) than the points' own datasets together, each point gets its
+own dataset instead. Every measure comes from
 `msulab.measures.msu_at_prefixes` at those row prefixes, so the dataset's
 entropy table counts each distinct column subset once for all prefixes, and a
-marginal shared by several measures once. A layout of one point is the
+marginal shared by several measures once. A point run on its own is the
 isolated recomputation of that point, with the same floats.
 """
 
@@ -34,10 +42,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
-
-import numpy as np
+from typing import IO, Iterable, Mapping, Sequence
 
 from .dataset import AttributeBlock, check_xor_class, generate_dataset
 from .errors import InvalidInputError
@@ -302,38 +309,100 @@ def _resolve_sample_size(
     raise InvalidInputError("experiment has no way to determine the sample size")
 
 
-def _run_layout(
-    config: ExperimentConfig, points: Sequence[ResolvedPoint], replicate_index: int
-) -> tuple[list[str], list[list[float]]]:
-    """Measure labels, and each point's values, on one replicate of a layout.
-
-    The points share blocks and tracked subsets, so one dataset at the
-    largest m serves them all: a point of m rows reads its first m rows.
-    """
-    layout = points[0]
-    rng = SeededRng(config.master_seed, replicate_index)
-    prefixes = sorted({p.m for p in points})
-    sample = generate_dataset(
-        prefixes[-1],
-        config.class_card,
-        layout.blocks,
-        rng,
-        k=config.kononenko_k,
-        xor_noise=config.xor_noise,
+def _union_blocks(points: Sequence[ResolvedPoint]) -> tuple[AttributeBlock | None, ...]:
+    """Each group position's widest block over `points`."""
+    return tuple(
+        max(position, key=lambda b: 0 if b is None else len(b.names))
+        for position in zip(*(p.blocks for p in points))
     )
-    class_idx = sample.n_columns - 1
-    labels: list[str] = []
-    per_prefix: list[list[float]] = []  # per measure, its value at each prefix
-    for label, col_names, with_su in layout.tracked:
-        cols = [sample.column_index(n) for n in col_names]
-        measures = [(f"msu_{label}", cols + [class_idx])]
+
+
+def _cells(m: int, blocks: Sequence[AttributeBlock | None]) -> int:
+    """Cells of an m-row dataset of `blocks` and the class."""
+    return m * (1 + sum(len(b.names) for b in blocks if b is not None))
+
+
+def _nested_groups(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> list[list[int]]:
+    """Indices of the points that share one dataset per replicate.
+
+    Points nest when every group has the same cardinality at each and the
+    XOR group is present at each or absent at each, so the class comes from
+    the same stream. A nested set whose union dataset would hold more cells
+    than its points' own datasets together is split into single points.
+    """
+    by_key: dict[tuple, list[int]] = {}
+    for i, point in points.items():
+        cards = tuple(g.resolve_card(point.sweep_value) for g in config.groups)
+        xor = any(b is not None and b.kind is GeneratorKind.XOR_PAIR for b in point.blocks)
+        by_key.setdefault((cards, xor), []).append(i)
+    groups: list[list[int]] = []
+    for members in by_key.values():
+        nested = [points[i] for i in members]
+        union = _cells(max(p.m for p in nested), _union_blocks(nested))
+        if union > sum(_cells(p.m, p.blocks) for p in nested):
+            groups.extend([i] for i in members)
+        else:
+            groups.append(members)
+    return groups
+
+
+def _run_layout(
+    config: ExperimentConfig, points: Sequence[ResolvedPoint], replicates: Iterable[int]
+) -> list[dict[str, tuple[float, ...]]]:
+    """Each point's measure values, label -> one value per replicate.
+
+    The points nest (see `_nested_groups`), so one dataset per replicate
+    serves them all: it holds each group position's widest block at the
+    largest m, and a point reads its own columns at its first m rows. Each
+    distinct tracked subset is measured once per replicate, at the row
+    prefixes of the points that track it.
+    """
+    blocks = _union_blocks(points)
+    m = max(p.m for p in points)
+    prefixes: dict[tuple[str, tuple[str, ...], bool], set[int]] = {}
+    for p in points:
+        for tracked in p.tracked:
+            prefixes.setdefault(tracked, set()).add(p.m)
+    # a replicate's values are each measure's values at its prefixes, one
+    # measure after another
+    series: list[tuple[tuple[str, ...], list[int]]] = []  # per measure: (columns, prefixes)
+    # tracked subset -> per measure: (label, index of its first value, prefixes)
+    measures: dict[tuple, list[tuple[str, int, list[int]]]] = {}
+    offset = 0
+    for tracked, ms in prefixes.items():
+        label, names, with_su = tracked
+        ms = sorted(ms)
+        subsets = [(f"msu_{label}", names)]
         if with_su:
-            measures += [(f"su_{name}", [idx, class_idx]) for name, idx in zip(col_names, cols)]
-        for measure, measure_cols in measures:
-            labels.append(measure)
-            per_prefix.append([v.value for v in msu_at_prefixes(sample, measure_cols, prefixes)])
-    row = {m: i for i, m in enumerate(prefixes)}
-    return labels, [[series[row[p.m]] for series in per_prefix] for p in points]
+            subsets += [(f"su_{name}", (name,)) for name in names]
+        measures[tracked] = []
+        for measure, cols in subsets:
+            measures[tracked].append((measure, offset, ms))
+            series.append((cols, ms))
+            offset += len(ms)
+    reads = [
+        [(measure, j + bisect_left(ms, p.m)) for t in p.tracked for measure, j, ms in measures[t]]
+        for p in points
+    ]
+
+    per_replicate: list[list[float]] = []
+    for r in replicates:
+        sample = generate_dataset(
+            m,
+            config.class_card,
+            blocks,
+            SeededRng(config.master_seed, r),
+            k=config.kononenko_k,
+            xor_noise=config.xor_noise,
+        )
+        class_idx = sample.n_columns - 1
+        values: list[float] = []
+        for names, ms in series:
+            cols = [sample.column_index(n) for n in names] + [class_idx]
+            values += [v.value for v in msu_at_prefixes(sample, cols, ms)]
+        per_replicate.append(values)
+    across = list(zip(*per_replicate))  # each value, replicate by replicate
+    return [{measure: across[j] for measure, j in read} for read in reads]
 
 
 @dataclass(frozen=True)
@@ -406,25 +475,15 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
             points[i] = resolve_point(config, sweep_value)
         except InvalidInputError as exc:
             failures[i] = str(exc)
-    layouts: dict[tuple, list[int]] = {}
-    for i, point in points.items():
-        layouts.setdefault((point.blocks, point.tracked), []).append(i)
 
-    # point index -> measure labels and values[measure, replicate]
-    results: dict[int, tuple[list[str], np.ndarray]] = {}
-    for members in layouts.values():
-        layout = [points[i] for i in members]
+    results: dict[int, dict[str, tuple[float, ...]]] = {}  # point index -> label -> values
+    for members in _nested_groups(config, points):
         try:
-            labels, first = _run_layout(config, layout, 0)
-            values = np.empty((len(members), len(labels), config.replicates))
-            values[:, :, 0] = first
-            for r in range(1, config.replicates):
-                values[:, :, r] = _run_layout(config, layout, r)[1]
+            values = _run_layout(config, [points[i] for i in members], range(config.replicates))
         except InvalidInputError as exc:
             failures.update((i, str(exc)) for i in members)
             continue
-        for j, i in enumerate(members):
-            results[i] = (labels, values[j])
+        results.update(zip(members, values))
 
     sample_sizes: list[int | None] = []
     per_measure: dict[str, list[MeasureStats | None]] = {}
@@ -435,9 +494,9 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
             sample_sizes.append(None)
             continue
         sample_sizes.append(points[i].m)
-        for label, values in zip(*results[i]):
+        for label, values in results[i].items():
             series = per_measure.setdefault(label, [None] * n_points)
-            mean, std = _mean_std(values.tolist())
+            mean, std = _mean_std(values)
             series[i] = MeasureStats(mean=mean, std=std, n=len(values))
 
     return BiasCurve(

@@ -9,9 +9,10 @@ with `InvalidInputError` naming the file.
 
 Coding is column-wise: rows are read `_CHUNK_ROWS` at a time and each
 column of a chunk is coded with one dictionary lookup per cell, giving the
-codes a row-by-row reading would. A row of the wrong length is reported once
-its chunk is read, so a csv error or an undecodable byte later in the same
-chunk is reported first; either is an `InvalidInputError`.
+codes a row-by-row reading would. A row of the wrong length is reported, by
+the physical line it ends on, once its chunk is read, so a csv error or an
+undecodable byte later in the same chunk is reported first; either is an
+`InvalidInputError`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -65,7 +65,13 @@ def read_csv(path: str | Path) -> IngestedDataset:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
 
 
-def _parse(reader: Iterator[list[str]], source: str) -> IngestedDataset:
+def _line_breaks(row: list[str]) -> int:
+    """Line breaks inside a row's quoted cells: \\n, \\r and \\r\\n each end a line."""
+    return sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in row)
+
+
+def _parse(reader, source: str) -> IngestedDataset:
+    """Code the rows of a `csv.reader`; `reader.line_num` numbers error lines."""
     try:
         header = next(reader)
     except StopIteration:
@@ -81,14 +87,17 @@ def _parse(reader: Iterator[list[str]], source: str) -> IngestedDataset:
     for table in tables:
         table.default_factory = table.__len__
     parts: list[list[np.ndarray]] = [[] for _ in range(p)]
-    lineno = 2
-    while rows := list(islice(reader, _CHUNK_ROWS)):
+    while True:
+        line = reader.line_num  # the last line before this chunk
+        if not (rows := list(islice(reader, _CHUNK_ROWS))):
+            break
         if set(map(len, rows)) != {p}:
             i = next(i for i, row in enumerate(rows) if len(row) != p)
-            raise InvalidInputError(f"{source}:{lineno + i}: expected {p} cells, got {len(rows[i])}")
+            # the physical line on which row i ends, as csv errors name it
+            line += sum(1 + _line_breaks(row) for row in rows[: i + 1])
+            raise InvalidInputError(f"{source}:{line}: expected {p} cells, got {len(rows[i])}")
         for table, column, coded in zip(tables, zip(*rows), parts):
             coded.append(np.fromiter(map(table.__getitem__, column), np.int64, len(rows)))
-        lineno += len(rows)
     if not parts[0]:  # not one chunk was read
         raise InvalidInputError(f"{source}: no data rows")
 

@@ -125,9 +125,9 @@ def reference_read_csv(path):
         p = len(header)
         label_codes: list[dict[str, int]] = [{} for _ in range(p)]
         rows: list[list[int]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != p:
-                raise InvalidInputError(f"{path}:{lineno}: expected {p} cells, got {len(row)}")
+        for row in reader:
+            if len(row) != p:  # named by the physical line the row ends on
+                raise InvalidInputError(f"{path}:{reader.line_num}: expected {p} cells, got {len(row)}")
             coded = []
             for j, cell in enumerate(row):
                 table = label_codes[j]

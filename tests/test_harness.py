@@ -36,8 +36,8 @@ def _group(name, family, count, cardinality=2):
 def run_replicate(config, sweep_value, replicate_index):
     """Measure values of one replicate of one sweep point, run on its own."""
     point = resolve_point(config, sweep_value)
-    labels, values = harness._run_layout(config, [point], replicate_index)
-    return dict(zip(labels, values[0]))
+    (values,) = harness._run_layout(config, [point], [replicate_index])
+    return {label: value for label, (value,) in values.items()}
 
 
 def _curve_sha256(config):
@@ -690,3 +690,71 @@ class TestNestedEngine:
         assert curve.errors[2] == (8, "the layout cannot be generated")
         assert curve.errors[1] == (0, "sample size 0 is infeasible")
         assert curve.measures == {}
+
+    @pytest.mark.parametrize("name", ["fig-g", "fig-xor-1", "fig-xor-3"])
+    def test_count_sweep_matches_isolated_recomputation(self, name):
+        config = _desk(preset(name), 2)
+        curve = run_experiment(config)
+        points = {i: resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
+        for members in harness._nested_groups(config, points):
+            shared = harness._run_layout(config, [points[i] for i in members], range(2))
+            for i, values in zip(members, shared):
+                (alone,) = harness._run_layout(config, [points[i]], range(2))
+                assert list(values.items()) == list(alone.items())  # labels in order, every float
+                assert curve.sample_sizes[i] == points[i].m
+                for label, reps in alone.items():
+                    assert curve.measures[label][i] == MeasureStats(*_mean_std(reps), 2)
+        assert not curve.errors
+
+    @pytest.mark.parametrize(
+        "name, per_replicate",
+        [("fig-xor-1", 1), ("fig-g", 2), ("fig-b2", 1), ("fig-f1", 10)],
+    )
+    def test_datasets_per_replicate(self, monkeypatch, name, per_replicate):
+        built = []
+
+        def counting(m, class_card, blocks, rng, **kwargs):
+            built.append(rng.stream_id)
+            return generate_dataset(m, class_card, blocks, rng, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_dataset", counting)
+        run_experiment(_desk(preset(name), 2))
+        assert sorted(built) == [0] * per_replicate + [1] * per_replicate
+
+    def test_union_dataset_never_larger_than_the_points_own(self, monkeypatch):
+        # the point with the largest m tracks one 200-value attribute; the
+        # widest point has 40 more columns but needs 40 rows, so one dataset
+        # for both (4,000 x 43 cells) would outgrow their own (4,000 x 4 and
+        # 40 x 43 cells)
+        data = {
+            "name": "guard", "replicates": 2,
+            "sweep": {"kind": "attribute_count", "values": [1, 40]},
+            "groups": [
+                _group("a", "uniform", {"offset": 0}),
+                _group("b", "kononenko", {"fixed": 1}, 200),
+                _group("c", "uniform", {"fixed": 1}),
+            ],
+            "tracked": [
+                {"label": "wide", "groups": ["b"], "window": [1, 1]},
+                {"label": "narrow", "groups": ["c"], "window": [40, 40]},
+            ],
+            "sample_size_policy": {"computed": 10},
+        }
+        built = []
+
+        def counting(m, class_card, blocks, rng, **kwargs):
+            built.append((m, sum(len(b.names) for b in blocks if b is not None)))
+            return generate_dataset(m, class_card, blocks, rng, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_dataset", counting)
+        buffer = io.StringIO()
+        run_experiment(config_from_json(data)).write_csv(buffer)
+        assert sorted(built) == [(40, 42)] * 2 + [(4000, 3)] * 2
+        header, *lines = buffer.getvalue().splitlines(keepends=True)
+        alone = []
+        for value in data["sweep"]["values"]:
+            single = io.StringIO()
+            one_point = {**data, "sweep": {**data["sweep"], "values": [value]}}
+            run_experiment(config_from_json(one_point)).write_csv(single)
+            alone += single.getvalue().splitlines(keepends=True)[1:]
+        assert lines == alone

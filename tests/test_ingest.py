@@ -96,6 +96,37 @@ class TestReadCsvErrors:
             reference_read_csv(path)
 
     @pytest.mark.parametrize(
+        "text, line",
+        [
+            (b'a,b\n"x\ny",z\nq\n', 4),
+            (b'a,b\nx,y\n"p\nq"\n', 4),
+            (b'a,b\r\n"x\r\ny",z\r\n"p\rq"\r\n', 5),
+        ],
+        ids=["after-quoted-newline", "ragged-row-spans-two-lines", "crlf-and-cr-in-quotes"],
+    )
+    def test_ragged_row_names_the_line_it_ends_on(self, tmp_path, text, line):
+        # the physical line, as `csv.reader.line_num` numbers csv errors
+        path = tmp_path / "rag.csv"
+        path.write_bytes(text)
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}:{line}: expected 2 cells, got 1")):
+            read_csv(path)
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}:{line}:")):
+            reference_read_csv(path)
+
+    def test_ragged_row_past_the_first_chunk_after_quoted_newlines(self, tmp_path):
+        path = tmp_path / "rag.csv"
+        rows = [["two\nlines", "y"] if i % 3 == 0 else ["x", "y"] for i in range(CHUNK + 20)]
+        bad = CHUNK + 9
+        rows[bad] = ["x"]
+        write_rows(path, ["a", "b"], rows)
+        line = 1 + sum(1 + "".join(row).count("\n") for row in rows[: bad + 1])
+        assert line > bad + 2 + CHUNK // 3
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}:{line}: expected 2 cells, got 1")):
+            read_csv(path)
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}:{line}:")):
+            reference_read_csv(path)
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("", ": empty file, expected a header row"),
