@@ -38,6 +38,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a backstop: sizes past MAX_DATASET_CELLS fail before this
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

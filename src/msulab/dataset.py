@@ -23,14 +23,22 @@ from .errors import InvalidInputError
 from .generators import (
     GeneratorKind,
     SeededRng,
+    check_card,
+    check_m,
+    fill_xor_pair,
     gen_class,
     gen_kononenko,
     gen_uniform,
-    gen_xor_pair,
 )
-from .sample import CategoricalSample
+from .sample import CategoricalSample, _Filled
 
 CLASS_COLUMN = "clase"
+
+# Most cells (rows x columns, class included) one generated dataset may hold:
+# 2 GiB of int64 codes. The largest preset's dataset holds 10.5M cells, 25x
+# fewer. The cap is fixed rather than read from the machine, so a size that
+# is out of reach fails the same way everywhere, before any draw.
+MAX_DATASET_CELLS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,11 @@ def generate_dataset(
     `None` entries are placeholders: the slot's stream path stays reserved but
     no columns are produced. Sweeps that shrink a block to nothing can keep
     every other block's randomness untouched this way.
+
+    The (m, p) column-major code matrix is allocated once, after every size
+    check, and each generator's output is written into its column as it is
+    drawn (an XOR pair's straight from its draws), so the sample's codes are
+    the only full-size copy.
     """
     blocks = tuple(blocks)
     present = [(i, b) for i, b in enumerate(blocks) if b is not None]
@@ -95,30 +108,40 @@ def generate_dataset(
     if len(set(all_names)) != len(all_names):
         raise InvalidInputError("attribute names must be unique")
 
-    columns: dict[str, np.ndarray] = {}
+    # every size check runs before the matrix is allocated
+    m = check_m(m)
+    for _, b in present:
+        check_card(b.cardinality)
     if xor_blocks:
         check_xor_class(class_card)
-        bi = xor_blocks[0]
-        pair = blocks[bi]
-        f1, f2, class_codes = gen_xor_pair(m, xor_noise, rng.stream(bi + 1, 0))
-        columns[pair.names[0]] = f1
-        columns[pair.names[1]] = f2
     else:
-        class_codes = gen_class(class_card, m, rng.stream(0, 0))
-
-    for bi, blk in present:
-        if blk.kind is GeneratorKind.XOR_PAIR:
-            continue
-        for ci, name in enumerate(blk.names):
-            stream = rng.stream(bi + 1, ci)
-            if blk.kind is GeneratorKind.UNIFORM:
-                columns[name] = gen_uniform(blk.cardinality, m, stream)
-            else:
-                columns[name] = gen_kononenko(
-                    class_codes, blk.cardinality, k, stream, class_card=class_card
-                )
-
-    names = all_names + [CLASS_COLUMN]
+        check_card(class_card, "class cardinality")
     cards = [b.cardinality for _, b in present for _ in b.names] + [class_card]
-    data = [columns[n] for n in all_names] + [class_codes]
-    return CategoricalSample.from_columns(data, cards, names)
+    if m * len(cards) > MAX_DATASET_CELLS:
+        raise InvalidInputError(
+            f"{m} rows x {len(cards)} columns (class included) make {m * len(cards)} cells; "
+            f"a generated dataset holds at most {MAX_DATASET_CELLS}"
+        )
+
+    codes = np.empty((m, len(cards)), dtype=np.int64, order="F")
+    class_codes = codes[:, -1]
+    if xor_blocks:
+        bi = xor_blocks[0]
+        first = all_names.index(blocks[bi].names[0])
+        f1, f2 = codes[:, first], codes[:, first + 1]
+        fill_xor_pair(f1, f2, class_codes, xor_noise, rng.stream(bi + 1, 0))
+    else:
+        class_codes[:] = gen_class(class_card, m, rng.stream(0, 0))
+
+    j = 0
+    for bi, blk in present:
+        for ci in range(len(blk.names)):
+            if blk.kind is GeneratorKind.UNIFORM:
+                codes[:, j] = gen_uniform(blk.cardinality, m, rng.stream(bi + 1, ci))
+            elif blk.kind is GeneratorKind.KONONENKO:
+                codes[:, j] = gen_kononenko(
+                    class_codes, blk.cardinality, k, rng.stream(bi + 1, ci), class_card=class_card
+                )
+            j += 1
+
+    return CategoricalSample(_Filled(codes), cards, all_names + [CLASS_COLUMN])

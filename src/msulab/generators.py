@@ -56,7 +56,8 @@ class SeededRng:
         return np.random.default_rng(key)
 
 
-def _check_m(m: int) -> int:
+def check_m(m: int) -> int:
+    """`m` as an int, rejected unless it is a positive int64 row count."""
     m = int(m)
     if m < 1:
         raise InvalidInputError(f"sample size must be at least 1, got {m}")
@@ -65,7 +66,8 @@ def _check_m(m: int) -> int:
     return m
 
 
-def _check_card(card: int, what: str = "cardinality") -> None:
+def check_card(card: int, what: str = "cardinality") -> None:
+    """Reject a cardinality below 2 or past the int64 codes."""
     if card < 2:
         raise InvalidInputError(f"{what} must be at least 2, got {card}")
     if card > MAX_CARDINALITY:
@@ -76,14 +78,14 @@ def _check_card(card: int, what: str = "cardinality") -> None:
 
 def gen_class(card: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. uniform class column over {0, ..., card-1}."""
-    _check_card(card, "class cardinality")
-    return rng.integers(0, card, size=_check_m(m), dtype=np.int64)
+    check_card(card, "class cardinality")
+    return rng.integers(0, card, size=check_m(m), dtype=np.int64)
 
 
 def gen_uniform(card: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Non-informative column: i.i.d. uniform, independent of everything else."""
-    _check_card(card)
-    return rng.integers(0, card, size=_check_m(m), dtype=np.int64)
+    check_card(card)
+    return rng.integers(0, card, size=check_m(m), dtype=np.int64)
 
 
 def check_k(k: float) -> None:
@@ -128,7 +130,7 @@ def gen_kononenko(
     kononenko_first_half_prob for its class value, then a uniform member of the
     chosen half.
     """
-    _check_card(cardinality)
+    check_card(cardinality)
     codes = np.asarray(class_codes, dtype=np.int64)
     if codes.ndim != 1 or codes.size == 0:
         raise InvalidInputError("class column must be a non-empty 1-D array")
@@ -173,12 +175,26 @@ def gen_xor_pair(
     per-row Bernoulli flip. Noise of 0.5 or more would leave the class
     uncorrelated or anti-correlated with the pair, so it is rejected.
     """
+    f1, f2, class_codes = np.empty((check_m(m), 3), dtype=np.int64, order="F").T
+    fill_xor_pair(f1, f2, class_codes, noise, rng)
+    return f1, f2, class_codes
+
+
+def fill_xor_pair(
+    f1: np.ndarray, f2: np.ndarray, class_codes: np.ndarray, noise: float, rng: np.random.Generator
+) -> None:
+    """`gen_xor_pair` written into three given int64 columns of one length.
+
+    The draws are the same (m, 3) row-major floats; each column is written
+    from them in place, with no further temporary.
+    """
     check_xor_noise(noise)
-    draws = rng.random((_check_m(m), 3))
-    f1 = (draws[:, 0] < 0.5).astype(np.int64)
-    f2 = (draws[:, 1] < 0.5).astype(np.int64)
-    flip = (draws[:, 2] < noise).astype(np.int64)
-    return f1, f2, (f1 ^ f2) ^ flip
+    draws = rng.random((len(f1), 3))
+    np.less(draws[:, 0], 0.5, out=f1)
+    np.less(draws[:, 1], 0.5, out=f2)
+    np.less(draws[:, 2], noise, out=class_codes)  # the flips
+    class_codes ^= f1
+    class_codes ^= f2
 
 
 def binary_entropy(p: float) -> float:

@@ -33,9 +33,17 @@ cardinality sweep never nest. Where that union dataset would hold more cells
 (rows x columns) than the points' own datasets together, each point gets its
 own dataset instead. Every measure comes from
 `msulab.measures.msu_at_prefixes` at those row prefixes, so the dataset's
-entropy table counts each distinct column subset once for all prefixes, and a
-marginal shared by several measures once. A point run on its own is the
-isolated recomputation of that point, with the same floats.
+entropy table counts each distinct column subset once for all prefixes. A
+column that several measures read at different prefix sets, the class
+included, is counted once at the union of those prefixes, and each measure
+reads its own prefixes from that count: a marginal shared by several measures
+is counted once per replicate. A point run on its own is the isolated
+recomputation of that point, with the same floats.
+
+No dataset past `msulab.dataset.MAX_DATASET_CELLS` is generated: nested
+points whose union would pass it get their own datasets, and a point whose
+own dataset passes it is skipped, with an error naming its rows and cells,
+before anything is drawn.
 """
 
 from __future__ import annotations
@@ -46,10 +54,16 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
-from .dataset import AttributeBlock, check_xor_class, generate_dataset
+from .dataset import (
+    CLASS_COLUMN,
+    MAX_DATASET_CELLS,
+    AttributeBlock,
+    check_xor_class,
+    generate_dataset,
+)
 from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_k, check_xor_noise
-from .measures import msu_at_prefixes
+from .measures import msu_at_prefixes, subset_entropies
 from .samplesize import CardinalityProfile, heuristic_sample_size, representativeness_report
 
 DEFAULT_MASTER_SEED = 20170707
@@ -328,7 +342,8 @@ def _nested_groups(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]
     Points nest when every group has the same cardinality at each and the
     XOR group is present at each or absent at each, so the class comes from
     the same stream. A nested set whose union dataset would hold more cells
-    than its points' own datasets together is split into single points.
+    than its points' own datasets together, or than MAX_DATASET_CELLS, is
+    split into single points.
     """
     by_key: dict[tuple, list[int]] = {}
     for i, point in points.items():
@@ -339,7 +354,7 @@ def _nested_groups(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]
     for members in by_key.values():
         nested = [points[i] for i in members]
         union = _cells(max(p.m for p in nested), _union_blocks(nested))
-        if union > sum(_cells(p.m, p.blocks) for p in nested):
+        if union > min(MAX_DATASET_CELLS, sum(_cells(p.m, p.blocks) for p in nested)):
             groups.extend([i] for i in members)
         else:
             groups.append(members)
@@ -355,7 +370,10 @@ def _run_layout(
     serves them all: it holds each group position's widest block at the
     largest m, and a point reads its own columns at its first m rows. Each
     distinct tracked subset is measured once per replicate, at the row
-    prefixes of the points that track it.
+    prefixes of the points that track it. A column, the class included, that
+    is read at several prefix sets is counted once, at their union, before
+    any measure reads it; each joint histogram is counted at its own
+    prefixes only.
     """
     blocks = _union_blocks(points)
     m = max(p.m for p in points)
@@ -363,9 +381,12 @@ def _run_layout(
     for p in points:
         for tracked in p.tracked:
             prefixes.setdefault(tracked, set()).add(p.m)
+    # the dataset's columns: attributes in block order, class last
+    columns = [n for b in blocks if b is not None for n in b.names] + [CLASS_COLUMN]
+    index = {name: j for j, name in enumerate(columns)}
     # a replicate's values are each measure's values at its prefixes, one
     # measure after another
-    series: list[tuple[tuple[str, ...], list[int]]] = []  # per measure: (columns, prefixes)
+    series: list[tuple[list[int], list[int]]] = []  # per measure: (columns, prefixes)
     # tracked subset -> per measure: (label, index of its first value, prefixes)
     measures: dict[tuple, list[tuple[str, int, list[int]]]] = {}
     offset = 0
@@ -378,12 +399,17 @@ def _run_layout(
         measures[tracked] = []
         for measure, cols in subsets:
             measures[tracked].append((measure, offset, ms))
-            series.append((cols, ms))
+            series.append(([index[n] for n in cols] + [index[CLASS_COLUMN]], ms))
             offset += len(ms)
     reads = [
         [(measure, j + bisect_left(ms, p.m)) for t in p.tracked for measure, j, ms in measures[t]]
         for p in points
     ]
+    read_at: dict[int, set[tuple[int, ...]]] = {}  # column -> the prefix sets it is read at
+    for cols, ms in series:
+        for c in cols:
+            read_at.setdefault(c, set()).add(tuple(ms))
+    unions = [(c, sorted(set().union(*sets))) for c, sets in read_at.items() if len(sets) > 1]
 
     per_replicate: list[list[float]] = []
     for r in replicates:
@@ -395,10 +421,10 @@ def _run_layout(
             k=config.kononenko_k,
             xor_noise=config.xor_noise,
         )
-        class_idx = sample.n_columns - 1
+        for c, ms in unions:
+            subset_entropies(sample, (c,), ms)
         values: list[float] = []
-        for names, ms in series:
-            cols = [sample.column_index(n) for n in names] + [class_idx]
+        for cols, ms in series:
             values += [v.value for v in msu_at_prefixes(sample, cols, ms)]
         per_replicate.append(values)
     across = list(zip(*per_replicate))  # each value, replicate by replicate

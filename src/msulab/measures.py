@@ -11,10 +11,13 @@ bijective relabelings of category codes (those only reorder the terms).
 
 Every measure over a sample reads its entropies from one table that the
 sample carries: `subset_entropies` counts a column subset's histogram at
-given row prefixes once and keeps the floats. A public measure reads the
-table at all rows; the Monte Carlo engine reads it at each sweep point's row
-prefix, through the same `msu_at_prefixes`. A sample therefore returns the
-same floats however often, and in whatever order, it is measured.
+given row prefixes once and keeps the floats, and answers later requests for
+some of those prefixes from them. A public measure reads the table at all
+rows; the Monte Carlo engine reads it at each sweep point's row prefix,
+through the same `msu_at_prefixes`. Counts are integers and each entropy is
+an fsum of its prefix's own cells, so a sample returns the same floats
+however often, in whatever order, and at whatever prefix sets it is
+measured.
 """
 
 from __future__ import annotations
@@ -82,17 +85,40 @@ def subset_entropies(
     """Entropy in bits of the joint histogram over `cols` at each row prefix.
 
     `prefixes` are strictly ascending row counts, all rows by default. The
-    sample keeps every entropy counted here, keyed by sorted subset and
-    prefixes, so each histogram is counted once per sample.
+    sample keeps every entropy counted here, by sorted subset and then by
+    prefixes, so each histogram is counted once per sample. Prefixes that a
+    stored set of the same subset includes are read from it by index, not
+    counted again.
     """
     subset = normalize_columns(sample, cols)
-    key = (subset, (sample.n_rows,) if prefixes is None else tuple(prefixes))
-    table = sample._entropies
-    if key not in table:
-        table[key] = tuple(
-            [h for counts in prefix_counts(sample, subset, key[1]) for h in entropy_rows(counts)]
-        )
-    return table[key]
+    bounds = (sample.n_rows,) if prefixes is None else tuple(prefixes)
+    stored = sample._entropies.get(subset)
+    if stored is None:
+        stored = sample._entropies[subset] = {}
+    if bounds not in stored:
+        read = _read_stored(stored, bounds)
+        if read is None:
+            chunks = prefix_counts(sample, subset, bounds)
+            read = tuple([h for counts in chunks for h in entropy_rows(counts)])
+        stored[bounds] = read
+    return stored[bounds]
+
+
+def _read_stored(
+    stored: dict[tuple[int, ...], tuple[float, ...]], bounds: tuple[int, ...]
+) -> tuple[float, ...] | None:
+    """The entropies at `bounds` from a stored prefix set that includes them.
+
+    None when no stored set includes them all, or when `bounds` is not
+    strictly ascending (counting then rejects it).
+    """
+    if not bounds or list(bounds) != sorted(set(bounds)):
+        return None
+    for wider, entropies in stored.items():
+        at = dict(zip(wider, entropies))
+        if all(n in at for n in bounds):
+            return tuple([at[n] for n in bounds])
+    return None
 
 
 def joint_entropy(sample: CategoricalSample, cols: Sequence[int]) -> MeasureValue:

@@ -8,11 +8,12 @@ are built from observed counts only.
 
 The codes are stored column-major: one read-only, Fortran-ordered int64
 matrix, so each column is one contiguous block of memory. Joint histograms
-key their cells from those columns directly, and `from_columns` (the path of
-generated and CSV data) writes each input column straight into its place in
-the matrix. Every sample, however it is built, passes the same validation in
-`__post_init__`; a matrix given to the constructor is copied first, one that
-`from_columns` filled is not copied again.
+key their cells from those columns directly. `from_columns` (the path of CSV
+data) writes each input column straight into its place in the matrix, and
+`msulab.dataset.generate_dataset` writes each generated column into its place
+as it is drawn. Every sample, however it is built, passes the same validation
+in `__post_init__`; a matrix given to the constructor is copied first, one
+that either path filled (wrapped in `_Filled`) is not copied again.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ MAX_CARDINALITY = int(np.iinfo(np.int64).max)
 
 
 class _Filled:
-    """A code matrix that `from_columns` allocated, so no caller holds it."""
+    """An int64, column-major code matrix that `from_columns` or
+    `msulab.dataset.generate_dataset` allocated and filled, so no caller
+    holds it; the constructor validates it without a copy."""
 
     __slots__ = ("matrix",)
 
@@ -74,13 +77,13 @@ class CategoricalSample:
     codes: np.ndarray
     cardinalities: tuple[int, ...]
     column_names: tuple[str, ...] | None = None
-    # (sorted column subset, row prefixes) -> entropy at each prefix; only
+    # sorted column subset -> {row prefixes -> entropy at each prefix}; only
     # `msulab.measures.subset_entropies` fills and reads it
     _entropies: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.codes, _Filled):
-            codes = self.codes.matrix  # its columns were checked as they were written
+            codes = self.codes.matrix  # int64 codes, written by their filler
         else:
             # the defensive copy, column-major like every sample's codes
             codes = np.array(_code_array(self.codes), dtype=np.int64, order="F")
@@ -227,7 +230,8 @@ def prefix_counts(
         else:
             # offset each row's id by its prefix slot, then accumulate slots
             slot = np.repeat(np.arange(0, len(chunk) * n_cells, n_cells), np.diff([start, *chunk]))
-            counts = np.bincount(slot + rows, minlength=len(chunk) * n_cells)
+            slot += rows
+            counts = np.bincount(slot, minlength=len(chunk) * n_cells)
             counts = counts.reshape(len(chunk), n_cells).cumsum(axis=0)
         if running is not None:
             counts += running

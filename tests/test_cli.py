@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,9 @@ import pytest
 
 import msulab.samplesize as samplesize
 from msulab import InvalidInputError, msu, read_csv
+from msulab import cli
 from msulab.cli import main
+from msulab.dataset import MAX_DATASET_CELLS
 
 TABLE_B_CSV = "f1,f2,clase\n" + "\n".join(
     f"{a},{b},{c}"
@@ -37,13 +40,19 @@ def run(capsys, *argv):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def python(*args, timeout):
+def python(*args, timeout, preexec_fn=None):
     """Run a fresh interpreter with msulab on its path."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path}, preexec_fn=preexec_fn,
     )
+
+
+def _cap_address_space():
+    # 1 GiB: a size check that came too late fails its allocation at once
+    # instead of drawing into real memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 class TestMeasure:
@@ -459,12 +468,51 @@ MALFORMED = {
 }
 
 
+# sizes whose dataset passes the cell cap -> (argv, skipped sweep point or None
+# for `generate`, rows, columns with the class); each run is capped at 1 GiB of
+# address space, so none of them can allocate its dataset
+INFEASIBLE_SIZE = {
+    "computed-at-cardinality-2**20": (
+        lambda tmp: _card_sweep_file(tmp, 1_048_576, {"computed": 10}),
+        1_048_576, 21_990_232_555_520, 3),
+    "fixed-3e9": (
+        lambda tmp: _card_sweep_file(tmp, 2, {"fixed": 3_000_000_000}), 2, 3_000_000_000, 3),
+    "generate-m-3e9": (
+        lambda tmp: ["generate", "--rule", "uniform", "--cards", "2", "--m", "3000000000"],
+        None, 3_000_000_000, 2),
+}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("case", MALFORMED)
     def test_exits_1_with_an_error_line(self, tmp_path, capsys, case):
         code, out, err = run(capsys, *MALFORMED[case](tmp_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", INFEASIBLE_SIZE)
+    def test_size_past_the_cell_cap_is_an_input_error(self, tmp_path, case):
+        argv, point, rows, columns = INFEASIBLE_SIZE[case]
+        done = python("-m", "msulab", *argv(tmp_path), timeout=30, preexec_fn=_cap_address_space)
+        assert (done.returncode, done.stdout) == (1, ""), done.stderr
+        reason = (f"{rows} rows x {columns} columns (class included) make {rows * columns} cells; "
+                  f"a generated dataset holds at most {MAX_DATASET_CELLS}")
+        if point is None:
+            assert done.stderr == f"error: {reason}\n"
+        else:
+            assert done.stderr.splitlines() == [
+                f"warning: point {point} skipped: {reason}",
+                "error: every sweep point was skipped; nothing was measured",
+            ]
+
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array")
+
+        monkeypatch.setattr(cli, "generate_dataset", exhausted)
+        code, out, err = run(capsys, "generate", "--rule", "uniform", "--cards", "2", "--m", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory: Unable to allocate 22.4 GiB for an array\n"
 
     def test_binary_equivalent_point_below_one_is_skipped(self, tmp_path, capsys):
         argv = _config_file(

@@ -25,8 +25,10 @@ from msulab import (
     symmetrical_uncertainty,
     xor_population_msu,
 )
+from msulab import harness
 from msulab.dataset import check_xor_class
-from msulab.generators import check_k, check_xor_noise
+from msulab.generators import check_k, check_xor_noise, fill_xor_pair
+from msulab.presets import preset
 
 
 def _rng(seed=4242, stream=0, *path):
@@ -373,6 +375,42 @@ class TestGenerateDataset:
         assert sample.codes.flags.f_contiguous and not sample.codes.flags.writeable
         # the generated columns plus the matrix; a further full copy would pass 3x
         assert peak < 2.5 * sample.codes.nbytes
+
+    def test_large_xor_union_is_drawn_straight_into_its_matrix(self):
+        # fig-xor-2's one dataset per replicate: 655,360 rows x 16 columns
+        config = preset("fig-xor-2")
+        points = {i: harness.resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
+        (members,) = harness._nested_groups(config, points)
+        nested = [points[i] for i in members]
+        blocks, m = harness._union_blocks(nested), max(p.m for p in nested)
+        generate_dataset(10, 2, blocks, SeededRng(3, 0))  # warm caches out of the trace
+        tracemalloc.start()
+        try:
+            sample = generate_dataset(m, 2, blocks, SeededRng(3, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sample.codes.shape == (655_360, 16)
+        # the matrix plus one column's draws; collecting the columns before
+        # copying them into the matrix takes 2x
+        assert peak < 1.25 * sample.codes.nbytes
+
+    def test_xor_columns_are_gen_xor_pairs_arrays(self):
+        # the pair sits after a uniform block, so its columns are not first
+        blocks = [block("u", GeneratorKind.UNIFORM, 2, 3), block("x", GeneratorKind.XOR_PAIR, 2, 2)]
+        sample = generate_dataset(4000, 2, blocks, SeededRng(21, 5), xor_noise=0.2)
+        f1, f2, cls = gen_xor_pair(4000, 0.2, SeededRng(21, 5).stream(2, 0))
+        for name, expected in (("x1", f1), ("x2", f2), ("clase", cls)):
+            assert np.array_equal(sample.codes[:, sample.column_index(name)], expected)
+        # filled into given columns, the same arrays
+        out = np.zeros((4000, 3), dtype=np.int64, order="F")
+        fill_xor_pair(out[:, 0], out[:, 1], out[:, 2], 0.2, SeededRng(21, 5).stream(2, 0))
+        assert np.array_equal(out, np.column_stack([f1, f2, cls]))
+        # and the same as the pair written from its draws with temporaries
+        draws = SeededRng(21, 5).stream(2, 0).random((4000, 3))
+        a, b = (draws[:, 0] < 0.5).astype(np.int64), (draws[:, 1] < 0.5).astype(np.int64)
+        assert np.array_equal(f1, a) and np.array_equal(f2, b)
+        assert np.array_equal(cls, (a ^ b) ^ (draws[:, 2] < 0.2).astype(np.int64))
 
 
 class TestAttributeBlock:

@@ -24,7 +24,7 @@ from msulab import (
     preset,
     run_experiment,
 )
-from msulab import harness, presets
+from msulab import dataset, harness, measures, presets
 from msulab.dataset import generate_dataset
 from msulab.harness import CountRule, MeasureStats, _mean_std, resolve_point
 
@@ -720,6 +720,79 @@ class TestNestedEngine:
         monkeypatch.setattr(harness, "generate_dataset", counting)
         run_experiment(_desk(preset(name), 2))
         assert sorted(built) == [0] * per_replicate + [1] * per_replicate
+
+    @pytest.mark.parametrize(
+        "name, columns, joints", [("fig-xor-2", 16, 13), ("fig-h", 40, 36), ("fig-b2", 3, 3)]
+    )
+    def test_each_column_counted_once_per_replicate(self, monkeypatch, name, columns, joints):
+        # one count per distinct column (class included) at the union of the
+        # prefixes it is read at, and one per joint histogram at its own
+        calls = []
+        counts = measures.prefix_counts
+
+        def counting(sample, cols, prefixes):
+            calls.append(tuple(cols))
+            return counts(sample, cols, prefixes)
+
+        monkeypatch.setattr(measures, "prefix_counts", counting)
+        run_experiment(_desk(preset(name), 1))
+        singles = [c for c in calls if len(c) == 1]
+        assert len(singles) == len(set(singles)) == columns
+        assert len(calls) - len(singles) == len(set(calls) - set(singles)) == joints
+
+    def test_union_past_the_cell_cap_is_split_into_its_points(self, monkeypatch):
+        # the point at 1 needs 160 rows for its 8-value attribute, the points
+        # at 2 and 3 need 40 for a binary one: one dataset for all three
+        # (160 x 6 = 960 cells) is smaller than theirs together (640 + 200 +
+        # 240), but past a cap of 900 that each of them stays under
+        data = {
+            "name": "capped", "replicates": 2,
+            "sweep": {"kind": "attribute_count", "values": [1, 2, 3]},
+            "groups": [
+                _group("a", "uniform", {"offset": 0}),
+                _group("b", "kononenko", {"fixed": 1}, 8),
+                _group("c", "uniform", {"fixed": 1}),
+            ],
+            "tracked": [
+                {"label": "wide", "groups": ["b"], "window": [1, 1]},
+                {"label": "narrow", "groups": ["c"], "window": [2, 3]},
+            ],
+            "sample_size_policy": {"computed": 10},
+        }
+        built = []
+
+        def counting(m, class_card, blocks, rng, **kwargs):
+            built.append((m, sum(len(b.names) for b in blocks if b is not None)))
+            return generate_dataset(m, class_card, blocks, rng, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_dataset", counting)
+        uncapped = run_experiment(config_from_json(data))
+        assert built == [(160, 5)] * 2
+        built.clear()
+        monkeypatch.setattr(harness, "MAX_DATASET_CELLS", 900)
+        capped = run_experiment(config_from_json(data))
+        assert sorted(built) == [(40, 4)] * 2 + [(40, 5)] * 2 + [(160, 3)] * 2
+        assert capped.measures == uncapped.measures and not capped.errors
+
+    def test_point_past_the_cell_cap_is_skipped_before_any_draw(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise AssertionError("nothing may be drawn")
+
+        for name in ("gen_class", "gen_uniform", "gen_kononenko", "fill_xor_pair"):
+            monkeypatch.setattr(dataset, name, failing)
+        cfg = config_from_json({
+            "name": "huge", "replicates": 2,
+            "sweep": {"kind": "cardinality", "values": [1_048_576]},
+            "groups": [_group("u", "uniform", 2, "sweep")],
+            "tracked": [{"label": "set", "groups": ["u"]}],
+            "sample_size_policy": {"computed": 10},
+        })
+        curve = run_experiment(cfg)
+        assert curve.errors == ((1_048_576, (
+            "21990232555520 rows x 3 columns (class included) make 65970697666560 cells; "
+            "a generated dataset holds at most 268435456"
+        )),)
+        assert curve.measures == {}
 
     def test_union_dataset_never_larger_than_the_points_own(self, monkeypatch):
         # the point with the largest m tracks one 200-value attribute; the

@@ -419,3 +419,33 @@ class TestEntropyTable:
         head = CategoricalSample(sample.codes[: m // 2 + 1], sample.cardinalities)
         assert series[1] == msu(head, [0, 1, 2])
         assert subset_entropies(sample, [2, 0], [m]) == (joint_entropy(sample, [0, 2]).value,)
+
+    def test_prefixes_of_a_stored_set_are_read_not_counted(self, monkeypatch):
+        calls = []
+        counts = measures.prefix_counts
+
+        def counting(sample, cols, prefixes):
+            calls.append((tuple(cols), tuple(prefixes)))
+            return counts(sample, cols, prefixes)
+
+        monkeypatch.setattr(measures, "prefix_counts", counting)
+        codes = np.random.default_rng(8).integers(0, 5, size=(500, 3))
+        sample = CategoricalSample(codes, (5, 5, 5))
+        subset_entropies(sample, [1], [7, 40, 41, 300, 500])
+        subset_entropies(sample, [0, 1], [40, 300])
+        for wanted in ([40, 300], [7], [500], [41, 500]):
+            fresh = subset_entropies(CategoricalSample(codes, (5, 5, 5)), [1], wanted)
+            assert subset_entropies(sample, [1], wanted) == fresh  # bit for bit
+        # every fresh sample counted once; `sample` counted each subset once
+        assert calls[:2] == [((1,), (7, 40, 41, 300, 500)), ((0, 1), (40, 300))]
+        assert len(calls) == 2 + 4
+        # a joint is looked up under its own subset only: (0, 1) holds 40 and
+        # 300 but not 41, and the marginal (1,) holding 41 does not answer it
+        subset_entropies(sample, [0, 1], [41])
+        assert calls[-1] == ((0, 1), (41,))
+        # a set that is not strictly ascending is rejected even where every
+        # prefix is stored
+        with pytest.raises(InvalidInputError):
+            subset_entropies(sample, [1], [300, 40])
+        with pytest.raises(InvalidInputError):
+            subset_entropies(sample, [1], [])
