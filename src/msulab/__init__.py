@@ -9,13 +9,9 @@ from .errors import InvalidInputError
 from .generators import (
     GeneratorKind,
     SeededRng,
-    binary_entropy,
     gen_class,
     gen_kononenko,
     gen_uniform,
-    gen_xor_pair,
-    kononenko_first_half_prob,
-    xor_population_msu,
 )
 from .harness import (
     BiasCurve,
@@ -27,7 +23,6 @@ from .harness import (
     MeasureStats,
     Sweep,
     TrackedSubset,
-    bias,
     config_from_json,
     run_experiment,
 )
@@ -76,8 +71,6 @@ __all__ = [
     "SeededRng",
     "Sweep",
     "TrackedSubset",
-    "bias",
-    "binary_entropy",
     "block",
     "chi2_critical",
     "config_from_json",
@@ -86,12 +79,10 @@ __all__ = [
     "gen_class",
     "gen_kononenko",
     "gen_uniform",
-    "gen_xor_pair",
     "generate_dataset",
     "heuristic_sample_size",
     "information_gain",
     "joint_entropy",
-    "kononenko_first_half_prob",
     "min_representative_m",
     "msu",
     "multivariate_cardinality",

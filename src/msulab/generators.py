@@ -94,24 +94,13 @@ def check_k(k: float) -> None:
         raise InvalidInputError(f"informativeness k must be finite and positive, got {k}")
 
 
-def kononenko_first_half_prob(i: int, k: float, class_card: int) -> float:
-    """Probability that a Kononenko attribute falls in its lower half-alphabet.
-
-    `i` is the 1-based class value index. Even class indices give 1 / (i + kC),
-    odd ones the complement, which is what ties the attribute to the class.
-    """
-    if class_card < 1:
-        raise InvalidInputError("class cardinality must be positive")
-    if not 1 <= i <= class_card:
-        raise InvalidInputError(f"class index {i} outside 1..{class_card}")
-    check_k(k)
-    p = 1.0 / (i + k * class_card)
-    return p if i % 2 == 0 else 1.0 - p
-
-
 def _first_half_probs(i: np.ndarray, k: float, class_card: int) -> np.ndarray:
-    """kononenko_first_half_prob at each 1-based index in `i`, bit for bit:
-    the same int-to-float conversion, add, divide and subtract."""
+    """Probability that a Kononenko attribute falls in its lower half-alphabet,
+    at each 1-based class value index in `i`.
+
+    Even class indices give 1 / (i + kC), odd ones the complement, which is
+    what ties the attribute to the class.
+    """
     p = 1.0 / (i + k * class_card)
     return np.where(i % 2 == 0, p, 1.0 - p)
 
@@ -127,8 +116,8 @@ def gen_kononenko(
 
     The alphabet {0..V-1} splits into {0..floor(V/2)-1} and the rest (for odd V
     the lower half is the smaller one). Each row picks the lower half with
-    kononenko_first_half_prob for its class value, then a uniform member of the
-    chosen half.
+    the first-half probability of its class value (`_first_half_probs`), then
+    a uniform member of the chosen half.
     """
     check_card(cardinality)
     codes = np.asarray(class_codes, dtype=np.int64)
@@ -165,27 +154,18 @@ def check_xor_noise(noise: float) -> None:
         raise InvalidInputError(f"noise must lie in [0, 0.5), got {noise}")
 
 
-def gen_xor_pair(
-    m: int, noise: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collectively informative pair plus its class column.
+def fill_xor_pair(
+    f1: np.ndarray, f2: np.ndarray, class_codes: np.ndarray, noise: float, rng: np.random.Generator
+) -> None:
+    """Collectively informative pair plus its class column, written into
+    three given int64 columns of one length.
 
     f1 and f2 are i.i.d. uniform binary; the class equals XOR(f1, f2) with
     probability 1 - noise and its complement otherwise, via an independent
     per-row Bernoulli flip. Noise of 0.5 or more would leave the class
     uncorrelated or anti-correlated with the pair, so it is rejected.
-    """
-    f1, f2, class_codes = np.empty((check_m(m), 3), dtype=np.int64, order="F").T
-    fill_xor_pair(f1, f2, class_codes, noise, rng)
-    return f1, f2, class_codes
 
-
-def fill_xor_pair(
-    f1: np.ndarray, f2: np.ndarray, class_codes: np.ndarray, noise: float, rng: np.random.Generator
-) -> None:
-    """`gen_xor_pair` written into three given int64 columns of one length.
-
-    The draws are the same (m, 3) row-major floats; each column is written
+    The draws are one (m, 3) row-major float matrix; each column is written
     from them in place, with no further temporary.
     """
     check_xor_noise(noise)
@@ -195,23 +175,3 @@ def fill_xor_pair(
     np.less(draws[:, 2], noise, out=class_codes)  # the flips
     class_codes ^= f1
     class_codes ^= f2
-
-
-def binary_entropy(p: float) -> float:
-    """Entropy in bits of a Bernoulli(p) variable."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidInputError("p must lie in [0, 1]")
-    if p in (0.0, 1.0):
-        return 0.0
-    return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
-
-
-def xor_population_msu(noise: float) -> float:
-    """Population multivariate symmetrical uncertainty of a noisy XOR triple.
-
-    Marginals are all uniform binary (3 bits total); the joint entropy is
-    2 + h(noise) bits, so the total correlation is 1 - h(noise) and the
-    normalized value is (1 - h(noise)) / 2.
-    """
-    check_xor_noise(noise)
-    return (1.0 - binary_entropy(noise)) / 2.0

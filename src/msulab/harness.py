@@ -196,7 +196,6 @@ class ExperimentConfig:
     master_seed: int = DEFAULT_MASTER_SEED
     kononenko_k: float = 1.0
     xor_noise: float = 0.05
-    theta_ref: float | None = None
     representativeness_scan: bool = False
 
     def __post_init__(self) -> None:
@@ -447,7 +446,6 @@ class BiasCurve:
     sweep_values: tuple[int, ...]
     sample_sizes: tuple[int | None, ...]
     measures: dict[str, list[MeasureStats | None]]
-    theta_ref: float | None = None
     errors: tuple[tuple[int, str], ...] = ()
 
     def mean_series(self, measure: str) -> list[float | None]:
@@ -531,7 +529,6 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
         sweep_values=config.sweep.values,
         sample_sizes=tuple(sample_sizes),
         measures=per_measure,
-        theta_ref=config.theta_ref,
         errors=tuple(errors),
     )
 
@@ -568,24 +565,10 @@ def _run_representativeness_scan(config: ExperimentConfig) -> BiasCurve:
     )
 
 
-def bias(curve: BiasCurve, theta: float, measure: str | None = None) -> list[float | None]:
-    """Per-point bias mean - theta for one measure of a curve."""
-    if not math.isfinite(theta):
-        raise InvalidInputError(f"theta must be finite, got {theta}")
-    if measure is None:
-        if len(curve.measures) != 1:
-            raise InvalidInputError(
-                f"curve has several measures {sorted(curve.measures)}; name one"
-            )
-        measure = next(iter(curve.measures))
-    means = curve.mean_series(measure)
-    return [m - theta if m is not None else None for m in means]
-
-
 # The keys config_from_json reads in each object; any other key is most likely a typo.
 _CONFIG_FIELDS = frozenset({
     "name", "sweep", "groups", "tracked", "class_card", "sample_size_policy", "replicates",
-    "master_seed", "kononenko_k", "xor_noise", "theta_ref", "representativeness_scan",
+    "master_seed", "kononenko_k", "xor_noise", "representativeness_scan",
 })
 _SWEEP_FIELDS = frozenset({"kind", "values", "start", "stop"})
 _GROUP_FIELDS = frozenset({"name", "family", "count", "cardinality"})
@@ -623,7 +606,6 @@ def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
             policy = ComputedSampleSize(_json_float(policy_data["computed"], "computed factor"))
         else:
             raise InvalidInputError(f"unknown sample size policy {policy_data!r}")
-        theta_ref = data.get("theta_ref")
         return ExperimentConfig(
             name=_json_str(data["name"], "experiment name"),
             sweep=sweep,
@@ -635,7 +617,6 @@ def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
             master_seed=_json_int(data.get("master_seed", DEFAULT_MASTER_SEED), "master_seed"),
             kononenko_k=_json_float(data.get("kononenko_k", 1.0), "kononenko_k"),
             xor_noise=_json_float(data.get("xor_noise", 0.05), "xor_noise"),
-            theta_ref=None if theta_ref is None else _json_float(theta_ref, "theta_ref"),
             representativeness_scan=_json_bool(
                 data.get("representativeness_scan", False), "representativeness_scan"
             ),
@@ -700,7 +681,10 @@ def _json_window(value, what: str) -> tuple[int, int] | None:
         return None
     if len(_json_list(value, what)) != 2:
         raise InvalidInputError(f"{what} must be a [lo, hi] pair, got {value!r}")
-    return (_json_int(value[0], what), _json_int(value[1], what))
+    lo, hi = _json_int(value[0], what), _json_int(value[1], what)
+    if lo > hi:  # an empty window would drop its group or subset at every point
+        raise InvalidInputError(f"{what} [{lo}, {hi}] is reversed: lo must not exceed hi")
+    return lo, hi
 
 
 def _json_bool(value, what: str) -> bool:

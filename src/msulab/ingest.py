@@ -38,16 +38,11 @@ _CHUNK_ROWS = 2048
 
 @dataclass(frozen=True)
 class IngestedDataset:
-    """A parsed CSV: header, per-column label dictionaries, coded sample."""
+    """A parsed CSV: the coded sample, named by the header, and each column's
+    labels, indexed by code."""
 
-    source: str
-    header: tuple[str, ...]
     dictionaries: tuple[tuple[str, ...], ...]
     sample: CategoricalSample
-
-    def decode_row(self, row_index: int) -> tuple[str, ...]:
-        codes = self.sample.codes[row_index]
-        return tuple(self.dictionaries[j][code] for j, code in enumerate(codes))
 
 
 def read_csv(path: str | Path) -> IngestedDataset:
@@ -111,9 +106,7 @@ def _parse(reader, source: str) -> IngestedDataset:
         cardinalities=[len(d) for d in dictionaries],
         column_names=header,
     )
-    return IngestedDataset(
-        source=source, header=tuple(header), dictionaries=dictionaries, sample=sample
-    )
+    return IngestedDataset(dictionaries=dictionaries, sample=sample)
 
 
 def sample_to_csv(sample: CategoricalSample) -> str:

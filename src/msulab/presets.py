@@ -16,7 +16,6 @@ preset: a group's position is the seed-stream slot of its columns (see
 from __future__ import annotations
 
 from .errors import InvalidInputError
-from .generators import xor_population_msu
 from .harness import ExperimentConfig, config_from_json
 
 # The univariate cardinalities exercised by the cardinality sweeps.
@@ -71,11 +70,10 @@ def _fig_b(name: str, m_hi: int) -> dict:
         "sweep": _span("sample_size", 8, m_hi),
         "groups": [_group("xor", "xor_pair", 2), _group("u", "uniform", 0)],
         "tracked": [_tracked("set", "xor", with_su=True)],
-        "theta_ref": xor_population_msu(0.05),
     }
 
 
-def _paired_cardinality(name: str, family: str, theta_ref: float | None) -> dict:
+def _paired_cardinality(name: str, family: str) -> dict:
     # Two layouts of equal joint-space size per point: a pair of attributes of
     # the swept cardinality V versus 2*log2(V) binary attributes.
     return {
@@ -87,7 +85,6 @@ def _paired_cardinality(name: str, family: str, theta_ref: float | None) -> dict
         ],
         "tracked": [_tracked("binary", "bin"), _tracked("wide", "wide")],
         "sample_size_policy": {"fixed": 5000},
-        "theta_ref": theta_ref,
     }
 
 
@@ -146,8 +143,8 @@ _PRESETS = {
     "fig-e2": _mk_pairs("fig-e2", _span("sample_size", 8, 150), 2),
     "fig-b1": _fig_b("fig-b1", 50),
     "fig-b2": _fig_b("fig-b2", 150),
-    "fig-c": _paired_cardinality("fig-c", "kononenko", None),
-    "fig-d": _paired_cardinality("fig-d", "uniform", 0.0),
+    "fig-c": _paired_cardinality("fig-c", "kononenko"),
+    "fig-d": _paired_cardinality("fig-d", "uniform"),
     "fig-f1": _mk_pairs("fig-f1", _cards(CARD_SWEEP_2_40), "sweep", {"fixed": 5000}),
     "fig-f2": _mk_pairs("fig-f2", _cards(CARD_SWEEP_2_40), "sweep", {"computed": 10}),
     # fig-g runs up to 20 informative attributes at a fixed 1000 rows; its

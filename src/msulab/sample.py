@@ -107,6 +107,8 @@ class CategoricalSample:
             names = tuple(self.column_names)
             if len(names) != p:
                 raise InvalidInputError(f"expected {p} column names, got {len(names)}")
+            if len(set(names)) != p:  # column_index would find only the first
+                raise InvalidInputError("duplicate column names")
             object.__setattr__(self, "column_names", names)
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)

@@ -82,7 +82,13 @@ def heuristic_sample_size(profile: CardinalityProfile, factor: float = 10.0) -> 
     space = multivariate_cardinality(profile)
     if float(factor).is_integer():
         return int(factor) * space
-    return math.ceil(factor * space)
+    try:
+        return math.ceil(factor * space)
+    except OverflowError:  # the space, or its product with factor, is past float
+        raise InvalidInputError(
+            f"factor {factor} times this joint space is past the float range; "
+            "use a whole-number factor"
+        ) from None
 
 
 def chi2_critical(alpha: float, df: int) -> float:
@@ -105,9 +111,16 @@ def chi2_critical(alpha: float, df: int) -> float:
     def upper_tail(x: float) -> float:
         return gammaincc(df / 2.0, x / 2.0) - alpha
 
-    hi = df + 10.0
-    while upper_tail(hi) > 0.0:
-        hi *= 2.0
+    try:
+        hi = df + 10.0
+        while upper_tail(hi) > 0.0:
+            hi *= 2.0
+    except OverflowError:  # df itself is past float
+        hi = math.inf
+    if hi == math.inf:
+        raise InvalidInputError(
+            "bracketing the critical value for this many degrees of freedom goes past the float range"
+        )
     return float(brentq(upper_tail, 0.0, hi, xtol=1e-10, maxiter=200))
 
 
@@ -126,8 +139,13 @@ def extreme_sample_chi2(m: int, k: int) -> float:
         raise InvalidInputError(f"need at least two cells, got {k}")
     if m < k - 1:
         raise InvalidInputError(f"m={m} cannot fill {k - 1} cells with at least one item each")
-    r, up, level, empty = _extreme_terms(m, k)
-    return float(up * r + level * (k - 1 - r) + empty)
+    try:
+        r, up, level, empty = _extreme_terms(m, k)
+        return float(up * r + level * (k - 1 - r) + empty)
+    except OverflowError:  # m / k, a cell term or their sum is past float
+        raise InvalidInputError(
+            "the extreme-sample statistic of this m and k is past the float range"
+        ) from None
 
 
 def min_representative_m(k: int, alpha: float = 0.05) -> int:

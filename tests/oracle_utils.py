@@ -102,6 +102,43 @@ def extreme_sample(m: int, k: int) -> list[int]:
     return [q + 1] * r + [q] * (k - 1 - r) + [0]
 
 
+def kononenko_first_half_prob(i: int, k: float, class_card: int) -> float:
+    """Probability that a Kononenko attribute falls in its lower half-alphabet.
+
+    `i` is the 1-based class value index. Even class indices give 1 / (i + kC),
+    odd ones the complement, which is what ties the attribute to the class.
+    """
+    if class_card < 1:
+        raise InvalidInputError("class cardinality must be positive")
+    if not 1 <= i <= class_card:
+        raise InvalidInputError(f"class index {i} outside 1..{class_card}")
+    if not (k > 0) or not math.isfinite(k):
+        raise InvalidInputError(f"informativeness k must be finite and positive, got {k}")
+    p = 1.0 / (i + k * class_card)
+    return p if i % 2 == 0 else 1.0 - p
+
+
+def binary_entropy(p: float) -> float:
+    """Entropy in bits of a Bernoulli(p) variable."""
+    if not 0.0 <= p <= 1.0:
+        raise InvalidInputError("p must lie in [0, 1]")
+    if p in (0.0, 1.0):
+        return 0.0
+    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+
+
+def xor_population_msu(noise: float) -> float:
+    """Population multivariate symmetrical uncertainty of a noisy XOR triple.
+
+    Marginals are all uniform binary (3 bits total); the joint entropy is
+    2 + h(noise) bits, so the total correlation is 1 - h(noise) and the
+    normalized value is (1 - h(noise)) / 2.
+    """
+    if not 0.0 <= noise < 0.5:
+        raise InvalidInputError(f"noise must lie in [0, 0.5), got {noise}")
+    return (1.0 - binary_entropy(noise)) / 2.0
+
+
 def scan_min_representative_m(k: int, alpha: float = 0.05) -> int:
     """Smallest m whose equiprobable extreme sample is rejected: the ascending
     scan from m = k - 1 that rebuilds the k-cell sample and sums its statistic

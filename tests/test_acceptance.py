@@ -19,10 +19,8 @@ from msulab import (
     extreme_sample_chi2,
     gen_class,
     gen_kononenko,
-    gen_xor_pair,
     information_gain,
     joint_entropy,
-    kononenko_first_half_prob,
     min_representative_m,
     msu,
     preset,
@@ -30,8 +28,14 @@ from msulab import (
     symmetrical_uncertainty,
     total_correlation,
 )
-from msulab.generators import SeededRng
-from oracle_utils import brute_force_msu, chi2_statistic, coded_table, random_sample
+from msulab.generators import SeededRng, fill_xor_pair
+from oracle_utils import (
+    brute_force_msu,
+    chi2_statistic,
+    coded_table,
+    kononenko_first_half_prob,
+    random_sample,
+)
 
 DESK_REPLICATES = 200
 
@@ -222,7 +226,8 @@ def test_criterion_8_generator_statistics():
         p_hat = float((attr[mask] == 0).mean())
         gaps.append(abs(p_hat - kononenko_first_half_prob(i, 1.0, 2)))
 
-    f1, f2, xcls = gen_xor_pair(m, 0.05, seeded.stream(2, 0))
+    f1, f2, xcls = np.empty((m, 3), dtype=np.int64, order="F").T
+    fill_xor_pair(f1, f2, xcls, 0.05, seeded.stream(2, 0))
     agreement = float((xcls == (f1 ^ f2)).mean())
     xor_gap = abs(agreement - 0.95)
 

@@ -609,6 +609,13 @@ LARGE_CARDINALITY = {
         lambda tmp: _card_sweep_file(tmp, 2**64, {"computed": 10}), 1),
     "config-sample-size-sweep-2**64": (
         lambda tmp: _config_file(tmp, sweep={"kind": "sample_size", "values": [2**64]}), 1),
+    # a fractional factor times a joint space past the float range
+    "chi2-scan-cells-1e310-factor-0.5": (
+        lambda tmp: ["chi2-scan", "--cells", str(10**310), "--factor", "0.5"], 1),
+    "recommend-cards-1e310-factor-0.5": (
+        lambda tmp: ["recommend", "--cards", str(10**310), "--factor", "0.5"], 1),
+    "config-computed-2.5-cardinality-sweep-1e310": (
+        lambda tmp: _card_sweep_file(tmp, 10**310, {"computed": 2.5}), 1),
 }
 
 

@@ -14,25 +14,29 @@ from msulab import (
     GeneratorKind,
     InvalidInputError,
     SeededRng,
-    binary_entropy,
     block,
     gen_class,
     gen_kononenko,
     gen_uniform,
-    gen_xor_pair,
     generate_dataset,
-    kononenko_first_half_prob,
     symmetrical_uncertainty,
-    xor_population_msu,
 )
 from msulab import harness
 from msulab.dataset import check_xor_class
 from msulab.generators import check_k, check_xor_noise, fill_xor_pair
 from msulab.presets import preset
+from oracle_utils import binary_entropy, kononenko_first_half_prob, xor_population_msu
 
 
 def _rng(seed=4242, stream=0, *path):
     return SeededRng(seed, stream).stream(*path) if path else SeededRng(seed, stream).stream(1, 0)
+
+
+def _xor_pair(m, noise, rng):
+    """f1, f2 and the class as `fill_xor_pair` writes them into a fresh matrix."""
+    f1, f2, cls = np.empty((m, 3), dtype=np.int64, order="F").T
+    fill_xor_pair(f1, f2, cls, noise, rng)
+    return f1, f2, cls
 
 
 class TestSeededRng:
@@ -215,29 +219,30 @@ class TestInt64Bounds:
 
     @pytest.mark.parametrize("m", [2**63, 2**64])
     def test_sample_size_past_int64_rejected(self, m):
-        for draw in (lambda: gen_class(2, m, _rng()), lambda: gen_xor_pair(m, 0.1, _rng())):
+        xor = [block("x", GeneratorKind.XOR_PAIR, 2, 2)]
+        for draw in (lambda: gen_class(2, m, _rng()), lambda: generate_dataset(m, 2, xor, SeededRng(1))):
             with pytest.raises(InvalidInputError, match="sample size must not exceed"):
                 draw()
 
 
 class TestGenXorPair:
     def test_no_noise_is_pure_xor(self):
-        f1, f2, cls = gen_xor_pair(5000, 0.0, _rng(10))
+        f1, f2, cls = _xor_pair(5000, 0.0, _rng(10))
         assert np.array_equal(cls, f1 ^ f2)
 
     def test_noise_rate(self):
-        f1, f2, cls = gen_xor_pair(100_000, 0.05, _rng(11))
+        f1, f2, cls = _xor_pair(100_000, 0.05, _rng(11))
         agreement = (cls == (f1 ^ f2)).mean()
         assert abs(agreement - 0.95) < 0.01
 
     def test_same_seed_identical(self):
-        a = gen_xor_pair(300, 0.05, _rng(12))
-        b = gen_xor_pair(300, 0.05, _rng(12))
+        a = _xor_pair(300, 0.05, _rng(12))
+        b = _xor_pair(300, 0.05, _rng(12))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_half_or_more_noise_rejected(self):
         with pytest.raises(InvalidInputError):
-            gen_xor_pair(10, 0.5, _rng())
+            _xor_pair(10, 0.5, _rng())
 
     def test_population_msu_values(self):
         assert xor_population_msu(0.0) == 0.5
@@ -246,7 +251,7 @@ class TestGenXorPair:
 
     def test_collectivity_at_scale(self):
         # each attribute alone is uninformative; the triple is not
-        f1, f2, cls = gen_xor_pair(100_000, 0.05, _rng(404))
+        f1, f2, cls = _xor_pair(100_000, 0.05, _rng(404))
         sample = CategoricalSample.from_columns([f1, f2, cls], (2, 2, 2))
         assert symmetrical_uncertainty(sample, 0, 2).value < 0.001
         assert symmetrical_uncertainty(sample, 1, 2).value < 0.001
@@ -399,14 +404,10 @@ class TestGenerateDataset:
         # the pair sits after a uniform block, so its columns are not first
         blocks = [block("u", GeneratorKind.UNIFORM, 2, 3), block("x", GeneratorKind.XOR_PAIR, 2, 2)]
         sample = generate_dataset(4000, 2, blocks, SeededRng(21, 5), xor_noise=0.2)
-        f1, f2, cls = gen_xor_pair(4000, 0.2, SeededRng(21, 5).stream(2, 0))
+        f1, f2, cls = _xor_pair(4000, 0.2, SeededRng(21, 5).stream(2, 0))
         for name, expected in (("x1", f1), ("x2", f2), ("clase", cls)):
             assert np.array_equal(sample.codes[:, sample.column_index(name)], expected)
-        # filled into given columns, the same arrays
-        out = np.zeros((4000, 3), dtype=np.int64, order="F")
-        fill_xor_pair(out[:, 0], out[:, 1], out[:, 2], 0.2, SeededRng(21, 5).stream(2, 0))
-        assert np.array_equal(out, np.column_stack([f1, f2, cls]))
-        # and the same as the pair written from its draws with temporaries
+        # the same as the pair written from its draws with temporaries
         draws = SeededRng(21, 5).stream(2, 0).random((4000, 3))
         a, b = (draws[:, 0] < 0.5).astype(np.int64), (draws[:, 1] < 0.5).astype(np.int64)
         assert np.array_equal(f1, a) and np.array_equal(f2, b)

@@ -19,7 +19,6 @@ from msulab import (
     InvalidInputError,
     Sweep,
     TrackedSubset,
-    bias,
     config_from_json,
     preset,
     run_experiment,
@@ -239,30 +238,6 @@ class TestAggregation:
         assert std == pytest.approx(1.0, abs=1e-15)
 
 
-class TestBias:
-    def test_zero_when_theta_is_mean(self):
-        cfg = _desk(preset("fig-b2"), 5, sweep_values=(30,))
-        curve = run_experiment(cfg)
-        mean = curve.measures["msu_set"][0].mean
-        assert bias(curve, mean, "msu_set") == [0.0]
-
-    def test_against_population_value(self):
-        cfg = _desk(preset("fig-b2"), 100, sweep_values=(80,))
-        curve = run_experiment(cfg)
-        assert abs(bias(curve, 0.3568, "msu_set")[0]) < 0.05
-
-    def test_zero_theta_returns_means(self):
-        cfg = _desk(preset("fig-e2"), 5, sweep_values=(20,))
-        curve = run_experiment(cfg)
-        assert bias(curve, 0.0, "msu_noninformative") == curve.mean_series("msu_noninformative")
-
-    def test_nonfinite_theta_rejected(self):
-        cfg = _desk(preset("fig-e2"), 1, sweep_values=(20,))
-        curve = run_experiment(cfg)
-        with pytest.raises(InvalidInputError):
-            bias(curve, math.inf, "msu_informative")
-
-
 class TestPresets:
     def test_catalog_complete(self):
         expected = {
@@ -406,10 +381,10 @@ class TestConfigJson:
             with pytest.raises(InvalidInputError, match="replicates"):
                 config_from_json({**self.BASE, "replicates": value})
 
-    def test_non_finite_theta_ref_rejected(self):
-        for value in ("nan", float("nan"), float("inf"), "-inf"):
-            with pytest.raises(InvalidInputError, match="theta_ref"):
-                config_from_json({**self.BASE, "theta_ref": value})
+    def test_theta_ref_is_an_unknown_field(self):
+        # nothing reads a reference value, so the key is no longer part of the schema
+        with pytest.raises(InvalidInputError, match="unknown experiment config field.*theta_ref"):
+            config_from_json({**self.BASE, "theta_ref": 0.5})
 
     @pytest.mark.parametrize(
         "group, match",
@@ -426,6 +401,7 @@ class TestConfigJson:
             ({"count": {"binary_equivalent": 1}}, "binary_equivalent"),
             ({"count": {"step": 2}}, "unknown group count field.*step"),
             ({"colour": "red"}, "unknown group field.*colour"),
+            ({"count": {"window": [4, 2]}}, r"count window \[4, 2\] is reversed"),
         ],
     )
     def test_group_fields_checked(self, group, match):
@@ -442,6 +418,7 @@ class TestConfigJson:
             ({"window": [True, 5]}, "tracked window"),
             ({"groups": "mk"}, "tracked groups"),
             ({"label": "s", "groups": ["mk"], "weight": 1}, "unknown tracked subset field"),
+            ({"window": [4, 2]}, r"tracked window \[4, 2\] is reversed"),
         ],
     )
     def test_tracked_fields_checked(self, subset, match):
@@ -489,7 +466,7 @@ class TestConfigJson:
             ("class_card", "2"),
             ("kononenko_k", "1"),
             ("xor_noise", "0.05"),
-            ("theta_ref", "0.5"),
+            ("sample_size_policy", {"computed": "10"}),
             ("sweep", {"kind": "sample_size", "values": ["20"]}),
             ("sweep", {"kind": "sample_size", "start": "8", "stop": 10}),
             ("groups", [{**_group("mk", "kononenko", 2), "count": "1"}]),
@@ -519,9 +496,9 @@ class TestConfigJson:
             config_from_json({**self.BASE, **changes})
 
     def test_integers_are_numbers(self):
-        cfg = config_from_json({**self.BASE, "kononenko_k": 2, "xor_noise": 0, "theta_ref": 1})
-        assert (cfg.kononenko_k, cfg.xor_noise, cfg.theta_ref) == (2.0, 0.0, 1.0)
-        assert all(type(v) is float for v in (cfg.kononenko_k, cfg.xor_noise, cfg.theta_ref))
+        cfg = config_from_json({**self.BASE, "kononenko_k": 2, "xor_noise": 0})
+        assert (cfg.kononenko_k, cfg.xor_noise) == (2.0, 0.0)
+        assert all(type(v) is float for v in (cfg.kononenko_k, cfg.xor_noise))
 
     @pytest.mark.parametrize(
         "changes",

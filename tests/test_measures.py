@@ -286,6 +286,13 @@ class TestSampleValidation:
         with pytest.raises(InvalidInputError, match="rectangle"):
             CategoricalSample.from_columns([[[0, 1], [1]]], (2,))
 
+    def test_duplicate_column_names_rejected(self):
+        # column_index would find only the first, and read_csv refuses such a header
+        with pytest.raises(InvalidInputError, match="duplicate column names"):
+            CategoricalSample([[0, 1]], (2, 2), ("a", "a"))
+        with pytest.raises(InvalidInputError, match="duplicate column names"):
+            CategoricalSample.from_columns([[0], [1]], (2, 2), column_names=("a", "a"))
+
     def test_cardinality_past_int64_rejected(self):
         largest = 2**63 - 1
         assert CategoricalSample([[0]], (largest,)).cardinalities == (largest,)

@@ -64,6 +64,14 @@ class TestHeuristicSampleSize:
         with pytest.raises(InvalidInputError, match="factor"):
             heuristic_sample_size(CardinalityProfile((2, 2), 2), factor=factor)
 
+    def test_fractional_factor_past_float_range_rejected(self):
+        # a whole factor multiplies exactly; a fraction goes through a float
+        huge = CardinalityProfile((10**310,), 2)
+        assert heuristic_sample_size(huge, factor=2.0) == 4 * 10**310
+        for profile in (huge, CardinalityProfile((10**308,), 1)):
+            with pytest.raises(InvalidInputError, match="past the float range"):
+                heuristic_sample_size(profile, factor=2.5)
+
 
 class TestChi2Critical:
     def test_reference_values(self):
@@ -82,6 +90,10 @@ class TestChi2Critical:
         for alpha, df in ((0.0, 7), (1.0, 7), (-0.1, 7), (0.05, 0)):
             with pytest.raises(InvalidInputError):
                 chi2_critical(alpha, df)
+        # df past the float range, and one whose bracket doubles past it
+        for df in (10**400, 10**308):
+            with pytest.raises(InvalidInputError, match="past the float range"):
+                chi2_critical(0.05, df)
 
 
 class TestExtremeSample:
@@ -196,6 +208,9 @@ class TestClosedFormStatistic:
                 extreme_sample(m, k)
             with pytest.raises(InvalidInputError):
                 extreme_sample_chi2(m, k)
+        # extreme_sample builds this one, but its statistic is past the float range
+        with pytest.raises(InvalidInputError, match="past the float range"):
+            extreme_sample_chi2(10**400, 3)
 
 
 class TestRepresentativenessReport:

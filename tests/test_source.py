@@ -1,0 +1,57 @@
+"""Static checks on the package source, with the standard library only.
+
+Each import in `src/msulab/` must be used, and `msulab.__all__` must list
+exactly the public names that `__init__.py` imports, so deleting a function
+cannot leave a stale import or export behind.
+"""
+
+import ast
+from pathlib import Path
+
+import msulab
+
+PACKAGE = Path(msulab.__file__).parent
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imports(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds -> the line of that import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _all(tree: ast.Module) -> list[str]:
+    """The strings of a module-level `__all__ = [...]`, or []."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= set(_all(tree))  # a re-export is a use
+        unused += [f"{path.name}:{line}: {name}" for name, line in _imports(tree).items() if name not in read]
+    assert not unused, unused
+
+
+def test_all_is_exactly_the_public_imports():
+    tree = _tree(PACKAGE / "__init__.py")
+    public = {name for name in _imports(tree) if not name.startswith("_")}
+    assert len(set(msulab.__all__)) == len(msulab.__all__), "a name listed twice"
+    assert set(msulab.__all__) == public
