@@ -30,14 +30,16 @@ from .generators import (
     gen_kononenko,
     gen_uniform,
 )
-from .sample import CategoricalSample, _Filled
+from .sample import CategoricalSample, _Filled, check_codes, code_matrix
 
 CLASS_COLUMN = "clase"
 
-# Most cells (rows x columns, class included) one generated dataset may hold:
-# 2 GiB of int64 codes. The largest preset's dataset holds 10.5M cells, 25x
-# fewer. The cap is fixed rather than read from the machine, so a size that
-# is out of reach fails the same way everywhere, before any draw.
+# Most cells (rows x columns, class included) one generated dataset may hold.
+# Its bytes depend on the code dtype (`msulab.sample.code_dtype`): 256 MiB
+# of one-byte codes, 2 GiB of int64 ones. The largest preset's dataset holds
+# 10.5M cells, 25x fewer. The cap counts cells, not bytes, and is fixed
+# rather than read from the machine, so a size that is out of reach fails
+# the same way everywhere, before any draw.
 MAX_DATASET_CELLS = 1 << 28
 
 
@@ -92,10 +94,11 @@ def generate_dataset(
     no columns are produced. Sweeps that shrink a block to nothing can keep
     every other block's randomness untouched this way.
 
-    The (m, p) column-major code matrix is allocated once, after every size
-    check, and each generator's output is written into its column as it is
-    drawn (an XOR pair's straight from its draws), so the sample's codes are
-    the only full-size copy.
+    The (m, p) column-major `code_matrix` is allocated once, after every size
+    check, in the narrow dtype the cardinalities allow. Each generator draws
+    int64 codes; they are range-checked and written into their column as
+    they are drawn (an XOR pair's straight from its draws), so the sample's
+    codes are the only full-size copy.
     """
     blocks = tuple(blocks)
     present = [(i, b) for i, b in enumerate(blocks) if b is not None]
@@ -123,7 +126,7 @@ def generate_dataset(
             f"a generated dataset holds at most {MAX_DATASET_CELLS}"
         )
 
-    codes = np.empty((m, len(cards)), dtype=np.int64, order="F")
+    codes = code_matrix(m, cards)
     class_codes = codes[:, -1]
     if xor_blocks:
         bi = xor_blocks[0]
@@ -131,17 +134,30 @@ def generate_dataset(
         f1, f2 = codes[:, first], codes[:, first + 1]
         fill_xor_pair(f1, f2, class_codes, xor_noise, rng.stream(bi + 1, 0))
     else:
-        class_codes[:] = gen_class(class_card, m, rng.stream(0, 0))
+        _put(class_codes, gen_class(class_card, m, rng.stream(0, 0)), class_card)
 
     j = 0
     for bi, blk in present:
+        if blk.kind is GeneratorKind.XOR_PAIR:  # written with the class above
+            j += len(blk.names)
+            continue
         for ci in range(len(blk.names)):
             if blk.kind is GeneratorKind.UNIFORM:
-                codes[:, j] = gen_uniform(blk.cardinality, m, rng.stream(bi + 1, ci))
-            elif blk.kind is GeneratorKind.KONONENKO:
-                codes[:, j] = gen_kononenko(
+                column = gen_uniform(blk.cardinality, m, rng.stream(bi + 1, ci))
+            else:
+                column = gen_kononenko(
                     class_codes, blk.cardinality, k, rng.stream(bi + 1, ci), class_card=class_card
                 )
+            _put(codes[:, j], column, blk.cardinality)
+            del column  # freed before the next column is drawn
             j += 1
 
     return CategoricalSample(_Filled(codes), cards, all_names + [CLASS_COLUMN])
+
+
+def _put(target: np.ndarray, column: np.ndarray, card: int) -> None:
+    """Write a generated int64 column into its narrow matrix column, once
+    its codes are known to fit: the write is the cast, which would wrap a
+    code past `card` into range."""
+    check_codes([column], [card])
+    target[:] = column

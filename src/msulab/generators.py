@@ -112,20 +112,27 @@ def gen_kononenko(
     rng: np.random.Generator,
     class_card: int | None = None,
 ) -> np.ndarray:
-    """Individually informative column conditioned on an existing class column.
+    """Individually informative int64 column conditioned on an existing class column.
 
     The alphabet {0..V-1} splits into {0..floor(V/2)-1} and the rest (for odd V
     the lower half is the smaller one). Each row picks the lower half with
     the first-half probability of its class value (`_first_half_probs`), then
     a uniform member of the chosen half.
+
+    An integer class column, such as a sample's narrow one, is read as it
+    is, not copied. Besides the (m, 2) draws and the result, the work takes
+    one float column, one int64 column and one mask, reused in place.
     """
     check_card(cardinality)
-    codes = np.asarray(class_codes, dtype=np.int64)
+    codes = np.asarray(class_codes)
+    if codes.dtype.kind not in "iu":  # bools, whole floats, ...
+        codes = codes.astype(np.int64)
     if codes.ndim != 1 or codes.size == 0:
         raise InvalidInputError("class column must be a non-empty 1-D array")
+    top = int(codes.max()) + 1
     if class_card is None:
-        class_card = int(codes.max()) + 1
-    if codes.min() < 0 or codes.max() >= class_card:
+        class_card = top
+    if codes.min() < 0 or top > class_card:
         raise InvalidInputError("class codes exceed the class cardinality")
 
     # Once per class value and looked up by row while there are no more
@@ -133,19 +140,29 @@ def gen_kononenko(
     # row, so the cost follows m, never class_card.
     check_k(k)
     m = codes.size
-    top = int(codes.max()) + 1
     if top <= m:
         p_first = _first_half_probs(np.arange(1, top + 1), k, class_card)[codes]
-    else:
-        p_first = _first_half_probs(codes + 1, k, class_card)
+    else:  # widened first: a narrow code + 1 would wrap
+        p_first = _first_half_probs(np.add(codes, 1, dtype=np.int64), k, class_card)
     lower = cardinality // 2
     upper = cardinality - lower
     draws = rng.random((m, 2))  # one row of draws per sample row: (half, member)
     in_lower = draws[:, 0] < p_first
     member = draws[:, 1]
-    lower_vals = np.minimum((member * lower).astype(np.int64), lower - 1)
-    upper_vals = lower + np.minimum((member * upper).astype(np.int64), upper - 1)
-    return np.where(in_lower, lower_vals, upper_vals)
+    scaled = p_first  # spent; its buffer holds the scaled members from here on
+    lower_vals = np.multiply(member, lower, out=scaled).astype(np.int64)
+    np.minimum(lower_vals, lower - 1, out=lower_vals)
+    np.multiply(member, upper, out=scaled)
+    del draws, member  # spent too: freed before the last column is allocated
+    vals = scaled.astype(np.int64)
+    np.minimum(vals, upper - 1, out=vals)
+    vals += lower
+    # where(in_lower, lower_vals, vals) with no branch per row, which a
+    # random mask would mispredict: vals + in_lower * (lower_vals - vals)
+    lower_vals -= vals
+    lower_vals *= in_lower
+    vals += lower_vals
+    return vals
 
 
 def check_xor_noise(noise: float) -> None:
@@ -158,7 +175,7 @@ def fill_xor_pair(
     f1: np.ndarray, f2: np.ndarray, class_codes: np.ndarray, noise: float, rng: np.random.Generator
 ) -> None:
     """Collectively informative pair plus its class column, written into
-    three given int64 columns of one length.
+    three given integer columns of one length, such as a sample's uint8 ones.
 
     f1 and f2 are i.i.d. uniform binary; the class equals XOR(f1, f2) with
     probability 1 - noise and its complement otherwise, via an independent
@@ -166,7 +183,8 @@ def fill_xor_pair(
     uncorrelated or anti-correlated with the pair, so it is rejected.
 
     The draws are one (m, 3) row-major float matrix; each column is written
-    from them in place, with no further temporary.
+    from them in place, with no further temporary (a comparison's bools are
+    0 and 1 in any integer dtype).
     """
     check_xor_noise(noise)
     draws = rng.random((len(f1), 3))

@@ -582,6 +582,10 @@ def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
         data = json.loads(text_or_mapping) if isinstance(text_or_mapping, str) else text_or_mapping
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"experiment config is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # valid JSON that Python cannot load: an integer past its int-string
+        # limit (4,300 digits), or arrays nested past its recursion limit
+        raise InvalidInputError(f"experiment config cannot be read: {exc}") from None
     _check_object(data, "experiment config", _CONFIG_FIELDS)
     try:
         sweep_data = data["sweep"]

@@ -6,14 +6,20 @@ cardinality may exceed the number of codes actually observed, which matters for
 sample-size arithmetic but never for the plug-in probability estimates: those
 are built from observed counts only.
 
-The codes are stored column-major: one read-only, Fortran-ordered int64
-matrix, so each column is one contiguous block of memory. Joint histograms
-key their cells from those columns directly. `from_columns` (the path of CSV
-data) writes each input column straight into its place in the matrix, and
-`msulab.dataset.generate_dataset` writes each generated column into its place
-as it is drawn. Every sample, however it is built, passes the same validation
-in `__post_init__`; a matrix given to the constructor is copied first, one
-that either path filled (wrapped in `_Filled`) is not copied again.
+The codes are stored column-major: one read-only, Fortran-ordered matrix, so
+each column is one contiguous block of memory. Its dtype is the narrowest
+that holds every code below the sample's largest cardinality (`code_dtype`:
+uint8 up to 256, uint16 up to 65,536, uint32 up to 2**32, int64 past that),
+so the binary to 40-value alphabets of the paper take one byte a code.
+Joint histograms key their cells from those columns directly, widened to
+int64 first. `from_columns` (the path of CSV data) writes each input column
+straight into its place in the matrix, and
+`msulab.dataset.generate_dataset` writes each generated column into its
+place as it is drawn. Every column is range-checked before it is cast to the
+narrow dtype (`check_codes`), so a bad code is reported, never wrapped into
+range. Every sample, however it is built, passes the same validation in
+`__post_init__`; a matrix given to the constructor is copied first, one that
+either path filled (wrapped in `_Filled`) is not copied again.
 """
 
 from __future__ import annotations
@@ -31,12 +37,41 @@ from .errors import InvalidInputError
 # cells. It also caps the size of one prefix count matrix.
 _DENSE_CELL_LIMIT = 1 << 21
 
-# Codes are int64, so no column's alphabet may be larger than this.
+# The widest codes are int64, so no column's alphabet may be larger than this.
 MAX_CARDINALITY = int(np.iinfo(np.int64).max)
 
 
+def code_dtype(cardinalities: Sequence[int]) -> np.dtype:
+    """The dtype of a sample's codes: the narrowest of uint8, uint16 and
+    uint32 that holds every code below the largest of `cardinalities`,
+    else int64. Every code matrix is allocated in it (`code_matrix`)."""
+    top = max(cardinalities)
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= int(np.iinfo(dtype).max) + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def code_matrix(m: int, cardinalities: Sequence[int]) -> np.ndarray:
+    """A new, unfilled m-row column-major matrix for codes of `cardinalities`."""
+    return np.empty((m, len(cardinalities)), dtype=code_dtype(cardinalities), order="F")
+
+
+def check_codes(columns: Sequence[np.ndarray], cardinalities: Sequence[int]) -> None:
+    """Reject a negative code, then a code at or past its column's cardinality.
+
+    Each column's extremes are compared as Python ints, so the check is exact
+    in any numeric dtype. It must run before codes are cast to a narrower
+    dtype, which would wrap a bad code into range.
+    """
+    if any(column.min() < 0 for column in columns):
+        raise InvalidInputError("category codes must be non-negative")
+    if any(int(column.max()) >= card for column, card in zip(columns, cardinalities)):
+        raise InvalidInputError("a category code exceeds its column's declared cardinality")
+
+
 class _Filled:
-    """An int64, column-major code matrix that `from_columns` or
+    """A `code_matrix` that `from_columns` or
     `msulab.dataset.generate_dataset` allocated and filled, so no caller
     holds it; the constructor validates it without a copy."""
 
@@ -58,10 +93,37 @@ def _code_array(values) -> np.ndarray:
     # only float input can carry a fraction; integer input skips the check
     if codes.dtype.kind == "f" and not (np.isfinite(codes) & (codes == np.trunc(codes))).all():
         raise InvalidInputError("category codes must be finite whole numbers")
-    # the int64 cast would wrap these to negative codes; the bound is 2**63,
+    # codes past int64 fit no code dtype; the bound is 2**63,
     # not MAX_CARDINALITY, which a float compare would round up to 2**63
     if codes.dtype.kind in "uf" and codes.size and codes.max() >= MAX_CARDINALITY + 1:
         raise InvalidInputError(f"category code {int(codes.max())} is past int64 (max {MAX_CARDINALITY})")
+    return codes
+
+
+def _checked_cards(shape: tuple[int, ...], cardinalities: Sequence[int]) -> tuple[int, ...]:
+    """`cardinalities` as ints, once `shape` is an m x p matrix of at least
+    one cell and each of its p columns has a cardinality in [1, MAX_CARDINALITY]."""
+    if len(shape) != 2:
+        raise InvalidInputError(f"codes must be a 2-D matrix, got ndim={len(shape)}")
+    m, p = shape
+    if m < 1 or p < 1:
+        raise InvalidInputError(f"sample must have at least one row and one column, got {m}x{p}")
+    cards = tuple(int(c) for c in cardinalities)
+    if len(cards) != p:
+        raise InvalidInputError(f"expected {p} cardinalities, got {len(cards)}")
+    if any(c < 1 for c in cards):
+        raise InvalidInputError("cardinalities must be positive")
+    if any(c > MAX_CARDINALITY for c in cards):
+        raise InvalidInputError(f"cardinalities must not exceed {MAX_CARDINALITY} (int64 codes)")
+    return cards
+
+
+def _narrowed(columns: Sequence[np.ndarray], cardinalities: tuple[int, ...]) -> np.ndarray:
+    """A new `code_matrix` holding `columns`, each range-checked before the cast."""
+    check_codes(columns, cardinalities)
+    codes = code_matrix(len(columns[0]), cardinalities)
+    for j, column in enumerate(columns):
+        codes[:, j] = column
     return codes
 
 
@@ -83,26 +145,15 @@ class CategoricalSample:
 
     def __post_init__(self) -> None:
         if isinstance(self.codes, _Filled):
-            codes = self.codes.matrix  # int64 codes, written by their filler
+            codes = self.codes.matrix  # a code_matrix, written by its filler
+            cards = _checked_cards(codes.shape, self.cardinalities)
         else:
-            # the defensive copy, column-major like every sample's codes
-            codes = np.array(_code_array(self.codes), dtype=np.int64, order="F")
-        if codes.ndim != 2:
-            raise InvalidInputError(f"codes must be a 2-D matrix, got ndim={codes.ndim}")
-        m, p = codes.shape
-        if m < 1 or p < 1:
-            raise InvalidInputError(f"sample must have at least one row and one column, got {m}x{p}")
-        cards = tuple(int(c) for c in self.cardinalities)
-        if len(cards) != p:
-            raise InvalidInputError(f"expected {p} cardinalities, got {len(cards)}")
-        if any(c < 1 for c in cards):
-            raise InvalidInputError("cardinalities must be positive")
-        if any(c > MAX_CARDINALITY for c in cards):
-            raise InvalidInputError(f"cardinalities must not exceed {MAX_CARDINALITY} (int64 codes)")
-        if codes.min() < 0:
-            raise InvalidInputError("category codes must be non-negative")
-        if (codes.max(axis=0) >= np.asarray(cards, dtype=np.int64)).any():
-            raise InvalidInputError("a category code exceeds its column's declared cardinality")
+            # the defensive copy, in the layout and dtype of every sample's codes
+            given = _code_array(self.codes)
+            cards = _checked_cards(given.shape, self.cardinalities)
+            codes = _narrowed(given.T, cards)
+        check_codes(codes.T, cards)
+        p = codes.shape[1]
         if self.column_names is not None:
             names = tuple(self.column_names)
             if len(names) != p:
@@ -148,9 +199,9 @@ class CategoricalSample:
     ) -> "CategoricalSample":
         """Sample whose j-th column holds `columns[j]`.
 
-        The columns must be 1-D and of equal length. Each is written into its
-        place in a new column-major matrix, which the constructor validates
-        without copying it again.
+        The columns must be 1-D and of equal length. Each is range-checked,
+        then written into its place in a new `code_matrix`, which the
+        constructor validates without copying it again.
         """
         arrays = [_code_array(c) for c in columns]
         if not arrays:
@@ -162,11 +213,9 @@ class CategoricalSample:
                 raise InvalidInputError(
                     f"columns must have equal lengths, got {len(arrays[0])} and {len(a)}"
                 )
-        codes = np.empty((len(arrays[0]), len(arrays)), dtype=np.int64, order="F")
-        for j, a in enumerate(arrays):
-            codes[:, j] = a
+        cards = _checked_cards((len(arrays[0]), len(arrays)), cardinalities)
         return cls(
-            _Filled(codes), tuple(cardinalities), tuple(column_names) if column_names else None
+            _Filled(_narrowed(arrays, cards)), cards, tuple(column_names) if column_names else None
         )
 
 
@@ -256,7 +305,10 @@ def _cell_ids(columns: Sequence[np.ndarray], dims: Sequence[int]) -> tuple[np.nd
         return ids.reshape(-1), len(cells)
     keys = columns[0]
     if len(columns) > 1:
-        keys = keys * dims[1]  # a new array: the sample's own column is never written
+        # widened to int64 before the first multiply: a narrow column times a
+        # Python int keeps the column's dtype and would wrap. A new array, so
+        # the sample's own column is never written.
+        keys = np.multiply(keys, dims[1], dtype=np.int64)
         keys += columns[1]
         for column, d in zip(columns[2:], dims[2:]):
             keys *= d

@@ -173,13 +173,20 @@ def min_representative_m(k: int, alpha: float = 0.05) -> int:
     return _critical_and_m_star(int(k), alpha)[1]
 
 
+def _cell_count(k: int) -> str:
+    """`k` for an error message: in full below 2**64, else as a power of two
+    it reaches, since Python formats no int of more than 4,300 digits."""
+    return str(k) if k.bit_length() <= 64 else f"at least 2**{k.bit_length() - 1}"
+
+
 def _critical_and_m_star(k: int, alpha: float) -> tuple[float, int]:
     """`chi2_critical(alpha, k - 1)` and the m* it gives: the one search for m*."""
     if k < 2:
         raise InvalidInputError(f"need at least two cells, got {k}")
     if k > MAX_CELLS:
         raise InvalidInputError(
-            f"a joint space of {k} cells exceeds the {MAX_CELLS} the float statistic resolves"
+            f"a joint space of {_cell_count(k)} cells exceeds the {MAX_CELLS} "
+            "the float statistic resolves"
         )
     critical = chi2_critical(alpha, k - 1)
     n = k - 1

@@ -442,6 +442,12 @@ def _config_file(tmp_path, **changes):
     return ["experiment", "--config", str(path)]
 
 
+def _config_text(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return ["experiment", "--config", str(path)]
+
+
 def _csv_file(tmp_path, content):
     path = tmp_path / "data.csv"
     path.write_bytes(content)
@@ -456,6 +462,13 @@ MALFORMED = {
     ),
     "tracked-label-number": lambda tmp: _config_file(tmp, tracked=[{"label": 7, "groups": ["mk"]}]),
     "tracked-group-number": lambda tmp: _config_file(tmp, tracked=[{"label": "s", "groups": [1]}]),
+    # valid JSON that json.loads cannot load: past the int-string and the recursion limit
+    "config-sweep-value-5000-digits": lambda tmp: _config_text(
+        tmp, '{"name": "x", "sweep": {"kind": "cardinality", "values": [' + "1" * 5000 + "]}}"
+    ),
+    "config-nested-100000-deep": lambda tmp: _config_text(tmp, "[" * 100_000 + "]" * 100_000),
+    # a joint space of 8,402 digits, which Python will not format
+    "recommend-cards-4201-digits": lambda tmp: ["recommend", "--cards", ",".join(["9" * 4201] * 2)],
     "csv-not-utf8": lambda tmp: _csv_file(tmp, b"a,b\nx,caf\xe9\n"),
     "csv-field-too-large": lambda tmp: _csv_file(tmp, b"a,b\nx," + b"z" * 140_000 + b"\n"),
     "csv-ragged-row": lambda tmp: _csv_file(tmp, b"a,b\nx,y\nx\nx,y\n"),

@@ -21,7 +21,7 @@ from msulab import (
     generate_dataset,
     symmetrical_uncertainty,
 )
-from msulab import harness
+from msulab import dataset, harness
 from msulab.dataset import check_xor_class
 from msulab.generators import check_k, check_xor_noise, fill_xor_pair
 from msulab.presets import preset
@@ -37,6 +37,16 @@ def _xor_pair(m, noise, rng):
     f1, f2, cls = np.empty((m, 3), dtype=np.int64, order="F").T
     fill_xor_pair(f1, f2, cls, noise, rng)
     return f1, f2, cls
+
+
+class _HalfDraws:
+    """A stand-in generator whose half draws are given and whose member draws are 0."""
+
+    def __init__(self, half):
+        self.half = half
+
+    def random(self, shape):
+        return np.column_stack([self.half, np.zeros(shape[0])])
 
 
 class TestSeededRng:
@@ -187,17 +197,30 @@ class TestGenKononenko:
         # per-row probabilities and 8 rows the per-class lookup
         cls = np.tile(np.array([0, 1, 2, class_card - 1]) % class_card, copies)
         p = np.array([kononenko_first_half_prob(int(c) + 1, 0.3, class_card) for c in cls])
-
-        class Draws:
-            def __init__(self, half):
-                self.half = half
-
-            def random(self, shape):
-                return np.column_stack([self.half, np.zeros(shape[0])])
-
-        at = gen_kononenko(cls, 4, 0.3, Draws(p), class_card=class_card)
-        below = gen_kononenko(cls, 4, 0.3, Draws(np.nextafter(p, 0.0)), class_card=class_card)
+        at = gen_kononenko(cls, 4, 0.3, _HalfDraws(p), class_card=class_card)
+        below = gen_kononenko(cls, 4, 0.3, _HalfDraws(np.nextafter(p, 0.0)), class_card=class_card)
         assert (at >= 2).all() and (below < 2).all()
+
+    @pytest.mark.parametrize("copies", [1, 100], ids=["per-row", "per-class"])
+    def test_narrow_class_codes_reach_the_same_thresholds(self, copies):
+        # a sample's class column is uint8 up to 256 classes; 255 + 1 taken
+        # in uint8 would wrap to 0 and give class index 0's probability.
+        # 4 rows take the per-row probabilities, 400 the per-class lookup.
+        class_card = 256
+        wide = np.tile(np.array([0, 1, 254, 255]), copies)
+        p = np.array([kononenko_first_half_prob(int(c) + 1, 0.3, class_card) for c in wide])
+        for cls in (wide, wide.astype(np.uint8)):
+            at = gen_kononenko(cls, 4, 0.3, _HalfDraws(p), class_card=class_card)
+            below = gen_kononenko(cls, 4, 0.3, _HalfDraws(np.nextafter(p, 0.0)), class_card=class_card)
+            assert (at >= 2).all() and (below < 2).all()
+
+    @pytest.mark.parametrize("cardinality", [2, 5, 40, 2**62 + 1])
+    def test_narrow_class_column_gives_the_int64_columns_codes(self, cardinality):
+        cls = gen_class(10, 5000, _rng(3))
+        wide = gen_kononenko(cls, cardinality, 0.7, _rng(9), class_card=10)
+        narrow = gen_kononenko(cls.astype(np.uint8), cardinality, 0.7, _rng(9), class_card=10)
+        assert narrow.dtype == wide.dtype == np.int64
+        assert np.array_equal(narrow, wide)
 
 
 class TestInt64Bounds:
@@ -285,6 +308,35 @@ class TestGeneratorSpec:
         check_xor_class(2)
 
 
+def _traced(build, m):
+    """`build(m)` and the peak of the memory that numpy and Python allocate for it."""
+    build(10)  # warm caches out of the trace
+    tracemalloc.start()
+    try:
+        result = build(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _union_dataset(name):
+    """A preset's one dataset per replicate, as `_run_layout` generates it,
+    and its traced peak."""
+    config = preset(name)
+    points = {i: harness.resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
+    (members,) = harness._nested_groups(config, points)
+    nested = [points[i] for i in members]
+    blocks = harness._union_blocks(nested)
+    return _traced(
+        lambda m: generate_dataset(
+            m, config.class_card, blocks, SeededRng(3, 0),
+            k=config.kononenko_k, xor_noise=config.xor_noise,
+        ),
+        max(p.m for p in nested),
+    )
+
+
 class TestGenerateDataset:
     def test_layout_and_names(self):
         sample = generate_dataset(
@@ -369,36 +421,65 @@ class TestGenerateDataset:
             block("mk", GeneratorKind.KONONENKO, 7, 4),
             block("u", GeneratorKind.UNIFORM, 6, 3),
         ]
-        generate_dataset(10, 2, blocks, SeededRng(3, 0))  # warm caches out of the trace
-        tracemalloc.start()
-        try:
-            sample = generate_dataset(200_000, 2, blocks, SeededRng(3, 0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        sample, peak = _traced(lambda m: generate_dataset(m, 2, blocks, SeededRng(3, 0)), 200_000)
         assert sample.codes.shape == (200_000, 16)
+        assert sample.codes.dtype == np.uint8
         assert sample.codes.flags.f_contiguous and not sample.codes.flags.writeable
-        # the generated columns plus the matrix; a further full copy would pass 3x
-        assert peak < 2.5 * sample.codes.nbytes
+        # the 3.2 MB matrix plus one column's work: the XOR pair's (m, 3)
+        # float draws (4.8 MB) or a Kononenko column's 33 bytes a row
+        # (6.6 MB); an int64 matrix alone would take 25.6 MB
+        assert peak < 12_000_000
 
     def test_large_xor_union_is_drawn_straight_into_its_matrix(self):
         # fig-xor-2's one dataset per replicate: 655,360 rows x 16 columns
-        config = preset("fig-xor-2")
-        points = {i: harness.resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
-        (members,) = harness._nested_groups(config, points)
-        nested = [points[i] for i in members]
-        blocks, m = harness._union_blocks(nested), max(p.m for p in nested)
-        generate_dataset(10, 2, blocks, SeededRng(3, 0))  # warm caches out of the trace
-        tracemalloc.start()
-        try:
-            sample = generate_dataset(m, 2, blocks, SeededRng(3, 0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        sample, peak = _union_dataset("fig-xor-2")
         assert sample.codes.shape == (655_360, 16)
-        # the matrix plus one column's draws; collecting the columns before
-        # copying them into the matrix takes 2x
-        assert peak < 1.25 * sample.codes.nbytes
+        # the 10.5 MB matrix plus the pair's (m, 3) float draws (15.7 MB);
+        # an int64 matrix alone would take 84 MB
+        assert peak < 28_000_000
+
+    def test_kononenko_union_peaks_at_its_matrix_plus_one_columns_work(self):
+        # fig-h's one dataset per replicate: 163,840 rows x 40 columns, 13 of
+        # them Kononenko ones and 2 an XOR pair
+        sample, peak = _union_dataset("fig-h")
+        m = sample.n_rows
+        assert sample.codes.shape == (163_840, 40) and sample.codes.dtype == np.uint8
+        # the 6.5 MB matrix plus one Kononenko column's 33 bytes a row: its
+        # (m, 2) draws, one float and one int64 column and a mask. Each step
+        # into a new temporary takes 57 bytes a row (9.3 MB).
+        assert peak < sample.codes.nbytes + 36 * m
+
+    @pytest.mark.parametrize(
+        "card, dtype",
+        [(256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
+         (2**32, np.uint32), (2**32 + 1, np.int64)],
+    )
+    def test_generated_codes_take_the_narrowest_dtype(self, card, dtype):
+        blocks = [block("x", GeneratorKind.XOR_PAIR, 2, 2), block("u", GeneratorKind.UNIFORM, 1, card)]
+        sample = generate_dataset(500, 2, blocks, SeededRng(4, 0))
+        assert sample.codes.dtype == dtype
+        drawn = gen_uniform(card, 500, SeededRng(4, 0).stream(2, 0))
+        assert np.array_equal(sample.codes[:, 2], drawn)
+        f1, f2, cls = _xor_pair(500, 0.05, SeededRng(4, 0).stream(1, 0))
+        assert np.array_equal(sample.codes[:, [0, 1, 3]], np.column_stack([f1, f2, cls]))
+
+    @pytest.mark.parametrize("card", [2, 256, 65_536])
+    def test_generated_code_at_its_cardinality_rejected_not_wrapped(self, monkeypatch, card):
+        # `card` wraps to 0 in a uint8 column at 256 and a uint16 one at 65,536
+        monkeypatch.setattr(dataset, "gen_uniform", lambda card, m, rng: np.full(m, card))
+        with pytest.raises(InvalidInputError, match="exceeds its column's declared cardinality"):
+            generate_dataset(10, 2, [block("u", GeneratorKind.UNIFORM, 1, card)], SeededRng(1, 0))
+
+    def test_generated_class_code_at_its_cardinality_rejected_not_wrapped(self, monkeypatch):
+        monkeypatch.setattr(dataset, "gen_class", lambda card, m, rng: np.full(m, card))
+        with pytest.raises(InvalidInputError, match="exceeds its column's declared cardinality"):
+            generate_dataset(10, 256, [block("u", GeneratorKind.UNIFORM, 1, 2)], SeededRng(1, 0))
+
+    def test_negative_generated_code_rejected_not_wrapped(self, monkeypatch):
+        # -1 wraps to 255 in a uint8 column
+        monkeypatch.setattr(dataset, "gen_kononenko", lambda cls, *args, **kwargs: np.full(len(cls), -1))
+        with pytest.raises(InvalidInputError, match="must be non-negative"):
+            generate_dataset(10, 2, [block("mk", GeneratorKind.KONONENKO, 1, 4)], SeededRng(1, 0))
 
     def test_xor_columns_are_gen_xor_pairs_arrays(self):
         # the pair sits after a uniform block, so its columns are not first

@@ -23,7 +23,7 @@ from msulab import (
 )
 from msulab import measures
 from msulab.measures import msu_at_prefixes, subset_entropies
-from msulab.sample import joint_counts, normalize_columns
+from msulab.sample import code_dtype, joint_counts, normalize_columns
 from oracle_utils import coded_table, entropy_of_counts
 
 # The three 8-row tables: two binary columns plus a class; B flips one cell of
@@ -45,7 +45,7 @@ def test_fractional_float_codes_rejected():
         with pytest.raises(InvalidInputError):
             CategoricalSample([[0, 1], [bad, 0]], (2, 2))
     whole = CategoricalSample(np.array([[0.0, 1.0], [1.0, 0.0]]), (2, 2))
-    assert whole.codes.dtype == np.int64
+    assert whole.codes.dtype == np.uint8
     assert whole.codes.tolist() == [[0, 1], [1, 0]]
 
 
@@ -332,7 +332,7 @@ class TestSampleValidation:
         sample = CategoricalSample.from_columns(
             [np.array([True, False]), np.array([1, 2], dtype=np.uint8)], (2, 3)
         )
-        assert sample.codes.dtype == np.int64
+        assert sample.codes.dtype == np.uint8
         assert sample.codes.tolist() == [[1, 1], [0, 2]]
 
     def test_unhashable(self):
@@ -366,6 +366,68 @@ class TestSampleValidation:
         narrow = CategoricalSample([[0], [1]], (2,))
         wide = CategoricalSample([[0], [1]], (9,))
         assert joint_entropy(narrow, [0]).value == joint_entropy(wide, [0]).value == 1.0
+
+
+class TestCodeDtype:
+    """Codes take the narrowest dtype that holds every code below the
+    largest cardinality, on every path that builds a sample."""
+
+    @pytest.mark.parametrize(
+        "card, dtype",
+        [(2, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+         (65_537, np.uint32), (2**32, np.uint32), (2**32 + 1, np.int64), (2**63 - 1, np.int64)],
+    )
+    def test_dtype_at_each_boundary(self, card, dtype):
+        assert code_dtype((2, card)) == code_dtype((card, 2)) == dtype
+        for sample in (
+            CategoricalSample([[1, 0], [0, card - 1]], (2, card)),
+            CategoricalSample.from_columns([[1, 0], [0, card - 1]], (2, card)),
+        ):
+            assert sample.codes.dtype == dtype  # for the binary column too
+            assert sample.codes.tolist() == [[1, 0], [0, card - 1]]
+            assert sample.codes.flags.f_contiguous and not sample.codes.flags.writeable
+
+    @pytest.mark.parametrize(
+        "cards", [(40, 40), (40, 40, 7), (300, 300), (300, 300, 300)],
+        ids=["uint8-dense", "uint8-3-dense", "uint16-dense", "uint16-sparse"],
+    )
+    def test_joint_keys_are_widened_before_they_could_wrap(self, cards):
+        # keys pass 255 in the uint8 samples and 65,535 in the uint16 ones,
+        # where a narrow column times a Python int keeps the narrow dtype
+        rng = np.random.default_rng(5)
+        columns = [rng.integers(0, c, size=5000) for c in cards]
+        sample = CategoricalSample.from_columns(columns, cards)
+        assert sample.codes.dtype == (np.uint8 if max(cards) <= 256 else np.uint16)
+        keys = np.zeros(5000, dtype=np.int64)  # the int64 oracle
+        for column, card in zip(columns, cards):
+            keys = keys * card + column
+        _, expected = np.unique(keys, return_counts=True)
+        assert joint_counts(sample, range(len(cards))).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CategoricalSample.from_columns([[0, 300]], (200,)),
+            lambda: CategoricalSample([[0], [300]], (200,)),
+            lambda: CategoricalSample.from_columns([np.array([0, 256])], (256,)),
+            lambda: CategoricalSample([[0.0], [65_536.0]], (65_536,)),
+        ],
+        ids=["column", "matrix", "int64-column-256", "float-matrix-65536"],
+    )
+    def test_code_past_its_cardinality_rejected_before_it_could_wrap(self, build):
+        # each bad code wraps into range in its sample's narrow dtype: 300 to 44,
+        # 256 to 0 in uint8 and 65,536 to 0 in uint16
+        with pytest.raises(InvalidInputError, match="exceeds its column's declared cardinality"):
+            build()
+
+    def test_negative_code_rejected_before_it_could_wrap(self):
+        # -1 would wrap to 255 in uint8
+        for build in (
+            lambda: CategoricalSample.from_columns([[0, -1]], (200,)),
+            lambda: CategoricalSample([[0], [-1]], (200,)),
+        ):
+            with pytest.raises(InvalidInputError, match="must be non-negative"):
+                build()
 
 
 class TestJointHistogram:

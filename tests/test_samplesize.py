@@ -193,6 +193,19 @@ class TestMinRepresentativeM:
         with pytest.raises(InvalidInputError, match="cells"):
             min_representative_m(MAX_CELLS + 1, 0.05)
 
+    def test_joint_space_past_the_int_string_limit_named_by_its_bits(self):
+        # Python formats no int of more than 4,300 digits, so the message
+        # must not print this one in full
+        k = int("9" * 4201) ** 2
+        with pytest.raises(
+            InvalidInputError, match=rf"^a joint space of at least 2\*\*{k.bit_length() - 1} cells"
+        ):
+            min_representative_m(k, 0.05)
+        for k in (2**64 - 1, 2**64):  # the last size printed in full, the first that is not
+            shown = str(k) if k < 2**64 else r"at least 2\*\*64"
+            with pytest.raises(InvalidInputError, match=f"^a joint space of {shown} cells"):
+                min_representative_m(k, 0.05)
+
 
 class TestClosedFormStatistic:
     def test_equals_extreme_sample_chi2_bit_for_bit(self):

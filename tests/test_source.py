@@ -2,7 +2,8 @@
 
 Each import in `src/msulab/` must be used, and `msulab.__all__` must list
 exactly the public names that `__init__.py` imports, so deleting a function
-cannot leave a stale import or export behind.
+cannot leave a stale import or export behind. Every column-major matrix is
+allocated in the dtype of the one rule in `sample.py`, `code_dtype`.
 """
 
 import ast
@@ -55,3 +56,32 @@ def test_all_is_exactly_the_public_imports():
     public = {name for name in _imports(tree) if not name.startswith("_")}
     assert len(set(msulab.__all__)) == len(msulab.__all__), "a name listed twice"
     assert set(msulab.__all__) == public
+
+
+def _called_name(call: ast.Call) -> str:
+    """The bare name a call is made through: `f` of `f(...)` and of `np.f(...)`."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def test_code_matrices_take_the_one_dtype_rule():
+    # a code matrix in any other dtype (a hard-coded int64, say) would skip
+    # the narrow codes on its path
+    rules, allocations = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.FunctionDef) and node.name == "code_dtype":
+                rules.append(where)
+            if not isinstance(node, ast.Call):
+                continue
+            if _called_name(node) == "asfortranarray":  # column-major without an order keyword
+                allocations[where] = False
+            keywords = {k.arg: k.value for k in node.keywords}
+            order = keywords.get("order")
+            if isinstance(order, ast.Constant) and order.value == "F":
+                dtype = keywords.get("dtype")
+                allocations[where] = isinstance(dtype, ast.Call) and _called_name(dtype) == "code_dtype"
+    assert len(rules) == 1 and rules[0].startswith("sample.py:"), rules
+    assert allocations, "no column-major allocation found"
+    assert all(allocations.values()), [where for where, ok in allocations.items() if not ok]
