@@ -171,6 +171,10 @@ def check_xor_noise(noise: float) -> None:
         raise InvalidInputError(f"noise must lie in [0, 0.5), got {noise}")
 
 
+# Rows of XOR-pair draws held at a time: a 1.5 MB float block.
+_XOR_BLOCK_ROWS = 1 << 16
+
+
 def fill_xor_pair(
     f1: np.ndarray, f2: np.ndarray, class_codes: np.ndarray, noise: float, rng: np.random.Generator
 ) -> None:
@@ -182,14 +186,18 @@ def fill_xor_pair(
     per-row Bernoulli flip. Noise of 0.5 or more would leave the class
     uncorrelated or anti-correlated with the pair, so it is rejected.
 
-    The draws are one (m, 3) row-major float matrix; each column is written
-    from them in place, with no further temporary (a comparison's bools are
-    0 and 1 in any integer dtype).
+    The draws are (rows, 3) row-major float blocks of at most
+    `_XOR_BLOCK_ROWS` rows, taken from the stream in row order, so they are
+    the floats one (m, 3) draw would give; each block is written into its
+    rows in place, with no further temporary (a comparison's bools are 0 and
+    1 in any integer dtype).
     """
     check_xor_noise(noise)
-    draws = rng.random((len(f1), 3))
-    np.less(draws[:, 0], 0.5, out=f1)
-    np.less(draws[:, 1], 0.5, out=f2)
-    np.less(draws[:, 2], noise, out=class_codes)  # the flips
+    for lo in range(0, len(f1), _XOR_BLOCK_ROWS):
+        rows = slice(lo, lo + _XOR_BLOCK_ROWS)
+        draws = rng.random((len(f1[rows]), 3))
+        np.less(draws[:, 0], 0.5, out=f1[rows])
+        np.less(draws[:, 1], 0.5, out=f2[rows])
+        np.less(draws[:, 2], noise, out=class_codes[rows])  # the flips
     class_codes ^= f1
     class_codes ^= f2

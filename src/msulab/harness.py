@@ -8,8 +8,11 @@ standard deviations into a curve.
 Its layout is one list of attribute groups (`GroupSpec`: a generator family, a
 column count and a cardinality, each fixed or following the sweep) and the
 tracked subsets of those groups whose MSU (and optionally per-column SU) the
-curve reports. `resolve_point` turns a sweep value into the concrete blocks,
-column sets and sample size. `config_from_json` reads this layout from its
+curve reports. A group's count rule is the only thing that switches columns
+on and off along the sweep; a tracked subset is measured at every point where
+its groups have columns. `resolve_point` turns a sweep value into the
+concrete blocks, the measures read from them (each a name and its attribute
+columns) and the sample size. `config_from_json` reads this layout from its
 JSON form; the preset catalog is written in that form too.
 
 Replicate r of every sweep point draws from streams keyed by
@@ -52,6 +55,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO, Iterable, Mapping, Sequence
 
 from .dataset import (
@@ -119,13 +123,24 @@ class CountRule:
     Outside `window` the count is 0 (the group is absent at that point).
     Inside it, the count is `fixed` when given, 2*log2(sweep value) when
     `binary_equivalent` (the binary subset matching a pair of wide attributes
-    in joint-space size), and sweep value + offset otherwise.
+    in joint-space size), and sweep value + offset otherwise. A rule that
+    names more than one of these, or whose window is empty, is rejected.
     """
 
     fixed: int | None = None
     offset: int = 0
     window: tuple[int, int] | None = None
     binary_equivalent: bool = False
+
+    def __post_init__(self) -> None:
+        if self.window is not None and self.window[0] > self.window[1]:
+            # an empty window would drop its group at every point
+            lo, hi = self.window
+            raise InvalidInputError(f"count window [{lo}, {hi}] is reversed: lo must not exceed hi")
+        if self.fixed is not None and self.binary_equivalent:
+            raise InvalidInputError("a count rule is either fixed or binary_equivalent, not both")
+        if self.offset and (self.fixed is not None or self.binary_equivalent):
+            raise InvalidInputError("a count offset applies only to a count that follows the sweep value")
 
     def resolve(self, sweep_value: int) -> int:
         if self.window is not None and not self.window[0] <= sweep_value <= self.window[1]:
@@ -165,15 +180,12 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class TrackedSubset:
-    """A set of groups evaluated together (always jointly with the class)."""
+    """A set of groups evaluated together (always jointly with the class),
+    measured at every sweep point where those groups have columns."""
 
     label: str
     groups: tuple[str, ...]
     with_su: bool = False
-    window: tuple[int, int] | None = None
-
-    def active(self, sweep_value: int) -> bool:
-        return self.window is None or self.window[0] <= sweep_value <= self.window[1]
 
 
 @dataclass(frozen=True)
@@ -208,6 +220,8 @@ class ExperimentConfig:
                 raise InvalidInputError("a sample-size sweep fixes m per point; drop the policy")
         elif self.sample_size_policy is None:
             raise InvalidInputError("experiments without a sample-size sweep need a policy")
+        elif not isinstance(self.sample_size_policy, (FixedSampleSize, ComputedSampleSize)):
+            raise InvalidInputError(f"unknown sample size policy {self.sample_size_policy!r}")
         if self.representativeness_scan and not isinstance(self.sample_size_policy, ComputedSampleSize):
             raise InvalidInputError("a representativeness scan needs a computed sample size policy")
         SeededRng(self.master_seed)  # rejects a negative seed
@@ -240,86 +254,57 @@ class ResolvedPoint:
     sweep_value: int
     m: int
     blocks: tuple[AttributeBlock | None, ...]
-    tracked: tuple[tuple[str, tuple[str, ...], bool], ...]  # (label, column names, with_su)
+    # (measure name, attribute columns): msu_<label> of each tracked subset
+    # with columns here, followed by su_<column> for each of its columns
+    # when it is tracked with_su
+    measures: tuple[tuple[str, tuple[str, ...]], ...]
 
 
 def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
-    """Turn a sweep value into blocks, tracked column sets and a sample size."""
+    """Turn a sweep value into blocks, the measures read from them and a sample size."""
     sweep_value = int(sweep_value)
     blocks: list[AttributeBlock | None] = []
     group_columns: dict[str, tuple[str, ...]] = {}
-    group_cards: dict[str, int] = {}
     for g in config.groups:
         count = g.resolve_count(sweep_value)
-        card = g.resolve_card(sweep_value)
         if g.family is GeneratorKind.XOR_PAIR and count not in (0, 2):
             raise InvalidInputError("an XOR pair group must have count 2")
-        if count == 0:
-            blocks.append(None)
-            group_columns[g.name] = ()
-            continue
         names = tuple(f"{g.name}{i}" for i in range(1, count + 1))
-        blocks.append(AttributeBlock(names=names, kind=g.family, cardinality=card))
         group_columns[g.name] = names
-        group_cards[g.name] = card
+        blocks.append(
+            AttributeBlock(names=names, kind=g.family, cardinality=g.resolve_card(sweep_value))
+            if names else None
+        )
 
-    active: list[tuple[str, tuple[str, ...], bool]] = []
+    measures: list[tuple[str, tuple[str, ...]]] = []
     for sub in config.tracked:
-        if not sub.active(sweep_value):
-            continue
         cols = tuple(n for gname in sub.groups for n in group_columns[gname])
         if cols:
-            active.append((sub.label, cols, sub.with_su))
-    if not active:
-        raise InvalidInputError(f"no tracked subset is active at sweep value {sweep_value}")
+            measures.append((f"msu_{sub.label}", cols))
+            if sub.with_su:
+                measures += [(f"su_{name}", (name,)) for name in cols]
+    if not measures:
+        raise InvalidInputError(f"no tracked subset has columns at sweep value {sweep_value}")
 
-    m = _resolve_sample_size(config, sweep_value, active, group_cards, group_columns)
-    return ResolvedPoint(
-        sweep_value=sweep_value,
-        m=m,
-        blocks=tuple(blocks),
-        tracked=tuple(active),
-    )
-
-
-def _resolve_sample_size(
-    config: ExperimentConfig,
-    sweep_value: int,
-    active: Sequence[tuple[str, tuple[str, ...], bool]],
-    group_cards: Mapping[str, int],
-    group_columns: Mapping[str, tuple[str, ...]],
-) -> int:
+    policy = config.sample_size_policy
     if config.sweep.kind == "sample_size":
         if sweep_value < 1:
             raise InvalidInputError(f"sample size {sweep_value} is infeasible")
-        return sweep_value
-    policy = config.sample_size_policy
-    if isinstance(policy, FixedSampleSize):
-        return policy.m
-    if isinstance(policy, ComputedSampleSize):
-        # Heuristic over the evaluated subset (class included); when several
-        # subsets are tracked at a point they share one dataset, so the
-        # largest requirement wins. Presets keep those requirements equal.
-        card_by_column = {
-            name: group_cards[gname]
-            for gname, names in group_columns.items()
-            if names
-            for name in names
-        }
-        sizes = [
+        m = sweep_value
+    elif isinstance(policy, FixedSampleSize):
+        m = policy.m
+    else:
+        # Heuristic over each evaluated subset (class included); the measures
+        # of a point share one dataset, so the largest requirement wins.
+        # Presets keep those requirements equal.
+        card = {n: b.cardinality for b in blocks if b is not None for n in b.names}
+        m = max(
             heuristic_sample_size(
-                CardinalityProfile(
-                    attribute_cards=tuple(card_by_column[c] for c in cols),
-                    class_card=config.class_card,
-                ),
-                policy.factor,
+                CardinalityProfile(tuple(card[c] for c in cols), config.class_card), policy.factor
             )
-            for _, cols, _ in active
-        ]
-        if not sizes:
-            raise InvalidInputError("computed sample size needs at least one tracked subset")
-        return max(sizes)
-    raise InvalidInputError("experiment has no way to determine the sample size")
+            for _, cols in measures
+        )
+    return ResolvedPoint(sweep_value=sweep_value, m=m, blocks=tuple(blocks), measures=tuple(measures))
 
 
 def _union_blocks(points: Sequence[ResolvedPoint]) -> tuple[AttributeBlock | None, ...]:
@@ -363,45 +348,33 @@ def _nested_groups(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]
 def _run_layout(
     config: ExperimentConfig, points: Sequence[ResolvedPoint], replicates: Iterable[int]
 ) -> list[dict[str, tuple[float, ...]]]:
-    """Each point's measure values, label -> one value per replicate.
+    """Each point's measure values, measure name -> one value per replicate.
 
     The points nest (see `_nested_groups`), so one dataset per replicate
     serves them all: it holds each group position's widest block at the
     largest m, and a point reads its own columns at its first m rows. Each
-    distinct tracked subset is measured once per replicate, at the row
-    prefixes of the points that track it. A column, the class included, that
-    is read at several prefix sets is counted once, at their union, before
-    any measure reads it; each joint histogram is counted at its own
-    prefixes only.
+    distinct measure is taken once per replicate, at the row prefixes of the
+    points that list it. A column, the class included, that is read at
+    several prefix sets is counted once, at their union, before any measure
+    reads it; each joint histogram is counted at its own prefixes only.
     """
     blocks = _union_blocks(points)
     m = max(p.m for p in points)
-    prefixes: dict[tuple[str, tuple[str, ...], bool], set[int]] = {}
+    prefixes: dict[tuple[str, tuple[str, ...]], set[int]] = {}
     for p in points:
-        for tracked in p.tracked:
-            prefixes.setdefault(tracked, set()).add(p.m)
+        for measure in p.measures:
+            prefixes.setdefault(measure, set()).add(p.m)
     # the dataset's columns: attributes in block order, class last
     columns = [n for b in blocks if b is not None for n in b.names] + [CLASS_COLUMN]
     index = {name: j for j, name in enumerate(columns)}
     # a replicate's values are each measure's values at its prefixes, one
     # measure after another
-    series: list[tuple[list[int], list[int]]] = []  # per measure: (columns, prefixes)
-    # tracked subset -> per measure: (label, index of its first value, prefixes)
-    measures: dict[tuple, list[tuple[str, int, list[int]]]] = {}
-    offset = 0
-    for tracked, ms in prefixes.items():
-        label, names, with_su = tracked
-        ms = sorted(ms)
-        subsets = [(f"msu_{label}", names)]
-        if with_su:
-            subsets += [(f"su_{name}", (name,)) for name in names]
-        measures[tracked] = []
-        for measure, cols in subsets:
-            measures[tracked].append((measure, offset, ms))
-            series.append(([index[n] for n in cols] + [index[CLASS_COLUMN]], ms))
-            offset += len(ms)
+    at = {measure: sorted(ms) for measure, ms in prefixes.items()}
+    # measure -> the index of its first value in a replicate's values
+    start = dict(zip(at, accumulate(map(len, at.values()), initial=0)))
+    series = [([index[n] for n in cols] + [index[CLASS_COLUMN]], ms) for (_, cols), ms in at.items()]
     reads = [
-        [(measure, j + bisect_left(ms, p.m)) for t in p.tracked for measure, j, ms in measures[t]]
+        [(measure[0], start[measure] + bisect_left(at[measure], p.m)) for measure in p.measures]
         for p in points
     ]
     read_at: dict[int, set[tuple[int, ...]]] = {}  # column -> the prefix sets it is read at
@@ -500,7 +473,7 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
         except InvalidInputError as exc:
             failures[i] = str(exc)
 
-    results: dict[int, dict[str, tuple[float, ...]]] = {}  # point index -> label -> values
+    results: dict[int, dict[str, tuple[float, ...]]] = {}  # point index -> measure -> values
     for members in _nested_groups(config, points):
         try:
             values = _run_layout(config, [points[i] for i in members], range(config.replicates))
@@ -573,7 +546,7 @@ _CONFIG_FIELDS = frozenset({
 _SWEEP_FIELDS = frozenset({"kind", "values", "start", "stop"})
 _GROUP_FIELDS = frozenset({"name", "family", "count", "cardinality"})
 _COUNT_FIELDS = frozenset({"fixed", "offset", "window", "binary_equivalent"})
-_TRACKED_FIELDS = frozenset({"label", "groups", "with_su", "window"})
+_TRACKED_FIELDS = frozenset({"label", "groups", "with_su"})
 
 
 def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
@@ -662,7 +635,6 @@ def _tracked_from_json(data) -> TrackedSubset:
             _json_str(g, "tracked group") for g in _json_list(data["groups"], "tracked groups")
         ),
         with_su=_json_bool(data.get("with_su", False), "with_su"),
-        window=_json_window(data.get("window"), "tracked window"),
     )
 
 
@@ -685,10 +657,7 @@ def _json_window(value, what: str) -> tuple[int, int] | None:
         return None
     if len(_json_list(value, what)) != 2:
         raise InvalidInputError(f"{what} must be a [lo, hi] pair, got {value!r}")
-    lo, hi = _json_int(value[0], what), _json_int(value[1], what)
-    if lo > hi:  # an empty window would drop its group or subset at every point
-        raise InvalidInputError(f"{what} [{lo}, {hi}] is reversed: lo must not exceed hi")
-    return lo, hi
+    return _json_int(value[0], what), _json_int(value[1], what)
 
 
 def _json_bool(value, what: str) -> bool:

@@ -9,10 +9,10 @@ with `InvalidInputError` naming the file.
 
 Coding is column-wise: rows are read `_CHUNK_ROWS` at a time and each
 column of a chunk is coded with one dictionary lookup per cell, giving the
-codes a row-by-row reading would. A row of the wrong length is reported, by
-the physical line it ends on, once its chunk is read, so a csv error or an
-undecodable byte later in the same chunk is reported first; either is an
-`InvalidInputError`.
+codes a row-by-row reading would, in the narrowest dtype that holds them. A
+row of the wrong length is reported, by the physical line it ends on, once
+its chunk is read, so a csv error or an undecodable byte later in the same
+chunk is reported first; either is an `InvalidInputError`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .sample import CategoricalSample
+from .sample import CategoricalSample, code_dtype
 
 # Rows read, transposed and coded at a time. A few thousand rows keep a
 # chunk's cells in cache; transposing the whole file at once is slower.
@@ -92,7 +92,9 @@ def _parse(reader, source: str) -> IngestedDataset:
             line += sum(1 + _line_breaks(row) for row in rows[: i + 1])
             raise InvalidInputError(f"{source}:{line}: expected {p} cells, got {len(rows[i])}")
         for table, column, coded in zip(tables, zip(*rows), parts):
-            coded.append(np.fromiter(map(table.__getitem__, column), np.int64, len(rows)))
+            # a chunk adds at most len(rows) labels, so its codes lie below this
+            dtype = code_dtype([len(table) + len(rows)])
+            coded.append(np.fromiter(map(table.__getitem__, column), dtype, len(rows)))
     if not parts[0]:  # not one chunk was read
         raise InvalidInputError(f"{source}: no data rows")
 

@@ -8,9 +8,10 @@ compares the chi-squared minimal sample size against the 10x rule.
 
 Every preset is written in the JSON config form (README, "JSON experiment
 configs") and built by `config_from_json`, so a config file can run anything
-the catalog runs. Group names, order and zero-count groups are part of a
-preset: a group's position is the seed-stream slot of its columns (see
-`msulab.dataset`), so moving or dropping one would change the curves.
+the catalog runs. Group names and order are part of a preset: a group's
+position is the seed-stream slot of its columns (see `msulab.dataset`), so
+moving a group, or dropping one that others follow (even where it has 0
+columns), would change the curves.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ def _group(name: str, family: str, count, cardinality: int | str = 2) -> dict:
     return {"name": name, "family": family, "count": count, "cardinality": cardinality}
 
 
-def _tracked(label: str, *groups: str, with_su: bool = False, window=None) -> dict:
-    return {"label": label, "groups": list(groups), "with_su": with_su, "window": window}
+def _tracked(label: str, *groups: str, with_su: bool = False) -> dict:
+    return {"label": label, "groups": list(groups), "with_su": with_su}
 
 
 def _span(kind: str, start: int, stop: int) -> dict:
@@ -68,7 +69,7 @@ def _fig_b(name: str, m_hi: int) -> dict:
     return {
         "name": name,
         "sweep": _span("sample_size", 8, m_hi),
-        "groups": [_group("xor", "xor_pair", 2), _group("u", "uniform", 0)],
+        "groups": [_group("xor", "xor_pair", 2)],
         "tracked": [_tracked("set", "xor", with_su=True)],
     }
 
@@ -91,21 +92,22 @@ def _paired_cardinality(name: str, family: str) -> dict:
 def _fig_g(name: str, policy: dict, hi_mk: int, hi_shared: int) -> dict:
     # Three subsets per point s: s individually informative attributes,
     # s non-informative ones, and an XOR pair padded with s - 2 uniform
-    # attributes as the collectively informative set.
-    mk_window, shared = [2, hi_mk], [2, hi_shared]
+    # attributes as the collectively informative set. Past hi_shared only
+    # the first subset has columns.
+    shared = [2, hi_shared]
     return {
         "name": name,
         "sweep": _span("attribute_count", 2, hi_mk),
         "groups": [
-            _group("mk", "kononenko", {"window": mk_window}),
+            _group("mk", "kononenko", {"window": [2, hi_mk]}),
             _group("u", "uniform", {"window": shared}),
             _group("xor", "xor_pair", {"fixed": 2, "window": shared}),
             _group("upad", "uniform", {"offset": -2, "window": shared}),
         ],
         "tracked": [
-            _tracked("informative", "mk", window=mk_window),
-            _tracked("noninformative", "u", window=shared),
-            _tracked("collective", "xor", "upad", window=shared),
+            _tracked("informative", "mk"),
+            _tracked("noninformative", "u"),
+            _tracked("collective", "xor", "upad"),
         ],
         "sample_size_policy": policy,
     }
@@ -129,9 +131,8 @@ def _fig_xor_mk(name: str, policy: dict) -> dict:
         "groups": [
             _group("xor", "xor_pair", 2),
             _group("mk", "kononenko", {"offset": -2, "window": [3, 15]}),
-            _group("u", "uniform", 0),
         ],
-        "tracked": [_tracked("set", "xor", "mk", "u")],
+        "tracked": [_tracked("set", "xor", "mk")],
         "sample_size_policy": policy,
     }
 

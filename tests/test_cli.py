@@ -462,6 +462,13 @@ MALFORMED = {
     ),
     "tracked-label-number": lambda tmp: _config_file(tmp, tracked=[{"label": 7, "groups": ["mk"]}]),
     "tracked-group-number": lambda tmp: _config_file(tmp, tracked=[{"label": "s", "groups": [1]}]),
+    # a subset is measured wherever its groups have columns; only a count rule has a window
+    "tracked-window": lambda tmp: _config_file(
+        tmp, tracked=[{"label": "set", "groups": ["mk"], "window": [2, 9]}]
+    ),
+    "count-fixed-and-binary-equivalent": lambda tmp: _config_file(
+        tmp, groups=[group("mk", "kononenko", {"fixed": 2, "binary_equivalent": True})]
+    ),
     # valid JSON that json.loads cannot load: past the int-string and the recursion limit
     "config-sweep-value-5000-digits": lambda tmp: _config_text(
         tmp, '{"name": "x", "sweep": {"kind": "cardinality", "values": [' + "1" * 5000 + "]}}"

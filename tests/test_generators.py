@@ -23,7 +23,7 @@ from msulab import (
 )
 from msulab import dataset, harness
 from msulab.dataset import check_xor_class
-from msulab.generators import check_k, check_xor_noise, fill_xor_pair
+from msulab.generators import _XOR_BLOCK_ROWS, check_k, check_xor_noise, fill_xor_pair
 from msulab.presets import preset
 from oracle_utils import binary_entropy, kononenko_first_half_prob, xor_population_msu
 
@@ -267,6 +267,18 @@ class TestGenXorPair:
         with pytest.raises(InvalidInputError):
             _xor_pair(10, 0.5, _rng())
 
+    @pytest.mark.parametrize(
+        "m", [_XOR_BLOCK_ROWS - 1, _XOR_BLOCK_ROWS, _XOR_BLOCK_ROWS + 1, 2 * _XOR_BLOCK_ROWS + 5]
+    )
+    def test_row_blocks_give_the_whole_draws(self, m):
+        # the pair is drawn in row blocks; the stream fills them in the order
+        # one (m, 3) draw would
+        f1, f2, cls = _xor_pair(m, 0.05, _rng(13))
+        draws = _rng(13).random((m, 3))
+        a, b = draws[:, 0] < 0.5, draws[:, 1] < 0.5
+        assert np.array_equal(f1, a) and np.array_equal(f2, b)
+        assert np.array_equal(cls, a ^ b ^ (draws[:, 2] < 0.05))
+
     def test_population_msu_values(self):
         assert xor_population_msu(0.0) == 0.5
         assert xor_population_msu(0.05) == pytest.approx(0.3568015214420219, abs=1e-15)
@@ -425,8 +437,8 @@ class TestGenerateDataset:
         assert sample.codes.shape == (200_000, 16)
         assert sample.codes.dtype == np.uint8
         assert sample.codes.flags.f_contiguous and not sample.codes.flags.writeable
-        # the 3.2 MB matrix plus one column's work: the XOR pair's (m, 3)
-        # float draws (4.8 MB) or a Kononenko column's 33 bytes a row
+        # the 3.2 MB matrix plus one column's work: the XOR pair's 1.5 MB
+        # block of float draws or a Kononenko column's 33 bytes a row
         # (6.6 MB); an int64 matrix alone would take 25.6 MB
         assert peak < 12_000_000
 
@@ -434,9 +446,10 @@ class TestGenerateDataset:
         # fig-xor-2's one dataset per replicate: 655,360 rows x 16 columns
         sample, peak = _union_dataset("fig-xor-2")
         assert sample.codes.shape == (655_360, 16)
-        # the 10.5 MB matrix plus the pair's (m, 3) float draws (15.7 MB);
-        # an int64 matrix alone would take 84 MB
-        assert peak < 28_000_000
+        # the 10.5 MB matrix plus one uniform column's int64 draws (5.2 MB);
+        # the XOR pair is drawn in 1.5 MB row blocks, where one (m, 3) draw
+        # would take 15.7 MB, and an int64 matrix alone 84 MB
+        assert peak < 17_000_000
 
     def test_kononenko_union_peaks_at_its_matrix_plus_one_columns_work(self):
         # fig-h's one dataset per replicate: 163,840 rows x 40 columns, 13 of

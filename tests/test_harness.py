@@ -82,12 +82,38 @@ class TestResolvePoint:
         assert "upad1" in names_at(3)
         # beyond the shared window only the individually-informative subset remains
         late = resolve_point(cfg, 15)
-        assert [label for label, _, _ in late.tracked] == ["informative"]
+        assert [name for name, _ in late.measures] == ["msu_informative"]
         assert "xor1" not in names_at(15)
 
     def test_infeasible_sample_size_rejected(self):
         with pytest.raises(InvalidInputError):
             resolve_point(preset("fig-e2"), 0)
+
+    def test_measures_list_each_msu_then_its_su(self):
+        point = resolve_point(preset("fig-a1"), 4)
+        assert point.measures == (
+            ("msu_set", ("mk1", "u1")), ("su_mk1", ("mk1",)), ("su_u1", ("u1",)),
+        )
+
+    def test_computed_size_is_the_largest_over_the_measures(self):
+        cfg = config_from_json({
+            "name": "mixed", "sweep": {"kind": "attribute_count", "values": [1]},
+            "groups": [_group("b", "kononenko", 1, 8), _group("c", "uniform", 2)],
+            "tracked": [{"label": "narrow", "groups": ["c"], "with_su": True},
+                        {"label": "wide", "groups": ["b"]}],
+            "sample_size_policy": {"computed": 10},
+        })
+        # 10 x 8 x 2 for b beside the class, not 10 x 2 x 2 for c
+        assert resolve_point(cfg, 1).m == 160
+
+    def test_point_where_no_subset_has_columns_is_an_error(self):
+        cfg = config_from_json({
+            "name": "empty", "sweep": {"kind": "sample_size", "values": [10]},
+            "groups": [_group("u", "uniform", 0)],
+            "tracked": [{"label": "set", "groups": ["u"]}],
+        })
+        with pytest.raises(InvalidInputError, match="no tracked subset has columns at sweep value 10"):
+            resolve_point(cfg, 10)
 
 
 class TestCountRule:
@@ -113,6 +139,27 @@ class TestCountRule:
     def test_binary_equivalent_needs_positive_sweep_value(self, value):
         with pytest.raises(InvalidInputError, match=f"sweep value {value} has no binary-equivalent"):
             CountRule(binary_equivalent=True).resolve(value)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"window": (4, 2)}, r"count window \[4, 2\] is reversed"),
+            ({"offset": -2, "window": (9, 3)}, r"count window \[9, 3\] is reversed"),
+            ({"fixed": 2, "binary_equivalent": True}, "either fixed or binary_equivalent"),
+            ({"fixed": 2, "offset": 1}, "offset applies only"),
+            ({"binary_equivalent": True, "offset": -2}, "offset applies only"),
+        ],
+        ids=["reversed", "reversed-with-offset", "fixed-and-binary", "offset-and-fixed",
+             "offset-and-binary"],
+    )
+    def test_contradictory_rule_rejected_when_built(self, fields, match):
+        with pytest.raises(InvalidInputError, match=match):
+            CountRule(**fields)
+
+    def test_one_value_window_and_zero_offset_accepted(self):
+        assert CountRule(window=(3, 3)).resolve(3) == 3
+        assert CountRule(fixed=2, offset=0).resolve(7) == 2
+        assert CountRule(binary_equivalent=True, offset=0).resolve(16) == 8
 
 
 class TestRunReplicate:
@@ -286,6 +333,17 @@ class TestPresets:
     def test_default_replicates(self):
         assert preset("fig-f1").replicates == 1000
 
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_every_group_and_subset_has_columns_somewhere(self, name):
+        # a group with no columns at any point, or a subset never measured,
+        # would be dead layout
+        cfg = preset(name)
+        points = [resolve_point(cfg, v) for v in cfg.sweep.values]
+        for i, group in enumerate(cfg.groups):
+            assert any(p.blocks[i] is not None for p in points), group.name
+        measured = {measure for p in points for measure, _ in p.measures}
+        assert {f"msu_{t.label}" for t in cfg.tracked} <= measured
+
 
 # Two Kononenko and two uniform binary attributes, measured as two subsets.
 MK_LAYOUT = {
@@ -305,7 +363,7 @@ class TestConfigJson:
                 "sweep": {"kind": "sample_size", "start": 8, "stop": 20},
                 "groups": [_group("mk", "kononenko", 2), _group("u", "uniform", 1)],
                 "tracked": [{"label": "informative", "groups": ["mk"], "with_su": False},
-                            {"label": "noninformative", "groups": ["u"], "window": None}],
+                            {"label": "noninformative", "groups": ["u"]}],
                 "class_card": 2,
                 "sample_size_policy": None,
                 "replicates": 4,
@@ -346,7 +404,7 @@ class TestConfigJson:
                 _group("c", "uniform", {"offset": -2}),
                 _group("d", "uniform", {"binary_equivalent": True}),
             ],
-            "tracked": [{"label": "set", "groups": ["a", "b", "c", "d"], "window": [2, 9]}],
+            "tracked": [{"label": "set", "groups": ["a", "b", "c", "d"]}],
         })
         assert [g.count for g in cfg.groups] == [
             CountRule(window=(2, 9)),
@@ -354,7 +412,6 @@ class TestConfigJson:
             CountRule(offset=-2),
             CountRule(binary_equivalent=True),
         ]
-        assert cfg.tracked[0].window == (2, 9)
 
     def test_missing_field_reported(self):
         for field in ("name", "groups", "tracked"):
@@ -402,6 +459,8 @@ class TestConfigJson:
             ({"count": {"step": 2}}, "unknown group count field.*step"),
             ({"colour": "red"}, "unknown group field.*colour"),
             ({"count": {"window": [4, 2]}}, r"count window \[4, 2\] is reversed"),
+            ({"count": {"fixed": 2, "binary_equivalent": True}}, "either fixed or binary_equivalent"),
+            ({"count": {"fixed": 2, "offset": 1}}, "offset applies only"),
         ],
     )
     def test_group_fields_checked(self, group, match):
@@ -414,11 +473,11 @@ class TestConfigJson:
         "subset, match",
         [
             ({"with_su": "yes"}, "with_su"),
-            ({"window": [1, 2, 3]}, "tracked window"),
-            ({"window": [True, 5]}, "tracked window"),
+            # a subset is measured wherever its groups have columns: no window
+            ({"window": [2, 9]}, r"unknown tracked subset field\(s\): window"),
+            ({"window": None}, r"unknown tracked subset field\(s\): window"),
             ({"groups": "mk"}, "tracked groups"),
             ({"label": "s", "groups": ["mk"], "weight": 1}, "unknown tracked subset field"),
-            ({"window": [4, 2]}, r"tracked window \[4, 2\] is reversed"),
         ],
     )
     def test_tracked_fields_checked(self, subset, match):
@@ -472,7 +531,6 @@ class TestConfigJson:
             ("groups", [{**_group("mk", "kononenko", 2), "count": "1"}]),
             ("groups", [{**_group("mk", "kononenko", 2), "cardinality": "2"}]),
             ("groups", [{**_group("mk", "kononenko", {"fixed": "2"})}]),
-            ("tracked", [{"label": "s", "groups": ["mk"], "window": ["1", 3]}]),
         ],
     )
     def test_numeric_strings_rejected(self, field, value):
@@ -578,17 +636,16 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             Sweep("verticality", (1, 2))
 
-    def test_tracked_window_gates_emission(self):
-        cfg = dataclasses.replace(
-            preset("fig-e2"),
-            sweep=Sweep("sample_size", (30,)),
-            replicates=2,
-            tracked=(TrackedSubset("informative", ("mk",), window=(50, 100)),
-                     TrackedSubset("noninformative", ("u",))),
-        )
-        curve = run_experiment(cfg)
-        assert "msu_informative" not in curve.measures
-        assert curve.measures["msu_noninformative"][0] is not None
+    @pytest.mark.parametrize("policy", [5000, "computed", ComputedSampleSize])
+    def test_unknown_policy_rejected(self, policy):
+        with pytest.raises(InvalidInputError, match="unknown sample size policy"):
+            ExperimentConfig(
+                name="bad",
+                sweep=Sweep("cardinality", (2, 4)),
+                groups=(GroupSpec("mk", GeneratorKind.KONONENKO, 2, "sweep"),),
+                tracked=self.TRACKED,
+                sample_size_policy=policy,
+            )
 
 
 def _json_sample_size_sweep():
@@ -719,20 +776,21 @@ class TestNestedEngine:
 
     def test_union_past_the_cell_cap_is_split_into_its_points(self, monkeypatch):
         # the point at 1 needs 160 rows for its 8-value attribute, the points
-        # at 2 and 3 need 40 for a binary one: one dataset for all three
-        # (160 x 6 = 960 cells) is smaller than theirs together (640 + 200 +
-        # 240), but past a cap of 900 that each of them stays under
+        # at 2 and 3, where it has no column, need 40 for a binary one: one
+        # dataset for all three (160 x 6 = 960 cells) is smaller than theirs
+        # together (640 + 160 + 200), but past a cap of 900 that each of them
+        # stays under
         data = {
             "name": "capped", "replicates": 2,
             "sweep": {"kind": "attribute_count", "values": [1, 2, 3]},
             "groups": [
                 _group("a", "uniform", {"offset": 0}),
-                _group("b", "kononenko", {"fixed": 1}, 8),
+                _group("b", "kononenko", {"fixed": 1, "window": [1, 1]}, 8),
                 _group("c", "uniform", {"fixed": 1}),
             ],
             "tracked": [
-                {"label": "wide", "groups": ["b"], "window": [1, 1]},
-                {"label": "narrow", "groups": ["c"], "window": [2, 3]},
+                {"label": "wide", "groups": ["b"]},
+                {"label": "narrow", "groups": ["c"]},
             ],
             "sample_size_policy": {"computed": 10},
         }
@@ -748,7 +806,7 @@ class TestNestedEngine:
         built.clear()
         monkeypatch.setattr(harness, "MAX_DATASET_CELLS", 900)
         capped = run_experiment(config_from_json(data))
-        assert sorted(built) == [(40, 4)] * 2 + [(40, 5)] * 2 + [(160, 3)] * 2
+        assert sorted(built) == [(40, 3)] * 2 + [(40, 4)] * 2 + [(160, 3)] * 2
         assert capped.measures == uncapped.measures and not capped.errors
 
     def test_point_past_the_cell_cap_is_skipped_before_any_draw(self, monkeypatch):
@@ -772,21 +830,21 @@ class TestNestedEngine:
         assert curve.measures == {}
 
     def test_union_dataset_never_larger_than_the_points_own(self, monkeypatch):
-        # the point with the largest m tracks one 200-value attribute; the
-        # widest point has 40 more columns but needs 40 rows, so one dataset
-        # for both (4,000 x 43 cells) would outgrow their own (4,000 x 4 and
-        # 40 x 43 cells)
+        # the point with the largest m measures one 200-value attribute; the
+        # widest point has 39 more columns but needs 40 rows, so one dataset
+        # for both (4,000 x 43 cells) would outgrow their own (4,000 x 3 and
+        # 40 x 42 cells)
         data = {
             "name": "guard", "replicates": 2,
             "sweep": {"kind": "attribute_count", "values": [1, 40]},
             "groups": [
                 _group("a", "uniform", {"offset": 0}),
-                _group("b", "kononenko", {"fixed": 1}, 200),
-                _group("c", "uniform", {"fixed": 1}),
+                _group("b", "kononenko", {"fixed": 1, "window": [1, 1]}, 200),
+                _group("c", "uniform", {"fixed": 1, "window": [40, 40]}),
             ],
             "tracked": [
-                {"label": "wide", "groups": ["b"], "window": [1, 1]},
-                {"label": "narrow", "groups": ["c"], "window": [40, 40]},
+                {"label": "wide", "groups": ["b"]},
+                {"label": "narrow", "groups": ["c"]},
             ],
             "sample_size_policy": {"computed": 10},
         }
@@ -799,7 +857,7 @@ class TestNestedEngine:
         monkeypatch.setattr(harness, "generate_dataset", counting)
         buffer = io.StringIO()
         run_experiment(config_from_json(data)).write_csv(buffer)
-        assert sorted(built) == [(40, 42)] * 2 + [(4000, 3)] * 2
+        assert sorted(built) == [(40, 41)] * 2 + [(4000, 2)] * 2
         header, *lines = buffer.getvalue().splitlines(keepends=True)
         alone = []
         for value in data["sweep"]["values"]:

@@ -80,6 +80,18 @@ class TestCoderOracle:
         assert data.sample.codes[CHUNK - 1:, 0].tolist() == [0, 1, 2, 0, 1]
         assert data.sample.cardinalities == (3,)
 
+    def test_chunks_of_different_dtypes_join_into_the_narrow_matrix(self, tmp_path):
+        # every label new: chunks code in uint16 until the table nears
+        # 65,536 labels and in uint32 after, and the matrix takes uint32
+        m = 65_536 + 2 * CHUNK + 3
+        path = tmp_path / "data.csv"
+        write_rows(path, ["id", "flag"], [[f"r{i}", "yn"[i % 2]] for i in range(m)])
+        data = read_csv(path)
+        assert data.sample.codes.dtype == np.uint32
+        assert np.array_equal(data.sample.codes[:, 0], np.arange(m))
+        assert np.array_equal(data.sample.codes[:, 1], np.arange(m) % 2)
+        assert data.dictionaries[0][-1] == f"r{m - 1}" and data.sample.cardinalities == (m, 2)
+
 
 class TestReadCsvErrors:
     @pytest.mark.parametrize(
@@ -176,6 +188,7 @@ class TestReadCsvMemory:
             tracemalloc.stop()
         assert data.sample.codes.shape == (100_000, 19)
         assert data.sample.codes.dtype == np.uint8
-        # the int64 coded chunks (15.2 MB) plus the 1.9 MB matrix; an int64
-        # matrix would take 15.2 MB more
-        assert peak < 20_000_000
+        # the coded chunks, uint16 while a column has fewer than 63,489
+        # labels (3.8 MB), plus the 1.9 MB matrix; int64 chunks would take
+        # 15.2 MB, and an int64 matrix 15.2 MB more
+        assert peak < 8_000_000
