@@ -67,7 +67,7 @@ from .dataset import (
 )
 from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_k, check_xor_noise
-from .measures import msu_at_prefixes, subset_entropies
+from .measures import msu_at_prefixes
 from .samplesize import CardinalityProfile, heuristic_sample_size, representativeness_report
 
 DEFAULT_MASTER_SEED = 20170707
@@ -242,6 +242,9 @@ class ExperimentConfig:
                     raise InvalidInputError(
                         f"group name {b!r} is {a!r} followed by digits, so their column names can collide"
                     )
+        labels = [sub.label for sub in self.tracked]
+        if len(set(labels)) != len(labels):  # one msu_<label> series would hide the other
+            raise InvalidInputError(f"tracked subset labels must be unique, got {labels}")
         unknown = sorted({n for sub in self.tracked for n in sub.groups} - set(names))
         if unknown:
             raise InvalidInputError(f"tracked subsets name unknown group(s): {', '.join(unknown)}")
@@ -354,9 +357,9 @@ def _run_layout(
     serves them all: it holds each group position's widest block at the
     largest m, and a point reads its own columns at its first m rows. Each
     distinct measure is taken once per replicate, at the row prefixes of the
-    points that list it. A column, the class included, that is read at
-    several prefix sets is counted once, at their union, before any measure
-    reads it; each joint histogram is counted at its own prefixes only.
+    points that list it. Each joint histogram is counted at its own
+    prefixes only, and its columns' marginals are summed from its counts
+    (see `msulab.measures.subset_entropies`): no column is counted alone.
     """
     blocks = _union_blocks(points)
     m = max(p.m for p in points)
@@ -377,11 +380,6 @@ def _run_layout(
         [(measure[0], start[measure] + bisect_left(at[measure], p.m)) for measure in p.measures]
         for p in points
     ]
-    read_at: dict[int, set[tuple[int, ...]]] = {}  # column -> the prefix sets it is read at
-    for cols, ms in series:
-        for c in cols:
-            read_at.setdefault(c, set()).add(tuple(ms))
-    unions = [(c, sorted(set().union(*sets))) for c, sets in read_at.items() if len(sets) > 1]
 
     per_replicate: list[list[float]] = []
     for r in replicates:
@@ -393,8 +391,6 @@ def _run_layout(
             k=config.kononenko_k,
             xor_noise=config.xor_noise,
         )
-        for c, ms in unions:
-            subset_entropies(sample, (c,), ms)
         values: list[float] = []
         for cols, ms in series:
             values += [v.value for v in msu_at_prefixes(sample, cols, ms)]

@@ -94,7 +94,9 @@ def _parse(reader, source: str) -> IngestedDataset:
         for table, column, coded in zip(tables, zip(*rows), parts):
             # a chunk adds at most len(rows) labels, so its codes lie below this
             dtype = code_dtype([len(table) + len(rows)])
-            coded.append(np.fromiter(map(table.__getitem__, column), dtype, len(rows)))
+            codes = np.fromiter(map(table.__getitem__, column), dtype, len(rows))
+            # kept in the dtype of the labels seen, often narrower
+            coded.append(codes.astype(code_dtype([len(table)]), copy=False))
     if not parts[0]:  # not one chunk was read
         raise InvalidInputError(f"{source}: no data rows")
 

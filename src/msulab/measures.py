@@ -12,12 +12,16 @@ bijective relabelings of category codes (those only reorder the terms).
 Every measure over a sample reads its entropies from one table that the
 sample carries: `subset_entropies` counts a column subset's histogram at
 given row prefixes once and keeps the floats, and answers later requests for
-some of those prefixes from them. A public measure reads the table at all
-rows; the Monte Carlo engine reads it at each sweep point's row prefix,
-through the same `msu_at_prefixes`. Counts are integers and each entropy is
-an fsum of its prefix's own cells, so a sample returns the same floats
-however often, in whatever order, and at whatever prefix sets it is
-measured.
+some of those prefixes from them. Counting a joint of several columns scans
+the rows once: each member column's counts at the same prefixes are sums of
+the joint's cells, so they are taken from the joint's count matrix and
+stored too, unless the table already answers them. A public measure reads
+the table at all rows; the Monte Carlo engine reads it at each sweep point's
+row prefix, through the same `msu_at_prefixes`, joint first. Counts are
+integers and each entropy is an fsum of its prefix's own cells, so a sample
+returns the same floats however often, in whatever order, and at whatever
+prefix sets it is measured, and a column's entropies are the same whether
+its counts were summed from a joint or counted alone.
 """
 
 from __future__ import annotations
@@ -88,20 +92,61 @@ def subset_entropies(
     sample keeps every entropy counted here, by sorted subset and then by
     prefixes, so each histogram is counted once per sample. Prefixes that a
     stored set of the same subset includes are read from it by index, not
-    counted again.
+    counted again. Counting a joint of several columns also stores, at the
+    same prefixes, the entropy of each member column that the table cannot
+    answer yet, summed from the joint's counts.
     """
     subset = normalize_columns(sample, cols)
     bounds = (sample.n_rows,) if prefixes is None else tuple(prefixes)
-    stored = sample._entropies.get(subset)
-    if stored is None:
-        stored = sample._entropies[subset] = {}
+    stored = sample._entropies.setdefault(subset, {})
     if bounds not in stored:
         read = _read_stored(stored, bounds)
         if read is None:
-            chunks = prefix_counts(sample, subset, bounds)
-            read = tuple([h for counts in chunks for h in entropy_rows(counts)])
+            read = _count(sample, subset, bounds)
         stored[bounds] = read
     return stored[bounds]
+
+
+def _count(
+    sample: CategoricalSample, subset: tuple[int, ...], bounds: tuple[int, ...]
+) -> tuple[float, ...]:
+    """The entropies of `subset` at `bounds`, counted in one scan of the rows.
+
+    Each member column whose entropies at `bounds` the table cannot answer
+    gets them from the joint's counts, stored under its own subset.
+    """
+    table = sample._entropies
+    members = [
+        j for j, c in enumerate(subset)
+        if len(subset) > 1 and _read_stored(table.get((c,), {}), bounds) is None
+    ]
+    joint: list[float] = []
+    marginals: dict[int, list[float]] = {j: [] for j in members}
+    for counts, cells in prefix_counts(sample, subset, bounds):
+        joint += entropy_rows(counts)
+        for j in members:
+            marginals[j] += entropy_rows(_column_counts(counts, cells.codes(j), cells.dims[j]))
+    for j, entropies in marginals.items():
+        table.setdefault((subset[j],), {})[bounds] = tuple(entropies)
+    return tuple(joint)
+
+
+def _column_counts(counts: np.ndarray, codes: np.ndarray, card: int) -> np.ndarray:
+    """Each row of a joint count matrix summed over the cells that share a
+    code of one column, given each cell's code below `card`: that column's
+    counts, a zero where a code is not seen.
+
+    Where `card` exceeds the number of cells, the codes seen are renumbered
+    first, so no result is wider than the joint's own matrix. The float sums
+    are exact: each partial sum is a count of rows.
+    """
+    if card > len(codes):
+        seen, codes = np.unique(codes, return_inverse=True)
+        card = len(seen)
+    rows = len(counts)
+    slots = (codes + np.arange(0, rows * card, card)[:, np.newaxis]).reshape(-1)
+    summed = np.bincount(slots, weights=counts.reshape(-1), minlength=rows * card)
+    return summed.reshape(rows, card).astype(np.int64)
 
 
 def _read_stored(
@@ -112,6 +157,8 @@ def _read_stored(
     None when no stored set includes them all, or when `bounds` is not
     strictly ascending (counting then rejects it).
     """
+    if bounds in stored:
+        return stored[bounds]
     if not bounds or list(bounds) != sorted(set(bounds)):
         return None
     for wider, entropies in stored.items():
@@ -156,8 +203,8 @@ def total_correlation(sample: CategoricalSample, cols: Sequence[int]) -> Measure
     subset = normalize_columns(sample, cols)
     if len(subset) < 2:
         raise InvalidInputError("total correlation needs at least two columns")
-    marginals = [subset_entropies(sample, (c,))[0] for c in subset]
     (h_joint,) = subset_entropies(sample, subset)
+    marginals = [subset_entropies(sample, (c,))[0] for c in subset]
     return MeasureValue(math.fsum(marginals) - h_joint)
 
 
@@ -180,9 +227,10 @@ def msu_at_prefixes(
     n = len(subset)
     if n < 2:
         raise InvalidInputError("msu needs at least two columns")
+    joint = subset_entropies(sample, subset, prefixes)  # first: it gives the marginals
     marginals = [subset_entropies(sample, (c,), prefixes) for c in subset]
     values = []
-    for h_joint, *hs in zip(subset_entropies(sample, subset, prefixes), *marginals):
+    for h_joint, *hs in zip(joint, *marginals):
         h_sum = math.fsum(hs)
         if h_sum == 0.0:
             values.append(MeasureValue(0.0, degenerate=True))

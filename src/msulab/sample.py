@@ -11,9 +11,11 @@ each column is one contiguous block of memory. Its dtype is the narrowest
 that holds every code below the sample's largest cardinality (`code_dtype`:
 uint8 up to 256, uint16 up to 65,536, uint32 up to 2**32, int64 past that),
 so the binary to 40-value alphabets of the paper take one byte a code.
-Joint histograms key their cells from those columns directly, widened to
-int64 first. `from_columns` (the path of CSV data) writes each input column
-straight into its place in the matrix, and
+Joint histograms key their cells from those columns directly, in the
+narrowest dtype of the joint space (the same rule), and hand back the
+observed cells with their counts, so one column's counts follow from a
+joint's without reading the rows again. `from_columns` (the path of CSV
+data) writes each input column straight into its place in the matrix, and
 `msulab.dataset.generate_dataset` writes each generated column into its
 place as it is drawn. Every column is range-checked before it is cast to the
 narrow dtype (`check_codes`), so a bad code is reported, never wrapped into
@@ -62,12 +64,27 @@ def check_codes(columns: Sequence[np.ndarray], cardinalities: Sequence[int]) -> 
 
     Each column's extremes are compared as Python ints, so the check is exact
     in any numeric dtype. It must run before codes are cast to a narrower
-    dtype, which would wrap a bad code into range.
+    dtype, which would wrap a bad code into range. An integer column is read
+    once; the columns are read again only to name what is wrong.
     """
+    if all(_codes_fit(column, card) for column, card in zip(columns, cardinalities)):
+        return
     if any(column.min() < 0 for column in columns):
         raise InvalidInputError("category codes must be non-negative")
-    if any(int(column.max()) >= card for column, card in zip(columns, cardinalities)):
-        raise InvalidInputError("a category code exceeds its column's declared cardinality")
+    raise InvalidInputError("a category code exceeds its column's declared cardinality")
+
+
+def _codes_fit(column: np.ndarray, card: int) -> bool:
+    """Whether every code of `column` lies in [0, card)."""
+    kind = column.dtype.kind
+    if kind == "i":
+        # viewed unsigned (in its own byte order), a negative code is at
+        # least 2**(bits - 1), which no non-negative one reaches
+        top = column.view(column.dtype.str.replace("i", "u")).max()
+        return int(top) < min(card, 1 << (8 * column.dtype.itemsize - 1))
+    if kind == "f":
+        return column.min() >= 0 and int(column.max()) < card
+    return int(column.max()) < card  # unsigned and boolean codes are never negative
 
 
 class _Filled:
@@ -244,22 +261,43 @@ def joint_counts(sample: CategoricalSample, cols: Sequence[int]) -> np.ndarray:
     key over the sorted column subset), so repeated calls return identical
     arrays. This is the one-prefix case of `prefix_counts`.
     """
-    (counts,) = prefix_counts(sample, cols, (sample.n_rows,))
+    ((counts, _),) = prefix_counts(sample, cols, (sample.n_rows,))
     return counts[0]
+
+
+@dataclass(frozen=True)
+class ObservedCells:
+    """The cells of one `prefix_counts` matrix, one per matrix column.
+
+    `cells` holds each cell's mixed-radix key over `dims`, or, where a key
+    would pass int64, each cell's row of codes.
+    """
+
+    cells: np.ndarray
+    dims: tuple[int, ...]
+
+    def codes(self, j: int) -> np.ndarray:
+        """Each cell's code in the subset's j-th column."""
+        if self.cells.ndim == 2:
+            return self.cells[:, j]
+        # keys in a dtype that holds the space's size, so every stride fits
+        keys = self.cells.astype(code_dtype([math.prod(self.dims) + 1]), copy=False)
+        return keys // math.prod(self.dims[j + 1 :]) % self.dims[j]
 
 
 def prefix_counts(
     sample: CategoricalSample, cols: Sequence[int], prefixes: Sequence[int]
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, ObservedCells]]:
     """Joint counts over `cols` of the row prefixes `codes[:n]`, n in `prefixes`.
 
     `prefixes` must be strictly ascending row counts. Each yielded matrix
     holds the counts of consecutive prefixes, one row each, in ascending cell
     key order; cells absent from all of its rows are dropped, so the last row
-    has no zero. No matrix exceeds `_DENSE_CELL_LIMIT` elements unless a
-    single row does. Every row is counted from the rows' cell ids in one
-    pass: the ids are keyed once, and each prefix adds the rows after the
-    previous one to its counts.
+    has no zero. It comes with its cells (`ObservedCells`), from which the
+    counts of any one column follow. No matrix exceeds `_DENSE_CELL_LIMIT`
+    elements unless a single row does. Every row is counted from the rows'
+    cell ids in one pass: the ids are keyed once, and each prefix adds the
+    rows after the previous one to its counts.
     """
     subset = normalize_columns(sample, cols)
     bounds = [int(n) for n in prefixes]
@@ -267,9 +305,8 @@ def prefix_counts(
         raise InvalidInputError(f"prefixes must be strictly ascending and positive, got {bounds}")
     if bounds[-1] > sample.n_rows:
         raise InvalidInputError(f"prefix of {bounds[-1]} rows exceeds the sample's {sample.n_rows}")
-    ids, n_cells = _cell_ids(
-        [sample.codes[: bounds[-1], c] for c in subset], [sample.cardinalities[c] for c in subset]
-    )
+    dims = tuple(sample.cardinalities[c] for c in subset)
+    ids, n_cells, cells = _cell_ids([sample.codes[: bounds[-1], c] for c in subset], dims)
     per_chunk = max(1, _DENSE_CELL_LIMIT // n_cells)
     start = 0
     running = None
@@ -288,32 +325,42 @@ def prefix_counts(
             counts += running
         running = counts[-1]
         start = chunk[-1]
-        yield counts[:, running > 0]
+        observed = np.flatnonzero(running)
+        keys = observed if cells is None else cells[observed]
+        yield counts[:, observed], ObservedCells(keys, dims)
 
 
-def _cell_ids(columns: Sequence[np.ndarray], dims: Sequence[int]) -> tuple[np.ndarray, int]:
-    """Per-row cell ids over equal-length code columns, and the id space size.
+def _cell_ids(
+    columns: Sequence[np.ndarray], dims: Sequence[int]
+) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """Per-row cell ids over equal-length code columns, the id space size,
+    and the cell of each id.
 
-    Dense spaces use the mixed-radix key itself (one column is its own key);
-    larger ones are renumbered to the observed keys (or, past int64, to the
-    observed rows) in ascending order.
+    Dense spaces use the mixed-radix key itself (one column is its own key),
+    so the cells are None: an id is its cell's key. Larger ones are
+    renumbered to the observed keys in ascending order, which are the cells;
+    past int64, to the observed rows of codes, which are the cells.
     """
     space = math.prod(dims)
     if space >= 1 << 62:
         # joint space not addressable in int64: number the distinct rows
         cells, ids = np.unique(np.column_stack(columns), axis=0, return_inverse=True)
-        return ids.reshape(-1), len(cells)
-    keys = columns[0]
-    if len(columns) > 1:
-        # widened to int64 before the first multiply: a narrow column times a
-        # Python int keeps the column's dtype and would wrap. A new array, so
-        # the sample's own column is never written.
-        keys = np.multiply(keys, dims[1], dtype=np.int64)
-        keys += columns[1]
-        for column, d in zip(columns[2:], dims[2:]):
+        return ids.reshape(-1), len(cells), cells
+    # a one-valued column adds 0 to every key, so it is left out; then every
+    # multiplier is at most half the key dtype's size
+    radix = [(column, d) for column, d in zip(columns, dims) if d > 1] or [(columns[0], 1)]
+    keys = radix[0][0]
+    if len(radix) > 1:
+        # Horner in the narrowest dtype of the space: each partial key is
+        # below the product of the dims seen so far. A new array, so the
+        # sample's own column is never written; the unsafe casts are exact,
+        # since every code is below its column's cardinality.
+        keys = np.multiply(keys, radix[1][1], dtype=code_dtype([space]), casting="unsafe")
+        np.add(keys, radix[1][0], out=keys, casting="unsafe")
+        for column, d in radix[2:]:
             keys *= d
-            keys += column
+            np.add(keys, column, out=keys, casting="unsafe")
     if space <= _DENSE_CELL_LIMIT:
-        return keys, space
+        return keys, space, None
     cells, ids = np.unique(keys, return_inverse=True)
-    return ids.reshape(-1), len(cells)
+    return ids.reshape(-1), len(cells), cells

@@ -466,6 +466,11 @@ MALFORMED = {
     "tracked-window": lambda tmp: _config_file(
         tmp, tracked=[{"label": "set", "groups": ["mk"], "window": [2, 9]}]
     ),
+    # two subsets reported as one msu_s series would hide the first one's values
+    "tracked-label-duplicate": lambda tmp: _config_file(
+        tmp, groups=[group("mk", "kononenko", 2), group("u", "uniform", 1)],
+        tracked=[{"label": "s", "groups": ["mk"]}, {"label": "s", "groups": ["u"]}],
+    ),
     "count-fixed-and-binary-equivalent": lambda tmp: _config_file(
         tmp, groups=[group("mk", "kononenko", {"fixed": 2, "binary_equivalent": True})]
     ),

@@ -627,6 +627,24 @@ class TestConfigValidation:
                 tracked=self.TRACKED + (TrackedSubset("u", ("mk", "noise")),),
             )
 
+    def test_duplicate_tracked_labels_rejected(self):
+        # both would report as msu_s, the first subset's values lost
+        groups = self.GROUPS + (GroupSpec("u", GeneratorKind.UNIFORM, 1, 2),)
+        with pytest.raises(InvalidInputError, match=r"labels must be unique, got \['s', 's'\]"):
+            ExperimentConfig(
+                name="bad",
+                sweep=Sweep("sample_size", (10,)),
+                groups=groups,
+                tracked=(TrackedSubset("s", ("mk",)), TrackedSubset("s", ("u",))),
+            )
+        with pytest.raises(InvalidInputError, match="labels must be unique"):
+            config_from_json({
+                "name": "bad",
+                "sweep": {"kind": "sample_size", "values": [10]},
+                "groups": [_group("mk", "kononenko", 2), _group("u", "uniform", 1)],
+                "tracked": [{"label": "s", "groups": ["mk"]}, {"label": "s", "groups": ["u"]}],
+            })
+
     @pytest.mark.parametrize("factor", [0.0, math.nan, math.inf])
     def test_computed_factor_must_be_finite_and_positive(self, factor):
         with pytest.raises(InvalidInputError, match="factor"):
@@ -759,20 +777,27 @@ class TestNestedEngine:
         "name, columns, joints", [("fig-xor-2", 16, 13), ("fig-h", 40, 36), ("fig-b2", 3, 3)]
     )
     def test_each_column_counted_once_per_replicate(self, monkeypatch, name, columns, joints):
-        # one count per distinct column (class included) at the union of the
-        # prefixes it is read at, and one per joint histogram at its own
-        calls = []
+        # one count per joint histogram, at its own prefixes; no column is
+        # counted alone, yet the table holds every column's marginals (the
+        # class included), summed from the joints
+        calls, samples = [], []
         counts = measures.prefix_counts
 
         def counting(sample, cols, prefixes):
             calls.append(tuple(cols))
             return counts(sample, cols, prefixes)
 
+        def generating(*args, **kwargs):
+            samples.append(generate_dataset(*args, **kwargs))
+            return samples[-1]
+
         monkeypatch.setattr(measures, "prefix_counts", counting)
+        monkeypatch.setattr(harness, "generate_dataset", generating)
         run_experiment(_desk(preset(name), 1))
-        singles = [c for c in calls if len(c) == 1]
-        assert len(singles) == len(set(singles)) == columns
-        assert len(calls) - len(singles) == len(set(calls) - set(singles)) == joints
+        assert len(calls) == len(set(calls)) == joints
+        assert all(len(c) > 1 for c in calls)
+        singles = {s for sample in samples for s in sample._entropies if len(s) == 1}
+        assert len(samples) == 1 and len(singles) == columns
 
     def test_union_past_the_cell_cap_is_split_into_its_points(self, monkeypatch):
         # the point at 1 needs 160 rows for its 8-value attribute, the points

@@ -188,7 +188,7 @@ class TestReadCsvMemory:
             tracemalloc.stop()
         assert data.sample.codes.shape == (100_000, 19)
         assert data.sample.codes.dtype == np.uint8
-        # the coded chunks, uint16 while a column has fewer than 63,489
-        # labels (3.8 MB), plus the 1.9 MB matrix; int64 chunks would take
-        # 15.2 MB, and an int64 matrix 15.2 MB more
-        assert peak < 8_000_000
+        # the coded chunks, each narrowed to the dtype of the labels seen
+        # (uint8 here, 1.9 MB), plus the 1.9 MB matrix: 3.9 MB measured;
+        # uint16 chunks would take 3.8 MB, int64 ones 15.2 MB
+        assert peak < 4_500_000

@@ -17,7 +17,8 @@ from msulab import (
     total_correlation,
 )
 from msulab import sample as sample_module
-from msulab.measures import entropy_rows
+from msulab import measures
+from msulab.measures import entropy_rows, subset_entropies
 from msulab.sample import joint_counts, prefix_counts
 from oracle_utils import brute_force_msu, random_sample
 
@@ -129,7 +130,7 @@ def test_prefix_counts_match_counts_of_each_prefix(cards, limit, monkeypatch):
     sample = CategoricalSample(rng.integers(0, 3, size=(60, 3)), cards)
     prefixes = [1, 2, 5, 17, 18, 40, 60]
     for cols in ([0], [2, 0], [0, 1, 2]):
-        rows = [row for chunk in prefix_counts(sample, cols, prefixes) for row in chunk]
+        rows = [row for chunk, _ in prefix_counts(sample, cols, prefixes) for row in chunk]
         assert len(rows) == len(prefixes)
         for n, row in zip(prefixes, rows):
             head = CategoricalSample(sample.codes[:n], cards)
@@ -158,8 +159,8 @@ def test_counts_and_measures_do_not_depend_on_memory_layout(cards, limit, monkey
     prefixes = [1, 2, 5, 17, 18, 40, 60]
     chunks = []
     for cols in ([0], [2, 0], [0, 1, 2]):
-        f_counts = list(prefix_counts(f_order, cols, prefixes))
-        c_counts = list(prefix_counts(c_order, cols, prefixes))
+        f_counts = [counts for counts, _ in prefix_counts(f_order, cols, prefixes)]
+        c_counts = [counts for counts, _ in prefix_counts(c_order, cols, prefixes)]
         assert len(f_counts) == len(c_counts)
         chunks.append(len(f_counts))
         for f, c in zip(f_counts, c_counts):
@@ -170,6 +171,35 @@ def test_counts_and_measures_do_not_depend_on_memory_layout(cards, limit, monkey
     for x, y in ((0, 1), (0, 2), (1, 2)):
         f_su = symmetrical_uncertainty(f_order, x, y)
         assert repr(f_su) == repr(symmetrical_uncertainty(c_order, x, y))
+
+
+@pytest.mark.parametrize("cards", [(3, 3, 3), (3, 2**30, 2**30), (2**40, 2**40, 2**40)])
+@pytest.mark.parametrize("limit", [sample_module._DENSE_CELL_LIMIT, 40])
+def test_marginals_from_the_joint_match_single_column_counts(cards, limit, monkeypatch):
+    # dense, renumbered-key and distinct-row paths; a tiny limit forces chunks
+    monkeypatch.setattr(sample_module, "_DENSE_CELL_LIMIT", limit)
+    rng = np.random.default_rng(23)
+    codes = rng.integers(0, 3, size=(60, 3))
+    codes[rng.random(60) < 0.3, 1] = cards[1] - 1  # past the 60 cells, where it can be
+    prefixes = [1, 2, 5, 17, 18, 40, 60]
+    for cols in ([0, 1], [2, 0], [0, 1, 2]):
+        sample = CategoricalSample(codes, cards)
+        subset = sorted(cols)
+        chunks = list(prefix_counts(sample, subset, prefixes))
+        for j, c in enumerate(subset):
+            alone = [row for counts, _ in prefix_counts(sample, [c], prefixes) for row in counts]
+            derived = [
+                row
+                for counts, cells in chunks
+                for row in measures._column_counts(counts, cells.codes(j), cards[c])
+            ]
+            assert [r[r > 0].tolist() for r in derived] == [r[r > 0].tolist() for r in alone]
+        # the table holds each member's entropies, as a count of it alone gives them
+        subset_entropies(sample, cols, prefixes)
+        for c in cols:
+            fresh = CategoricalSample(codes, cards)
+            stored = sample._entropies[(c,)][tuple(prefixes)]
+            assert stored == subset_entropies(fresh, [c], prefixes)
 
 
 def test_prefix_counts_reject_unordered_prefixes():

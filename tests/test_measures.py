@@ -23,7 +23,14 @@ from msulab import (
 )
 from msulab import measures
 from msulab.measures import msu_at_prefixes, subset_entropies
-from msulab.sample import code_dtype, joint_counts, normalize_columns
+from msulab.sample import (
+    _cell_ids,
+    check_codes,
+    code_dtype,
+    joint_counts,
+    normalize_columns,
+    prefix_counts,
+)
 from oracle_utils import coded_table, entropy_of_counts
 
 # The three 8-row tables: two binary columns plus a class; B flips one cell of
@@ -405,6 +412,48 @@ class TestCodeDtype:
         assert joint_counts(sample, range(len(cards))).tolist() == expected.tolist()
 
     @pytest.mark.parametrize(
+        "cards",
+        [
+            (1, 16, 16), (16, 1, 16), (16, 16, 1), (1, 256), (256, 1),
+            (1, 257, 1), (1, 1, 257), (257, 1),
+            (1, 256, 256), (256, 1, 256), (256, 256, 1), (1, 65_536), (65_536, 1),
+            (1, 65_537), (65_537, 1, 1),
+            (1, 2**16, 2**16), (2**16, 1, 2**16), (2**16, 2**16, 1), (1, 2**32), (2**32, 1),
+            (1, 641, 6_700_417), (641, 1, 6_700_417), (641, 6_700_417, 1),
+        ],
+    )
+    def test_keys_at_the_dtype_edges_match_an_int64_oracle(self, cards):
+        # joint spaces of 256/257, 65,536/65,537 and 2**32/2**32 + 1, a
+        # one-valued column first, in the middle or last; a lone column of
+        # the space's size would be a multiplier past its key dtype
+        rng = np.random.default_rng(sum(cards))
+        columns = [rng.integers(0, c, size=3000) for c in cards]
+        for column, c in zip(columns, cards):
+            column[-1] = c - 1  # the largest key
+        sample = CategoricalSample.from_columns(columns, cards)
+        space = math.prod(cards)
+        ids, _, cells = _cell_ids(list(sample.codes.T), cards)
+        if cells is None:  # dense: the ids are the keys, in the space's dtype
+            assert ids.dtype == code_dtype([space])
+        keys = np.zeros(3000, dtype=np.int64)  # the int64 oracle
+        for column, c in zip(columns, cards):
+            keys = keys * c + column
+        cols = range(len(cards))
+        _, expected = np.unique(keys, return_counts=True)
+        assert joint_counts(sample, cols).tolist() == expected.tolist()
+        prefixes = [1, 7, 1000, 3000]
+        chunks = list(prefix_counts(sample, cols, prefixes))
+        rows = [row for counts, _ in chunks for row in counts]
+        for n, row in zip(prefixes, rows, strict=True):
+            assert row[row > 0].tolist() == np.unique(keys[:n], return_counts=True)[1].tolist()
+        # the last chunk's cells decode, column by column, to the oracle's codes
+        observed = np.unique(keys)
+        strides = [math.prod(cards[j + 1:]) for j in cols]
+        for j in cols:
+            decoded = chunks[-1][1].codes(j)
+            assert decoded.tolist() == (observed // strides[j] % cards[j]).tolist()
+
+    @pytest.mark.parametrize(
         "build",
         [
             lambda: CategoricalSample.from_columns([[0, 300]], (200,)),
@@ -419,6 +468,48 @@ class TestCodeDtype:
         # 256 to 0 in uint8 and 65,536 to 0 in uint16
         with pytest.raises(InvalidInputError, match="exceeds its column's declared cardinality"):
             build()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.uint32])
+    def test_integer_codes_are_read_once(self, dtype):
+        reads = []
+
+        class Logged(np.ndarray):
+            def min(self, *args, **kwargs):
+                reads.append("min")
+                return super().min(*args, **kwargs)
+
+            def max(self, *args, **kwargs):
+                reads.append("max")
+                return super().max(*args, **kwargs)
+
+        columns = [np.array(c, dtype=dtype).view(Logged) for c in ([0, 1, 2], [3, 0, 1])]
+        check_codes(columns, (3, 4))
+        assert reads == ["max", "max"]
+
+    @pytest.mark.parametrize(
+        "column, card, match",
+        [
+            # viewed unsigned, -1 is 255, below the cardinality
+            (np.array([0, -1], dtype=np.int8), 300, "must be non-negative"),
+            (np.array([0, -1], dtype=np.int64), 2**63 - 1, "must be non-negative"),
+            (np.array([0, 127], dtype=np.int8), 127, "exceeds"),
+            (np.array([0, 2**63 - 1], dtype=np.int64), 2**63 - 1, "exceeds"),
+            (np.array([0, 5], dtype=np.uint8), 5, "exceeds"),
+            (np.array([False, True]), 1, "exceeds"),
+        ],
+    )
+    def test_one_pass_check_names_the_fault(self, column, card, match):
+        for order in "<>":  # the unsigned view keeps the column's byte order
+            codes = column.astype(column.dtype.newbyteorder(order))
+            with pytest.raises(InvalidInputError, match=match):
+                check_codes([np.array([0, 0]), codes], (1, card))
+            check_codes([codes[:1]], (card,))  # the first code alone fits
+
+    @pytest.mark.parametrize("dtype", [">i8", "<i8", ">i2", "<i4"])
+    def test_signed_codes_in_either_byte_order_accepted(self, dtype):
+        codes = np.array([0, 1, 5], dtype=dtype)
+        check_codes([codes], (6,))
+        assert CategoricalSample(codes[:, np.newaxis], (6,)).codes[:, 0].tolist() == [0, 1, 5]
 
     def test_negative_code_rejected_before_it_could_wrap(self):
         # -1 would wrap to 255 in uint8
@@ -468,15 +559,15 @@ class TestEntropyTable:
         monkeypatch.setattr(measures, "prefix_counts", counting)
         sample = CategoricalSample(TABLE_C.codes, TABLE_C.cardinalities)
         first = msu(sample, [0, 1, 2])
-        assert len(calls) == 4  # three marginals and the joint histogram
+        assert calls == [(0, 1, 2)]  # the joint; its counts give the marginals
         symmetrical_uncertainty(sample, 0, 2)
-        assert calls[4:] == [(0, 2)]  # the marginals are already in the table
+        assert calls[1:] == [(0, 2)]  # the marginals are already in the table
         assert msu(sample, [2, 0, 1]) == first
-        assert len(calls) == 5
+        assert len(calls) == 2
 
         copy = dataclasses.replace(sample)
         assert msu(copy, [0, 1, 2]) == first
-        assert len(calls) == 9  # a new sample starts with an empty table
+        assert len(calls) == 3  # a new sample starts with an empty table
 
     def test_prefixes_are_part_of_the_key(self):
         sample = CategoricalSample(np.random.default_rng(3).integers(0, 3, size=(40, 3)), (3, 3, 3))

@@ -3,7 +3,8 @@
 Each import in `src/msulab/` must be used, and `msulab.__all__` must list
 exactly the public names that `__init__.py` imports, so deleting a function
 cannot leave a stale import or export behind. Every column-major matrix is
-allocated in the dtype of the one rule in `sample.py`, `code_dtype`.
+allocated in the dtype of the one rule in `sample.py`, `code_dtype`, and
+joint cells are keyed in it too.
 """
 
 import ast
@@ -85,3 +86,19 @@ def test_code_matrices_take_the_one_dtype_rule():
     assert len(rules) == 1 and rules[0].startswith("sample.py:"), rules
     assert allocations, "no column-major allocation found"
     assert all(allocations.values()), [where for where, ok in allocations.items() if not ok]
+
+
+def test_joint_keys_take_the_one_dtype_rule():
+    # a hard-coded int64 key would move 8 bytes a code where 1 or 2 hold it
+    (cell_ids,) = [
+        node for node in ast.walk(_tree(PACKAGE / "sample.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "_cell_ids"
+    ]
+    dtypes = [
+        k.value for n in ast.walk(cell_ids) if isinstance(n, ast.Call) for k in n.keywords
+        if k.arg == "dtype"
+    ]
+    assert dtypes, "no keyed multiply found"
+    assert all(isinstance(d, ast.Call) and _called_name(d) == "code_dtype" for d in dtypes)
+    named = {n.attr for n in ast.walk(cell_ids) if isinstance(n, ast.Attribute)}
+    assert not named & {"int64", "uint64", "intp", "int_"}, named
