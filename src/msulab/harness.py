@@ -35,13 +35,12 @@ and so is a count sweep whose cardinalities stay fixed; the points of a
 cardinality sweep never nest. Where that union dataset would hold more cells
 (rows x columns) than the points' own datasets together, each point gets its
 own dataset instead. Every measure comes from
-`msulab.measures.msu_at_prefixes` at those row prefixes, so the dataset's
-entropy table counts each distinct column subset once for all prefixes. A
-column that several measures read at different prefix sets, the class
-included, is counted once at the union of those prefixes, and each measure
-reads its own prefixes from that count: a marginal shared by several measures
-is counted once per replicate. A point run on its own is the isolated
-recomputation of that point, with the same floats.
+`msulab.measures.msu_at_prefixes` at the row prefixes of the points that
+list it, so the dataset's entropy table counts each measure's joint once for
+all of them. No column is counted alone: a column's marginal at a prefix set,
+the class included, is summed from the first joint counted at that set, and
+later measures at the same set read it from the table. A point run on its
+own is the isolated recomputation of that point, with the same floats.
 
 No dataset past `msulab.dataset.MAX_DATASET_CELLS` is generated: nested
 points whose union would pass it get their own datasets, and a point whose

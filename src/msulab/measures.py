@@ -10,18 +10,18 @@ That makes every measure invariant, bit for bit, under row permutations and
 bijective relabelings of category codes (those only reorder the terms).
 
 Every measure over a sample reads its entropies from one table that the
-sample carries: `subset_entropies` counts a column subset's histogram at
-given row prefixes once and keeps the floats, and answers later requests for
-some of those prefixes from them. Counting a joint of several columns scans
-the rows once: each member column's counts at the same prefixes are sums of
-the joint's cells, so they are taken from the joint's count matrix and
-stored too, unless the table already answers them. A public measure reads
-the table at all rows; the Monte Carlo engine reads it at each sweep point's
-row prefix, through the same `msu_at_prefixes`, joint first. Counts are
-integers and each entropy is an fsum of its prefix's own cells, so a sample
-returns the same floats however often, in whatever order, and at whatever
-prefix sets it is measured, and a column's entropies are the same whether
-its counts were summed from a joint or counted alone.
+sample carries, keyed exactly by (sorted column subset, row prefixes):
+`subset_entropies` counts a subset's histogram at the prefixes on a miss,
+through `msulab.sample.prefix_counts`, and keeps the floats. Counting a joint
+of several columns also takes, from the same scan of the rows, the counts of
+each member column that the table lacks at those prefixes, and stores their
+entropies under the member's own key. A public measure reads the table at
+all rows; the Monte Carlo engine reads it at each sweep point's row prefix,
+through the same `msu_at_prefixes`, joint first. Counts are integers and
+each entropy is an fsum of its prefix's own cells, so a sample returns the
+same floats however often, in whatever order, and at whatever prefix sets it
+is measured, and a column's entropies are the same whether its counts were
+summed from a joint or counted alone.
 """
 
 from __future__ import annotations
@@ -33,11 +33,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .sample import CategoricalSample, normalize_columns, prefix_counts
+from .sample import (
+    CategoricalSample,
+    normalize_columns,
+    normalize_prefixes,
+    prefix_counts,
+    whole_numbers,
+)
 
 # Normalized measures may land a few ulp outside [0, 1]; anything farther out
 # signals a real defect and is raised instead of clamped.
 _UNIT_SLACK = 1e-9
+_MAX_TOTAL = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -63,15 +70,16 @@ def entropy_rows(counts: np.ndarray) -> list[float]:
 
 
 def _clean_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(counts)
+    arr = whole_numbers(counts, "counts")
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInputError("counts must be a non-empty 1-D sequence")
-    if np.issubdtype(arr.dtype, np.floating):
-        if not np.all(arr == np.floor(arr)):
-            raise InvalidInputError("counts must be integers")
     arr = arr.astype(np.int64)
     if (arr < 0).any():
         raise InvalidInputError("counts must be non-negative")
+    # the total is the divisor of every probability, so it must fit int64 too
+    total = sum(arr.tolist())
+    if total > _MAX_TOTAL:
+        raise InvalidInputError(f"counts total {total}, which is past int64 (max {_MAX_TOTAL})")
     arr = arr[arr > 0]
     if arr.size == 0:
         raise InvalidInputError("at least one count must be positive")
@@ -89,83 +97,27 @@ def subset_entropies(
     """Entropy in bits of the joint histogram over `cols` at each row prefix.
 
     `prefixes` are strictly ascending row counts, all rows by default. The
-    sample keeps every entropy counted here, by sorted subset and then by
-    prefixes, so each histogram is counted once per sample. Prefixes that a
-    stored set of the same subset includes are read from it by index, not
-    counted again. Counting a joint of several columns also stores, at the
-    same prefixes, the entropy of each member column that the table cannot
-    answer yet, summed from the joint's counts.
+    sample keeps every entropy counted here under the exact key (sorted
+    subset, prefixes), so each histogram is counted once per sample and
+    prefix set. Counting a joint of several columns also stores, under the
+    same prefixes, the entropies of each member column that the table lacks
+    there, summed from the joint's counts.
     """
     subset = normalize_columns(sample, cols)
-    bounds = (sample.n_rows,) if prefixes is None else tuple(prefixes)
-    stored = sample._entropies.setdefault(subset, {})
-    if bounds not in stored:
-        read = _read_stored(stored, bounds)
-        if read is None:
-            read = _count(sample, subset, bounds)
-        stored[bounds] = read
-    return stored[bounds]
-
-
-def _count(
-    sample: CategoricalSample, subset: tuple[int, ...], bounds: tuple[int, ...]
-) -> tuple[float, ...]:
-    """The entropies of `subset` at `bounds`, counted in one scan of the rows.
-
-    Each member column whose entropies at `bounds` the table cannot answer
-    gets them from the joint's counts, stored under its own subset.
-    """
+    bounds = normalize_prefixes(sample, (sample.n_rows,) if prefixes is None else prefixes)
     table = sample._entropies
-    members = [
-        j for j, c in enumerate(subset)
-        if len(subset) > 1 and _read_stored(table.get((c,), {}), bounds) is None
-    ]
-    joint: list[float] = []
-    marginals: dict[int, list[float]] = {j: [] for j in members}
-    for counts, cells in prefix_counts(sample, subset, bounds):
-        joint += entropy_rows(counts)
-        for j in members:
-            marginals[j] += entropy_rows(_column_counts(counts, cells.codes(j), cells.dims[j]))
-    for j, entropies in marginals.items():
-        table.setdefault((subset[j],), {})[bounds] = tuple(entropies)
-    return tuple(joint)
-
-
-def _column_counts(counts: np.ndarray, codes: np.ndarray, card: int) -> np.ndarray:
-    """Each row of a joint count matrix summed over the cells that share a
-    code of one column, given each cell's code below `card`: that column's
-    counts, a zero where a code is not seen.
-
-    Where `card` exceeds the number of cells, the codes seen are renumbered
-    first, so no result is wider than the joint's own matrix. The float sums
-    are exact: each partial sum is a count of rows.
-    """
-    if card > len(codes):
-        seen, codes = np.unique(codes, return_inverse=True)
-        card = len(seen)
-    rows = len(counts)
-    slots = (codes + np.arange(0, rows * card, card)[:, np.newaxis]).reshape(-1)
-    summed = np.bincount(slots, weights=counts.reshape(-1), minlength=rows * card)
-    return summed.reshape(rows, card).astype(np.int64)
-
-
-def _read_stored(
-    stored: dict[tuple[int, ...], tuple[float, ...]], bounds: tuple[int, ...]
-) -> tuple[float, ...] | None:
-    """The entropies at `bounds` from a stored prefix set that includes them.
-
-    None when no stored set includes them all, or when `bounds` is not
-    strictly ascending (counting then rejects it).
-    """
-    if bounds in stored:
-        return stored[bounds]
-    if not bounds or list(bounds) != sorted(set(bounds)):
-        return None
-    for wider, entropies in stored.items():
-        at = dict(zip(wider, entropies))
-        if all(n in at for n in bounds):
-            return tuple([at[n] for n in bounds])
-    return None
+    if (subset, bounds) not in table:
+        alone = [c for c in subset if len(subset) > 1 and ((c,), bounds) not in table]
+        joint: list[float] = []
+        marginals: list[list[float]] = [[] for _ in alone]
+        for counts, columns in prefix_counts(sample, subset, bounds, alone):
+            joint += entropy_rows(counts)
+            for entropies, column in zip(marginals, columns):
+                entropies += entropy_rows(column)
+        for c, entropies in zip(alone, marginals):
+            table[(c,), bounds] = tuple(entropies)
+        table[subset, bounds] = tuple(joint)
+    return table[subset, bounds]
 
 
 def joint_entropy(sample: CategoricalSample, cols: Sequence[int]) -> MeasureValue:
@@ -253,7 +205,7 @@ def symmetrical_uncertainty(sample: CategoricalSample, x_col: int, y_col: int) -
 
     Identical, float for float, to msu over the same two columns.
     """
-    if int(x_col) == int(y_col):
+    if normalize_columns(sample, [x_col]) == normalize_columns(sample, [y_col]):
         raise InvalidInputError("symmetrical uncertainty needs two distinct columns")
     (value,) = msu_at_prefixes(sample, [x_col, y_col])
     return value

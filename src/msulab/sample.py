@@ -11,22 +11,29 @@ each column is one contiguous block of memory. Its dtype is the narrowest
 that holds every code below the sample's largest cardinality (`code_dtype`:
 uint8 up to 256, uint16 up to 65,536, uint32 up to 2**32, int64 past that),
 so the binary to 40-value alphabets of the paper take one byte a code.
-Joint histograms key their cells from those columns directly, in the
-narrowest dtype of the joint space (the same rule), and hand back the
-observed cells with their counts, so one column's counts follow from a
-joint's without reading the rows again. `from_columns` (the path of CSV
-data) writes each input column straight into its place in the matrix, and
-`msulab.dataset.generate_dataset` writes each generated column into its
-place as it is drawn. Every column is range-checked before it is cast to the
-narrow dtype (`check_codes`), so a bad code is reported, never wrapped into
-range. Every sample, however it is built, passes the same validation in
-`__post_init__`; a matrix given to the constructor is copied first, one that
-either path filled (wrapped in `_Filled`) is not copied again.
+`from_columns` (the path of CSV data) writes each input column straight into
+its place in the matrix, and `msulab.dataset.generate_dataset` writes each
+generated column into its place as it is drawn. Every column is range-checked
+before it is cast to the narrow dtype (`check_codes`), so a bad code is
+reported, never wrapped into range. Every sample, however it is built, passes
+the same validation in `__post_init__`; a matrix given to the constructor is
+copied first, one that either path filled (wrapped in `_Filled`) is not
+copied again.
+
+Rows become counts in one place, `prefix_counts`: it counts the joint
+histogram of a column subset at ascending row prefixes and, on request, the
+counts of some of the subset's columns at the same prefixes. It keys each
+row's cell from the code columns directly, in the narrowest dtype of the
+joint space (the same rule), and sums each column's counts from the joint's
+cells, so the rows are read once however many columns are asked for. How a
+cell is keyed (a dense mixed-radix key, a renumbered key, or a row of codes
+past int64) is private to this module.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -98,23 +105,26 @@ class _Filled:
         self.matrix = matrix
 
 
-def _code_array(values) -> np.ndarray:
-    """`values` as a numeric array of whole-number codes, not yet cast."""
+def whole_numbers(values, what: str = "category codes") -> np.ndarray:
+    """`values` as a numeric array of whole numbers within int64, not yet
+    cast; `what` names them in an error."""
     try:
-        codes = np.asarray(values)
+        numbers = np.asarray(values)
     except (TypeError, ValueError):
-        raise InvalidInputError("category codes must form a rectangle of numbers") from None
-    # strings, None and other objects are not codes, even when they spell one
-    if codes.dtype.kind not in "biuf":
-        raise InvalidInputError(f"category codes must be numbers, got dtype {codes.dtype}")
+        raise InvalidInputError(f"{what} must form a rectangle of numbers") from None
+    # strings, None and other objects are not numbers, even when they spell
+    # one; numpy holds an integer past uint64 as an object too
+    if numbers.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{what} must be numbers within int64, got dtype {numbers.dtype}")
     # only float input can carry a fraction; integer input skips the check
-    if codes.dtype.kind == "f" and not (np.isfinite(codes) & (codes == np.trunc(codes))).all():
-        raise InvalidInputError("category codes must be finite whole numbers")
-    # codes past int64 fit no code dtype; the bound is 2**63,
-    # not MAX_CARDINALITY, which a float compare would round up to 2**63
-    if codes.dtype.kind in "uf" and codes.size and codes.max() >= MAX_CARDINALITY + 1:
-        raise InvalidInputError(f"category code {int(codes.max())} is past int64 (max {MAX_CARDINALITY})")
-    return codes
+    if numbers.dtype.kind == "f" and not (np.isfinite(numbers) & (numbers == np.trunc(numbers))).all():
+        raise InvalidInputError(f"{what} must be finite whole numbers")
+    # the bound is 2**63, not MAX_CARDINALITY, which a float compare would
+    # round up to 2**63
+    if numbers.dtype.kind in "uf" and numbers.size and numbers.max() >= MAX_CARDINALITY + 1:
+        top = numbers.max().item()  # an int or a float, as given
+        raise InvalidInputError(f"{what} hold {top}, which is past int64 (max {MAX_CARDINALITY})")
+    return numbers
 
 
 def _checked_cards(shape: tuple[int, ...], cardinalities: Sequence[int]) -> tuple[int, ...]:
@@ -156,7 +166,7 @@ class CategoricalSample:
     codes: np.ndarray
     cardinalities: tuple[int, ...]
     column_names: tuple[str, ...] | None = None
-    # sorted column subset -> {row prefixes -> entropy at each prefix}; only
+    # (sorted column subset, row prefixes) -> entropy at each prefix; only
     # `msulab.measures.subset_entropies` fills and reads it
     _entropies: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -166,7 +176,7 @@ class CategoricalSample:
             cards = _checked_cards(codes.shape, self.cardinalities)
         else:
             # the defensive copy, in the layout and dtype of every sample's codes
-            given = _code_array(self.codes)
+            given = whole_numbers(self.codes)
             cards = _checked_cards(given.shape, self.cardinalities)
             codes = _narrowed(given.T, cards)
         check_codes(codes.T, cards)
@@ -220,7 +230,7 @@ class CategoricalSample:
         then written into its place in a new `code_matrix`, which the
         constructor validates without copying it again.
         """
-        arrays = [_code_array(c) for c in columns]
+        arrays = [whole_numbers(c) for c in columns]
         if not arrays:
             raise InvalidInputError("sample must have at least one column")
         for a in arrays:
@@ -236,13 +246,22 @@ class CategoricalSample:
         )
 
 
+def _integers(values, what: str) -> list[int]:
+    """`values` as Python ints; a float, string or None is rejected, never
+    truncated, while NumPy integers are accepted."""
+    try:
+        return [operator.index(v) for v in values]
+    except TypeError:
+        raise InvalidInputError(f"{what} must be a sequence of integers, got {values!r}") from None
+
+
 def normalize_columns(sample: CategoricalSample, cols: Sequence[int]) -> tuple[int, ...]:
     """Validate a column subset and return it sorted ascending.
 
     Sorted order makes equal subsets compare (and hash) equal no matter how the
     caller listed them. Duplicates are rejected: a subset is a set.
     """
-    subset = tuple(int(c) for c in cols)
+    subset = _integers(cols, "column indices")
     if not subset:
         raise InvalidInputError("column subset must not be empty")
     p = sample.n_columns
@@ -250,61 +269,47 @@ def normalize_columns(sample: CategoricalSample, cols: Sequence[int]) -> tuple[i
         if not 0 <= c < p:
             raise InvalidInputError(f"column index {c} out of range for {p} columns")
     if len(set(subset)) != len(subset):
-        raise InvalidInputError(f"column subset contains duplicates: {subset}")
+        raise InvalidInputError(f"column subset contains duplicates: {tuple(subset)}")
     return tuple(sorted(subset))
 
 
-def joint_counts(sample: CategoricalSample, cols: Sequence[int]) -> np.ndarray:
-    """Counts of the observed value tuples over `cols` (zero cells omitted).
-
-    The cell order is deterministic for a given sample (ascending mixed-radix
-    key over the sorted column subset), so repeated calls return identical
-    arrays. This is the one-prefix case of `prefix_counts`.
-    """
-    ((counts, _),) = prefix_counts(sample, cols, (sample.n_rows,))
-    return counts[0]
-
-
-@dataclass(frozen=True)
-class ObservedCells:
-    """The cells of one `prefix_counts` matrix, one per matrix column.
-
-    `cells` holds each cell's mixed-radix key over `dims`, or, where a key
-    would pass int64, each cell's row of codes.
-    """
-
-    cells: np.ndarray
-    dims: tuple[int, ...]
-
-    def codes(self, j: int) -> np.ndarray:
-        """Each cell's code in the subset's j-th column."""
-        if self.cells.ndim == 2:
-            return self.cells[:, j]
-        # keys in a dtype that holds the space's size, so every stride fits
-        keys = self.cells.astype(code_dtype([math.prod(self.dims) + 1]), copy=False)
-        return keys // math.prod(self.dims[j + 1 :]) % self.dims[j]
-
-
-def prefix_counts(
-    sample: CategoricalSample, cols: Sequence[int], prefixes: Sequence[int]
-) -> Iterator[tuple[np.ndarray, ObservedCells]]:
-    """Joint counts over `cols` of the row prefixes `codes[:n]`, n in `prefixes`.
-
-    `prefixes` must be strictly ascending row counts. Each yielded matrix
-    holds the counts of consecutive prefixes, one row each, in ascending cell
-    key order; cells absent from all of its rows are dropped, so the last row
-    has no zero. It comes with its cells (`ObservedCells`), from which the
-    counts of any one column follow. No matrix exceeds `_DENSE_CELL_LIMIT`
-    elements unless a single row does. Every row is counted from the rows'
-    cell ids in one pass: the ids are keyed once, and each prefix adds the
-    rows after the previous one to its counts.
-    """
-    subset = normalize_columns(sample, cols)
-    bounds = [int(n) for n in prefixes]
+def normalize_prefixes(sample: CategoricalSample, prefixes: Sequence[int]) -> tuple[int, ...]:
+    """Validate row prefixes: strictly ascending row counts of the sample."""
+    bounds = _integers(prefixes, "prefixes")
     if not bounds or bounds[0] < 1 or sorted(set(bounds)) != bounds:
         raise InvalidInputError(f"prefixes must be strictly ascending and positive, got {bounds}")
     if bounds[-1] > sample.n_rows:
         raise InvalidInputError(f"prefix of {bounds[-1]} rows exceeds the sample's {sample.n_rows}")
+    return tuple(bounds)
+
+
+def prefix_counts(
+    sample: CategoricalSample,
+    cols: Sequence[int],
+    prefixes: Sequence[int],
+    alone: Sequence[int] = (),
+) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """Joint counts over `cols` of the row prefixes `codes[:n]`, n in
+    `prefixes`, with the counts of each column in `alone` at those prefixes.
+
+    `prefixes` must be strictly ascending row counts, and every column of
+    `alone` one of `cols`. Each yielded matrix holds the joint counts of
+    consecutive prefixes, one row each, in ascending cell key order; cells
+    absent from all of its rows are dropped, so the last row has no zero. It
+    comes with one matrix per column of `alone`, in that order: each row the
+    column's counts at the same prefix, in ascending code order, a zero where
+    a code is not seen. Those are summed from the joint's cells, so the rows
+    are read once. No joint matrix exceeds `_DENSE_CELL_LIMIT` elements
+    unless a single row does. Every row is counted from the rows' cell ids in
+    one pass: the ids are keyed once, and each prefix adds the rows after the
+    previous one to its counts.
+    """
+    subset = normalize_columns(sample, cols)
+    bounds = normalize_prefixes(sample, prefixes)
+    singles = _integers(alone, "columns counted alone")
+    if not set(singles) <= set(subset):
+        raise InvalidInputError(f"columns {singles} counted alone are not all in {subset}")
+    members = [subset.index(c) for c in singles]
     dims = tuple(sample.cardinalities[c] for c in subset)
     ids, n_cells, cells = _cell_ids([sample.codes[: bounds[-1], c] for c in subset], dims)
     per_chunk = max(1, _DENSE_CELL_LIMIT // n_cells)
@@ -326,8 +331,37 @@ def prefix_counts(
         running = counts[-1]
         start = chunk[-1]
         observed = np.flatnonzero(running)
+        joint = counts[:, observed]
         keys = observed if cells is None else cells[observed]
-        yield counts[:, observed], ObservedCells(keys, dims)
+        yield joint, [_column_counts(joint, _cell_codes(keys, dims, j), dims[j]) for j in members]
+
+
+def _cell_codes(cells: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
+    """Each cell's code in the subset's j-th column, given the cells as
+    mixed-radix keys over `dims` or, past int64, as rows of codes."""
+    if cells.ndim == 2:
+        return cells[:, j]
+    # keys in a dtype that holds the space's size, so every stride fits
+    keys = cells.astype(code_dtype([math.prod(dims) + 1]), copy=False)
+    return keys // math.prod(dims[j + 1 :]) % dims[j]
+
+
+def _column_counts(counts: np.ndarray, codes: np.ndarray, card: int) -> np.ndarray:
+    """Each row of a joint count matrix summed over the cells that share a
+    code of one column, given each cell's code below `card`: that column's
+    counts, a zero where a code is not seen.
+
+    Where `card` exceeds the number of cells, the codes seen are renumbered
+    first, so no result is wider than the joint's own matrix. The float sums
+    are exact: each partial sum is a count of rows.
+    """
+    if card > len(codes):
+        seen, codes = np.unique(codes, return_inverse=True)
+        card = len(seen)
+    rows = len(counts)
+    slots = (codes + np.arange(0, rows * card, card)[:, np.newaxis]).reshape(-1)
+    summed = np.bincount(slots, weights=counts.reshape(-1), minlength=rows * card)
+    return summed.reshape(rows, card).astype(np.int64)
 
 
 def _cell_ids(

@@ -783,9 +783,9 @@ class TestNestedEngine:
         calls, samples = [], []
         counts = measures.prefix_counts
 
-        def counting(sample, cols, prefixes):
+        def counting(sample, cols, prefixes, alone=()):
             calls.append(tuple(cols))
-            return counts(sample, cols, prefixes)
+            return counts(sample, cols, prefixes, alone)
 
         def generating(*args, **kwargs):
             samples.append(generate_dataset(*args, **kwargs))
@@ -796,7 +796,7 @@ class TestNestedEngine:
         run_experiment(_desk(preset(name), 1))
         assert len(calls) == len(set(calls)) == joints
         assert all(len(c) > 1 for c in calls)
-        singles = {s for sample in samples for s in sample._entropies if len(s) == 1}
+        singles = {s for sample in samples for s, _ in sample._entropies if len(s) == 1}
         assert len(samples) == 1 and len(singles) == columns
 
     def test_union_past_the_cell_cap_is_split_into_its_points(self, monkeypatch):

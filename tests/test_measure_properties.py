@@ -17,12 +17,17 @@ from msulab import (
     total_correlation,
 )
 from msulab import sample as sample_module
-from msulab import measures
 from msulab.measures import entropy_rows, subset_entropies
-from msulab.sample import joint_counts, prefix_counts
+from msulab.sample import prefix_counts
 from oracle_utils import brute_force_msu, random_sample
 
 N_CASES = 1000
+
+
+def joint_counts(sample, cols):
+    """The observed cells' counts over `cols`, all rows: one prefix of `prefix_counts`."""
+    ((counts, _),) = prefix_counts(sample, cols, [sample.n_rows])
+    return counts[0]
 
 
 def _cases(seed=20456, **kwargs):
@@ -184,21 +189,16 @@ def test_marginals_from_the_joint_match_single_column_counts(cards, limit, monke
     prefixes = [1, 2, 5, 17, 18, 40, 60]
     for cols in ([0, 1], [2, 0], [0, 1, 2]):
         sample = CategoricalSample(codes, cards)
-        subset = sorted(cols)
-        chunks = list(prefix_counts(sample, subset, prefixes))
-        for j, c in enumerate(subset):
+        chunks = list(prefix_counts(sample, cols, prefixes, cols))
+        for j, c in enumerate(cols):
             alone = [row for counts, _ in prefix_counts(sample, [c], prefixes) for row in counts]
-            derived = [
-                row
-                for counts, cells in chunks
-                for row in measures._column_counts(counts, cells.codes(j), cards[c])
-            ]
+            derived = [row for _, columns in chunks for row in columns[j]]
             assert [r[r > 0].tolist() for r in derived] == [r[r > 0].tolist() for r in alone]
         # the table holds each member's entropies, as a count of it alone gives them
         subset_entropies(sample, cols, prefixes)
         for c in cols:
             fresh = CategoricalSample(codes, cards)
-            stored = sample._entropies[(c,)][tuple(prefixes)]
+            stored = sample._entropies[(c,), tuple(prefixes)]
             assert stored == subset_entropies(fresh, [c], prefixes)
 
 

@@ -23,14 +23,8 @@ from msulab import (
 )
 from msulab import measures
 from msulab.measures import msu_at_prefixes, subset_entropies
-from msulab.sample import (
-    _cell_ids,
-    check_codes,
-    code_dtype,
-    joint_counts,
-    normalize_columns,
-    prefix_counts,
-)
+from msulab import sample as sample_module
+from msulab.sample import _cell_ids, check_codes, code_dtype, normalize_columns, prefix_counts
 from oracle_utils import coded_table, entropy_of_counts
 
 # The three 8-row tables: two binary columns plus a class; B flips one cell of
@@ -45,6 +39,12 @@ H_BERNOULLI_95 = 0.2863969571159563
 IG_TABLE_B = 0.04879494069539869
 MSU_TABLE_B = 0.10379348602265456
 MSU_TABLE_C = 0.178662090205769
+
+
+def joint_counts(sample, cols):
+    """The observed cells' counts over `cols`, all rows: one prefix of `prefix_counts`."""
+    ((counts, _),) = prefix_counts(sample, cols, [sample.n_rows])
+    return counts[0]
 
 
 def test_fractional_float_codes_rejected():
@@ -87,6 +87,25 @@ class TestEntropy:
         with pytest.raises(InvalidInputError):
             entropy([1.5, 2.5])
 
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            ([1, 2**62, 2**62], "counts total 9223372036854775809, which is past int64"),
+            ([2**63], "counts hold 9223372036854775808, which is past int64"),
+            ([1e300], "counts hold 1e\\+300, which is past int64"),
+            ([2**64], "must be numbers within int64"),
+            ([None], "must be numbers"),
+            (["1"], "must be numbers"),
+        ],
+        ids=["total", "uint64", "float", "past-uint64", "none", "string"],
+    )
+    def test_counts_that_are_no_int64_numbers_rejected(self, counts, match):
+        with pytest.raises(InvalidInputError, match=match):
+            entropy(counts)
+
+    def test_largest_int64_total_accepted(self):
+        assert entropy([2**62, 2**62 - 1]).value == pytest.approx(1.0, abs=1e-15)
+
 
 class TestJointEntropy:
     def test_balanced_table_is_three_bits(self):
@@ -113,6 +132,42 @@ class TestJointEntropy:
     def test_duplicate_index_rejected(self):
         with pytest.raises(InvalidInputError):
             joint_entropy(TABLE_A, [0, 0])
+
+
+class TestIndicesAreIntegers:
+    """Column indices and row prefixes are integers, never truncated to one."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: msu(TABLE_B, [0.7, 1]),
+            lambda: msu(TABLE_B, ["0", "2"]),
+            lambda: joint_entropy(TABLE_B, [np.float64(1.0)]),
+            lambda: msu_at_prefixes(TABLE_B, [0, 1], [1.5, 3]),
+            lambda: symmetrical_uncertainty(TABLE_B, None, 1),
+            lambda: symmetrical_uncertainty(TABLE_B, 0, 1.0),
+            lambda: information_gain(TABLE_B, 0, 1),
+            lambda: list(prefix_counts(TABLE_B, [0, 1], [8], [0.0])),
+        ],
+        ids=["float", "string", "numpy-float", "float-prefix", "none", "float-su", "bare-ints",
+             "float-alone"],
+    )
+    def test_non_integers_rejected(self, call):
+        with pytest.raises(InvalidInputError, match="must be a sequence of integers"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert msu(TABLE_B, np.array([2, 0, 1])) == msu(TABLE_B, [0, 1, 2])
+        assert msu_at_prefixes(TABLE_B, np.arange(3, dtype=np.uint8), np.array([4, 8])) == (
+            msu_at_prefixes(TABLE_B, [0, 1, 2], [4, 8])
+        )
+        assert symmetrical_uncertainty(TABLE_B, np.int64(0), np.uint8(2)) == (
+            symmetrical_uncertainty(TABLE_B, 0, 2)
+        )
+
+    def test_alone_must_be_counted_columns(self):
+        with pytest.raises(InvalidInputError, match="not all in"):
+            list(prefix_counts(TABLE_B, [0, 1], [8], [2]))
 
 
 class TestConditionalEntropy:
@@ -409,7 +464,11 @@ class TestCodeDtype:
         for column, card in zip(columns, cards):
             keys = keys * card + column
         _, expected = np.unique(keys, return_counts=True)
-        assert joint_counts(sample, range(len(cards))).tolist() == expected.tolist()
+        cols = range(len(cards))
+        ((counts, alone),) = prefix_counts(sample, cols, [5000], cols)
+        assert counts[0].tolist() == expected.tolist()
+        for column, card, column_counts in zip(columns, cards, alone, strict=True):
+            assert column_counts[0].tolist() == np.bincount(column, minlength=card).tolist()
 
     @pytest.mark.parametrize(
         "cards",
@@ -442,16 +501,46 @@ class TestCodeDtype:
         _, expected = np.unique(keys, return_counts=True)
         assert joint_counts(sample, cols).tolist() == expected.tolist()
         prefixes = [1, 7, 1000, 3000]
-        chunks = list(prefix_counts(sample, cols, prefixes))
+        chunks = list(prefix_counts(sample, cols, prefixes, cols))
         rows = [row for counts, _ in chunks for row in counts]
         for n, row in zip(prefixes, rows, strict=True):
             assert row[row > 0].tolist() == np.unique(keys[:n], return_counts=True)[1].tolist()
-        # the last chunk's cells decode, column by column, to the oracle's codes
-        observed = np.unique(keys)
+        # each column's counts, summed from the joint's cells, are the counts
+        # of the codes that the oracle's keys decode to
         strides = [math.prod(cards[j + 1:]) for j in cols]
         for j in cols:
-            decoded = chunks[-1][1].codes(j)
-            assert decoded.tolist() == (observed // strides[j] % cards[j]).tolist()
+            alone = [row for _, columns in chunks for row in columns[j]]
+            for n, row in zip(prefixes, alone, strict=True):
+                decoded = keys[:n] // strides[j] % cards[j]
+                assert row[row > 0].tolist() == np.unique(decoded, return_counts=True)[1].tolist()
+
+    @pytest.mark.parametrize("limit", [sample_module._DENSE_CELL_LIMIT, 2])
+    def test_code_rows_past_int64_match_a_row_oracle(self, limit, monkeypatch):
+        # a joint space of 2**65 cells is keyed by its rows of codes; a tiny
+        # limit forces one prefix a chunk
+        monkeypatch.setattr(sample_module, "_DENSE_CELL_LIMIT", limit)
+        cards = (2**32, 2**32, 2)
+        rng = np.random.default_rng(65)
+        # five codes spread over each wide alphabet, so rows repeat
+        columns = [rng.integers(0, 5, size=3000) * (2**32 // 5) for _ in range(2)]
+        columns.append(rng.integers(0, 2, size=3000))
+        sample = CategoricalSample.from_columns(columns, cards)
+        ids, _, cells = _cell_ids(list(sample.codes.T), cards)
+        assert cells.ndim == 2
+        rows = np.column_stack(columns)  # the oracle: lexicographic rows
+        cols = range(len(cards))
+        prefixes = [1, 7, 1000, 3000]
+        chunks = list(prefix_counts(sample, cols, prefixes, [2, 0]))
+        assert (len(chunks) > 1) == (limit == 2)
+        joint = [row for counts, _ in chunks for row in counts]
+        for n, row in zip(prefixes, joint, strict=True):
+            expected = np.unique(rows[:n], axis=0, return_counts=True)[1]
+            assert row[row > 0].tolist() == expected.tolist()
+        for k, c in enumerate([2, 0]):
+            alone = [row for _, columns in chunks for row in columns[k]]
+            for n, row in zip(prefixes, alone, strict=True):
+                expected = np.unique(columns[c][:n], return_counts=True)[1]
+                assert row[row > 0].tolist() == expected.tolist()
 
     @pytest.mark.parametrize(
         "build",
@@ -552,9 +641,9 @@ class TestEntropyTable:
         calls = []
         counts = measures.prefix_counts
 
-        def counting(sample, cols, prefixes):
+        def counting(sample, cols, prefixes, alone=()):
             calls.append(tuple(cols))
-            return counts(sample, cols, prefixes)
+            return counts(sample, cols, prefixes, alone)
 
         monkeypatch.setattr(measures, "prefix_counts", counting)
         sample = CategoricalSample(TABLE_C.codes, TABLE_C.cardinalities)
@@ -580,32 +669,36 @@ class TestEntropyTable:
         assert series[1] == msu(head, [0, 1, 2])
         assert subset_entropies(sample, [2, 0], [m]) == (joint_entropy(sample, [0, 2]).value,)
 
-    def test_prefixes_of_a_stored_set_are_read_not_counted(self, monkeypatch):
+    def test_each_exact_key_is_counted_once(self, monkeypatch):
         calls = []
         counts = measures.prefix_counts
 
-        def counting(sample, cols, prefixes):
-            calls.append((tuple(cols), tuple(prefixes)))
-            return counts(sample, cols, prefixes)
+        def counting(counted, cols, prefixes, alone=()):
+            if counted is sample:  # not the fresh samples below
+                calls.append((tuple(cols), tuple(prefixes), tuple(alone)))
+            return counts(counted, cols, prefixes, alone)
 
         monkeypatch.setattr(measures, "prefix_counts", counting)
         codes = np.random.default_rng(8).integers(0, 5, size=(500, 3))
         sample = CategoricalSample(codes, (5, 5, 5))
-        subset_entropies(sample, [1], [7, 40, 41, 300, 500])
-        subset_entropies(sample, [0, 1], [40, 300])
-        for wanted in ([40, 300], [7], [500], [41, 500]):
+        first = subset_entropies(sample, [1, 0], [40, 300])
+        assert calls == [((0, 1), (40, 300), (0, 1))]  # the joint gives both members
+        # a repeated (subset, prefixes) is not counted again, however it is spelled
+        assert subset_entropies(sample, [0, 1], np.array([40, 300])) == first
+        subset_entropies(sample, [1], [40, 300])
+        assert len(calls) == 1
+        # another prefix set, a subset of the stored one included, is counted
+        # once, bit for bit as a fresh sample counts it
+        for wanted in ([40], [7, 40, 41, 300, 500], [40]):
             fresh = subset_entropies(CategoricalSample(codes, (5, 5, 5)), [1], wanted)
-            assert subset_entropies(sample, [1], wanted) == fresh  # bit for bit
-        # every fresh sample counted once; `sample` counted each subset once
-        assert calls[:2] == [((1,), (7, 40, 41, 300, 500)), ((0, 1), (40, 300))]
-        assert len(calls) == 2 + 4
-        # a joint is looked up under its own subset only: (0, 1) holds 40 and
-        # 300 but not 41, and the marginal (1,) holding 41 does not answer it
-        subset_entropies(sample, [0, 1], [41])
-        assert calls[-1] == ((0, 1), (41,))
-        # a set that is not strictly ascending is rejected even where every
-        # prefix is stored
-        with pytest.raises(InvalidInputError):
-            subset_entropies(sample, [1], [300, 40])
-        with pytest.raises(InvalidInputError):
-            subset_entropies(sample, [1], [])
+            assert subset_entropies(sample, [1], wanted) == fresh
+        # the second [40] comes from the table
+        assert calls[1:] == [((1,), (40,), ()), ((1,), (7, 40, 41, 300, 500), ())]
+        # a joint at a new set counts only the member the table lacks there
+        subset_entropies(sample, [1, 2], [40])
+        assert calls[-1] == ((1, 2), (40,), (2,))
+        # a set that is not strictly ascending is rejected, stored or not
+        for bad in ([300, 40], [40, 40], [], [0, 40], [501]):
+            with pytest.raises(InvalidInputError):
+                subset_entropies(sample, [1], bad)
+        assert len(calls) == 4

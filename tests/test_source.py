@@ -2,9 +2,12 @@
 
 Each import in `src/msulab/` must be used, and `msulab.__all__` must list
 exactly the public names that `__init__.py` imports, so deleting a function
-cannot leave a stale import or export behind. Every column-major matrix is
+cannot leave a stale import or export behind; every public module-level name
+must be read somewhere in `src/` (an export by `__init__.py` is a read), so
+no public name outlives its last caller. Every column-major matrix is
 allocated in the dtype of the one rule in `sample.py`, `code_dtype`, and
-joint cells are keyed in it too.
+joint cells are keyed in it too. Rows become counts only in `sample.py`: no
+other module calls `bincount` or `unique`.
 """
 
 import ast
@@ -59,6 +62,43 @@ def test_all_is_exactly_the_public_imports():
     assert set(msulab.__all__) == public
 
 
+def _public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each public name a module's top level defines -> its line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {name: line for name, line in defined.items() if not name.startswith("_")}
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name a module loads, imports or reads as an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_public_name_is_read_in_src():
+    trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(_reads, trees.values()))
+    unread = [
+        f"{module}:{line}: {name}"
+        for module, tree in trees.items()
+        for name, line in _public_definitions(tree).items()
+        if name not in read
+    ]
+    assert not unread, unread
+
+
 def _called_name(call: ast.Call) -> str:
     """The bare name a call is made through: `f` of `f(...)` and of `np.f(...)`."""
     func = call.func
@@ -102,3 +142,16 @@ def test_joint_keys_take_the_one_dtype_rule():
     assert all(isinstance(d, ast.Call) and _called_name(d) == "code_dtype" for d in dtypes)
     named = {n.attr for n in ast.walk(cell_ids) if isinstance(n, ast.Attribute)}
     assert not named & {"int64", "uint64", "intp", "int_"}, named
+
+
+def test_only_sample_counts_rows():
+    # one counting path: a histogram built anywhere else would be a second
+    # format of cells to keep in step with `sample.prefix_counts`
+    calls = [
+        f"{path.name}:{node.lineno}: {_called_name(node)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and _called_name(node) in {"bincount", "unique"}
+    ]
+    assert calls, "no counting call found"
+    assert all(where.startswith("sample.py:") for where in calls), calls
