@@ -34,10 +34,10 @@ columns, by name, at its first m rows. A sample-size sweep is one such set,
 and so is a count sweep whose cardinalities stay fixed; the points of a
 cardinality sweep never nest. Where that union dataset would hold more cells
 (rows x columns) than the points' own datasets together, each point gets its
-own dataset instead. Every measure comes from
-`msulab.measures.msu_at_prefixes` at the row prefixes of the points that
-list it, so the dataset's entropy table counts each measure's joint once for
-all of them. No column is counted alone: a column's marginal at a prefix set,
+own dataset instead. Every measure's values come from
+`msulab.measures.msu_values` at the row prefixes of the points that list
+it, so the dataset's entropy table counts each measure's joint once for all
+of them. No column is counted alone: a column's marginal at a prefix set,
 the class included, is summed from the first joint counted at that set, and
 later measures at the same set read it from the table. A point run on its
 own is the isolated recomputation of that point, with the same floats.
@@ -66,7 +66,8 @@ from .dataset import (
 )
 from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_k, check_xor_noise
-from .measures import msu_at_prefixes
+from .measures import msu_values
+from .sample import integer
 from .samplesize import CardinalityProfile, heuristic_sample_size, representativeness_report
 
 DEFAULT_MASTER_SEED = 20170707
@@ -86,7 +87,7 @@ class Sweep:
     def __post_init__(self) -> None:
         if self.kind not in _SWEEP_KINDS:
             raise InvalidInputError(f"unknown sweep kind {self.kind!r}, expected one of {_SWEEP_KINDS}")
-        values = tuple(int(v) for v in self.values)
+        values = tuple(integer(v, "sweep value") for v in self.values)
         if not values:
             raise InvalidInputError("sweep needs at least one value")
         object.__setattr__(self, "values", values)
@@ -97,6 +98,7 @@ class FixedSampleSize:
     m: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", integer(self.m, "fixed sample size"))
         if self.m < 1:
             raise InvalidInputError(f"fixed sample size must be at least 1, got {self.m}")
 
@@ -132,10 +134,16 @@ class CountRule:
     binary_equivalent: bool = False
 
     def __post_init__(self) -> None:
-        if self.window is not None and self.window[0] > self.window[1]:
-            # an empty window would drop its group at every point
-            lo, hi = self.window
-            raise InvalidInputError(f"count window [{lo}, {hi}] is reversed: lo must not exceed hi")
+        if self.fixed is not None:
+            object.__setattr__(self, "fixed", integer(self.fixed, "count fixed"))
+        object.__setattr__(self, "offset", integer(self.offset, "count offset"))
+        if self.window is not None:
+            if len(self.window) != 2:
+                raise InvalidInputError(f"count window must be a (lo, hi) pair, got {self.window!r}")
+            lo, hi = (integer(v, "count window") for v in self.window)
+            if lo > hi:  # an empty window would drop its group at every point
+                raise InvalidInputError(f"count window [{lo}, {hi}] is reversed: lo must not exceed hi")
+            object.__setattr__(self, "window", (lo, hi))
         if self.fixed is not None and self.binary_equivalent:
             raise InvalidInputError("a count rule is either fixed or binary_equivalent, not both")
         if self.offset and (self.fixed is not None or self.binary_equivalent):
@@ -166,15 +174,19 @@ class GroupSpec:
     count: int | CountRule
     cardinality: int | str  # int, or "sweep" to follow a cardinality sweep
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.count, CountRule):
+            object.__setattr__(self, "count", integer(self.count, "group count"))
+        if self.cardinality != "sweep":
+            object.__setattr__(self, "cardinality", integer(self.cardinality, "group cardinality"))
+
     def resolve_count(self, sweep_value: int) -> int:
         if isinstance(self.count, CountRule):
             return self.count.resolve(sweep_value)
-        return int(self.count)
+        return self.count
 
     def resolve_card(self, sweep_value: int) -> int:
-        if self.cardinality == "sweep":
-            return int(sweep_value)
-        return int(self.cardinality)
+        return sweep_value if self.cardinality == "sweep" else self.cardinality
 
 
 @dataclass(frozen=True)
@@ -210,6 +222,8 @@ class ExperimentConfig:
     representativeness_scan: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("replicates", "class_card", "master_seed"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.replicates < 1:
             raise InvalidInputError("replicates must be at least 1")
         if self.class_card < 2:
@@ -264,7 +278,7 @@ class ResolvedPoint:
 
 def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
     """Turn a sweep value into blocks, the measures read from them and a sample size."""
-    sweep_value = int(sweep_value)
+    sweep_value = integer(sweep_value, "sweep value")
     blocks: list[AttributeBlock | None] = []
     group_columns: dict[str, tuple[str, ...]] = {}
     for g in config.groups:
@@ -355,8 +369,8 @@ def _run_layout(
     The points nest (see `_nested_groups`), so one dataset per replicate
     serves them all: it holds each group position's widest block at the
     largest m, and a point reads its own columns at its first m rows. Each
-    distinct measure is taken once per replicate, at the row prefixes of the
-    points that list it. Each joint histogram is counted at its own
+    distinct measure is taken once per replicate, as one values array at the
+    row prefixes of the points that list it. Each joint histogram is counted at its own
     prefixes only, and its columns' marginals are summed from its counts
     (see `msulab.measures.subset_entropies`): no column is counted alone.
     """
@@ -392,7 +406,7 @@ def _run_layout(
         )
         values: list[float] = []
         for cols, ms in series:
-            values += [v.value for v in msu_at_prefixes(sample, cols, ms)]
+            values += msu_values(sample, cols, ms)[0].tolist()
         per_replicate.append(values)
     across = list(zip(*per_replicate))  # each value, replicate by replicate
     return [{measure: across[j] for measure, j in read} for read in reads]

@@ -16,12 +16,21 @@ through `msulab.sample.prefix_counts`, and keeps the floats. Counting a joint
 of several columns also takes, from the same scan of the rows, the counts of
 each member column that the table lacks at those prefixes, and stores their
 entropies under the member's own key. A public measure reads the table at
-all rows; the Monte Carlo engine reads it at each sweep point's row prefix,
-through the same `msu_at_prefixes`, joint first. Counts are integers and
-each entropy is an fsum of its prefix's own cells, so a sample returns the
-same floats however often, in whatever order, and at whatever prefix sets it
-is measured, and a column's entropies are the same whether its counts were
-summed from a joint or counted alone.
+all rows; the Monte Carlo engine reads it at each sweep point's row prefix.
+Counts are integers and each entropy is an fsum of its prefix's own cells,
+so a sample returns the same floats however often, in whatever order, and
+at whatever prefix sets it is measured, and a column's entropies are the
+same whether its counts were summed from a joint or counted alone.
+
+MSU has one implementation, `msu_values`, over a vector of row prefixes:
+`msu`, `symmetrical_uncertainty` and `msu_at_prefixes` read it at all rows
+or at the given prefixes, and the Monte Carlo engine reads its values
+array. It checks the columns and the prefixes once, reads the joint's
+entropies and then each column's from the table, and evaluates the formula
+over arrays with the scalar formula's IEEE operations in its order, so a
+value is the same float at any prefix set. It returns the values and a
+degenerate mask, set where every column is constant at a prefix (the 0/0
+convention: the value there is 0).
 """
 
 from __future__ import annotations
@@ -103,8 +112,20 @@ def subset_entropies(
     same prefixes, the entropies of each member column that the table lacks
     there, summed from the joint's counts.
     """
-    subset = normalize_columns(sample, cols)
-    bounds = normalize_prefixes(sample, (sample.n_rows,) if prefixes is None else prefixes)
+    return _stored_entropies(
+        sample, normalize_columns(sample, cols), _checked_prefixes(sample, prefixes)
+    )
+
+
+def _checked_prefixes(sample: CategoricalSample, prefixes: Sequence[int] | None) -> tuple[int, ...]:
+    """`prefixes` normalized, all rows when None."""
+    return normalize_prefixes(sample, (sample.n_rows,) if prefixes is None else prefixes)
+
+
+def _stored_entropies(
+    sample: CategoricalSample, subset: tuple[int, ...], bounds: tuple[int, ...]
+) -> tuple[float, ...]:
+    """`subset_entropies` of a subset and prefixes already normalized."""
     table = sample._entropies
     if (subset, bounds) not in table:
         alone = [c for c in subset if len(subset) > 1 and ((c,), bounds) not in table]
@@ -160,35 +181,47 @@ def total_correlation(sample: CategoricalSample, cols: Sequence[int]) -> Measure
     return MeasureValue(math.fsum(marginals) - h_joint)
 
 
-def _clamp_unit(value: float) -> float:
-    if value < -_UNIT_SLACK or value > 1.0 + _UNIT_SLACK:
-        raise RuntimeError(f"normalized measure escaped [0, 1]: {value!r}")
-    return min(1.0, max(0.0, value))
-
-
-def msu_at_prefixes(
+def msu_values(
     sample: CategoricalSample, cols: Sequence[int], prefixes: Sequence[int] | None = None
-) -> list[MeasureValue]:
-    """MSU over n >= 2 columns at each row prefix (all rows by default).
+) -> tuple[np.ndarray, np.ndarray]:
+    """MSU over n >= 2 columns at each row prefix (all rows by default), as
+    an array of values and a boolean array marking the degenerate ones.
 
     (n / (n - 1)) * total correlation / sum of marginal entropies. Where every
-    column is constant the ratio is 0/0; the value 0 is returned with the
-    degenerate flag set.
+    column is constant the ratio is 0/0; the value there is 0 and the mask is
+    set. The columns and the prefixes are checked once, and the formula is
+    evaluated over the prefixes as arrays, with the IEEE operations of the
+    scalar formula in its order: two marginals are added with one rounding,
+    which is their fsum, and more are fsummed per prefix. A value that lands
+    past the unit interval by more than a few ulp is raised, not clamped.
     """
     subset = normalize_columns(sample, cols)
     n = len(subset)
     if n < 2:
         raise InvalidInputError("msu needs at least two columns")
-    joint = subset_entropies(sample, subset, prefixes)  # first: it gives the marginals
-    marginals = [subset_entropies(sample, (c,), prefixes) for c in subset]
-    values = []
-    for h_joint, *hs in zip(joint, *marginals):
-        h_sum = math.fsum(hs)
-        if h_sum == 0.0:
-            values.append(MeasureValue(0.0, degenerate=True))
-        else:
-            values.append(MeasureValue(_clamp_unit((n / (n - 1)) * (h_sum - h_joint) / h_sum)))
-    return values
+    bounds = _checked_prefixes(sample, prefixes)
+    h_joint = np.array(_stored_entropies(sample, subset, bounds))  # first: it gives the marginals
+    marginals = [_stored_entropies(sample, (c,), bounds) for c in subset]
+    if n == 2:
+        h_sum = np.add(*marginals)
+    else:
+        h_sum = np.array([math.fsum(hs) for hs in zip(*marginals)])
+    degenerate = h_sum == 0.0
+    values = (n / (n - 1)) * (h_sum - h_joint) / np.where(degenerate, 1.0, h_sum)
+    values[degenerate] = 0.0
+    escaped = (values < -_UNIT_SLACK) | (values > 1.0 + _UNIT_SLACK)
+    if escaped.any():
+        raise RuntimeError(f"normalized measure escaped [0, 1]: {values[escaped][0].item()!r}")
+    return np.clip(values, 0.0, 1.0) + 0.0, degenerate  # + 0.0 turns -0.0 into 0.0
+
+
+def msu_at_prefixes(
+    sample: CategoricalSample, cols: Sequence[int], prefixes: Sequence[int] | None = None
+) -> list[MeasureValue]:
+    """`msu_values` at each row prefix (all rows by default), one
+    `MeasureValue` each, flagged where the 0/0 convention applied."""
+    values, degenerate = msu_values(sample, cols, prefixes)
+    return [MeasureValue(v, d) for v, d in zip(values.tolist(), degenerate.tolist())]
 
 
 def msu(sample: CategoricalSample, cols: Sequence[int]) -> MeasureValue:

@@ -246,11 +246,19 @@ class CategoricalSample:
         )
 
 
-def _integers(values, what: str) -> list[int]:
-    """`values` as Python ints; a float, string or None is rejected, never
-    truncated, while NumPy integers are accepted."""
+def integer(value, what: str) -> int:
+    """`value` as a Python int; a float, string or None is rejected, never
+    truncated, while NumPy integers are accepted. `what` names it in an error."""
     try:
-        return [operator.index(v) for v in values]
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _integers(values, what: str) -> list[int]:
+    """`values` as Python ints, each by the rule of `integer`."""
+    try:
+        return list(map(operator.index, values))
     except TypeError:
         raise InvalidInputError(f"{what} must be a sequence of integers, got {values!r}") from None
 

@@ -7,6 +7,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from msulab import (
@@ -24,6 +25,7 @@ from msulab import (
     run_experiment,
 )
 from msulab import dataset, harness, measures, presets
+from msulab import sample as sample_module
 from msulab.dataset import generate_dataset
 from msulab.harness import CountRule, MeasureStats, _mean_std, resolve_point
 
@@ -654,6 +656,54 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             Sweep("verticality", (1, 2))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Sweep("sample_size", (10.7, 20)),
+            lambda: Sweep("sample_size", ("12", 20)),
+            lambda: GroupSpec("a", GeneratorKind.UNIFORM, count=2.9, cardinality=3),
+            lambda: GroupSpec("a", GeneratorKind.UNIFORM, count=2, cardinality=3.5),
+            lambda: GroupSpec("a", GeneratorKind.UNIFORM, count=None, cardinality=3),
+            lambda: FixedSampleSize(2.5),
+            lambda: CountRule(fixed=1.5),
+            lambda: CountRule(offset=0.5),
+            lambda: CountRule(window=(1, 2.5)),
+            lambda: CountRule(window=(1, 2, 3)),
+            lambda: run_experiment(_desk(preset("fig-b2"), 2.5)),
+            lambda: dataclasses.replace(preset("fig-b2"), class_card=2.0),
+            lambda: dataclasses.replace(preset("fig-b2"), master_seed=1.5),
+            lambda: resolve_point(preset("fig-b2"), 8.5),
+        ],
+        ids=["sweep-float", "sweep-string", "count", "cardinality", "count-none", "fixed-m",
+             "rule-fixed", "rule-offset", "rule-window", "rule-window-triple", "replicates",
+             "class-card", "master-seed", "resolve-point"],
+    )
+    def test_integer_fields_are_not_truncated(self, build):
+        # the rule of column indices and prefixes: an integer, or rejected
+        with pytest.raises(InvalidInputError, match="must be an integer|must be a .* pair"):
+            build()
+
+    def test_numpy_integer_fields_accepted(self):
+        config = dataclasses.replace(
+            preset("fig-b2"),
+            sweep=Sweep("sample_size", (np.int64(8), np.uint8(12))),
+            groups=(GroupSpec("mk", GeneratorKind.KONONENKO, np.int32(2), np.uint16(2)),),
+            tracked=(TrackedSubset("informative", ("mk",)),),
+            replicates=np.int64(2),
+            class_card=np.uint8(2),
+            master_seed=np.uint32(7),
+        )
+        assert (config.replicates, config.class_card, config.master_seed) == (2, 2, 7)
+        assert config.sweep.values == (8, 12)
+        assert (config.groups[0].count, config.groups[0].cardinality) == (2, 2)
+        rule = CountRule(fixed=np.int8(1), window=(np.int64(1), np.int16(3)))
+        assert (rule.fixed, rule.window, FixedSampleSize(np.int64(9)).m) == (1, (1, 3), 9)
+        assert all(
+            type(v) is int
+            for v in (config.replicates, config.master_seed, *config.sweep.values, *rule.window)
+        )
+        assert run_experiment(config).sample_sizes == (8, 12)
+
     @pytest.mark.parametrize("policy", [5000, "computed", ComputedSampleSize])
     def test_unknown_policy_rejected(self, policy):
         with pytest.raises(InvalidInputError, match="unknown sample size policy"):
@@ -798,6 +848,21 @@ class TestNestedEngine:
         assert all(len(c) > 1 for c in calls)
         singles = {s for sample in samples for s, _ in sample._entropies if len(s) == 1}
         assert len(samples) == 1 and len(singles) == columns
+
+    def test_each_measure_checks_its_prefixes_once(self, monkeypatch):
+        # fig-b2 measures 3 subsets at 143 prefixes: each measure validates
+        # its prefixes once, and `prefix_counts` once per joint it counts
+        calls = []
+        check = sample_module.normalize_prefixes
+
+        def counting(sample, prefixes):
+            calls.append(len(prefixes))
+            return check(sample, prefixes)
+
+        monkeypatch.setattr(measures, "normalize_prefixes", counting)
+        monkeypatch.setattr(sample_module, "normalize_prefixes", counting)
+        run_experiment(_desk(preset("fig-b2"), 1))
+        assert calls == [143] * 6
 
     def test_union_past_the_cell_cap_is_split_into_its_points(self, monkeypatch):
         # the point at 1 needs 160 rows for its 8-value attribute, the points

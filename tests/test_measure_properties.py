@@ -17,7 +17,7 @@ from msulab import (
     total_correlation,
 )
 from msulab import sample as sample_module
-from msulab.measures import entropy_rows, subset_entropies
+from msulab.measures import entropy_rows, msu_values, subset_entropies
 from msulab.sample import prefix_counts
 from oracle_utils import brute_force_msu, random_sample
 
@@ -200,6 +200,39 @@ def test_marginals_from_the_joint_match_single_column_counts(cards, limit, monke
             fresh = CategoricalSample(codes, cards)
             stored = sample._entropies[(c,), tuple(prefixes)]
             assert stored == subset_entropies(fresh, [c], prefixes)
+
+
+def _scalar_msu(sample, cols):
+    """The per-value MSU formula on one sample: fsum of the marginals, the
+    ratio, then the clamp; (0.0, True) where every column is constant."""
+    h_joint = joint_entropy(sample, cols).value
+    h_sum = math.fsum(joint_entropy(sample, [c]).value for c in cols)
+    if h_sum == 0.0:
+        return 0.0, True
+    n = len(cols)
+    return min(1.0, max(0.0, (n / (n - 1)) * (h_sum - h_joint) / h_sum)), False
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_msu_values_match_each_prefix_measured_alone(n):
+    # two marginals are added, more are fsummed: both must give, bit for
+    # bit, what each prefix's own sub-sample and its own table give
+    rng = np.random.default_rng(40 + n)
+    for _ in range(150):
+        m = int(rng.integers(1, 60))
+        cards = tuple(int(c) for c in rng.integers(1, 7, size=n + 1))
+        codes = np.column_stack([rng.integers(0, c, size=m) for c in cards])
+        sample = CategoricalSample(codes, cards)
+        cols = rng.permutation(n + 1)[:n].tolist()  # in no particular order
+        prefixes = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False) + 1)
+        values, degenerate = msu_values(sample, cols, prefixes)
+        assert values.dtype == np.float64 and len(values) == len(degenerate) == len(prefixes)
+        for value, flag, rows in zip(values.tolist(), degenerate.tolist(), prefixes):
+            head = CategoricalSample(codes[:rows], cards)
+            alone = msu(head, cols)
+            reference = _scalar_msu(head, cols)
+            assert value.hex() == alone.value.hex() == reference[0].hex()
+            assert flag == alone.degenerate == reference[1]
 
 
 def test_prefix_counts_reject_unordered_prefixes():

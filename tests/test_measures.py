@@ -7,6 +7,7 @@ re-derive them inline so the freeze stays honest.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from msulab import (
     total_correlation,
 )
 from msulab import measures
-from msulab.measures import msu_at_prefixes, subset_entropies
+from msulab.measures import msu_at_prefixes, msu_values, subset_entropies
 from msulab import sample as sample_module
 from msulab.sample import _cell_ids, check_codes, code_dtype, normalize_columns, prefix_counts
 from oracle_utils import coded_table, entropy_of_counts
@@ -286,6 +287,52 @@ class TestMsu:
         result = msu(sample, [0, 1, 2])
         assert result.value == 0.0
         assert result.degenerate
+
+
+class TestMsuValues:
+    """The array path: each prefix's value, its degenerate flag, and the
+    escape check that guards the clamp."""
+
+    def test_degenerate_mask_matches_each_prefix(self):
+        rng = np.random.default_rng(12)
+        codes = rng.integers(0, 3, size=(30, 4))
+        codes[:6, :3] = 1  # constant in every measured column
+        codes[6:9, 1:3] = 1  # then only the first column varies
+        codes[6:9, 0] = [0, 2, 1]
+        prefixes = list(range(1, 31))
+        values, degenerate = msu_values(CategoricalSample(codes, (3,) * 4), [2, 0, 1], prefixes)
+        expected = [msu(CategoricalSample(codes[:n], (3,) * 4), [0, 1, 2]) for n in prefixes]
+        assert degenerate.tolist() == [r.degenerate for r in expected] == [True] * 6 + [False] * 24
+        assert values.tolist() == [r.value for r in expected]
+        # at 7 to 9 rows the columns are independent but not all constant
+        assert values[:9].tolist() == [0.0] * 9
+        assert all(math.copysign(1.0, v) == 1.0 for v in values.tolist() if v == 0.0)
+
+    @staticmethod
+    def _pair_with_entropies(h_joint):
+        """A 2-column sample whose table holds marginals of 0.5 bits at
+        prefixes (2, 4) and the given joint entropies there."""
+        sample = CategoricalSample(np.zeros((4, 2), dtype=np.int64), (2, 2))
+        sample._entropies[(0,), (2, 4)] = sample._entropies[(1,), (2, 4)] = (0.5, 0.5)
+        sample._entropies[(0, 1), (2, 4)] = h_joint
+        return sample
+
+    @pytest.mark.parametrize("h_joint", [0.5 - 1e-9, 1.0 + 1e-9], ids=["above-1", "below-0"])
+    def test_values_past_the_slack_are_raised(self, h_joint):
+        sample = self._pair_with_entropies((0.75, h_joint))
+        escaped = 2.0 * (1.0 - h_joint) / 1.0
+        assert abs(escaped - min(1.0, max(0.0, escaped))) > measures._UNIT_SLACK
+        message = f"normalized measure escaped [0, 1]: {escaped!r}"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            msu_values(sample, [0, 1], [2, 4])
+        with pytest.raises(RuntimeError, match="escaped"):
+            msu_at_prefixes(sample, [1, 0], [2, 4])
+
+    def test_values_within_the_slack_are_clamped(self):
+        sample = self._pair_with_entropies((1.0 + 1e-10, 0.5 - 1e-10))
+        values, degenerate = msu_values(sample, [0, 1], [2, 4])
+        assert values.tolist() == [0.0, 1.0] and not degenerate.any()
+        assert math.copysign(1.0, values[0]) == 1.0
 
 
 class TestSampleValidation:
