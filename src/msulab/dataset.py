@@ -30,7 +30,7 @@ from .generators import (
     gen_kononenko,
     gen_uniform,
 )
-from .sample import CategoricalSample, _Filled, check_codes, code_matrix
+from .sample import CategoricalSample, _Filled, check_codes, code_matrix, integer
 
 CLASS_COLUMN = "clase"
 
@@ -65,12 +65,13 @@ class AttributeBlock:
 
 def check_xor_class(class_card: int) -> None:
     """Reject a class cardinality other than 2 where an XOR pair derives the class."""
-    if class_card != 2:
+    if integer(class_card, "class cardinality") != 2:
         raise InvalidInputError("an XOR-derived class requires class cardinality 2")
 
 
 def block(prefix: str, kind: GeneratorKind, count: int, cardinality: int) -> AttributeBlock:
     """Block with auto-numbered names prefix1..prefixN."""
+    count = integer(count, "block count")
     if count < 1:
         raise InvalidInputError("block count must be at least 1")
     return AttributeBlock(

@@ -16,6 +16,19 @@ keys. Columns never share a stream, and each column consumes a fixed number of
 draws per row. Growing a sample therefore extends it without disturbing the
 rows already drawn, and distinct stream ids are independent replicates that
 can safely run in parallel.
+
+Two columns are produced from the stream's numbers without NumPy's general
+routine, and both give the codes that routine would, from the same numbers:
+
+* A uniform column of cardinality 2**b <= 2**32 reads the stream's raw 64-bit
+  words. NumPy's int64 `integers` draws such a column from 32-bit halves of
+  those words, low half first, by Lemire's method, which never rejects at a
+  power of two, so each code is the top b bits of its half
+  (`_uniform_from_raw`). This rests on NumPy internals, checked on NumPy
+  2.4.6; the tests compare it with `integers` at every b, so a NumPy release
+  that draws otherwise fails them instead of shifting a curve.
+* A binary Kononenko column takes the same (m, 2) draws as any other, but
+  its halves have one member each, so its code is the half draw alone.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .sample import MAX_CARDINALITY
+from .sample import MAX_CARDINALITY, integer
 
 
 class GeneratorKind(enum.Enum):
@@ -48,6 +61,8 @@ class SeededRng:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "master_seed", integer(self.master_seed, "master_seed"))
+        object.__setattr__(self, "stream_id", integer(self.stream_id, "stream_id"))
         if self.master_seed < 0 or self.stream_id < 0:
             raise InvalidInputError("master_seed and stream_id must be non-negative")
 
@@ -58,7 +73,7 @@ class SeededRng:
 
 def check_m(m: int) -> int:
     """`m` as an int, rejected unless it is a positive int64 row count."""
-    m = int(m)
+    m = integer(m, "sample size")
     if m < 1:
         raise InvalidInputError(f"sample size must be at least 1, got {m}")
     if m > MAX_CARDINALITY:  # rows are counted in int64 like codes
@@ -66,26 +81,68 @@ def check_m(m: int) -> int:
     return m
 
 
-def check_card(card: int, what: str = "cardinality") -> None:
-    """Reject a cardinality below 2 or past the int64 codes."""
+def check_card(card: int, what: str = "cardinality") -> int:
+    """`card` as an int, rejected below 2 or past the int64 codes."""
+    card = integer(card, what)
     if card < 2:
         raise InvalidInputError(f"{what} must be at least 2, got {card}")
     if card > MAX_CARDINALITY:
         raise InvalidInputError(
             f"{what} must not exceed {MAX_CARDINALITY} (int64 codes), got {card}"
         )
+    return card
 
 
 def gen_class(card: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. uniform class column over {0, ..., card-1}."""
-    check_card(card, "class cardinality")
-    return rng.integers(0, card, size=check_m(m), dtype=np.int64)
+    """i.i.d. uniform class column over {0, ..., card-1}: `gen_uniform`'s
+    column, with errors that name the class cardinality."""
+    return gen_uniform(check_card(card, "class cardinality"), m, rng)
 
 
 def gen_uniform(card: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Non-informative column: i.i.d. uniform, independent of everything else."""
-    check_card(card)
-    return rng.integers(0, card, size=check_m(m), dtype=np.int64)
+    """Non-informative column: i.i.d. uniform, independent of everything else.
+
+    The codes are `rng.integers(0, card, size=m, dtype=np.int64)`, and `rng`
+    then gives the numbers it would give after that call. At a power-of-two
+    `card` up to 2**32 they are read from the stream's raw words instead
+    (`_uniform_from_raw`).
+    """
+    card = check_card(card)
+    m = check_m(m)
+    if card & (card - 1) == 0 and card <= 1 << 32 and _raw_halves_are_next(rng):
+        return _uniform_from_raw(card.bit_length() - 1, m, rng.bit_generator)
+    return rng.integers(0, card, size=m, dtype=np.int64)
+
+
+# Rows of a uniform column read from one block of raw words: 64 KB of words,
+# as fast as larger blocks. Even, so that a block ends on a whole word.
+_RAW_BLOCK_ROWS = 1 << 14
+
+
+def _raw_halves_are_next(rng: np.random.Generator) -> bool:
+    """True when the next 32-bit values `rng` gives are the halves of its next
+    raw words, low half first: a PCG64 stream with no half left over."""
+    bits = rng.bit_generator
+    return type(bits) is np.random.PCG64 and not bits.state["has_uint32"]
+
+
+def _uniform_from_raw(b: int, m: int, bits: np.random.PCG64) -> np.ndarray:
+    """What `integers(0, 2**b, size=m, dtype=np.int64)` draws, 1 <= b <= 32,
+    as the top b bits of the 32-bit halves of ceil(m/2) raw words, low half
+    first, taken in blocks of `_RAW_BLOCK_ROWS` rows.
+
+    For odd m the last word's high half is the one `integers` would keep for
+    the next 32-bit value, so it is put in the generator's one-half buffer.
+    """
+    codes = np.empty(m, dtype=np.int64)
+    for lo in range(0, m, _RAW_BLOCK_ROWS):
+        rows = codes[lo:lo + _RAW_BLOCK_ROWS]
+        words = bits.random_raw((len(rows) + 1) // 2)
+        halves = words.astype("<u8", copy=False).view("<u4")  # low half first on any host
+        np.right_shift(halves[:len(rows)], 32 - b, out=rows)
+    if m % 2:
+        bits.state = {**bits.state, "has_uint32": 1, "uinteger": int(halves[-1])}
+    return codes
 
 
 def check_k(k: float) -> None:
@@ -105,6 +162,19 @@ def _first_half_probs(i: np.ndarray, k: float, class_card: int) -> np.ndarray:
     return np.where(i % 2 == 0, p, 1.0 - p)
 
 
+def _row_first_half_probs(codes: np.ndarray, top: int, k: float, class_card: int) -> np.ndarray:
+    """`_first_half_probs` of each row's class value, for class codes below `top`.
+
+    Once per class value and looked up by row while there are no more values
+    than rows (the usual case, and the cheaper one), else once per row, so
+    the cost follows m, never class_card.
+    """
+    if top <= codes.size:
+        return _first_half_probs(np.arange(1, top + 1), k, class_card)[codes]
+    # widened first: a narrow code + 1 would wrap
+    return _first_half_probs(np.add(codes, 1, dtype=np.int64), k, class_card)
+
+
 def gen_kononenko(
     class_codes: np.ndarray,
     cardinality: int,
@@ -119,41 +189,41 @@ def gen_kononenko(
     the first-half probability of its class value (`_first_half_probs`), then
     a uniform member of the chosen half.
 
-    An integer class column, such as a sample's narrow one, is read as it
-    is, not copied. Besides the (m, 2) draws and the result, the work takes
-    one float column, one int64 column and one mask, reused in place.
+    Every row takes one (half, member) pair of draws, whatever V is. At
+    V = 2 each half has one member, so the code is whether the half draw
+    reaches the row's probability, and the spent member column holds those
+    probabilities: the work takes 24 bytes a row. Otherwise it takes, besides
+    the draws and the result, one float column, one int64 column and one
+    mask, reused in place. An integer class column, such as a sample's narrow
+    one, is read as it is, not copied.
     """
-    check_card(cardinality)
+    cardinality = check_card(cardinality)
     codes = np.asarray(class_codes)
     if codes.dtype.kind not in "iu":  # bools, whole floats, ...
         codes = codes.astype(np.int64)
     if codes.ndim != 1 or codes.size == 0:
         raise InvalidInputError("class column must be a non-empty 1-D array")
     top = int(codes.max()) + 1
-    if class_card is None:
-        class_card = top
+    class_card = top if class_card is None else integer(class_card, "class cardinality")
     if codes.min() < 0 or top > class_card:
         raise InvalidInputError("class codes exceed the class cardinality")
-
-    # Once per class value and looked up by row while there are no more
-    # values than rows (the usual case, and the cheaper one), else once per
-    # row, so the cost follows m, never class_card.
     check_k(k)
+
     m = codes.size
-    if top <= m:
-        p_first = _first_half_probs(np.arange(1, top + 1), k, class_card)[codes]
-    else:  # widened first: a narrow code + 1 would wrap
-        p_first = _first_half_probs(np.add(codes, 1, dtype=np.int64), k, class_card)
+    draws = rng.random((m, 2))  # one row of draws per sample row: (half, member)
+    half, member = draws.T
+    if cardinality == 2:  # one member a half: the spent member column takes the thresholds
+        member[:] = _row_first_half_probs(codes, top, k, class_card)
+        return np.greater_equal(half, member, out=np.empty(m, dtype=np.int64))
+    p_first = _row_first_half_probs(codes, top, k, class_card)
     lower = cardinality // 2
     upper = cardinality - lower
-    draws = rng.random((m, 2))  # one row of draws per sample row: (half, member)
-    in_lower = draws[:, 0] < p_first
-    member = draws[:, 1]
+    in_lower = half < p_first
     scaled = p_first  # spent; its buffer holds the scaled members from here on
     lower_vals = np.multiply(member, lower, out=scaled).astype(np.int64)
     np.minimum(lower_vals, lower - 1, out=lower_vals)
     np.multiply(member, upper, out=scaled)
-    del draws, member  # spent too: freed before the last column is allocated
+    del draws, half, member  # spent too: freed before the last column is allocated
     vals = scaled.astype(np.int64)
     np.minimum(vals, upper - 1, out=vals)
     vals += lower

@@ -135,7 +135,7 @@ def _checked_cards(shape: tuple[int, ...], cardinalities: Sequence[int]) -> tupl
     m, p = shape
     if m < 1 or p < 1:
         raise InvalidInputError(f"sample must have at least one row and one column, got {m}x{p}")
-    cards = tuple(int(c) for c in cardinalities)
+    cards = tuple(_integers(cardinalities, "cardinalities"))
     if len(cards) != p:
         raise InvalidInputError(f"expected {p} cardinalities, got {len(cards)}")
     if any(c < 1 for c in cards):

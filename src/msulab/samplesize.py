@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
+from .sample import _integers, integer
 
 # Beyond 2**52 cells the cell counts q + 1 near m* stop being exact floats and
 # the float statistic drifts from the chi-squared statistic it computes.
@@ -55,10 +56,12 @@ class CardinalityProfile:
     class_card: int
 
     def __post_init__(self) -> None:
-        cards = tuple(int(c) for c in self.attribute_cards)
-        if any(c < 1 for c in cards) or self.class_card < 1:
+        cards = tuple(_integers(self.attribute_cards, "attribute cardinalities"))
+        class_card = integer(self.class_card, "class cardinality")
+        if any(c < 1 for c in cards) or class_card < 1:
             raise InvalidInputError("cardinalities must be positive")
         object.__setattr__(self, "attribute_cards", cards)
+        object.__setattr__(self, "class_card", class_card)
 
     @property
     def has_constant_variables(self) -> bool:
@@ -100,7 +103,7 @@ def chi2_critical(alpha: float, df: int) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
-    df = int(df)
+    df = integer(df, "degrees of freedom")
     if df < 1:
         raise InvalidInputError(f"degrees of freedom must be at least 1, got {df}")
     # imported here: loading scipy takes about 0.5 s, and only recommend, chi2-scan
@@ -134,7 +137,7 @@ def extreme_sample_chi2(m: int, k: int) -> float:
     their multiplicities in exact rational arithmetic and rounded once, in
     O(1) time.
     """
-    m, k = int(m), int(k)
+    m, k = integer(m, "sample size"), integer(k, "cell count")
     if k < 2:
         raise InvalidInputError(f"need at least two cells, got {k}")
     if m < k - 1:
@@ -170,7 +173,7 @@ def min_representative_m(k: int, alpha: float = 0.05) -> int:
       run the exact sum is linear in r and its first rejected r is solved
       for, not scanned. The rounding band holds a handful of runs at any k.
     """
-    return _critical_and_m_star(int(k), alpha)[1]
+    return _critical_and_m_star(integer(k, "cell count"), alpha)[1]
 
 
 def _cell_count(k: int) -> str:

@@ -118,6 +118,23 @@ def kononenko_first_half_prob(i: int, k: float, class_card: int) -> float:
     return p if i % 2 == 0 else 1.0 - p
 
 
+def kononenko_codes(class_codes, cardinality: int, k: float, rng, class_card: int) -> np.ndarray:
+    """A Kononenko column by the general arithmetic, row by row, from one
+    (half, member) pair of draws per row: the lower half when the half draw
+    is below the row's `kononenko_first_half_prob`, then the member draw
+    scaled to that half's width, truncated and clipped to it."""
+    draws = rng.random((len(class_codes), 2))
+    lower = cardinality // 2
+    upper = cardinality - lower
+    codes = []
+    for (half, member), c in zip(draws.tolist(), np.asarray(class_codes).tolist()):
+        if half < kononenko_first_half_prob(int(c) + 1, k, class_card):
+            codes.append(min(int(member * lower), lower - 1))
+        else:
+            codes.append(lower + min(int(member * upper), upper - 1))
+    return np.array(codes, dtype=np.int64)
+
+
 def binary_entropy(p: float) -> float:
     """Entropy in bits of a Bernoulli(p) variable."""
     if not 0.0 <= p <= 1.0:

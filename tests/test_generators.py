@@ -23,9 +23,9 @@ from msulab import (
 )
 from msulab import dataset, harness
 from msulab.dataset import check_xor_class
-from msulab.generators import _XOR_BLOCK_ROWS, check_k, check_xor_noise, fill_xor_pair
+from msulab.generators import _RAW_BLOCK_ROWS, _XOR_BLOCK_ROWS, check_k, check_xor_noise, fill_xor_pair
 from msulab.presets import preset
-from oracle_utils import binary_entropy, kononenko_first_half_prob, xor_population_msu
+from oracle_utils import binary_entropy, kononenko_codes, kononenko_first_half_prob, xor_population_msu
 
 
 def _rng(seed=4242, stream=0, *path):
@@ -37,6 +37,19 @@ def _xor_pair(m, noise, rng):
     f1, f2, cls = np.empty((m, 3), dtype=np.int64, order="F").T
     fill_xor_pair(f1, f2, cls, noise, rng)
     return f1, f2, cls
+
+
+def _assert_same_position(ours, theirs):
+    """Two generators give the same numbers from here on: for PCG64 streams
+    their state words and any 32-bit half left over are equal, and for any
+    stream their next draws are."""
+    a, b = ours.bit_generator.state, theirs.bit_generator.state
+    if a["bit_generator"] == "PCG64":
+        assert a["state"] == b["state"] and a["has_uint32"] == b["has_uint32"]
+        assert not a["has_uint32"] or a["uinteger"] == b["uinteger"]
+    # a leftover half goes first, then whole words
+    a, b = ([rng.integers(0, 2**32, size=3, dtype=np.int64), rng.random(3)] for rng in (ours, theirs))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class _HalfDraws:
@@ -65,6 +78,14 @@ class TestSeededRng:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidInputError):
             SeededRng(-1)
+
+    def test_seed_and_stream_id_are_integers(self):
+        for build in (lambda: SeededRng(1.5), lambda: SeededRng(1, 2.0), lambda: SeededRng("7")):
+            with pytest.raises(InvalidInputError, match="must be an integer"):
+                build()
+        a = SeededRng(np.uint32(11), np.int64(3))
+        assert (type(a.master_seed), type(a.stream_id)) == (int, int)
+        assert np.array_equal(a.stream(2, 0).random(5), SeededRng(11, 3).stream(2, 0).random(5))
 
 
 class TestGenClass:
@@ -108,6 +129,101 @@ class TestGenUniform:
         long = gen_uniform(5, 150, _rng(9))
         short = gen_uniform(5, 80, _rng(9))
         assert np.array_equal(long[:80], short)
+
+
+class TestUniformDrawRule:
+    """Every uniform column is `integers`' int64 draw, in its codes and in the
+    state it leaves its generator in; a power-of-two one is read from the
+    stream's raw words, which holds only while NumPy draws it from their
+    32-bit halves."""
+
+    @staticmethod
+    def _assert_integers_draw(card, m, ours, theirs, draw=gen_uniform):
+        codes = draw(card, m, ours)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, theirs.integers(0, card, size=m, dtype=np.int64)), (card, m)
+        _assert_same_position(ours, theirs)
+
+    @pytest.mark.parametrize("b", range(1, 33))
+    def test_power_of_two_column_is_the_integers_draw(self, b):
+        for seed in (1, 2, 3):
+            for m in (1, 2, 3, 1001, _RAW_BLOCK_ROWS - 1, _RAW_BLOCK_ROWS, _RAW_BLOCK_ROWS + 1):
+                self._assert_integers_draw(2**b, m, _rng(seed), _rng(seed))
+
+    @pytest.mark.parametrize("card", [3, 10, 40, 2**32 - 1, 2**32 + 1, 2**33, 2**63 - 1])
+    def test_other_cardinalities_are_the_integers_draw(self, card):
+        for m in (1, 2, 1001):
+            self._assert_integers_draw(card, m, _rng(4), _rng(4))
+
+    @pytest.mark.parametrize("card", [2, 7, 16])
+    def test_class_column_is_the_uniform_column(self, card):
+        for m in (3, 1001):
+            self._assert_integers_draw(card, m, _rng(5), _rng(5), draw=gen_class)
+        with pytest.raises(InvalidInputError, match="class cardinality must be at least 2"):
+            gen_class(1, 3, _rng())
+
+    def test_stream_with_a_half_left_over(self):
+        # an odd int64 draw below 2**32 leaves the generator one 32-bit half,
+        # which the next such draw hands out first
+        ours, theirs = _rng(6), _rng(6)
+        for rng in (ours, theirs):
+            rng.integers(0, 2, size=3, dtype=np.int64)
+        assert ours.bit_generator.state["has_uint32"]
+        for m in (1, 2, 1001):
+            self._assert_integers_draw(4, m, ours, theirs)
+
+    @pytest.mark.parametrize(
+        "bits", [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM]
+    )
+    def test_other_bit_generators(self, bits):
+        ours, theirs = np.random.Generator(bits(7)), np.random.Generator(bits(7))
+        for card, m in ((2, 1001), (16, 3), (2**32, 5)):
+            self._assert_integers_draw(card, m, ours, theirs)
+
+
+class TestIntegerArguments:
+    """Row counts and cardinalities are integers (NumPy ones included), never
+    truncated to one."""
+
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda: gen_uniform(2.5, 5, _rng()), "cardinality"),
+            (lambda: gen_uniform(4, 5.0, _rng()), "sample size"),
+            (lambda: gen_class(2.0, 5, _rng()), "class cardinality"),
+            (lambda: gen_kononenko(np.array([0, 1]), 2.5, 1.0, _rng(), class_card=2), "cardinality"),
+            (lambda: gen_kononenko(np.array([0, 1]), 2, 1.0, _rng(), class_card=2.5),
+             "class cardinality"),
+            (lambda: generate_dataset(10.9, 2, [block("u", GeneratorKind.UNIFORM, 1, 2)], SeededRng(1)),
+             "sample size"),
+            (lambda: generate_dataset(10, 2.0, [block("u", GeneratorKind.UNIFORM, 1, 2)], SeededRng(1)),
+             "class cardinality"),
+            (lambda: generate_dataset(10, 2.0, [block("x", GeneratorKind.XOR_PAIR, 2, 2)], SeededRng(1)),
+             "class cardinality"),
+            (lambda: generate_dataset(
+                10, 2, [AttributeBlock(("u",), GeneratorKind.UNIFORM, 2.5)], SeededRng(1)
+            ), "cardinality"),
+            (lambda: block("u", GeneratorKind.UNIFORM, 2.5, 2), "block count"),
+        ],
+        ids=["uniform-card", "uniform-m", "class-card", "kononenko-card", "kononenko-class-card",
+             "dataset-m", "dataset-class-card", "xor-class-card", "block-card", "block-count"],
+    )
+    def test_non_integers_rejected(self, call, what):
+        with pytest.raises(InvalidInputError, match=f"^{what} must be an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert np.array_equal(gen_uniform(np.uint8(4), np.int64(9), _rng()), gen_uniform(4, 9, _rng()))
+        assert np.array_equal(gen_class(np.int32(3), np.uint16(9), _rng()), gen_class(3, 9, _rng()))
+        cls = np.array([0, 1, 1, 0])
+        assert np.array_equal(
+            gen_kononenko(cls, np.int64(2), 1.0, _rng(), class_card=np.uint8(2)),
+            gen_kononenko(cls, 2, 1.0, _rng(), class_card=2),
+        )
+        blocks = [block("u", GeneratorKind.UNIFORM, np.uint8(1), np.int64(4))]
+        assert generate_dataset(np.int64(10), np.uint8(2), blocks, SeededRng(1)) == generate_dataset(
+            10, 2, [block("u", GeneratorKind.UNIFORM, 1, 4)], SeededRng(1)
+        )
 
 
 class TestKononenkoProbability:
@@ -221,6 +337,44 @@ class TestGenKononenko:
         narrow = gen_kononenko(cls.astype(np.uint8), cardinality, 0.7, _rng(9), class_card=10)
         assert narrow.dtype == wide.dtype == np.int64
         assert np.array_equal(narrow, wide)
+
+
+class TestBinaryKononenko:
+    """At cardinality 2 each half has one member, so the code is the half draw
+    alone: it must be what the general arithmetic gives from the same draws,
+    and the stream must be left where those draws leave it."""
+
+    @pytest.mark.parametrize("rows", ["per-class", "per-row"])
+    @pytest.mark.parametrize("k", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("class_card", [2, 7, 10**11, 2**63 - 1])
+    def test_half_draw_is_the_general_arithmetic(self, class_card, k, rows):
+        if rows == "per-class":  # no more class values than rows: probabilities looked up
+            cls = gen_class(min(class_card, 7), 3000, _rng(13, 0, 0))
+        else:  # more class values than rows: one probability per row
+            cls = np.array([class_card - 1, *range(min(class_card - 2, 3))])
+        narrow = cls.astype(np.min_scalar_type(int(cls.max())))
+        for codes in (cls, narrow):
+            ours, theirs = _rng(14), _rng(14)
+            col = gen_kononenko(codes, 2, k, ours, class_card=class_card)
+            assert col.dtype == np.int64
+            assert np.array_equal(col, kononenko_codes(cls, 2, k, theirs, class_card))
+            _assert_same_position(ours, theirs)
+
+    @pytest.mark.parametrize("cardinality", [3, 4, 5, 40])
+    def test_oracle_is_the_general_path(self, cardinality):
+        cls = gen_class(7, 3000, _rng(15, 0, 0))
+        ours, theirs = _rng(16), _rng(16)
+        col = gen_kononenko(cls.astype(np.uint8), cardinality, 0.3, ours, class_card=7)
+        assert np.array_equal(col, kononenko_codes(cls, cardinality, 0.3, theirs, 7))
+        _assert_same_position(ours, theirs)
+
+    @pytest.mark.parametrize("class_card", [2, 7])
+    def test_half_draw_at_the_probability_is_the_upper_code(self, class_card):
+        cls = np.tile(np.arange(class_card), 2)
+        p = np.array([kononenko_first_half_prob(int(c) + 1, 0.3, class_card) for c in cls])
+        at = gen_kononenko(cls, 2, 0.3, _HalfDraws(p), class_card=class_card)
+        below = gen_kononenko(cls, 2, 0.3, _HalfDraws(np.nextafter(p, 0.0)), class_card=class_card)
+        assert (at == 1).all() and (below == 0).all()
 
 
 class TestInt64Bounds:

@@ -402,6 +402,16 @@ class TestSampleValidation:
         with pytest.raises(InvalidInputError, match="duplicate column names"):
             CategoricalSample.from_columns([[0], [1]], (2, 2), column_names=("a", "a"))
 
+    def test_cardinalities_are_integers_never_truncated(self):
+        codes = np.zeros((3, 2), dtype=int)
+        for cards in ((2.7, 3), (2, "3"), (np.float64(2.0), 3)):
+            with pytest.raises(InvalidInputError, match="cardinalities must be a sequence of integers"):
+                CategoricalSample(codes, cards)
+            with pytest.raises(InvalidInputError, match="cardinalities must be a sequence of integers"):
+                CategoricalSample.from_columns(list(codes.T), cards)
+        sample = CategoricalSample(codes, (np.uint8(2), np.int64(3)))
+        assert sample.cardinalities == (2, 3) and all(type(c) is int for c in sample.cardinalities)
+
     def test_cardinality_past_int64_rejected(self):
         largest = 2**63 - 1
         assert CategoricalSample([[0]], (largest,)).cardinalities == (largest,)

@@ -96,6 +96,36 @@ class TestChi2Critical:
                 chi2_critical(0.05, df)
 
 
+class TestIntegerArguments:
+    """Cell counts, degrees of freedom, row counts and cardinalities are
+    integers (NumPy ones included), never truncated to one."""
+
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda: chi2_critical(0.05, 7.5), "degrees of freedom"),
+            (lambda: extreme_sample_chi2(100.9, 8), "sample size"),
+            (lambda: extreme_sample_chi2(100, 8.9), "cell count"),
+            (lambda: min_representative_m(8.9), "cell count"),
+            (lambda: min_representative_m("8"), "cell count"),
+            (lambda: CardinalityProfile((2.5, 2), 2), "attribute cardinalities"),
+            (lambda: CardinalityProfile((2, 2), 2.0), "class cardinality"),
+        ],
+        ids=["df", "m", "k", "m-star-k", "m-star-string", "attribute-cards", "class-card"],
+    )
+    def test_non_integers_rejected(self, call, what):
+        with pytest.raises(InvalidInputError, match=what):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert chi2_critical(0.05, np.int64(7)) == chi2_critical(0.05, 7)
+        assert extreme_sample_chi2(np.uint16(100), np.int8(8)) == extreme_sample_chi2(100, 8)
+        assert min_representative_m(np.int64(8)) == min_representative_m(8) == 99
+        profile = CardinalityProfile((np.uint8(2), np.int64(3)), np.int32(2))
+        assert (profile.attribute_cards, profile.class_card) == ((2, 3), 2)
+        assert type(profile.class_card) is int
+
+
 class TestExtremeSample:
     def test_exact_division(self):
         assert extreme_sample(98, 8) == [14] * 7 + [0]

@@ -7,7 +7,8 @@ must be read somewhere in `src/` (an export by `__init__.py` is a read), so
 no public name outlives its last caller. Every column-major matrix is
 allocated in the dtype of the one rule in `sample.py`, `code_dtype`, and
 joint cells are keyed in it too. Rows become counts only in `sample.py`: no
-other module calls `bincount` or `unique`.
+other module calls `bincount` or `unique`. Only `generators.py` reads a
+stream's raw words (`random_raw`).
 """
 
 import ast
@@ -155,3 +156,13 @@ def test_only_sample_counts_rows():
     ]
     assert calls, "no counting call found"
     assert all(where.startswith("sample.py:") for where in calls), calls
+
+
+def test_only_generators_reads_raw_words():
+    # a column read from raw words rests on how NumPy draws from them, which
+    # only the generators' equivalence tests check
+    readers = [
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        if "random_raw" in path.read_text(encoding="utf-8")
+    ]
+    assert readers == ["generators.py"], readers
