@@ -45,7 +45,8 @@ MAX_DATASET_CELLS = 1 << 28
 
 @dataclass(frozen=True)
 class AttributeBlock:
-    """A run of same-kind attribute columns with explicit names."""
+    """A run of same-kind attribute columns with explicit names. `kind` may
+    be given by its name ("uniform"), and is stored as a `GeneratorKind`."""
 
     names: tuple[str, ...]
     kind: GeneratorKind
@@ -54,13 +55,14 @@ class AttributeBlock:
     def __post_init__(self) -> None:
         if not self.names:
             raise InvalidInputError("attribute block must name at least one column")
+        if not isinstance(self.kind, GeneratorKind):  # the enum lookup is most of a block's cost
+            object.__setattr__(self, "kind", GeneratorKind(self.kind))
+        object.__setattr__(self, "cardinality", check_card(self.cardinality))
         if self.kind is GeneratorKind.XOR_PAIR:
             if len(self.names) != 2:
                 raise InvalidInputError("an XOR pair block must have exactly two columns")
             if self.cardinality != 2:
                 raise InvalidInputError("an XOR pair block must have cardinality 2")
-        elif self.cardinality < 2:
-            raise InvalidInputError("attribute cardinality must be at least 2")
 
 
 def check_xor_class(class_card: int) -> None:
@@ -70,10 +72,9 @@ def check_xor_class(class_card: int) -> None:
 
 
 def block(prefix: str, kind: GeneratorKind, count: int, cardinality: int) -> AttributeBlock:
-    """Block with auto-numbered names prefix1..prefixN."""
+    """Block with auto-numbered names prefix1..prefixN; the block rejects a
+    count below 1, which names no column."""
     count = integer(count, "block count")
-    if count < 1:
-        raise InvalidInputError("block count must be at least 1")
     return AttributeBlock(
         names=tuple(f"{prefix}{i}" for i in range(1, count + 1)),
         kind=kind,
@@ -102,6 +103,9 @@ def generate_dataset(
     codes are the only full-size copy.
     """
     blocks = tuple(blocks)
+    for b in blocks:
+        if not (b is None or isinstance(b, AttributeBlock)):
+            raise InvalidInputError(f"a dataset block must be an AttributeBlock or None, got {b!r}")
     present = [(i, b) for i, b in enumerate(blocks) if b is not None]
     if not present:
         raise InvalidInputError("at least one attribute block is required")
@@ -114,8 +118,6 @@ def generate_dataset(
 
     # every size check runs before the matrix is allocated
     m = check_m(m)
-    for _, b in present:
-        check_card(b.cardinality)
     if xor_blocks:
         check_xor_class(class_card)
     else:

@@ -48,6 +48,11 @@ class GeneratorKind(enum.Enum):
     KONONENKO = "kononenko"
     XOR_PAIR = "xor_pair"
 
+    @classmethod
+    def _missing_(cls, value):
+        # `GeneratorKind(value)` reads a family from its name, or rejects it
+        raise InvalidInputError(f"unknown family {value!r}, expected one of {[k.value for k in cls]}")
+
 
 @dataclass(frozen=True)
 class SeededRng:

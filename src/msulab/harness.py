@@ -12,8 +12,10 @@ curve reports. A group's count rule is the only thing that switches columns
 on and off along the sweep; a tracked subset is measured at every point where
 its groups have columns. `resolve_point` turns a sweep value into the
 concrete blocks, the measures read from them (each a name and its attribute
-columns) and the sample size. `config_from_json` reads this layout from its
-JSON form; the preset catalog is written in that form too.
+columns) and the sample size. Each config class checks its own fields, types
+included, when it is built. `config_from_json` reads the layout from its
+JSON form, whose keys are those fields, only mapping each object to its
+class; the preset catalog is written in that form too.
 
 Replicate r of every sweep point draws from streams keyed by
 (master_seed, r, column path). Points of a sweep therefore share their
@@ -50,8 +52,10 @@ before anything is drawn.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -79,6 +83,39 @@ SCAN_ALPHA = 0.05
 _SWEEP_KINDS = ("cardinality", "sample_size", "attribute_count", "noise_attribute_count")
 
 
+# The field checks of the config classes. Each returns the value as stored.
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidInputError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise InvalidInputError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _finite(value, what: str) -> float:
+    # a real number (NumPy's too), never a bool or a string, stored as a float
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range, too long to print
+            value = math.inf if value > 0 else -math.inf
+        if math.isfinite(value):
+            return value
+    raise InvalidInputError(f"{what} must be a finite number, got {value!r}")
+
+
+def _items(value, what: str, kind: type = object) -> tuple:
+    # a string is a sequence too, but one name is not a list of them
+    if isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value):
+        return tuple(value)
+    entries = "" if kind is object else f" of {kind.__name__}"
+    raise InvalidInputError(f"{what} must be a list or tuple{entries}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Sweep:
     kind: str
@@ -87,7 +124,7 @@ class Sweep:
     def __post_init__(self) -> None:
         if self.kind not in _SWEEP_KINDS:
             raise InvalidInputError(f"unknown sweep kind {self.kind!r}, expected one of {_SWEEP_KINDS}")
-        values = tuple(integer(v, "sweep value") for v in self.values)
+        values = tuple(integer(v, "sweep value") for v in _items(self.values, "sweep values"))
         if not values:
             raise InvalidInputError("sweep needs at least one value")
         object.__setattr__(self, "values", values)
@@ -110,7 +147,8 @@ class ComputedSampleSize:
     factor: float = 10.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.factor) and self.factor > 0):
+        object.__setattr__(self, "factor", _finite(self.factor, "computed factor"))
+        if self.factor <= 0:
             raise InvalidInputError(f"factor must be finite and positive, got {self.factor}")
 
 
@@ -137,8 +175,9 @@ class CountRule:
         if self.fixed is not None:
             object.__setattr__(self, "fixed", integer(self.fixed, "count fixed"))
         object.__setattr__(self, "offset", integer(self.offset, "count offset"))
+        _flag(self.binary_equivalent, "binary_equivalent")
         if self.window is not None:
-            if len(self.window) != 2:
+            if len(_items(self.window, "count window")) != 2:
                 raise InvalidInputError(f"count window must be a (lo, hi) pair, got {self.window!r}")
             lo, hi = (integer(v, "count window") for v in self.window)
             if lo > hi:  # an empty window would drop its group at every point
@@ -167,7 +206,9 @@ class CountRule:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """One named family of attribute columns within the generated dataset."""
+    """One named family of attribute columns within the generated dataset.
+    `family` may be given by its name ("uniform"), and is stored as a
+    `GeneratorKind`."""
 
     name: str
     family: GeneratorKind
@@ -175,6 +216,8 @@ class GroupSpec:
     cardinality: int | str  # int, or "sweep" to follow a cardinality sweep
 
     def __post_init__(self) -> None:
+        _text(self.name, "group name")
+        object.__setattr__(self, "family", GeneratorKind(self.family))
         if not isinstance(self.count, CountRule):
             object.__setattr__(self, "count", integer(self.count, "group count"))
         if self.cardinality != "sweep":
@@ -197,6 +240,12 @@ class TrackedSubset:
     label: str
     groups: tuple[str, ...]
     with_su: bool = False
+
+    def __post_init__(self) -> None:
+        _text(self.label, "tracked label")
+        groups = _items(self.groups, "tracked groups")
+        object.__setattr__(self, "groups", tuple(_text(g, "tracked group") for g in groups))
+        _flag(self.with_su, "with_su")
 
 
 @dataclass(frozen=True)
@@ -222,8 +271,16 @@ class ExperimentConfig:
     representativeness_scan: bool = False
 
     def __post_init__(self) -> None:
+        _text(self.name, "experiment name")
+        if not isinstance(self.sweep, Sweep):
+            raise InvalidInputError(f"sweep must be a Sweep, got {self.sweep!r}")
+        object.__setattr__(self, "groups", _items(self.groups, "groups", GroupSpec))
+        object.__setattr__(self, "tracked", _items(self.tracked, "tracked", TrackedSubset))
         for name in ("replicates", "class_card", "master_seed"):
             object.__setattr__(self, name, integer(getattr(self, name), name))
+        for name in ("kononenko_k", "xor_noise"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        _flag(self.representativeness_scan, "representativeness_scan")
         if self.replicates < 1:
             raise InvalidInputError("replicates must be at least 1")
         if self.class_card < 2:
@@ -283,8 +340,6 @@ def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
     group_columns: dict[str, tuple[str, ...]] = {}
     for g in config.groups:
         count = g.resolve_count(sweep_value)
-        if g.family is GeneratorKind.XOR_PAIR and count not in (0, 2):
-            raise InvalidInputError("an XOR pair group must have count 2")
         names = tuple(f"{g.name}{i}" for i in range(1, count + 1))
         group_columns[g.name] = names
         blocks.append(
@@ -547,156 +602,87 @@ def _run_representativeness_scan(config: ExperimentConfig) -> BiasCurve:
     )
 
 
-# The keys config_from_json reads in each object; any other key is most likely a typo.
-_CONFIG_FIELDS = frozenset({
-    "name", "sweep", "groups", "tracked", "class_card", "sample_size_policy", "replicates",
-    "master_seed", "kononenko_k", "xor_noise", "representativeness_scan",
-})
-_SWEEP_FIELDS = frozenset({"kind", "values", "start", "stop"})
-_GROUP_FIELDS = frozenset({"name", "family", "count", "cardinality"})
-_COUNT_FIELDS = frozenset({"fixed", "offset", "window", "binary_equivalent"})
-_TRACKED_FIELDS = frozenset({"label", "groups", "with_su"})
-
-
 def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
-    """Build a config from its JSON form (see README for the schema)."""
+    """Build a config from its JSON form (see README for the schema).
+
+    Each JSON object's keys are the fields of its class, which checks the
+    values and holds the defaults; only a sweep's `start`/`stop` pair and
+    the two sample size policy forms are read here. JSON text reads a
+    whole-number float (3.0, 1e3) as an int, while a mapping's values are
+    passed as they are.
+    """
     try:
-        data = json.loads(text_or_mapping) if isinstance(text_or_mapping, str) else text_or_mapping
+        data = (
+            json.loads(text_or_mapping, parse_float=_whole_as_int)
+            if isinstance(text_or_mapping, str) else text_or_mapping
+        )
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"experiment config is not valid JSON: {exc}") from None
     except (ValueError, RecursionError) as exc:
         # valid JSON that Python cannot load: an integer past its int-string
         # limit (4,300 digits), or arrays nested past its recursion limit
         raise InvalidInputError(f"experiment config cannot be read: {exc}") from None
-    _check_object(data, "experiment config", _CONFIG_FIELDS)
     try:
-        sweep_data = data["sweep"]
-        _check_object(sweep_data, "sweep", _SWEEP_FIELDS)
-        if "values" in sweep_data:
-            values = tuple(
-                _json_int(v, "sweep value") for v in _json_list(sweep_data["values"], "sweep values")
-            )
-        else:
-            start = _json_int(sweep_data["start"], "sweep start")
-            values = tuple(range(start, _json_int(sweep_data["stop"], "sweep stop") + 1))
-        sweep = Sweep(kind=sweep_data["kind"], values=values)
-        policy_data = data.get("sample_size_policy")
-        policy: SampleSizePolicy | None
-        if policy_data is None:
-            policy = None
-        elif not isinstance(policy_data, Mapping):
-            raise InvalidInputError(f"unknown sample size policy {policy_data!r}")
-        elif "fixed" in policy_data:
-            policy = FixedSampleSize(_json_int(policy_data["fixed"], "fixed sample size"))
-        elif "computed" in policy_data:
-            policy = ComputedSampleSize(_json_float(policy_data["computed"], "computed factor"))
-        else:
-            raise InvalidInputError(f"unknown sample size policy {policy_data!r}")
-        return ExperimentConfig(
-            name=_json_str(data["name"], "experiment name"),
-            sweep=sweep,
-            groups=tuple(_group_from_json(g) for g in _json_list(data["groups"], "groups")),
-            tracked=tuple(_tracked_from_json(t) for t in _json_list(data["tracked"], "tracked")),
-            class_card=_json_int(data.get("class_card", 2), "class_card"),
-            sample_size_policy=policy,
-            replicates=_json_int(data.get("replicates", DEFAULT_REPLICATES), "replicates"),
-            master_seed=_json_int(data.get("master_seed", DEFAULT_MASTER_SEED), "master_seed"),
-            kononenko_k=_json_float(data.get("kononenko_k", 1.0), "kononenko_k"),
-            xor_noise=_json_float(data.get("xor_noise", 0.05), "xor_noise"),
-            representativeness_scan=_json_bool(
-                data.get("representativeness_scan", False), "representativeness_scan"
-            ),
+        fields = _fields(data, "experiment config", ExperimentConfig)
+        fields["sweep"] = _sweep_from_json(fields["sweep"])
+        fields["groups"] = _each(_group_from_json, fields["groups"])
+        fields["tracked"] = _each(
+            lambda t: TrackedSubset(**_fields(t, "tracked subset", TrackedSubset)), fields["tracked"]
         )
+        fields["sample_size_policy"] = _policy_from_json(fields.get("sample_size_policy"))
+        return ExperimentConfig(**fields)
     except KeyError as exc:
         raise InvalidInputError(f"experiment config is missing field {exc}") from None
-    except ValueError as exc:
-        raise InvalidInputError(f"bad experiment config: {exc}") from None
+
+
+def _whole_as_int(text: str) -> int | float:
+    number = float(text)
+    return int(number) if number.is_integer() else number
+
+
+def _fields(data, what: str, cls: type) -> dict:
+    """The keyword arguments of `cls` in the JSON object `data`. A key that is
+    not a field of `cls` is most likely a typo; a missing required field
+    raises KeyError."""
+    if not isinstance(data, Mapping):
+        raise InvalidInputError(f"{what} must be a JSON object, got {type(data).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {f.name for f in fields})
+    if unknown:
+        raise InvalidInputError(f"unknown {what} field(s): {', '.join(unknown)}")
+    return {f.name: data[f.name] for f in fields if f.name in data or f.default is dataclasses.MISSING}
+
+
+def _each(read, value):
+    """`read` of each entry of a JSON array; any other value is passed on for
+    its class to reject."""
+    return [read(v) for v in value] if isinstance(value, (list, tuple)) else value
+
+
+def _sweep_from_json(data) -> Sweep:
+    """A sweep of `values`, or of the `start`/`stop` pair's range, both ends
+    included; `values` beside the pair is rejected as an unknown key."""
+    if isinstance(data, Mapping) and "values" not in data:
+        start, stop = integer(data["start"], "sweep start"), integer(data["stop"], "sweep stop")
+        data = {**data, "values": tuple(range(start, stop + 1))}
+        del data["start"], data["stop"]
+    return Sweep(**_fields(data, "sweep", Sweep))
 
 
 def _group_from_json(data) -> GroupSpec:
-    _check_object(data, "group", _GROUP_FIELDS)
-    count = data["count"]
-    if isinstance(count, Mapping):
-        _check_object(count, "group count", _COUNT_FIELDS)
-        fixed = count.get("fixed")
-        count = CountRule(
-            fixed=None if fixed is None else _json_int(fixed, "count fixed"),
-            offset=_json_int(count.get("offset", 0), "count offset"),
-            window=_json_window(count.get("window"), "count window"),
-            binary_equivalent=_json_bool(count.get("binary_equivalent", False), "binary_equivalent"),
-        )
-    else:
-        count = _json_int(count, "group count")
-    card = data["cardinality"]
-    return GroupSpec(
-        name=_json_str(data["name"], "group name"),
-        family=GeneratorKind(data["family"]),
-        count=count,
-        cardinality=card if card == "sweep" else _json_int(card, "group cardinality"),
-    )
+    fields = _fields(data, "group", GroupSpec)
+    if isinstance(fields["count"], Mapping):
+        fields["count"] = CountRule(**_fields(fields["count"], "group count", CountRule))
+    return GroupSpec(**fields)
 
 
-def _tracked_from_json(data) -> TrackedSubset:
-    _check_object(data, "tracked subset", _TRACKED_FIELDS)
-    return TrackedSubset(
-        label=_json_str(data["label"], "tracked label"),
-        groups=tuple(
-            _json_str(g, "tracked group") for g in _json_list(data["groups"], "tracked groups")
-        ),
-        with_su=_json_bool(data.get("with_su", False), "with_su"),
-    )
-
-
-def _check_object(value, what: str, fields: frozenset[str]) -> None:
-    if not isinstance(value, Mapping):
-        raise InvalidInputError(f"{what} must be a JSON object, got {type(value).__name__}")
-    unknown = sorted(set(value) - fields)
-    if unknown:
-        raise InvalidInputError(f"unknown {what} field(s): {', '.join(unknown)}")
-
-
-def _json_list(value, what: str) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise InvalidInputError(f"{what} must be a JSON array, got {value!r}")
-    return value
-
-
-def _json_window(value, what: str) -> tuple[int, int] | None:
-    if value is None:
+def _policy_from_json(data) -> SampleSizePolicy | None:
+    """`null`, `{"fixed": m}` or `{"computed": factor}`; a second key is rejected too."""
+    forms = {"fixed": FixedSampleSize, "computed": ComputedSampleSize}
+    if data is None:
         return None
-    if len(_json_list(value, what)) != 2:
-        raise InvalidInputError(f"{what} must be a [lo, hi] pair, got {value!r}")
-    return _json_int(value[0], what), _json_int(value[1], what)
-
-
-def _json_bool(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise InvalidInputError(f"{what} must be true or false, got {value!r}")
-    return value
-
-
-def _json_str(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise InvalidInputError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _json_int(value, what: str) -> int:
-    # only a JSON number: bool is an int subclass, and a string or a fraction hides a typo
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
-
-
-def _json_float(value, what: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-        else:
-            if math.isfinite(number):
-                return number
-    raise InvalidInputError(f"{what} must be a finite number, got {value!r}")
+    if isinstance(data, Mapping) and len(data) == 1:
+        ((form, value),) = data.items()
+        if form in forms:
+            return forms[form](value)
+    raise InvalidInputError(f"unknown sample size policy {data!r}")

@@ -247,12 +247,15 @@ class CategoricalSample:
 
 
 def integer(value, what: str) -> int:
-    """`value` as a Python int; a float, string or None is rejected, never
-    truncated, while NumPy integers are accepted. `what` names it in an error."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+    """`value` as a Python int; a bool, float, string or None is rejected,
+    never truncated, while NumPy integers are accepted. `what` names it in
+    an error."""
+    if not isinstance(value, bool):  # an int subclass, but a flag is not a count
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
 
 
 def _integers(values, what: str) -> list[int]:

@@ -80,7 +80,8 @@ class TestSeededRng:
             SeededRng(-1)
 
     def test_seed_and_stream_id_are_integers(self):
-        for build in (lambda: SeededRng(1.5), lambda: SeededRng(1, 2.0), lambda: SeededRng("7")):
+        for build in (lambda: SeededRng(1.5), lambda: SeededRng(1, 2.0), lambda: SeededRng("7"),
+                      lambda: SeededRng(True), lambda: SeededRng(1, False)):
             with pytest.raises(InvalidInputError, match="must be an integer"):
                 build()
         a = SeededRng(np.uint32(11), np.int64(3))
@@ -204,9 +205,16 @@ class TestIntegerArguments:
                 10, 2, [AttributeBlock(("u",), GeneratorKind.UNIFORM, 2.5)], SeededRng(1)
             ), "cardinality"),
             (lambda: block("u", GeneratorKind.UNIFORM, 2.5, 2), "block count"),
+            # a block checks its cardinality when it is built
+            (lambda: AttributeBlock(("a",), GeneratorKind.UNIFORM, 2.5), "cardinality"),
+            (lambda: AttributeBlock(("a",), GeneratorKind.UNIFORM, "3"), "cardinality"),
+            (lambda: AttributeBlock(("a",), GeneratorKind.KONONENKO, True), "cardinality"),
+            (lambda: gen_uniform(True, 5, _rng()), "cardinality"),
         ],
         ids=["uniform-card", "uniform-m", "class-card", "kononenko-card", "kononenko-class-card",
-             "dataset-m", "dataset-class-card", "xor-class-card", "block-card", "block-count"],
+             "dataset-m", "dataset-class-card", "xor-class-card", "block-card", "block-count",
+             "attribute-block-card", "attribute-block-card-string", "attribute-block-card-bool",
+             "uniform-card-bool"],
     )
     def test_non_integers_rejected(self, call, what):
         with pytest.raises(InvalidInputError, match=f"^{what} must be an integer"):
@@ -387,6 +395,7 @@ class TestInt64Bounds:
             lambda: gen_class(card, 3, _rng()),
             lambda: gen_uniform(card, 3, _rng()),
             lambda: gen_kononenko(codes, card, 1.0, _rng(), class_card=2),
+            lambda: AttributeBlock(("a",), GeneratorKind.UNIFORM, card),
         ):
             with pytest.raises(InvalidInputError, match="must not exceed"):
                 draw()
@@ -666,7 +675,33 @@ class TestAttributeBlock:
     def test_xor_block_needs_two_columns(self):
         with pytest.raises(InvalidInputError):
             AttributeBlock(("a",), GeneratorKind.XOR_PAIR, 2)
+        with pytest.raises(InvalidInputError, match="exactly two columns"):
+            AttributeBlock(("a", "b", "c"), "xor_pair", 2)
+
+    def test_kind_given_by_name_is_the_enum(self):
+        # a kind named by its string once fell through to Kononenko columns
+        by_name = AttributeBlock(("a", "b"), "uniform", 2)
+        assert by_name == AttributeBlock(("a", "b"), GeneratorKind.UNIFORM, 2)
+        assert by_name.kind is GeneratorKind.UNIFORM
+        sample = generate_dataset(2000, 2, [by_name], SeededRng(8, 0))
+        assert sample == generate_dataset(
+            2000, 2, [AttributeBlock(("a", "b"), GeneratorKind.UNIFORM, 2)], SeededRng(8, 0)
+        )
+        assert np.array_equal(sample.codes[:, 0], gen_uniform(2, 2000, SeededRng(8, 0).stream(1, 0)))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "Uniform", None, 1])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(InvalidInputError, match="unknown family"):
+            AttributeBlock(("a",), kind, 2)
+
+    @pytest.mark.parametrize("entry", [("a",), "a", 5, GeneratorKind.UNIFORM])
+    def test_non_blocks_rejected(self, entry):
+        blocks = [block("u", GeneratorKind.UNIFORM, 1, 2), entry]
+        with pytest.raises(InvalidInputError, match="must be an AttributeBlock or None"):
+            generate_dataset(5, 2, blocks, SeededRng(1, 0))
 
     def test_counts_must_be_positive(self):
         with pytest.raises(InvalidInputError):
             block("f", GeneratorKind.UNIFORM, 0, 2)
+        with pytest.raises(InvalidInputError, match="at least one column"):
+            block("f", GeneratorKind.UNIFORM, -3, 2)

@@ -34,6 +34,37 @@ def _group(name, family, count, cardinality=2):
     return {"name": name, "family": family, "count": count, "cardinality": cardinality}
 
 
+def _constructed(data):
+    """The config a JSON config mapping describes, built by calling the config
+    classes: the Python way in, which must check what `config_from_json` does."""
+    def group(g):
+        count = g["count"]
+        return GroupSpec(**{**g, "count": CountRule(**count) if isinstance(count, dict) else count})
+
+    def each(build, value):  # a value that is not a list goes to the class as it is
+        return [build(v) for v in value] if isinstance(value, list) else value
+
+    policy = data.get("sample_size_policy")
+    if isinstance(policy, dict):
+        ((form, value),) = policy.items()
+        policy = {"fixed": FixedSampleSize, "computed": ComputedSampleSize}[form](value)
+    return ExperimentConfig(**{
+        **data,
+        "sweep": Sweep(**data["sweep"]),
+        "groups": each(group, data["groups"]),
+        "tracked": each(lambda t: TrackedSubset(**t), data["tracked"]),
+        "sample_size_policy": policy,
+    })
+
+
+def _rejected_both_ways(data, match, python=True):
+    """`config_from_json(data)` and, unless `python` is false (for a key only
+    JSON has), `_constructed(data)` raise the same error."""
+    for build in (config_from_json, _constructed) if python else (config_from_json,):
+        with pytest.raises(InvalidInputError, match=match):
+            build(data)
+
+
 def run_replicate(config, sweep_value, replicate_index):
     """Measure values of one replicate of one sweep point, run on its own."""
     point = resolve_point(config, sweep_value)
@@ -396,6 +427,10 @@ class TestConfigJson:
         assert fixed.sample_size_policy == FixedSampleSize(50)
         computed = config_from_json({**base, "sample_size_policy": {"computed": 5}})
         assert computed.sample_size_policy == ComputedSampleSize(5.0)
+        # one form, and no key beside it: every other key in a config is an error too
+        for policy in ({"fixed": 50, "computed": 5}, {"fixed": 50, "note": "x"}, {}, {"m": 50}, [50]):
+            with pytest.raises(InvalidInputError, match="unknown sample size policy"):
+                config_from_json({**base, "sample_size_policy": policy})
 
     def test_count_rules(self):
         cfg = config_from_json({
@@ -434,6 +469,10 @@ class TestConfigJson:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInputError, match="replicate"):
             config_from_json({**self.BASE, "replicate": 5})
+        # a sweep is given by its values or by start/stop, not both
+        sweep = {"kind": "sample_size", "values": [10], "start": 8, "stop": 9}
+        with pytest.raises(InvalidInputError, match=r"unknown sweep field\(s\): start, stop"):
+            config_from_json({**self.BASE, "sweep": sweep})
 
     def test_boolean_count_rejected(self):
         for value in (True, False):
@@ -463,13 +502,19 @@ class TestConfigJson:
             ({"count": {"window": [4, 2]}}, r"count window \[4, 2\] is reversed"),
             ({"count": {"fixed": 2, "binary_equivalent": True}}, "either fixed or binary_equivalent"),
             ({"count": {"fixed": 2, "offset": 1}}, "offset applies only"),
+            ({"family": None}, "unknown family None"),
+            ({"family": "Uniform"}, "unknown family 'Uniform'"),
+            ({"count": False}, "group count must be an integer, got False"),
+            ({"cardinality": True}, "group cardinality must be an integer, got True"),
+            ({"count": {"window": "ab"}}, "count window must be a list or tuple"),
+            ({"count": {"offset": True}}, "count offset must be an integer, got True"),
         ],
     )
     def test_group_fields_checked(self, group, match):
         data = {**self.BASE, "groups": [{**_group("mk", "kononenko", 2), **group}],
                 "tracked": [{"label": "set", "groups": ["mk"]}]}
-        with pytest.raises(InvalidInputError, match=match):
-            config_from_json(data)
+        # an unknown key is a JSON error; Python names its keyword arguments itself
+        _rejected_both_ways(data, match, python=not match.startswith("unknown group"))
 
     @pytest.mark.parametrize(
         "subset, match",
@@ -480,12 +525,15 @@ class TestConfigJson:
             ({"window": None}, r"unknown tracked subset field\(s\): window"),
             ({"groups": "mk"}, "tracked groups"),
             ({"label": "s", "groups": ["mk"], "weight": 1}, "unknown tracked subset field"),
+            ({"groups": "xor"}, "tracked groups must be a list or tuple, got 'xor'"),
+            ({"groups": {"mk": 1}}, "tracked groups must be a list or tuple"),
+            ({"with_su": 1}, "with_su must be true or false, got 1"),
+            ({"with_su": None}, "with_su must be true or false, got None"),
         ],
     )
     def test_tracked_fields_checked(self, subset, match):
         data = {**self.BASE, "tracked": [{"label": "s", "groups": ["mk"], **subset}]}
-        with pytest.raises(InvalidInputError, match=match):
-            config_from_json(data)
+        _rejected_both_ways(data, match, python=not match.startswith("unknown tracked"))
 
     def test_scan_flag_must_be_boolean(self):
         with pytest.raises(InvalidInputError, match="representativeness_scan"):
@@ -499,11 +547,22 @@ class TestConfigJson:
             ("xor_noise", -0.1, "noise"),
             ("kononenko_k", -1, "informativeness"),
             ("kononenko_k", 0, "informativeness"),
+            ("kononenko_k", math.inf, "kononenko_k must be a finite number, got inf"),
+            ("kononenko_k", True, "kononenko_k must be a finite number, got True"),
+            ("xor_noise", math.nan, "xor_noise must be a finite number, got nan"),
+            ("xor_noise", [0.1], "xor_noise must be a finite number"),
+            ("replicates", True, "replicates must be an integer, got True"),
+            ("class_card", False, "class_card must be an integer, got False"),
+            ("representativeness_scan", 1, "representativeness_scan must be true or false, got 1"),
+            ("representativeness_scan", "false", "representativeness_scan must be true or false"),
+            ("sweep", {"kind": "sample_size", "values": 5}, "sweep values must be a list or tuple, got 5"),
+            ("sweep", {"kind": "sample_size", "values": "12"}, "sweep values must be a list or tuple"),
+            ("sweep", {"kind": "sample_size", "values": [True]}, "sweep value must be an integer, got True"),
+            ("sample_size_policy", {"computed": "10"}, "computed factor must be a finite number"),
         ],
     )
     def test_config_wide_values_rejected_when_built(self, field, value, match):
-        with pytest.raises(InvalidInputError, match=match):
-            config_from_json({**self.BASE, field: value})
+        _rejected_both_ways({**self.BASE, field: value}, match)
 
     @pytest.mark.parametrize(
         "groups, match",
@@ -536,8 +595,9 @@ class TestConfigJson:
         ],
     )
     def test_numeric_strings_rejected(self, field, value):
-        with pytest.raises(InvalidInputError, match="must be an integer|must be a finite number"):
-            config_from_json({**self.BASE, field: value})
+        # a sweep's start/stop pair is a JSON form only
+        _rejected_both_ways({**self.BASE, field: value}, "must be an integer|must be a finite number",
+                            python="start" not in value)
 
     @pytest.mark.parametrize(
         "changes, match",
@@ -548,12 +608,36 @@ class TestConfigJson:
             ({"tracked": [{"label": 7, "groups": ["mk"]}]}, "tracked label must be a string, got 7"),
             ({"tracked": [{"label": "s", "groups": [1]}]}, "tracked group must be a string, got 1"),
             ({"tracked": [{"label": "s", "groups": [None]}]}, "tracked group must be a string, got None"),
+            ({"groups": [{**_group("mk", "kononenko", 2), "name": 5}]}, "group name must be a string, got 5"),
+            ({"name": None}, "experiment name must be a string, got None"),
+            ({"groups": "mk"}, "groups must be a list or tuple of GroupSpec, got 'mk'"),
+            ({"tracked": "mk"}, "tracked must be a list or tuple of TrackedSubset, got 'mk'"),
         ],
-        ids=["config-name", "group-name", "tracked-label", "tracked-group", "tracked-group-null"],
+        ids=["config-name", "group-name", "tracked-label", "tracked-group", "tracked-group-null",
+             "group-name-number", "config-name-null", "groups-string", "tracked-string"],
     )
     def test_non_string_names_rejected(self, changes, match):
-        with pytest.raises(InvalidInputError, match=match):
-            config_from_json({**self.BASE, **changes})
+        _rejected_both_ways({**self.BASE, **changes}, match)
+
+    def test_whole_number_floats_in_json_text_are_integers(self):
+        # JSON has one number type; a mapping built in Python follows the Python rule
+        text = json.dumps({**self.BASE, "replicates": 3.0, "sweep": {"kind": "sample_size", "values": [1e3]}})
+        assert '"replicates": 3.0' in text and '"values": [1000.0]' in text
+        cfg = config_from_json(text.replace("1000.0", "1e3"))
+        assert (cfg.replicates, cfg.sweep.values) == (3, (1000,))
+        assert type(cfg.replicates) is int and type(cfg.sweep.values[0]) is int
+        cfg = config_from_json('{"name": "x", "sweep": {"kind": "sample_size", "start": 8.0, "stop": 1e1},'
+                               ' "groups": [{"name": "u", "family": "uniform", "count": 2.0,'
+                               ' "cardinality": 4e0}], "tracked": [{"label": "s", "groups": ["u"]}],'
+                               ' "kononenko_k": 2.0, "xor_noise": 0.0}')
+        assert cfg.sweep.values == (8, 9, 10)
+        assert cfg.groups == (GroupSpec("u", GeneratorKind.UNIFORM, 2, 4),)
+        assert (cfg.kononenko_k, cfg.xor_noise) == (2.0, 0.0)
+        assert all(type(v) is float for v in (cfg.kononenko_k, cfg.xor_noise))
+        with pytest.raises(InvalidInputError, match="replicates must be an integer, got 3.0"):
+            config_from_json({**self.BASE, "replicates": 3.0})
+        with pytest.raises(InvalidInputError, match="replicates must be an integer, got 2.5"):
+            config_from_json(json.dumps({**self.BASE, "replicates": 2.5}))
 
     def test_integers_are_numbers(self):
         cfg = config_from_json({**self.BASE, "kononenko_k": 2, "xor_noise": 0})
@@ -647,7 +731,11 @@ class TestConfigValidation:
                 "tracked": [{"label": "s", "groups": ["mk"]}, {"label": "s", "groups": ["u"]}],
             })
 
-    @pytest.mark.parametrize("factor", [0.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "factor",
+        [0.0, math.nan, math.inf, pytest.param(10**400, id="int-past-float"),
+         pytest.param(-(10**5000), id="int-too-long-to-print")],
+    )
     def test_computed_factor_must_be_finite_and_positive(self, factor):
         with pytest.raises(InvalidInputError, match="factor"):
             ComputedSampleSize(factor)
@@ -673,10 +761,16 @@ class TestConfigValidation:
             lambda: dataclasses.replace(preset("fig-b2"), class_card=2.0),
             lambda: dataclasses.replace(preset("fig-b2"), master_seed=1.5),
             lambda: resolve_point(preset("fig-b2"), 8.5),
+            # a bool is an int subclass, but a flag is not a count
+            lambda: FixedSampleSize(True),
+            lambda: dataclasses.replace(preset("fig-b2"), replicates=True),
+            lambda: GroupSpec("a", GeneratorKind.UNIFORM, count=True, cardinality=3),
+            lambda: CountRule(window=(False, 3)),
         ],
         ids=["sweep-float", "sweep-string", "count", "cardinality", "count-none", "fixed-m",
              "rule-fixed", "rule-offset", "rule-window", "rule-window-triple", "replicates",
-             "class-card", "master-seed", "resolve-point"],
+             "class-card", "master-seed", "resolve-point", "fixed-m-bool", "replicates-bool",
+             "count-bool", "rule-window-bool"],
     )
     def test_integer_fields_are_not_truncated(self, build):
         # the rule of column indices and prefixes: an integer, or rejected
@@ -703,6 +797,29 @@ class TestConfigValidation:
             for v in (config.replicates, config.master_seed, *config.sweep.values, *rule.window)
         )
         assert run_experiment(config).sample_sizes == (8, 12)
+
+    def test_family_given_by_name_is_the_enum(self):
+        # a family named by its string once fell through to Kononenko columns
+        by_name = GroupSpec("u", "uniform", 2, 2)
+        assert by_name == GroupSpec("u", GeneratorKind.UNIFORM, 2, 2)
+        assert by_name.family is GeneratorKind.UNIFORM
+        configs = [
+            dataclasses.replace(
+                preset("fig-b2"), replicates=20, sweep=Sweep("sample_size", (50, 2000)),
+                groups=(GroupSpec("u", family, 2, 2),), tracked=(TrackedSubset("u", ("u",)),),
+            )
+            for family in ("uniform", GeneratorKind.UNIFORM)
+        ]
+        assert configs[0] == configs[1]
+        assert _curve_sha256(configs[0]) == _curve_sha256(configs[1])
+        # two independent binary columns and a binary class: the MSU is near 0
+        # (a Kononenko pair's was 0.127 at 2,000 rows)
+        assert run_experiment(configs[0]).mean_series("msu_u")[1] < 0.01
+
+    @pytest.mark.parametrize("family", ["gaussian", "UNIFORM", "", 0, None])
+    def test_unknown_family_rejected(self, family):
+        with pytest.raises(InvalidInputError, match="unknown family"):
+            GroupSpec("u", family, 2, 2)
 
     @pytest.mark.parametrize("policy", [5000, "computed", ComputedSampleSize])
     def test_unknown_policy_rejected(self, policy):

@@ -8,15 +8,20 @@ no public name outlives its last caller. Every column-major matrix is
 allocated in the dtype of the one rule in `sample.py`, `code_dtype`, and
 joint cells are keyed in it too. Rows become counts only in `sample.py`: no
 other module calls `bincount` or `unique`. Only `generators.py` reads a
-stream's raw words (`random_raw`).
+stream's raw words (`random_raw`). README's section on JSON experiment
+configs names every field of the config classes, which are the JSON keys.
 """
 
 import ast
+import dataclasses
+import re
 from pathlib import Path
 
 import msulab
+from msulab.harness import CountRule, ExperimentConfig, GroupSpec, Sweep, TrackedSubset
 
 PACKAGE = Path(msulab.__file__).parent
+README = PACKAGE.parents[1] / "README.md"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -166,3 +171,17 @@ def test_only_generators_reads_raw_words():
         if "random_raw" in path.read_text(encoding="utf-8")
     ]
     assert readers == ["generators.py"], readers
+
+
+def test_readme_names_every_config_field():
+    # `config_from_json` reads a class's fields as its JSON keys, so a new
+    # field is a new key, to be documented with the others
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### JSON experiment configs\n", 1)[1].split("\n## ", 1)[0]
+    missing = [
+        f"{cls.__name__}.{field.name}"
+        for cls in (ExperimentConfig, Sweep, GroupSpec, CountRule, TrackedSubset)
+        for field in dataclasses.fields(cls)
+        if not re.search(rf'[`".]{field.name}[`"]', section)  # `key`, "key" or `parent.key`
+    ]
+    assert not missing, f"not named in README's JSON experiment configs: {missing}"
