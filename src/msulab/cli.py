@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -43,6 +44,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+@functools.cache  # built once a process: parsing reads the parser and never changes it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msulab",

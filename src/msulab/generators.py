@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .sample import MAX_CARDINALITY, integer
+from .sample import MAX_CARDINALITY, int_text, integer
 
 
 class GeneratorKind(enum.Enum):
@@ -80,9 +80,9 @@ def check_m(m: int) -> int:
     """`m` as an int, rejected unless it is a positive int64 row count."""
     m = integer(m, "sample size")
     if m < 1:
-        raise InvalidInputError(f"sample size must be at least 1, got {m}")
+        raise InvalidInputError(f"sample size must be at least 1, got {int_text(m)}")
     if m > MAX_CARDINALITY:  # rows are counted in int64 like codes
-        raise InvalidInputError(f"sample size must not exceed {MAX_CARDINALITY}, got {m}")
+        raise InvalidInputError(f"sample size must not exceed {MAX_CARDINALITY}, got {int_text(m)}")
     return m
 
 
@@ -90,10 +90,10 @@ def check_card(card: int, what: str = "cardinality") -> int:
     """`card` as an int, rejected below 2 or past the int64 codes."""
     card = integer(card, what)
     if card < 2:
-        raise InvalidInputError(f"{what} must be at least 2, got {card}")
+        raise InvalidInputError(f"{what} must be at least 2, got {int_text(card)}")
     if card > MAX_CARDINALITY:
         raise InvalidInputError(
-            f"{what} must not exceed {MAX_CARDINALITY} (int64 codes), got {card}"
+            f"{what} must not exceed {MAX_CARDINALITY} (int64 codes), got {int_text(card)}"
         )
     return card
 

@@ -71,7 +71,7 @@ from .dataset import (
 from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_k, check_xor_noise
 from .measures import msu_values
-from .sample import integer
+from .sample import int_text, integer
 from .samplesize import CardinalityProfile, heuristic_sample_size, representativeness_report
 
 DEFAULT_MASTER_SEED = 20170707
@@ -137,7 +137,7 @@ class FixedSampleSize:
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", integer(self.m, "fixed sample size"))
         if self.m < 1:
-            raise InvalidInputError(f"fixed sample size must be at least 1, got {self.m}")
+            raise InvalidInputError(f"fixed sample size must be at least 1, got {int_text(self.m)}")
 
 
 @dataclass(frozen=True)

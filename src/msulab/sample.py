@@ -25,9 +25,13 @@ histogram of a column subset at ascending row prefixes and, on request, the
 counts of some of the subset's columns at the same prefixes. It keys each
 row's cell from the code columns directly, in the narrowest dtype of the
 joint space (the same rule), and sums each column's counts from the joint's
-cells, so the rows are read once however many columns are asked for. How a
-cell is keyed (a dense mixed-radix key, a renumbered key, or a row of codes
-past int64) is private to this module.
+counts, so the rows are read once however many columns are asked for. A
+joint is counted densely, over its whole grid of mixed-radix keys, only
+where the rows fill that grid; then each column's counts are the grid's
+sums over the other columns' axes, one for each code. Otherwise the keys are
+renumbered to the cells seen, and each column's counts are summed over the
+cells that share a code. How a cell is keyed (a dense mixed-radix key, a
+renumbered key, or a row of codes past int64) is private to this module.
 """
 
 from __future__ import annotations
@@ -41,10 +45,20 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# Joint spaces up to this many cells are counted with a dense bincount over
-# their mixed-radix keys; larger ones are first renumbered to the observed
-# cells. It also caps the size of one prefix count matrix.
+# A joint space is counted with a dense bincount over its mixed-radix keys
+# when it has at most _DENSE_CELL_LIMIT cells and at most _DENSE_FILL cells
+# for each row keyed; any other is first renumbered to the observed cells.
+# The limit also caps the size of one prefix count matrix. The dense path
+# costs passes over the grid (the counts, their nonzeros, and the member
+# columns' axis sums, each over a smaller grid than the last); the
+# renumbered one a sort of the rows. Timed on one CPU over 600 to 100,000
+# rows, 2- to 40-valued columns and 1/2 to 64 cells a row: with no member
+# column counted, dense took 0.06 to 0.86 times the renumbered time up to 8
+# cells a row, 0.86 to 1.6 at 10 to 16 and up to 4.6 times past that; with
+# every member counted, at most 0.47 times up to 8 cells a row. The presets
+# timed no differently at 4, 8 or 16 cells a row.
 _DENSE_CELL_LIMIT = 1 << 21
+_DENSE_FILL = 8
 
 # The widest codes are int64, so no column's alphabet may be larger than this.
 MAX_CARDINALITY = int(np.iinfo(np.int64).max)
@@ -246,6 +260,16 @@ class CategoricalSample:
         )
 
 
+def int_text(n: int) -> str:
+    """`n` for an error message: in full below 2**64 in size, else as the
+    power of two it passes, since Python formats no int of more than 4,300
+    digits."""
+    if n.bit_length() <= 64:
+        return str(n)
+    power = f"2**{n.bit_length() - 1}"
+    return f"at least {power}" if n > 0 else f"at most -{power}"
+
+
 def integer(value, what: str) -> int:
     """`value` as a Python int; a bool, float, string or None is rejected,
     never truncated, while NumPy integers are accepted. `what` names it in
@@ -278,7 +302,7 @@ def normalize_columns(sample: CategoricalSample, cols: Sequence[int]) -> tuple[i
     p = sample.n_columns
     for c in subset:
         if not 0 <= c < p:
-            raise InvalidInputError(f"column index {c} out of range for {p} columns")
+            raise InvalidInputError(f"column index {int_text(c)} out of range for {p} columns")
     if len(set(subset)) != len(subset):
         raise InvalidInputError(f"column subset contains duplicates: {tuple(subset)}")
     return tuple(sorted(subset))
@@ -288,9 +312,12 @@ def normalize_prefixes(sample: CategoricalSample, prefixes: Sequence[int]) -> tu
     """Validate row prefixes: strictly ascending row counts of the sample."""
     bounds = _integers(prefixes, "prefixes")
     if not bounds or bounds[0] < 1 or sorted(set(bounds)) != bounds:
-        raise InvalidInputError(f"prefixes must be strictly ascending and positive, got {bounds}")
+        shown = ", ".join(map(int_text, bounds))
+        raise InvalidInputError(f"prefixes must be strictly ascending and positive, got [{shown}]")
     if bounds[-1] > sample.n_rows:
-        raise InvalidInputError(f"prefix of {bounds[-1]} rows exceeds the sample's {sample.n_rows}")
+        raise InvalidInputError(
+            f"prefix of {int_text(bounds[-1])} rows exceeds the sample's {sample.n_rows}"
+        )
     return tuple(bounds)
 
 
@@ -309,8 +336,11 @@ def prefix_counts(
     absent from all of its rows are dropped, so the last row has no zero. It
     comes with one matrix per column of `alone`, in that order: each row the
     column's counts at the same prefix, in ascending code order, a zero where
-    a code is not seen. Those are summed from the joint's cells, so the rows
-    are read once. No joint matrix exceeds `_DENSE_CELL_LIMIT` elements
+    a code is not seen. Those are summed from the joint's counts, so the rows
+    are read once: over the grid's other axes where the joint is counted
+    densely, and then a row is the column's full cardinality wide; over the
+    cells that share a code otherwise, and then a row is at most as wide as
+    the joint's. No joint matrix exceeds `_DENSE_CELL_LIMIT` elements
     unless a single row does. Every row is counted from the rows' cell ids in
     one pass: the ids are keyed once, and each prefix adds the rows after the
     previous one to its counts.
@@ -343,8 +373,32 @@ def prefix_counts(
         start = chunk[-1]
         observed = np.flatnonzero(running)
         joint = counts[:, observed]
-        keys = observed if cells is None else cells[observed]
-        yield joint, [_column_counts(joint, _cell_codes(keys, dims, j), dims[j]) for j in members]
+        if cells is None:  # the counts are the whole grid, before its zeros are dropped
+            yield joint, _axis_counts(counts, dims, members)
+        else:
+            keys = cells[observed]
+            yield joint, [_column_counts(joint, _cell_codes(keys, dims, j), dims[j]) for j in members]
+
+
+def _axis_counts(
+    grid: np.ndarray, dims: tuple[int, ...], members: Sequence[int]
+) -> list[np.ndarray]:
+    """The counts of each subset column in `members`, given a dense joint's
+    count matrix, whose columns are every mixed-radix key over `dims` in
+    order: each row summed over every axis of the grid but the column's,
+    `dims[j]` wide, zeros included.
+
+    The leading axis is summed out of the grid after each column, so each
+    pass is over a grid `dims[j]` times smaller than the last, where a sum
+    over all other axes would pass over the whole grid for each column. The
+    int64 sums are exact in any order.
+    """
+    rows, sums = len(grid), {}
+    for j in range(max(members, default=-1) + 1):
+        block = grid.reshape(rows, dims[j], -1)
+        sums[j] = block.sum(axis=2)
+        grid = block.sum(axis=1)
+    return [sums[j] for j in members]
 
 
 def _cell_codes(cells: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
@@ -381,8 +435,9 @@ def _cell_ids(
     """Per-row cell ids over equal-length code columns, the id space size,
     and the cell of each id.
 
-    Dense spaces use the mixed-radix key itself (one column is its own key),
-    so the cells are None: an id is its cell's key. Larger ones are
+    A space within `_DENSE_CELL_LIMIT` and `_DENSE_FILL` cells a row is
+    dense: its ids are the mixed-radix keys themselves (one column is its own
+    key), so the cells are None: an id is its cell's key. Any other is
     renumbered to the observed keys in ascending order, which are the cells;
     past int64, to the observed rows of codes, which are the cells.
     """
@@ -405,7 +460,7 @@ def _cell_ids(
         for column, d in radix[2:]:
             keys *= d
             np.add(keys, column, out=keys, casting="unsafe")
-    if space <= _DENSE_CELL_LIMIT:
+    if space <= min(_DENSE_CELL_LIMIT, _DENSE_FILL * len(keys)):
         return keys, space, None
     cells, ids = np.unique(keys, return_inverse=True)
     return ids.reshape(-1), len(cells), cells

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .sample import _integers, integer
+from .sample import _integers, int_text, integer
 
 # Beyond 2**52 cells the cell counts q + 1 near m* stop being exact floats and
 # the float statistic drifts from the chi-squared statistic it computes.
@@ -139,9 +139,9 @@ def extreme_sample_chi2(m: int, k: int) -> float:
     """
     m, k = integer(m, "sample size"), integer(k, "cell count")
     if k < 2:
-        raise InvalidInputError(f"need at least two cells, got {k}")
+        raise InvalidInputError(f"need at least two cells, got {int_text(k)}")
     if m < k - 1:
-        raise InvalidInputError(f"m={m} cannot fill {k - 1} cells with at least one item each")
+        raise InvalidInputError(f"m={int_text(m)} cannot fill {int_text(k - 1)} cells with at least one item each")
     try:
         r, up, level, empty = _extreme_terms(m, k)
         return float(up * r + level * (k - 1 - r) + empty)
@@ -176,19 +176,13 @@ def min_representative_m(k: int, alpha: float = 0.05) -> int:
     return _critical_and_m_star(integer(k, "cell count"), alpha)[1]
 
 
-def _cell_count(k: int) -> str:
-    """`k` for an error message: in full below 2**64, else as a power of two
-    it reaches, since Python formats no int of more than 4,300 digits."""
-    return str(k) if k.bit_length() <= 64 else f"at least 2**{k.bit_length() - 1}"
-
-
 def _critical_and_m_star(k: int, alpha: float) -> tuple[float, int]:
     """`chi2_critical(alpha, k - 1)` and the m* it gives: the one search for m*."""
     if k < 2:
-        raise InvalidInputError(f"need at least two cells, got {k}")
+        raise InvalidInputError(f"need at least two cells, got {int_text(k)}")
     if k > MAX_CELLS:
         raise InvalidInputError(
-            f"a joint space of {_cell_count(k)} cells exceeds the {MAX_CELLS} "
+            f"a joint space of {int_text(k)} cells exceeds the {MAX_CELLS} "
             "the float statistic resolves"
         )
     critical = chi2_critical(alpha, k - 1)

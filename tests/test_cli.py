@@ -415,6 +415,37 @@ class TestChi2Scan:
             main(["chi2-scan"])
 
 
+class TestOneParser:
+    """`main` builds its parser once a process, and no call changes it."""
+
+    def test_calls_in_one_process_match_each_call_alone(self, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text(TABLE_B_CSV)
+        calls = [
+            ["chi2-scan", "--cells", "8,16"],
+            ["measure", str(path), "--msu", "f1,nope"],  # an input error
+            ["measure", str(path), "--su", "f1,f2,clase"],  # a usage error
+            ["chi2-scan", "--cells", "8,16"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            alone.append(outcome(argv))
+        cli._build_parser.cache_clear()
+        assert [outcome(argv) for argv in calls] == alone
+        assert cli._build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in alone] == [0, 1, 2, 0]
+        assert alone[0][1] == alone[3][1] and alone[0][1].count("\n") == 3
+
+
 class TestReadCsv:
     def test_non_utf8_byte_names_the_file(self, tmp_path):
         path = tmp_path / "latin1.csv"

@@ -23,7 +23,15 @@ from msulab import (
 )
 from msulab import dataset, harness
 from msulab.dataset import check_xor_class
-from msulab.generators import _RAW_BLOCK_ROWS, _XOR_BLOCK_ROWS, check_k, check_xor_noise, fill_xor_pair
+from msulab.generators import (
+    _RAW_BLOCK_ROWS,
+    _XOR_BLOCK_ROWS,
+    check_card,
+    check_k,
+    check_m,
+    check_xor_noise,
+    fill_xor_pair,
+)
 from msulab.presets import preset
 from oracle_utils import binary_entropy, kononenko_codes, kononenko_first_half_prob, xor_population_msu
 
@@ -388,26 +396,51 @@ class TestBinaryKononenko:
 class TestInt64Bounds:
     """Cardinalities and row counts past int64 are input errors, not numpy's."""
 
-    @pytest.mark.parametrize("card", [2**63, 2**64, 10**20])
-    def test_cardinality_past_int64_rejected(self, card):
+    @pytest.mark.parametrize(
+        "card, shown",
+        [(2**63, "9223372036854775808"), (2**64, r"at least 2\*\*64"), (10**20, r"at least 2\*\*66"),
+         pytest.param(10**5000, r"at least 2\*\*16609", id="int-too-long-to-print")],
+    )
+    def test_cardinality_past_int64_rejected(self, card, shown):
         codes = np.array([0, 1])
         for draw in (
+            lambda: check_card(card),
             lambda: gen_class(card, 3, _rng()),
             lambda: gen_uniform(card, 3, _rng()),
             lambda: gen_kononenko(codes, card, 1.0, _rng(), class_card=2),
             lambda: AttributeBlock(("a",), GeneratorKind.UNIFORM, card),
         ):
-            with pytest.raises(InvalidInputError, match="must not exceed"):
+            with pytest.raises(InvalidInputError, match=f"must not exceed .*, got {shown}$"):
                 draw()
 
     def test_largest_int64_cardinality_accepted(self):
         assert gen_uniform(2**63 - 1, 4, _rng()).dtype == np.int64
 
-    @pytest.mark.parametrize("m", [2**63, 2**64])
+    @pytest.mark.parametrize(
+        "m", [2**63, 2**64, pytest.param(10**5000, id="int-too-long-to-print")]
+    )
     def test_sample_size_past_int64_rejected(self, m):
         xor = [block("x", GeneratorKind.XOR_PAIR, 2, 2)]
-        for draw in (lambda: gen_class(2, m, _rng()), lambda: generate_dataset(m, 2, xor, SeededRng(1))):
+        for draw in (
+            lambda: check_m(m),
+            lambda: gen_class(2, m, _rng()),
+            lambda: generate_dataset(m, 2, xor, SeededRng(1)),
+        ):
             with pytest.raises(InvalidInputError, match="sample size must not exceed"):
+                draw()
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(-1, "-1"), (-(2**64), r"at most -2\*\*64"),
+         pytest.param(-(10**5000), r"at most -2\*\*16609", id="int-too-long-to-print")],
+    )
+    def test_negative_sizes_are_named_in_their_errors(self, value, shown):
+        for draw, what in (
+            (lambda: check_m(value), "sample size must be at least 1"),
+            (lambda: check_card(value), "cardinality must be at least 2"),
+            (lambda: gen_uniform(value, 3, _rng()), "cardinality must be at least 2"),
+        ):
+            with pytest.raises(InvalidInputError, match=f"^{what}, got {shown}$"):
                 draw()
 
 

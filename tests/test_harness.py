@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -740,6 +741,13 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match="factor"):
             ComputedSampleSize(factor)
 
+    @pytest.mark.parametrize(
+        "m, shown", [(0, "0"), pytest.param(-(10**5000), r"at most -2\*\*16609", id="int-too-long-to-print")]
+    )
+    def test_fixed_sample_size_must_be_positive(self, m, shown):
+        with pytest.raises(InvalidInputError, match=f"^fixed sample size must be at least 1, got {shown}$"):
+            FixedSampleSize(m)
+
     def test_unknown_sweep_kind(self):
         with pytest.raises(InvalidInputError):
             Sweep("verticality", (1, 2))
@@ -1035,6 +1043,23 @@ class TestNestedEngine:
             "a generated dataset holds at most 268435456"
         )),)
         assert curve.measures == {}
+
+    @pytest.mark.parametrize(
+        "card, shown",
+        [(2**63, "9223372036854775808"),
+         pytest.param(10**5000, r"at least 2\*\*16609", id="int-too-long-to-print")],
+    )
+    def test_point_with_a_cardinality_past_int64_is_skipped(self, card, shown):
+        cfg = config_from_json({
+            "name": "wide", "replicates": 1,
+            "sweep": {"kind": "attribute_count", "values": [1]},
+            "groups": [_group("u", "uniform", 1, card)],
+            "tracked": [{"label": "set", "groups": ["u"]}],
+            "sample_size_policy": {"fixed": 20},
+        })
+        ((value, message),) = run_experiment(cfg).errors
+        assert value == 1
+        assert re.fullmatch(rf"cardinality must not exceed \d+ \(int64 codes\), got {shown}", message)
 
     def test_union_dataset_never_larger_than_the_points_own(self, monkeypatch):
         # the point with the largest m measures one 200-value attribute; the

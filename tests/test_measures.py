@@ -19,6 +19,8 @@ from msulab import (
     information_gain,
     joint_entropy,
     msu,
+    preset,
+    run_experiment,
     symmetrical_uncertainty,
     total_correlation,
 )
@@ -165,6 +167,22 @@ class TestIndicesAreIntegers:
         assert symmetrical_uncertainty(TABLE_B, np.int64(0), np.uint8(2)) == (
             symmetrical_uncertainty(TABLE_B, 0, 2)
         )
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: msu(TABLE_B, [0, 10**5000]), r"column index at least 2\*\*16609 out of range"),
+            (lambda: msu(TABLE_B, [0, -(10**5000)]), r"column index at most -2\*\*16609 out of range"),
+            (lambda: msu_at_prefixes(TABLE_B, [0, 1], [3, 10**5000]),
+             r"prefix of at least 2\*\*16609 rows exceeds"),
+            (lambda: msu_at_prefixes(TABLE_B, [0, 1], [-(10**5000), 3]),
+             r"prefixes must be strictly ascending and positive, got \[at most -2\*\*16609, 3\]"),
+        ],
+        ids=["index", "negative-index", "prefix", "negative-prefix"],
+    )
+    def test_ints_too_long_to_print_named_by_their_bits(self, call, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            call()
 
     def test_alone_must_be_counted_columns(self):
         with pytest.raises(InvalidInputError, match="not all in"):
@@ -689,6 +707,111 @@ class TestJointHistogram:
     def test_entropy_of_histogram_counts_matches(self):
         counts = joint_counts(TABLE_C, [0, 1, 2])
         assert entropy(counts).value == joint_entropy(TABLE_C, [0, 1, 2]).value
+
+
+def _int64_keys(columns, cards):
+    """The int64 oracle: each row's mixed-radix key over `cards`."""
+    keys = np.zeros(len(columns[0]), dtype=np.int64)
+    for column, card in zip(columns, cards):
+        keys = keys * card + column
+    return keys
+
+
+class TestDenseWhereTheRowsFill:
+    """A joint is counted densely only where its space holds at most
+    `_DENSE_FILL` cells a row keyed; a dense joint's member counts are its
+    grid's axis sums, one per code."""
+
+    FILL = sample_module._DENSE_FILL
+
+    @pytest.mark.parametrize(
+        "cards", [(16, 16, 16), (2,) * 10, (1, 64, 1, 64), (40, 40, 7), (32, 8)]
+    )
+    def test_dense_exactly_where_the_rows_fill_the_space(self, cards):
+        space = math.prod(cards)
+        rows = -(-space // self.FILL)  # the fewest rows that fill the space
+        rng = np.random.default_rng(space)
+        columns = [rng.integers(0, c, size=rows) for c in cards]
+        codes = list(CategoricalSample.from_columns(columns, cards).codes.T)
+        assert _cell_ids(codes, cards)[2] is None  # filled: dense
+        assert _cell_ids([c[:-1] for c in codes], cards)[2] is not None  # one row short
+
+    @pytest.mark.parametrize(
+        "cards", [(16, 16, 16), (2,) * 10, (1, 64, 1, 64), (40, 40, 7), (32, 8)]
+    )
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_counts_past_the_fill_match_an_int64_oracle(self, cards, chunked, monkeypatch):
+        space = math.prod(cards)
+        rows = max(1, (space - 1) // self.FILL)  # too few to fill the space
+        if chunked:
+            # the space is within the limit, but a chunk holds only a few prefixes
+            monkeypatch.setattr(sample_module, "_DENSE_CELL_LIMIT", space)
+        rng = np.random.default_rng(space + rows)
+        columns = [rng.integers(0, c, size=rows) for c in cards]
+        sample = CategoricalSample.from_columns(columns, cards)
+        assert space <= sample_module._DENSE_CELL_LIMIT
+        ids, n_cells, cells = _cell_ids(list(sample.codes.T), cards)
+        keys = _int64_keys(columns, cards)
+        assert cells.tolist() == np.unique(keys).tolist() and n_cells == len(cells)
+        cols = range(len(cards))
+        prefixes = [*range(1, rows, max(1, rows // 40)), rows]
+        chunks = list(prefix_counts(sample, cols, prefixes, cols))
+        assert (len(chunks) > 1) == chunked
+        joint = [row for counts, _ in chunks for row in counts]
+        for n, row in zip(prefixes, joint, strict=True):
+            assert row[row > 0].tolist() == np.unique(keys[:n], return_counts=True)[1].tolist()
+        for j, card in enumerate(cards):
+            alone = [row for _, members in chunks for row in members[j]]
+            for n, row in zip(prefixes, alone, strict=True):
+                expected = np.bincount(columns[j][:n], minlength=card)
+                assert row[row > 0].tolist() == expected[expected > 0].tolist()
+
+    @pytest.mark.parametrize(
+        "cards", [(1, 3, 5), (3, 1, 5), (3, 5, 1), (2, 1, 4, 1, 3), (2, 1, 9)]
+    )
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_dense_member_counts_are_full_width(self, cards, chunked, monkeypatch):
+        if chunked:  # a limit of the space itself: one prefix a chunk
+            monkeypatch.setattr(sample_module, "_DENSE_CELL_LIMIT", math.prod(cards))
+        rng = np.random.default_rng(len(cards))
+        rows = 200
+        # no column sees its top code, so each row ends in a zero count; in
+        # (2, 1, 9) the 9-valued column is wider than the 8 cells seen
+        columns = [rng.integers(0, max(1, c - 1), size=rows) for c in cards]
+        sample = CategoricalSample.from_columns(columns, cards)
+        assert _cell_ids(list(sample.codes.T), cards)[2] is None
+        cols = range(len(cards))
+        prefixes = [1, 7, rows]
+        chunks = list(prefix_counts(sample, cols, prefixes, cols))
+        assert (len(chunks) > 1) == chunked
+        for j, card in enumerate(cards):
+            alone = [row for _, members in chunks for row in members[j]]
+            for n, row in zip(prefixes, alone, strict=True):
+                assert row.dtype == np.int64
+                assert row.tolist() == np.bincount(columns[j][:n], minlength=card).tolist()
+
+    def test_fig_g_asks_no_dense_count_past_the_fill(self, monkeypatch):
+        # fig-g measures up to 21 binary columns at 1,000 rows
+        keyed = []  # (rows keyed, whether dense) of each joint, in order
+        asked = []  # (the latest joint keyed, bincount's minlength)
+        real_ids, real_bincount = sample_module._cell_ids, np.bincount
+
+        def cell_ids(columns, dims):
+            ids, n_cells, cells = real_ids(columns, dims)
+            keyed.append((len(columns[0]), cells is None))
+            return ids, n_cells, cells
+
+        def bincount(x, weights=None, minlength=0):
+            asked.append((keyed[-1], minlength))
+            return real_bincount(x, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(sample_module, "_cell_ids", cell_ids)
+        monkeypatch.setattr(np, "bincount", bincount)
+        run_experiment(dataclasses.replace(preset("fig-g"), replicates=1))
+        dense = [(rows, minlength) for (rows, is_dense), minlength in asked if is_dense]
+        assert dense and all(minlength <= self.FILL * rows for rows, minlength in dense)
+        # the widest joints are renumbered, not counted over 2**21 cells
+        assert any(not is_dense for _, is_dense in keyed)
 
 
 class TestEntropyTable:

@@ -236,6 +236,21 @@ class TestMinRepresentativeM:
             with pytest.raises(InvalidInputError, match=f"^a joint space of {shown} cells"):
                 min_representative_m(k, 0.05)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: min_representative_m(-(10**5000)), r"need at least two cells, got at most -"),
+            (lambda: extreme_sample_chi2(10, -(10**5000)), r"need at least two cells, got at most -"),
+            (lambda: extreme_sample_chi2(-(10**5000), 3), r"m=at most -2\*\*16609 cannot fill 2 "),
+            (lambda: extreme_sample_chi2(10**5000, 10**5001),
+             r"m=at least 2\*\*16609 cannot fill at least 2\*\*16612 "),
+        ],
+        ids=["m-star-k", "statistic-k", "statistic-m", "statistic-m-and-k"],
+    )
+    def test_ints_too_long_to_print_named_by_their_bits(self, call, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            call()
+
 
 class TestClosedFormStatistic:
     def test_equals_extreme_sample_chi2_bit_for_bit(self):
