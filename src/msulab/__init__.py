@@ -6,13 +6,7 @@ bias-experiment harness, and chi-squared sample-size recommendations.
 
 from .dataset import AttributeBlock, block, generate_dataset
 from .errors import InvalidInputError
-from .generators import (
-    GeneratorKind,
-    SeededRng,
-    gen_class,
-    gen_kononenko,
-    gen_uniform,
-)
+from .generators import GeneratorKind, SeededRng
 from .harness import (
     BiasCurve,
     ComputedSampleSize,
@@ -76,9 +70,6 @@ __all__ = [
     "config_from_json",
     "entropy",
     "extreme_sample_chi2",
-    "gen_class",
-    "gen_kononenko",
-    "gen_uniform",
     "generate_dataset",
     "heuristic_sample_size",
     "information_gain",

@@ -3,7 +3,10 @@
 A dataset is described by an ordered list of attribute blocks plus a class
 column. When a block of kind XOR_PAIR is present the class is derived from
 that pair (the pair defines the class up to noise); otherwise the class is
-drawn uniformly first and informative blocks condition on it.
+drawn uniformly first and informative blocks condition on it. Every column
+is written straight into its place in the sample's code matrix by its
+family's writer (`msulab.generators`); the sample then checks the filled
+matrix's codes once.
 
 Stream layout: the class uses column path (0, 0); the columns of block b use
 paths (b + 1, 0), (b + 1, 1), ... (an XOR pair consumes the single path
@@ -17,20 +20,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidInputError
 from .generators import (
     GeneratorKind,
     SeededRng,
     check_card,
+    check_k,
     check_m,
+    fill_kononenko,
+    fill_uniform,
     fill_xor_pair,
-    gen_class,
-    gen_kononenko,
-    gen_uniform,
+    row_first_half_probs,
 )
-from .sample import CategoricalSample, _Filled, check_codes, code_matrix, integer
+from .sample import CategoricalSample, _Filled, code_matrix, integer
 
 CLASS_COLUMN = "clase"
 
@@ -97,10 +99,12 @@ def generate_dataset(
     every other block's randomness untouched this way.
 
     The (m, p) column-major `code_matrix` is allocated once, after every size
-    check, in the narrow dtype the cardinalities allow. Each generator draws
-    int64 codes; they are range-checked and written into their column as
-    they are drawn (an XOR pair's straight from its draws), so the sample's
-    codes are the only full-size copy.
+    check, in the narrow dtype the cardinalities allow. Each column is
+    written into its place by its family's writer in `msulab.generators`,
+    the class first, so the sample's codes are the only full-size copy. The
+    Kononenko columns share one array of per-row thresholds, computed from
+    the class column once. `k` and `xor_noise` are checked only where a
+    family uses them.
     """
     blocks = tuple(blocks)
     for b in blocks:
@@ -120,14 +124,16 @@ def generate_dataset(
     m = check_m(m)
     if xor_blocks:
         check_xor_class(class_card)
-    else:
-        check_card(class_card, "class cardinality")
+    class_card = check_card(class_card, "class cardinality")
     cards = [b.cardinality for _, b in present for _ in b.names] + [class_card]
     if m * len(cards) > MAX_DATASET_CELLS:
         raise InvalidInputError(
             f"{m} rows x {len(cards)} columns (class included) make {m * len(cards)} cells; "
             f"a generated dataset holds at most {MAX_DATASET_CELLS}"
         )
+    kononenko = any(b.kind is GeneratorKind.KONONENKO for _, b in present)
+    if kononenko:
+        check_k(k)
 
     codes = code_matrix(m, cards)
     class_codes = codes[:, -1]
@@ -137,7 +143,9 @@ def generate_dataset(
         f1, f2 = codes[:, first], codes[:, first + 1]
         fill_xor_pair(f1, f2, class_codes, xor_noise, rng.stream(bi + 1, 0))
     else:
-        _put(class_codes, gen_class(class_card, m, rng.stream(0, 0)), class_card)
+        fill_uniform(class_codes, class_card, rng.stream(0, 0))
+    if kononenko:
+        p_first = row_first_half_probs(class_codes, k, class_card)
 
     j = 0
     for bi, blk in present:
@@ -146,21 +154,9 @@ def generate_dataset(
             continue
         for ci in range(len(blk.names)):
             if blk.kind is GeneratorKind.UNIFORM:
-                column = gen_uniform(blk.cardinality, m, rng.stream(bi + 1, ci))
+                fill_uniform(codes[:, j], blk.cardinality, rng.stream(bi + 1, ci))
             else:
-                column = gen_kononenko(
-                    class_codes, blk.cardinality, k, rng.stream(bi + 1, ci), class_card=class_card
-                )
-            _put(codes[:, j], column, blk.cardinality)
-            del column  # freed before the next column is drawn
+                fill_kononenko(codes[:, j], p_first, blk.cardinality, rng.stream(bi + 1, ci))
             j += 1
 
     return CategoricalSample(_Filled(codes), cards, all_names + [CLASS_COLUMN])
-
-
-def _put(target: np.ndarray, column: np.ndarray, card: int) -> None:
-    """Write a generated int64 column into its narrow matrix column, once
-    its codes are known to fit: the write is the cast, which would wrap a
-    code past `card` into range."""
-    check_codes([column], [card])
-    target[:] = column

@@ -1,21 +1,27 @@
 """Seeded generators for synthetic categorical attribute populations.
 
-Three attribute families are supported:
+Three attribute families are supported, each written by one column writer
+straight into the integer columns it is given, such as a sample's narrow
+ones (`msulab.dataset.generate_dataset` is their one caller):
 
-* uniform: non-informative, drawn independently of the class.
-* Kononenko: individually informative. The attribute's alphabet is split in
-  two halves and the half is chosen with a class-dependent probability, so
-  attributes of different cardinalities carry comparable information.
-* XOR pair: collectively informative. Two uniform binary attributes whose
-  exclusive-or determines the class up to a small noise probability; each
-  attribute alone is independent of the class.
+* uniform (`fill_uniform`): non-informative, drawn independently of the
+  class. A class column with no XOR pair is one too.
+* Kononenko (`fill_kononenko`): individually informative. The attribute's
+  alphabet is split in two halves and the half is chosen with a
+  class-dependent probability, so attributes of different cardinalities
+  carry comparable information. The per-row probabilities depend on the
+  class column alone, so they are computed once per dataset
+  (`row_first_half_probs`) and shared by its Kononenko columns.
+* XOR pair (`fill_xor_pair`): collectively informative. Two uniform binary
+  attributes whose exclusive-or determines the class up to a small noise
+  probability; each attribute alone is independent of the class.
 
 Reproducibility contract: every column is produced by its own numpy generator
 derived from (master_seed, stream_id, column path) through SeedSequence spawn
 keys. Columns never share a stream, and each column consumes a fixed number of
 draws per row. Growing a sample therefore extends it without disturbing the
 rows already drawn, and distinct stream ids are independent replicates that
-can safely run in parallel.
+can safely run in parallel. Only this module draws from a stream.
 
 Two columns are produced from the stream's numbers without NumPy's general
 routine, and both give the codes that routine would, from the same numbers:
@@ -23,12 +29,17 @@ routine, and both give the codes that routine would, from the same numbers:
 * A uniform column of cardinality 2**b <= 2**32 reads the stream's raw 64-bit
   words. NumPy's int64 `integers` draws such a column from 32-bit halves of
   those words, low half first, by Lemire's method, which never rejects at a
-  power of two, so each code is the top b bits of its half
-  (`_uniform_from_raw`). This rests on NumPy internals, checked on NumPy
-  2.4.6; the tests compare it with `integers` at every b, so a NumPy release
-  that draws otherwise fails them instead of shifting a curve.
+  power of two, so each code is the top b bits of its half. This rests on
+  NumPy internals, checked on NumPy 2.4.6; the tests compare it with
+  `integers` at every b, so a NumPy release that draws otherwise fails them
+  instead of shifting a curve.
 * A binary Kononenko column takes the same (m, 2) draws as any other, but
   its halves have one member each, so its code is the half draw alone.
+
+The writers check no cardinality or length: their caller gives each a
+column whose dtype holds every code below its cardinality, and a writer
+writes no code past that, so no cast wraps one. The sample checks every
+code of the filled matrix all the same.
 """
 
 from __future__ import annotations
@@ -98,27 +109,6 @@ def check_card(card: int, what: str = "cardinality") -> int:
     return card
 
 
-def gen_class(card: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. uniform class column over {0, ..., card-1}: `gen_uniform`'s
-    column, with errors that name the class cardinality."""
-    return gen_uniform(check_card(card, "class cardinality"), m, rng)
-
-
-def gen_uniform(card: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Non-informative column: i.i.d. uniform, independent of everything else.
-
-    The codes are `rng.integers(0, card, size=m, dtype=np.int64)`, and `rng`
-    then gives the numbers it would give after that call. At a power-of-two
-    `card` up to 2**32 they are read from the stream's raw words instead
-    (`_uniform_from_raw`).
-    """
-    card = check_card(card)
-    m = check_m(m)
-    if card & (card - 1) == 0 and card <= 1 << 32 and _raw_halves_are_next(rng):
-        return _uniform_from_raw(card.bit_length() - 1, m, rng.bit_generator)
-    return rng.integers(0, card, size=m, dtype=np.int64)
-
-
 # Rows of a uniform column read from one block of raw words: 64 KB of words,
 # as fast as larger blocks. Even, so that a block ends on a whole word.
 _RAW_BLOCK_ROWS = 1 << 14
@@ -131,23 +121,33 @@ def _raw_halves_are_next(rng: np.random.Generator) -> bool:
     return type(bits) is np.random.PCG64 and not bits.state["has_uint32"]
 
 
-def _uniform_from_raw(b: int, m: int, bits: np.random.PCG64) -> np.ndarray:
-    """What `integers(0, 2**b, size=m, dtype=np.int64)` draws, 1 <= b <= 32,
-    as the top b bits of the 32-bit halves of ceil(m/2) raw words, low half
-    first, taken in blocks of `_RAW_BLOCK_ROWS` rows.
+def fill_uniform(out: np.ndarray, card: int, rng: np.random.Generator) -> None:
+    """Write a non-informative column, i.i.d. uniform over {0..card-1} and
+    independent of everything else, into the integer column `out`. The
+    class column of a dataset with no XOR pair is one.
 
-    For odd m the last word's high half is the one `integers` would keep for
-    the next 32-bit value, so it is put in the generator's one-half buffer.
+    The codes are `rng.integers(0, card, size=len(out), dtype=np.int64)`,
+    and `rng` then gives the numbers it would give after that call. At a
+    power-of-two `card` = 2**b <= 2**32 they are read from the stream's raw
+    words: each code is the top b bits of a 32-bit half of a word, low half
+    first, taken in blocks of `_RAW_BLOCK_ROWS` rows and shifted straight
+    into `out`. For an odd length the last word's high half is the one
+    `integers` would keep for the next 32-bit value, so it is put in the
+    generator's one-half buffer.
     """
-    codes = np.empty(m, dtype=np.int64)
+    m = len(out)
+    if card & (card - 1) or card > 1 << 32 or not _raw_halves_are_next(rng):
+        out[:] = rng.integers(0, card, size=m, dtype=np.int64)
+        return
+    b = card.bit_length() - 1
+    bits = rng.bit_generator
     for lo in range(0, m, _RAW_BLOCK_ROWS):
-        rows = codes[lo:lo + _RAW_BLOCK_ROWS]
+        rows = out[lo:lo + _RAW_BLOCK_ROWS]
         words = bits.random_raw((len(rows) + 1) // 2)
         halves = words.astype("<u8", copy=False).view("<u4")  # low half first on any host
         np.right_shift(halves[:len(rows)], 32 - b, out=rows)
     if m % 2:
         bits.state = {**bits.state, "has_uint32": 1, "uinteger": int(halves[-1])}
-    return codes
 
 
 def check_k(k: float) -> None:
@@ -167,77 +167,60 @@ def _first_half_probs(i: np.ndarray, k: float, class_card: int) -> np.ndarray:
     return np.where(i % 2 == 0, p, 1.0 - p)
 
 
-def _row_first_half_probs(codes: np.ndarray, top: int, k: float, class_card: int) -> np.ndarray:
-    """`_first_half_probs` of each row's class value, for class codes below `top`.
+def row_first_half_probs(class_codes: np.ndarray, k: float, class_card: int) -> np.ndarray:
+    """`_first_half_probs` of each row's class value: the thresholds that
+    every Kononenko column of a dataset shares.
 
-    Once per class value and looked up by row while there are no more values
-    than rows (the usual case, and the cheaper one), else once per row, so
-    the cost follows m, never class_card.
+    Once per class value up to the largest code and looked up by row while
+    there are no more such values than rows (the usual case, and the cheaper
+    one), else once per row, so the cost follows m, never class_card.
     """
-    if top <= codes.size:
-        return _first_half_probs(np.arange(1, top + 1), k, class_card)[codes]
+    top = int(class_codes.max()) + 1
+    if top <= class_codes.size:
+        return _first_half_probs(np.arange(1, top + 1), k, class_card)[class_codes]
     # widened first: a narrow code + 1 would wrap
-    return _first_half_probs(np.add(codes, 1, dtype=np.int64), k, class_card)
+    return _first_half_probs(np.add(class_codes, 1, dtype=np.int64), k, class_card)
 
 
-def gen_kononenko(
-    class_codes: np.ndarray,
-    cardinality: int,
-    k: float,
-    rng: np.random.Generator,
-    class_card: int | None = None,
-) -> np.ndarray:
-    """Individually informative int64 column conditioned on an existing class column.
+def fill_kononenko(
+    out: np.ndarray, p_first: np.ndarray, card: int, rng: np.random.Generator
+) -> None:
+    """Write an individually informative column into the integer column
+    `out`, given each row's first-half probability (`row_first_half_probs`).
 
-    The alphabet {0..V-1} splits into {0..floor(V/2)-1} and the rest (for odd V
-    the lower half is the smaller one). Each row picks the lower half with
-    the first-half probability of its class value (`_first_half_probs`), then
-    a uniform member of the chosen half.
+    The alphabet {0..card-1} splits into {0..floor(card/2)-1} and the rest
+    (for odd card the lower half is the smaller one). Each row picks the
+    lower half when its half draw is below its probability, then a uniform
+    member of the chosen half.
 
-    Every row takes one (half, member) pair of draws, whatever V is. At
-    V = 2 each half has one member, so the code is whether the half draw
-    reaches the row's probability, and the spent member column holds those
-    probabilities: the work takes 24 bytes a row. Otherwise it takes, besides
-    the draws and the result, one float column, one int64 column and one
-    mask, reused in place. An integer class column, such as a sample's narrow
-    one, is read as it is, not copied.
+    Every row takes one (half, member) pair of draws, whatever card is. At
+    card = 2 each half has one member, so the code is whether the half draw
+    reaches the row's probability. Otherwise the upper-half code is written
+    into `out`, then the lower-half one is blended in where the half draw
+    chose it; besides the draws the work takes a mask and one column of
+    `out`'s dtype. Codes reach `out` only below card, so the truncating
+    casts into a narrow dtype are exact.
     """
-    cardinality = check_card(cardinality)
-    codes = np.asarray(class_codes)
-    if codes.dtype.kind not in "iu":  # bools, whole floats, ...
-        codes = codes.astype(np.int64)
-    if codes.ndim != 1 or codes.size == 0:
-        raise InvalidInputError("class column must be a non-empty 1-D array")
-    top = int(codes.max()) + 1
-    class_card = top if class_card is None else integer(class_card, "class cardinality")
-    if codes.min() < 0 or top > class_card:
-        raise InvalidInputError("class codes exceed the class cardinality")
-    check_k(k)
-
-    m = codes.size
-    draws = rng.random((m, 2))  # one row of draws per sample row: (half, member)
+    draws = rng.random((len(out), 2))  # one row of draws per sample row: (half, member)
     half, member = draws.T
-    if cardinality == 2:  # one member a half: the spent member column takes the thresholds
-        member[:] = _row_first_half_probs(codes, top, k, class_card)
-        return np.greater_equal(half, member, out=np.empty(m, dtype=np.int64))
-    p_first = _row_first_half_probs(codes, top, k, class_card)
-    lower = cardinality // 2
-    upper = cardinality - lower
+    if card == 2:
+        np.greater_equal(half, p_first, out=out)
+        return
+    lower = card // 2
+    upper = card - lower
     in_lower = half < p_first
-    scaled = p_first  # spent; its buffer holds the scaled members from here on
-    lower_vals = np.multiply(member, lower, out=scaled).astype(np.int64)
+    # the half draws are spent: their column holds the scaled members from here on
+    out[:] = np.multiply(member, upper, out=half)
+    np.minimum(out, upper - 1, out=out)
+    out += lower
+    lower_vals = np.multiply(member, lower, out=half).astype(out.dtype)
     np.minimum(lower_vals, lower - 1, out=lower_vals)
-    np.multiply(member, upper, out=scaled)
-    del draws, half, member  # spent too: freed before the last column is allocated
-    vals = scaled.astype(np.int64)
-    np.minimum(vals, upper - 1, out=vals)
-    vals += lower
-    # where(in_lower, lower_vals, vals) with no branch per row, which a
-    # random mask would mispredict: vals + in_lower * (lower_vals - vals)
-    lower_vals -= vals
+    # where(in_lower, lower_vals, out) with no branch per row, which a random
+    # mask would mispredict: out + in_lower * (lower_vals - out), exact in
+    # unsigned codes too, whose wrapped difference wraps back
+    lower_vals -= out
     lower_vals *= in_lower
-    vals += lower_vals
-    return vals
+    out += lower_vals
 
 
 def check_xor_noise(noise: float) -> None:

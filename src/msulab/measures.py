@@ -23,14 +23,13 @@ at whatever prefix sets it is measured, and a column's entropies are the
 same whether its counts were summed from a joint or counted alone.
 
 MSU has one implementation, `msu_values`, over a vector of row prefixes:
-`msu`, `symmetrical_uncertainty` and `msu_at_prefixes` read it at all rows
-or at the given prefixes, and the Monte Carlo engine reads its values
-array. It checks the columns and the prefixes once, reads the joint's
-entropies and then each column's from the table, and evaluates the formula
-over arrays with the scalar formula's IEEE operations in its order, so a
-value is the same float at any prefix set. It returns the values and a
-degenerate mask, set where every column is constant at a prefix (the 0/0
-convention: the value there is 0).
+`msu` and `symmetrical_uncertainty` read it at all rows, and the Monte
+Carlo engine reads its values array. It checks the columns and the
+prefixes once, reads the joint's entropies and then each column's from the
+table, and evaluates the formula over arrays with the scalar formula's IEEE
+operations in its order, so a value is the same float at any prefix set.
+It returns the values and a degenerate mask, set where every column is
+constant at a prefix (the 0/0 convention: the value there is 0).
 """
 
 from __future__ import annotations
@@ -215,22 +214,13 @@ def msu_values(
     return np.clip(values, 0.0, 1.0) + 0.0, degenerate  # + 0.0 turns -0.0 into 0.0
 
 
-def msu_at_prefixes(
-    sample: CategoricalSample, cols: Sequence[int], prefixes: Sequence[int] | None = None
-) -> list[MeasureValue]:
-    """`msu_values` at each row prefix (all rows by default), one
-    `MeasureValue` each, flagged where the 0/0 convention applied."""
-    values, degenerate = msu_values(sample, cols, prefixes)
-    return [MeasureValue(v, d) for v, d in zip(values.tolist(), degenerate.tolist())]
-
-
 def msu(sample: CategoricalSample, cols: Sequence[int]) -> MeasureValue:
     """Multivariate symmetrical uncertainty in [0, 1] over n >= 2 columns.
 
-    `msu_at_prefixes` at all rows, including its 0/0 convention.
+    `msu_values` at all rows, including its 0/0 convention.
     """
-    (value,) = msu_at_prefixes(sample, cols)
-    return value
+    values, degenerate = msu_values(sample, cols)
+    return MeasureValue(values.item(), degenerate.item())
 
 
 def symmetrical_uncertainty(sample: CategoricalSample, x_col: int, y_col: int) -> MeasureValue:
@@ -240,5 +230,5 @@ def symmetrical_uncertainty(sample: CategoricalSample, x_col: int, y_col: int) -
     """
     if normalize_columns(sample, [x_col]) == normalize_columns(sample, [y_col]):
         raise InvalidInputError("symmetrical uncertainty needs two distinct columns")
-    (value,) = msu_at_prefixes(sample, [x_col, y_col])
-    return value
+    values, degenerate = msu_values(sample, [x_col, y_col])
+    return MeasureValue(values.item(), degenerate.item())

@@ -11,14 +11,14 @@ each column is one contiguous block of memory. Its dtype is the narrowest
 that holds every code below the sample's largest cardinality (`code_dtype`:
 uint8 up to 256, uint16 up to 65,536, uint32 up to 2**32, int64 past that),
 so the binary to 40-value alphabets of the paper take one byte a code.
-`from_columns` (the path of CSV data) writes each input column straight into
-its place in the matrix, and `msulab.dataset.generate_dataset` writes each
-generated column into its place as it is drawn. Every column is range-checked
-before it is cast to the narrow dtype (`check_codes`), so a bad code is
-reported, never wrapped into range. Every sample, however it is built, passes
-the same validation in `__post_init__`; a matrix given to the constructor is
-copied first, one that either path filled (wrapped in `_Filled`) is not
-copied again.
+`from_columns` (the path of CSV data) range-checks each input column
+(`check_codes`) before it casts it into its place in the matrix, so a bad
+code is reported, never wrapped into range. `msulab.dataset.generate_dataset`
+has its generators write each column into its place as it is drawn, and
+they write only codes that fit. Every sample, however it is built, passes
+the same validation in `__post_init__`, which checks every code of the
+matrix; a matrix given to the constructor is copied first, one that either
+path filled (wrapped in `_Filled`) is not copied again.
 
 Rows become counts in one place, `prefix_counts`: it counts the joint
 histogram of a column subset at ascending row prefixes and, on request, the
@@ -287,7 +287,18 @@ def _integers(values, what: str) -> list[int]:
     try:
         return list(map(operator.index, values))
     except TypeError:
-        raise InvalidInputError(f"{what} must be a sequence of integers, got {values!r}") from None
+        shown = _shown(values)
+        raise InvalidInputError(f"{what} must be a sequence of integers, got {shown}") from None
+
+
+def _shown(value) -> str:
+    """`value` for an error message: an int by `int_text`, a list or tuple
+    item by item in brackets, anything else by its repr."""
+    if isinstance(value, int):
+        return int_text(value)
+    if isinstance(value, (list, tuple)):
+        return f"[{', '.join(map(_shown, value))}]"
+    return repr(value)
 
 
 def normalize_columns(sample: CategoricalSample, cols: Sequence[int]) -> tuple[int, ...]:
@@ -349,7 +360,7 @@ def prefix_counts(
     bounds = normalize_prefixes(sample, prefixes)
     singles = _integers(alone, "columns counted alone")
     if not set(singles) <= set(subset):
-        raise InvalidInputError(f"columns {singles} counted alone are not all in {subset}")
+        raise InvalidInputError(f"columns {_shown(singles)} counted alone are not all in {subset}")
     members = [subset.index(c) for c in singles]
     dims = tuple(sample.cardinalities[c] for c in subset)
     ids, n_cells, cells = _cell_ids([sample.codes[: bounds[-1], c] for c in subset], dims)

@@ -14,11 +14,12 @@ import pytest
 
 from msulab import (
     CategoricalSample,
+    GeneratorKind,
     Sweep,
+    block,
     chi2_critical,
     extreme_sample_chi2,
-    gen_class,
-    gen_kononenko,
+    generate_dataset,
     information_gain,
     joint_entropy,
     min_representative_m,
@@ -218,8 +219,9 @@ def test_criterion_7_invariant_suite():
 def test_criterion_8_generator_statistics():
     m = 100_000
     seeded = SeededRng(90210, 0)
-    cls = gen_class(2, m, seeded.stream(0, 0))
-    attr = gen_kononenko(cls, 2, 1.0, seeded.stream(1, 0), class_card=2)
+    # the class on stream (0, 0), the attribute on (1, 0)
+    sample = generate_dataset(m, 2, [block("mk", GeneratorKind.KONONENKO, 1, 2)], seeded, k=1.0)
+    attr, cls = sample.codes.T
     gaps = []
     for i in (1, 2):
         mask = cls == i - 1

@@ -15,9 +15,6 @@ from msulab import (
     InvalidInputError,
     SeededRng,
     block,
-    gen_class,
-    gen_kononenko,
-    gen_uniform,
     generate_dataset,
     symmetrical_uncertainty,
 )
@@ -30,7 +27,10 @@ from msulab.generators import (
     check_k,
     check_m,
     check_xor_noise,
+    fill_kononenko,
+    fill_uniform,
     fill_xor_pair,
+    row_first_half_probs,
 )
 from msulab.presets import preset
 from oracle_utils import binary_entropy, kononenko_codes, kononenko_first_half_prob, xor_population_msu
@@ -38,6 +38,21 @@ from oracle_utils import binary_entropy, kononenko_codes, kononenko_first_half_p
 
 def _rng(seed=4242, stream=0, *path):
     return SeededRng(seed, stream).stream(*path) if path else SeededRng(seed, stream).stream(1, 0)
+
+
+def _uniform(card, m, rng, dtype=np.int64):
+    """The codes `fill_uniform` writes into a fresh column."""
+    out = np.empty(m, dtype=dtype)
+    fill_uniform(out, card, rng)
+    return out
+
+
+def _kononenko(cls, card, k, rng, class_card, dtype=np.int64):
+    """The codes `fill_kononenko` writes into a fresh column, at the
+    thresholds `generate_dataset` gives it for the class column `cls`."""
+    out = np.empty(len(cls), dtype=dtype)
+    fill_kononenko(out, row_first_half_probs(cls, k, class_card), card, rng)
+    return out
 
 
 def _xor_pair(m, noise, rng):
@@ -98,45 +113,47 @@ class TestSeededRng:
 
 
 class TestGenClass:
+    """A class column with no XOR pair is a uniform column on stream (0, 0)."""
+
     def test_frequencies_within_three_sigma(self):
         m = 100_000
-        col = gen_class(2, m, _rng())
+        col = _uniform(2, m, _rng())
         sigma = math.sqrt(m * 0.25)
         assert abs(int((col == 0).sum()) - m / 2) <= 3 * sigma
 
     def test_same_seed_identical(self):
-        a = gen_class(10, 500, _rng(7))
-        b = gen_class(10, 500, _rng(7))
+        a = _uniform(10, 500, _rng(7))
+        b = _uniform(10, 500, _rng(7))
         assert np.array_equal(a, b)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(InvalidInputError):
-            gen_class(2, 0, _rng())
+            generate_dataset(0, 2, [block("u", GeneratorKind.UNIFORM, 1, 2)], SeededRng(1))
 
     def test_single_value_class_rejected(self):
         with pytest.raises(InvalidInputError):
-            gen_class(1, 10, _rng())
+            generate_dataset(10, 1, [block("u", GeneratorKind.UNIFORM, 1, 2)], SeededRng(1))
 
 
 class TestGenUniform:
     def test_chi_squared_uniformity(self):
         m = 100_000
         for card in (2, 5, 10):
-            col = gen_uniform(card, m, _rng(100 + card))
+            col = _uniform(card, m, _rng(100 + card))
             counts = np.bincount(col, minlength=card)
             assert stats.chisquare(counts).pvalue > 0.01
 
     def test_independent_of_class_at_scale(self):
         m = 100_000
         seeded = SeededRng(5150, 0)
-        cls = gen_class(2, m, seeded.stream(0, 0))
-        attr = gen_uniform(2, m, seeded.stream(1, 0))
+        cls = _uniform(2, m, seeded.stream(0, 0))
+        attr = _uniform(2, m, seeded.stream(1, 0))
         sample = CategoricalSample.from_columns([attr, cls], (2, 2))
         assert symmetrical_uncertainty(sample, 0, 1).value < 0.001
 
     def test_prefix_stability(self):
-        long = gen_uniform(5, 150, _rng(9))
-        short = gen_uniform(5, 80, _rng(9))
+        long = _uniform(5, 150, _rng(9))
+        short = _uniform(5, 80, _rng(9))
         assert np.array_equal(long[:80], short)
 
 
@@ -147,9 +164,8 @@ class TestUniformDrawRule:
     32-bit halves."""
 
     @staticmethod
-    def _assert_integers_draw(card, m, ours, theirs, draw=gen_uniform):
-        codes = draw(card, m, ours)
-        assert codes.dtype == np.int64
+    def _assert_integers_draw(card, m, ours, theirs):
+        codes = _uniform(card, m, ours)
         assert np.array_equal(codes, theirs.integers(0, card, size=m, dtype=np.int64)), (card, m)
         _assert_same_position(ours, theirs)
 
@@ -166,10 +182,13 @@ class TestUniformDrawRule:
 
     @pytest.mark.parametrize("card", [2, 7, 16])
     def test_class_column_is_the_uniform_column(self, card):
+        blocks = [block("u", GeneratorKind.UNIFORM, 1, 2)]
         for m in (3, 1001):
-            self._assert_integers_draw(card, m, _rng(5), _rng(5), draw=gen_class)
+            sample = generate_dataset(m, card, blocks, SeededRng(5))
+            theirs = SeededRng(5).stream(0, 0)
+            assert np.array_equal(sample.codes[:, -1], theirs.integers(0, card, size=m, dtype=np.int64))
         with pytest.raises(InvalidInputError, match="class cardinality must be at least 2"):
-            gen_class(1, 3, _rng())
+            generate_dataset(3, 1, blocks, SeededRng(5))
 
     def test_stream_with_a_half_left_over(self):
         # an odd int64 draw below 2**32 leaves the generator one 32-bit half,
@@ -197,11 +216,13 @@ class TestIntegerArguments:
     @pytest.mark.parametrize(
         "call, what",
         [
-            (lambda: gen_uniform(2.5, 5, _rng()), "cardinality"),
-            (lambda: gen_uniform(4, 5.0, _rng()), "sample size"),
-            (lambda: gen_class(2.0, 5, _rng()), "class cardinality"),
-            (lambda: gen_kononenko(np.array([0, 1]), 2.5, 1.0, _rng(), class_card=2), "cardinality"),
-            (lambda: gen_kononenko(np.array([0, 1]), 2, 1.0, _rng(), class_card=2.5),
+            (lambda: AttributeBlock(("u",), GeneratorKind.UNIFORM, 2.5), "cardinality"),
+            (lambda: generate_dataset(5.0, 2, [block("u", GeneratorKind.UNIFORM, 1, 4)], SeededRng(1)),
+             "sample size"),
+            (lambda: generate_dataset(5, 2.0, [block("k", GeneratorKind.KONONENKO, 1, 2)], SeededRng(1)),
+             "class cardinality"),
+            (lambda: AttributeBlock(("k",), GeneratorKind.KONONENKO, 2.5), "cardinality"),
+            (lambda: generate_dataset(5, 2.5, [block("k", GeneratorKind.KONONENKO, 1, 2)], SeededRng(1)),
              "class cardinality"),
             (lambda: generate_dataset(10.9, 2, [block("u", GeneratorKind.UNIFORM, 1, 2)], SeededRng(1)),
              "sample size"),
@@ -217,7 +238,7 @@ class TestIntegerArguments:
             (lambda: AttributeBlock(("a",), GeneratorKind.UNIFORM, 2.5), "cardinality"),
             (lambda: AttributeBlock(("a",), GeneratorKind.UNIFORM, "3"), "cardinality"),
             (lambda: AttributeBlock(("a",), GeneratorKind.KONONENKO, True), "cardinality"),
-            (lambda: gen_uniform(True, 5, _rng()), "cardinality"),
+            (lambda: AttributeBlock(("u",), GeneratorKind.UNIFORM, True), "cardinality"),
         ],
         ids=["uniform-card", "uniform-m", "class-card", "kononenko-card", "kononenko-class-card",
              "dataset-m", "dataset-class-card", "xor-class-card", "block-card", "block-count",
@@ -229,12 +250,13 @@ class TestIntegerArguments:
             call()
 
     def test_numpy_integers_accepted(self):
-        assert np.array_equal(gen_uniform(np.uint8(4), np.int64(9), _rng()), gen_uniform(4, 9, _rng()))
-        assert np.array_equal(gen_class(np.int32(3), np.uint16(9), _rng()), gen_class(3, 9, _rng()))
-        cls = np.array([0, 1, 1, 0])
-        assert np.array_equal(
-            gen_kononenko(cls, np.int64(2), 1.0, _rng(), class_card=np.uint8(2)),
-            gen_kononenko(cls, 2, 1.0, _rng(), class_card=2),
+        uniform = [AttributeBlock(("u",), GeneratorKind.UNIFORM, np.uint8(4))]
+        assert generate_dataset(np.int64(9), np.int32(3), uniform, SeededRng(1)) == generate_dataset(
+            9, 3, [AttributeBlock(("u",), GeneratorKind.UNIFORM, 4)], SeededRng(1)
+        )
+        kononenko = [AttributeBlock(("k",), GeneratorKind.KONONENKO, np.int64(2))]
+        assert generate_dataset(4, np.uint8(2), kononenko, SeededRng(1)) == generate_dataset(
+            4, 2, [AttributeBlock(("k",), GeneratorKind.KONONENKO, 2)], SeededRng(1)
         )
         blocks = [block("u", GeneratorKind.UNIFORM, np.uint8(1), np.int64(4))]
         assert generate_dataset(np.int64(10), np.uint8(2), blocks, SeededRng(1)) == generate_dataset(
@@ -266,15 +288,15 @@ class TestKononenkoProbability:
 
 class TestGenKononenko:
     def test_even_cardinality_split(self):
-        cls = gen_class(2, 2000, _rng(1))
-        col = gen_kononenko(cls, 4, 1.0, _rng(2), class_card=2)
+        cls = _uniform(2, 2000, _rng(1))
+        col = _kononenko(cls, 4, 1.0, _rng(2), 2)
         assert col.min() >= 0 and col.max() <= 3
         assert set(np.unique(col)) == {0, 1, 2, 3}
 
     def test_odd_cardinality_split(self):
         # lower half {0, 1}, upper half {2, 3, 4}
-        cls = gen_class(2, 5000, _rng(3))
-        col = gen_kononenko(cls, 5, 1.0, _rng(4), class_card=2)
+        cls = _uniform(2, 5000, _rng(3))
+        col = _kononenko(cls, 5, 1.0, _rng(4), 2)
         assert set(np.unique(col)) == {0, 1, 2, 3, 4}
         lower = col < 2
         for i in (1, 2):
@@ -284,8 +306,8 @@ class TestGenKononenko:
 
     def test_half_selection_frequency(self):
         m = 100_000
-        cls = gen_class(2, m, _rng(5))
-        col = gen_kononenko(cls, 2, 1.0, _rng(6), class_card=2)
+        cls = _uniform(2, m, _rng(5))
+        col = _kononenko(cls, 2, 1.0, _rng(6), 2)
         for i in (1, 2):
             mask = cls == i - 1
             p_hat = (col[mask] == 0).mean()
@@ -293,8 +315,8 @@ class TestGenKononenko:
 
     def test_within_half_uniform(self):
         m = 100_000
-        cls = gen_class(2, m, _rng(7))
-        col = gen_kononenko(cls, 6, 1.0, _rng(8), class_card=2)
+        cls = _uniform(2, m, _rng(7))
+        col = _kononenko(cls, 6, 1.0, _rng(8), 2)
         lower_counts = np.bincount(col[col < 3], minlength=3)
         upper_counts = np.bincount(col[col >= 3] - 3, minlength=3)
         assert stats.chisquare(lower_counts).pvalue > 0.01
@@ -302,7 +324,7 @@ class TestGenKononenko:
 
     def test_cardinality_below_two_rejected(self):
         with pytest.raises(InvalidInputError):
-            gen_kononenko(np.array([0, 1]), 1, 1.0, _rng())
+            generate_dataset(2, 2, [block("k", GeneratorKind.KONONENKO, 1, 1)], SeededRng(1))
 
     @pytest.mark.parametrize(
         "class_card, m", [(2, 500), (7, 40), (10**11, 50), (2**63 - 1, 9)],
@@ -311,8 +333,8 @@ class TestGenKononenko:
     def test_rows_follow_the_first_half_probability_of_their_class(self, class_card, m):
         # every row must be drawn with exactly the float that
         # kononenko_first_half_prob gives its class value
-        cls = gen_class(class_card, m, _rng(11))
-        col = gen_kononenko(cls, 4, 0.5, _rng(12), class_card=class_card)
+        cls = _uniform(class_card, m, _rng(11))
+        col = _kononenko(cls, 4, 0.5, _rng(12), class_card)
         draws = _rng(12).random((m, 2))
         expected = [
             d < kononenko_first_half_prob(int(c) + 1, 0.5, class_card)
@@ -329,8 +351,8 @@ class TestGenKononenko:
         # per-row probabilities and 8 rows the per-class lookup
         cls = np.tile(np.array([0, 1, 2, class_card - 1]) % class_card, copies)
         p = np.array([kononenko_first_half_prob(int(c) + 1, 0.3, class_card) for c in cls])
-        at = gen_kononenko(cls, 4, 0.3, _HalfDraws(p), class_card=class_card)
-        below = gen_kononenko(cls, 4, 0.3, _HalfDraws(np.nextafter(p, 0.0)), class_card=class_card)
+        at = _kononenko(cls, 4, 0.3, _HalfDraws(p), class_card)
+        below = _kononenko(cls, 4, 0.3, _HalfDraws(np.nextafter(p, 0.0)), class_card)
         assert (at >= 2).all() and (below < 2).all()
 
     @pytest.mark.parametrize("copies", [1, 100], ids=["per-row", "per-class"])
@@ -342,15 +364,15 @@ class TestGenKononenko:
         wide = np.tile(np.array([0, 1, 254, 255]), copies)
         p = np.array([kononenko_first_half_prob(int(c) + 1, 0.3, class_card) for c in wide])
         for cls in (wide, wide.astype(np.uint8)):
-            at = gen_kononenko(cls, 4, 0.3, _HalfDraws(p), class_card=class_card)
-            below = gen_kononenko(cls, 4, 0.3, _HalfDraws(np.nextafter(p, 0.0)), class_card=class_card)
+            at = _kononenko(cls, 4, 0.3, _HalfDraws(p), class_card)
+            below = _kononenko(cls, 4, 0.3, _HalfDraws(np.nextafter(p, 0.0)), class_card)
             assert (at >= 2).all() and (below < 2).all()
 
     @pytest.mark.parametrize("cardinality", [2, 5, 40, 2**62 + 1])
     def test_narrow_class_column_gives_the_int64_columns_codes(self, cardinality):
-        cls = gen_class(10, 5000, _rng(3))
-        wide = gen_kononenko(cls, cardinality, 0.7, _rng(9), class_card=10)
-        narrow = gen_kononenko(cls.astype(np.uint8), cardinality, 0.7, _rng(9), class_card=10)
+        cls = _uniform(10, 5000, _rng(3))
+        wide = _kononenko(cls, cardinality, 0.7, _rng(9), 10)
+        narrow = _kononenko(cls.astype(np.uint8), cardinality, 0.7, _rng(9), 10)
         assert narrow.dtype == wide.dtype == np.int64
         assert np.array_equal(narrow, wide)
 
@@ -365,22 +387,22 @@ class TestBinaryKononenko:
     @pytest.mark.parametrize("class_card", [2, 7, 10**11, 2**63 - 1])
     def test_half_draw_is_the_general_arithmetic(self, class_card, k, rows):
         if rows == "per-class":  # no more class values than rows: probabilities looked up
-            cls = gen_class(min(class_card, 7), 3000, _rng(13, 0, 0))
+            cls = _uniform(min(class_card, 7), 3000, _rng(13, 0, 0))
         else:  # more class values than rows: one probability per row
             cls = np.array([class_card - 1, *range(min(class_card - 2, 3))])
         narrow = cls.astype(np.min_scalar_type(int(cls.max())))
         for codes in (cls, narrow):
             ours, theirs = _rng(14), _rng(14)
-            col = gen_kononenko(codes, 2, k, ours, class_card=class_card)
+            col = _kononenko(codes, 2, k, ours, class_card)
             assert col.dtype == np.int64
             assert np.array_equal(col, kononenko_codes(cls, 2, k, theirs, class_card))
             _assert_same_position(ours, theirs)
 
     @pytest.mark.parametrize("cardinality", [3, 4, 5, 40])
     def test_oracle_is_the_general_path(self, cardinality):
-        cls = gen_class(7, 3000, _rng(15, 0, 0))
+        cls = _uniform(7, 3000, _rng(15, 0, 0))
         ours, theirs = _rng(16), _rng(16)
-        col = gen_kononenko(cls.astype(np.uint8), cardinality, 0.3, ours, class_card=7)
+        col = _kononenko(cls.astype(np.uint8), cardinality, 0.3, ours, 7)
         assert np.array_equal(col, kononenko_codes(cls, cardinality, 0.3, theirs, 7))
         _assert_same_position(ours, theirs)
 
@@ -388,8 +410,8 @@ class TestBinaryKononenko:
     def test_half_draw_at_the_probability_is_the_upper_code(self, class_card):
         cls = np.tile(np.arange(class_card), 2)
         p = np.array([kononenko_first_half_prob(int(c) + 1, 0.3, class_card) for c in cls])
-        at = gen_kononenko(cls, 2, 0.3, _HalfDraws(p), class_card=class_card)
-        below = gen_kononenko(cls, 2, 0.3, _HalfDraws(np.nextafter(p, 0.0)), class_card=class_card)
+        at = _kononenko(cls, 2, 0.3, _HalfDraws(p), class_card)
+        below = _kononenko(cls, 2, 0.3, _HalfDraws(np.nextafter(p, 0.0)), class_card)
         assert (at == 1).all() and (below == 0).all()
 
 
@@ -402,19 +424,18 @@ class TestInt64Bounds:
          pytest.param(10**5000, r"at least 2\*\*16609", id="int-too-long-to-print")],
     )
     def test_cardinality_past_int64_rejected(self, card, shown):
-        codes = np.array([0, 1])
         for draw in (
             lambda: check_card(card),
-            lambda: gen_class(card, 3, _rng()),
-            lambda: gen_uniform(card, 3, _rng()),
-            lambda: gen_kononenko(codes, card, 1.0, _rng(), class_card=2),
+            lambda: generate_dataset(3, card, [block("u", GeneratorKind.UNIFORM, 1, 2)], SeededRng(1)),
             lambda: AttributeBlock(("a",), GeneratorKind.UNIFORM, card),
+            lambda: AttributeBlock(("a",), GeneratorKind.KONONENKO, card),
         ):
             with pytest.raises(InvalidInputError, match=f"must not exceed .*, got {shown}$"):
                 draw()
 
     def test_largest_int64_cardinality_accepted(self):
-        assert gen_uniform(2**63 - 1, 4, _rng()).dtype == np.int64
+        blocks = [block("u", GeneratorKind.UNIFORM, 1, 2**63 - 1)]
+        assert generate_dataset(4, 2, blocks, SeededRng(1)).codes.dtype == np.int64
 
     @pytest.mark.parametrize(
         "m", [2**63, 2**64, pytest.param(10**5000, id="int-too-long-to-print")]
@@ -423,7 +444,7 @@ class TestInt64Bounds:
         xor = [block("x", GeneratorKind.XOR_PAIR, 2, 2)]
         for draw in (
             lambda: check_m(m),
-            lambda: gen_class(2, m, _rng()),
+            lambda: generate_dataset(m, 2, [block("u", GeneratorKind.UNIFORM, 1, 2)], SeededRng(1)),
             lambda: generate_dataset(m, 2, xor, SeededRng(1)),
         ):
             with pytest.raises(InvalidInputError, match="sample size must not exceed"):
@@ -438,7 +459,8 @@ class TestInt64Bounds:
         for draw, what in (
             (lambda: check_m(value), "sample size must be at least 1"),
             (lambda: check_card(value), "cardinality must be at least 2"),
-            (lambda: gen_uniform(value, 3, _rng()), "cardinality must be at least 2"),
+            (lambda: AttributeBlock(("a",), GeneratorKind.UNIFORM, value),
+             "cardinality must be at least 2"),
         ):
             with pytest.raises(InvalidInputError, match=f"^{what}, got {shown}$"):
                 draw()
@@ -633,18 +655,20 @@ class TestGenerateDataset:
         assert sample.codes.shape == (200_000, 16)
         assert sample.codes.dtype == np.uint8
         assert sample.codes.flags.f_contiguous and not sample.codes.flags.writeable
-        # the 3.2 MB matrix plus one column's work: the XOR pair's 1.5 MB
-        # block of float draws or a Kononenko column's 33 bytes a row
-        # (6.6 MB); an int64 matrix alone would take 25.6 MB
+        # the 3.2 MB matrix plus the Kononenko thresholds (8 bytes a row,
+        # 1.6 MB) and one column's work: the XOR pair's 1.5 MB block of float
+        # draws or a Kononenko column's draws, mask and one uint8 column (18
+        # bytes a row, 3.6 MB); an int64 matrix alone would take 25.6 MB
         assert peak < 12_000_000
 
     def test_large_xor_union_is_drawn_straight_into_its_matrix(self):
         # fig-xor-2's one dataset per replicate: 655,360 rows x 16 columns
         sample, peak = _union_dataset("fig-xor-2")
         assert sample.codes.shape == (655_360, 16)
-        # the 10.5 MB matrix plus one uniform column's int64 draws (5.2 MB);
-        # the XOR pair is drawn in 1.5 MB row blocks, where one (m, 3) draw
-        # would take 15.7 MB, and an int64 matrix alone 84 MB
+        # the 10.5 MB matrix plus the XOR pair's 1.5 MB row blocks of draws,
+        # where one (m, 3) draw would take 15.7 MB; the binary uniform
+        # columns are shifted from 64 KB blocks of raw words straight into
+        # their columns. An int64 matrix alone would take 84 MB.
         assert peak < 17_000_000
 
     def test_kononenko_union_peaks_at_its_matrix_plus_one_columns_work(self):
@@ -653,9 +677,9 @@ class TestGenerateDataset:
         sample, peak = _union_dataset("fig-h")
         m = sample.n_rows
         assert sample.codes.shape == (163_840, 40) and sample.codes.dtype == np.uint8
-        # the 6.5 MB matrix plus one Kononenko column's 33 bytes a row: its
-        # (m, 2) draws, one float and one int64 column and a mask. Each step
-        # into a new temporary takes 57 bytes a row (9.3 MB).
+        # the 6.5 MB matrix plus the thresholds its 13 binary Kononenko
+        # columns share (8 bytes a row) and one such column's (m, 2) draws
+        # (16 bytes a row), which it compares straight into its column
         assert peak < sample.codes.nbytes + 36 * m
 
     @pytest.mark.parametrize(
@@ -667,28 +691,47 @@ class TestGenerateDataset:
         blocks = [block("x", GeneratorKind.XOR_PAIR, 2, 2), block("u", GeneratorKind.UNIFORM, 1, card)]
         sample = generate_dataset(500, 2, blocks, SeededRng(4, 0))
         assert sample.codes.dtype == dtype
-        drawn = gen_uniform(card, 500, SeededRng(4, 0).stream(2, 0))
+        drawn = _uniform(card, 500, SeededRng(4, 0).stream(2, 0))
         assert np.array_equal(sample.codes[:, 2], drawn)
         f1, f2, cls = _xor_pair(500, 0.05, SeededRng(4, 0).stream(1, 0))
         assert np.array_equal(sample.codes[:, [0, 1, 3]], np.column_stack([f1, f2, cls]))
 
-    @pytest.mark.parametrize("card", [2, 256, 65_536])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+    @pytest.mark.parametrize(
+        "family, card",
+        [("uniform", 16), ("uniform", 40), ("kononenko", 2), ("kononenko", 5), ("kononenko", 40)],
+        ids=["uniform-raw-words", "uniform-integers", "kononenko-binary", "kononenko-5",
+             "kononenko-40"],
+    )
+    def test_writers_give_a_narrow_column_the_int64_columns_codes(self, family, card, dtype):
+        m = _RAW_BLOCK_ROWS + 1  # two raw-word blocks and a half left over
+        cls = _uniform(7, m, _rng(3, 0, 0, 0))
+
+        def write(column_dtype, rng):
+            if family == "uniform":
+                return _uniform(card, m, rng, column_dtype)
+            return _kononenko(cls, card, 0.7, rng, 7, column_dtype)
+
+        ours, theirs = _rng(9), _rng(9)
+        narrow, wide = write(dtype, ours), write(np.int64, theirs)
+        assert narrow.dtype == dtype
+        assert np.array_equal(narrow, wide)
+        _assert_same_position(ours, theirs)
+
+    @pytest.mark.parametrize("card", [2])
     def test_generated_code_at_its_cardinality_rejected_not_wrapped(self, monkeypatch, card):
-        # `card` wraps to 0 in a uint8 column at 256 and a uint16 one at 65,536
-        monkeypatch.setattr(dataset, "gen_uniform", lambda card, m, rng: np.full(m, card))
+        # the sample checks the codes a writer leaves, not only the writer itself
+        monkeypatch.setattr(dataset, "fill_uniform", lambda out, card, rng: out.fill(card))
         with pytest.raises(InvalidInputError, match="exceeds its column's declared cardinality"):
             generate_dataset(10, 2, [block("u", GeneratorKind.UNIFORM, 1, card)], SeededRng(1, 0))
 
     def test_generated_class_code_at_its_cardinality_rejected_not_wrapped(self, monkeypatch):
-        monkeypatch.setattr(dataset, "gen_class", lambda card, m, rng: np.full(m, card))
+        # the class column is the only one the uniform writer fills here; with
+        # more classes than rows the thresholds are computed row by row, so
+        # the bad class code still gives the Kononenko column one
+        monkeypatch.setattr(dataset, "fill_uniform", lambda out, card, rng: out.fill(card))
         with pytest.raises(InvalidInputError, match="exceeds its column's declared cardinality"):
-            generate_dataset(10, 256, [block("u", GeneratorKind.UNIFORM, 1, 2)], SeededRng(1, 0))
-
-    def test_negative_generated_code_rejected_not_wrapped(self, monkeypatch):
-        # -1 wraps to 255 in a uint8 column
-        monkeypatch.setattr(dataset, "gen_kononenko", lambda cls, *args, **kwargs: np.full(len(cls), -1))
-        with pytest.raises(InvalidInputError, match="must be non-negative"):
-            generate_dataset(10, 2, [block("mk", GeneratorKind.KONONENKO, 1, 4)], SeededRng(1, 0))
+            generate_dataset(10, 300, [block("mk", GeneratorKind.KONONENKO, 1, 4)], SeededRng(1, 0))
 
     def test_xor_columns_are_gen_xor_pairs_arrays(self):
         # the pair sits after a uniform block, so its columns are not first
@@ -720,7 +763,7 @@ class TestAttributeBlock:
         assert sample == generate_dataset(
             2000, 2, [AttributeBlock(("a", "b"), GeneratorKind.UNIFORM, 2)], SeededRng(8, 0)
         )
-        assert np.array_equal(sample.codes[:, 0], gen_uniform(2, 2000, SeededRng(8, 0).stream(1, 0)))
+        assert np.array_equal(sample.codes[:, 0], _uniform(2, 2000, SeededRng(8, 0).stream(1, 0)))
 
     @pytest.mark.parametrize("kind", ["gaussian", "Uniform", None, 1])
     def test_unknown_kind_rejected(self, kind):

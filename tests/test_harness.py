@@ -1028,7 +1028,7 @@ class TestNestedEngine:
         def failing(*args, **kwargs):
             raise AssertionError("nothing may be drawn")
 
-        for name in ("gen_class", "gen_uniform", "gen_kononenko", "fill_xor_pair"):
+        for name in ("fill_uniform", "fill_kononenko", "fill_xor_pair"):
             monkeypatch.setattr(dataset, name, failing)
         cfg = config_from_json({
             "name": "huge", "replicates": 2,

@@ -25,7 +25,7 @@ from msulab import (
     total_correlation,
 )
 from msulab import measures
-from msulab.measures import msu_at_prefixes, msu_values, subset_entropies
+from msulab.measures import msu_values, subset_entropies
 from msulab import sample as sample_module
 from msulab.sample import _cell_ids, check_codes, code_dtype, normalize_columns, prefix_counts
 from oracle_utils import coded_table, entropy_of_counts
@@ -146,7 +146,7 @@ class TestIndicesAreIntegers:
             lambda: msu(TABLE_B, [0.7, 1]),
             lambda: msu(TABLE_B, ["0", "2"]),
             lambda: joint_entropy(TABLE_B, [np.float64(1.0)]),
-            lambda: msu_at_prefixes(TABLE_B, [0, 1], [1.5, 3]),
+            lambda: msu_values(TABLE_B, [0, 1], [1.5, 3]),
             lambda: symmetrical_uncertainty(TABLE_B, None, 1),
             lambda: symmetrical_uncertainty(TABLE_B, 0, 1.0),
             lambda: information_gain(TABLE_B, 0, 1),
@@ -161,9 +161,9 @@ class TestIndicesAreIntegers:
 
     def test_numpy_integers_accepted(self):
         assert msu(TABLE_B, np.array([2, 0, 1])) == msu(TABLE_B, [0, 1, 2])
-        assert msu_at_prefixes(TABLE_B, np.arange(3, dtype=np.uint8), np.array([4, 8])) == (
-            msu_at_prefixes(TABLE_B, [0, 1, 2], [4, 8])
-        )
+        numpy_given = msu_values(TABLE_B, np.arange(3, dtype=np.uint8), np.array([4, 8]))
+        ints_given = msu_values(TABLE_B, [0, 1, 2], [4, 8])
+        assert all(np.array_equal(a, b) for a, b in zip(numpy_given, ints_given))
         assert symmetrical_uncertainty(TABLE_B, np.int64(0), np.uint8(2)) == (
             symmetrical_uncertainty(TABLE_B, 0, 2)
         )
@@ -173,12 +173,17 @@ class TestIndicesAreIntegers:
         [
             (lambda: msu(TABLE_B, [0, 10**5000]), r"column index at least 2\*\*16609 out of range"),
             (lambda: msu(TABLE_B, [0, -(10**5000)]), r"column index at most -2\*\*16609 out of range"),
-            (lambda: msu_at_prefixes(TABLE_B, [0, 1], [3, 10**5000]),
+            (lambda: msu_values(TABLE_B, [0, 1], [3, 10**5000]),
              r"prefix of at least 2\*\*16609 rows exceeds"),
-            (lambda: msu_at_prefixes(TABLE_B, [0, 1], [-(10**5000), 3]),
+            (lambda: msu_values(TABLE_B, [0, 1], [-(10**5000), 3]),
              r"prefixes must be strictly ascending and positive, got \[at most -2\*\*16609, 3\]"),
+            (lambda: msu(TABLE_B, [0.5, 10**5000]),
+             r"column indices must be a sequence of integers, got \[0.5, at least 2\*\*16609\]$"),
+            (lambda: list(prefix_counts(TABLE_B, [0, 1], [2], [10**5000])),
+             r"columns \[at least 2\*\*16609\] counted alone are not all in \(0, 1\)$"),
         ],
-        ids=["index", "negative-index", "prefix", "negative-prefix"],
+        ids=["index", "negative-index", "prefix", "negative-prefix", "non-integer-beside-huge",
+             "counted-alone"],
     )
     def test_ints_too_long_to_print_named_by_their_bits(self, call, message):
         with pytest.raises(InvalidInputError, match=f"^{message}"):
@@ -344,7 +349,7 @@ class TestMsuValues:
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             msu_values(sample, [0, 1], [2, 4])
         with pytest.raises(RuntimeError, match="escaped"):
-            msu_at_prefixes(sample, [1, 0], [2, 4])
+            msu_values(sample, [1, 0], [2, 4])
 
     def test_values_within_the_slack_are_clamped(self):
         sample = self._pair_with_entropies((1.0 + 1e-10, 0.5 - 1e-10))
@@ -841,12 +846,14 @@ class TestEntropyTable:
     def test_prefixes_are_part_of_the_key(self):
         sample = CategoricalSample(np.random.default_rng(3).integers(0, 3, size=(40, 3)), (3, 3, 3))
         m = sample.n_rows
-        whole = msu_at_prefixes(sample, [0, 1, 2])
-        assert whole == [msu(sample, [0, 1, 2])]
-        series = msu_at_prefixes(sample, [0, 1, 2], [1, m // 2 + 1, m])
-        assert series[-1] == whole[0]
+        whole, whole_degenerate = msu_values(sample, [0, 1, 2])
+        expected = msu(sample, [0, 1, 2])
+        assert whole.tolist() == [expected.value] and whole_degenerate.tolist() == [expected.degenerate]
+        series, degenerate = msu_values(sample, [0, 1, 2], [1, m // 2 + 1, m])
+        assert series[-1] == whole[0] and degenerate[-1] == whole_degenerate[0]
         head = CategoricalSample(sample.codes[: m // 2 + 1], sample.cardinalities)
-        assert series[1] == msu(head, [0, 1, 2])
+        expected = msu(head, [0, 1, 2])
+        assert (series[1], degenerate[1]) == (expected.value, expected.degenerate)
         assert subset_entropies(sample, [2, 0], [m]) == (joint_entropy(sample, [0, 2]).value,)
 
     def test_each_exact_key_is_counted_once(self, monkeypatch):

@@ -165,12 +165,14 @@ def test_only_sample_counts_rows():
 
 def test_only_generators_reads_raw_words():
     # a column read from raw words rests on how NumPy draws from them, which
-    # only the generators' equivalence tests check
-    readers = [
-        path.name for path in sorted(PACKAGE.glob("*.py"))
-        if "random_raw" in path.read_text(encoding="utf-8")
-    ]
-    assert readers == ["generators.py"], readers
+    # only the generators' equivalence tests check; and each column's stream
+    # is drawn from in the one module that keeps the per-column stream contract
+    for draw in ("random_raw", ".random(", ".integers("):
+        readers = [
+            path.name for path in sorted(PACKAGE.glob("*.py"))
+            if draw in path.read_text(encoding="utf-8")
+        ]
+        assert readers == ["generators.py"], (draw, readers)
 
 
 def test_readme_names_every_config_field():
