@@ -63,16 +63,24 @@ _DENSE_FILL = 8
 # The widest codes are int64, so no column's alphabet may be larger than this.
 MAX_CARDINALITY = int(np.iinfo(np.int64).max)
 
+# The narrow code dtypes, narrowest first, each after the count of codes it holds.
+_CODE_DTYPES = (
+    (1 << 8, np.dtype(np.uint8)),
+    (1 << 16, np.dtype(np.uint16)),
+    (1 << 32, np.dtype(np.uint32)),
+)
+_WIDEST_CODES = np.dtype(np.int64)
+
 
 def code_dtype(cardinalities: Sequence[int]) -> np.dtype:
     """The dtype of a sample's codes: the narrowest of uint8, uint16 and
     uint32 that holds every code below the largest of `cardinalities`,
     else int64. Every code matrix is allocated in it (`code_matrix`)."""
     top = max(cardinalities)
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if top <= int(np.iinfo(dtype).max) + 1:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
+    for bound, dtype in _CODE_DTYPES:
+        if top <= bound:
+            return dtype
+    return _WIDEST_CODES
 
 
 def code_matrix(m: int, cardinalities: Sequence[int]) -> np.ndarray:

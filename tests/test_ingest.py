@@ -1,15 +1,17 @@
-"""Tests for CSV ingestion: the chunked column coder against the row-by-row
-reference coder, error reporting, and memory use."""
+"""Tests for CSV ingestion: the byte-level coder and the chunked csv-module
+coder against the row-by-row reference coder, the byte-level coder's
+declines, error reporting, memory use, and CSV writing."""
 
 import csv
+import io
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from msulab import CategoricalSample, InvalidInputError, read_csv
-from msulab.ingest import _CHUNK_ROWS, sample_to_csv
+from msulab import CategoricalSample, InvalidInputError, ingest, read_csv
+from msulab.ingest import _BLOCK_BYTES, _CHUNK_ROWS, sample_to_csv
 from oracle_utils import reference_read_csv
 
 CHUNK = _CHUNK_ROWS
@@ -93,6 +95,157 @@ class TestCoderOracle:
         assert data.dictionaries[0][-1] == f"r{m - 1}" and data.sample.cardinalities == (m, 2)
 
 
+@pytest.fixture
+def csv_path_calls(monkeypatch):
+    """The files `read_csv` hands to its csv-module path, as they come."""
+    calls = []
+
+    def parse(reader, source):
+        calls.append(source)
+        return csv_parse(reader, source)
+
+    csv_parse = ingest._parse
+    monkeypatch.setattr(ingest, "_parse", parse)
+    return calls
+
+
+# plain labels: no comma, quote, CR or NUL, and at most 8 bytes
+PLAIN_LABELS = ["", "a", "b", "no", "yes", "x" * 8, "12345678", "ñandú", "日本", "é", "🎲", " "]
+
+
+def write_plain(path, header, rows, end="\n"):
+    text = "\n".join(",".join(row) for row in [header, *rows]) + end
+    path.write_bytes(text.encode("utf-8"))
+
+
+def assert_byte_level_matches_reference(path, csv_path_calls):
+    data = assert_matches_reference(path)
+    assert csv_path_calls == [], "the csv path read the file"
+    return data
+
+
+class TestByteLevelCoder:
+    def test_several_blocks_with_late_labels(self, tmp_path, csv_path_calls):
+        rng = np.random.default_rng(7)
+        m, p = 40_000, 4
+        rows = [[PLAIN_LABELS[i] for i in rng.integers(len(PLAIN_LABELS), size=p)] for _ in range(m)]
+        # labels that first appear in later blocks, in the first and last columns
+        late = range(m // 2, m, 997)
+        for i in late:
+            rows[i][0], rows[i][-1] = f"L{i % 5}", f"late{i % 1000}"
+        path = tmp_path / "data.csv"
+        write_plain(path, [f"c{j}" for j in range(p)], rows)
+        assert path.stat().st_size > 8 * _BLOCK_BYTES
+        data = assert_byte_level_matches_reference(path, csv_path_calls)
+        assert data.dictionaries[-1][-len(late):] == tuple(f"late{i % 1000}" for i in late)
+        assert data.sample.codes.dtype == np.uint8
+
+    def test_every_label_new_widens_the_codes(self, tmp_path, csv_path_calls):
+        m = 70_000
+        path = tmp_path / "data.csv"
+        write_plain(path, ["id", "flag"], [[f"r{i}", "yn"[i % 2]] for i in range(m)])
+        data = assert_byte_level_matches_reference(path, csv_path_calls)
+        assert data.sample.codes.dtype == np.uint32
+        assert np.array_equal(data.sample.codes[:, 0], np.arange(m))
+
+    @pytest.mark.parametrize(
+        "header, rows, end",
+        [
+            (["only"], [["a"], ["b"], ["a"], ["日本"]], "\n"),
+            (["a", "b"], [["x", "y"], ["z", "y"]], ""),
+            (["a", "b", "c"], [["x", "", "y"], ["", "", ""], ["x", "", "y"]], "\n"),
+            (["a", "b"], [["12345678", "x" * 8], ["1234567", "x" * 8], ["12345678", "x"]], "\n"),
+            (["ñandú", "日本"], [["ñandú", "日本"], ["日本", "ñandú"], ["é", "🎲"]], "\n"),
+            (["a", "b"], [["x", "y"]], "\n"),
+        ],
+        ids=["one-column", "no-trailing-newline", "empty-fields", "eight-byte-fields",
+             "multibyte-labels", "one-row"],
+    )
+    def test_small_files(self, tmp_path, csv_path_calls, header, rows, end):
+        path = tmp_path / "data.csv"
+        write_plain(path, header, rows, end)
+        data = assert_byte_level_matches_reference(path, csv_path_calls)
+        decoded = [[labels[c] for labels, c in zip(data.dictionaries, codes)]
+                   for codes in data.sample.codes.tolist()]
+        assert decoded == rows
+
+    def test_row_longer_than_a_block(self, tmp_path, csv_path_calls):
+        p = _BLOCK_BYTES // 8
+        header = [f"c{j}" for j in range(p)]
+        rows = [["abcdefgh"] * p, ["x"] * p, [f"{j % 3}" for j in range(p)]]
+        path = tmp_path / "wide.csv"
+        write_plain(path, header, rows)
+        assert len(",".join(rows[0])) > _BLOCK_BYTES
+        data = assert_byte_level_matches_reference(path, csv_path_calls)
+        assert data.sample.codes.shape == (3, p)
+
+    def test_blocks_of_a_few_bytes(self, tmp_path, csv_path_calls, monkeypatch):
+        # every row spans reads, and some reads hold no line end
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 5)
+        rng = np.random.default_rng(3)
+        rows = [[PLAIN_LABELS[i] for i in rng.integers(len(PLAIN_LABELS), size=3)] for _ in range(200)]
+        path = tmp_path / "data.csv"
+        write_plain(path, ["a", "bb", "ccc"], rows, end="")
+        assert_byte_level_matches_reference(path, csv_path_calls)
+
+
+def plain_text(rows=30_000):
+    """A plain file of several blocks, as text; data row i is line i + 2."""
+    return "a,b\n" + "".join(f"{i % 13},v{i % 7}\n" for i in range(rows))
+
+
+def replace_row(text, i, row):
+    lines = text.split("\n")
+    lines[i + 1] = row
+    return "\n".join(lines)
+
+
+LAST = 29_999  # the last data row of `plain_text()`, line 30,001
+
+
+@pytest.mark.parametrize(
+    "data, limit, message",
+    [
+        (replace_row(plain_text(), LAST, '"q",v1').encode(), None, None),
+        (plain_text().replace("\n", "\r\n").encode(), None, None),
+        (replace_row(plain_text(), 5, "x\0y,v1").encode(), None, None),
+        (replace_row(plain_text(), 20_000, "").encode(), None, ":20002: expected 2 cells, got 0"),
+        (b"a\nx\n\ny\n", None, ":3: expected 1 cells, got 0"),
+        (replace_row(plain_text(), 20_000, "x").encode(), None, ":20002: expected 2 cells, got 1"),
+        (replace_row(plain_text(), 20_000, "x,y,z").encode(), None, ":20002: expected 2 cells, got 3"),
+        # two bad rows that together hold two rows' worth of separators
+        (replace_row(replace_row(plain_text(), 20_000, "x"), 20_001, "y").encode(), None,
+         ":20002: expected 2 cells, got 1"),
+        (replace_row(replace_row(plain_text(), 20_000, "x"), 20_001, "y,z,w").encode(), None,
+         ":20002: expected 2 cells, got 1"),
+        (plain_text().encode()[:-2] + b"\xe9\n", None, ": not UTF-8 text"),
+        (replace_row(plain_text(), 9, "123456789,v1").encode(), None, None),
+        (replace_row(plain_text(), 20_000, "abcde,v1").encode(), 4,
+         ":20002: field larger than field limit (4)"),
+        (b"abcde,b\nx,y\n", 4, ":1: field larger than field limit (4)"),
+    ],
+    ids=["quote-in-last-block", "crlf", "nul", "blank-line", "blank-line-one-column",
+         "short-row-late", "long-row-late", "two-short-rows", "short-then-long-row",
+         "bad-utf8-late", "nine-byte-field", "field-over-size-limit", "header-name-over-size-limit"],
+)
+def test_byte_level_coder_declines(tmp_path, csv_path_calls, data, limit, message):
+    path = tmp_path / "declined.csv"
+    path.write_bytes(data)
+    old_limit = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        if message is None:
+            assert_matches_reference(path)
+        else:
+            with pytest.raises(InvalidInputError) as caught:
+                read_csv(path)
+            assert str(caught.value) == f"{path}{message}"
+    finally:
+        csv.field_size_limit(old_limit)
+    assert csv_path_calls == [str(path)]
+
+
 class TestReadCsvErrors:
     @pytest.mark.parametrize(
         "bad", [0, 2, CHUNK - 1, CHUNK, CHUNK + 9],
@@ -170,7 +323,7 @@ class TestReadCsvErrors:
 
 
 class TestReadCsvMemory:
-    def test_peak_stays_near_the_code_matrix(self, tmp_path):
+    def test_peak_stays_near_the_code_matrix(self, tmp_path, csv_path_calls):
         rng = np.random.default_rng(11)
         cards = [2, 2, 3] + [40] * 4 + [2] * 6 + [3] * 6
         codes = np.column_stack([rng.integers(0, c, size=100_000) for c in cards])
@@ -188,7 +341,25 @@ class TestReadCsvMemory:
             tracemalloc.stop()
         assert data.sample.codes.shape == (100_000, 19)
         assert data.sample.codes.dtype == np.uint8
+        assert csv_path_calls == []  # read from its bytes
         # the coded chunks, each narrowed to the dtype of the labels seen
-        # (uint8 here, 1.9 MB), plus the 1.9 MB matrix: 3.9 MB measured;
-        # uint16 chunks would take 3.8 MB, int64 ones 15.2 MB
+        # (uint8 here, 1.9 MB), plus the 1.9 MB matrix: 3.83 MB measured
+        # (3.87 MB on the csv path); uint16 chunks would take 3.8 MB, int64
+        # ones 15.2 MB
         assert peak < 4_500_000
+
+
+class TestSampleToCsv:
+    @pytest.mark.parametrize("m", [1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("cards", [(2,), (3, 300, 2), (2**40, 5)], ids=["uint8", "uint16", "int64"])
+    def test_same_text_as_the_csv_writer(self, m, cards):
+        rng = np.random.default_rng(m)
+        codes = np.column_stack([rng.integers(0, c, size=m) for c in cards])
+        codes[0] = np.array(cards) - 1  # each column's widest code
+        names = ["a", 'say "b"', "c,d"][: len(cards)]
+        sample = CategoricalSample(codes, cards, names)
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(codes.tolist())
+        assert sample_to_csv(sample) == out.getvalue()
