@@ -37,7 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-import tempfile
+import stat
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
@@ -272,16 +272,32 @@ def sample_to_csv(sample: CategoricalSample) -> str:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
+    """Write via a sibling temp file and rename, so readers never see a torn file.
+
+    A new file gets the mode `open` would give it (0o666 less the umask); a
+    file written over keeps its mode. A path that cannot be written is an
+    `InvalidInputError`, and the temp file is removed.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    try:
+        # a new file, masked by the umask as `open` masks one
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            try:
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError):
+            raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise

@@ -7,16 +7,22 @@ multivariate symmetrical uncertainty) are dimensionless in [0, 1].
 
 Entropy terms are accumulated with math.fsum, which rounds the exact sum.
 That makes every measure invariant, bit for bit, under row permutations and
-bijective relabelings of category codes (those only reorder the terms).
+bijective relabelings of category codes (those only reorder the terms). A
+matrix of at least `_BULK_ROWS` rows is summed in bulk (`_fsum_rows`): each
+row whose terms fit is one exact int64 sum, which one cast rounds as fsum
+rounds the exact sum, and any other row is fsummed, so each entropy is
+fsum's float either way.
 
 Every measure over a sample reads its entropies from one table that the
 sample carries, keyed exactly by (sorted column subset, row prefixes):
 `subset_entropies` counts a subset's histogram at the prefixes on a miss,
-through `msulab.sample.prefix_counts`, and keeps the floats. Counting a joint
-of several columns also takes, from the same scan of the rows, the counts of
-each member column that the table lacks at those prefixes, and stores their
-entropies under the member's own key. A public measure reads the table at
-all rows; the Monte Carlo engine reads it at each sweep point's row prefix.
+through `msulab.sample.prefix_counts`, and keeps the floats. Counting a
+joint of several columns also takes, from the same scan of the rows, the
+counts of each member column that the table lacks at those prefixes, and
+stores their entropies under the member's own key. A public measure reads
+the table at all rows; the Monte Carlo engine reads it at each sweep
+point's row prefix, within each replicate of a sample that stacks several
+(a period, which the key holds after the prefixes).
 Counts are integers and each entropy is an fsum of its prefix's own cells,
 so a sample returns the same floats however often, in whatever order, and
 at whatever prefix sets it is measured, and a column's entropies are the
@@ -44,6 +50,7 @@ from .errors import InvalidInputError
 from .sample import (
     CategoricalSample,
     normalize_columns,
+    normalize_period,
     normalize_prefixes,
     prefix_counts,
     whole_numbers,
@@ -53,6 +60,14 @@ from .sample import (
 # signals a real defect and is raised instead of clamped.
 _UNIT_SLACK = 1e-9
 _MAX_TOTAL = int(np.iinfo(np.int64).max)
+# Row sums of matrices of at least this many rows are taken in bulk
+# (`_fsum_rows`); fewer rows are fsummed one by one, which costs less for
+# the single rows of public measures and of large samples: every matrix in
+# bulk made fig-f1 and fig-g 1.45x and 1.5x as slow, fig-a1 and fig-xor-1
+# 1.2x (20 replicates, one CPU).
+_BULK_ROWS = 256
+# The frexp exponent of a zero term: above every other, so never the least.
+_ZERO_EXPONENT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,8 +88,50 @@ def entropy_rows(counts: np.ndarray) -> list[float]:
     its positive counts alone.
     """
     p = counts / counts.sum(axis=1, keepdims=True)
-    terms = p * np.log2(np.where(counts > 0, p, 1.0))
-    return [-math.fsum(row) + 0.0 for row in terms.tolist()]  # + 0.0 avoids -0.0
+    terms = np.where(counts > 0, p, 1.0)
+    np.log2(terms, out=terms)
+    terms *= p  # p * log2(p), in place, as a batch's matrices are large
+    if len(terms) < _BULK_ROWS:
+        return [-math.fsum(row) + 0.0 for row in terms.tolist()]  # + 0.0 avoids -0.0
+    return (0.0 - _fsum_rows(terms)).tolist()
+
+
+def _fsum_rows(terms: np.ndarray) -> np.ndarray:
+    """`math.fsum` of each row of a finite float matrix, bit for bit: its
+    `_int64_sums` where a row fits, else fsum itself."""
+    sums, fits = _int64_sums(terms)
+    for i in np.flatnonzero(~fits).tolist():
+        sums[i] = math.fsum(terms[i].tolist())
+    return sums
+
+
+def _int64_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sum from one exact int64 sum, and a mask of the rows
+    where that sum is fsum's; the other rows' sums are not.
+
+    frexp writes each term as M * 2**(e - 53), M an integer of at most 53
+    bits (`ldexp(mant, 53)`, exact). A row of K nonzero terms whose
+    exponents e lie within 9 - bit_length(K - 1) of their least is shifted
+    to that least: each shifted M is below 2**(62 - bit_length(K - 1)) in
+    size, so the row's sum is exact in int64. Casting it to float64 rounds
+    it to nearest even, as fsum rounds the exact sum, and ldexp scales it
+    back exactly while the result is normal, which a least exponent of at
+    least -969 ensures. An all-zero row fits, with a sum of 0.0.
+    """
+    mant, shift = np.frexp(terms)  # the exponents, then each term's shift
+    zero = mant == 0
+    shift[zero] = _ZERO_EXPONENT
+    least = shift.min(axis=1, keepdims=True)
+    shift -= least
+    shift[zero] = 0
+    least = least[:, 0]
+    room = 9 - np.frexp(np.maximum(terms.shape[1] - zero.sum(axis=1) - 1, 0))[1]  # bit_length(K - 1)
+    fits = (shift.max(axis=1) <= room) & (least >= -969)
+    shift[~fits] = 0  # the shifts of a row that does not fit could overflow
+    ints = np.ldexp(mant, 53, out=mant).astype(np.int64)
+    np.left_shift(ints, shift, out=ints)
+    sums = np.ldexp(ints.sum(axis=1).astype(np.float64), np.where(fits, least - 53, 0))
+    return sums, fits
 
 
 def _clean_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -100,44 +157,58 @@ def entropy(counts: Sequence[int] | np.ndarray) -> MeasureValue:
 
 
 def subset_entropies(
-    sample: CategoricalSample, cols: Sequence[int], prefixes: Sequence[int] | None = None
+    sample: CategoricalSample,
+    cols: Sequence[int],
+    prefixes: Sequence[int] | None = None,
+    period: int | None = None,
 ) -> tuple[float, ...]:
     """Entropy in bits of the joint histogram over `cols` at each row prefix.
 
-    `prefixes` are strictly ascending row counts, all rows by default. The
-    sample keeps every entropy counted here under the exact key (sorted
-    subset, prefixes), so each histogram is counted once per sample and
-    prefix set. Counting a joint of several columns also stores, under the
-    same prefixes, the entropies of each member column that the table lacks
-    there, summed from the joint's counts.
+    `prefixes` are strictly ascending row counts, all rows by default. With
+    a `period`, the prefixes are taken within each segment of that many
+    rows (a whole segment by default), and the entropies are given segment
+    by segment (see `msulab.sample.prefix_counts`). The sample keeps every
+    entropy counted here under the exact key (sorted subset, prefixes), with
+    the period after them when there is one, so each histogram is counted
+    once per sample, prefix set and period. Counting a joint of several
+    columns also stores, under the same prefixes and period, the entropies
+    of each member column that the table lacks there, summed from the
+    joint's counts.
     """
     return _stored_entropies(
-        sample, normalize_columns(sample, cols), _checked_prefixes(sample, prefixes)
+        sample, normalize_columns(sample, cols), *_checked_prefixes(sample, prefixes, period)
     )
 
 
-def _checked_prefixes(sample: CategoricalSample, prefixes: Sequence[int] | None) -> tuple[int, ...]:
-    """`prefixes` normalized, all rows when None."""
-    return normalize_prefixes(sample, (sample.n_rows,) if prefixes is None else prefixes)
+def _checked_prefixes(
+    sample: CategoricalSample, prefixes: Sequence[int] | None, period: int | None
+) -> tuple[tuple[int, ...], int | None]:
+    """`prefixes` normalized, a whole segment when None, and the period
+    checked; a period of all rows is None."""
+    rows = normalize_period(sample, period)
+    bounds = normalize_prefixes(sample, (rows,) if prefixes is None else prefixes)
+    return bounds, None if rows == sample.n_rows else rows
 
 
 def _stored_entropies(
-    sample: CategoricalSample, subset: tuple[int, ...], bounds: tuple[int, ...]
+    sample: CategoricalSample, subset: tuple[int, ...], bounds: tuple[int, ...], period: int | None
 ) -> tuple[float, ...]:
-    """`subset_entropies` of a subset and prefixes already normalized."""
+    """`subset_entropies` of a subset, prefixes and period already normalized."""
     table = sample._entropies
-    if (subset, bounds) not in table:
-        alone = [c for c in subset if len(subset) > 1 and ((c,), bounds) not in table]
+    key = (subset, bounds) if period is None else (subset, bounds, period)
+    if key not in table:
+        at = key[1:]  # a member column's key is its own subset and these
+        alone = [c for c in subset if len(subset) > 1 and ((c,),) + at not in table]
         joint: list[float] = []
         marginals: list[list[float]] = [[] for _ in alone]
-        for counts, columns in prefix_counts(sample, subset, bounds, alone):
+        for counts, columns in prefix_counts(sample, subset, bounds, alone, period):
             joint += entropy_rows(counts)
             for entropies, column in zip(marginals, columns):
                 entropies += entropy_rows(column)
         for c, entropies in zip(alone, marginals):
-            table[(c,), bounds] = tuple(entropies)
-        table[subset, bounds] = tuple(joint)
-    return table[subset, bounds]
+            table[((c,),) + at] = tuple(entropies)
+        table[key] = tuple(joint)
+    return table[key]
 
 
 def joint_entropy(sample: CategoricalSample, cols: Sequence[int]) -> MeasureValue:
@@ -181,30 +252,39 @@ def total_correlation(sample: CategoricalSample, cols: Sequence[int]) -> Measure
 
 
 def msu_values(
-    sample: CategoricalSample, cols: Sequence[int], prefixes: Sequence[int] | None = None
+    sample: CategoricalSample,
+    cols: Sequence[int],
+    prefixes: Sequence[int] | None = None,
+    period: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """MSU over n >= 2 columns at each row prefix (all rows by default), as
     an array of values and a boolean array marking the degenerate ones.
+    With a `period`, the prefixes are taken within each segment of that many
+    rows, and the values are given segment by segment, as
+    `subset_entropies` gives the entropies.
 
     (n / (n - 1)) * total correlation / sum of marginal entropies. Where every
     column is constant the ratio is 0/0; the value there is 0 and the mask is
     set. The columns and the prefixes are checked once, and the formula is
     evaluated over the prefixes as arrays, with the IEEE operations of the
     scalar formula in its order: two marginals are added with one rounding,
-    which is their fsum, and more are fsummed per prefix. A value that lands
+    which is their fsum, and more are fsummed per prefix (`_fsum_rows`
+    where there are many). A value that lands
     past the unit interval by more than a few ulp is raised, not clamped.
     """
     subset = normalize_columns(sample, cols)
     n = len(subset)
     if n < 2:
         raise InvalidInputError("msu needs at least two columns")
-    bounds = _checked_prefixes(sample, prefixes)
-    h_joint = np.array(_stored_entropies(sample, subset, bounds))  # first: it gives the marginals
-    marginals = [_stored_entropies(sample, (c,), bounds) for c in subset]
+    bounds, period = _checked_prefixes(sample, prefixes, period)
+    h_joint = np.array(_stored_entropies(sample, subset, bounds, period))  # first: it gives the marginals
+    marginals = [_stored_entropies(sample, (c,), bounds, period) for c in subset]
     if n == 2:
         h_sum = np.add(*marginals)
-    else:
+    elif len(h_joint) < _BULK_ROWS:
         h_sum = np.array([math.fsum(hs) for hs in zip(*marginals)])
+    else:
+        h_sum = _fsum_rows(np.array(marginals).T)
     degenerate = h_sum == 0.0
     values = (n / (n - 1)) * (h_sum - h_joint) / np.where(degenerate, 1.0, h_sum)
     values[degenerate] = 0.0

@@ -32,6 +32,13 @@ sums over the other columns' axes, one for each code. Otherwise the keys are
 renumbered to the cells seen, and each column's counts are summed over the
 cells that share a code. How a cell is keyed (a dense mixed-radix key, a
 renumbered key, or a row of codes past int64) is private to this module.
+
+Samples of one layout can be `stacked`, one after another, and counted with
+a `period` of their rows: the prefixes are then taken within each segment,
+and the count matrices hold one row per (segment, prefix), segment by
+segment. A dense joint counts all segments in one bincount a chunk; a
+renumbered one is counted segment by segment, so each segment is keyed as
+it would be alone.
 """
 
 from __future__ import annotations
@@ -340,57 +347,140 @@ def normalize_prefixes(sample: CategoricalSample, prefixes: Sequence[int]) -> tu
     return tuple(bounds)
 
 
+def normalize_period(sample: CategoricalSample, period: int | None) -> int:
+    """The rows of each segment of `sample`: `period`, a row count that
+    divides the sample's, or all its rows when None."""
+    if period is None:
+        return sample.n_rows
+    rows = integer(period, "period")
+    if rows < 1 or sample.n_rows % rows:
+        raise InvalidInputError(
+            f"a period of {int_text(rows)} rows does not divide the sample's {sample.n_rows}"
+        )
+    return rows
+
+
+def stacked(samples: Sequence[CategoricalSample]) -> CategoricalSample:
+    """One sample holding the rows of `samples`, one sample after another;
+    they must share their cardinalities and column names. A single sample
+    is returned as it is."""
+    first = samples[0]
+    if len(samples) == 1:
+        return first
+    layout = (first.cardinalities, first.column_names)
+    if any((s.cardinalities, s.column_names) != layout for s in samples):
+        raise InvalidInputError("stacked samples must share their cardinalities and column names")
+    codes = code_matrix(sum(s.n_rows for s in samples), first.cardinalities)
+    np.concatenate([s.codes for s in samples], out=codes)
+    return CategoricalSample(_Filled(codes), first.cardinalities, first.column_names)
+
+
 def prefix_counts(
     sample: CategoricalSample,
     cols: Sequence[int],
     prefixes: Sequence[int],
     alone: Sequence[int] = (),
+    period: int | None = None,
 ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """Joint counts over `cols` of the row prefixes `codes[:n]`, n in
     `prefixes`, with the counts of each column in `alone` at those prefixes.
 
     `prefixes` must be strictly ascending row counts, and every column of
-    `alone` one of `cols`. Each yielded matrix holds the joint counts of
-    consecutive prefixes, one row each, in ascending cell key order; cells
-    absent from all of its rows are dropped, so the last row has no zero. It
-    comes with one matrix per column of `alone`, in that order: each row the
-    column's counts at the same prefix, in ascending code order, a zero where
-    a code is not seen. Those are summed from the joint's counts, so the rows
-    are read once: over the grid's other axes where the joint is counted
-    densely, and then a row is the column's full cardinality wide; over the
-    cells that share a code otherwise, and then a row is at most as wide as
-    the joint's. No joint matrix exceeds `_DENSE_CELL_LIMIT` elements
-    unless a single row does. Every row is counted from the rows' cell ids in
-    one pass: the ids are keyed once, and each prefix adds the rows after the
-    previous one to its counts.
+    `alone` one of `cols`. With a `period`, which must divide the sample's
+    rows, the sample is read as segments of that many rows, one after
+    another, and the prefixes are taken within each segment: the rows are
+    one per (segment, prefix), segment by segment, each the counts of that
+    segment's first n rows.
+
+    Each yielded matrix holds the joint counts of consecutive rows in
+    ascending cell key order; cells absent from all of its rows are
+    dropped, so each cell is seen in some segment's last row of the
+    matrix. It comes with one matrix per column of `alone`, in that order:
+    each row the column's counts in the same row, in ascending code order,
+    a zero where a code is not seen. Those are summed from the joint's
+    counts, so the rows are read once: over the grid's other axes where the
+    joint is counted densely, and then a row is the column's full
+    cardinality wide; over the cells that share a code otherwise, and then
+    a row is at most as wide as the joint's. A joint is dense where the
+    rows of one segment fill its grid; any other is counted segment by
+    segment, each renumbered to its own cells, so a segment is keyed as it
+    would be alone and no row is as wide as all segments' cells together.
+    No joint matrix exceeds `_DENSE_CELL_LIMIT` elements unless a single
+    row does. Every matrix is counted from the rows' cell ids in one
+    bincount: the ids are keyed once, each row of a segment adds the rows
+    after the previous prefix to its counts, and a segment's first row
+    starts from zero.
     """
     subset = normalize_columns(sample, cols)
     bounds = normalize_prefixes(sample, prefixes)
+    rows = normalize_period(sample, period)
+    if bounds[-1] > rows:
+        raise InvalidInputError(f"prefix of {int_text(bounds[-1])} rows exceeds the period of {rows}")
     singles = _integers(alone, "columns counted alone")
     if not set(singles) <= set(subset):
         raise InvalidInputError(f"columns {_shown(singles)} counted alone are not all in {subset}")
     members = [subset.index(c) for c in singles]
     dims = tuple(sample.cardinalities[c] for c in subset)
-    ids, n_cells, cells = _cell_ids([sample.codes[: bounds[-1], c] for c in subset], dims)
+    top = bounds[-1]
+    segments = sample.n_rows // rows
+    codes = sample.codes
+    if segments > 1 and top < rows:  # the first `top` rows of each segment, one after another
+        codes = codes.T.reshape(sample.n_columns, segments, rows)[:, :, :top].reshape(sample.n_columns, -1).T
+    columns = [codes[: segments * top, c] for c in subset]
+    if segments > 1 and not _dense(math.prod(dims), top):
+        # renumbered segment by segment, each to its own cells, so that no
+        # count row is as wide as the cells of all segments together
+        for s in range(0, segments * top, top):
+            yield from _counts([column[s : s + top] for column in columns], dims, bounds, members, 1)
+    else:
+        yield from _counts(columns, dims, bounds, members, segments)
+
+
+def _dense(space: int, rows: int) -> bool:
+    """Whether a joint space of `space` cells is counted densely, over its
+    whole grid, where each count row holds `rows` rows."""
+    return space <= min(_DENSE_CELL_LIMIT, _DENSE_FILL * rows)
+
+
+def _counts(
+    columns: list[np.ndarray],
+    dims: tuple[int, ...],
+    bounds: tuple[int, ...],
+    members: list[int],
+    segments: int,
+) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """`prefix_counts` of the subset's code columns, which hold `segments`
+    segments of `bounds[-1]` rows one after another."""
+    top, n = bounds[-1], len(bounds)
+    ids, n_cells, cells = _cell_ids(columns, dims)
     per_chunk = max(1, _DENSE_CELL_LIMIT // n_cells)
-    start = 0
+    # a chunk is whole segments where one fits, else consecutive prefixes of one
+    if per_chunk >= n:
+        whole = per_chunk // n
+        spans = [(s, min(s + whole, segments), 0, n) for s in range(0, segments, whole)]
+    else:
+        spans = [
+            (s, s + 1, f, min(f + per_chunk, n)) for s in range(segments) for f in range(0, n, per_chunk)
+        ]
     running = None
-    for first in range(0, len(bounds), per_chunk):
-        chunk = bounds[first : first + per_chunk]
-        rows = ids[start : chunk[-1]]
-        if len(chunk) == 1:
-            counts = np.bincount(rows, minlength=n_cells)[np.newaxis]
+    for s0, s1, f0, f1 in spans:
+        chunk = (s1 - s0) * (f1 - f0)
+        part = ids[s0 * top + (bounds[f0 - 1] if f0 else 0) : (s1 - 1) * top + bounds[f1 - 1]]
+        if chunk == 1:
+            counts = np.bincount(part, minlength=n_cells)[np.newaxis]
         else:
-            # offset each row's id by its prefix slot, then accumulate slots
-            slot = np.repeat(np.arange(0, len(chunk) * n_cells, n_cells), np.diff([start, *chunk]))
-            slot += rows
-            counts = np.bincount(slot, minlength=len(chunk) * n_cells)
-            counts = counts.reshape(len(chunk), n_cells).cumsum(axis=0)
-        if running is not None:
+            # offset each row's id by its (segment, prefix) slot, then
+            # accumulate the slots of each segment
+            steps = np.diff((bounds[f0 - 1] if f0 else 0, *bounds[f0:f1]))
+            slot = np.repeat(np.arange(0, chunk * n_cells, n_cells), np.tile(steps, s1 - s0))
+            slot += part
+            counts = np.bincount(slot, minlength=chunk * n_cells).reshape(s1 - s0, f1 - f0, n_cells)
+            counts = counts.cumsum(axis=1).reshape(chunk, n_cells)
+        if f0:  # the segment's earlier prefixes were the previous chunk
             counts += running
         running = counts[-1]
-        start = chunk[-1]
-        observed = np.flatnonzero(running)
+        # the cells of each segment's last row
+        observed = np.flatnonzero(running if s1 - s0 == 1 else counts[f1 - f0 - 1 :: f1 - f0].any(axis=0))
         joint = counts[:, observed]
         if cells is None:  # the counts are the whole grid, before its zeros are dropped
             yield joint, _axis_counts(counts, dims, members)
@@ -455,10 +545,11 @@ def _cell_ids(
     and the cell of each id.
 
     A space within `_DENSE_CELL_LIMIT` and `_DENSE_FILL` cells a row is
-    dense: its ids are the mixed-radix keys themselves (one column is its own
-    key), so the cells are None: an id is its cell's key. Any other is
-    renumbered to the observed keys in ascending order, which are the cells;
-    past int64, to the observed rows of codes, which are the cells.
+    dense (`_dense`): its ids are the mixed-radix keys themselves (one
+    column is its own key), so the cells are None: an id is its cell's key.
+    Any other is renumbered to the observed keys in ascending order, which
+    are the cells; past int64, to the observed rows of codes, which are the
+    cells.
     """
     space = math.prod(dims)
     if space >= 1 << 62:
@@ -479,7 +570,7 @@ def _cell_ids(
         for column, d in radix[2:]:
             keys *= d
             np.add(keys, column, out=keys, casting="unsafe")
-    if space <= min(_DENSE_CELL_LIMIT, _DENSE_FILL * len(keys)):
+    if _dense(space, len(keys)):
         return keys, space, None
     cells, ids = np.unique(keys, return_inverse=True)
     return ids.reshape(-1), len(cells), cells

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import resource
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -413,6 +414,61 @@ class TestChi2Scan:
     def test_requires_one_source(self, capsys):
         with pytest.raises(SystemExit):
             main(["chi2-scan"])
+
+
+# each command that writes its output to --out
+OUT_COMMANDS = {
+    "generate": ("generate", "--rule", "uniform", "--cards", "2", "--m", "5"),
+    "experiment": ("experiment", "fig-b1", "--replicates", "1"),
+    "chi2-scan": ("chi2-scan", "--cells", "8"),
+}
+
+
+class TestOut:
+    """--out is written whole or not at all, with the mode `open` would give."""
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/out.csv", "No such file or directory"),
+        ("out", "Is a directory"),
+    ])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys, command, where, reason):
+        (tmp_path / "out").mkdir()
+        target = tmp_path / where
+        code, out, err = run(capsys, *OUT_COMMANDS[command], "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {target}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["out"]  # no temp file is left
+
+    def test_out_at_a_directory_exits_1_without_a_traceback(self, tmp_path):
+        done = python("-m", "msulab", "chi2-scan", "--cells", "8", "--out", str(tmp_path), timeout=60)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, capsys, command, umask):
+        target, plain = tmp_path / "out.csv", tmp_path / "plain.csv"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run(capsys, *OUT_COMMANDS[command], "--out", str(target))
+            plain.write_text("")
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_overwritten_file_keeps_its_mode(self, tmp_path, capsys, command):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        target.chmod(0o604)
+        code, out, _ = run(capsys, *OUT_COMMANDS[command])
+        assert code == 0
+        assert run(capsys, *OUT_COMMANDS[command], "--out", str(target))[0] == 0
+        assert target.read_text() == out
+        assert stat.S_IMODE(target.stat().st_mode) == 0o604
 
 
 class TestOneParser:

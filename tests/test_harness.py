@@ -958,9 +958,9 @@ class TestNestedEngine:
         calls, samples = [], []
         counts = measures.prefix_counts
 
-        def counting(sample, cols, prefixes, alone=()):
+        def counting(sample, cols, prefixes, alone=(), period=None):
             calls.append(tuple(cols))
-            return counts(sample, cols, prefixes, alone)
+            return counts(sample, cols, prefixes, alone, period)
 
         def generating(*args, **kwargs):
             samples.append(generate_dataset(*args, **kwargs))
@@ -1098,3 +1098,49 @@ class TestNestedEngine:
             run_experiment(config_from_json(one_point)).write_csv(single)
             alone += single.getvalue().splitlines(keepends=True)[1:]
         assert lines == alone
+
+
+def _hexed(layout_values):
+    """A layout's values, every float as its hex text."""
+    return [{label: [v.hex() for v in values] for label, values in point.items()} for point in layout_values]
+
+
+class TestBatches:
+    """Replicates measured as one stacked sample give, bit for bit, the
+    floats they give one at a time."""
+
+    @pytest.mark.parametrize("name", [name for name in CATALOG if name != "chi-scan"])
+    def test_one_batch_matches_one_replicate_at_a_time(self, monkeypatch, name):
+        config = _desk(preset(name), 3)
+        points = {i: resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
+        sizes = []
+        real = harness.stacked
+        monkeypatch.setattr(harness, "stacked", lambda samples: sizes.append(len(samples)) or real(samples))
+        for members in harness._nested_groups(config, points):
+            layout = [points[i] for i in members]
+            cells = harness._cells(max(p.m for p in layout), harness._union_blocks(layout))
+            monkeypatch.setattr(harness, "_BATCH_CELLS", 0)
+            alone = harness._run_layout(config, layout, range(3))
+            monkeypatch.setattr(harness, "_BATCH_CELLS", 3 * cells)
+            batched = harness._run_layout(config, layout, range(3))
+            assert _hexed(batched) == _hexed(alone)
+            assert sizes[-4:] == [1, 1, 1, 3]
+
+    def test_batch_boundary(self, monkeypatch):
+        # fig-b1 is one layout of 50 rows and 3 columns: 150 cells a replicate
+        sizes = []
+        real = harness.stacked
+        monkeypatch.setattr(harness, "stacked", lambda samples: sizes.append(len(samples)) or real(samples))
+        per_batch = harness._BATCH_CELLS // 150
+        assert per_batch > 1
+        config = _desk(preset("fig-b1"), per_batch + 1)
+        curve = run_experiment(config)
+        assert sizes == [per_batch, 1]
+        cases = ((0, [1] * 5), (299, [1] * 5), (300, [2, 2, 1]), (750, [5]), (10**6, [5]))
+        for batch_cells, expected in cases:
+            sizes.clear()
+            monkeypatch.setattr(harness, "_BATCH_CELLS", batch_cells)
+            assert run_experiment(_desk(config, 5)) == run_experiment(_desk(config, 5))
+            assert sizes == expected * 2
+        monkeypatch.setattr(harness, "_BATCH_CELLS", 0)
+        assert run_experiment(config) == curve

@@ -8,6 +8,7 @@ re-derive them inline so the freeze stays honest.
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -826,9 +827,9 @@ class TestEntropyTable:
         calls = []
         counts = measures.prefix_counts
 
-        def counting(sample, cols, prefixes, alone=()):
+        def counting(sample, cols, prefixes, alone=(), period=None):
             calls.append(tuple(cols))
-            return counts(sample, cols, prefixes, alone)
+            return counts(sample, cols, prefixes, alone, period)
 
         monkeypatch.setattr(measures, "prefix_counts", counting)
         sample = CategoricalSample(TABLE_C.codes, TABLE_C.cardinalities)
@@ -860,10 +861,10 @@ class TestEntropyTable:
         calls = []
         counts = measures.prefix_counts
 
-        def counting(counted, cols, prefixes, alone=()):
+        def counting(counted, cols, prefixes, alone=(), period=None):
             if counted is sample:  # not the fresh samples below
                 calls.append((tuple(cols), tuple(prefixes), tuple(alone)))
-            return counts(counted, cols, prefixes, alone)
+            return counts(counted, cols, prefixes, alone, period)
 
         monkeypatch.setattr(measures, "prefix_counts", counting)
         codes = np.random.default_rng(8).integers(0, 5, size=(500, 3))
@@ -889,3 +890,280 @@ class TestEntropyTable:
             with pytest.raises(InvalidInputError):
                 subset_entropies(sample, [1], bad)
         assert len(calls) == 4
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _fsum_hex(terms):
+    return [math.fsum(row).hex() for row in terms.tolist()]
+
+
+class TestBulkRowSums:
+    """`_fsum_rows` is `math.fsum` of each row, bit for bit, whether a row
+    takes the int64 sum or falls back to fsum."""
+
+    def test_a_million_random_rows(self):
+        rng = np.random.default_rng(20170707)
+        rows = fitted = 0
+        for k in (1, 2, 3, 4, 5, 8, 9, 16):
+            n = 125_000
+            # exponents spread over 0 to 11 binades a row: some rows fit, some fall back
+            spread = rng.integers(0, 12, size=(n, 1))
+            exps = -rng.integers(0, spread + 1, size=(n, k)) - rng.integers(0, 40, size=(n, 1))
+            terms = np.ldexp(rng.random((n, k)) + 0.5, exps)
+            if k % 2:  # mixed signs, which cancel
+                terms *= rng.choice([-1.0, 1.0], size=(n, k))
+            else:  # entropy terms are all negative
+                terms = -terms
+            terms[rng.random((n, k)) < 0.2] = 0.0
+            want = np.array([math.fsum(row) for row in terms.tolist()])
+            assert np.array_equal(measures._fsum_rows(terms).view(np.int64), want.view(np.int64))
+            rows += n
+            fitted += int(measures._int64_sums(terms)[1].sum())
+        assert rows >= 1_000_000
+        assert 0.1 < fitted / rows < 0.9  # both paths are taken often
+
+    def test_entropy_terms_of_random_counts(self):
+        rng = np.random.default_rng(7)
+        for cells, m in ((2, 8), (8, 40), (8, 150), (40, 1000), (400, 5000)):
+            counts = rng.multinomial(m, rng.dirichlet(np.ones(cells), size=2000)[0], size=2000)
+            p = counts / counts.sum(axis=1, keepdims=True)
+            terms = p * np.log2(np.where(counts > 0, p, 1.0))
+            assert _hex(measures._fsum_rows(terms)) == _fsum_hex(terms)
+            expected = [(-math.fsum(row) + 0.0).hex() for row in terms.tolist()]
+            assert _hex(measures.entropy_rows(counts)) == expected
+
+    @staticmethod
+    def _tie_rows(rng, n, k, sign):
+        """Rows of k terms, each M * 2**e with e within 3 binades, whose
+        exact sum lies halfway between two adjacent floats."""
+        rows = []
+        while len(rows) < n:
+            base = int(rng.integers(-60, 10))
+            ints = [int(rng.integers(1 << 51, 1 << 53)) << int(rng.integers(0, 4)) for _ in range(k)]
+            total = sum(ints)
+            drop = total.bit_length() - 53
+            if drop < 1:
+                continue
+            # move the last term so that the dropped bits are exactly one half
+            ints[-1] += (1 << (drop - 1)) - total % (1 << drop)
+            total = sum(ints)
+            if total.bit_length() - 53 != drop or ints[-1] <= 0 or ints[-1].bit_length() > 55:
+                continue
+            if any(i % (1 << max(0, i.bit_length() - 53)) for i in ints):
+                continue  # a term of more than 53 significant bits is not a float
+            assert total % (1 << drop) == 1 << (drop - 1)  # a tie
+            rows.append([sign * math.ldexp(i, base) for i in ints])
+        return np.array(rows)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rows_on_rounding_ties(self, k, sign):
+        terms = self._tie_rows(np.random.default_rng(k), 2000, k, sign)
+        sums, fits = measures._int64_sums(terms)
+        assert fits.all()  # every tie takes the int64 path
+        want = _fsum_hex(terms)
+        assert _hex(sums) == want == _hex(measures._fsum_rows(terms))
+        # each exact sum is a tie, rounded up or down to the even neighbour
+        exact = [sum(map(Fraction, row)) for row in terms.tolist()]
+        ulps = [Fraction(math.ulp(float.fromhex(w))) for w in want]
+        assert all(abs(Fraction(float.fromhex(w)) - e) * 2 == u for w, e, u in zip(want, exact, ulps))
+        assert {Fraction(float.fromhex(w)) > e for w, e in zip(want, exact)} == {True, False}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9, 64, 65])
+    def test_rows_at_the_edge_of_int64(self, k):
+        # the largest mantissas at the widest shift that fits, and one past it
+        room = 9 - (k - 1).bit_length()
+        top = math.ldexp(1 - 2.0**-53, 0)  # the largest mantissa, 53 ones
+        for spread, fit in ((room, True), (room + 1, False)):
+            if spread < 0 or (k == 1 and not fit):
+                continue
+            row = [-top * 2.0**spread] * (k - 1) + [-top] if k > 1 else [-top]
+            terms = np.array([row, [-x for x in row]])
+            sums, fits = measures._int64_sums(terms)
+            assert fits.tolist() == [fit or k == 1] * 2
+            assert _hex(measures._fsum_rows(terms)) == _fsum_hex(terms)
+
+    def test_tiny_and_zero_rows(self):
+        tiny = [
+            [2.0**-1000, 2.0**-1001],  # a least exponent below -969: fsum
+            [5e-324, 5e-324],  # subnormal terms and sum
+            [2.0**-1022, -(2.0**-1023)],  # a subnormal sum
+            [2.0**-900, 3 * 2.0**-901],  # fits
+        ]
+        terms = np.array(tiny + [[0.0, 0.0], [0.0, -1.5]])
+        sums, fits = measures._int64_sums(terms)
+        assert fits.tolist() == [False, False, False, True, True, True]
+        assert _hex(measures._fsum_rows(terms)) == _fsum_hex(terms)
+        assert sums[4].hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("name", ["fig-a1", "fig-a2", "fig-b1", "fig-b2", "fig-e1", "fig-e2",
+                                      "fig-f2", "fig-xor-1", "fig-xor-3"])
+    def test_every_prefix_row_of_the_small_m_presets(self, monkeypatch, name):
+        # every matrix and marginal sum of the preset at 3 replicates goes in
+        # bulk here, and each of its rows is checked against fsum
+        real = measures._fsum_rows
+        rows = []
+
+        def checked(terms):
+            sums = real(terms)
+            assert _hex(sums) == _fsum_hex(terms)
+            rows.append(measures._int64_sums(terms)[1])
+            return sums
+
+        config = dataclasses.replace(preset(name), replicates=3)
+        expected = run_experiment(config)
+        monkeypatch.setattr(measures, "_BULK_ROWS", 1)
+        monkeypatch.setattr(measures, "_fsum_rows", checked)
+        assert run_experiment(config) == expected
+        fits = np.concatenate(rows)
+        assert len(fits) > 0 and fits.mean() > 0.5
+
+
+def _segments(seed, count, m, cards):
+    """`count` samples of m rows over `cards`, each drawn over its own part
+    of each column's codes, so the segments see different cells."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        columns = []
+        for c in cards:
+            lo = int(rng.integers(0, max(1, c - 1)))
+            hi = min(c, lo + 1 + int(rng.integers(0, min(c, 8))))
+            columns.append(rng.integers(lo, hi, size=m))
+        out.append(CategoricalSample.from_columns(columns, cards))
+    return out
+
+
+def _seen(block):
+    """A count block with the columns it never counts dropped."""
+    return block[:, block.any(axis=0)]
+
+
+class TestPeriod:
+    """`prefix_counts(..., period=m)` of stacked segments counts each segment
+    as it is counted alone."""
+
+    @pytest.mark.parametrize("cards, m, prefixes", [
+        ((2, 2, 2), 150, list(range(8, 151))),  # dense
+        ((3, 5), 40, [1, 7, 39]),  # dense, the last rows of each segment left out
+        ((40, 40, 7), 300, [10, 150, 300]),  # renumbered
+        ((2,) * 12, 60, [5, 30, 60]),  # renumbered, binary
+        ((1 << 40, 1 << 30), 50, [20, 50]),  # past int64: rows of codes
+    ])
+    @pytest.mark.parametrize("limit", [None, "whole", "cut"])
+    def test_segments_are_counted_as_alone(self, monkeypatch, cards, m, prefixes, limit):
+        segments = _segments(len(cards) + m, 5, m, cards)
+        stack = sample_module.stacked(segments)
+        cols = range(len(cards))
+        own = [list(prefix_counts(s, cols, prefixes, cols)) for s in segments]
+        dense = math.prod(cards) <= sample_module._DENSE_FILL * prefixes[-1]
+        if limit is not None:
+            # a chunk holds two segments (one where the joint is renumbered,
+            # segment by segment), or half a segment's prefixes
+            width = math.prod(cards) if dense else max(chunks[0][0].shape[1] for chunks in own)
+            per = 2 * len(prefixes) if limit == "whole" else len(prefixes) // 2
+            monkeypatch.setattr(sample_module, "_DENSE_CELL_LIMIT", per * width)
+        chunks = list(prefix_counts(stack, cols, prefixes, cols, period=m))
+        if dense:  # one chunk, 3 of two segments, or half a segment's prefixes each
+            cut = 5 * -(-len(prefixes) // max(1, len(prefixes) // 2))
+            assert len(chunks) == {None: 1, "whole": 3, "cut": cut}[limit]
+        else:  # a segment a chunk, and the widest segment cut
+            assert len(chunks) > 5 if limit == "cut" else len(chunks) == 5
+        for counts, _ in chunks:
+            assert counts.size <= sample_module._DENSE_CELL_LIMIT or len(counts) == 1
+        n = len(prefixes)
+        assert sum(len(counts) for counts, _ in chunks) == 5 * n
+        # within a chunk, the rows of one segment hold the cells the segment
+        # sees at those prefixes alone, in the same order
+        first = 0
+        for counts, members in chunks:
+            for g in range(first, first + len(counts)):
+                if g % n and g != first:
+                    continue  # not the first row of a segment's block
+                s, k = divmod(g, n)
+                stop = min(first + len(counts), (s + 1) * n)
+                rows = slice(g - first, stop - first)
+                mine = np.concatenate([c for c, _ in own[s]])[k : k + stop - g]
+                assert _seen(counts[rows]).tolist() == _seen(mine).tolist()
+                for j in cols:
+                    mine = np.concatenate([ms[j] for _, ms in own[s]])[k : k + stop - g]
+                    assert _seen(members[j][rows]).tolist() == _seen(mine).tolist()
+            first += len(counts)
+
+    @pytest.mark.parametrize("cards, m", [((2, 2, 2), 150), ((40, 40, 7), 300), ((3, 4, 5, 2), 90)])
+    def test_entropies_of_each_segment(self, cards, m):
+        segments = _segments(m, 4, m, cards)
+        stack = sample_module.stacked(segments)
+        prefixes = list(range(1, m + 1))  # 4 x m rows: in bulk
+        cols = list(range(len(cards)))
+        alone = [v for s in segments for v in subset_entropies(s, cols, prefixes)]
+        assert _hex(subset_entropies(stack, cols, prefixes, period=m)) == _hex(alone)
+        values, degenerate = msu_values(stack, cols, prefixes, m)
+        for s, segment in enumerate(segments):
+            own, own_degenerate = msu_values(segment, cols, prefixes)
+            assert _hex(values[s * m : (s + 1) * m]) == _hex(own)
+            assert degenerate[s * m : (s + 1) * m].tolist() == own_degenerate.tolist()
+        # a column's entropies are stored under the period too, and match it alone
+        for c in cols:
+            assert _hex(stack._entropies[(c,), tuple(prefixes), m]) == _hex(
+                [v for s in segments for v in subset_entropies(s, [c], prefixes)]
+            )
+
+    def test_a_period_of_all_rows_is_no_period(self):
+        sample = _segments(1, 1, 30, (3, 3))[0]
+        with_period, without = msu_values(sample, [0, 1], [10, 30], 30), msu_values(sample, [0, 1], [10, 30])
+        assert with_period[0].tolist() == without[0].tolist()
+        assert set(sample._entropies) == {((0, 1), (10, 30)), ((0,), (10, 30)), ((1,), (10, 30))}
+        assert subset_entropies(sample, [0], period=30) == subset_entropies(sample, [0])
+
+    def test_default_prefix_is_a_whole_segment(self):
+        segments = _segments(2, 3, 20, (4, 2))
+        stack = sample_module.stacked(segments)
+        assert subset_entropies(stack, [0, 1], period=20) == tuple(
+            v for s in segments for v in subset_entropies(s, [0, 1])
+        )
+
+    @pytest.mark.parametrize("period, match", [
+        (7, "does not divide"),
+        (0, "does not divide"),
+        (-20, "does not divide"),
+        (True, "must be an integer"),
+        (20.0, "must be an integer"),
+        ("20", "must be an integer"),
+    ])
+    def test_bad_period_rejected(self, period, match):
+        stack = sample_module.stacked(_segments(3, 3, 20, (2, 2)))
+        for call in (
+            lambda: list(prefix_counts(stack, [0, 1], [5], period=period)),
+            lambda: subset_entropies(stack, [0, 1], [5], period),
+            lambda: msu_values(stack, [0, 1], [5], period),
+        ):
+            with pytest.raises(InvalidInputError, match=match):
+                call()
+
+    def test_prefix_past_the_period_rejected(self):
+        stack = sample_module.stacked(_segments(3, 3, 20, (2, 2)))
+        for call in (
+            lambda: list(prefix_counts(stack, [0, 1], [5, 21], period=20)),
+            lambda: subset_entropies(stack, [0, 1], [5, 21], 20),
+            lambda: msu_values(stack, [0, 1], [21], 20),
+        ):
+            with pytest.raises(InvalidInputError, match="prefix of 21 rows exceeds the period of 20"):
+                call()
+        assert stack._entropies == {}
+
+    def test_stacked_rejects_samples_of_other_layouts(self):
+        a, b = _segments(4, 2, 10, (2, 3))
+        assert sample_module.stacked([a]) is a
+        stack = sample_module.stacked([a, b])
+        assert stack.codes.tolist() == a.codes.tolist() + b.codes.tolist()
+        assert stack.codes.flags.f_contiguous and stack.codes.dtype == a.codes.dtype
+        with pytest.raises(InvalidInputError, match="share their cardinalities"):
+            sample_module.stacked([a, _segments(4, 1, 10, (2, 4))[0]])
+        named = CategoricalSample(a.codes, a.cardinalities, ("x", "y"))
+        with pytest.raises(InvalidInputError, match="column names"):
+            sample_module.stacked([a, named])
+
