@@ -133,7 +133,7 @@ def generate_dataset(
         )
     kononenko = any(b.kind is GeneratorKind.KONONENKO for _, b in present)
     if kononenko:
-        check_k(k)
+        k = check_k(k)
 
     codes = code_matrix(m, cards)
     class_codes = codes[:, -1]

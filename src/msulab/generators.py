@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .sample import MAX_CARDINALITY, int_text, integer
+from .sample import MAX_CARDINALITY, int_text, integer, real
 
 
 class GeneratorKind(enum.Enum):
@@ -150,10 +150,13 @@ def fill_uniform(out: np.ndarray, card: int, rng: np.random.Generator) -> None:
         bits.state = {**bits.state, "has_uint32": 1, "uinteger": int(halves[-1])}
 
 
-def check_k(k: float) -> None:
-    """Reject a Kononenko informativeness k that is not finite and positive."""
-    if not (k > 0) or not math.isfinite(k):
-        raise InvalidInputError(f"informativeness k must be finite and positive, got {k}")
+def check_k(k: float) -> float:
+    """A Kononenko informativeness k as a float, once it is a finite and
+    positive real number (`msulab.sample.real`)."""
+    number = real(k, "informativeness k")
+    if not (number > 0) or not math.isfinite(number):
+        raise InvalidInputError(f"informativeness k must be finite and positive, got {int_text(k)}")
+    return number
 
 
 def _first_half_probs(i: np.ndarray, k: float, class_card: int) -> np.ndarray:
@@ -223,10 +226,13 @@ def fill_kononenko(
     out += lower_vals
 
 
-def check_xor_noise(noise: float) -> None:
-    """Reject an XOR class flip probability outside [0, 0.5)."""
-    if not 0.0 <= noise < 0.5:
-        raise InvalidInputError(f"noise must lie in [0, 0.5), got {noise}")
+def check_xor_noise(noise: float) -> float:
+    """An XOR class flip probability as a float, once it is a real number
+    (`msulab.sample.real`) in [0, 0.5)."""
+    number = real(noise, "noise")
+    if not 0.0 <= number < 0.5:
+        raise InvalidInputError(f"noise must lie in [0, 0.5), got {int_text(noise)}")
+    return number
 
 
 # Rows of XOR-pair draws held at a time: a 1.5 MB float block.
@@ -250,7 +256,7 @@ def fill_xor_pair(
     rows in place, with no further temporary (a comparison's bools are 0 and
     1 in any integer dtype).
     """
-    check_xor_noise(noise)
+    noise = check_xor_noise(noise)
     for lo in range(0, len(f1), _XOR_BLOCK_ROWS):
         rows = slice(lo, lo + _XOR_BLOCK_ROWS)
         draws = rng.random((len(f1[rows]), 3))

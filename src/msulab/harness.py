@@ -39,10 +39,11 @@ cardinality sweep never nest. Where that union dataset would hold more cells
 own dataset instead. Every measure's values come from
 `msulab.measures.msu_values` at the row prefixes of the points that list
 it, so the dataset's entropy table counts each measure's joint once for all
-of them. No column is counted alone: a column's marginal at a prefix set,
-the class included, is summed from the first joint counted at that set, and
-later measures at the same set read it from the table. A point run on its
-own is the isolated recomputation of that point, with the same floats.
+of them. A column's marginal at a prefix set, the class included, is summed
+from the first dense joint counted there, or else counted once from its own
+rows, and later measures at the same set read it from the table. A point
+run on its own is the isolated recomputation of that point, with the same
+floats.
 
 Replicates are measured in batches of at most `_BATCH_CELLS` dataset cells
 (at least one replicate a batch, so a large dataset is measured alone).
@@ -62,7 +63,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -80,7 +80,7 @@ from .dataset import (
 from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_k, check_xor_noise
 from .measures import msu_values
-from .sample import int_text, integer, stacked
+from .sample import int_text, integer, real, stacked
 from .samplesize import CardinalityProfile, heuristic_sample_size, representativeness_report
 
 DEFAULT_MASTER_SEED = 20170707
@@ -113,15 +113,10 @@ def _flag(value, what: str) -> bool:
 
 
 def _finite(value, what: str) -> float:
-    # a real number (NumPy's too), never a bool or a string, stored as a float
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:  # an int past the float range, too long to print
-            value = math.inf if value > 0 else -math.inf
-        if math.isfinite(value):
-            return value
-    raise InvalidInputError(f"{what} must be a finite number, got {value!r}")
+    number = real(value, what)
+    if not math.isfinite(number):
+        raise InvalidInputError(f"{what} must be a finite number, got {number!r}")
+    return number
 
 
 def _items(value, what: str, kind: type = object) -> tuple:
@@ -441,9 +436,10 @@ def _run_layout(
     serves them all: it holds each group position's widest block at the
     largest m, and a point reads its own columns at its first m rows. Each
     distinct measure is taken once per replicate, as one values array at the
-    row prefixes of the points that list it. Each joint histogram is counted at its own
-    prefixes only, and its columns' marginals are summed from its counts
-    (see `msulab.measures.subset_entropies`): no column is counted alone.
+    row prefixes of the points that list it. Each joint histogram is counted
+    at its own prefixes only; a dense joint's counts give its columns'
+    marginals, and a renumbered joint's columns are counted once each
+    (see `msulab.measures.subset_entropies`).
 
     A batch of replicates (see `_BATCH_CELLS`) is one stacked sample, and
     each measure is taken once a batch, with the dataset's rows as the
@@ -522,14 +518,23 @@ class BiasCurve:
 
     def write_csv(self, out: IO[str]) -> None:
         out.write("sweep_value,measure_name,mean,stddev,n_replicates,sample_size_used\n")
+        names = {measure: _csv_field(measure) for measure in self.measures}
         for i, v in enumerate(self.sweep_values):
             size = self.sample_sizes[i]
             size_text = "" if size is None else str(size)
-            for measure in self.measures:
+            for measure, name in names.items():
                 s = self.measures[measure][i]
                 if s is None:
                     continue
-                out.write(f"{v},{measure},{s.mean!r},{s.std!r},{s.n},{size_text}\n")
+                out.write(f"{v},{name},{s.mean!r},{s.std!r},{s.n},{size_text}\n")
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field, quoted where `csv.writer` quotes it: where it
+    holds a comma, a quote, CR or LF, with each quote doubled."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:

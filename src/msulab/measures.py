@@ -17,12 +17,13 @@ Every measure over a sample reads its entropies from one table that the
 sample carries, keyed exactly by (sorted column subset, row prefixes):
 `subset_entropies` counts a subset's histogram at the prefixes on a miss,
 through `msulab.sample.prefix_counts`, and keeps the floats. Counting a
-joint of several columns also takes, from the same scan of the rows, the
-counts of each member column that the table lacks at those prefixes, and
-stores their entropies under the member's own key. A public measure reads
-the table at all rows; the Monte Carlo engine reads it at each sweep
-point's row prefix, within each replicate of a sample that stacks several
-(a period, which the key holds after the prefixes).
+dense joint of several columns also takes, from the same scan of the rows,
+the counts of each member column that the table lacks at those prefixes,
+and stores their entropies under the member's own key; a renumbered joint
+gives none. A public measure reads the table at all rows; the Monte Carlo
+engine reads it at each sweep point's row prefix, within each replicate of
+a sample that stacks several (a period, which the key holds after the
+prefixes).
 Counts are integers and each entropy is an fsum of its prefix's own cells,
 so a sample returns the same floats however often, in whatever order, and
 at whatever prefix sets it is measured, and a column's entropies are the
@@ -91,9 +92,15 @@ def entropy_rows(counts: np.ndarray) -> list[float]:
     terms = np.where(counts > 0, p, 1.0)
     np.log2(terms, out=terms)
     terms *= p  # p * log2(p), in place, as a batch's matrices are large
+    return (0.0 - _row_sums(terms)).tolist()  # 0.0 - avoids -0.0
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """`math.fsum` of each row of a finite float matrix: one row at a time
+    below `_BULK_ROWS` rows, else in bulk (`_fsum_rows`)."""
     if len(terms) < _BULK_ROWS:
-        return [-math.fsum(row) + 0.0 for row in terms.tolist()]  # + 0.0 avoids -0.0
-    return (0.0 - _fsum_rows(terms)).tolist()
+        return np.array([math.fsum(row) for row in terms.tolist()])
+    return _fsum_rows(terms)
 
 
 def _fsum_rows(terms: np.ndarray) -> np.ndarray:
@@ -170,10 +177,10 @@ def subset_entropies(
     by segment (see `msulab.sample.prefix_counts`). The sample keeps every
     entropy counted here under the exact key (sorted subset, prefixes), with
     the period after them when there is one, so each histogram is counted
-    once per sample, prefix set and period. Counting a joint of several
-    columns also stores, under the same prefixes and period, the entropies
-    of each member column that the table lacks there, summed from the
-    joint's counts.
+    once per sample, prefix set and period. Counting a dense joint of
+    several columns also stores, under the same prefixes and period, the
+    entropies of each member column that the table lacks there, summed from
+    the joint's counts.
     """
     return _stored_entropies(
         sample, normalize_columns(sample, cols), *_checked_prefixes(sample, prefixes, period)
@@ -206,7 +213,8 @@ def _stored_entropies(
             for entropies, column in zip(marginals, columns):
                 entropies += entropy_rows(column)
         for c, entropies in zip(alone, marginals):
-            table[((c,),) + at] = tuple(entropies)
+            if entropies:  # a renumbered joint gives no member counts
+                table[((c,),) + at] = tuple(entropies)
         table[key] = tuple(joint)
     return table[key]
 
@@ -268,9 +276,9 @@ def msu_values(
     set. The columns and the prefixes are checked once, and the formula is
     evaluated over the prefixes as arrays, with the IEEE operations of the
     scalar formula in its order: two marginals are added with one rounding,
-    which is their fsum, and more are fsummed per prefix (`_fsum_rows`
-    where there are many). A value that lands
-    past the unit interval by more than a few ulp is raised, not clamped.
+    which is their fsum, and more are fsummed per prefix (`_row_sums`). A
+    value that lands past the unit interval by more than a few ulp is
+    raised, not clamped.
     """
     subset = normalize_columns(sample, cols)
     n = len(subset)
@@ -279,12 +287,7 @@ def msu_values(
     bounds, period = _checked_prefixes(sample, prefixes, period)
     h_joint = np.array(_stored_entropies(sample, subset, bounds, period))  # first: it gives the marginals
     marginals = [_stored_entropies(sample, (c,), bounds, period) for c in subset]
-    if n == 2:
-        h_sum = np.add(*marginals)
-    elif len(h_joint) < _BULK_ROWS:
-        h_sum = np.array([math.fsum(hs) for hs in zip(*marginals)])
-    else:
-        h_sum = _fsum_rows(np.array(marginals).T)
+    h_sum = np.add(*marginals) if n == 2 else _row_sums(np.array(marginals).T)
     degenerate = h_sum == 0.0
     values = (n / (n - 1)) * (h_sum - h_joint) / np.where(degenerate, 1.0, h_sum)
     values[degenerate] = 0.0

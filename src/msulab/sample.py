@@ -21,17 +21,17 @@ matrix; a matrix given to the constructor is copied first, one that either
 path filled (wrapped in `_Filled`) is not copied again.
 
 Rows become counts in one place, `prefix_counts`: it counts the joint
-histogram of a column subset at ascending row prefixes and, on request, the
-counts of some of the subset's columns at the same prefixes. It keys each
-row's cell from the code columns directly, in the narrowest dtype of the
-joint space (the same rule), and sums each column's counts from the joint's
-counts, so the rows are read once however many columns are asked for. A
-joint is counted densely, over its whole grid of mixed-radix keys, only
-where the rows fill that grid; then each column's counts are the grid's
-sums over the other columns' axes, one for each code. Otherwise the keys are
-renumbered to the cells seen, and each column's counts are summed over the
-cells that share a code. How a cell is keyed (a dense mixed-radix key, a
-renumbered key, or a row of codes past int64) is private to this module.
+histogram of a column subset at ascending row prefixes and, where the joint
+is dense, the counts of some of the subset's columns at the same prefixes.
+It keys each row's cell from the code columns directly, in the narrowest
+dtype of the joint space (the same rule). A joint is counted densely, over
+its whole grid of mixed-radix keys, only where the rows fill that grid; then
+each column's counts are the grid's sums over the other columns' axes, one
+for each code, so the rows are read once however many columns are asked
+for. Otherwise the keys are renumbered to the cells seen, and the joint
+gives no column's counts: a column is then counted from its own rows, as a
+subset of one. How a cell is keyed (a dense mixed-radix key, a renumbered
+key, or a row of codes past int64) is private to this module.
 
 Samples of one layout can be `stacked`, one after another, and counted with
 a `period` of their rows: the prefixes are then taken within each segment,
@@ -44,6 +44,7 @@ it would be alone.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -58,12 +59,13 @@ from .errors import InvalidInputError
 # The limit also caps the size of one prefix count matrix. The dense path
 # costs passes over the grid (the counts, their nonzeros, and the member
 # columns' axis sums, each over a smaller grid than the last); the
-# renumbered one a sort of the rows. Timed on one CPU over 600 to 100,000
-# rows, 2- to 40-valued columns and 1/2 to 64 cells a row: with no member
-# column counted, dense took 0.06 to 0.86 times the renumbered time up to 8
-# cells a row, 0.86 to 1.6 at 10 to 16 and up to 4.6 times past that; with
-# every member counted, at most 0.47 times up to 8 cells a row. The presets
-# timed no differently at 4, 8 or 16 cells a row.
+# renumbered one a sort of the rows, and a count of each member from its
+# own rows. Timed on one CPU over 600 to 100,000 rows, 2- to 40-valued
+# columns and 1/2 to 64 cells a row, dense took, of the renumbered time:
+# with no member counted, 0.06-0.86 up to 8 cells a row, 0.86-1.6 at 10 to
+# 16, up to 4.6 past that; with every member counted, 0.06-1.02 up to 8 at
+# one prefix, but up to 10 at 4 to 8 cells a row and 10 prefixes. The
+# presets timed no differently at 4, 8 or 16 cells a row.
 _DENSE_CELL_LIMIT = 1 << 21
 _DENSE_FILL = 8
 
@@ -275,11 +277,11 @@ class CategoricalSample:
         )
 
 
-def int_text(n: int) -> str:
-    """`n` for an error message: in full below 2**64 in size, else as the
-    power of two it passes, since Python formats no int of more than 4,300
-    digits."""
-    if n.bit_length() <= 64:
+def int_text(n) -> str:
+    """`n` for an error message: an int in full below 2**64 in size, else
+    as the power of two it passes, since Python formats no int of more than
+    4,300 digits; any other number as `str` gives it."""
+    if not isinstance(n, int) or n.bit_length() <= 64:
         return str(n)
     power = f"2**{n.bit_length() - 1}"
     return f"at least {power}" if n > 0 else f"at most -{power}"
@@ -295,6 +297,19 @@ def integer(value, what: str) -> int:
         except TypeError:
             pass
     raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
+def real(value, what: str) -> float:
+    """`value` as a float; a bool, string or None is rejected, while NumPy
+    numbers are accepted. An int past the float range is an infinity, which
+    each caller's range rejects, as every range is finite. `what` names it
+    in an error."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):  # a flag is not a number
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            return math.inf if value > 0 else -math.inf
+    raise InvalidInputError(f"{what} must be a finite number, got {value!r}")
 
 
 def _integers(values, what: str) -> list[int]:
@@ -383,7 +398,8 @@ def prefix_counts(
     period: int | None = None,
 ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """Joint counts over `cols` of the row prefixes `codes[:n]`, n in
-    `prefixes`, with the counts of each column in `alone` at those prefixes.
+    `prefixes`, with the counts of each column in `alone` at those prefixes
+    where the joint is dense.
 
     `prefixes` must be strictly ascending row counts, and every column of
     `alone` one of `cols`. With a `period`, which must divide the sample's
@@ -395,14 +411,12 @@ def prefix_counts(
     Each yielded matrix holds the joint counts of consecutive rows in
     ascending cell key order; cells absent from all of its rows are
     dropped, so each cell is seen in some segment's last row of the
-    matrix. It comes with one matrix per column of `alone`, in that order:
-    each row the column's counts in the same row, in ascending code order,
-    a zero where a code is not seen. Those are summed from the joint's
-    counts, so the rows are read once: over the grid's other axes where the
-    joint is counted densely, and then a row is the column's full
-    cardinality wide; over the cells that share a code otherwise, and then
-    a row is at most as wide as the joint's. A joint is dense where the
-    rows of one segment fill its grid; any other is counted segment by
+    matrix. A joint is dense where the rows of one segment fill its grid.
+    Then the matrix comes with one matrix per column of `alone`, in that
+    order: each row the column's counts in the same row, its full
+    cardinality wide in ascending code order, zeros included. Those are
+    the grid's sums over its other axes, so the rows are read once. Any
+    other joint comes with an empty list, and is counted segment by
     segment, each renumbered to its own cells, so a segment is keyed as it
     would be alone and no row is as wide as all segments' cells together.
     No joint matrix exceeds `_DENSE_CELL_LIMIT` elements unless a single
@@ -481,12 +495,8 @@ def _counts(
         running = counts[-1]
         # the cells of each segment's last row
         observed = np.flatnonzero(running if s1 - s0 == 1 else counts[f1 - f0 - 1 :: f1 - f0].any(axis=0))
-        joint = counts[:, observed]
-        if cells is None:  # the counts are the whole grid, before its zeros are dropped
-            yield joint, _axis_counts(counts, dims, members)
-        else:
-            keys = cells[observed]
-            yield joint, [_column_counts(joint, _cell_codes(keys, dims, j), dims[j]) for j in members]
+        # a dense joint's counts are the whole grid, before its zeros are dropped
+        yield counts[:, observed], [] if cells is not None else _axis_counts(counts, dims, members)
 
 
 def _axis_counts(
@@ -508,34 +518,6 @@ def _axis_counts(
         sums[j] = block.sum(axis=2)
         grid = block.sum(axis=1)
     return [sums[j] for j in members]
-
-
-def _cell_codes(cells: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
-    """Each cell's code in the subset's j-th column, given the cells as
-    mixed-radix keys over `dims` or, past int64, as rows of codes."""
-    if cells.ndim == 2:
-        return cells[:, j]
-    # keys in a dtype that holds the space's size, so every stride fits
-    keys = cells.astype(code_dtype([math.prod(dims) + 1]), copy=False)
-    return keys // math.prod(dims[j + 1 :]) % dims[j]
-
-
-def _column_counts(counts: np.ndarray, codes: np.ndarray, card: int) -> np.ndarray:
-    """Each row of a joint count matrix summed over the cells that share a
-    code of one column, given each cell's code below `card`: that column's
-    counts, a zero where a code is not seen.
-
-    Where `card` exceeds the number of cells, the codes seen are renumbered
-    first, so no result is wider than the joint's own matrix. The float sums
-    are exact: each partial sum is a count of rows.
-    """
-    if card > len(codes):
-        seen, codes = np.unique(codes, return_inverse=True)
-        card = len(seen)
-    rows = len(counts)
-    slots = (codes + np.arange(0, rows * card, card)[:, np.newaxis]).reshape(-1)
-    summed = np.bincount(slots, weights=counts.reshape(-1), minlength=rows * card)
-    return summed.reshape(rows, card).astype(np.int64)
 
 
 def _cell_ids(

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .sample import _integers, int_text, integer
+from .sample import _integers, int_text, integer, real
 
 # Beyond 2**52 cells the cell counts q + 1 near m* stop being exact floats and
 # the float statistic drifts from the chi-squared statistic it computes.
@@ -80,10 +80,11 @@ def multivariate_cardinality(profile: CardinalityProfile) -> int:
 
 def heuristic_sample_size(profile: CardinalityProfile, factor: float = 10.0) -> int:
     """factor x multivariate cardinality, rounded up."""
-    if not (math.isfinite(factor) and factor > 0):
-        raise InvalidInputError(f"factor must be finite and positive, got {factor}")
+    number = real(factor, "factor")
+    if not (math.isfinite(number) and number > 0):
+        raise InvalidInputError(f"factor must be finite and positive, got {int_text(factor)}")
     space = multivariate_cardinality(profile)
-    if float(factor).is_integer():
+    if number.is_integer():
         return int(factor) * space
     try:
         return math.ceil(factor * space)
@@ -101,8 +102,9 @@ def chi2_critical(alpha: float, df: int) -> float:
     incomplete gamma Q(df/2, x/2), bracketing the root and refining it with
     Brent's method to well under 1e-6 absolute error.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
+    number = real(alpha, "alpha")
+    if not 0.0 < number < 1.0:
+        raise InvalidInputError(f"alpha must lie in (0, 1), got {int_text(alpha)}")
     df = integer(df, "degrees of freedom")
     if df < 1:
         raise InvalidInputError(f"degrees of freedom must be at least 1, got {df}")
@@ -112,7 +114,7 @@ def chi2_critical(alpha: float, df: int) -> float:
     from scipy.special import gammaincc
 
     def upper_tail(x: float) -> float:
-        return gammaincc(df / 2.0, x / 2.0) - alpha
+        return gammaincc(df / 2.0, x / 2.0) - number
 
     try:
         hi = df + 10.0

@@ -249,6 +249,34 @@ class TestIntegerArguments:
         with pytest.raises(InvalidInputError, match=f"^{what} must be an integer"):
             call()
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: generate_dataset(5, 2, [block("k", GeneratorKind.KONONENKO, 1, 2)], SeededRng(1), k="1"),
+             "informativeness k must be a finite number, got '1'"),
+            (lambda: generate_dataset(5, 2, [block("k", GeneratorKind.KONONENKO, 1, 2)], SeededRng(1), k=True),
+             "informativeness k must be a finite number, got True"),
+            (lambda: generate_dataset(
+                5, 2, [block("x", GeneratorKind.XOR_PAIR, 2, 2)], SeededRng(1), xor_noise="0.1"
+            ), "noise must be a finite number, got '0.1'"),
+            (lambda: generate_dataset(
+                5, 2, [block("x", GeneratorKind.XOR_PAIR, 2, 2)], SeededRng(1), xor_noise=False
+            ), "noise must be a finite number, got False"),
+            (lambda: check_k(None), "informativeness k must be a finite number, got None"),
+            # a value of the right type out of range keeps its range's message
+            (lambda: check_k(-1), r"informativeness k must be finite and positive, got -1"),
+            (lambda: check_k(10**400), r"informativeness k must be finite and positive, got at least 2\*\*1328"),
+            (lambda: check_k(-(10**5000)), r"informativeness k must be finite and positive, got at most -2\*\*16609"),
+            (lambda: check_xor_noise(math.nan), r"noise must lie in \[0, 0.5\), got nan"),
+            (lambda: check_xor_noise(np.float64(0.5)), r"noise must lie in \[0, 0.5\), got 0.5"),
+        ],
+        ids=["k-string", "k-bool", "noise-string", "noise-bool", "k-none", "k-negative",
+             "k-int-past-float", "k-int-too-long-to-print", "noise-nan", "noise-numpy"],
+    )
+    def test_non_numbers_rejected(self, call, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            call()
+
     def test_numpy_integers_accepted(self):
         uniform = [AttributeBlock(("u",), GeneratorKind.UNIFORM, np.uint8(4))]
         assert generate_dataset(np.int64(9), np.int32(3), uniform, SeededRng(1)) == generate_dataset(

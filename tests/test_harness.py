@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo experiment harness and the preset catalog."""
 
+import csv
 import dataclasses
 import hashlib
 import io
@@ -281,6 +282,23 @@ class TestRunExperiment:
         by_name = {b.names[0]: b for b in point.blocks if b is not None}
         assert len(by_name["bin1"].names) == 8 and by_name["bin1"].cardinality == 2
         assert len(by_name["wide1"].names) == 2 and by_name["wide1"].cardinality == 16
+
+    def test_csv_quotes_names_as_csv_writer_does(self):
+        # a label or group name may hold a comma, a quote or a line break;
+        # every row still reads back as 6 fields, with the names intact
+        cfg = config_from_json({
+            "name": "names", "replicates": 2,
+            "sweep": {"kind": "sample_size", "values": [10, 20]},
+            "groups": [_group("a,b", "uniform", 1), _group('q"\r', "kononenko", 1)],
+            "tracked": [{"label": "s,t\nu", "groups": ["a,b", 'q"\r'], "with_su": True}],
+        })
+        curve = run_experiment(cfg)
+        buffer = io.StringIO()
+        curve.write_csv(buffer)
+        header, *rows = csv.reader(io.StringIO(buffer.getvalue(), newline=""))
+        assert len(header) == 6 and len(rows) == 6 and all(len(row) == 6 for row in rows)
+        assert [row[1] for row in rows] == list(curve.measures) * 2
+        assert set(curve.measures) == {"msu_s,t\nu", "su_a,b1", 'su_q"\r1'}
 
     def test_representativeness_scan(self):
         curve = run_experiment(preset("chi-scan"))
@@ -949,18 +967,24 @@ class TestNestedEngine:
         assert sorted(built) == [0] * per_replicate + [1] * per_replicate
 
     @pytest.mark.parametrize(
-        "name, columns, joints", [("fig-xor-2", 16, 13), ("fig-h", 40, 36), ("fig-b2", 3, 3)]
+        "name, columns, joints",
+        [("fig-xor-2", 16, 13), ("fig-h", 40, 36), ("fig-b2", 3, 3), ("fig-g", 61, 43)],
     )
     def test_each_column_counted_once_per_replicate(self, monkeypatch, name, columns, joints):
-        # one count per joint histogram, at its own prefixes; no column is
-        # counted alone, yet the table holds every column's marginals (the
-        # class included), summed from the joints
-        calls, samples = [], []
+        # one count per histogram, at its own prefixes. A dense joint gives
+        # the marginals the table lacks; a renumbered one (fig-g's widest)
+        # gives none, and only those members are counted alone, once each.
+        # The table then holds every column's marginals, the class included.
+        calls, samples, missed = [], [], set()
         counts = measures.prefix_counts
 
         def counting(sample, cols, prefixes, alone=(), period=None):
-            calls.append(tuple(cols))
-            return counts(sample, cols, prefixes, alone, period)
+            at = (id(sample), tuple(prefixes), period)
+            calls.append((tuple(cols), *at))
+            for joint, members in counts(sample, cols, prefixes, alone, period):
+                if len(members) < len(alone):
+                    missed.update(((c,), *at) for c in alone)
+                yield joint, members
 
         def generating(*args, **kwargs):
             samples.append(generate_dataset(*args, **kwargs))
@@ -969,10 +993,13 @@ class TestNestedEngine:
         monkeypatch.setattr(measures, "prefix_counts", counting)
         monkeypatch.setattr(harness, "generate_dataset", generating)
         run_experiment(_desk(preset(name), 1))
-        assert len(calls) == len(set(calls)) == joints
-        assert all(len(c) > 1 for c in calls)
-        singles = {s for sample in samples for s, _ in sample._entropies if len(s) == 1}
-        assert len(samples) == 1 and len(singles) == columns
+        assert len(calls) == len(set(calls))
+        assert len([c for c in calls if len(c[0]) > 1]) == joints
+        assert {c for c in calls if len(c[0]) == 1} == missed
+        assert bool(missed) == (name == "fig-g")
+        singles = [{s for s, *_ in sample._entropies if len(s) == 1} for sample in samples]
+        assert [len(s) for s in singles] == [sample.n_columns for sample in samples]
+        assert sum(map(len, singles)) == columns
 
     def test_each_measure_checks_its_prefixes_once(self, monkeypatch):
         # fig-b2 measures 3 subsets at 143 prefixes: each measure validates

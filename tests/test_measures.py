@@ -51,6 +51,18 @@ def joint_counts(sample, cols):
     return counts[0]
 
 
+def _members_counted_alone(sample, cols, prefixes, chunks, columns):
+    """The checks of a renumbered joint's members: the joint gives no member
+    counts, the table stores no member entropies with it, and each member's
+    entropies are those of its own codes (`columns[c]`) counted alone."""
+    assert all(members == [] for _, members in chunks)
+    subset_entropies(sample, cols, prefixes)
+    for c in cols:
+        assert ((c,), tuple(prefixes)) not in sample._entropies
+        expected = [entropy(np.unique(columns[c][:n], return_counts=True)[1]).value for n in prefixes]
+        assert list(subset_entropies(sample, [c], prefixes)) == expected
+
+
 def test_fractional_float_codes_rejected():
     for bad in (0.7, 1.9, float("nan"), float("inf")):
         with pytest.raises(InvalidInputError):
@@ -546,8 +558,12 @@ class TestCodeDtype:
             keys = keys * card + column
         _, expected = np.unique(keys, return_counts=True)
         cols = range(len(cards))
-        ((counts, alone),) = prefix_counts(sample, cols, [5000], cols)
+        chunks = list(prefix_counts(sample, cols, [5000], cols))
+        ((counts, alone),) = chunks
         assert counts[0].tolist() == expected.tolist()
+        if _cell_ids(list(sample.codes.T), cards)[2] is not None:  # renumbered
+            _members_counted_alone(sample, cols, [5000], chunks, columns)
+            return
         for column, card, column_counts in zip(columns, cards, alone, strict=True):
             assert column_counts[0].tolist() == np.bincount(column, minlength=card).tolist()
 
@@ -586,8 +602,11 @@ class TestCodeDtype:
         rows = [row for counts, _ in chunks for row in counts]
         for n, row in zip(prefixes, rows, strict=True):
             assert row[row > 0].tolist() == np.unique(keys[:n], return_counts=True)[1].tolist()
-        # each column's counts, summed from the joint's cells, are the counts
-        # of the codes that the oracle's keys decode to
+        if cells is not None:
+            _members_counted_alone(sample, cols, prefixes, chunks, columns)
+            return
+        # each column's counts, summed from the dense joint's grid, are the
+        # counts of the codes that the oracle's keys decode to
         strides = [math.prod(cards[j + 1:]) for j in cols]
         for j in cols:
             alone = [row for _, columns in chunks for row in columns[j]]
@@ -617,11 +636,7 @@ class TestCodeDtype:
         for n, row in zip(prefixes, joint, strict=True):
             expected = np.unique(rows[:n], axis=0, return_counts=True)[1]
             assert row[row > 0].tolist() == expected.tolist()
-        for k, c in enumerate([2, 0]):
-            alone = [row for _, columns in chunks for row in columns[k]]
-            for n, row in zip(prefixes, alone, strict=True):
-                expected = np.unique(columns[c][:n], return_counts=True)[1]
-                assert row[row > 0].tolist() == expected.tolist()
+        _members_counted_alone(sample, cols, prefixes, chunks, columns)
 
     @pytest.mark.parametrize(
         "build",
@@ -726,7 +741,7 @@ def _int64_keys(columns, cards):
 class TestDenseWhereTheRowsFill:
     """A joint is counted densely only where its space holds at most
     `_DENSE_FILL` cells a row keyed; a dense joint's member counts are its
-    grid's axis sums, one per code."""
+    grid's axis sums, one per code, and a renumbered one gives none."""
 
     FILL = sample_module._DENSE_FILL
 
@@ -766,11 +781,7 @@ class TestDenseWhereTheRowsFill:
         joint = [row for counts, _ in chunks for row in counts]
         for n, row in zip(prefixes, joint, strict=True):
             assert row[row > 0].tolist() == np.unique(keys[:n], return_counts=True)[1].tolist()
-        for j, card in enumerate(cards):
-            alone = [row for _, members in chunks for row in members[j]]
-            for n, row in zip(prefixes, alone, strict=True):
-                expected = np.bincount(columns[j][:n], minlength=card)
-                assert row[row > 0].tolist() == expected[expected > 0].tolist()
+        _members_counted_alone(sample, cols, prefixes, chunks, columns)
 
     @pytest.mark.parametrize(
         "cards", [(1, 3, 5), (3, 1, 5), (3, 5, 1), (2, 1, 4, 1, 3), (2, 1, 9)]
@@ -1088,10 +1099,17 @@ class TestPeriod:
                 rows = slice(g - first, stop - first)
                 mine = np.concatenate([c for c, _ in own[s]])[k : k + stop - g]
                 assert _seen(counts[rows]).tolist() == _seen(mine).tolist()
-                for j in cols:
+                for j in cols if dense else ():
                     mine = np.concatenate([ms[j] for _, ms in own[s]])[k : k + stop - g]
                     assert _seen(members[j][rows]).tolist() == _seen(mine).tolist()
             first += len(counts)
+        if not dense:  # no member counts, and each member counted alone per segment
+            assert all(members == [] for _, members in chunks)
+            subset_entropies(stack, cols, prefixes, period=m)
+            for c in cols:
+                assert ((c,), tuple(prefixes), m) not in stack._entropies
+                expected = [v for s in segments for v in subset_entropies(s, [c], prefixes)]
+                assert _hex(subset_entropies(stack, [c], prefixes, period=m)) == _hex(expected)
 
     @pytest.mark.parametrize("cards, m", [((2, 2, 2), 150), ((40, 40, 7), 300), ((3, 4, 5, 2), 90)])
     def test_entropies_of_each_segment(self, cards, m):

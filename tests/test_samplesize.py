@@ -98,7 +98,8 @@ class TestChi2Critical:
 
 class TestIntegerArguments:
     """Cell counts, degrees of freedom, row counts and cardinalities are
-    integers (NumPy ones included), never truncated to one."""
+    integers (NumPy ones included), never truncated to one; a factor and a
+    significance level are real numbers, never a string or a bool."""
 
     @pytest.mark.parametrize(
         "call, what",
@@ -110,8 +111,19 @@ class TestIntegerArguments:
             (lambda: min_representative_m("8"), "cell count"),
             (lambda: CardinalityProfile((2.5, 2), 2), "attribute cardinalities"),
             (lambda: CardinalityProfile((2, 2), 2.0), "class cardinality"),
+            (lambda: heuristic_sample_size(CardinalityProfile((2,), 2), "10"),
+             "^factor must be a finite number, got '10'$"),
+            (lambda: heuristic_sample_size(CardinalityProfile((2,), 2), True),
+             "^factor must be a finite number, got True$"),
+            (lambda: chi2_critical("0.05", 3), "^alpha must be a finite number, got '0.05'$"),
+            (lambda: chi2_critical(False, 3), "^alpha must be a finite number, got False$"),
+            (lambda: min_representative_m(8, "0.05"), "^alpha must be a finite number, got '0.05'$"),
+            (lambda: representativeness_report(CardinalityProfile((2,), 2), "0.05"),
+             "^alpha must be a finite number, got '0.05'$"),
         ],
-        ids=["df", "m", "k", "m-star-k", "m-star-string", "attribute-cards", "class-card"],
+        ids=["df", "m", "k", "m-star-k", "m-star-string", "attribute-cards", "class-card",
+             "factor-string", "factor-bool", "alpha-string", "alpha-bool", "m-star-alpha-string",
+             "report-alpha-string"],
     )
     def test_non_integers_rejected(self, call, what):
         with pytest.raises(InvalidInputError, match=what):
@@ -244,8 +256,11 @@ class TestMinRepresentativeM:
             (lambda: extreme_sample_chi2(-(10**5000), 3), r"m=at most -2\*\*16609 cannot fill 2 "),
             (lambda: extreme_sample_chi2(10**5000, 10**5001),
              r"m=at least 2\*\*16609 cannot fill at least 2\*\*16612 "),
+            (lambda: heuristic_sample_size(CardinalityProfile((2,), 2), -(10**5000)),
+             r"factor must be finite and positive, got at most -2\*\*16609$"),
+            (lambda: chi2_critical(10**5000, 3), r"alpha must lie in \(0, 1\), got at least 2\*\*16609$"),
         ],
-        ids=["m-star-k", "statistic-k", "statistic-m", "statistic-m-and-k"],
+        ids=["m-star-k", "statistic-k", "statistic-m", "statistic-m-and-k", "factor", "alpha"],
     )
     def test_ints_too_long_to_print_named_by_their_bits(self, call, message):
         with pytest.raises(InvalidInputError, match=f"^{message}"):

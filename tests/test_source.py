@@ -134,12 +134,18 @@ def test_code_matrices_take_the_one_dtype_rule():
     assert all(allocations.values()), [where for where, ok in allocations.items() if not ok]
 
 
-def test_joint_keys_take_the_one_dtype_rule():
-    # a hard-coded int64 key would move 8 bytes a code where 1 or 2 hold it
+def _cell_ids() -> ast.FunctionDef:
+    """The definition of `sample._cell_ids`, which keys the rows' cells."""
     (cell_ids,) = [
         node for node in ast.walk(_tree(PACKAGE / "sample.py"))
         if isinstance(node, ast.FunctionDef) and node.name == "_cell_ids"
     ]
+    return cell_ids
+
+
+def test_joint_keys_take_the_one_dtype_rule():
+    # a hard-coded int64 key would move 8 bytes a code where 1 or 2 hold it
+    cell_ids = _cell_ids()
     dtypes = [
         k.value for n in ast.walk(cell_ids) if isinstance(n, ast.Call) for k in n.keywords
         if k.arg == "dtype"
@@ -152,7 +158,8 @@ def test_joint_keys_take_the_one_dtype_rule():
 
 def test_only_sample_counts_rows():
     # one counting path: a histogram built anywhere else would be a second
-    # format of cells to keep in step with `sample.prefix_counts`
+    # format of cells to keep in step with `sample.prefix_counts`; and only
+    # `_cell_ids` renumbers cells, so no count is summed over decoded ones
     calls = [
         f"{path.name}:{node.lineno}: {_called_name(node)}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -161,6 +168,13 @@ def test_only_sample_counts_rows():
     ]
     assert calls, "no counting call found"
     assert all(where.startswith("sample.py:") for where in calls), calls
+    renumbering = [
+        f"sample.py:{node.lineno}: unique"
+        for node in ast.walk(_cell_ids())
+        if isinstance(node, ast.Call) and _called_name(node) == "unique"
+    ]
+    assert renumbering, "no renumbering found"
+    assert sorted(w for w in calls if w.endswith(": unique")) == sorted(renumbering), calls
 
 
 def test_only_generators_reads_raw_words():
