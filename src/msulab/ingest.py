@@ -8,28 +8,43 @@ text, or that holds a field over the csv module's size limit, is rejected
 with `InvalidInputError` naming the file.
 
 A plain file is coded from its bytes. It is read in blocks of about
-`_BLOCK_BYTES`, each cut after its last line end, and each block's `,` and
-`\\n` bytes are found with numpy. Each field is keyed by its bytes as one
-little-endian uint64 (fields of at most 8 bytes, none holding a NUL, so
-the key is unambiguous), and a column's known keys, kept sorted beside
-their codes, code a block with one `searchsorted`; only keys not seen
-before are sorted out, taking the next codes in first-appearance order.
-Labels are decoded from their keys at the end. Without quotes, CRs or
-NULs, the csv module's excel dialect cuts fields at every `,` and rows at
-every `\\n`, so this gives exactly its split.
+`_BLOCK_BYTES`, each cut after its last line end. A first pass over the
+blocks runs the checks that need no field positions (no `"`, `\\r` or NUL
+byte, and UTF-8 text), so a file that fails one late is never coded, and
+counts the lines. The coding pass finds each block's `,` and `\\n` bytes with numpy and keys
+each field by its bytes as one little-endian uint64 (fields of at most 8
+bytes, none holding a NUL, so the key is unambiguous). One open-addressing
+hash table per file holds every column's known keys beside their codes,
+each column in a power-of-two region of its own, at most half full. A block
+is coded at once: every field's home slot comes from a multiplicative hash,
+one gather compares it with the key, and linear-probe rounds run over only
+the fields not yet found. A probe that ends on an empty slot has found a new
+label; new labels take their column's next codes in first-appearance order
+and are put in where their probes ended. The table is laid out anew when a
+region doubles, or with the next multiplier when a block needs more than
+`_MAX_ROUNDS` probe rounds, so crafted labels cannot make a read quadratic;
+codes never depend on the layout. Labels are decoded from their keys at the
+end. Without quotes, CRs or NULs, the csv module's excel dialect cuts
+fields at every `,` and rows at every `\\n`, so this gives exactly its
+split.
 
 Any other file is read with `csv.reader`, which is also the one reporter of
 errors: the byte-level coder never raises, it declines, and the file is
 read again from its start. It declines at a `"`, `\\r` or NUL byte, a blank
 line, a row without as many fields as the header, a header that fails its
 checks, bytes that are not UTF-8, a field over 8 bytes or over
-`csv.field_size_limit()`, and a file without data rows. The csv path codes
-column-wise: rows are read `_CHUNK_ROWS` at a time and each column of a
-chunk is coded with one dictionary lookup per cell. On both paths each
-chunk's codes are kept in the narrowest dtype that holds the labels seen so
-far. A row of the wrong length is reported, by the physical line it ends
-on, once its chunk is read, so a csv error or an undecodable byte later in
-the same chunk is reported first; either is an `InvalidInputError`.
+`csv.field_size_limit()`, and a file without data rows. The csv path reads
+rows `_CHUNK_ROWS` at a time and codes each column of a chunk with one
+dictionary lookup per cell. The byte-level coder writes every block's
+codes into one row-major matrix of the rows counted; the csv path keeps a
+row-major chunk of codes per `_CHUNK_ROWS` rows. Either is in the narrowest
+dtype that holds every column's labels seen so far, and is copied into the
+sample's column-major matrix at the end. A row of the wrong length is
+reported, by the physical line it ends on, once its chunk is read, so a csv
+error or an undecodable byte later in the same chunk is reported first;
+either is an `InvalidInputError`. Both passes and the csv path read the
+file from its start, so a file that cannot seek (a pipe) is read into
+memory first.
 """
 
 from __future__ import annotations
@@ -47,7 +62,7 @@ from typing import BinaryIO, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .sample import CategoricalSample, code_dtype
+from .sample import CategoricalSample, _Filled, code_dtype, code_matrix
 
 # Rows read, transposed and coded at a time by the csv path, and written at
 # a time by `sample_to_csv`. A few thousand rows keep a chunk's cells in
@@ -60,9 +75,18 @@ _BLOCK_BYTES = 1 << 16
 # A key holds a field of up to 8 bytes; _MASKS[n] keeps a word's first n bytes.
 _KEY_BYTES = 8
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(_KEY_BYTES + 1)], dtype="<u8")
-# 8 bytes of 0xff are never UTF-8, so this ends every sorted key table above
-# every key, and a lookup never runs past the table.
-_PAST_KEYS = np.array([_MASKS[-1]], dtype="<u8")
+# 8 bytes of 0xff are never UTF-8, so no key is this: it marks an empty slot.
+_EMPTY = _MASKS[-1]
+# A column's region of the hash table starts at 2**_MIN_BITS slots.
+_MIN_BITS = 2
+# Odd multipliers of the multiplicative hash, the golden ratio's first.
+_MULTIPLIERS = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xFF51AFD7ED558CCD)
+# Probe rounds after which a block's lookup or insert gives up and lays the
+# table out with the next multiplier, so that keys crafted to share a home
+# slot cost at most this many rounds a block. Ordinary labels stay far
+# below it: 1,000,000 ids, or random 8-byte labels, left no run of held
+# slots longer than 46.
+_MAX_ROUNDS = 128
 
 
 @dataclass(frozen=True)
@@ -78,15 +102,16 @@ def read_csv(path: str | Path) -> IngestedDataset:
     path = Path(path)
     try:
         with path.open("rb") as fh:
-            plain = _read_plain(fh)
-        if plain is not None:  # the blocks' buffers are freed by now
-            return _dataset(*plain)
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                return _parse(reader, str(path))
-            except csv.Error as exc:  # e.g. a field over the csv module's size limit
-                raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
+            # both paths read from the start, and a pipe can be read only once
+            data = fh if fh.seekable() else io.BytesIO(fh.read())
+            if (plain := _read_plain(data)) is None:
+                data.seek(0)
+                reader = csv.reader(io.TextIOWrapper(data, encoding="utf-8", newline=""))
+                try:
+                    return _parse(reader, str(path))
+                except csv.Error as exc:  # e.g. a field over the csv module's size limit
+                    raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
+        return _dataset(*plain)  # the blocks' buffers are freed by now
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
@@ -107,50 +132,159 @@ def _blocks(fh: BinaryIO) -> Iterator[bytes]:
         yield rest + b"\n"
 
 
-class _Labels:
-    """One column's labels as keys: sorted (ended by `_PAST_KEYS`) with the
-    code of each, and in code order, block by block."""
-
-    def __init__(self) -> None:
-        self.sorted = _PAST_KEYS
-        self.codes = np.empty(0, dtype=np.uint8)
-        self.seen: list[np.ndarray] = []
-        self.parts: list[np.ndarray] = []
-
-    def code(self, keys: np.ndarray) -> None:
-        """Append the codes of a block's keys, giving new keys the next codes."""
-        at = np.searchsorted(self.sorted, keys)
-        if (new := self.sorted[at] != keys).any():
-            self._add(keys[new])
-            at = np.searchsorted(self.sorted, keys)
-        # in the dtype of the labels seen, often narrower than the block's
-        self.parts.append(self.codes[at])
-
-    def _add(self, fresh: np.ndarray) -> None:
-        # a stable sort keeps each key's first appearance first among equals
-        order = np.argsort(fresh, kind="stable")
-        ascending = fresh[order]
-        first = np.concatenate(([True], ascending[1:] != ascending[:-1]))
-        new, by_appearance = ascending[first], np.argsort(order[first])
-        self.seen.append(new[by_appearance])
-        known = len(self.codes)
-        codes = np.empty(len(new), dtype=np.int64)
-        codes[by_appearance] = np.arange(known, known + len(new))
-        at = np.searchsorted(self.sorted, new)
-        self.sorted = np.insert(self.sorted, at, new)
-        self.codes = np.insert(self.codes.astype(code_dtype([known + len(new)])), at, codes)
-
-    def labels(self) -> tuple[str, ...]:
-        # a key's bytes as S8 drop its zero padding, and a label holds no NUL
-        keys = np.concatenate(self.seen).view("S8")
-        return tuple(label.decode("utf-8") for label in keys.tolist())
+def _multipliers() -> Iterator[np.uint64]:
+    """The hash multipliers in the order a table takes them: the fixed ones,
+    then random odd ones, against which no file can be crafted."""
+    yield from map(np.uint64, _MULTIPLIERS)
+    while True:
+        yield np.uint64(int.from_bytes(os.urandom(8), "little") | 1)
 
 
-def _read_plain(fh: BinaryIO) -> tuple[list[str], list, list[list[np.ndarray]]] | None:
+class _Table:
+    """Every column's labels as keys, in one open-addressing hash table.
+
+    Column j owns the 2**bits[j] slots from starts[j], at most half of them
+    holding a key beside its code; the others hold `_EMPTY`. A key's probe
+    starts at its home, the slot numbered by the top bits[j] bits of
+    key * multiplier, and steps on, wrapping within the region, to the slot
+    holding the key or to an empty one, where a new key goes.
+    """
+
+    def __init__(self, p: int) -> None:
+        self.counts = np.zeros(p, dtype=np.int64)  # each column's labels
+        self.multipliers = _multipliers()
+        self._allocate(np.full(p, _MIN_BITS), next(self.multipliers))
+
+    def _allocate(self, bits: np.ndarray, multiplier: np.uint64) -> None:
+        """Empty regions of 2**bits slots, hashed with `multiplier`."""
+        self.bits, self.multiplier = bits, multiplier
+        sizes = 1 << bits
+        self.ends = np.cumsum(sizes)
+        self.starts = self.ends - sizes
+        self.shifts = (64 - bits).astype(np.uint64)
+        self.keys = np.full(self.ends[-1], _EMPTY)
+        self.codes = np.empty(len(self.keys), dtype=code_dtype([int(self.counts.max())]))
+
+    def code(self, keys: np.ndarray) -> np.ndarray:
+        """The codes of a block's (rows, p) keys, in the dtype of the labels
+        seen; keys not seen before take the next codes of their columns."""
+        p = keys.shape[1]
+        slots = keys * self.multiplier
+        slots >>= self.shifts
+        slots += self.starts.astype(np.uint64)
+        slots = slots.ravel().view(np.int64)
+        keys = keys.ravel()
+        # probe on, over only the fields not yet found
+        at = np.flatnonzero(self.keys.take(slots) != keys)
+        new = []  # fields whose probe ended on an empty slot
+        for _ in range(_MAX_ROUNDS):
+            held = self.keys.take(slots[at])
+            new.append(at[held == _EMPTY])
+            if not len(at := at[(held != keys[at]) & (held != _EMPTY)]):
+                break
+            slots[at] = self._step(at % p, slots[at])
+        else:  # crafted keys crowd a region: lay the table out anew, adding no label
+            self._layout(self.bits, next(self.multipliers), at[:0], keys[:0], at[:0])
+            return self.code(keys.reshape(-1, p))
+        codes = self.codes.take(slots)  # before new labels move any slot
+        if len(new := np.sort(np.concatenate(new))):
+            fresh = self._add(keys.take(new), new, slots.take(new), p)
+            codes = codes.astype(self.codes.dtype, copy=False)
+            codes[new] = fresh
+        return codes.reshape(-1, p)
+
+    def _add(self, keys: np.ndarray, fields: np.ndarray, slots: np.ndarray, p: int) -> np.ndarray:
+        """The codes of a block's fields, numbered row by row, whose keys the
+        table lacks, given in order with the empty slots their probes ended
+        on: each new label takes its column's next code, in first-appearance
+        order, and is put in."""
+        cols = fields % p
+        # a stable sort keeps each label's first field first among equals
+        order = np.lexsort((keys, cols))
+        keys, cols, fields, slots = keys[order], cols[order], fields[order], slots[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        first[1:] = (keys[1:] != keys[:-1]) | (cols[1:] != cols[:-1])
+        keys, cols, fields, slots = keys[first], cols[first], fields[first], slots[first]
+        # the labels by column, then by first field: their code order
+        in_order = np.argsort(cols * (fields.max() + 1) + fields)
+        in_cols = cols[in_order]
+        ranks = np.arange(len(keys)) - np.searchsorted(in_cols, in_cols)  # within a column
+        codes = np.empty(len(keys), dtype=np.int64)
+        codes[in_order] = self.counts[in_cols] + ranks
+        np.add.at(self.counts, cols, 1)
+        bits = self.bits.copy()
+        while (small := 1 << bits < 2 * self.counts).any():
+            bits[small] += 1
+        self.codes = self.codes.astype(code_dtype([int(self.counts.max())]), copy=False)
+        if (bits != self.bits).any():
+            self._layout(bits, self.multiplier, cols, keys, codes)
+        # in place: every slot a probe passed on its way to the empty one is full
+        elif (left := self._insert(cols, keys, codes, slots)) is not None:
+            self._layout(self.bits, next(self.multipliers), *left)
+        coded = np.empty(len(order), dtype=np.int64)
+        coded[order] = codes[np.cumsum(first) - 1]
+        return coded
+
+    def _layout(self, bits, multiplier, cols, keys, codes) -> None:
+        """Lay the table out anew in regions of 2**bits slots, holding its
+        labels and the given ones, trying multipliers from `multiplier` on
+        until every label is put in."""
+        held = np.flatnonzero(self.keys != _EMPTY)
+        cols = np.concatenate([np.searchsorted(self.ends, held, side="right"), cols])
+        keys = np.concatenate([self.keys[held], keys])
+        codes = np.concatenate([self.codes[held], codes])
+        self._allocate(bits, multiplier)
+        while True:
+            homes = ((keys * self.multiplier) >> self.shifts[cols]).view(np.int64) + self.starts[cols]
+            if self._insert(cols, keys, codes, homes) is None:
+                return
+            self._allocate(bits, next(self.multipliers))
+
+    def _insert(self, cols, keys, codes, slots):
+        """Put labels not in the table into empty slots, probing on from
+        `slots`; the (cols, keys, codes) of those left after `_MAX_ROUNDS`
+        rounds, or None."""
+        for _ in range(_MAX_ROUNDS):
+            free = self.keys.take(slots) == _EMPTY
+            self.keys[slots[free]] = keys[free]
+            # of the keys sent to one empty slot, the one written there took it
+            put = self.keys.take(slots) == keys
+            self.codes[slots[put]] = codes[put]
+            if put.all():
+                return None
+            cols, keys, codes = cols[~put], keys[~put], codes[~put]
+            slots = self._step(cols, slots[~put])
+        return cols, keys, codes
+
+    def _step(self, cols: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Each slot's next one, wrapping at the end of its column's region."""
+        slots = slots + 1
+        wrap = slots == self.ends[cols]
+        slots[wrap] = self.starts[cols[wrap]]
+        return slots
+
+    def labels(self) -> list[tuple[str, ...]]:
+        """Each column's labels, in code order."""
+        held = np.flatnonzero(self.keys != _EMPTY)
+        # column by column, each in code order
+        ends = np.cumsum(self.counts)
+        at = (ends - self.counts)[np.searchsorted(self.ends, held, side="right")] + self.codes[held]
+        text = np.empty((ends[-1], _KEY_BYTES + 1), dtype=np.uint8)
+        text[at, :_KEY_BYTES] = self.keys[held, None].view(np.uint8)
+        text[:, _KEY_BYTES] = ord("\n")
+        # a label holds no NUL, so dropping the keys' zero padding leaves the
+        # labels, each ended by a \n, which no label holds either
+        labels = text[text != 0].tobytes().decode("utf-8").split("\n")[:-1]
+        return [tuple(labels[lo:hi]) for lo, hi in zip([0, *ends.tolist()], ends.tolist())]
+
+
+def _read_plain(fh: BinaryIO) -> tuple[list[str], list, list[np.ndarray]] | None:
     """`_dataset`'s arguments for a file coded from its bytes, or None where
     the csv path must read it."""
-    limit = csv.field_size_limit()
-    header = None
+    # the checks that need no field positions run first, so that a file
+    # failing one late is not coded; the lines counted size the codes
+    lines = 0
     for block in _blocks(fh):
         if b'"' in block or b"\r" in block or b"\0" in block:
             return None
@@ -158,25 +292,39 @@ def _read_plain(fh: BinaryIO) -> tuple[list[str], list, list[list[np.ndarray]]] 
             block.decode("utf-8")
         except UnicodeDecodeError:
             return None
+        lines += block.count(b"\n")
+    fh.seek(0)
+    limit = csv.field_size_limit()
+    header, rows = None, 0
+    for block in _blocks(fh):
         if header is None:
             line, _, block = block.partition(b"\n")
             header = line.decode("utf-8").split(",")
             if "" in header or len(set(header)) != len(header) or max(map(len, header)) > limit:
                 return None
-            columns = [_Labels() for _ in header]
+            table = _Table(len(header))
             if not block:
                 continue
         if (keys := _keys(block, len(header), min(_KEY_BYTES, limit))) is None:
             return None
-        for column, column_keys in zip(columns, keys):
-            column.code(column_keys)
-    if header is None or not columns[0].parts:
+        codes = table.code(keys)
+        if rows + len(codes) >= lines:  # the file grew after the first pass
+            return None
+        if not rows:
+            # every data row's codes, row by row, in one matrix: a chunk a
+            # block, kept to the end, would fragment the heap. It is made
+            # after the first block, whose new labels take the most memory.
+            coded = np.empty((lines - 1, len(header)), dtype=codes.dtype)
+        coded = coded.astype(codes.dtype, copy=False)  # as a column's labels outgrow it
+        coded[rows : rows + len(codes)] = codes
+        rows += len(codes)
+    if not rows:
         return None
-    return header, [c.labels() for c in columns], [c.parts for c in columns]
+    return header, table.labels(), [coded[:rows]]  # fewer if the file shrank
 
 
 def _keys(block: bytes, p: int, longest: int) -> np.ndarray | None:
-    """The (p, rows) field keys of a block of whole lines, or None unless
+    """The (rows, p) field keys of a block of whole lines, or None unless
     every line has p fields, none over `longest` bytes."""
     text = np.frombuffer(block, dtype=np.uint8)
     ends = text == ord("\n")
@@ -196,7 +344,7 @@ def _keys(block: bytes, p: int, longest: int) -> np.ndarray | None:
     words = np.ndarray(len(block), dtype="<u8", buffer=block + bytes(_KEY_BYTES), strides=(1,))
     keys = words.take(starts)
     keys &= _MASKS.take(lengths)
-    return keys.reshape(rows, p).T.copy()  # a column's keys contiguous
+    return keys.reshape(rows, p)
 
 
 def _line_breaks(row: list[str]) -> int:
@@ -220,7 +368,7 @@ def _parse(reader, source: str) -> IngestedDataset:
     tables = [defaultdict() for _ in range(p)]
     for table in tables:
         table.default_factory = table.__len__
-    parts: list[list[np.ndarray]] = [[] for _ in range(p)]
+    chunks: list[np.ndarray] = []
     while True:
         line = reader.line_num  # the last line before this chunk
         if not (rows := list(islice(reader, _CHUNK_ROWS))):
@@ -230,30 +378,26 @@ def _parse(reader, source: str) -> IngestedDataset:
             # the physical line on which row i ends, as csv errors name it
             line += sum(1 + _line_breaks(row) for row in rows[: i + 1])
             raise InvalidInputError(f"{source}:{line}: expected {p} cells, got {len(rows[i])}")
-        for table, column, coded in zip(tables, zip(*rows), parts):
-            # a chunk adds at most len(rows) labels, so its codes lie below this
-            dtype = code_dtype([len(table) + len(rows)])
-            codes = np.fromiter(map(table.__getitem__, column), dtype, len(rows))
-            # kept in the dtype of the labels seen, often narrower
-            coded.append(codes.astype(code_dtype([len(table)]), copy=False))
-    if not parts[0]:  # not one chunk was read
+        # a chunk adds at most len(rows) labels to a column, so its codes lie below this
+        codes = np.empty((len(rows), p), code_dtype([max(map(len, tables)) + len(rows)]))
+        for j, (table, column) in enumerate(zip(tables, zip(*rows))):
+            codes[:, j] = np.fromiter(map(table.__getitem__, column), codes.dtype, len(rows))
+        # kept in the dtype of the labels seen, often narrower
+        chunks.append(codes.astype(code_dtype([max(map(len, tables))]), copy=False))
+    if not chunks:
         raise InvalidInputError(f"{source}: no data rows")
-    return _dataset(header, [tuple(table) for table in tables], parts)
+    return _dataset(header, [tuple(table) for table in tables], chunks)
 
 
 def _dataset(
-    header: list[str], dictionaries: Sequence[tuple[str, ...]], parts: list[list[np.ndarray]]
+    header: list[str], dictionaries: Sequence[tuple[str, ...]], chunks: list[np.ndarray]
 ) -> IngestedDataset:
-    """The sample of each column's coded chunks, named by the header."""
-    columns = []
-    for coded in parts:  # join each column, dropping its chunks as it goes
-        columns.append(np.concatenate(coded))
-        coded.clear()
-    sample = CategoricalSample.from_columns(
-        columns,
-        cardinalities=[len(d) for d in dictionaries],
-        column_names=header,
-    )
+    """The sample of the (rows, p) coded chunks, one after another, named by
+    the header."""
+    cards = [len(d) for d in dictionaries]
+    codes = code_matrix(sum(map(len, chunks)), cards)
+    np.concatenate(chunks, out=codes)
+    sample = CategoricalSample(_Filled(codes), cards, tuple(header))
     return IngestedDataset(dictionaries=tuple(dictionaries), sample=sample)
 
 

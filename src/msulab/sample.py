@@ -11,14 +11,15 @@ each column is one contiguous block of memory. Its dtype is the narrowest
 that holds every code below the sample's largest cardinality (`code_dtype`:
 uint8 up to 256, uint16 up to 65,536, uint32 up to 2**32, int64 past that),
 so the binary to 40-value alphabets of the paper take one byte a code.
-`from_columns` (the path of CSV data) range-checks each input column
-(`check_codes`) before it casts it into its place in the matrix, so a bad
-code is reported, never wrapped into range. `msulab.dataset.generate_dataset`
-has its generators write each column into its place as it is drawn, and
-they write only codes that fit. Every sample, however it is built, passes
-the same validation in `__post_init__`, which checks every code of the
-matrix; a matrix given to the constructor is copied first, one that either
-path filled (wrapped in `_Filled`) is not copied again.
+`from_columns` range-checks each input column (`check_codes`) before it
+casts it into its place in the matrix, so a bad code is reported, never
+wrapped into range. `msulab.dataset.generate_dataset` has its generators
+write each column into its place as it is drawn, and `msulab.ingest.read_csv`
+joins its coded chunks into the matrix; both write only codes that fit.
+Every sample, however it is built, passes the same validation in
+`__post_init__`, which checks every code of the matrix; a matrix given to
+the constructor is copied first, one that a path filled (wrapped in
+`_Filled`) is not copied again.
 
 Rows become counts in one place, `prefix_counts`: it counts the joint
 histogram of a column subset at ascending row prefixes and, where the joint
@@ -126,9 +127,10 @@ def _codes_fit(column: np.ndarray, card: int) -> bool:
 
 
 class _Filled:
-    """A `code_matrix` that `from_columns` or
-    `msulab.dataset.generate_dataset` allocated and filled, so no caller
-    holds it; the constructor validates it without a copy."""
+    """A `code_matrix` that `from_columns`, `stacked`,
+    `msulab.dataset.generate_dataset` or `msulab.ingest.read_csv` allocated
+    and filled, so no caller holds it; the constructor validates it without
+    a copy."""
 
     __slots__ = ("matrix",)
 

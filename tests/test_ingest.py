@@ -1,10 +1,12 @@
-"""Tests for CSV ingestion: the byte-level coder and the chunked csv-module
-coder against the row-by-row reference coder, the byte-level coder's
-declines, error reporting, memory use, and CSV writing."""
+"""Tests for CSV ingestion: the byte-level coder, its hash table included,
+and the chunked csv-module coder against the row-by-row reference coder, the
+byte-level coder's declines, error reporting, memory use, and CSV writing."""
 
 import csv
 import io
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -246,6 +248,214 @@ def test_byte_level_coder_declines(tmp_path, csv_path_calls, data, limit, messag
     assert csv_path_calls == [str(path)]
 
 
+@pytest.fixture
+def lookups(monkeypatch):
+    """The blocks `read_csv` looks up in its hash table, as (rows, p) shapes,
+    and the table's layouts, as the multipliers they hash with."""
+    calls = {"code": [], "layout": []}
+    code, layout = ingest._Table.code, ingest._Table._layout
+
+    def spy_code(self, keys):
+        calls["code"].append(keys.shape)
+        return code(self, keys)
+
+    def spy_layout(self, bits, multiplier, *labels):
+        calls["layout"].append(int(multiplier))
+        return layout(self, bits, multiplier, *labels)
+
+    monkeypatch.setattr(ingest._Table, "code", spy_code)
+    monkeypatch.setattr(ingest._Table, "_layout", spy_layout)
+    return calls
+
+
+def crowded_labels(n):
+    """n 8-digit labels whose keys share a home slot, the last one, in every
+    region of up to 2**10 slots under the table's first multiplier."""
+    numbers = np.arange(n * 1_500, dtype=np.uint64)
+    digits = np.stack([numbers // np.uint64(10**k) % np.uint64(10) for k in range(7, -1, -1)], axis=1)
+    keys = (digits + np.uint64(ord("0"))).astype(np.uint8).view("<u8").ravel()
+    top = (keys * np.uint64(ingest._MULTIPLIERS[0])) >> np.uint64(64 - 10)
+    labels = [f"{int(k):08d}" for k in numbers[top == (1 << 10) - 1][:n]]
+    assert len(labels) == n
+    return labels
+
+
+def introduced(labels, m, rng):
+    """m cells that bring in `labels` one by one, each repeated a few times
+    at random after it first appears."""
+    cells, known = [], 0
+    for i in range(m):
+        if known < len(labels) and i % (m // len(labels)) == 0:
+            known += 1
+            cells.append(labels[known - 1])
+        else:
+            cells.append(labels[int(rng.integers(known))])
+    return cells
+
+
+class TestHashTableCoder:
+    def test_labels_sharing_a_home_slot_over_several_blocks(self, tmp_path, csv_path_calls, lookups):
+        rng = np.random.default_rng(5)
+        m = 20_000
+        crowded = introduced(crowded_labels(100), m, rng)
+        rows = [[x, "yn"[i % 2]] for i, x in enumerate(crowded)]
+        path = tmp_path / "data.csv"
+        write_plain(path, ["crowded", "flag"], rows)
+        assert path.stat().st_size > 3 * _BLOCK_BYTES
+        data = assert_byte_level_matches_reference(path, csv_path_calls)
+        assert len(data.dictionaries[0]) == 100
+        # under the probe-round cap, so the first multiplier is kept
+        assert set(lookups["layout"]) == {ingest._MULTIPLIERS[0]}
+
+    @pytest.mark.parametrize("way", ["while-probing", "while-laying-out", "while-putting-in"])
+    def test_labels_crowding_past_the_probe_round_cap(self, tmp_path, csv_path_calls, lookups, way):
+        rng = np.random.default_rng(6)
+        if way == "while-probing":
+            # the first block puts in a cluster as long as the cap, which the
+            # probe of the next new label walks past
+            crowded = crowded_labels(ingest._MAX_ROUNDS + 1)
+            cells = crowded[:-1] + [crowded[i] for i in rng.integers(len(crowded) - 1, size=10_000)]
+            cells += crowded[-1:] + [crowded[i] for i in rng.integers(len(crowded), size=5_000)]
+        elif way == "while-laying-out":
+            # dozens a block: a doubled region puts them in from their home
+            cells = introduced(crowded_labels(3 * ingest._MAX_ROUNDS), 30_000, rng)
+        else:
+            # 260 labels fill the first block, then 250 crowded ones come in
+            # the second, together, into the region sized for 512
+            ordinary = [f"o{i % 260}" for i in range(20_000)]
+            cells = ordinary + crowded_labels(250) + ordinary
+        path = tmp_path / "data.csv"
+        write_plain(path, ["crowded"], [[x] for x in cells])
+        data = assert_byte_level_matches_reference(path, csv_path_calls)
+        assert len(data.dictionaries[0]) == len(set(cells))
+        # the table was hashed anew with another multiplier
+        assert lookups["layout"][-1] != ingest._MULTIPLIERS[0]
+
+    def test_a_new_label_on_every_row_lays_the_table_out_log_times(
+        self, tmp_path, csv_path_calls, lookups, monkeypatch
+    ):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)
+        m = 100_000
+        path = tmp_path / "ids.csv"
+        write_plain(path, ["id", "flag"], [[f"r{i}", "yn"[i % 2]] for i in range(m)])
+        data = assert_byte_level_matches_reference(path, csv_path_calls)
+        assert np.array_equal(data.sample.codes[:, 0], np.arange(m))
+        # a layout each time the id column's region doubles, not one a block
+        assert len(lookups["code"]) > 200
+        assert len(lookups["layout"]) <= 2 + int(np.log2(2 * m))
+
+    @pytest.mark.parametrize("p", [1, 300])
+    def test_eight_byte_and_multibyte_labels_over_several_blocks(self, tmp_path, csv_path_calls, p):
+        rng = np.random.default_rng(p)
+        pool = PLAIN_LABELS + ["€€", "ñandú", "日本", "añoño", "ab" * 4, "🎲🎲"]
+        m = 40_000 // p
+        rows = [[pool[i] for i in rng.integers(len(pool), size=p)] for _ in range(m)]
+        if p == 1:  # an empty field is a blank line, which csv reads as no row
+            rows = [row if row[0] else ["e"] for row in rows]
+        path = tmp_path / "data.csv"
+        write_plain(path, [f"c{j}" for j in range(p)], rows)
+        assert path.stat().st_size > 3 * _BLOCK_BYTES
+        data = assert_byte_level_matches_reference(path, csv_path_calls)
+        assert data.sample.codes.shape == (m, p)
+
+    def test_labels_first_seen_in_the_last_block(self, tmp_path, csv_path_calls, lookups):
+        m = 60_000
+        rows = [[f"{i % 9}", "old"] for i in range(m)]
+        for i in range(m - 12, m):  # the last rows lie in the last block
+            rows[i][1] = f"new{i % 5}"
+        path = tmp_path / "data.csv"
+        write_plain(path, ["a", "b"], rows)
+        data = assert_byte_level_matches_reference(path, csv_path_calls)
+        assert len(lookups["code"]) > 3
+        assert data.dictionaries[1] == ("old", "new3", "new4", "new0", "new1", "new2")
+
+    def test_a_column_past_256_labels_takes_uint16(self, tmp_path, csv_path_calls, monkeypatch):
+        coded = []
+
+        def dataset(header, dictionaries, chunks):
+            coded.extend(chunks)
+            return build(header, dictionaries, chunks)
+
+        build = ingest._dataset
+        monkeypatch.setattr(ingest, "_dataset", dataset)
+        m = 40_000
+        # 200 labels in the first blocks, 300 from a later one on
+        rows = [[f"w{i % (200 if i < 25_000 else 300)}", "yn"[i % 2]] for i in range(m)]
+        path = tmp_path / "data.csv"
+        write_plain(path, ["wide", "flag"], rows)
+        assert path.stat().st_size > 3 * _BLOCK_BYTES
+        data = assert_byte_level_matches_reference(path, csv_path_calls)
+        assert data.sample.codes.dtype == np.uint16
+        assert [c.dtype for c in coded] == [np.dtype(np.uint16)]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (replace_row(plain_text(), LAST, '"q",v1').encode(), None),
+        (plain_text().encode()[:-2] + b"\xe9\n", ": not UTF-8 text"),
+    ],
+    ids=["quote-in-last-row", "bad-utf8-in-last-block"],
+)
+def test_a_file_failing_a_byte_check_late_is_not_coded(tmp_path, csv_path_calls, lookups, data, message):
+    path = tmp_path / "declined.csv"
+    path.write_bytes(data)
+    if message is None:
+        assert_matches_reference(path)
+    else:
+        with pytest.raises(InvalidInputError) as caught:
+            read_csv(path)
+        assert str(caught.value) == f"{path}{message}"
+        with pytest.raises(UnicodeDecodeError):
+            reference_read_csv(path)
+    assert csv_path_calls == [str(path)]
+    assert lookups["code"] == []
+
+
+@pytest.mark.parametrize("change", ["grows", "shrinks"])
+def test_a_file_changed_between_the_passes_is_read_as_it_then_is(tmp_path, monkeypatch, change):
+    path = tmp_path / "data.csv"
+    path.write_text(plain_text())
+    passes = []
+
+    def blocks(fh):
+        passes.append(fh)
+        if len(passes) == 2:  # the coding pass, after the byte checks counted the lines
+            path.write_text(plain_text(30_100 if change == "grows" else 29_000))
+        return read_blocks(fh)
+
+    read_blocks = ingest._blocks
+    monkeypatch.setattr(ingest, "_blocks", blocks)
+    data = read_csv(path)
+    _, dictionaries, sample = reference_read_csv(path)
+    assert data.dictionaries == dictionaries and data.sample == sample
+    assert data.sample.n_rows == (30_100 if change == "grows" else 29_000)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+@pytest.mark.parametrize(
+    "text", [plain_text(100), replace_row(plain_text(100), 99, '"q",v1')], ids=["plain", "quoted"]
+)
+def test_a_named_pipe_is_read_once(tmp_path, text):
+    # a pipe cannot seek, and opening it again would wait for another writer
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    read = []
+    threads = [
+        threading.Thread(target=path.write_text, args=(text,), daemon=True),
+        threading.Thread(target=lambda: read.append(read_csv(path)), daemon=True),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert read, "read_csv did not return"
+    copy = tmp_path / "copy.csv"
+    copy.write_text(text)
+    _, dictionaries, sample = reference_read_csv(copy)
+    assert read[0].dictionaries == dictionaries and read[0].sample == sample
+
+
 class TestReadCsvErrors:
     @pytest.mark.parametrize(
         "bad", [0, 2, CHUNK - 1, CHUNK, CHUNK + 9],
@@ -342,10 +552,10 @@ class TestReadCsvMemory:
         assert data.sample.codes.shape == (100_000, 19)
         assert data.sample.codes.dtype == np.uint8
         assert csv_path_calls == []  # read from its bytes
-        # the coded chunks, each narrowed to the dtype of the labels seen
-        # (uint8 here, 1.9 MB), plus the 1.9 MB matrix: 3.83 MB measured
-        # (3.87 MB on the csv path); uint16 chunks would take 3.8 MB, int64
-        # ones 15.2 MB
+        # the row-major codes, in the dtype of the labels seen (uint8 here,
+        # 1.9 MB), plus the 1.9 MB matrix they are copied into: 3.82 MB
+        # measured (3.93 MB on the csv path); uint16 codes would take
+        # 3.8 MB, int64 ones 15.2 MB
         assert peak < 4_500_000
 
 
