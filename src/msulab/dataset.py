@@ -32,7 +32,7 @@ from .generators import (
     fill_xor_pair,
     row_first_half_probs,
 )
-from .sample import CategoricalSample, _Filled, code_matrix, integer
+from .sample import CategoricalSample, _Filled, code_matrix, integer, items
 
 CLASS_COLUMN = "clase"
 
@@ -47,14 +47,16 @@ MAX_DATASET_CELLS = 1 << 28
 
 @dataclass(frozen=True)
 class AttributeBlock:
-    """A run of same-kind attribute columns with explicit names. `kind` may
-    be given by its name ("uniform"), and is stored as a `GeneratorKind`."""
+    """A run of same-kind attribute columns with explicit names, a list or
+    tuple of strings, stored as a tuple. `kind` may be given by its name
+    ("uniform"), and is stored as a `GeneratorKind`."""
 
     names: tuple[str, ...]
     kind: GeneratorKind
     cardinality: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "names", items(self.names, "attribute block names", str))
         if not self.names:
             raise InvalidInputError("attribute block must name at least one column")
         if not isinstance(self.kind, GeneratorKind):  # the enum lookup is most of a block's cost
@@ -94,7 +96,8 @@ def generate_dataset(
 ) -> CategoricalSample:
     """Build an m-row sample: attribute columns in block order, class last.
 
-    `None` entries are placeholders: the slot's stream path stays reserved but
+    `blocks` is a list or tuple, and `rng` a `SeededRng`. `None` entries of
+    `blocks` are placeholders: the slot's stream path stays reserved but
     no columns are produced. Sweeps that shrink a block to nothing can keep
     every other block's randomness untouched this way.
 
@@ -106,7 +109,9 @@ def generate_dataset(
     the class column once. `k` and `xor_noise` are checked only where a
     family uses them.
     """
-    blocks = tuple(blocks)
+    blocks = items(blocks, "dataset blocks")
+    if not isinstance(rng, SeededRng):
+        raise InvalidInputError(f"rng must be a SeededRng, got {rng!r}")
     for b in blocks:
         if not (b is None or isinstance(b, AttributeBlock)):
             raise InvalidInputError(f"a dataset block must be an AttributeBlock or None, got {b!r}")

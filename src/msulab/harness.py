@@ -80,7 +80,7 @@ from .dataset import (
 from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_k, check_xor_noise
 from .measures import msu_values
-from .sample import int_text, integer, real, stacked
+from .sample import int_text, integer, items, real, stacked
 from .samplesize import CardinalityProfile, heuristic_sample_size, representativeness_report
 
 DEFAULT_MASTER_SEED = 20170707
@@ -119,14 +119,6 @@ def _finite(value, what: str) -> float:
     return number
 
 
-def _items(value, what: str, kind: type = object) -> tuple:
-    # a string is a sequence too, but one name is not a list of them
-    if isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value):
-        return tuple(value)
-    entries = "" if kind is object else f" of {kind.__name__}"
-    raise InvalidInputError(f"{what} must be a list or tuple{entries}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Sweep:
     kind: str
@@ -135,7 +127,7 @@ class Sweep:
     def __post_init__(self) -> None:
         if self.kind not in _SWEEP_KINDS:
             raise InvalidInputError(f"unknown sweep kind {self.kind!r}, expected one of {_SWEEP_KINDS}")
-        values = tuple(integer(v, "sweep value") for v in _items(self.values, "sweep values"))
+        values = tuple(integer(v, "sweep value") for v in items(self.values, "sweep values"))
         if not values:
             raise InvalidInputError("sweep needs at least one value")
         object.__setattr__(self, "values", values)
@@ -188,7 +180,7 @@ class CountRule:
         object.__setattr__(self, "offset", integer(self.offset, "count offset"))
         _flag(self.binary_equivalent, "binary_equivalent")
         if self.window is not None:
-            if len(_items(self.window, "count window")) != 2:
+            if len(items(self.window, "count window")) != 2:
                 raise InvalidInputError(f"count window must be a (lo, hi) pair, got {self.window!r}")
             lo, hi = (integer(v, "count window") for v in self.window)
             if lo > hi:  # an empty window would drop its group at every point
@@ -254,7 +246,7 @@ class TrackedSubset:
 
     def __post_init__(self) -> None:
         _text(self.label, "tracked label")
-        groups = _items(self.groups, "tracked groups")
+        groups = items(self.groups, "tracked groups")
         object.__setattr__(self, "groups", tuple(_text(g, "tracked group") for g in groups))
         _flag(self.with_su, "with_su")
 
@@ -285,8 +277,8 @@ class ExperimentConfig:
         _text(self.name, "experiment name")
         if not isinstance(self.sweep, Sweep):
             raise InvalidInputError(f"sweep must be a Sweep, got {self.sweep!r}")
-        object.__setattr__(self, "groups", _items(self.groups, "groups", GroupSpec))
-        object.__setattr__(self, "tracked", _items(self.tracked, "tracked", TrackedSubset))
+        object.__setattr__(self, "groups", items(self.groups, "groups", GroupSpec))
+        object.__setattr__(self, "tracked", items(self.tracked, "tracked", TrackedSubset))
         for name in ("replicates", "class_card", "master_seed"):
             object.__setattr__(self, name, integer(getattr(self, name), name))
         for name in ("kononenko_k", "xor_noise"):
@@ -437,9 +429,10 @@ def _run_layout(
     largest m, and a point reads its own columns at its first m rows. Each
     distinct measure is taken once per replicate, as one values array at the
     row prefixes of the points that list it. Each joint histogram is counted
-    at its own prefixes only; a dense joint's counts give its columns'
-    marginals, and a renumbered joint's columns are counted once each
-    (see `msulab.measures.subset_entropies`).
+    at its own prefixes only; a dense joint's counts give every column's
+    marginals, of which the table keeps those it lacks, and a renumbered
+    joint's columns are counted once each (see
+    `msulab.measures.subset_entropies`).
 
     A batch of replicates (see `_BATCH_CELLS`) is one stacked sample, and
     each measure is taken once a batch, with the dataset's rows as the

@@ -16,14 +16,14 @@ fsum's float either way.
 Every measure over a sample reads its entropies from one table that the
 sample carries, keyed exactly by (sorted column subset, row prefixes):
 `subset_entropies` counts a subset's histogram at the prefixes on a miss,
-through `msulab.sample.prefix_counts`, and keeps the floats. Counting a
-dense joint of several columns also takes, from the same scan of the rows,
-the counts of each member column that the table lacks at those prefixes,
-and stores their entropies under the member's own key; a renumbered joint
-gives none. A public measure reads the table at all rows; the Monte Carlo
-engine reads it at each sweep point's row prefix, within each replicate of
-a sample that stacks several (a period, which the key holds after the
-prefixes).
+through `msulab.sample.prefix_counts` (nothing else calls it), and keeps
+the floats. A dense joint of several columns gives, from the same scan of the
+rows, every member column's counts at those prefixes, and the table stores
+the entropies of those it lacks under each member's own key; a renumbered
+joint gives none. A public measure reads the table at all rows; the Monte
+Carlo engine reads it at each sweep point's row prefix, within each
+replicate of a sample that stacks several (a period, which the key holds
+after the prefixes).
 Counts are integers and each entropy is an fsum of its prefix's own cells,
 so a sample returns the same floats however often, in whatever order, and
 at whatever prefix sets it is measured, and a column's entropies are the
@@ -51,7 +51,6 @@ from .errors import InvalidInputError
 from .sample import (
     CategoricalSample,
     normalize_columns,
-    normalize_period,
     normalize_prefixes,
     prefix_counts,
     whole_numbers,
@@ -174,27 +173,17 @@ def subset_entropies(
     `prefixes` are strictly ascending row counts, all rows by default. With
     a `period`, the prefixes are taken within each segment of that many
     rows (a whole segment by default), and the entropies are given segment
-    by segment (see `msulab.sample.prefix_counts`). The sample keeps every
-    entropy counted here under the exact key (sorted subset, prefixes), with
-    the period after them when there is one, so each histogram is counted
-    once per sample, prefix set and period. Counting a dense joint of
-    several columns also stores, under the same prefixes and period, the
-    entropies of each member column that the table lacks there, summed from
-    the joint's counts.
+    by segment (see `msulab.sample.prefix_counts`; `normalize_prefixes`
+    checks both). The sample keeps every entropy counted here under the
+    exact key (sorted subset, prefixes), with the period after them when
+    there is one, so each histogram is counted once per sample, prefix set
+    and period. Counting a dense joint of several columns also stores, under
+    the same prefixes and period, the entropies of each member column that
+    the table lacks there, from the member counts the joint gives.
     """
     return _stored_entropies(
-        sample, normalize_columns(sample, cols), *_checked_prefixes(sample, prefixes, period)
+        sample, normalize_columns(sample, cols), *normalize_prefixes(sample, prefixes, period)
     )
-
-
-def _checked_prefixes(
-    sample: CategoricalSample, prefixes: Sequence[int] | None, period: int | None
-) -> tuple[tuple[int, ...], int | None]:
-    """`prefixes` normalized, a whole segment when None, and the period
-    checked; a period of all rows is None."""
-    rows = normalize_period(sample, period)
-    bounds = normalize_prefixes(sample, (rows,) if prefixes is None else prefixes)
-    return bounds, None if rows == sample.n_rows else rows
 
 
 def _stored_entropies(
@@ -204,17 +193,15 @@ def _stored_entropies(
     table = sample._entropies
     key = (subset, bounds) if period is None else (subset, bounds, period)
     if key not in table:
-        at = key[1:]  # a member column's key is its own subset and these
-        alone = [c for c in subset if len(subset) > 1 and ((c,),) + at not in table]
+        members = [((c,),) + key[1:] for c in subset]  # each column's own key at these prefixes
         joint: list[float] = []
-        marginals: list[list[float]] = [[] for _ in alone]
-        for counts, columns in prefix_counts(sample, subset, bounds, alone, period):
+        marginals: dict[tuple, list[float]] = {}
+        for counts, columns in prefix_counts(sample, subset, bounds, period):
             joint += entropy_rows(counts)
-            for entropies, column in zip(marginals, columns):
-                entropies += entropy_rows(column)
-        for c, entropies in zip(alone, marginals):
-            if entropies:  # a renumbered joint gives no member counts
-                table[((c,),) + at] = tuple(entropies)
+            for member, column in zip(members, columns):  # none where the joint is renumbered
+                if member not in table:
+                    marginals.setdefault(member, []).extend(entropy_rows(column))
+        table.update((member, tuple(entropies)) for member, entropies in marginals.items())
         table[key] = tuple(joint)
     return table[key]
 
@@ -284,7 +271,7 @@ def msu_values(
     n = len(subset)
     if n < 2:
         raise InvalidInputError("msu needs at least two columns")
-    bounds, period = _checked_prefixes(sample, prefixes, period)
+    bounds, period = normalize_prefixes(sample, prefixes, period)
     h_joint = np.array(_stored_entropies(sample, subset, bounds, period))  # first: it gives the marginals
     marginals = [_stored_entropies(sample, (c,), bounds, period) for c in subset]
     h_sum = np.add(*marginals) if n == 2 else _row_sums(np.array(marginals).T)

@@ -23,13 +23,13 @@ the constructor is copied first, one that a path filled (wrapped in
 
 Rows become counts in one place, `prefix_counts`: it counts the joint
 histogram of a column subset at ascending row prefixes and, where the joint
-is dense, the counts of some of the subset's columns at the same prefixes.
-It keys each row's cell from the code columns directly, in the narrowest
-dtype of the joint space (the same rule). A joint is counted densely, over
-its whole grid of mixed-radix keys, only where the rows fill that grid; then
-each column's counts are the grid's sums over the other columns' axes, one
-for each code, so the rows are read once however many columns are asked
-for. Otherwise the keys are renumbered to the cells seen, and the joint
+of two or more columns is dense, the counts of every one of its columns at
+the same prefixes. It keys each row's cell from the code columns directly,
+in the narrowest dtype of the joint space (the same rule). A joint is
+counted densely, over its whole grid of mixed-radix keys, only where the
+rows fill that grid; then each column's counts are the grid's sums over the
+other columns' axes, one for each code, so the rows are read once for all
+of them. Otherwise the keys are renumbered to the cells seen, and the joint
 gives no column's counts: a column is then counted from its own rows, as a
 subset of one. How a cell is keyed (a dense mixed-radix key, a renumbered
 key, or a row of codes past int64) is private to this module.
@@ -37,7 +37,8 @@ key, or a row of codes past int64) is private to this module.
 Samples of one layout can be `stacked`, one after another, and counted with
 a `period` of their rows: the prefixes are then taken within each segment,
 and the count matrices hold one row per (segment, prefix), segment by
-segment. A dense joint counts all segments in one bincount a chunk; a
+segment. `normalize_prefixes` is the one rule for a period and its
+prefixes. A dense joint counts all segments in one bincount a chunk; a
 renumbered one is counted segment by segment, so each segment is keyed as
 it would be alone.
 """
@@ -58,15 +59,16 @@ from .errors import InvalidInputError
 # when it has at most _DENSE_CELL_LIMIT cells and at most _DENSE_FILL cells
 # for each row keyed; any other is first renumbered to the observed cells.
 # The limit also caps the size of one prefix count matrix. The dense path
-# costs passes over the grid (the counts, their nonzeros, and the member
-# columns' axis sums, each over a smaller grid than the last); the
-# renumbered one a sort of the rows, and a count of each member from its
-# own rows. Timed on one CPU over 600 to 100,000 rows, 2- to 40-valued
+# costs passes over the grid (the counts, their nonzeros, and past one
+# column every column's axis sums, each over a smaller grid than the last);
+# the renumbered one a sort of the rows, and a count of each member from
+# its own rows. Timed on one CPU over 600 to 100,000 rows, 2- to 40-valued
 # columns and 1/2 to 64 cells a row, dense took, of the renumbered time:
-# with no member counted, 0.06-0.86 up to 8 cells a row, 0.86-1.6 at 10 to
-# 16, up to 4.6 past that; with every member counted, 0.06-1.02 up to 8 at
-# one prefix, but up to 10 at 4 to 8 cells a row and 10 prefixes. The
-# presets timed no differently at 4, 8 or 16 cells a row.
+# with no axis sums, 0.06-0.86 up to 8 cells a row, 0.86-1.6 at 10 to 16,
+# up to 4.6 past that; with every column's, as every dense joint of several
+# columns takes, 0.06-1.02 up to 8 at one prefix, but up to 10 at 4 to 8
+# cells a row and 10 prefixes. The presets timed no differently at 4, 8 or
+# 16 cells a row.
 _DENSE_CELL_LIMIT = 1 << 21
 _DENSE_FILL = 8
 
@@ -215,7 +217,7 @@ class CategoricalSample:
         check_codes(codes.T, cards)
         p = codes.shape[1]
         if self.column_names is not None:
-            names = tuple(self.column_names)
+            names = items(self.column_names, "column names", str)
             if len(names) != p:
                 raise InvalidInputError(f"expected {p} column names, got {len(names)}")
             if len(set(names)) != p:  # column_index would find only the first
@@ -274,9 +276,7 @@ class CategoricalSample:
                     f"columns must have equal lengths, got {len(arrays[0])} and {len(a)}"
                 )
         cards = _checked_cards((len(arrays[0]), len(arrays)), cardinalities)
-        return cls(
-            _Filled(_narrowed(arrays, cards)), cards, tuple(column_names) if column_names else None
-        )
+        return cls(_Filled(_narrowed(arrays, cards)), cards, column_names)
 
 
 def int_text(n) -> str:
@@ -312,6 +312,16 @@ def real(value, what: str) -> float:
         except OverflowError:  # an int past the float range
             return math.inf if value > 0 else -math.inf
     raise InvalidInputError(f"{what} must be a finite number, got {value!r}")
+
+
+def items(value, what: str, kind: type = object) -> tuple:
+    """`value`, a list or tuple of `kind`, as a tuple; `what` names it in an
+    error."""
+    # a string is a sequence too, but one name is not a list of them
+    if isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value):
+        return tuple(value)
+    entries = "" if kind is object else f" of {kind.__name__}"
+    raise InvalidInputError(f"{what} must be a list or tuple{entries}, got {value!r}")
 
 
 def _integers(values, what: str) -> list[int]:
@@ -351,30 +361,26 @@ def normalize_columns(sample: CategoricalSample, cols: Sequence[int]) -> tuple[i
     return tuple(sorted(subset))
 
 
-def normalize_prefixes(sample: CategoricalSample, prefixes: Sequence[int]) -> tuple[int, ...]:
-    """Validate row prefixes: strictly ascending row counts of the sample."""
-    bounds = _integers(prefixes, "prefixes")
+def normalize_prefixes(
+    sample: CategoricalSample, prefixes: Sequence[int] | None, period: int | None = None
+) -> tuple[tuple[int, ...], int | None]:
+    """The one rule for a period and its prefixes: `period`, all rows when
+    None, must divide the sample's rows, then `prefixes`, a whole period
+    when None, must be strictly ascending row counts within it. Returns the
+    prefixes and the period, None where it is all rows."""
+    m = sample.n_rows
+    rows = m if period is None else integer(period, "period")
+    if rows < 1 or m % rows:
+        raise InvalidInputError(f"a period of {int_text(rows)} rows does not divide the sample's {m}")
+    bounds = [rows] if prefixes is None else _integers(prefixes, "prefixes")
     if not bounds or bounds[0] < 1 or sorted(set(bounds)) != bounds:
         shown = ", ".join(map(int_text, bounds))
         raise InvalidInputError(f"prefixes must be strictly ascending and positive, got [{shown}]")
-    if bounds[-1] > sample.n_rows:
-        raise InvalidInputError(
-            f"prefix of {int_text(bounds[-1])} rows exceeds the sample's {sample.n_rows}"
-        )
-    return tuple(bounds)
-
-
-def normalize_period(sample: CategoricalSample, period: int | None) -> int:
-    """The rows of each segment of `sample`: `period`, a row count that
-    divides the sample's, or all its rows when None."""
-    if period is None:
-        return sample.n_rows
-    rows = integer(period, "period")
-    if rows < 1 or sample.n_rows % rows:
-        raise InvalidInputError(
-            f"a period of {int_text(rows)} rows does not divide the sample's {sample.n_rows}"
-        )
-    return rows
+    if bounds[-1] > m:
+        raise InvalidInputError(f"prefix of {int_text(bounds[-1])} rows exceeds the sample's {m}")
+    if bounds[-1] > rows:
+        raise InvalidInputError(f"prefix of {int_text(bounds[-1])} rows exceeds the period of {rows}")
+    return tuple(bounds), None if rows == m else rows
 
 
 def stacked(samples: Sequence[CategoricalSample]) -> CategoricalSample:
@@ -395,17 +401,15 @@ def stacked(samples: Sequence[CategoricalSample]) -> CategoricalSample:
 def prefix_counts(
     sample: CategoricalSample,
     cols: Sequence[int],
-    prefixes: Sequence[int],
-    alone: Sequence[int] = (),
+    prefixes: Sequence[int] | None,
     period: int | None = None,
 ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """Joint counts over `cols` of the row prefixes `codes[:n]`, n in
-    `prefixes`, with the counts of each column in `alone` at those prefixes
-    where the joint is dense.
+    `prefixes`, with the counts of each of those columns at those prefixes
+    where the joint of two or more columns is dense.
 
-    `prefixes` must be strictly ascending row counts, and every column of
-    `alone` one of `cols`. With a `period`, which must divide the sample's
-    rows, the sample is read as segments of that many rows, one after
+    The period and the prefixes are checked by `normalize_prefixes`. With a
+    `period`, the sample is read as segments of that many rows, one after
     another, and the prefixes are taken within each segment: the rows are
     one per (segment, prefix), segment by segment, each the counts of that
     segment's first n rows.
@@ -414,28 +418,22 @@ def prefix_counts(
     ascending cell key order; cells absent from all of its rows are
     dropped, so each cell is seen in some segment's last row of the
     matrix. A joint is dense where the rows of one segment fill its grid.
-    Then the matrix comes with one matrix per column of `alone`, in that
-    order: each row the column's counts in the same row, its full
-    cardinality wide in ascending code order, zeros included. Those are
-    the grid's sums over its other axes, so the rows are read once. Any
-    other joint comes with an empty list, and is counted segment by
-    segment, each renumbered to its own cells, so a segment is keyed as it
-    would be alone and no row is as wide as all segments' cells together.
-    No joint matrix exceeds `_DENSE_CELL_LIMIT` elements unless a single
-    row does. Every matrix is counted from the rows' cell ids in one
-    bincount: the ids are keyed once, each row of a segment adds the rows
-    after the previous prefix to its counts, and a segment's first row
-    starts from zero.
+    Then a joint of two or more columns comes with one matrix per column,
+    in sorted subset order: each row the column's counts in the same row,
+    its full cardinality wide in ascending code order, zeros included.
+    Those are the grid's sums over its other axes, so the rows are read
+    once. Any other joint comes with an empty list; a renumbered one is
+    counted segment by segment, each renumbered to its own cells, so a
+    segment is keyed as it would be alone and no row is as wide as all
+    segments' cells together. No joint matrix exceeds `_DENSE_CELL_LIMIT`
+    elements unless a single row does. Every matrix is counted from the
+    rows' cell ids in one bincount: the ids are keyed once, each row of a
+    segment adds the rows after the previous prefix to its counts, and a
+    segment's first row starts from zero.
     """
     subset = normalize_columns(sample, cols)
-    bounds = normalize_prefixes(sample, prefixes)
-    rows = normalize_period(sample, period)
-    if bounds[-1] > rows:
-        raise InvalidInputError(f"prefix of {int_text(bounds[-1])} rows exceeds the period of {rows}")
-    singles = _integers(alone, "columns counted alone")
-    if not set(singles) <= set(subset):
-        raise InvalidInputError(f"columns {_shown(singles)} counted alone are not all in {subset}")
-    members = [subset.index(c) for c in singles]
+    bounds, period = normalize_prefixes(sample, prefixes, period)
+    rows = sample.n_rows if period is None else period
     dims = tuple(sample.cardinalities[c] for c in subset)
     top = bounds[-1]
     segments = sample.n_rows // rows
@@ -447,9 +445,9 @@ def prefix_counts(
         # renumbered segment by segment, each to its own cells, so that no
         # count row is as wide as the cells of all segments together
         for s in range(0, segments * top, top):
-            yield from _counts([column[s : s + top] for column in columns], dims, bounds, members, 1)
+            yield from _counts([column[s : s + top] for column in columns], dims, bounds, 1)
     else:
-        yield from _counts(columns, dims, bounds, members, segments)
+        yield from _counts(columns, dims, bounds, segments)
 
 
 def _dense(space: int, rows: int) -> bool:
@@ -462,7 +460,6 @@ def _counts(
     columns: list[np.ndarray],
     dims: tuple[int, ...],
     bounds: tuple[int, ...],
-    members: list[int],
     segments: int,
 ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """`prefix_counts` of the subset's code columns, which hold `segments`
@@ -471,13 +468,12 @@ def _counts(
     ids, n_cells, cells = _cell_ids(columns, dims)
     per_chunk = max(1, _DENSE_CELL_LIMIT // n_cells)
     # a chunk is whole segments where one fits, else consecutive prefixes of one
-    if per_chunk >= n:
-        whole = per_chunk // n
-        spans = [(s, min(s + whole, segments), 0, n) for s in range(0, segments, whole)]
-    else:
-        spans = [
-            (s, s + 1, f, min(f + per_chunk, n)) for s in range(segments) for f in range(0, n, per_chunk)
-        ]
+    whole, per = max(1, per_chunk // n), min(n, per_chunk)
+    spans = [
+        (s, min(s + whole, segments), f, min(f + per, n))
+        for s in range(0, segments, whole)
+        for f in range(0, n, per)
+    ]
     running = None
     for s0, s1, f0, f1 in spans:
         chunk = (s1 - s0) * (f1 - f0)
@@ -498,28 +494,32 @@ def _counts(
         # the cells of each segment's last row
         observed = np.flatnonzero(running if s1 - s0 == 1 else counts[f1 - f0 - 1 :: f1 - f0].any(axis=0))
         # a dense joint's counts are the whole grid, before its zeros are dropped
-        yield counts[:, observed], [] if cells is not None else _axis_counts(counts, dims, members)
+        yield counts[:, observed], _axis_counts(counts, dims) if cells is None and len(dims) > 1 else []
 
 
-def _axis_counts(
-    grid: np.ndarray, dims: tuple[int, ...], members: Sequence[int]
-) -> list[np.ndarray]:
-    """The counts of each subset column in `members`, given a dense joint's
-    count matrix, whose columns are every mixed-radix key over `dims` in
-    order: each row summed over every axis of the grid but the column's,
-    `dims[j]` wide, zeros included.
+def _axis_counts(grid: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """The counts of each subset column, given a dense joint's count matrix
+    over two or more columns, whose columns are every mixed-radix key over
+    `dims` in order: each row summed over every axis of the grid but the
+    column's, `dims[j]` wide, zeros included.
 
     The leading axis is summed out of the grid after each column, so each
     pass is over a grid `dims[j]` times smaller than the last, where a sum
-    over all other axes would pass over the whole grid for each column. The
-    int64 sums are exact in any order.
+    over all other axes would pass over the whole grid for each column; the
+    last column's counts are what is left. The int64 sums are exact in any
+    order. `einsum` sums the short axes of many rows 4-6x as fast as
+    `np.add.reduce`, which costs less a call on one row.
     """
-    rows, sums = len(grid), {}
-    for j in range(max(members, default=-1) + 1):
-        block = grid.reshape(rows, dims[j], -1)
-        sums[j] = block.sum(axis=2)
-        grid = block.sum(axis=1)
-    return [sums[j] for j in members]
+    rows, sums = len(grid), []
+    for d in dims[:-1]:
+        block = grid.reshape(rows, d, -1)
+        if rows > 1:
+            sums.append(np.einsum("rij->ri", block))
+            grid = np.einsum("rij->rj", block)
+        else:
+            sums.append(np.add.reduce(block, 2))
+            grid = np.add.reduce(block, 1)
+    return sums + [grid]
 
 
 def _cell_ids(

@@ -292,6 +292,44 @@ class TestIntegerArguments:
         )
 
 
+class TestNamesAndArguments:
+    """Names are a list or tuple of strings, never a string read letter by
+    letter; `generate_dataset` takes a list or tuple of blocks and a
+    `SeededRng`."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: AttributeBlock("ab", "uniform", 2),
+             r"attribute block names must be a list or tuple of str, got 'ab'$"),
+            (lambda: AttributeBlock(("a", 1), "uniform", 2),
+             r"attribute block names must be a list or tuple of str, got \('a', 1\)$"),
+            (lambda: AttributeBlock(None, "uniform", 2),
+             r"attribute block names must be a list or tuple of str, got None$"),
+            (lambda: generate_dataset(4, 2, [AttributeBlock("ab", "uniform", 2)], SeededRng(1)),
+             r"attribute block names must be a list or tuple of str, got 'ab'$"),
+            (lambda: generate_dataset(4, 2, None, SeededRng(1)),
+             r"dataset blocks must be a list or tuple, got None$"),
+            (lambda: generate_dataset(4, 2, block("u", GeneratorKind.UNIFORM, 1, 2), SeededRng(1)),
+             r"dataset blocks must be a list or tuple, got AttributeBlock\("),
+            (lambda: generate_dataset(4, 2, [block("u", GeneratorKind.UNIFORM, 1, 2)], None),
+             r"rng must be a SeededRng, got None$"),
+            (lambda: generate_dataset(4, 2, [block("u", GeneratorKind.UNIFORM, 1, 2)], rng=7),
+             r"rng must be a SeededRng, got 7$"),
+        ],
+        ids=["block-string", "block-non-string", "block-none", "dataset-string-block",
+             "blocks-none", "blocks-one-block", "rng-none", "rng-int"],
+    )
+    def test_malformed_rejected(self, call, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            call()
+
+    def test_names_are_stored_as_a_tuple(self):
+        assert AttributeBlock(["a", "b"], "uniform", 2) == AttributeBlock(("a", "b"), "uniform", 2)
+        sample = generate_dataset(4, 2, (AttributeBlock(["a", "b"], "uniform", 2),), SeededRng(1))
+        assert sample.column_names == ("a", "b", "clase")
+
+
 class TestKononenkoProbability:
     def test_known_values(self):
         assert kononenko_first_half_prob(1, 1.0, 2) == pytest.approx(2 / 3, abs=1e-15)

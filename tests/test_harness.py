@@ -972,18 +972,21 @@ class TestNestedEngine:
     )
     def test_each_column_counted_once_per_replicate(self, monkeypatch, name, columns, joints):
         # one count per histogram, at its own prefixes. A dense joint gives
-        # the marginals the table lacks; a renumbered one (fig-g's widest)
-        # gives none, and only those members are counted alone, once each.
-        # The table then holds every column's marginals, the class included.
+        # every marginal, of which the table keeps those it lacks; a
+        # renumbered one (fig-g's widest) gives none, and only the members
+        # the table lacks are counted alone, once each. The table then holds
+        # every column's marginals, the class included.
         calls, samples, missed = [], [], set()
         counts = measures.prefix_counts
 
-        def counting(sample, cols, prefixes, alone=(), period=None):
+        def counting(sample, cols, prefixes, period=None):
             at = (id(sample), tuple(prefixes), period)
             calls.append((tuple(cols), *at))
-            for joint, members in counts(sample, cols, prefixes, alone, period):
-                if len(members) < len(alone):
-                    missed.update(((c,), *at) for c in alone)
+            stored = (tuple(prefixes),) if period is None else (tuple(prefixes), period)
+            lacked = [c for c in cols if ((c,), *stored) not in sample._entropies]
+            for joint, members in counts(sample, cols, prefixes, period):
+                if len(cols) > 1 and not members:
+                    missed.update(((c,), *at) for c in lacked)
                 yield joint, members
 
         def generating(*args, **kwargs):
@@ -1007,9 +1010,9 @@ class TestNestedEngine:
         calls = []
         check = sample_module.normalize_prefixes
 
-        def counting(sample, prefixes):
+        def counting(sample, prefixes, period=None):
             calls.append(len(prefixes))
-            return check(sample, prefixes)
+            return check(sample, prefixes, period)
 
         monkeypatch.setattr(measures, "normalize_prefixes", counting)
         monkeypatch.setattr(sample_module, "normalize_prefixes", counting)

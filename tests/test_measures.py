@@ -163,10 +163,8 @@ class TestIndicesAreIntegers:
             lambda: symmetrical_uncertainty(TABLE_B, None, 1),
             lambda: symmetrical_uncertainty(TABLE_B, 0, 1.0),
             lambda: information_gain(TABLE_B, 0, 1),
-            lambda: list(prefix_counts(TABLE_B, [0, 1], [8], [0.0])),
         ],
-        ids=["float", "string", "numpy-float", "float-prefix", "none", "float-su", "bare-ints",
-             "float-alone"],
+        ids=["float", "string", "numpy-float", "float-prefix", "none", "float-su", "bare-ints"],
     )
     def test_non_integers_rejected(self, call):
         with pytest.raises(InvalidInputError, match="must be a sequence of integers"):
@@ -192,19 +190,12 @@ class TestIndicesAreIntegers:
              r"prefixes must be strictly ascending and positive, got \[at most -2\*\*16609, 3\]"),
             (lambda: msu(TABLE_B, [0.5, 10**5000]),
              r"column indices must be a sequence of integers, got \[0.5, at least 2\*\*16609\]$"),
-            (lambda: list(prefix_counts(TABLE_B, [0, 1], [2], [10**5000])),
-             r"columns \[at least 2\*\*16609\] counted alone are not all in \(0, 1\)$"),
         ],
-        ids=["index", "negative-index", "prefix", "negative-prefix", "non-integer-beside-huge",
-             "counted-alone"],
+        ids=["index", "negative-index", "prefix", "negative-prefix", "non-integer-beside-huge"],
     )
     def test_ints_too_long_to_print_named_by_their_bits(self, call, message):
         with pytest.raises(InvalidInputError, match=f"^{message}"):
             call()
-
-    def test_alone_must_be_counted_columns(self):
-        with pytest.raises(InvalidInputError, match="not all in"):
-            list(prefix_counts(TABLE_B, [0, 1], [8], [2]))
 
 
 class TestConditionalEntropy:
@@ -438,6 +429,16 @@ class TestSampleValidation:
         with pytest.raises(InvalidInputError, match="duplicate column names"):
             CategoricalSample.from_columns([[0], [1]], (2, 2), column_names=("a", "a"))
 
+    @pytest.mark.parametrize("names, shown", [("xy", "'xy'"), (("x", 2), r"\('x', 2\)"), (7, "7")])
+    def test_column_names_are_a_list_or_tuple_of_strings(self, names, shown):
+        # a string is not read as one name a letter
+        message = f"^column names must be a list or tuple of str, got {shown}$"
+        with pytest.raises(InvalidInputError, match=message):
+            CategoricalSample([[0, 1]], (2, 2), names)
+        with pytest.raises(InvalidInputError, match=message):
+            CategoricalSample.from_columns([[0], [1]], (2, 2), column_names=names)
+        assert CategoricalSample([[0, 1]], (2, 2), ["x", "y"]).column_names == ("x", "y")
+
     def test_cardinalities_are_integers_never_truncated(self):
         codes = np.zeros((3, 2), dtype=int)
         for cards in ((2.7, 3), (2, "3"), (np.float64(2.0), 3)):
@@ -558,7 +559,7 @@ class TestCodeDtype:
             keys = keys * card + column
         _, expected = np.unique(keys, return_counts=True)
         cols = range(len(cards))
-        chunks = list(prefix_counts(sample, cols, [5000], cols))
+        chunks = list(prefix_counts(sample, cols, [5000]))
         ((counts, alone),) = chunks
         assert counts[0].tolist() == expected.tolist()
         if _cell_ids(list(sample.codes.T), cards)[2] is not None:  # renumbered
@@ -598,7 +599,7 @@ class TestCodeDtype:
         _, expected = np.unique(keys, return_counts=True)
         assert joint_counts(sample, cols).tolist() == expected.tolist()
         prefixes = [1, 7, 1000, 3000]
-        chunks = list(prefix_counts(sample, cols, prefixes, cols))
+        chunks = list(prefix_counts(sample, cols, prefixes))
         rows = [row for counts, _ in chunks for row in counts]
         for n, row in zip(prefixes, rows, strict=True):
             assert row[row > 0].tolist() == np.unique(keys[:n], return_counts=True)[1].tolist()
@@ -630,7 +631,7 @@ class TestCodeDtype:
         rows = np.column_stack(columns)  # the oracle: lexicographic rows
         cols = range(len(cards))
         prefixes = [1, 7, 1000, 3000]
-        chunks = list(prefix_counts(sample, cols, prefixes, [2, 0]))
+        chunks = list(prefix_counts(sample, cols, prefixes))
         assert (len(chunks) > 1) == (limit == 2)
         joint = [row for counts, _ in chunks for row in counts]
         for n, row in zip(prefixes, joint, strict=True):
@@ -776,7 +777,7 @@ class TestDenseWhereTheRowsFill:
         assert cells.tolist() == np.unique(keys).tolist() and n_cells == len(cells)
         cols = range(len(cards))
         prefixes = [*range(1, rows, max(1, rows // 40)), rows]
-        chunks = list(prefix_counts(sample, cols, prefixes, cols))
+        chunks = list(prefix_counts(sample, cols, prefixes))
         assert (len(chunks) > 1) == chunked
         joint = [row for counts, _ in chunks for row in counts]
         for n, row in zip(prefixes, joint, strict=True):
@@ -799,7 +800,7 @@ class TestDenseWhereTheRowsFill:
         assert _cell_ids(list(sample.codes.T), cards)[2] is None
         cols = range(len(cards))
         prefixes = [1, 7, rows]
-        chunks = list(prefix_counts(sample, cols, prefixes, cols))
+        chunks = list(prefix_counts(sample, cols, prefixes))
         assert (len(chunks) > 1) == chunked
         for j, card in enumerate(cards):
             alone = [row for _, members in chunks for row in members[j]]
@@ -838,9 +839,9 @@ class TestEntropyTable:
         calls = []
         counts = measures.prefix_counts
 
-        def counting(sample, cols, prefixes, alone=(), period=None):
+        def counting(sample, cols, prefixes, period=None):
             calls.append(tuple(cols))
-            return counts(sample, cols, prefixes, alone, period)
+            return counts(sample, cols, prefixes, period)
 
         monkeypatch.setattr(measures, "prefix_counts", counting)
         sample = CategoricalSample(TABLE_C.codes, TABLE_C.cardinalities)
@@ -872,16 +873,25 @@ class TestEntropyTable:
         calls = []
         counts = measures.prefix_counts
 
-        def counting(counted, cols, prefixes, alone=(), period=None):
+        def counting(counted, cols, prefixes, period=None):
             if counted is sample:  # not the fresh samples below
-                calls.append((tuple(cols), tuple(prefixes), tuple(alone)))
-            return counts(counted, cols, prefixes, alone, period)
+                calls.append((tuple(cols), tuple(prefixes)))
+            return counts(counted, cols, prefixes, period)
 
+        def entropies(counts):
+            rows.append(len(counts))
+            return entropy_rows(counts)
+
+        rows = []  # the rows of each count matrix whose entropies are taken
+        entropy_rows = measures.entropy_rows
         monkeypatch.setattr(measures, "prefix_counts", counting)
+        monkeypatch.setattr(measures, "entropy_rows", entropies)
         codes = np.random.default_rng(8).integers(0, 5, size=(500, 3))
         sample = CategoricalSample(codes, (5, 5, 5))
         first = subset_entropies(sample, [1, 0], [40, 300])
-        assert calls == [((0, 1), (40, 300), (0, 1))]  # the joint gives both members
+        assert calls == [((0, 1), (40, 300))]
+        assert rows == [2, 2, 2]  # the joint gives both members
+        assert ((0,), (40, 300)) in sample._entropies and ((1,), (40, 300)) in sample._entropies
         # a repeated (subset, prefixes) is not counted again, however it is spelled
         assert subset_entropies(sample, [0, 1], np.array([40, 300])) == first
         subset_entropies(sample, [1], [40, 300])
@@ -892,10 +902,14 @@ class TestEntropyTable:
             fresh = subset_entropies(CategoricalSample(codes, (5, 5, 5)), [1], wanted)
             assert subset_entropies(sample, [1], wanted) == fresh
         # the second [40] comes from the table
-        assert calls[1:] == [((1,), (40,), ()), ((1,), (7, 40, 41, 300, 500), ())]
-        # a joint at a new set counts only the member the table lacks there
+        assert calls[1:] == [((1,), (40,)), ((1,), (7, 40, 41, 300, 500))]
+        # a joint at a new set gives both members, and only the one the
+        # table lacks there is measured and stored
+        stored = sample._entropies[(1,), (40,)]
+        del rows[:]
         subset_entropies(sample, [1, 2], [40])
-        assert calls[-1] == ((1, 2), (40,), (2,))
+        assert calls[-1] == ((1, 2), (40,)) and rows == [1, 1]
+        assert sample._entropies[(1,), (40,)] is stored and ((2,), (40,)) in sample._entropies
         # a set that is not strictly ascending is rejected, stored or not
         for bad in ([300, 40], [40, 40], [], [0, 40], [501]):
             with pytest.raises(InvalidInputError):
@@ -1069,7 +1083,7 @@ class TestPeriod:
         segments = _segments(len(cards) + m, 5, m, cards)
         stack = sample_module.stacked(segments)
         cols = range(len(cards))
-        own = [list(prefix_counts(s, cols, prefixes, cols)) for s in segments]
+        own = [list(prefix_counts(s, cols, prefixes)) for s in segments]
         dense = math.prod(cards) <= sample_module._DENSE_FILL * prefixes[-1]
         if limit is not None:
             # a chunk holds two segments (one where the joint is renumbered,
@@ -1077,7 +1091,7 @@ class TestPeriod:
             width = math.prod(cards) if dense else max(chunks[0][0].shape[1] for chunks in own)
             per = 2 * len(prefixes) if limit == "whole" else len(prefixes) // 2
             monkeypatch.setattr(sample_module, "_DENSE_CELL_LIMIT", per * width)
-        chunks = list(prefix_counts(stack, cols, prefixes, cols, period=m))
+        chunks = list(prefix_counts(stack, cols, prefixes, period=m))
         if dense:  # one chunk, 3 of two segments, or half a segment's prefixes each
             cut = 5 * -(-len(prefixes) // max(1, len(prefixes) // 2))
             assert len(chunks) == {None: 1, "whole": 3, "cut": cut}[limit]
@@ -1162,14 +1176,26 @@ class TestPeriod:
             with pytest.raises(InvalidInputError, match=match):
                 call()
 
-    def test_prefix_past_the_period_rejected(self):
+    @pytest.mark.parametrize("prefixes, period, message", [
+        ([5], 7, "a period of 7 rows does not divide the sample's 60"),
+        # the period is checked first, before prefixes that are bad too
+        ([5, 3], 7, "a period of 7 rows does not divide the sample's 60"),
+        ([61], 7, "a period of 7 rows does not divide the sample's 60"),
+        ([5, 3], 20, r"prefixes must be strictly ascending and positive, got \[5, 3\]"),
+        ([5, 3], None, r"prefixes must be strictly ascending and positive, got \[5, 3\]"),
+        ([5, 61], None, "prefix of 61 rows exceeds the sample's 60"),
+        ([5, 61], 20, "prefix of 61 rows exceeds the sample's 60"),
+        ([5, 21], 20, "prefix of 21 rows exceeds the period of 20"),
+    ])
+    def test_period_then_prefixes_rejected(self, prefixes, period, message):
+        # one rule, `normalize_prefixes`, for all three entry points
         stack = sample_module.stacked(_segments(3, 3, 20, (2, 2)))
         for call in (
-            lambda: list(prefix_counts(stack, [0, 1], [5, 21], period=20)),
-            lambda: subset_entropies(stack, [0, 1], [5, 21], 20),
-            lambda: msu_values(stack, [0, 1], [21], 20),
+            lambda: list(prefix_counts(stack, [0, 1], prefixes, period)),
+            lambda: subset_entropies(stack, [0, 1], prefixes, period),
+            lambda: msu_values(stack, [0, 1], prefixes, period),
         ):
-            with pytest.raises(InvalidInputError, match="prefix of 21 rows exceeds the period of 20"):
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
                 call()
         assert stack._entropies == {}
 

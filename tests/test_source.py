@@ -7,7 +7,8 @@ must be read somewhere in `src/` (an export by `__init__.py` is a read), so
 no public name outlives its last caller. Every column-major matrix is
 allocated in the dtype of the one rule in `sample.py`, `code_dtype`, and
 joint cells are keyed in it too. Rows become counts only in `sample.py`: no
-other module calls `bincount` or `unique`. Only `generators.py` reads a
+other module calls `bincount` or `unique`, and `sample.prefix_counts` has
+one caller, `measures._stored_entropies`. Only `generators.py` reads a
 stream's raw words (`random_raw`). README's section on JSON experiment
 configs names every field of the config classes, which are the JSON keys.
 """
@@ -111,27 +112,57 @@ def _called_name(call: ast.Call) -> str:
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
 
 
+# The calls that allocate an array; an `order="F"` elsewhere (a reshape of
+# existing codes, say) allocates no code matrix.
+_ALLOCATING = {"empty", "zeros", "full", "array", "asarray", "asfortranarray"}
+
+
+def _column_major_allocations(tree: ast.Module, module: str) -> dict[str, bool]:
+    """Each column-major allocation in `tree` -> whether its dtype is `code_dtype`'s."""
+    allocations = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _called_name(node) in _ALLOCATING):
+            continue
+        where = f"{module}:{node.lineno}"
+        keywords = {k.arg: k.value for k in node.keywords}
+        order = keywords.get("order")
+        column_major = isinstance(order, ast.Constant) and order.value == "F"
+        if column_major or _called_name(node) == "asfortranarray":
+            dtype = keywords.get("dtype")
+            allocations[where] = isinstance(dtype, ast.Call) and _called_name(dtype) == "code_dtype"
+    return allocations
+
+
 def test_code_matrices_take_the_one_dtype_rule():
     # a code matrix in any other dtype (a hard-coded int64, say) would skip
     # the narrow codes on its path
     rules, allocations = [], {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(_tree(path)):
-            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
-            if isinstance(node, ast.FunctionDef) and node.name == "code_dtype":
-                rules.append(where)
-            if not isinstance(node, ast.Call):
-                continue
-            if _called_name(node) == "asfortranarray":  # column-major without an order keyword
-                allocations[where] = False
-            keywords = {k.arg: k.value for k in node.keywords}
-            order = keywords.get("order")
-            if isinstance(order, ast.Constant) and order.value == "F":
-                dtype = keywords.get("dtype")
-                allocations[where] = isinstance(dtype, ast.Call) and _called_name(dtype) == "code_dtype"
+        tree = _tree(path)
+        rules += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "code_dtype"
+        ]
+        allocations.update(_column_major_allocations(tree, path.name))
     assert len(rules) == 1 and rules[0].startswith("sample.py:"), rules
-    assert allocations, "no column-major allocation found"
+    (code_matrix,) = [
+        node for node in _tree(PACKAGE / "sample.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "code_matrix"
+    ]
+    assert allocations.get(f"sample.py:{code_matrix.body[-1].lineno}"), "code_matrix not found"
     assert all(allocations.values()), [where for where, ok in allocations.items() if not ok]
+
+
+def test_the_dtype_rule_check_tells_allocations_from_reshapes():
+    source = """
+a = np.empty((m, p), dtype=np.int64, order="F")
+b = np.asfortranarray(codes)
+c = np.zeros((m, p), dtype=code_dtype(cards), order="F")
+d = codes.reshape(p, -1, order="F")
+e = np.ravel(codes, order="F")
+"""
+    allocations = _column_major_allocations(ast.parse(source), "x.py")
+    assert allocations == {"x.py:2": False, "x.py:3": False, "x.py:4": True}
 
 
 def _cell_ids() -> ast.FunctionDef:
@@ -175,6 +206,30 @@ def test_only_sample_counts_rows():
     ]
     assert renumbering, "no renumbering found"
     assert sorted(w for w in calls if w.endswith(": unique")) == sorted(renumbering), calls
+
+
+def _callers(name: str) -> list[str]:
+    """`module:function` of each call of `name` in `src/msulab/`, by its
+    innermost enclosing function (`<module>` at the top level)."""
+    found = []
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and _called_name(node) == name:
+            found.append(f"{module}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(_tree(path), path.name, "<module>")
+    return found
+
+
+def test_counting_has_one_caller():
+    # one call shape: the entropy table asks for a subset's counts where it
+    # misses, and keeps the member entropies it lacks from what they give
+    assert _callers("prefix_counts") == ["measures.py:_stored_entropies"]
 
 
 def test_only_generators_reads_raw_words():
