@@ -523,8 +523,10 @@ class BiasCurve:
 
 
 def _csv_field(text: str) -> str:
-    """`text` as one CSV field, quoted where `csv.writer` quotes it: where it
-    holds a comma, a quote, CR or LF, with each quote doubled."""
+    """`text` as one CSV field: quoted, with each quote doubled, where it
+    holds a comma, a quote, CR or LF. `csv.reader` ends a line at a lone CR
+    too, so a name holding one is quoted, which `csv.writer` with a "\\n"
+    line terminator does not do (checked on Python 3.11.7)."""
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -550,6 +552,8 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
     Infeasible points are recorded in `errors` and skipped; the sweep itself
     never aborts.
     """
+    if not isinstance(config, ExperimentConfig):
+        raise InvalidInputError(f"config must be an ExperimentConfig, got {type(config).__name__}")
     if config.representativeness_scan:
         return _run_representativeness_scan(config)
 

@@ -10,23 +10,24 @@ with `InvalidInputError` naming the file.
 A plain file is coded from its bytes. It is read in blocks of about
 `_BLOCK_BYTES`, each cut after its last line end. A first pass over the
 blocks runs the checks that need no field positions (no `"`, `\\r` or NUL
-byte, and UTF-8 text), so a file that fails one late is never coded, and
-counts the lines. The coding pass finds each block's `,` and `\\n` bytes with numpy and keys
-each field by its bytes as one little-endian uint64 (fields of at most 8
-bytes, none holding a NUL, so the key is unambiguous). One open-addressing
-hash table per file holds every column's known keys beside their codes,
-each column in a power-of-two region of its own, at most half full. A block
-is coded at once: every field's home slot comes from a multiplicative hash,
-one gather compares it with the key, and linear-probe rounds run over only
-the fields not yet found. A probe that ends on an empty slot has found a new
-label; new labels take their column's next codes in first-appearance order
-and are put in where their probes ended. The table is laid out anew when a
-region doubles, or with the next multiplier when a block needs more than
-`_MAX_ROUNDS` probe rounds, so crafted labels cannot make a read quadratic;
-codes never depend on the layout. Labels are decoded from their keys at the
-end. Without quotes, CRs or NULs, the csv module's excel dialect cuts
-fields at every `,` and rows at every `\\n`, so this gives exactly its
-split.
+byte, UTF-8 text, and as many commas in a block as the header has for each
+of its lines), so a file that fails one late, a row of the wrong length
+included, is never coded, and counts the lines. The coding pass finds each
+block's `,` and `\\n` bytes with numpy and keys each field by its bytes as
+one little-endian uint64 (fields of at most 8 bytes, none holding a NUL, so
+the key is unambiguous). One open-addressing hash table per file holds every
+column's known keys beside their codes, each column in a power-of-two region
+of its own, at most half full. A block is coded at once: every field's home
+slot comes from a multiplicative hash, one gather compares it with the key,
+and linear-probe rounds run over only the fields not yet found. A probe that
+ends on an empty slot has found a new label; new labels take their column's
+next codes in first-appearance order and are put in where their probes
+ended. The table is laid out anew when a region doubles, or with the next
+multiplier when a block needs more than `_MAX_ROUNDS` probe rounds, so
+crafted labels cannot make a read quadratic; codes never depend on the
+layout. Labels are decoded from their keys at the end. Without quotes, CRs
+or NULs, the csv module's excel dialect cuts fields at every `,` and rows at
+every `\\n`, so this gives exactly its split.
 
 Any other file is read with `csv.reader`, which is also the one reporter of
 errors: the byte-level coder never raises, it declines, and the file is
@@ -99,7 +100,10 @@ class IngestedDataset:
 
 
 def read_csv(path: str | Path) -> IngestedDataset:
-    path = Path(path)
+    try:
+        path = Path(path)
+    except TypeError:
+        raise InvalidInputError(f"path must be a str or os.PathLike, got {path!r}") from None
     try:
         with path.open("rb") as fh:
             # both paths read from the start, and a pipe can be read only once
@@ -284,7 +288,7 @@ def _read_plain(fh: BinaryIO) -> tuple[list[str], list, list[np.ndarray]] | None
     the csv path must read it."""
     # the checks that need no field positions run first, so that a file
     # failing one late is not coded; the lines counted size the codes
-    lines = 0
+    lines, commas = 0, None  # commas: the header's, which every line has
     for block in _blocks(fh):
         if b'"' in block or b"\r" in block or b"\0" in block:
             return None
@@ -292,7 +296,14 @@ def _read_plain(fh: BinaryIO) -> tuple[list[str], list, list[np.ndarray]] | None
             block.decode("utf-8")
         except UnicodeDecodeError:
             return None
-        lines += block.count(b"\n")
+        if commas is None:
+            commas = block[: block.index(b"\n")].count(b",")
+        text = np.frombuffer(block, dtype=np.uint8)
+        ends = np.count_nonzero(text == ord("\n"))
+        # a line of another length shows in its block's commas
+        if np.count_nonzero(text == ord(",")) != commas * ends:
+            return None
+        lines += ends
     fh.seek(0)
     limit = csv.field_size_limit()
     header, rows = None, 0
@@ -403,6 +414,8 @@ def _dataset(
 
 def sample_to_csv(sample: CategoricalSample) -> str:
     """Render a coded sample as CSV text, codes written as decimal strings."""
+    if not isinstance(sample, CategoricalSample):
+        raise InvalidInputError(f"sample must be a CategoricalSample, got {type(sample).__name__}")
     if sample.column_names is None:
         raise InvalidInputError("sample needs column names to be written as CSV")
     out = io.StringIO()

@@ -14,16 +14,16 @@ rounds the exact sum, and any other row is fsummed, so each entropy is
 fsum's float either way.
 
 Every measure over a sample reads its entropies from one table that the
-sample carries, keyed exactly by (sorted column subset, row prefixes):
-`subset_entropies` counts a subset's histogram at the prefixes on a miss,
-through `msulab.sample.prefix_counts` (nothing else calls it), and keeps
-the floats. A dense joint of several columns gives, from the same scan of the
-rows, every member column's counts at those prefixes, and the table stores
-the entropies of those it lacks under each member's own key; a renumbered
-joint gives none. A public measure reads the table at all rows; the Monte
-Carlo engine reads it at each sweep point's row prefix, within each
-replicate of a sample that stacks several (a period, which the key holds
-after the prefixes).
+sample carries, keyed exactly by (sorted column subset, row prefixes,
+segment rows), as `normalize_columns` and `normalize_prefixes` check them:
+on a miss, `subset_entropies` hands the key to `msulab.sample.prefix_counts`
+(nothing else calls it) and keeps the floats. A dense joint of several
+columns gives, from the same scan of the rows, every member column's counts
+at those prefixes, and the table stores the entropies of those it lacks
+under each member's own key; a renumbered joint gives none. A public
+measure reads the table at all rows, one segment; the Monte Carlo engine
+reads it at each sweep point's row prefix, within each replicate of a
+sample that stacks several (a period, the segment's rows).
 Counts are integers and each entropy is an fsum of its prefix's own cells,
 so a sample returns the same floats however often, in whatever order, and
 at whatever prefix sets it is measured, and a column's entropies are the
@@ -175,11 +175,11 @@ def subset_entropies(
     rows (a whole segment by default), and the entropies are given segment
     by segment (see `msulab.sample.prefix_counts`; `normalize_prefixes`
     checks both). The sample keeps every entropy counted here under the
-    exact key (sorted subset, prefixes), with the period after them when
-    there is one, so each histogram is counted once per sample, prefix set
-    and period. Counting a dense joint of several columns also stores, under
-    the same prefixes and period, the entropies of each member column that
-    the table lacks there, from the member counts the joint gives.
+    exact key (sorted subset, prefixes, segment rows), the segment all rows
+    without a period, so each histogram is counted once per sample, prefix
+    set and period. Counting a dense joint of several columns also stores,
+    under the same prefixes and period, the entropies of each member column
+    that the table lacks there, from the member counts the joint gives.
     """
     return _stored_entropies(
         sample, normalize_columns(sample, cols), *normalize_prefixes(sample, prefixes, period)
@@ -187,16 +187,17 @@ def subset_entropies(
 
 
 def _stored_entropies(
-    sample: CategoricalSample, subset: tuple[int, ...], bounds: tuple[int, ...], period: int | None
+    sample: CategoricalSample, subset: tuple[int, ...], bounds: tuple[int, ...], rows: int
 ) -> tuple[float, ...]:
-    """`subset_entropies` of a subset, prefixes and period already normalized."""
+    """`subset_entropies` at the table's key (subset, prefixes, segment rows),
+    already checked by `normalize_columns` and `normalize_prefixes`."""
     table = sample._entropies
-    key = (subset, bounds) if period is None else (subset, bounds, period)
+    key = (subset, bounds, rows)
     if key not in table:
-        members = [((c,),) + key[1:] for c in subset]  # each column's own key at these prefixes
+        members = [((c,), bounds, rows) for c in subset]  # each column's own key at these prefixes
         joint: list[float] = []
         marginals: dict[tuple, list[float]] = {}
-        for counts, columns in prefix_counts(sample, subset, bounds, period):
+        for counts, columns in prefix_counts(sample, *key):
             joint += entropy_rows(counts)
             for member, column in zip(members, columns):  # none where the joint is renumbered
                 if member not in table:
@@ -271,9 +272,9 @@ def msu_values(
     n = len(subset)
     if n < 2:
         raise InvalidInputError("msu needs at least two columns")
-    bounds, period = normalize_prefixes(sample, prefixes, period)
-    h_joint = np.array(_stored_entropies(sample, subset, bounds, period))  # first: it gives the marginals
-    marginals = [_stored_entropies(sample, (c,), bounds, period) for c in subset]
+    bounds, rows = normalize_prefixes(sample, prefixes, period)
+    h_joint = np.array(_stored_entropies(sample, subset, bounds, rows))  # first: it gives the marginals
+    marginals = [_stored_entropies(sample, (c,), bounds, rows) for c in subset]
     h_sum = np.add(*marginals) if n == 2 else _row_sums(np.array(marginals).T)
     degenerate = h_sum == 0.0
     values = (n / (n - 1)) * (h_sum - h_joint) / np.where(degenerate, 1.0, h_sum)

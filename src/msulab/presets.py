@@ -175,7 +175,7 @@ def preset(name: str) -> ExperimentConfig:
     """Configuration for a named catalog entry."""
     try:
         mapping = _PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # a list, say, is no key
         known = ", ".join(CATALOG)
         raise InvalidInputError(f"unknown preset {name!r}; catalog: {known}") from None
     return config_from_json(mapping)

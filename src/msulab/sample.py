@@ -37,10 +37,12 @@ key, or a row of codes past int64) is private to this module.
 Samples of one layout can be `stacked`, one after another, and counted with
 a `period` of their rows: the prefixes are then taken within each segment,
 and the count matrices hold one row per (segment, prefix), segment by
-segment. `normalize_prefixes` is the one rule for a period and its
-prefixes. A dense joint counts all segments in one bincount a chunk; a
-renumbered one is counted segment by segment, so each segment is keyed as
-it would be alone.
+segment. `normalize_columns` and `normalize_prefixes` (the one rule for a
+period and its prefixes) run only in `msulab.measures`, which hands
+`prefix_counts` its entropy table's checked key (subset, prefixes, segment
+rows). A joint's layout is decided once a call: a dense joint counts all
+segments in one bincount a chunk; a renumbered one is counted segment by
+segment, so each segment is keyed as it would be alone.
 """
 
 from __future__ import annotations
@@ -201,8 +203,9 @@ class CategoricalSample:
     codes: np.ndarray
     cardinalities: tuple[int, ...]
     column_names: tuple[str, ...] | None = None
-    # (sorted column subset, row prefixes) -> entropy at each prefix; only
-    # `msulab.measures.subset_entropies` fills and reads it
+    # (sorted column subset, row prefixes, segment rows) -> entropy at each
+    # prefix of each segment; only `msulab.measures.subset_entropies` fills
+    # and reads it
     _entropies: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -265,7 +268,11 @@ class CategoricalSample:
         then written into its place in a new `code_matrix`, which the
         constructor validates without copying it again.
         """
-        arrays = [whole_numbers(c) for c in columns]
+        try:
+            arrays = [whole_numbers(c) for c in columns]
+        except TypeError:  # not iterable
+            message = f"columns must be an iterable of code columns, got {columns!r}"
+            raise InvalidInputError(message) from None
         if not arrays:
             raise InvalidInputError("sample must have at least one column")
         for a in arrays:
@@ -363,11 +370,11 @@ def normalize_columns(sample: CategoricalSample, cols: Sequence[int]) -> tuple[i
 
 def normalize_prefixes(
     sample: CategoricalSample, prefixes: Sequence[int] | None, period: int | None = None
-) -> tuple[tuple[int, ...], int | None]:
+) -> tuple[tuple[int, ...], int]:
     """The one rule for a period and its prefixes: `period`, all rows when
     None, must divide the sample's rows, then `prefixes`, a whole period
     when None, must be strictly ascending row counts within it. Returns the
-    prefixes and the period, None where it is all rows."""
+    prefixes and the segment's row count, all rows when no period is given."""
     m = sample.n_rows
     rows = m if period is None else integer(period, "period")
     if rows < 1 or m % rows:
@@ -380,7 +387,7 @@ def normalize_prefixes(
         raise InvalidInputError(f"prefix of {int_text(bounds[-1])} rows exceeds the sample's {m}")
     if bounds[-1] > rows:
         raise InvalidInputError(f"prefix of {int_text(bounds[-1])} rows exceeds the period of {rows}")
-    return tuple(bounds), None if rows == m else rows
+    return tuple(bounds), rows
 
 
 def stacked(samples: Sequence[CategoricalSample]) -> CategoricalSample:
@@ -399,55 +406,50 @@ def stacked(samples: Sequence[CategoricalSample]) -> CategoricalSample:
 
 
 def prefix_counts(
-    sample: CategoricalSample,
-    cols: Sequence[int],
-    prefixes: Sequence[int] | None,
-    period: int | None = None,
+    sample: CategoricalSample, subset: tuple[int, ...], bounds: tuple[int, ...], rows: int
 ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
-    """Joint counts over `cols` of the row prefixes `codes[:n]`, n in
-    `prefixes`, with the counts of each of those columns at those prefixes
-    where the joint of two or more columns is dense.
+    """Joint counts over the columns `subset` of the row prefixes
+    `codes[:n]`, n in `bounds`, with the counts of each of those columns at
+    those prefixes where the joint of two or more columns is dense.
 
-    The period and the prefixes are checked by `normalize_prefixes`. With a
-    `period`, the sample is read as segments of that many rows, one after
-    another, and the prefixes are taken within each segment: the rows are
-    one per (segment, prefix), segment by segment, each the counts of that
-    segment's first n rows.
+    The arguments are an entropy table's key, checked by `normalize_columns`
+    and `normalize_prefixes`, and are not checked again. The sample is read
+    as segments of `rows` rows, one after another, and the prefixes are
+    taken within each segment: the rows are one per (segment, prefix),
+    segment by segment, each the counts of that segment's first n rows.
+    Only the subset's columns are read, each a view of the codes unless the
+    prefixes stop short of a period of several segments.
 
     Each yielded matrix holds the joint counts of consecutive rows in
-    ascending cell key order; cells absent from all of its rows are
-    dropped, so each cell is seen in some segment's last row of the
-    matrix. A joint is dense where the rows of one segment fill its grid.
-    Then a joint of two or more columns comes with one matrix per column,
-    in sorted subset order: each row the column's counts in the same row,
-    its full cardinality wide in ascending code order, zeros included.
-    Those are the grid's sums over its other axes, so the rows are read
-    once. Any other joint comes with an empty list; a renumbered one is
-    counted segment by segment, each renumbered to its own cells, so a
-    segment is keyed as it would be alone and no row is as wide as all
-    segments' cells together. No joint matrix exceeds `_DENSE_CELL_LIMIT`
-    elements unless a single row does. Every matrix is counted from the
-    rows' cell ids in one bincount: the ids are keyed once, each row of a
-    segment adds the rows after the previous prefix to its counts, and a
-    segment's first row starts from zero.
+    ascending cell key order; cells absent from all of its rows are dropped,
+    so each cell is seen in some segment's last row of the matrix. The
+    layout is decided here, once: a joint is dense where a segment's
+    `bounds[-1]` rows fill its grid (`_dense`). Then a joint of two or more
+    columns comes with one matrix per column, in sorted subset order: each
+    row the column's counts in the same row, its full cardinality wide in
+    ascending code order, zeros included. Those are the grid's sums over its
+    other axes, so the rows are read once. Any other joint comes with an
+    empty list; a renumbered one is counted segment by segment, each
+    renumbered to its own cells, so a segment is keyed as it would be alone
+    and no row is as wide as all segments' cells together. No joint matrix
+    exceeds `_DENSE_CELL_LIMIT` elements unless a single row does. Every
+    matrix is counted from the rows' cell ids in one bincount: the ids are
+    keyed once, each row of a segment adds the rows after the previous
+    prefix to its counts, and a segment's first row starts from zero.
     """
-    subset = normalize_columns(sample, cols)
-    bounds, period = normalize_prefixes(sample, prefixes, period)
-    rows = sample.n_rows if period is None else period
     dims = tuple(sample.cardinalities[c] for c in subset)
     top = bounds[-1]
     segments = sample.n_rows // rows
-    codes = sample.codes
-    if segments > 1 and top < rows:  # the first `top` rows of each segment, one after another
-        codes = codes.T.reshape(sample.n_columns, segments, rows)[:, :, :top].reshape(sample.n_columns, -1).T
-    columns = [codes[: segments * top, c] for c in subset]
-    if segments > 1 and not _dense(math.prod(dims), top):
+    # the first `top` rows of each segment, one after another
+    columns = [sample.codes[:, c].reshape(segments, rows)[:, :top].ravel() for c in subset]
+    dense = _dense(math.prod(dims), top)
+    if segments > 1 and not dense:
         # renumbered segment by segment, each to its own cells, so that no
         # count row is as wide as the cells of all segments together
         for s in range(0, segments * top, top):
-            yield from _counts([column[s : s + top] for column in columns], dims, bounds, 1)
+            yield from _counts([column[s : s + top] for column in columns], dims, bounds, 1, dense)
     else:
-        yield from _counts(columns, dims, bounds, segments)
+        yield from _counts(columns, dims, bounds, segments, dense)
 
 
 def _dense(space: int, rows: int) -> bool:
@@ -461,11 +463,13 @@ def _counts(
     dims: tuple[int, ...],
     bounds: tuple[int, ...],
     segments: int,
+    dense: bool,
 ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """`prefix_counts` of the subset's code columns, which hold `segments`
-    segments of `bounds[-1]` rows one after another."""
+    segments of `bounds[-1]` rows one after another, keyed densely or
+    renumbered as `dense` says."""
     top, n = bounds[-1], len(bounds)
-    ids, n_cells, cells = _cell_ids(columns, dims)
+    ids, n_cells = _cell_ids(columns, dims, dense)
     per_chunk = max(1, _DENSE_CELL_LIMIT // n_cells)
     # a chunk is whole segments where one fits, else consecutive prefixes of one
     whole, per = max(1, per_chunk // n), min(n, per_chunk)
@@ -494,7 +498,7 @@ def _counts(
         # the cells of each segment's last row
         observed = np.flatnonzero(running if s1 - s0 == 1 else counts[f1 - f0 - 1 :: f1 - f0].any(axis=0))
         # a dense joint's counts are the whole grid, before its zeros are dropped
-        yield counts[:, observed], _axis_counts(counts, dims) if cells is None and len(dims) > 1 else []
+        yield counts[:, observed], _axis_counts(counts, dims) if dense and len(dims) > 1 else []
 
 
 def _axis_counts(grid: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
@@ -522,24 +526,19 @@ def _axis_counts(grid: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
     return sums + [grid]
 
 
-def _cell_ids(
-    columns: Sequence[np.ndarray], dims: Sequence[int]
-) -> tuple[np.ndarray, int, np.ndarray | None]:
-    """Per-row cell ids over equal-length code columns, the id space size,
-    and the cell of each id.
+def _cell_ids(columns: Sequence[np.ndarray], dims: Sequence[int], dense: bool) -> tuple[np.ndarray, int]:
+    """Per-row cell ids over equal-length code columns, and the id space size.
 
-    A space within `_DENSE_CELL_LIMIT` and `_DENSE_FILL` cells a row is
-    dense (`_dense`): its ids are the mixed-radix keys themselves (one
-    column is its own key), so the cells are None: an id is its cell's key.
-    Any other is renumbered to the observed keys in ascending order, which
-    are the cells; past int64, to the observed rows of codes, which are the
-    cells.
+    A `dense` space's ids are the mixed-radix keys themselves (one column is
+    its own key), over the whole grid. Any other is renumbered to the
+    observed keys in ascending order; past int64, to the observed rows of
+    codes. A space past int64 is never dense (`_dense`).
     """
     space = math.prod(dims)
     if space >= 1 << 62:
         # joint space not addressable in int64: number the distinct rows
         cells, ids = np.unique(np.column_stack(columns), axis=0, return_inverse=True)
-        return ids.reshape(-1), len(cells), cells
+        return ids.reshape(-1), len(cells)
     # a one-valued column adds 0 to every key, so it is left out; then every
     # multiplier is at most half the key dtype's size
     radix = [(column, d) for column, d in zip(columns, dims) if d > 1] or [(columns[0], 1)]
@@ -554,7 +553,7 @@ def _cell_ids(
         for column, d in radix[2:]:
             keys *= d
             np.add(keys, column, out=keys, casting="unsafe")
-    if _dense(space, len(keys)):
-        return keys, space, None
+    if dense:
+        return keys, space
     cells, ids = np.unique(keys, return_inverse=True)
-    return ids.reshape(-1), len(cells), cells
+    return ids.reshape(-1), len(cells)

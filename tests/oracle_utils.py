@@ -144,6 +144,25 @@ def binary_entropy(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
+def expected_plugin_entropy(probs, m: int) -> float:
+    """Exact expectation, in bits, of the plug-in entropy of m draws from
+    cells of probabilities `probs`.
+
+    Each cell's count is Binomial(m, p), and the plug-in entropy is a sum of
+    per-cell terms, so (Paninski 2003, Neural Computation 15(6), section 3)
+
+        E[H] = sum_i sum_j C(m, j) p_i^j (1 - p_i)^(m - j) * (-(j/m) log2(j/m)).
+
+    The binomial coefficient is converted to a float, so m stays below about
+    1,000.
+    """
+    return math.fsum(
+        math.comb(m, j) * p**j * (1.0 - p) ** (m - j) * -(j / m) * math.log2(j / m)
+        for p in probs
+        for j in range(1, m + 1)
+    )
+
+
 def xor_population_msu(noise: float) -> float:
     """Population multivariate symmetrical uncertainty of a noisy XOR triple.
 

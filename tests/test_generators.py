@@ -33,7 +33,15 @@ from msulab.generators import (
     row_first_half_probs,
 )
 from msulab.presets import preset
-from oracle_utils import binary_entropy, kononenko_codes, kononenko_first_half_prob, xor_population_msu
+from msulab.measures import subset_entropies
+from msulab.sample import stacked
+from oracle_utils import (
+    binary_entropy,
+    expected_plugin_entropy,
+    kononenko_codes,
+    kononenko_first_half_prob,
+    xor_population_msu,
+)
 
 
 def _rng(seed=4242, stream=0, *path):
@@ -575,6 +583,66 @@ class TestGenXorPair:
         assert symmetrical_uncertainty(sample, 0, 2).value < 0.001
         assert symmetrical_uncertainty(sample, 1, 2).value < 0.001
         assert msu(sample, [0, 1, 2]).value == pytest.approx(0.3568, abs=0.005)
+
+
+class TestExactPlugInExpectation:
+    """The Monte Carlo mean of each plug-in entropy, joint and marginal,
+    against its exact expectation (`expected_plugin_entropy`): generation,
+    stacking and counting together, on the distribution and not only on
+    NumPy's draws."""
+
+    REPLICATES = 2000
+    SIZES = (8, 40, 160)
+    NOISE = 0.05
+
+    def _entropies(self, blocks):
+        """Each subset's entropies at `SIZES`, one row a replicate: the
+        prefixes of seeded replicates of the largest size, counted as one
+        stacked sample, as the engine counts nested sweep points."""
+        top = self.SIZES[-1]
+        replicates = [
+            generate_dataset(top, 2, blocks, SeededRng(2003, r), xor_noise=self.NOISE)
+            for r in range(self.REPLICATES)
+        ]
+        sample = stacked(replicates)
+        return {
+            cols: np.array(subset_entropies(sample, cols, self.SIZES, top)).reshape(self.REPLICATES, -1)
+            for cols in ((0, 1, 2), (0,), (1,), (2,))
+        }
+
+    def _check(self, blocks, joint):
+        # every attribute and the class are uniform binary in both layouts
+        cells = {(0, 1, 2): joint, (0,): [0.5, 0.5], (1,): [0.5, 0.5], (2,): [0.5, 0.5]}
+        for cols, entropies in self._entropies(blocks).items():
+            mean = entropies.mean(axis=0)
+            error = entropies.std(axis=0, ddof=1) / math.sqrt(self.REPLICATES)
+            for m, got, se in zip(self.SIZES, mean.tolist(), error.tolist()):
+                z = (got - expected_plugin_entropy(cells[cols], m)) / se
+                assert abs(z) < 4, (cols, m, got, z)
+
+    def test_uniform_attributes_and_class(self):
+        # two uniform binary attributes and a uniform binary class: k = 8
+        self._check([block("x", GeneratorKind.UNIFORM, 2, 2)], [1 / 8] * 8)
+
+    def test_xor_pair(self):
+        # the class is the pair's XOR but for a flip of probability NOISE
+        joint = [(1 - self.NOISE) / 4] * 4 + [self.NOISE / 4] * 4
+        self._check([AttributeBlock(("x1", "x2"), GeneratorKind.XOR_PAIR, 2)], joint)
+
+    def test_the_expectation_matches_enumeration(self):
+        # every count vector of m = 5 draws over three cells, by its
+        # multinomial probability
+        probs, m = [0.5, 0.3, 0.2], 5
+        exact = math.fsum(
+            math.factorial(m) / math.prod(map(math.factorial, counts))
+            * math.prod(p**c for p, c in zip(probs, counts))
+            * -math.fsum(c / m * math.log2(c / m) for c in counts if c)
+            for a in range(m + 1)
+            for b in range(m + 1 - a)
+            for counts in [(a, b, m - a - b)]
+        )
+        assert expected_plugin_entropy(probs, m) == pytest.approx(exact, rel=1e-12)
+        assert expected_plugin_entropy([1.0], 7) == 0.0
 
 
 class TestGeneratorSpec:

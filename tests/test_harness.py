@@ -241,6 +241,12 @@ class TestRunExperiment:
         stats = curve.measures["msu_informative"][0]
         assert stats.n == 1 and stats.std == 0.0
 
+    @pytest.mark.parametrize("config", [None, "fig-b2", {"name": "x"}])
+    def test_a_config_of_another_type_rejected(self, config):
+        message = f"^config must be an ExperimentConfig, got {type(config).__name__}$"
+        with pytest.raises(InvalidInputError, match=message):
+            run_experiment(config)
+
     def test_mean_matches_replicates(self):
         cfg = _desk(preset("fig-e2"), 7, sweep_values=(40,))
         curve = run_experiment(cfg)
@@ -283,7 +289,7 @@ class TestRunExperiment:
         assert len(by_name["bin1"].names) == 8 and by_name["bin1"].cardinality == 2
         assert len(by_name["wide1"].names) == 2 and by_name["wide1"].cardinality == 16
 
-    def test_csv_quotes_names_as_csv_writer_does(self):
+    def test_csv_quotes_names_so_csv_reader_reads_them_back(self):
         # a label or group name may hold a comma, a quote or a line break;
         # every row still reads back as 6 fields, with the names intact
         cfg = config_from_json({
@@ -345,6 +351,11 @@ class TestPresets:
             "fig-xor-1", "fig-xor-2", "fig-xor-3", "fig-xor-4", "chi-scan",
         }
         assert set(CATALOG) == expected
+
+    @pytest.mark.parametrize("name", [[], ["fig-b2"], {}, None, "fig-z"])
+    def test_unknown_preset_rejected(self, name):
+        with pytest.raises(InvalidInputError, match=re.escape(f"unknown preset {name!r}; catalog: fig-a1,")):
+            preset(name)
 
     def test_all_presets_construct_and_resolve(self):
         for name in CATALOG:
@@ -979,13 +990,12 @@ class TestNestedEngine:
         calls, samples, missed = [], [], set()
         counts = measures.prefix_counts
 
-        def counting(sample, cols, prefixes, period=None):
-            at = (id(sample), tuple(prefixes), period)
-            calls.append((tuple(cols), *at))
-            stored = (tuple(prefixes),) if period is None else (tuple(prefixes), period)
-            lacked = [c for c in cols if ((c,), *stored) not in sample._entropies]
-            for joint, members in counts(sample, cols, prefixes, period):
-                if len(cols) > 1 and not members:
+        def counting(sample, subset, bounds, rows):
+            at = (id(sample), bounds, rows)
+            calls.append((subset, *at))
+            lacked = [c for c in subset if ((c,), bounds, rows) not in sample._entropies]
+            for joint, members in counts(sample, subset, bounds, rows):
+                if len(subset) > 1 and not members:
                     missed.update(((c,), *at) for c in lacked)
                 yield joint, members
 
@@ -1006,7 +1016,7 @@ class TestNestedEngine:
 
     def test_each_measure_checks_its_prefixes_once(self, monkeypatch):
         # fig-b2 measures 3 subsets at 143 prefixes: each measure validates
-        # its prefixes once, and `prefix_counts` once per joint it counts
+        # its prefixes once, and `prefix_counts` takes them checked
         calls = []
         check = sample_module.normalize_prefixes
 
@@ -1017,7 +1027,7 @@ class TestNestedEngine:
         monkeypatch.setattr(measures, "normalize_prefixes", counting)
         monkeypatch.setattr(sample_module, "normalize_prefixes", counting)
         run_experiment(_desk(preset("fig-b2"), 1))
-        assert calls == [143] * 6
+        assert calls == [143] * 3
 
     def test_union_past_the_cell_cap_is_split_into_its_points(self, monkeypatch):
         # the point at 1 needs 160 rows for its 8-value attribute, the points

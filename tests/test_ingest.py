@@ -12,7 +12,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msulab import CategoricalSample, InvalidInputError, ingest, read_csv
+from msulab import (
+    AttributeBlock,
+    CategoricalSample,
+    GeneratorKind,
+    InvalidInputError,
+    SeededRng,
+    block,
+    generate_dataset,
+    ingest,
+    read_csv,
+)
 from msulab.ingest import _BLOCK_BYTES, _CHUNK_ROWS, sample_to_csv
 from oracle_utils import reference_read_csv
 
@@ -412,6 +422,27 @@ def test_a_file_failing_a_byte_check_late_is_not_coded(tmp_path, csv_path_calls,
     assert lookups["code"] == []
 
 
+def test_a_ragged_last_row_is_not_coded(tmp_path, csv_path_calls, lookups):
+    # the benchmark's 100,000 x 19 measure file, its last row one field
+    # short: the first pass counts each block's commas, so no block is coded
+    # before the csv path reads the file and names the row
+    kind = GeneratorKind
+    blocks = [
+        AttributeBlock(("x1", "x2"), kind.XOR_PAIR, 2),
+        block("w", kind.KONONENKO, 4, 40),
+        block("b", kind.KONONENKO, 6, 2),
+        block("t", kind.UNIFORM, 6, 3),
+    ]
+    sample = generate_dataset(100_000, 2, blocks, SeededRng(20170707, 0))
+    path = tmp_path / "measure.csv"
+    path.write_text(sample_to_csv(sample).rsplit(",", 1)[0] + "\n", encoding="utf-8")
+    with pytest.raises(InvalidInputError) as caught:
+        read_csv(path)
+    assert str(caught.value) == f"{path}:100001: expected 19 cells, got 18"
+    assert csv_path_calls == [str(path)]
+    assert lookups["code"] == []
+
+
 @pytest.mark.parametrize("change", ["grows", "shrinks"])
 def test_a_file_changed_between_the_passes_is_read_as_it_then_is(tmp_path, monkeypatch, change):
     path = tmp_path / "data.csv"
@@ -457,6 +488,11 @@ def test_a_named_pipe_is_read_once(tmp_path, text):
 
 
 class TestReadCsvErrors:
+    @pytest.mark.parametrize("path", [None, 3, ["a.csv"]])
+    def test_a_path_of_another_type_rejected(self, path):
+        with pytest.raises(InvalidInputError, match=re.escape(f"path must be a str or os.PathLike, got {path!r}")):
+            read_csv(path)
+
     @pytest.mark.parametrize(
         "bad", [0, 2, CHUNK - 1, CHUNK, CHUNK + 9],
         ids=["first-row", "first-chunk", "chunk-end", "second-chunk-start", "second-chunk"],
@@ -560,6 +596,12 @@ class TestReadCsvMemory:
 
 
 class TestSampleToCsv:
+    @pytest.mark.parametrize("sample", [None, np.zeros((2, 2), dtype=np.uint8)])
+    def test_a_sample_of_another_type_rejected(self, sample):
+        message = f"^sample must be a CategoricalSample, got {type(sample).__name__}$"
+        with pytest.raises(InvalidInputError, match=message):
+            sample_to_csv(sample)
+
     @pytest.mark.parametrize("m", [1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
     @pytest.mark.parametrize("cards", [(2,), (3, 300, 2), (2**40, 5)], ids=["uint8", "uint16", "int64"])
     def test_same_text_as_the_csv_writer(self, m, cards):

@@ -18,15 +18,22 @@ from msulab import (
 )
 from msulab import sample as sample_module
 from msulab.measures import entropy_rows, msu_values, subset_entropies
-from msulab.sample import prefix_counts
+from msulab.sample import normalize_columns, normalize_prefixes, prefix_counts
 from oracle_utils import brute_force_msu, random_sample
 
 N_CASES = 1000
 
 
+def _counts(sample, cols, prefixes=None):
+    """`prefix_counts` of `cols` at `prefixes`, all rows by default, given
+    the checked key it takes."""
+    key = (normalize_columns(sample, cols), *normalize_prefixes(sample, prefixes))
+    return list(prefix_counts(sample, *key))
+
+
 def joint_counts(sample, cols):
     """The observed cells' counts over `cols`, all rows: one prefix of `prefix_counts`."""
-    ((counts, _),) = prefix_counts(sample, cols, [sample.n_rows])
+    ((counts, _),) = _counts(sample, cols)
     return counts[0]
 
 
@@ -135,7 +142,7 @@ def test_prefix_counts_match_counts_of_each_prefix(cards, limit, monkeypatch):
     sample = CategoricalSample(rng.integers(0, 3, size=(60, 3)), cards)
     prefixes = [1, 2, 5, 17, 18, 40, 60]
     for cols in ([0], [2, 0], [0, 1, 2]):
-        rows = [row for chunk, _ in prefix_counts(sample, cols, prefixes) for row in chunk]
+        rows = [row for chunk, _ in _counts(sample, cols, prefixes) for row in chunk]
         assert len(rows) == len(prefixes)
         for n, row in zip(prefixes, rows):
             head = CategoricalSample(sample.codes[:n], cards)
@@ -164,8 +171,8 @@ def test_counts_and_measures_do_not_depend_on_memory_layout(cards, limit, monkey
     prefixes = [1, 2, 5, 17, 18, 40, 60]
     chunks = []
     for cols in ([0], [2, 0], [0, 1, 2]):
-        f_counts = [counts for counts, _ in prefix_counts(f_order, cols, prefixes)]
-        c_counts = [counts for counts, _ in prefix_counts(c_order, cols, prefixes)]
+        f_counts = [counts for counts, _ in _counts(f_order, cols, prefixes)]
+        c_counts = [counts for counts, _ in _counts(c_order, cols, prefixes)]
         assert len(f_counts) == len(c_counts)
         chunks.append(len(f_counts))
         for f, c in zip(f_counts, c_counts):
@@ -190,17 +197,17 @@ def test_marginals_from_the_joint_match_single_column_counts(cards, limit, monke
     dense = cards == (3, 3, 3)
     for cols in ([0, 1], [2, 0], [0, 1, 2]):
         sample = CategoricalSample(codes, cards)
-        chunks = list(prefix_counts(sample, cols, prefixes))
+        chunks = _counts(sample, cols, prefixes)
         if not dense:  # a renumbered joint gives no member counts
             assert all(columns == [] for _, columns in chunks)
         for j, c in enumerate(sorted(cols) if dense else ()):  # the members in subset order
-            alone = [row for counts, _ in prefix_counts(sample, [c], prefixes) for row in counts]
+            alone = [row for counts, _ in _counts(sample, [c], prefixes) for row in counts]
             derived = [row for _, columns in chunks for row in columns[j]]
             assert [r[r > 0].tolist() for r in derived] == [r[r > 0].tolist() for r in alone]
         # the table holds a dense joint's member entropies, and only those
         subset_entropies(sample, cols, prefixes)
         for c in cols:
-            key = ((c,), tuple(prefixes))
+            key = ((c,), tuple(prefixes), sample.n_rows)
             assert (key in sample._entropies) == dense
             # as a count of the column alone gives them
             fresh = CategoricalSample(codes, cards)
@@ -240,11 +247,15 @@ def test_msu_values_match_each_prefix_measured_alone(n):
             assert flag == alone.degenerate == reference[1]
 
 
-def test_prefix_counts_reject_unordered_prefixes():
+def test_measures_reject_unordered_prefixes():
+    # `prefix_counts` takes the key that these check
     sample = CategoricalSample(np.zeros((5, 2), dtype=np.int64), (2, 2))
     for prefixes in ([], [0, 3], [3, 2], [2, 2], [6]):
         with pytest.raises(InvalidInputError):
-            list(prefix_counts(sample, [0, 1], prefixes))
+            subset_entropies(sample, [0, 1], prefixes)
+        with pytest.raises(InvalidInputError):
+            msu_values(sample, [0, 1], prefixes)
+    assert sample._entropies == {}
 
 
 def test_entropy_rows_match_entropy_of_positive_counts():

@@ -28,7 +28,15 @@ from msulab import (
 from msulab import measures
 from msulab.measures import msu_values, subset_entropies
 from msulab import sample as sample_module
-from msulab.sample import _cell_ids, check_codes, code_dtype, normalize_columns, prefix_counts
+from msulab.sample import (
+    _cell_ids,
+    _dense,
+    check_codes,
+    code_dtype,
+    normalize_columns,
+    normalize_prefixes,
+    prefix_counts,
+)
 from oracle_utils import coded_table, entropy_of_counts
 
 # The three 8-row tables: two binary columns plus a class; B flips one cell of
@@ -45,9 +53,15 @@ MSU_TABLE_B = 0.10379348602265456
 MSU_TABLE_C = 0.178662090205769
 
 
+def _key(sample, cols, prefixes=None, period=None):
+    """The checked entropy-table key that `prefix_counts` takes: (sorted
+    subset, prefixes, segment rows)."""
+    return (normalize_columns(sample, cols), *normalize_prefixes(sample, prefixes, period))
+
+
 def joint_counts(sample, cols):
     """The observed cells' counts over `cols`, all rows: one prefix of `prefix_counts`."""
-    ((counts, _),) = prefix_counts(sample, cols, [sample.n_rows])
+    ((counts, _),) = prefix_counts(sample, *_key(sample, cols))
     return counts[0]
 
 
@@ -58,7 +72,7 @@ def _members_counted_alone(sample, cols, prefixes, chunks, columns):
     assert all(members == [] for _, members in chunks)
     subset_entropies(sample, cols, prefixes)
     for c in cols:
-        assert ((c,), tuple(prefixes)) not in sample._entropies
+        assert ((c,), tuple(prefixes), sample.n_rows) not in sample._entropies
         expected = [entropy(np.unique(columns[c][:n], return_counts=True)[1]).value for n in prefixes]
         assert list(subset_entropies(sample, [c], prefixes)) == expected
 
@@ -340,8 +354,8 @@ class TestMsuValues:
         """A 2-column sample whose table holds marginals of 0.5 bits at
         prefixes (2, 4) and the given joint entropies there."""
         sample = CategoricalSample(np.zeros((4, 2), dtype=np.int64), (2, 2))
-        sample._entropies[(0,), (2, 4)] = sample._entropies[(1,), (2, 4)] = (0.5, 0.5)
-        sample._entropies[(0, 1), (2, 4)] = h_joint
+        sample._entropies[(0,), (2, 4), 4] = sample._entropies[(1,), (2, 4), 4] = (0.5, 0.5)
+        sample._entropies[(0, 1), (2, 4), 4] = h_joint
         return sample
 
     @pytest.mark.parametrize("h_joint", [0.5 - 1e-9, 1.0 + 1e-9], ids=["above-1", "below-0"])
@@ -387,6 +401,15 @@ class TestSampleValidation:
     def test_from_columns_without_columns_rejected(self):
         with pytest.raises(InvalidInputError, match="at least one column"):
             CategoricalSample.from_columns([], ())
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_from_columns_of_no_iterable_rejected(self, columns):
+        with pytest.raises(InvalidInputError, match=f"^columns must be an iterable of code columns, got {columns}$"):
+            CategoricalSample.from_columns(columns, (2,))
+
+    def test_from_columns_takes_any_iterable_of_columns(self):
+        sample = CategoricalSample.from_columns((c for c in ([0, 1], [1, 1])), (2, 2))
+        assert sample.codes.tolist() == [[0, 1], [1, 1]]
 
     def test_from_columns_of_unequal_length_rejected(self):
         with pytest.raises(InvalidInputError, match="equal lengths"):
@@ -559,10 +582,10 @@ class TestCodeDtype:
             keys = keys * card + column
         _, expected = np.unique(keys, return_counts=True)
         cols = range(len(cards))
-        chunks = list(prefix_counts(sample, cols, [5000]))
+        chunks = list(prefix_counts(sample, *_key(sample, cols, [5000])))
         ((counts, alone),) = chunks
         assert counts[0].tolist() == expected.tolist()
-        if _cell_ids(list(sample.codes.T), cards)[2] is not None:  # renumbered
+        if not _dense(math.prod(cards), 5000):  # renumbered
             _members_counted_alone(sample, cols, [5000], chunks, columns)
             return
         for column, card, column_counts in zip(columns, cards, alone, strict=True):
@@ -589,8 +612,9 @@ class TestCodeDtype:
             column[-1] = c - 1  # the largest key
         sample = CategoricalSample.from_columns(columns, cards)
         space = math.prod(cards)
-        ids, _, cells = _cell_ids(list(sample.codes.T), cards)
-        if cells is None:  # dense: the ids are the keys, in the space's dtype
+        dense = _dense(space, 3000)
+        ids, _ = _cell_ids(list(sample.codes.T), cards, dense)
+        if dense:  # the ids are the keys, in the space's dtype
             assert ids.dtype == code_dtype([space])
         keys = np.zeros(3000, dtype=np.int64)  # the int64 oracle
         for column, c in zip(columns, cards):
@@ -599,11 +623,11 @@ class TestCodeDtype:
         _, expected = np.unique(keys, return_counts=True)
         assert joint_counts(sample, cols).tolist() == expected.tolist()
         prefixes = [1, 7, 1000, 3000]
-        chunks = list(prefix_counts(sample, cols, prefixes))
+        chunks = list(prefix_counts(sample, *_key(sample, cols, prefixes)))
         rows = [row for counts, _ in chunks for row in counts]
         for n, row in zip(prefixes, rows, strict=True):
             assert row[row > 0].tolist() == np.unique(keys[:n], return_counts=True)[1].tolist()
-        if cells is not None:
+        if not dense:
             _members_counted_alone(sample, cols, prefixes, chunks, columns)
             return
         # each column's counts, summed from the dense joint's grid, are the
@@ -626,12 +650,13 @@ class TestCodeDtype:
         columns = [rng.integers(0, 5, size=3000) * (2**32 // 5) for _ in range(2)]
         columns.append(rng.integers(0, 2, size=3000))
         sample = CategoricalSample.from_columns(columns, cards)
-        ids, _, cells = _cell_ids(list(sample.codes.T), cards)
-        assert cells.ndim == 2
         rows = np.column_stack(columns)  # the oracle: lexicographic rows
+        ids, n_cells = _cell_ids(list(sample.codes.T), cards, False)
+        cells, inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert ids.tolist() == inverse.tolist() and n_cells == len(cells)
         cols = range(len(cards))
         prefixes = [1, 7, 1000, 3000]
-        chunks = list(prefix_counts(sample, cols, prefixes))
+        chunks = list(prefix_counts(sample, *_key(sample, cols, prefixes)))
         assert (len(chunks) > 1) == (limit == 2)
         joint = [row for counts, _ in chunks for row in counts]
         for n, row in zip(prefixes, joint, strict=True):
@@ -754,9 +779,13 @@ class TestDenseWhereTheRowsFill:
         rows = -(-space // self.FILL)  # the fewest rows that fill the space
         rng = np.random.default_rng(space)
         columns = [rng.integers(0, c, size=rows) for c in cards]
-        codes = list(CategoricalSample.from_columns(columns, cards).codes.T)
-        assert _cell_ids(codes, cards)[2] is None  # filled: dense
-        assert _cell_ids([c[:-1] for c in codes], cards)[2] is not None  # one row short
+        cols = range(len(cards))
+        filled = CategoricalSample.from_columns(columns, cards)
+        short = CategoricalSample.from_columns([c[:-1] for c in columns], cards)
+        ((_, members),) = prefix_counts(filled, *_key(filled, cols))
+        assert len(members) == len(cards)  # filled: dense, so it gives its members
+        ((_, members),) = prefix_counts(short, *_key(short, cols))
+        assert members == []  # one row short: renumbered
 
     @pytest.mark.parametrize(
         "cards", [(16, 16, 16), (2,) * 10, (1, 64, 1, 64), (40, 40, 7), (32, 8)]
@@ -772,12 +801,14 @@ class TestDenseWhereTheRowsFill:
         columns = [rng.integers(0, c, size=rows) for c in cards]
         sample = CategoricalSample.from_columns(columns, cards)
         assert space <= sample_module._DENSE_CELL_LIMIT
-        ids, n_cells, cells = _cell_ids(list(sample.codes.T), cards)
+        assert not _dense(space, rows)
+        ids, n_cells = _cell_ids(list(sample.codes.T), cards, False)
         keys = _int64_keys(columns, cards)
-        assert cells.tolist() == np.unique(keys).tolist() and n_cells == len(cells)
+        cells, inverse = np.unique(keys, return_inverse=True)
+        assert ids.tolist() == inverse.tolist() and n_cells == len(cells)
         cols = range(len(cards))
         prefixes = [*range(1, rows, max(1, rows // 40)), rows]
-        chunks = list(prefix_counts(sample, cols, prefixes))
+        chunks = list(prefix_counts(sample, *_key(sample, cols, prefixes)))
         assert (len(chunks) > 1) == chunked
         joint = [row for counts, _ in chunks for row in counts]
         for n, row in zip(prefixes, joint, strict=True):
@@ -797,10 +828,10 @@ class TestDenseWhereTheRowsFill:
         # (2, 1, 9) the 9-valued column is wider than the 8 cells seen
         columns = [rng.integers(0, max(1, c - 1), size=rows) for c in cards]
         sample = CategoricalSample.from_columns(columns, cards)
-        assert _cell_ids(list(sample.codes.T), cards)[2] is None
+        assert _dense(math.prod(cards), rows)
         cols = range(len(cards))
         prefixes = [1, 7, rows]
-        chunks = list(prefix_counts(sample, cols, prefixes))
+        chunks = list(prefix_counts(sample, *_key(sample, cols, prefixes)))
         assert (len(chunks) > 1) == chunked
         for j, card in enumerate(cards):
             alone = [row for _, members in chunks for row in members[j]]
@@ -814,10 +845,9 @@ class TestDenseWhereTheRowsFill:
         asked = []  # (the latest joint keyed, bincount's minlength)
         real_ids, real_bincount = sample_module._cell_ids, np.bincount
 
-        def cell_ids(columns, dims):
-            ids, n_cells, cells = real_ids(columns, dims)
-            keyed.append((len(columns[0]), cells is None))
-            return ids, n_cells, cells
+        def cell_ids(columns, dims, dense):
+            keyed.append((len(columns[0]), dense))
+            return real_ids(columns, dims, dense)
 
         def bincount(x, weights=None, minlength=0):
             asked.append((keyed[-1], minlength))
@@ -839,9 +869,9 @@ class TestEntropyTable:
         calls = []
         counts = measures.prefix_counts
 
-        def counting(sample, cols, prefixes, period=None):
-            calls.append(tuple(cols))
-            return counts(sample, cols, prefixes, period)
+        def counting(sample, subset, bounds, rows):
+            calls.append(subset)
+            return counts(sample, subset, bounds, rows)
 
         monkeypatch.setattr(measures, "prefix_counts", counting)
         sample = CategoricalSample(TABLE_C.codes, TABLE_C.cardinalities)
@@ -873,10 +903,10 @@ class TestEntropyTable:
         calls = []
         counts = measures.prefix_counts
 
-        def counting(counted, cols, prefixes, period=None):
+        def counting(counted, subset, bounds, rows):
             if counted is sample:  # not the fresh samples below
-                calls.append((tuple(cols), tuple(prefixes)))
-            return counts(counted, cols, prefixes, period)
+                calls.append((subset, bounds))
+            return counts(counted, subset, bounds, rows)
 
         def entropies(counts):
             rows.append(len(counts))
@@ -891,7 +921,7 @@ class TestEntropyTable:
         first = subset_entropies(sample, [1, 0], [40, 300])
         assert calls == [((0, 1), (40, 300))]
         assert rows == [2, 2, 2]  # the joint gives both members
-        assert ((0,), (40, 300)) in sample._entropies and ((1,), (40, 300)) in sample._entropies
+        assert ((0,), (40, 300), 500) in sample._entropies and ((1,), (40, 300), 500) in sample._entropies
         # a repeated (subset, prefixes) is not counted again, however it is spelled
         assert subset_entropies(sample, [0, 1], np.array([40, 300])) == first
         subset_entropies(sample, [1], [40, 300])
@@ -905,11 +935,11 @@ class TestEntropyTable:
         assert calls[1:] == [((1,), (40,)), ((1,), (7, 40, 41, 300, 500))]
         # a joint at a new set gives both members, and only the one the
         # table lacks there is measured and stored
-        stored = sample._entropies[(1,), (40,)]
+        stored = sample._entropies[(1,), (40,), 500]
         del rows[:]
         subset_entropies(sample, [1, 2], [40])
         assert calls[-1] == ((1, 2), (40,)) and rows == [1, 1]
-        assert sample._entropies[(1,), (40,)] is stored and ((2,), (40,)) in sample._entropies
+        assert sample._entropies[(1,), (40,), 500] is stored and ((2,), (40,), 500) in sample._entropies
         # a set that is not strictly ascending is rejected, stored or not
         for bad in ([300, 40], [40, 40], [], [0, 40], [501]):
             with pytest.raises(InvalidInputError):
@@ -1068,8 +1098,8 @@ def _seen(block):
 
 
 class TestPeriod:
-    """`prefix_counts(..., period=m)` of stacked segments counts each segment
-    as it is counted alone."""
+    """`prefix_counts` of stacked segments of m rows counts each segment as
+    it is counted alone."""
 
     @pytest.mark.parametrize("cards, m, prefixes", [
         ((2, 2, 2), 150, list(range(8, 151))),  # dense
@@ -1083,7 +1113,7 @@ class TestPeriod:
         segments = _segments(len(cards) + m, 5, m, cards)
         stack = sample_module.stacked(segments)
         cols = range(len(cards))
-        own = [list(prefix_counts(s, cols, prefixes)) for s in segments]
+        own = [list(prefix_counts(s, *_key(s, cols, prefixes))) for s in segments]
         dense = math.prod(cards) <= sample_module._DENSE_FILL * prefixes[-1]
         if limit is not None:
             # a chunk holds two segments (one where the joint is renumbered,
@@ -1091,7 +1121,7 @@ class TestPeriod:
             width = math.prod(cards) if dense else max(chunks[0][0].shape[1] for chunks in own)
             per = 2 * len(prefixes) if limit == "whole" else len(prefixes) // 2
             monkeypatch.setattr(sample_module, "_DENSE_CELL_LIMIT", per * width)
-        chunks = list(prefix_counts(stack, cols, prefixes, period=m))
+        chunks = list(prefix_counts(stack, *_key(stack, cols, prefixes, m)))
         if dense:  # one chunk, 3 of two segments, or half a segment's prefixes each
             cut = 5 * -(-len(prefixes) // max(1, len(prefixes) // 2))
             assert len(chunks) == {None: 1, "whole": 3, "cut": cut}[limit]
@@ -1148,7 +1178,7 @@ class TestPeriod:
         sample = _segments(1, 1, 30, (3, 3))[0]
         with_period, without = msu_values(sample, [0, 1], [10, 30], 30), msu_values(sample, [0, 1], [10, 30])
         assert with_period[0].tolist() == without[0].tolist()
-        assert set(sample._entropies) == {((0, 1), (10, 30)), ((0,), (10, 30)), ((1,), (10, 30))}
+        assert set(sample._entropies) == {((0, 1), (10, 30), 30), ((0,), (10, 30), 30), ((1,), (10, 30), 30)}
         assert subset_entropies(sample, [0], period=30) == subset_entropies(sample, [0])
 
     def test_default_prefix_is_a_whole_segment(self):
@@ -1169,7 +1199,6 @@ class TestPeriod:
     def test_bad_period_rejected(self, period, match):
         stack = sample_module.stacked(_segments(3, 3, 20, (2, 2)))
         for call in (
-            lambda: list(prefix_counts(stack, [0, 1], [5], period=period)),
             lambda: subset_entropies(stack, [0, 1], [5], period),
             lambda: msu_values(stack, [0, 1], [5], period),
         ):
@@ -1188,10 +1217,9 @@ class TestPeriod:
         ([5, 21], 20, "prefix of 21 rows exceeds the period of 20"),
     ])
     def test_period_then_prefixes_rejected(self, prefixes, period, message):
-        # one rule, `normalize_prefixes`, for all three entry points
+        # one rule, `normalize_prefixes`, for both entry points
         stack = sample_module.stacked(_segments(3, 3, 20, (2, 2)))
         for call in (
-            lambda: list(prefix_counts(stack, [0, 1], prefixes, period)),
             lambda: subset_entropies(stack, [0, 1], prefixes, period),
             lambda: msu_values(stack, [0, 1], prefixes, period),
         ):

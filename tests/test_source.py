@@ -8,7 +8,8 @@ no public name outlives its last caller. Every column-major matrix is
 allocated in the dtype of the one rule in `sample.py`, `code_dtype`, and
 joint cells are keyed in it too. Rows become counts only in `sample.py`: no
 other module calls `bincount` or `unique`, and `sample.prefix_counts` has
-one caller, `measures._stored_entropies`. Only `generators.py` reads a
+one caller, `measures._stored_entropies`, which hands it a key that only
+`measures.py` checks; `prefix_counts` alone decides a joint's layout. Only `generators.py` reads a
 stream's raw words (`random_raw`). README's section on JSON experiment
 configs names every field of the config classes, which are the JSON keys.
 """
@@ -230,6 +231,20 @@ def test_counting_has_one_caller():
     # one call shape: the entropy table asks for a subset's counts where it
     # misses, and keeps the member entropies it lacks from what they give
     assert _callers("prefix_counts") == ["measures.py:_stored_entropies"]
+
+
+def test_only_the_measures_check_subsets_and_prefixes():
+    # `prefix_counts` takes the entropy table's key as checked, so a subset
+    # and its prefixes are checked once, where a measure is asked for them
+    for name in ("normalize_columns", "normalize_prefixes"):
+        callers = _callers(name)
+        assert callers and all(c.startswith("measures.py:") for c in callers), (name, callers)
+
+
+def test_a_joints_layout_is_decided_once():
+    # dense or renumbered is chosen once a count and passed down, so the
+    # rule has one place to become prefix-aware
+    assert _callers("_dense") == ["sample.py:prefix_counts"]
 
 
 def test_only_generators_reads_raw_words():
