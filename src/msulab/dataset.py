@@ -32,7 +32,7 @@ from .generators import (
     fill_xor_pair,
     row_first_half_probs,
 )
-from .sample import CategoricalSample, _Filled, code_matrix, integer, items
+from .sample import CategoricalSample, _Filled, code_matrix, integer, items, string
 
 CLASS_COLUMN = "clase"
 
@@ -76,8 +76,9 @@ def check_xor_class(class_card: int) -> None:
 
 
 def block(prefix: str, kind: GeneratorKind, count: int, cardinality: int) -> AttributeBlock:
-    """Block with auto-numbered names prefix1..prefixN; the block rejects a
-    count below 1, which names no column."""
+    """Block with auto-numbered names prefix1..prefixN, `prefix` a string;
+    the block rejects a count below 1, which names no column."""
+    prefix = string(prefix, "block prefix")
     count = integer(count, "block count")
     return AttributeBlock(
         names=tuple(f"{prefix}{i}" for i in range(1, count + 1)),

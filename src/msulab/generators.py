@@ -83,7 +83,11 @@ class SeededRng:
             raise InvalidInputError("master_seed and stream_id must be non-negative")
 
     def stream(self, *path: int) -> np.random.Generator:
-        key = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id, *path))
+        """The stream of the column at `path`, a run of non-negative integers."""
+        steps = tuple(integer(step, "stream path") for step in path)
+        if any(step < 0 for step in steps):
+            raise InvalidInputError(f"stream path must be non-negative, got {steps}")
+        key = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id, *steps))
         return np.random.default_rng(key)
 
 

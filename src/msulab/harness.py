@@ -63,9 +63,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -80,7 +78,7 @@ from .dataset import (
 from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_k, check_xor_noise
 from .measures import msu_values
-from .sample import int_text, integer, items, real, stacked
+from .sample import int_text, integer, items, real, stacked, string
 from .samplesize import CardinalityProfile, heuristic_sample_size, representativeness_report
 
 DEFAULT_MASTER_SEED = 20170707
@@ -100,12 +98,6 @@ _SWEEP_KINDS = ("cardinality", "sample_size", "attribute_count", "noise_attribut
 
 
 # The field checks of the config classes. Each returns the value as stored.
-def _text(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise InvalidInputError(f"{what} must be a string, got {value!r}")
-    return value
-
-
 def _flag(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise InvalidInputError(f"{what} must be true or false, got {value!r}")
@@ -219,7 +211,7 @@ class GroupSpec:
     cardinality: int | str  # int, or "sweep" to follow a cardinality sweep
 
     def __post_init__(self) -> None:
-        _text(self.name, "group name")
+        string(self.name, "group name")
         object.__setattr__(self, "family", GeneratorKind(self.family))
         if not isinstance(self.count, CountRule):
             object.__setattr__(self, "count", integer(self.count, "group count"))
@@ -245,9 +237,9 @@ class TrackedSubset:
     with_su: bool = False
 
     def __post_init__(self) -> None:
-        _text(self.label, "tracked label")
+        string(self.label, "tracked label")
         groups = items(self.groups, "tracked groups")
-        object.__setattr__(self, "groups", tuple(_text(g, "tracked group") for g in groups))
+        object.__setattr__(self, "groups", tuple(string(g, "tracked group") for g in groups))
         _flag(self.with_su, "with_su")
 
 
@@ -274,7 +266,7 @@ class ExperimentConfig:
     representativeness_scan: bool = False
 
     def __post_init__(self) -> None:
-        _text(self.name, "experiment name")
+        string(self.name, "experiment name")
         if not isinstance(self.sweep, Sweep):
             raise InvalidInputError(f"sweep must be a Sweep, got {self.sweep!r}")
         object.__setattr__(self, "groups", items(self.groups, "groups", GroupSpec))
@@ -427,8 +419,8 @@ def _run_layout(
     The points nest (see `_nested_groups`), so one dataset per replicate
     serves them all: it holds each group position's widest block at the
     largest m, and a point reads its own columns at its first m rows. Each
-    distinct measure is taken once per replicate, as one values array at the
-    row prefixes of the points that list it. Each joint histogram is counted
+    distinct measure is taken once per replicate, at the row prefixes of the
+    points that list it, in ascending order. Each joint histogram is counted
     at its own prefixes only; a dense joint's counts give every column's
     marginals, of which the table keeps those it lacks, and a renumbered
     joint's columns are counted once each (see
@@ -436,7 +428,9 @@ def _run_layout(
 
     A batch of replicates (see `_BATCH_CELLS`) is one stacked sample, and
     each measure is taken once a batch, with the dataset's rows as the
-    period: its values come replicate by replicate.
+    period: its values come replicate by replicate, a (replicates x
+    prefixes) matrix. A measure's matrices over the batches are stacked,
+    and a point reads the column at its m.
     """
     blocks = _union_blocks(points)
     m = max(p.m for p in points)
@@ -444,22 +438,11 @@ def _run_layout(
     for p in points:
         for measure in p.measures:
             prefixes.setdefault(measure, set()).add(p.m)
-    # the dataset's columns: attributes in block order, class last
-    columns = [n for b in blocks if b is not None for n in b.names] + [CLASS_COLUMN]
-    index = {name: j for j, name in enumerate(columns)}
-    # a replicate's values are each measure's values at its prefixes, one
-    # measure after another
     at = {measure: sorted(ms) for measure, ms in prefixes.items()}
-    # measure -> the index of its first value in a replicate's values
-    start = dict(zip(at, accumulate(map(len, at.values()), initial=0)))
-    series = [([index[n] for n in cols] + [index[CLASS_COLUMN]], ms) for (_, cols), ms in at.items()]
-    reads = [
-        [(measure[0], start[measure] + bisect_left(at[measure], p.m)) for measure in p.measures]
-        for p in points
-    ]
+    # measure -> its (replicates x prefixes) matrix of each batch
+    values: dict[tuple[str, tuple[str, ...]], list[np.ndarray]] = {measure: [] for measure in at}
 
     batch = max(1, _BATCH_CELLS // _cells(m, blocks))
-    per_replicate: list[list[float]] = []
     for first in range(0, len(replicates), batch):
         sample = stacked([
             generate_dataset(
@@ -473,10 +456,15 @@ def _run_layout(
             for r in replicates[first : first + batch]
         ])
         size = sample.n_rows // m
-        values = [msu_values(sample, cols, ms, m)[0].reshape(size, -1) for cols, ms in series]
-        per_replicate += np.concatenate(values, axis=1).tolist()
-    across = list(zip(*per_replicate))  # each value, replicate by replicate
-    return [{measure: across[j] for measure, j in read} for read in reads]
+        for (name, cols), ms in at.items():
+            subset = [sample.column_index(n) for n in cols + (CLASS_COLUMN,)]
+            values[name, cols].append(msu_values(sample, subset, ms, m)[0].reshape(size, -1))
+    # measure -> prefix -> its values, replicate by replicate
+    column = {
+        measure: dict(zip(at[measure], np.concatenate(matrices).T.tolist()))
+        for measure, matrices in values.items()
+    }
+    return [{name: tuple(column[name, cols][p.m]) for name, cols in p.measures} for p in points]
 
 
 @dataclass(frozen=True)
@@ -498,16 +486,13 @@ class BiasCurve:
     errors: tuple[tuple[int, str], ...] = ()
 
     def mean_series(self, measure: str) -> list[float | None]:
-        stats = self._series(measure)
-        return [s.mean if s is not None else None for s in stats]
-
-    def _series(self, measure: str) -> list[MeasureStats | None]:
         try:
-            return self.measures[measure]
+            stats = self.measures[measure]
         except KeyError:
             raise InvalidInputError(
                 f"unknown measure {measure!r}; curve has {sorted(self.measures)}"
             ) from None
+        return [s.mean if s is not None else None for s in stats]
 
     def write_csv(self, out: IO[str]) -> None:
         out.write("sweep_value,measure_name,mean,stddev,n_replicates,sample_size_used\n")

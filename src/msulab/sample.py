@@ -321,6 +321,13 @@ def real(value, what: str) -> float:
     raise InvalidInputError(f"{what} must be a finite number, got {value!r}")
 
 
+def string(value, what: str) -> str:
+    """`value`, a string; `what` names it in an error."""
+    if not isinstance(value, str):
+        raise InvalidInputError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def items(value, what: str, kind: type = object) -> tuple:
     """`value`, a list or tuple of `kind`, as a tuple; `what` names it in an
     error."""
@@ -332,12 +339,12 @@ def items(value, what: str, kind: type = object) -> tuple:
 
 
 def _integers(values, what: str) -> list[int]:
-    """`values` as Python ints, each by the rule of `integer`."""
+    """`values` as Python ints, each by the rule of `integer`, which rejects
+    a bool."""
     try:
-        return list(map(operator.index, values))
-    except TypeError:
-        shown = _shown(values)
-        raise InvalidInputError(f"{what} must be a sequence of integers, got {shown}") from None
+        return [integer(v, what) for v in values]
+    except (TypeError, InvalidInputError):  # not a sequence, or not all integers
+        raise InvalidInputError(f"{what} must be a sequence of integers, got {_shown(values)}") from None
 
 
 def _shown(value) -> str:
@@ -356,6 +363,8 @@ def normalize_columns(sample: CategoricalSample, cols: Sequence[int]) -> tuple[i
     Sorted order makes equal subsets compare (and hash) equal no matter how the
     caller listed them. Duplicates are rejected: a subset is a set.
     """
+    if not isinstance(sample, CategoricalSample):
+        raise InvalidInputError(f"sample must be a CategoricalSample, got {type(sample).__name__}")
     subset = _integers(cols, "column indices")
     if not subset:
         raise InvalidInputError("column subset must not be empty")

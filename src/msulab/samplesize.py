@@ -75,6 +75,8 @@ class CardinalityProfile:
 
 def multivariate_cardinality(profile: CardinalityProfile) -> int:
     """Number of possible joint value combinations, class included."""
+    if not isinstance(profile, CardinalityProfile):
+        raise InvalidInputError(f"profile must be a CardinalityProfile, got {type(profile).__name__}")
     return profile.class_card * math.prod(profile.attribute_cards)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from msulab import (
+    CardinalityProfile,
     CategoricalSample,
     InvalidInputError,
     entropy,
@@ -182,6 +183,22 @@ class TestIndicesAreIntegers:
     )
     def test_non_integers_rejected(self, call):
         with pytest.raises(InvalidInputError, match="must be a sequence of integers"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, what, shown",
+        [
+            (lambda: msu(TABLE_B, [False, True]), "column indices", "[False, True]"),
+            (lambda: subset_entropies(TABLE_B, [0], [True, 2]), "prefixes", "[True, 2]"),
+            (lambda: CardinalityProfile((True, 2), 2), "attribute cardinalities", "[True, 2]"),
+            (lambda: CategoricalSample([[0, 1], [1, 0]], [True, 2]), "cardinalities", "[True, 2]"),
+        ],
+        ids=["columns", "prefixes", "profile", "sample"],
+    )
+    def test_bools_rejected(self, call, what, shown):
+        """A bool is an int subclass, but a flag is not an index or a count."""
+        message = f"{what} must be a sequence of integers, got {shown}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             call()
 
     def test_numpy_integers_accepted(self):
