@@ -9,12 +9,11 @@ from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng
 from .harness import (
     BiasCurve,
-    ComputedSampleSize,
     CountRule,
     ExperimentConfig,
-    FixedSampleSize,
     GroupSpec,
     MeasureStats,
+    SampleSizePolicy,
     Sweep,
     TrackedSubset,
     config_from_json,
@@ -51,10 +50,8 @@ __all__ = [
     "CATALOG",
     "CardinalityProfile",
     "CategoricalSample",
-    "ComputedSampleSize",
     "CountRule",
     "ExperimentConfig",
-    "FixedSampleSize",
     "GeneratorKind",
     "GroupSpec",
     "IngestedDataset",
@@ -62,6 +59,7 @@ __all__ = [
     "MeasureStats",
     "MeasureValue",
     "RepresentativenessReport",
+    "SampleSizePolicy",
     "SeededRng",
     "Sweep",
     "TrackedSubset",

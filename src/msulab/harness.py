@@ -10,12 +10,16 @@ column count and a cardinality, each fixed or following the sweep) and the
 tracked subsets of those groups whose MSU (and optionally per-column SU) the
 curve reports. A group's count rule is the only thing that switches columns
 on and off along the sweep; a tracked subset is measured at every point where
-its groups have columns. `resolve_point` turns a sweep value into the
-concrete blocks, the measures read from them (each a name and its attribute
-columns) and the sample size. Each config class checks its own fields, types
-included, when it is built. `config_from_json` reads the layout from its
-JSON form, whose keys are those fields, only mapping each object to its
-class; the preset catalog is written in that form too.
+its groups have columns. Each config class checks its own fields, types
+included, when it is built, and stores each in one form: a group's count is
+always a `CountRule`. `config_from_json` reads the layout from its JSON
+form, whose keys are those fields, only mapping each object to its class;
+the preset catalog is written in that form too. `resolve_point` turns a
+sweep value into plain integers: each group's column count and cardinality,
+the measures read from them (each a name and its attribute columns) and the
+sample size. It checks only what the sweep value brings, a swept
+cardinality; the dataset's blocks are built once per set of nested points,
+in `_run_layout`.
 
 Replicate r of every sweep point draws from streams keyed by
 (master_seed, r, column path). Points of a sweep therefore share their
@@ -68,15 +72,10 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import (
-    CLASS_COLUMN,
-    MAX_DATASET_CELLS,
-    AttributeBlock,
-    check_xor_class,
-    generate_dataset,
-)
+from .dataset import CLASS_COLUMN, MAX_DATASET_CELLS, block, check_xor_class, generate_dataset
 from .errors import InvalidInputError
-from .generators import GeneratorKind, SeededRng, check_k, check_xor_noise
+from .generators import GeneratorKind, SeededRng, check_card, check_k, check_xor_noise
+from .ingest import csv_field
 from .measures import msu_values
 from .sample import int_text, integer, items, real, stacked, string
 from .samplesize import CardinalityProfile, heuristic_sample_size, representativeness_report
@@ -126,28 +125,26 @@ class Sweep:
 
 
 @dataclass(frozen=True)
-class FixedSampleSize:
-    m: int
+class SampleSizePolicy:
+    """A point's sample size: `fixed` rows, or ceil(`computed` x the joint
+    value space of the evaluated subset). Exactly one of them is given."""
+
+    fixed: int | None = None
+    computed: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", integer(self.m, "fixed sample size"))
-        if self.m < 1:
-            raise InvalidInputError(f"fixed sample size must be at least 1, got {int_text(self.m)}")
-
-
-@dataclass(frozen=True)
-class ComputedSampleSize:
-    """Sample size = ceil(factor x joint value space of the evaluated subset)."""
-
-    factor: float = 10.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factor", _finite(self.factor, "computed factor"))
-        if self.factor <= 0:
-            raise InvalidInputError(f"factor must be finite and positive, got {self.factor}")
-
-
-SampleSizePolicy = FixedSampleSize | ComputedSampleSize
+        if (self.fixed is None) == (self.computed is None):
+            raise InvalidInputError(
+                f"unknown sample size policy {self!r}: give exactly one of fixed and computed"
+            )
+        if self.fixed is not None:
+            object.__setattr__(self, "fixed", integer(self.fixed, "fixed sample size"))
+            if self.fixed < 1:
+                raise InvalidInputError(f"fixed sample size must be at least 1, got {int_text(self.fixed)}")
+        else:
+            object.__setattr__(self, "computed", _finite(self.computed, "computed factor"))
+            if self.computed <= 0:
+                raise InvalidInputError(f"factor must be finite and positive, got {self.computed}")
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,8 @@ class CountRule:
     Inside it, the count is `fixed` when given, 2*log2(sweep value) when
     `binary_equivalent` (the binary subset matching a pair of wide attributes
     in joint-space size), and sweep value + offset otherwise. A rule that
-    names more than one of these, or whose window is empty, is rejected.
+    names more than one of these, whose window is empty, or whose `fixed`
+    count is negative, is rejected.
     """
 
     fixed: int | None = None
@@ -169,6 +167,8 @@ class CountRule:
     def __post_init__(self) -> None:
         if self.fixed is not None:
             object.__setattr__(self, "fixed", integer(self.fixed, "count fixed"))
+            if self.fixed < 0:
+                raise InvalidInputError(f"a fixed count must not be negative, got {int_text(self.fixed)}")
         object.__setattr__(self, "offset", integer(self.offset, "count offset"))
         _flag(self.binary_equivalent, "binary_equivalent")
         if self.window is not None:
@@ -203,28 +203,27 @@ class CountRule:
 class GroupSpec:
     """One named family of attribute columns within the generated dataset.
     `family` may be given by its name ("uniform"), and is stored as a
-    `GeneratorKind`."""
+    `GeneratorKind`; an integer `count` n is stored as `CountRule(fixed=n)`.
+    An `xor_pair` group is two binary columns wherever it has columns: a
+    fixed count of 2 and cardinality 2."""
 
     name: str
     family: GeneratorKind
-    count: int | CountRule
+    count: CountRule
     cardinality: int | str  # int, or "sweep" to follow a cardinality sweep
 
     def __post_init__(self) -> None:
         string(self.name, "group name")
         object.__setattr__(self, "family", GeneratorKind(self.family))
         if not isinstance(self.count, CountRule):
-            object.__setattr__(self, "count", integer(self.count, "group count"))
+            object.__setattr__(self, "count", CountRule(fixed=integer(self.count, "group count")))
         if self.cardinality != "sweep":
-            object.__setattr__(self, "cardinality", integer(self.cardinality, "group cardinality"))
-
-    def resolve_count(self, sweep_value: int) -> int:
-        if isinstance(self.count, CountRule):
-            return self.count.resolve(sweep_value)
-        return self.count
-
-    def resolve_card(self, sweep_value: int) -> int:
-        return sweep_value if self.cardinality == "sweep" else self.cardinality
+            object.__setattr__(self, "cardinality", check_card(self.cardinality, "group cardinality"))
+        if self.family is GeneratorKind.XOR_PAIR:
+            if self.count.fixed != 2:
+                raise InvalidInputError(f"an xor_pair group must have a fixed count of 2, got {self.count}")
+            if self.cardinality != 2:
+                raise InvalidInputError(f"an xor_pair group must have cardinality 2, got {self.cardinality!r}")
 
 
 @dataclass(frozen=True)
@@ -285,9 +284,10 @@ class ExperimentConfig:
                 raise InvalidInputError("a sample-size sweep fixes m per point; drop the policy")
         elif self.sample_size_policy is None:
             raise InvalidInputError("experiments without a sample-size sweep need a policy")
-        elif not isinstance(self.sample_size_policy, (FixedSampleSize, ComputedSampleSize)):
+        elif not isinstance(self.sample_size_policy, SampleSizePolicy):
             raise InvalidInputError(f"unknown sample size policy {self.sample_size_policy!r}")
-        if self.representativeness_scan and not isinstance(self.sample_size_policy, ComputedSampleSize):
+        policy = self.sample_size_policy
+        if self.representativeness_scan and (policy is None or policy.computed is None):
             raise InvalidInputError("a representativeness scan needs a computed sample size policy")
         SeededRng(self.master_seed)  # rejects a negative seed
         check_k(self.kononenko_k)
@@ -321,7 +321,9 @@ class ResolvedPoint:
 
     sweep_value: int
     m: int
-    blocks: tuple[AttributeBlock | None, ...]
+    # each group's column count and cardinality here, in group order
+    counts: tuple[int, ...]
+    cards: tuple[int, ...]
     # (measure name, attribute columns): msu_<label> of each tracked subset
     # with columns here, followed by su_<column> for each of its columns
     # when it is tracked with_su
@@ -329,18 +331,25 @@ class ResolvedPoint:
 
 
 def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
-    """Turn a sweep value into blocks, the measures read from them and a sample size."""
+    """Turn a sweep value into each group's column count and cardinality,
+    the measures read from them and a sample size.
+
+    The groups were checked when the config was built, so only the sweep
+    value is checked here: a count rule's binary equivalent of it, and a
+    swept cardinality where its group has columns.
+    """
     sweep_value = integer(sweep_value, "sweep value")
-    blocks: list[AttributeBlock | None] = []
+    counts: list[int] = []
+    cards: list[int] = []
     group_columns: dict[str, tuple[str, ...]] = {}
     for g in config.groups:
-        count = g.resolve_count(sweep_value)
-        names = tuple(f"{g.name}{i}" for i in range(1, count + 1))
-        group_columns[g.name] = names
-        blocks.append(
-            AttributeBlock(names=names, kind=g.family, cardinality=g.resolve_card(sweep_value))
-            if names else None
-        )
+        count = g.count.resolve(sweep_value)
+        card = g.cardinality
+        if card == "sweep":
+            card = check_card(sweep_value) if count else sweep_value
+        group_columns[g.name] = tuple(f"{g.name}{i}" for i in range(1, count + 1))
+        counts.append(count)
+        cards.append(card)
 
     measures: list[tuple[str, tuple[str, ...]]] = []
     for sub in config.tracked:
@@ -357,33 +366,30 @@ def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
         if sweep_value < 1:
             raise InvalidInputError(f"sample size {sweep_value} is infeasible")
         m = sweep_value
-    elif isinstance(policy, FixedSampleSize):
-        m = policy.m
+    elif policy.fixed is not None:
+        m = policy.fixed
     else:
         # Heuristic over each evaluated subset (class included); the measures
         # of a point share one dataset, so the largest requirement wins.
         # Presets keep those requirements equal.
-        card = {n: b.cardinality for b in blocks if b is not None for n in b.names}
+        card_of = {n: card for g, card in zip(config.groups, cards) for n in group_columns[g.name]}
         m = max(
             heuristic_sample_size(
-                CardinalityProfile(tuple(card[c] for c in cols), config.class_card), policy.factor
+                CardinalityProfile(tuple(card_of[c] for c in cols), config.class_card), policy.computed
             )
             for _, cols in measures
         )
-    return ResolvedPoint(sweep_value=sweep_value, m=m, blocks=tuple(blocks), measures=tuple(measures))
+    return ResolvedPoint(sweep_value, m, tuple(counts), tuple(cards), tuple(measures))
 
 
-def _union_blocks(points: Sequence[ResolvedPoint]) -> tuple[AttributeBlock | None, ...]:
-    """Each group position's widest block over `points`."""
-    return tuple(
-        max(position, key=lambda b: 0 if b is None else len(b.names))
-        for position in zip(*(p.blocks for p in points))
-    )
+def _cells(m: int, counts: Sequence[int]) -> int:
+    """Cells of an m-row dataset of `counts` attribute columns and the class."""
+    return m * (1 + sum(counts))
 
 
-def _cells(m: int, blocks: Sequence[AttributeBlock | None]) -> int:
-    """Cells of an m-row dataset of `blocks` and the class."""
-    return m * (1 + sum(len(b.names) for b in blocks if b is not None))
+def _widest(points: Sequence[ResolvedPoint]) -> list[int]:
+    """Each group's largest column count over `points`."""
+    return [max(position) for position in zip(*(p.counts for p in points))]
 
 
 def _nested_groups(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> list[list[int]]:
@@ -397,14 +403,13 @@ def _nested_groups(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]
     """
     by_key: dict[tuple, list[int]] = {}
     for i, point in points.items():
-        cards = tuple(g.resolve_card(point.sweep_value) for g in config.groups)
-        xor = any(b is not None and b.kind is GeneratorKind.XOR_PAIR for b in point.blocks)
-        by_key.setdefault((cards, xor), []).append(i)
+        xor = any(n and g.family is GeneratorKind.XOR_PAIR for g, n in zip(config.groups, point.counts))
+        by_key.setdefault((point.cards, xor), []).append(i)
     groups: list[list[int]] = []
     for members in by_key.values():
         nested = [points[i] for i in members]
-        union = _cells(max(p.m for p in nested), _union_blocks(nested))
-        if union > min(MAX_DATASET_CELLS, sum(_cells(p.m, p.blocks) for p in nested)):
+        union = _cells(max(p.m for p in nested), _widest(nested))
+        if union > min(MAX_DATASET_CELLS, sum(_cells(p.m, p.counts) for p in nested)):
             groups.extend([i] for i in members)
         else:
             groups.append(members)
@@ -418,7 +423,8 @@ def _run_layout(
 
     The points nest (see `_nested_groups`), so one dataset per replicate
     serves them all: it holds each group position's widest block at the
-    largest m, and a point reads its own columns at its first m rows. Each
+    largest m, and a point reads its own columns at its first m rows. Those
+    blocks are built here, once, from the points' shared cardinalities. Each
     distinct measure is taken once per replicate, at the row prefixes of the
     points that list it, in ascending order. Each joint histogram is counted
     at its own prefixes only; a dense joint's counts give every column's
@@ -432,7 +438,11 @@ def _run_layout(
     prefixes) matrix. A measure's matrices over the batches are stacked,
     and a point reads the column at its m.
     """
-    blocks = _union_blocks(points)
+    counts = _widest(points)
+    blocks = [
+        block(g.name, g.family, n, card) if n else None
+        for g, n, card in zip(config.groups, counts, points[0].cards)
+    ]
     m = max(p.m for p in points)
     prefixes: dict[tuple[str, tuple[str, ...]], set[int]] = {}
     for p in points:
@@ -442,7 +452,7 @@ def _run_layout(
     # measure -> its (replicates x prefixes) matrix of each batch
     values: dict[tuple[str, tuple[str, ...]], list[np.ndarray]] = {measure: [] for measure in at}
 
-    batch = max(1, _BATCH_CELLS // _cells(m, blocks))
+    batch = max(1, _BATCH_CELLS // _cells(m, counts))
     for first in range(0, len(replicates), batch):
         sample = stacked([
             generate_dataset(
@@ -496,7 +506,7 @@ class BiasCurve:
 
     def write_csv(self, out: IO[str]) -> None:
         out.write("sweep_value,measure_name,mean,stddev,n_replicates,sample_size_used\n")
-        names = {measure: _csv_field(measure) for measure in self.measures}
+        names = {measure: csv_field(measure) for measure in self.measures}
         for i, v in enumerate(self.sweep_values):
             size = self.sample_sizes[i]
             size_text = "" if size is None else str(size)
@@ -505,16 +515,6 @@ class BiasCurve:
                 if s is None:
                     continue
                 out.write(f"{v},{name},{s.mean!r},{s.std!r},{s.n},{size_text}\n")
-
-
-def _csv_field(text: str) -> str:
-    """`text` as one CSV field: quoted, with each quote doubled, where it
-    holds a comma, a quote, CR or LF. `csv.reader` ends a line at a lone CR
-    too, so a name holding one is quoted, which `csv.writer` with a "\\n"
-    line terminator does not do (checked on Python 3.11.7)."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -586,13 +586,13 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
 
 def _run_representativeness_scan(config: ExperimentConfig) -> BiasCurve:
     """Deterministic variant: per point, report chi-squared m* and the heuristic m."""
-    factor = config.sample_size_policy.factor  # a scan config has a computed policy
+    factor = config.sample_size_policy.computed  # a scan config has a computed policy
     series: dict[str, list[MeasureStats | None]] = {"cells": [], "m_star": [], "heuristic_m": []}
     errors: list[tuple[int, str]] = []
     for sweep_value in config.sweep.values:
         try:
-            blocks = resolve_point(config, sweep_value).blocks
-            cards = tuple(b.cardinality for b in blocks if b is not None for _ in b.names)
+            point = resolve_point(config, sweep_value)
+            cards = tuple(card for n, card in zip(point.counts, point.cards) for _ in range(n))
             report = representativeness_report(
                 CardinalityProfile(cards, config.class_card), SCAN_ALPHA, factor
             )
@@ -620,10 +620,9 @@ def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
     """Build a config from its JSON form (see README for the schema).
 
     Each JSON object's keys are the fields of its class, which checks the
-    values and holds the defaults; only a sweep's `start`/`stop` pair and
-    the two sample size policy forms are read here. JSON text reads a
-    whole-number float (3.0, 1e3) as an int, while a mapping's values are
-    passed as they are.
+    values and holds the defaults; only a sweep's `start`/`stop` pair is
+    read here. JSON text reads a whole-number float (3.0, 1e3) as an int,
+    while a mapping's values are passed as they are.
     """
     try:
         data = (
@@ -643,7 +642,10 @@ def config_from_json(text_or_mapping: str | Mapping) -> ExperimentConfig:
         fields["tracked"] = _each(
             lambda t: TrackedSubset(**_fields(t, "tracked subset", TrackedSubset)), fields["tracked"]
         )
-        fields["sample_size_policy"] = _policy_from_json(fields.get("sample_size_policy"))
+        if isinstance(policy := fields.get("sample_size_policy"), Mapping):
+            fields["sample_size_policy"] = SampleSizePolicy(
+                **_fields(policy, "sample size policy", SampleSizePolicy)
+            )
         return ExperimentConfig(**fields)
     except KeyError as exc:
         raise InvalidInputError(f"experiment config is missing field {exc}") from None
@@ -688,15 +690,3 @@ def _group_from_json(data) -> GroupSpec:
     if isinstance(fields["count"], Mapping):
         fields["count"] = CountRule(**_fields(fields["count"], "group count", CountRule))
     return GroupSpec(**fields)
-
-
-def _policy_from_json(data) -> SampleSizePolicy | None:
-    """`null`, `{"fixed": m}` or `{"computed": factor}`; a second key is rejected too."""
-    forms = {"fixed": FixedSampleSize, "computed": ComputedSampleSize}
-    if data is None:
-        return None
-    if isinstance(data, Mapping) and len(data) == 1:
-        ((form, value),) = data.items()
-        if form in forms:
-            return forms[form](value)
-    raise InvalidInputError(f"unknown sample size policy {data!r}")

@@ -412,14 +412,25 @@ def _dataset(
     return IngestedDataset(dictionaries=tuple(dictionaries), sample=sample)
 
 
+def csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, with each quote doubled, where it
+    holds a comma, a quote, CR or LF. `csv.reader` ends a line at a lone CR
+    too, so a field holding one is quoted, which `csv.writer` with a "\\n"
+    line terminator does not do (checked on Python 3.11.7)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def sample_to_csv(sample: CategoricalSample) -> str:
-    """Render a coded sample as CSV text, codes written as decimal strings."""
+    """Render a coded sample as CSV text, codes written as decimal strings
+    and each column name as one `csv_field`, so `read_csv` reads it back."""
     if not isinstance(sample, CategoricalSample):
         raise InvalidInputError(f"sample must be a CategoricalSample, got {type(sample).__name__}")
     if sample.column_names is None:
         raise InvalidInputError("sample needs column names to be written as CSV")
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(sample.column_names)
+    out.write(",".join(map(csv_field, sample.column_names)) + "\n")
     codes = sample.codes
     row = ",".join(["%d"] * codes.shape[1]) + "\n"
     for lo in range(0, len(codes), _CHUNK_ROWS):

@@ -7,6 +7,7 @@ code with the production estimators.
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import math
@@ -153,12 +154,23 @@ def expected_plugin_entropy(probs, m: int) -> float:
 
         E[H] = sum_i sum_j C(m, j) p_i^j (1 - p_i)^(m - j) * (-(j/m) log2(j/m)).
 
-    The binomial coefficient is converted to a float, so m stays below about
-    1,000.
+    Each binomial probability is taken in log space (`math.lgamma`), since
+    C(m, j) passes the float range from m of about 1,000. Cells of equal
+    probability share their terms.
     """
+
+    def log_pow(x: float, n: int) -> float:  # ln(x**n): 0 at n = 0, -inf at x = 0
+        if n == 0:
+            return 0.0
+        return n * math.log(x) if x > 0.0 else -math.inf
+
+    cells = collections.Counter(probs)
     return math.fsum(
-        math.comb(m, j) * p**j * (1.0 - p) ** (m - j) * -(j / m) * math.log2(j / m)
-        for p in probs
+        n * math.exp(
+            math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
+            + log_pow(p, j) + log_pow(1.0 - p, m - j)
+        ) * -(j / m) * math.log2(j / m)
+        for p, n in cells.items()
         for j in range(1, m + 1)
     )
 

@@ -15,13 +15,12 @@ from msulab import (
     AttributeBlock,
     CardinalityProfile,
     CategoricalSample,
-    ComputedSampleSize,
     CountRule,
     ExperimentConfig,
-    FixedSampleSize,
     GeneratorKind,
     GroupSpec,
     InvalidInputError,
+    SampleSizePolicy,
     SeededRng,
     Sweep,
     TrackedSubset,
@@ -75,12 +74,11 @@ CALLS = {
     "AttributeBlock": (AttributeBlock, (("a1", "a2"), "uniform", 2)),
     "CardinalityProfile": (CardinalityProfile, ((2, 3), 2)),
     "CategoricalSample": (CategoricalSample, ([[0, 1], [1, 0]], [2, 2], ["a", "b"])),
-    "ComputedSampleSize": (ComputedSampleSize, (10.0,)),
     "CountRule": (CountRule, (None, 0, (1, 3), False)),
     "ExperimentConfig": (ExperimentConfig, ("tiny", SWEEP, (GROUP,), (TRACKED,), 2, None, 2)),
-    "FixedSampleSize": (FixedSampleSize, (8,)),
     "GeneratorKind": (GeneratorKind, ("uniform",)),
     "GroupSpec": (GroupSpec, ("a", "uniform", 2, 2)),
+    "SampleSizePolicy": (SampleSizePolicy, (None, 10.0)),
     "SeededRng": (SeededRng, (1, 2)),
     "SeededRng.stream": (SeededRng(1).stream, (0, 1)),
     "Sweep": (Sweep, ("sample_size", (4, 6))),

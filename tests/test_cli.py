@@ -561,6 +561,10 @@ MALFORMED = {
     "count-fixed-and-binary-equivalent": lambda tmp: _config_file(
         tmp, groups=[group("mk", "kononenko", {"fixed": 2, "binary_equivalent": True})]
     ),
+    # layouts that would fail at every point are rejected when the config is built
+    "count-negative": lambda tmp: _config_file(tmp, groups=[group("mk", "kononenko", -1)]),
+    "group-cardinality-1": lambda tmp: _config_file(tmp, groups=[group("mk", "kononenko", 2, 1)]),
+    "xor-pair-of-three": lambda tmp: _config_file(tmp, groups=[group("mk", "xor_pair", 3)]),
     # valid JSON that json.loads cannot load: past the int-string and the recursion limit
     "config-sweep-value-5000-digits": lambda tmp: _config_text(
         tmp, '{"name": "x", "sweep": {"kind": "cardinality", "values": [' + "1" * 5000 + "]}}"

@@ -691,7 +691,10 @@ def _union_dataset(name):
     points = {i: harness.resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
     (members,) = harness._nested_groups(config, points)
     nested = [points[i] for i in members]
-    blocks = harness._union_blocks(nested)
+    blocks = [
+        block(g.name, g.family, n, card) if n else None
+        for g, n, card in zip(config.groups, harness._widest(nested), nested[0].cards)
+    ]
     return _traced(
         lambda m: generate_dataset(
             m, config.class_card, blocks, SeededRng(3, 0),

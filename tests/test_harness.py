@@ -14,12 +14,11 @@ import pytest
 
 from msulab import (
     CATALOG,
-    ComputedSampleSize,
     ExperimentConfig,
-    FixedSampleSize,
     GeneratorKind,
     GroupSpec,
     InvalidInputError,
+    SampleSizePolicy,
     Sweep,
     TrackedSubset,
     config_from_json,
@@ -49,8 +48,7 @@ def _constructed(data):
 
     policy = data.get("sample_size_policy")
     if isinstance(policy, dict):
-        ((form, value),) = policy.items()
-        policy = {"fixed": FixedSampleSize, "computed": ComputedSampleSize}[form](value)
+        policy = SampleSizePolicy(**policy)
     return ExperimentConfig(**{
         **data,
         "sweep": Sweep(**data["sweep"]),
@@ -92,8 +90,8 @@ class TestResolvePoint:
     def test_fixed_policy(self):
         point = resolve_point(preset("fig-f1"), 2)
         assert point.m == 5000
-        names = [n for b in point.blocks if b is not None for n in b.names]
-        assert names == ["mk1", "mk2", "u1", "u2"]
+        assert point.counts == (2, 2)
+        assert [n for _, cols in point.measures for n in cols] == ["mk1", "mk2", "u1", "u2"]
 
     def test_computed_policy_uses_evaluated_subset(self):
         # tracked subsets are two attributes plus the class: 10 * 2 * card^2
@@ -103,8 +101,7 @@ class TestResolvePoint:
 
     def test_cardinality_sweep_reaches_groups(self):
         point = resolve_point(preset("fig-f1"), 30)
-        cards = {b.names[0]: b.cardinality for b in point.blocks if b is not None}
-        assert cards == {"mk1": 30, "u1": 30}
+        assert point.cards == (30, 30)
 
     def test_sample_size_sweep_sets_m(self):
         assert resolve_point(preset("fig-e2"), 113).m == 113
@@ -112,7 +109,7 @@ class TestResolvePoint:
     def test_count_sweep_windows(self):
         cfg = preset("fig-g")
         names_at = lambda s: [
-            n for b in resolve_point(cfg, s).blocks if b is not None for n in b.names
+            n for _, cols in resolve_point(cfg, s).measures for n in cols
         ]
         assert "upad1" not in names_at(2)
         assert "upad1" in names_at(3)
@@ -286,9 +283,8 @@ class TestRunExperiment:
         curve = run_experiment(cfg)
         assert sorted(curve.measures) == ["msu_binary", "msu_wide"]
         point = resolve_point(cfg, 16)
-        by_name = {b.names[0]: b for b in point.blocks if b is not None}
-        assert len(by_name["bin1"].names) == 8 and by_name["bin1"].cardinality == 2
-        assert len(by_name["wide1"].names) == 2 and by_name["wide1"].cardinality == 16
+        assert [g.name for g in cfg.groups] == ["bin", "wide"]
+        assert point.counts == (8, 2) and point.cards == (2, 16)
 
     def test_csv_quotes_names_so_csv_reader_reads_them_back(self):
         # a label or group name may hold a comma, a quote or a line break;
@@ -364,13 +360,13 @@ class TestPresets:
             resolve_point(cfg, cfg.sweep.values[0])
 
     def test_fig_f1_fixed_size(self):
-        assert preset("fig-f1").sample_size_policy == FixedSampleSize(5000)
+        assert preset("fig-f1").sample_size_policy == SampleSizePolicy(fixed=5000)
 
     def test_fig_xor_1_noise_sweep(self):
         cfg = preset("fig-xor-1")
         assert cfg.groups[1] == GroupSpec("u", GeneratorKind.UNIFORM, CountRule(window=(1, 13)), 2)
         assert cfg.sweep.values == tuple(range(1, 14))
-        assert cfg.sample_size_policy == FixedSampleSize(600)
+        assert cfg.sample_size_policy == SampleSizePolicy(fixed=600)
 
     def test_fig_g_uses_both_rules(self):
         # individually (Kononenko) and collectively (XOR) informative groups
@@ -404,7 +400,7 @@ class TestPresets:
         cfg = preset(name)
         points = [resolve_point(cfg, v) for v in cfg.sweep.values]
         for i, group in enumerate(cfg.groups):
-            assert any(p.blocks[i] is not None for p in points), group.name
+            assert any(p.counts[i] for p in points), group.name
         measured = {measure for p in points for measure, _ in p.measures}
         assert {f"msu_{t.label}" for t in cfg.tracked} <= measured
 
@@ -455,9 +451,9 @@ class TestConfigJson:
             "tracked": [{"label": "set", "groups": ["u"]}],
         }
         fixed = config_from_json({**base, "sample_size_policy": {"fixed": 50}})
-        assert fixed.sample_size_policy == FixedSampleSize(50)
+        assert fixed.sample_size_policy == SampleSizePolicy(fixed=50)
         computed = config_from_json({**base, "sample_size_policy": {"computed": 5}})
-        assert computed.sample_size_policy == ComputedSampleSize(5.0)
+        assert computed.sample_size_policy == SampleSizePolicy(computed=5.0)
         # one form, and no key beside it: every other key in a config is an error too
         for policy in ({"fixed": 50, "computed": 5}, {"fixed": 50, "note": "x"}, {}, {"m": 50}, [50]):
             with pytest.raises(InvalidInputError, match="unknown sample size policy"):
@@ -546,6 +542,30 @@ class TestConfigJson:
                 "tracked": [{"label": "set", "groups": ["mk"]}]}
         # an unknown key is a JSON error; Python names its keyword arguments itself
         _rejected_both_ways(data, match, python=not match.startswith("unknown group"))
+
+    @pytest.mark.parametrize(
+        "group, match",
+        [
+            (_group("u", "uniform", -1), "^a fixed count must not be negative, got -1$"),
+            (_group("u", "uniform", {"fixed": -1}), "^a fixed count must not be negative, got -1$"),
+            (_group("u", "uniform", 1, 1), "^group cardinality must be at least 2, got 1$"),
+            (_group("u", "uniform", 1, 2**63),
+             r"^group cardinality must not exceed 9223372036854775807 \(int64 codes\), "
+             r"got 9223372036854775808$"),
+            (_group("u", "xor_pair", 3),
+             r"^an xor_pair group must have a fixed count of 2, got CountRule\(fixed=3,"),
+            (_group("u", "xor_pair", {"offset": 0}), "^an xor_pair group must have a fixed count of 2"),
+            (_group("u", "xor_pair", 2, 3), "^an xor_pair group must have cardinality 2, got 3$"),
+            (_group("u", "xor_pair", 2, "sweep"), "^an xor_pair group must have cardinality 2, got 'sweep'$"),
+        ],
+        ids=["count-negative", "count-fixed-negative", "cardinality-1", "cardinality-2**63",
+             "xor-count-3", "xor-count-offset", "xor-cardinality-3", "xor-cardinality-sweep"],
+    )
+    def test_group_failing_at_every_point_rejected_when_built(self, group, match):
+        # each of these once built, and then named no column or failed at
+        # every point where the group has columns
+        data = {**self.BASE, "groups": [group], "tracked": [{"label": "set", "groups": ["u"]}]}
+        _rejected_both_ways(data, match)
 
     @pytest.mark.parametrize(
         "subset, match",
@@ -706,7 +726,7 @@ class TestConfigValidation:
                 sweep=Sweep("sample_size", (10,)),
                 groups=self.GROUPS,
                 tracked=self.TRACKED,
-                sample_size_policy=FixedSampleSize(10),
+                sample_size_policy=SampleSizePolicy(fixed=10),
             )
 
     def test_other_sweeps_require_policy(self):
@@ -769,14 +789,14 @@ class TestConfigValidation:
     )
     def test_computed_factor_must_be_finite_and_positive(self, factor):
         with pytest.raises(InvalidInputError, match="factor"):
-            ComputedSampleSize(factor)
+            SampleSizePolicy(computed=factor)
 
     @pytest.mark.parametrize(
         "m, shown", [(0, "0"), pytest.param(-(10**5000), r"at most -2\*\*16609", id="int-too-long-to-print")]
     )
     def test_fixed_sample_size_must_be_positive(self, m, shown):
         with pytest.raises(InvalidInputError, match=f"^fixed sample size must be at least 1, got {shown}$"):
-            FixedSampleSize(m)
+            SampleSizePolicy(fixed=m)
 
     def test_unknown_sweep_kind(self):
         with pytest.raises(InvalidInputError):
@@ -790,7 +810,7 @@ class TestConfigValidation:
             lambda: GroupSpec("a", GeneratorKind.UNIFORM, count=2.9, cardinality=3),
             lambda: GroupSpec("a", GeneratorKind.UNIFORM, count=2, cardinality=3.5),
             lambda: GroupSpec("a", GeneratorKind.UNIFORM, count=None, cardinality=3),
-            lambda: FixedSampleSize(2.5),
+            lambda: SampleSizePolicy(fixed=2.5),
             lambda: CountRule(fixed=1.5),
             lambda: CountRule(offset=0.5),
             lambda: CountRule(window=(1, 2.5)),
@@ -800,7 +820,7 @@ class TestConfigValidation:
             lambda: dataclasses.replace(preset("fig-b2"), master_seed=1.5),
             lambda: resolve_point(preset("fig-b2"), 8.5),
             # a bool is an int subclass, but a flag is not a count
-            lambda: FixedSampleSize(True),
+            lambda: SampleSizePolicy(fixed=True),
             lambda: dataclasses.replace(preset("fig-b2"), replicates=True),
             lambda: GroupSpec("a", GeneratorKind.UNIFORM, count=True, cardinality=3),
             lambda: CountRule(window=(False, 3)),
@@ -827,9 +847,9 @@ class TestConfigValidation:
         )
         assert (config.replicates, config.class_card, config.master_seed) == (2, 2, 7)
         assert config.sweep.values == (8, 12)
-        assert (config.groups[0].count, config.groups[0].cardinality) == (2, 2)
+        assert (config.groups[0].count, config.groups[0].cardinality) == (CountRule(fixed=2), 2)
         rule = CountRule(fixed=np.int8(1), window=(np.int64(1), np.int16(3)))
-        assert (rule.fixed, rule.window, FixedSampleSize(np.int64(9)).m) == (1, (1, 3), 9)
+        assert (rule.fixed, rule.window, SampleSizePolicy(fixed=np.int64(9)).fixed) == (1, (1, 3), 9)
         assert all(
             type(v) is int
             for v in (config.replicates, config.master_seed, *config.sweep.values, *rule.window)
@@ -859,7 +879,7 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match="unknown family"):
             GroupSpec("u", family, 2, 2)
 
-    @pytest.mark.parametrize("policy", [5000, "computed", ComputedSampleSize])
+    @pytest.mark.parametrize("policy", [5000, "computed", SampleSizePolicy])
     def test_unknown_policy_rejected(self, policy):
         with pytest.raises(InvalidInputError, match="unknown sample size policy"):
             ExperimentConfig(
@@ -1090,17 +1110,30 @@ class TestNestedEngine:
         [(2**63, "9223372036854775808"),
          pytest.param(10**5000, r"at least 2\*\*16609", id="int-too-long-to-print")],
     )
-    def test_point_with_a_cardinality_past_int64_is_skipped(self, card, shown):
-        cfg = config_from_json({
+    def test_a_fixed_cardinality_past_int64_is_rejected_when_built(self, card, shown):
+        # it would fail at every point, so the group rejects it
+        data = {
             "name": "wide", "replicates": 1,
             "sweep": {"kind": "attribute_count", "values": [1]},
             "groups": [_group("u", "uniform", 1, card)],
             "tracked": [{"label": "set", "groups": ["u"]}],
             "sample_size_policy": {"fixed": 20},
+        }
+        _rejected_both_ways(data, rf"^group cardinality must not exceed \d+ \(int64 codes\), got {shown}$")
+
+    def test_a_swept_cardinality_of_1_skips_only_its_point(self):
+        cfg = config_from_json({
+            "name": "narrow", "replicates": 2,
+            "sweep": {"kind": "cardinality", "values": [1, 2, 3]},
+            "groups": [_group("u", "uniform", 2, "sweep")],
+            "tracked": [{"label": "set", "groups": ["u"]}],
+            "sample_size_policy": {"fixed": 20},
         })
-        ((value, message),) = run_experiment(cfg).errors
-        assert value == 1
-        assert re.fullmatch(rf"cardinality must not exceed \d+ \(int64 codes\), got {shown}", message)
+        curve = run_experiment(cfg)
+        assert curve.errors == ((1, "cardinality must be at least 2, got 1"),)
+        assert curve.sample_sizes == (None, 20, 20)
+        assert curve.measures["msu_set"][0] is None
+        assert None not in curve.measures["msu_set"][1:]
 
     def test_union_dataset_never_larger_than_the_points_own(self, monkeypatch):
         # the point with the largest m measures one 200-value attribute; the
@@ -1159,7 +1192,7 @@ class TestBatches:
         monkeypatch.setattr(harness, "stacked", lambda samples: sizes.append(len(samples)) or real(samples))
         for members in harness._nested_groups(config, points):
             layout = [points[i] for i in members]
-            cells = harness._cells(max(p.m for p in layout), harness._union_blocks(layout))
+            cells = harness._cells(max(p.m for p in layout), harness._widest(layout))
             monkeypatch.setattr(harness, "_BATCH_CELLS", 0)
             alone = harness._run_layout(config, layout, range(3))
             monkeypatch.setattr(harness, "_BATCH_CELLS", 3 * cells)
@@ -1187,30 +1220,58 @@ class TestBatches:
         assert run_experiment(config) == curve
 
 
+def _independent_msu(cards, m):
+    """The ratio of exact plug-in expectations that predicts the mean MSU of
+    m rows of independent uniform columns of cardinalities `cards`:
+    n/(n - 1) (sum E[Hi] - E[Hjoint]) / sum E[Hi]."""
+    n, cells = len(cards), math.prod(cards)
+    total = math.fsum(expected_plugin_entropy([1 / c] * c, m) for c in cards)
+    joint = expected_plugin_entropy([1 / cells] * cells, m)
+    return n / (n - 1) * (total - joint) / total
+
+
 class TestRatioPrediction:
-    """`fig-b2`'s SU curves of the XOR pair against the ratio of exact
+    """Curves of independent uniform columns against the ratio of exact
     plug-in expectations (`oracle_utils.expected_plugin_entropy`).
 
-    Each member of the pair is independent of the class at any noise, and
-    both are uniform binary, so each SU is that of two independent uniform
-    binary columns: 2 (E[Hx] + E[Hc] - E[Hxc]) / (E[Hx] + E[Hc]) predicts
-    its mean. The ratio of expectations is not the expectation of the
-    ratio, but at 2,000 replicates the largest |z| over the curves' 286
-    points was 2.50 (2.96 at 500 replicates, 2.95 at 1,000). Nested points
+    The ratio of expectations is not the expectation of the ratio, but it
+    predicts each point's mean within 4 standard errors. Nested points
     share their replicates, so their z values are correlated.
     """
 
     REPLICATES = 2000
+    FIG_D_REPLICATES = 300
 
     def test_non_informative_su_curves(self):
+        # Each member of fig-b2's XOR pair is independent of the class at any
+        # noise, and both are uniform binary, so each SU is that of two
+        # independent uniform binary columns: 2 (E[Hx] + E[Hc] - E[Hxc]) /
+        # (E[Hx] + E[Hc]) predicts its mean. At 2,000 replicates the largest
+        # |z| over the curves' 286 points was 2.50 (2.96 at 500 replicates,
+        # 2.95 at 1,000).
         config = dataclasses.replace(preset("fig-b2"), replicates=self.REPLICATES)
         curve = run_experiment(config)
         assert curve.sweep_values == tuple(range(8, 151))
         for m, *stats in zip(curve.sweep_values, curve.measures["su_xor1"], curve.measures["su_xor2"]):
-            single = expected_plugin_entropy([0.5, 0.5], m)
-            pair = expected_plugin_entropy([0.25] * 4, m)
-            prediction = 2 * (2 * single - pair) / (2 * single)
+            prediction = _independent_msu([2, 2], m)  # an SU is the MSU of two columns
             for s in stats:
                 assert s.n == self.REPLICATES
                 z = (s.mean - prediction) / (s.std / math.sqrt(s.n))
                 assert abs(z) < 4, (m, s.mean, prediction, z)
+
+    def test_paired_cardinality_msu_curves(self):
+        # fig-d: a pair of uniform columns of the swept cardinality V, or
+        # 2 log2 V uniform binary ones, each set beside the uniform binary
+        # class, at 5,000 rows. The largest |z| over the 10 point-measures
+        # was 1.46 at 300 replicates and 1.62 at 1,000.
+        config = dataclasses.replace(preset("fig-d"), replicates=self.FIG_D_REPLICATES)
+        curve = run_experiment(config)
+        assert curve.sweep_values == (4, 8, 16, 32, 64) and set(curve.sample_sizes) == {5000}
+        pairs = zip(curve.measures["msu_binary"], curve.measures["msu_wide"])
+        for v, (binary, wide) in zip(curve.sweep_values, pairs):
+            bits = 2 * round(math.log2(v))
+            for stats, cards in ((binary, [2] * bits + [2]), (wide, [v, v, 2])):
+                assert stats.n == self.FIG_D_REPLICATES
+                prediction = _independent_msu(cards, 5000)
+                z = (stats.mean - prediction) / (stats.std / math.sqrt(stats.n))
+                assert abs(z) < 4, (v, cards, stats.mean, prediction, z)

@@ -615,3 +615,14 @@ class TestSampleToCsv:
         writer.writerow(names)
         writer.writerows(codes.tolist())
         assert sample_to_csv(sample) == out.getvalue()
+
+    def test_names_round_trip_through_read_csv(self, tmp_path):
+        # a lone CR ends a line for `csv.reader`, though `csv.writer` with a
+        # "\n" line terminator leaves it unquoted
+        names = ["a,b", 'say "c"', "d\re", "f\ng", "h\r\ni", "plain"]
+        sample = CategoricalSample([[0] * 6, [1] * 6], [2] * 6, names)
+        path = tmp_path / "names.csv"
+        path.write_bytes(sample_to_csv(sample).encode("utf-8"))
+        data = read_csv(path)
+        assert data.sample == sample
+        assert data.dictionaries == (("0", "1"),) * 6

@@ -10,8 +10,10 @@ joint cells are keyed in it too. Rows become counts only in `sample.py`: no
 other module calls `bincount` or `unique`, and `sample.prefix_counts` has
 one caller, `measures._stored_entropies`, which hands it a key that only
 `measures.py` checks; `prefix_counts` alone decides a joint's layout. Only `generators.py` reads a
-stream's raw words (`random_raw`). README's section on JSON experiment
-configs names every field of the config classes, which are the JSON keys.
+stream's raw words (`random_raw`). A sweep point is plain integers: the
+harness builds attribute blocks only for a set of nested points, in
+`_run_layout`. README's section on JSON experiment configs names every
+field of the config classes, which are the JSON keys.
 """
 
 import ast
@@ -20,7 +22,7 @@ import re
 from pathlib import Path
 
 import msulab
-from msulab.harness import CountRule, ExperimentConfig, GroupSpec, Sweep, TrackedSubset
+from msulab.harness import CountRule, ExperimentConfig, GroupSpec, SampleSizePolicy, Sweep, TrackedSubset
 
 PACKAGE = Path(msulab.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
@@ -259,6 +261,17 @@ def test_only_generators_reads_raw_words():
         assert readers == ["generators.py"], (draw, readers)
 
 
+def test_the_harness_builds_blocks_only_for_a_layout():
+    # the config classes check each field once, so a sweep point needs no
+    # block to check its groups; the dataset's blocks are built once per
+    # set of nested points
+    calls = [
+        caller for name in ("block", "AttributeBlock") for caller in _callers(name)
+        if caller.startswith("harness.py:")
+    ]
+    assert calls == ["harness.py:_run_layout"]
+
+
 def test_readme_names_every_config_field():
     # `config_from_json` reads a class's fields as its JSON keys, so a new
     # field is a new key, to be documented with the others
@@ -266,7 +279,7 @@ def test_readme_names_every_config_field():
     section = text.split("### JSON experiment configs\n", 1)[1].split("\n## ", 1)[0]
     missing = [
         f"{cls.__name__}.{field.name}"
-        for cls in (ExperimentConfig, Sweep, GroupSpec, CountRule, TrackedSubset)
+        for cls in (ExperimentConfig, Sweep, GroupSpec, CountRule, SampleSizePolicy, TrackedSubset)
         for field in dataclasses.fields(cls)
         if not re.search(rf'[`".]{field.name}[`"]', section)  # `key`, "key" or `parent.key`
     ]
