@@ -2,7 +2,7 @@
 
 Three attribute families are supported, each written by one column writer
 straight into the integer columns it is given, such as a sample's narrow
-ones (`msulab.dataset.generate_dataset` is their one caller):
+ones (`msulab.dataset.generate_replicates` is their one caller):
 
 * uniform (`fill_uniform`): non-informative, drawn independently of the
   class. A class column with no XOR pair is one too.
@@ -36,10 +36,12 @@ routine, and both give the codes that routine would, from the same numbers:
 * A binary Kononenko column takes the same (m, 2) draws as any other, but
   its halves have one member each, so its code is the half draw alone.
 
-The writers check no cardinality or length: their caller gives each a
-column whose dtype holds every code below its cardinality, and a writer
-writes no code past that, so no cast wraps one. The sample checks every
-code of the filled matrix all the same.
+The writers check nothing, neither a cardinality, a length, k nor the XOR
+noise: their caller checks each parameter once (`check_card`, `check_k`,
+`check_xor_noise`) and gives each writer a column whose dtype holds every
+code below its cardinality, and a writer writes no code past that, so no
+cast wraps one. The sample checks every code of the filled matrix all the
+same.
 """
 
 from __future__ import annotations
@@ -232,7 +234,8 @@ def fill_kononenko(
 
 def check_xor_noise(noise: float) -> float:
     """An XOR class flip probability as a float, once it is a real number
-    (`msulab.sample.real`) in [0, 0.5)."""
+    (`msulab.sample.real`) in [0, 0.5): noise of 0.5 or more would leave the
+    class uncorrelated or anti-correlated with the pair."""
     number = real(noise, "noise")
     if not 0.0 <= number < 0.5:
         raise InvalidInputError(f"noise must lie in [0, 0.5), got {int_text(noise)}")
@@ -251,8 +254,8 @@ def fill_xor_pair(
 
     f1 and f2 are i.i.d. uniform binary; the class equals XOR(f1, f2) with
     probability 1 - noise and its complement otherwise, via an independent
-    per-row Bernoulli flip. Noise of 0.5 or more would leave the class
-    uncorrelated or anti-correlated with the pair, so it is rejected.
+    per-row Bernoulli flip; `noise` is a float in [0, 0.5), as
+    `check_xor_noise` gives it.
 
     The draws are (rows, 3) row-major float blocks of at most
     `_XOR_BLOCK_ROWS` rows, taken from the stream in row order, so they are
@@ -260,7 +263,6 @@ def fill_xor_pair(
     rows in place, with no further temporary (a comparison's bools are 0 and
     1 in any integer dtype).
     """
-    noise = check_xor_noise(noise)
     for lo in range(0, len(f1), _XOR_BLOCK_ROWS):
         rows = slice(lo, lo + _XOR_BLOCK_ROWS)
         draws = rng.random((len(f1[rows]), 3))

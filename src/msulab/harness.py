@@ -16,10 +16,11 @@ always a `CountRule`. `config_from_json` reads the layout from its JSON
 form, whose keys are those fields, only mapping each object to its class;
 the preset catalog is written in that form too. `resolve_point` turns a
 sweep value into plain integers: each group's column count and cardinality,
-the measures read from them (each a name and its attribute columns) and the
-sample size. It checks only what the sweep value brings, a swept
-cardinality; the dataset's blocks are built once per set of nested points,
-in `_run_layout`.
+and the sample size. It checks only what the sweep value brings, a swept
+cardinality. The dataset's blocks, and with them every column name (by
+`msulab.dataset.block`), are built once per set of nested points, in
+`_run_layout`, which reads each point's measures from its counts and those
+blocks.
 
 Replicate r of every sweep point draws from streams keyed by
 (master_seed, r, column path). Points of a sweep therefore share their
@@ -31,14 +32,14 @@ what makes stabilization visible at a few hundred replicates.
 
 The engine uses the nesting. Two points nest when every group has the same
 cardinality at both, and the XOR group, which the class is drawn from when
-present, is present at both or absent at both. Group names number their
-columns name1..nameN and every column keeps its stream path, so a point's
-columns are a name prefix of the widest block at each group position. Per
-replicate a set of nested points gets one dataset: it holds each position's
-widest block, generated at the set's largest m, and each point reads its own
-columns, by name, at its first m rows. A sample-size sweep is one such set,
-and so is a count sweep whose cardinalities stay fixed; the points of a
-cardinality sweep never nest. Where that union dataset would hold more cells
+present, is present at both or absent at both. Every column keeps its stream
+path as its group grows, so a point's columns are the first columns of the
+widest block at each group position. Per replicate a set of nested points
+gets one dataset: it holds each position's widest block, generated at the
+set's largest m, and each point reads its own columns at its first m rows;
+each measure's column indices are worked out once for the set. A
+sample-size sweep is one such set, and so is a count sweep whose
+cardinalities stay fixed; the points of a cardinality sweep never nest. Where that union dataset would hold more cells
 (rows x columns) than the points' own datasets together, each point gets its
 own dataset instead. Every measure's values come from
 `msulab.measures.msu_values` at the row prefixes of the points that list
@@ -50,16 +51,19 @@ run on its own is the isolated recomputation of that point, with the same
 floats.
 
 Replicates are measured in batches of at most `_BATCH_CELLS` dataset cells
-(at least one replicate a batch, so a large dataset is measured alone).
-Each replicate's dataset is generated on its own, from its own streams; a
-batch's datasets are stacked into one sample, and each measure is one
-`msu_values` call with the dataset's rows as its period, which gives each
-replicate's values, the floats it gives alone, one replicate after another.
+(at least one replicate a batch, so a large dataset is measured alone). A
+batch is generated into one matrix (`msulab.dataset.generate_replicates`),
+each replicate's rows from its own streams, one replicate after another,
+and each measure is one `msu_values` call with the dataset's rows as its
+period, which gives each replicate's values, the floats it gives alone.
 
-No dataset past `msulab.dataset.MAX_DATASET_CELLS` is generated: nested
-points whose union would pass it get their own datasets, and a point whose
-own dataset passes it is skipped, with an error naming its rows and cells,
-before anything is drawn.
+The engine fails only when a point is resolved. No dataset past
+`msulab.dataset.MAX_DATASET_CELLS` is generated: a point whose own dataset
+passes it is skipped there (`msulab.dataset.check_size`), with an error
+naming its rows and cells, before any name or block is built for it, and
+nested points whose union would pass it get their own datasets. A config
+that would fail at every point is rejected when it is built, so every
+layout that is run is generated and measured.
 """
 
 from __future__ import annotations
@@ -68,16 +72,17 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import CLASS_COLUMN, MAX_DATASET_CELLS, block, check_xor_class, generate_dataset
+from .dataset import MAX_DATASET_CELLS, block, check_size, check_xor_class, generate_replicates
 from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_card, check_k, check_xor_noise
 from .ingest import csv_field
 from .measures import msu_values
-from .sample import int_text, integer, items, real, stacked, string
+from .sample import int_text, integer, items, real, string
 from .samplesize import CardinalityProfile, heuristic_sample_size, representativeness_report
 
 DEFAULT_MASTER_SEED = 20170707
@@ -85,7 +90,7 @@ DEFAULT_REPLICATES = 1000
 # Significance level of the chi-squared m* reported by a representativeness scan.
 SCAN_ALPHA = 0.05
 # Replicates are measured in batches of at most this many dataset cells,
-# stacked into one sample, but at least one replicate a batch. fig-b2 (450
+# generated into one sample, but at least one replicate a batch. fig-b2 (450
 # cells a replicate) at 1,000 replicates, timed in turn on one CPU of a
 # 2-vCPU Xeon VM, took 0.45-0.65 s at 2**13 cells, 0.45-0.62 s at 2**15 and
 # 0.51-0.61 s at 2**18, against 0.97-1.17 s at one replicate a batch; peak
@@ -239,6 +244,8 @@ class TrackedSubset:
         string(self.label, "tracked label")
         groups = items(self.groups, "tracked groups")
         object.__setattr__(self, "groups", tuple(string(g, "tracked group") for g in groups))
+        if len(set(self.groups)) != len(self.groups):  # a column cannot be measured twice in one MSU
+            raise InvalidInputError(f"tracked groups must not repeat, got {list(self.groups)}")
         _flag(self.with_su, "with_su")
 
 
@@ -277,8 +284,7 @@ class ExperimentConfig:
         _flag(self.representativeness_scan, "representativeness_scan")
         if self.replicates < 1:
             raise InvalidInputError("replicates must be at least 1")
-        if self.class_card < 2:
-            raise InvalidInputError("class cardinality must be at least 2")
+        check_card(self.class_card, "class cardinality")
         if self.sweep.kind == "sample_size":
             if self.sample_size_policy is not None:
                 raise InvalidInputError("a sample-size sweep fixes m per point; drop the policy")
@@ -317,48 +323,39 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResolvedPoint:
-    """Concrete layout of one sweep point."""
+    """Concrete layout of one sweep point: its sample size, and each group's
+    column count and cardinality here, in group order."""
 
     sweep_value: int
     m: int
-    # each group's column count and cardinality here, in group order
     counts: tuple[int, ...]
     cards: tuple[int, ...]
-    # (measure name, attribute columns): msu_<label> of each tracked subset
-    # with columns here, followed by su_<column> for each of its columns
-    # when it is tracked with_su
-    measures: tuple[tuple[str, tuple[str, ...]], ...]
 
 
 def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
-    """Turn a sweep value into each group's column count and cardinality,
-    the measures read from them and a sample size.
+    """Turn a sweep value into each group's column count and cardinality
+    and a sample size.
 
     The groups were checked when the config was built, so only the sweep
     value is checked here: a count rule's binary equivalent of it, and a
-    swept cardinality where its group has columns.
+    swept cardinality where its group has columns. A computed m is the
+    largest 10x rule over the tracked subsets, each with the class: the
+    measures of a point share one dataset. A subset with no columns here,
+    or an SU of one column, asks for no more than a subset with columns.
+    Presets keep those requirements equal.
     """
     sweep_value = integer(sweep_value, "sweep value")
     counts: list[int] = []
     cards: list[int] = []
-    group_columns: dict[str, tuple[str, ...]] = {}
     for g in config.groups:
         count = g.count.resolve(sweep_value)
         card = g.cardinality
         if card == "sweep":
             card = check_card(sweep_value) if count else sweep_value
-        group_columns[g.name] = tuple(f"{g.name}{i}" for i in range(1, count + 1))
         counts.append(count)
         cards.append(card)
-
-    measures: list[tuple[str, tuple[str, ...]]] = []
-    for sub in config.tracked:
-        cols = tuple(n for gname in sub.groups for n in group_columns[gname])
-        if cols:
-            measures.append((f"msu_{sub.label}", cols))
-            if sub.with_su:
-                measures += [(f"su_{name}", (name,)) for name in cols]
-    if not measures:
+    size = {g.name: (count, card) for g, count, card in zip(config.groups, counts, cards)}
+    if not any(size[name][0] for sub in config.tracked for name in sub.groups):
         raise InvalidInputError(f"no tracked subset has columns at sweep value {sweep_value}")
 
     policy = config.sample_size_policy
@@ -369,17 +366,17 @@ def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
     elif policy.fixed is not None:
         m = policy.fixed
     else:
-        # Heuristic over each evaluated subset (class included); the measures
-        # of a point share one dataset, so the largest requirement wins.
-        # Presets keep those requirements equal.
-        card_of = {n: card for g, card in zip(config.groups, cards) for n in group_columns[g.name]}
         m = max(
             heuristic_sample_size(
-                CardinalityProfile(tuple(card_of[c] for c in cols), config.class_card), policy.computed
+                CardinalityProfile(
+                    tuple(card for name in sub.groups for card in [size[name][1]] * size[name][0]),
+                    config.class_card,
+                ),
+                policy.computed,
             )
-            for _, cols in measures
+            for sub in config.tracked
         )
-    return ResolvedPoint(sweep_value, m, tuple(counts), tuple(cards), tuple(measures))
+    return ResolvedPoint(sweep_value, m, tuple(counts), tuple(cards))
 
 
 def _cells(m: int, counts: Sequence[int]) -> int:
@@ -424,57 +421,65 @@ def _run_layout(
     The points nest (see `_nested_groups`), so one dataset per replicate
     serves them all: it holds each group position's widest block at the
     largest m, and a point reads its own columns at its first m rows. Those
-    blocks are built here, once, from the points' shared cardinalities. Each
-    distinct measure is taken once per replicate, at the row prefixes of the
-    points that list it, in ascending order. Each joint histogram is counted
-    at its own prefixes only; a dense joint's counts give every column's
-    marginals, of which the table keeps those it lacks, and a renumbered
-    joint's columns are counted once each (see
-    `msulab.measures.subset_entropies`).
+    blocks are built here, once, from the points' shared cardinalities, and
+    each point's measures are read from them: msu_<label> of each tracked
+    subset with columns at the point, the first columns of each of its
+    groups' blocks, followed by su_<column> for each of those columns when
+    it is tracked with_su. Each distinct measure is taken once per
+    replicate, at the row prefixes of the points that list it, in ascending
+    order. Each joint histogram is counted at its own prefixes only; a
+    dense joint's counts give every column's marginals, of which the table
+    keeps those it lacks, and a renumbered joint's columns are counted once
+    each (see `msulab.measures.subset_entropies`).
 
-    A batch of replicates (see `_BATCH_CELLS`) is one stacked sample, and
-    each measure is taken once a batch, with the dataset's rows as the
-    period: its values come replicate by replicate, a (replicates x
-    prefixes) matrix. A measure's matrices over the batches are stacked,
-    and a point reads the column at its m.
+    A batch of replicates (see `_BATCH_CELLS`) is generated into one sample
+    (`msulab.dataset.generate_replicates`), and each measure is taken once
+    a batch, with the dataset's rows as the period: its values come
+    replicate by replicate, a (replicates x prefixes) matrix. A measure's
+    matrices over the batches are stacked, and a point reads the column at
+    its m.
     """
     counts = _widest(points)
     blocks = [
         block(g.name, g.family, n, card) if n else None
         for g, n, card in zip(config.groups, counts, points[0].cards)
     ]
+    names = [name for b in blocks if b is not None for name in b.names]
+    # each group's columns in the dataset, whose last column is the class
+    starts = accumulate(counts, initial=0)
+    columns = {g.name: range(start, start + n) for g, start, n in zip(config.groups, starts, counts)}
     m = max(p.m for p in points)
-    prefixes: dict[tuple[str, tuple[str, ...]], set[int]] = {}
+    # each point's measures, (name, attribute columns) in order, and the
+    # prefixes of each measure
+    measured: list[list[tuple[str, tuple[int, ...]]]] = []
+    prefixes: dict[tuple[str, tuple[int, ...]], set[int]] = {}
     for p in points:
-        for measure in p.measures:
+        count = dict(zip(columns, p.counts))
+        measured.append(own := [])
+        for sub in config.tracked:
+            if cols := tuple(c for name in sub.groups for c in columns[name][: count[name]]):
+                own += [(f"msu_{sub.label}", cols)] + [(f"su_{names[c]}", (c,)) for c in cols if sub.with_su]
+        for measure in own:
             prefixes.setdefault(measure, set()).add(p.m)
     at = {measure: sorted(ms) for measure, ms in prefixes.items()}
     # measure -> its (replicates x prefixes) matrix of each batch
-    values: dict[tuple[str, tuple[str, ...]], list[np.ndarray]] = {measure: [] for measure in at}
+    values: dict[tuple[str, tuple[int, ...]], list[np.ndarray]] = {measure: [] for measure in at}
 
     batch = max(1, _BATCH_CELLS // _cells(m, counts))
     for first in range(0, len(replicates), batch):
-        sample = stacked([
-            generate_dataset(
-                m,
-                config.class_card,
-                blocks,
-                SeededRng(config.master_seed, r),
-                k=config.kononenko_k,
-                xor_noise=config.xor_noise,
-            )
-            for r in replicates[first : first + batch]
-        ])
-        size = sample.n_rows // m
+        rngs = [SeededRng(config.master_seed, r) for r in replicates[first : first + batch]]
+        sample = generate_replicates(
+            m, config.class_card, blocks, rngs, config.kononenko_k, config.xor_noise
+        )
         for (name, cols), ms in at.items():
-            subset = [sample.column_index(n) for n in cols + (CLASS_COLUMN,)]
-            values[name, cols].append(msu_values(sample, subset, ms, m)[0].reshape(size, -1))
+            subset = cols + (len(names),)  # the class is the last column
+            values[name, cols].append(msu_values(sample, subset, ms, m)[0].reshape(len(rngs), -1))
     # measure -> prefix -> its values, replicate by replicate
     column = {
         measure: dict(zip(at[measure], np.concatenate(matrices).T.tolist()))
         for measure, matrices in values.items()
     }
-    return [{name: tuple(column[name, cols][p.m]) for name, cols in p.measures} for p in points]
+    return [{name: tuple(column[name, cols][p.m]) for name, cols in own} for p, own in zip(points, measured)]
 
 
 @dataclass(frozen=True)
@@ -547,17 +552,15 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
     failures: dict[int, str] = {}
     for i, sweep_value in enumerate(config.sweep.values):
         try:
-            points[i] = resolve_point(config, sweep_value)
+            point = resolve_point(config, sweep_value)
+            check_size(point.m, 1 + sum(point.counts))
+            points[i] = point
         except InvalidInputError as exc:
             failures[i] = str(exc)
 
     results: dict[int, dict[str, tuple[float, ...]]] = {}  # point index -> measure -> values
     for members in _nested_groups(config, points):
-        try:
-            values = _run_layout(config, [points[i] for i in members], range(config.replicates))
-        except InvalidInputError as exc:
-            failures.update((i, str(exc)) for i in members)
-            continue
+        values = _run_layout(config, [points[i] for i in members], range(config.replicates))
         results.update(zip(members, values))
 
     sample_sizes: list[int | None] = []

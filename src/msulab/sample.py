@@ -13,8 +13,8 @@ uint8 up to 256, uint16 up to 65,536, uint32 up to 2**32, int64 past that),
 so the binary to 40-value alphabets of the paper take one byte a code.
 `from_columns` range-checks each input column (`check_codes`) before it
 casts it into its place in the matrix, so a bad code is reported, never
-wrapped into range. `msulab.dataset.generate_dataset` has its generators
-write each column into its place as it is drawn, and `msulab.ingest.read_csv`
+wrapped into range. `msulab.dataset.generate_replicates` has its generators
+write each column into its rows as it is drawn, and `msulab.ingest.read_csv`
 joins its coded chunks into the matrix; both write only codes that fit.
 Every sample, however it is built, passes the same validation in
 `__post_init__`, which checks every code of the matrix; a matrix given to
@@ -34,10 +34,11 @@ gives no column's counts: a column is then counted from its own rows, as a
 subset of one. How a cell is keyed (a dense mixed-radix key, a renumbered
 key, or a row of codes past int64) is private to this module.
 
-Samples of one layout can be `stacked`, one after another, and counted with
-a `period` of their rows: the prefixes are then taken within each segment,
-and the count matrices hold one row per (segment, prefix), segment by
-segment. `normalize_columns` and `normalize_prefixes` (the one rule for a
+A sample can hold datasets of one layout one after another, as
+`msulab.dataset.generate_replicates` writes a batch of replicates, and be
+counted with a `period` of their rows: the prefixes are then taken within
+each segment, and the count matrices hold one row per (segment, prefix),
+segment by segment. `normalize_columns` and `normalize_prefixes` (the one rule for a
 period and its prefixes) run only in `msulab.measures`, which hands
 `prefix_counts` its entropy table's checked key (subset, prefixes, segment
 rows). A joint's layout is decided once a call: a dense joint counts all
@@ -131,10 +132,10 @@ def _codes_fit(column: np.ndarray, card: int) -> bool:
 
 
 class _Filled:
-    """A `code_matrix` that `from_columns`, `stacked`,
-    `msulab.dataset.generate_dataset` or `msulab.ingest.read_csv` allocated
-    and filled, so no caller holds it; the constructor validates it without
-    a copy."""
+    """A `code_matrix` that `from_columns`,
+    `msulab.dataset.generate_replicates` or `msulab.ingest.read_csv`
+    allocated and filled, so no caller holds it; the constructor validates
+    it without a copy."""
 
     __slots__ = ("matrix",)
 
@@ -397,21 +398,6 @@ def normalize_prefixes(
     if bounds[-1] > rows:
         raise InvalidInputError(f"prefix of {int_text(bounds[-1])} rows exceeds the period of {rows}")
     return tuple(bounds), rows
-
-
-def stacked(samples: Sequence[CategoricalSample]) -> CategoricalSample:
-    """One sample holding the rows of `samples`, one sample after another;
-    they must share their cardinalities and column names. A single sample
-    is returned as it is."""
-    first = samples[0]
-    if len(samples) == 1:
-        return first
-    layout = (first.cardinalities, first.column_names)
-    if any((s.cardinalities, s.column_names) != layout for s in samples):
-        raise InvalidInputError("stacked samples must share their cardinalities and column names")
-    codes = code_matrix(sum(s.n_rows for s in samples), first.cardinalities)
-    np.concatenate([s.codes for s in samples], out=codes)
-    return CategoricalSample(_Filled(codes), first.cardinalities, first.column_names)
 
 
 def prefix_counts(

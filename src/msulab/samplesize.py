@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,15 +78,22 @@ def multivariate_cardinality(profile: CardinalityProfile) -> int:
     """Number of possible joint value combinations, class included."""
     if not isinstance(profile, CardinalityProfile):
         raise InvalidInputError(f"profile must be a CardinalityProfile, got {type(profile).__name__}")
-    return profile.class_card * math.prod(profile.attribute_cards)
+    # one power per distinct cardinality: a running product over every
+    # column would take time quadratic in their number
+    powers = Counter(profile.attribute_cards).items()
+    return profile.class_card * math.prod(card**count for card, count in powers)
 
 
 def heuristic_sample_size(profile: CardinalityProfile, factor: float = 10.0) -> int:
     """factor x multivariate cardinality, rounded up."""
+    return _heuristic(multivariate_cardinality(profile), factor)
+
+
+def _heuristic(space: int, factor: float) -> int:
+    """factor x `space` joint cells, rounded up."""
     number = real(factor, "factor")
     if not (math.isfinite(number) and number > 0):
         raise InvalidInputError(f"factor must be finite and positive, got {int_text(factor)}")
-    space = multivariate_cardinality(profile)
     if number.is_integer():
         return int(factor) * space
     try:
@@ -294,7 +302,7 @@ def representativeness_report(
     space = multivariate_cardinality(profile)
     if space < 2:
         raise InvalidInputError("joint value space must have at least two combinations")
-    heuristic_m = heuristic_sample_size(profile, factor)
+    heuristic_m = _heuristic(space, factor)
     critical, m_star = _critical_and_m_star(space, alpha)
     return RepresentativenessReport(
         multivariate_cardinality=space,

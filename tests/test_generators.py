@@ -1,6 +1,7 @@
 """Tests for the synthetic attribute generators and dataset assembly."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,7 +35,6 @@ from msulab.generators import (
 )
 from msulab.presets import preset
 from msulab.measures import subset_entropies
-from msulab.sample import stacked
 from oracle_utils import (
     binary_entropy,
     expected_plugin_entropy,
@@ -556,8 +556,11 @@ class TestGenXorPair:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_half_or_more_noise_rejected(self):
-        with pytest.raises(InvalidInputError):
-            _xor_pair(10, 0.5, _rng())
+        # by the dataset that holds the pair, before any draw: the writer
+        # checks nothing
+        blocks = [block("x", GeneratorKind.XOR_PAIR, 2, 2)]
+        with pytest.raises(InvalidInputError, match=r"^noise must lie in \[0, 0.5\), got 0.5$"):
+            generate_dataset(10, 2, blocks, SeededRng(1), xor_noise=0.5)
 
     @pytest.mark.parametrize(
         "m", [_XOR_BLOCK_ROWS - 1, _XOR_BLOCK_ROWS, _XOR_BLOCK_ROWS + 1, 2 * _XOR_BLOCK_ROWS + 5]
@@ -597,14 +600,11 @@ class TestExactPlugInExpectation:
 
     def _entropies(self, blocks):
         """Each subset's entropies at `SIZES`, one row a replicate: the
-        prefixes of seeded replicates of the largest size, counted as one
-        stacked sample, as the engine counts nested sweep points."""
+        prefixes of seeded replicates of the largest size, generated and
+        counted as one sample, as the engine counts nested sweep points."""
         top = self.SIZES[-1]
-        replicates = [
-            generate_dataset(top, 2, blocks, SeededRng(2003, r), xor_noise=self.NOISE)
-            for r in range(self.REPLICATES)
-        ]
-        sample = stacked(replicates)
+        rngs = [SeededRng(2003, r) for r in range(self.REPLICATES)]
+        sample = dataset.generate_replicates(top, 2, blocks, rngs, xor_noise=self.NOISE)
         return {
             cols: np.array(subset_entropies(sample, cols, self.SIZES, top)).reshape(self.REPLICATES, -1)
             for cols in ((0, 1, 2), (0,), (1,), (2,))
@@ -749,6 +749,53 @@ class TestGenerateDataset:
                 narrow.codes[:, narrow.column_index(name)],
                 wide.codes[:, wide.column_index(name)],
             )
+
+    def test_replicates_are_each_rngs_dataset_one_after_another(self):
+        # a batch is one matrix: its r-th m rows are the dataset of rngs[r]
+        blocks = [
+            block("x", GeneratorKind.XOR_PAIR, 2, 2),
+            block("mk", GeneratorKind.KONONENKO, 2, 5),
+            block("u", GeneratorKind.UNIFORM, 2, 3),
+        ]
+        rngs = [SeededRng(17, r) for r in (4, 0, 9)]
+        batch = dataset.generate_replicates(30, 2, blocks, rngs, k=0.5, xor_noise=0.1)
+        alone = [generate_dataset(30, 2, blocks, rng, k=0.5, xor_noise=0.1) for rng in rngs]
+        assert batch.codes.tolist() == [row for s in alone for row in s.codes.tolist()]
+        assert batch.codes.flags.f_contiguous and batch.codes.dtype == alone[0].codes.dtype
+        assert (batch.cardinalities, batch.column_names) == (alone[0].cardinalities, alone[0].column_names)
+        assert dataset.generate_replicates(30, 2, blocks, rngs[:1], k=0.5, xor_noise=0.1) == alone[0]
+
+    @pytest.mark.parametrize(
+        "rngs, message",
+        [([], "at least one rng is required"),
+         ([SeededRng(1), 5], "rngs must be a list or tuple of SeededRng, got"),
+         (SeededRng(1), "rngs must be a list or tuple of SeededRng, got")],
+    )
+    def test_replicates_need_rngs(self, rngs, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+            dataset.generate_replicates(5, 2, [block("u", GeneratorKind.UNIFORM, 1, 2)], rngs)
+        with pytest.raises(InvalidInputError, match="^rng must be a SeededRng, got 5$"):
+            generate_dataset(5, 2, [block("u", GeneratorKind.UNIFORM, 1, 2)], 5)
+
+    @pytest.mark.parametrize(
+        "blocks, params, message",
+        [([block("x", GeneratorKind.XOR_PAIR, 2, 2)], {"xor_noise": 0.5}, "noise must lie in [0, 0.5), got 0.5"),
+         ([block("x", GeneratorKind.XOR_PAIR, 2, 2)], {"xor_noise": -0.1}, "noise must lie in [0, 0.5), got -0.1"),
+         ([block("mk", GeneratorKind.KONONENKO, 1, 2)], {"k": 0}, "informativeness k must be finite and positive, got 0")],
+    )
+    def test_parameters_checked_once_before_allocation(self, monkeypatch, blocks, params, message):
+        # the writers check nothing: a bad parameter never reaches them
+        def failing(*args):
+            raise AssertionError("nothing may be allocated")
+
+        monkeypatch.setattr(dataset, "code_matrix", failing)
+        rngs = [SeededRng(1, r) for r in range(3)]
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            dataset.generate_replicates(5, 2, blocks, rngs, **params)
+        # a parameter no block uses is not checked
+        unused = [block("u", GeneratorKind.UNIFORM, 1, 2)]
+        monkeypatch.undo()
+        assert dataset.generate_replicates(5, 2, unused, rngs, **params).n_rows == 15
 
     def test_xor_derives_class(self):
         sample = generate_dataset(

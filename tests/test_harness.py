@@ -8,6 +8,7 @@ import json
 import math
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from msulab import (
 )
 from msulab import dataset, harness, measures, presets
 from msulab import sample as sample_module
-from msulab.dataset import generate_dataset
+from msulab.dataset import CLASS_COLUMN, generate_replicates
 from msulab.harness import CountRule, MeasureStats, _mean_std, resolve_point
 from oracle_utils import expected_plugin_entropy
 
@@ -73,6 +74,39 @@ def run_replicate(config, sweep_value, replicate_index):
     return {label: value for label, (value,) in values.items()}
 
 
+def _measured_columns(config, sweep_value):
+    """Each measure of one sweep point run on its own, name -> the names of
+    the attribute columns that `_run_layout` takes it over, in order; the
+    class is the last column of each."""
+    point = resolve_point(config, sweep_value)
+    taken = []
+    real = harness.msu_values
+
+    def spying(sample, subset, *args):
+        *columns, last = (sample.column_names[c] for c in subset)
+        assert last == CLASS_COLUMN
+        taken.append(tuple(columns))
+        return real(sample, subset, *args)
+
+    with mock.patch.object(harness, "msu_values", spying):
+        (values,) = harness._run_layout(config, [point], [0])
+    return dict(zip(values, taken))
+
+
+def _spy_batches(monkeypatch):
+    """The stream ids of each batch `generate_replicates` generates from
+    here on, one list a batch, and the m and attribute columns of each."""
+    batches = []
+
+    def spying(m, class_card, blocks, rngs, *args):
+        columns = sum(len(b.names) for b in blocks if b is not None)
+        batches.append(([rng.stream_id for rng in rngs], m, columns))
+        return generate_replicates(m, class_card, blocks, rngs, *args)
+
+    monkeypatch.setattr(harness, "generate_replicates", spying)
+    return batches
+
+
 def _curve_sha256(config):
     buffer = io.StringIO()
     run_experiment(config).write_csv(buffer)
@@ -91,7 +125,8 @@ class TestResolvePoint:
         point = resolve_point(preset("fig-f1"), 2)
         assert point.m == 5000
         assert point.counts == (2, 2)
-        assert [n for _, cols in point.measures for n in cols] == ["mk1", "mk2", "u1", "u2"]
+        measured = _measured_columns(preset("fig-f1"), 2)
+        assert [n for cols in measured.values() for n in cols] == ["mk1", "mk2", "u1", "u2"]
 
     def test_computed_policy_uses_evaluated_subset(self):
         # tracked subsets are two attributes plus the class: 10 * 2 * card^2
@@ -108,14 +143,11 @@ class TestResolvePoint:
 
     def test_count_sweep_windows(self):
         cfg = preset("fig-g")
-        names_at = lambda s: [
-            n for _, cols in resolve_point(cfg, s).measures for n in cols
-        ]
+        names_at = lambda s: [n for cols in _measured_columns(cfg, s).values() for n in cols]
         assert "upad1" not in names_at(2)
         assert "upad1" in names_at(3)
         # beyond the shared window only the individually-informative subset remains
-        late = resolve_point(cfg, 15)
-        assert [name for name, _ in late.measures] == ["msu_informative"]
+        assert list(_measured_columns(cfg, 15)) == ["msu_informative"]
         assert "xor1" not in names_at(15)
 
     def test_infeasible_sample_size_rejected(self):
@@ -123,10 +155,9 @@ class TestResolvePoint:
             resolve_point(preset("fig-e2"), 0)
 
     def test_measures_list_each_msu_then_its_su(self):
-        point = resolve_point(preset("fig-a1"), 4)
-        assert point.measures == (
+        assert list(_measured_columns(preset("fig-a1"), 4).items()) == [
             ("msu_set", ("mk1", "u1")), ("su_mk1", ("mk1",)), ("su_u1", ("u1",)),
-        )
+        ]
 
     def test_computed_size_is_the_largest_over_the_measures(self):
         cfg = config_from_json({
@@ -401,8 +432,9 @@ class TestPresets:
         points = [resolve_point(cfg, v) for v in cfg.sweep.values]
         for i, group in enumerate(cfg.groups):
             assert any(p.counts[i] for p in points), group.name
-        measured = {measure for p in points for measure, _ in p.measures}
-        assert {f"msu_{t.label}" for t in cfg.tracked} <= measured
+        position = {g.name: i for i, g in enumerate(cfg.groups)}
+        measured = {t.label for t in cfg.tracked for p in points if any(p.counts[position[g]] for g in t.groups)}
+        assert {t.label for t in cfg.tracked} <= measured
 
 
 # Two Kononenko and two uniform binary attributes, measured as two subsets.
@@ -566,6 +598,24 @@ class TestConfigJson:
         # every point where the group has columns
         data = {**self.BASE, "groups": [group], "tracked": [{"label": "set", "groups": ["u"]}]}
         _rejected_both_ways(data, match)
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"class_card": 1}, "^class cardinality must be at least 2, got 1$"),
+            ({"class_card": 2**70},
+             r"^class cardinality must not exceed 9223372036854775807 \(int64 codes\), "
+             r"got at least 2\*\*70$"),
+            ({"groups": [_group("u", "uniform", 2)], "tracked": [{"label": "set", "groups": ["u", "u"]}]},
+             r"^tracked groups must not repeat, got \['u', 'u'\]$"),
+        ],
+        ids=["class-card-1", "class-card-2**70", "tracked-group-twice"],
+    )
+    def test_config_failing_at_every_point_rejected_when_built(self, changes, match):
+        # a class past the int64 codes, or a subset that names a group twice,
+        # once built and then skipped every point; a class cardinality below
+        # 2 is checked by the same rule, which names the value
+        _rejected_both_ways({**self.BASE, **changes}, match)
 
     @pytest.mark.parametrize(
         "subset, match",
@@ -937,36 +987,9 @@ class TestNestedEngine:
         assert list(curve.errors) == expected_errors
 
     def test_sample_size_sweep_builds_one_dataset_per_replicate(self, monkeypatch):
-        built = []
-
-        def counting(m, *args, **kwargs):
-            built.append(m)
-            return generate_dataset(m, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "generate_dataset", counting)
+        batches = _spy_batches(monkeypatch)
         run_experiment(_desk(preset("fig-b2"), 4))
-        assert built == [150] * 4
-
-    def test_layout_failure_reported_for_each_of_its_points(self, monkeypatch):
-        # layouts that fail at every point are rejected when the config is
-        # built, so the dataset step is made to fail here: every point of the
-        # layout fails alike
-        def failing(*args, **kwargs):
-            raise InvalidInputError("the layout cannot be generated")
-
-        monkeypatch.setattr(harness, "generate_dataset", failing)
-        cfg = config_from_json({
-            "name": "failing", "replicates": 2,
-            "sweep": {"kind": "sample_size", "values": [9, 0, 8]},
-            "groups": [_group("x", "xor_pair", 2)],
-            "tracked": [{"label": "set", "groups": ["x"]}],
-        })
-        curve = run_experiment(cfg)
-        assert [v for v, _ in curve.errors] == [9, 0, 8]
-        assert curve.errors[0] == (9, "the layout cannot be generated")
-        assert curve.errors[2] == (8, "the layout cannot be generated")
-        assert curve.errors[1] == (0, "sample size 0 is infeasible")
-        assert curve.measures == {}
+        assert [m for ids, m, _ in batches for _ in ids] == [150] * 4
 
     @pytest.mark.parametrize("name", ["fig-g", "fig-xor-1", "fig-xor-3"])
     def test_count_sweep_matches_isolated_recomputation(self, name):
@@ -988,15 +1011,9 @@ class TestNestedEngine:
         [("fig-xor-1", 1), ("fig-g", 2), ("fig-b2", 1), ("fig-f1", 10)],
     )
     def test_datasets_per_replicate(self, monkeypatch, name, per_replicate):
-        built = []
-
-        def counting(m, class_card, blocks, rng, **kwargs):
-            built.append(rng.stream_id)
-            return generate_dataset(m, class_card, blocks, rng, **kwargs)
-
-        monkeypatch.setattr(harness, "generate_dataset", counting)
+        batches = _spy_batches(monkeypatch)
         run_experiment(_desk(preset(name), 2))
-        assert sorted(built) == [0] * per_replicate + [1] * per_replicate
+        assert sorted(r for ids, _, _ in batches for r in ids) == [0] * per_replicate + [1] * per_replicate
 
     @pytest.mark.parametrize(
         "name, columns, joints",
@@ -1020,12 +1037,13 @@ class TestNestedEngine:
                     missed.update(((c,), *at) for c in lacked)
                 yield joint, members
 
-        def generating(*args, **kwargs):
-            samples.append(generate_dataset(*args, **kwargs))
+        def generating(m, class_card, blocks, rngs, *args):
+            assert len(rngs) == 1  # one replicate: a batch is its dataset
+            samples.append(generate_replicates(m, class_card, blocks, rngs, *args))
             return samples[-1]
 
         monkeypatch.setattr(measures, "prefix_counts", counting)
-        monkeypatch.setattr(harness, "generate_dataset", generating)
+        monkeypatch.setattr(harness, "generate_replicates", generating)
         run_experiment(_desk(preset(name), 1))
         assert len(calls) == len(set(calls))
         assert len([c for c in calls if len(c[0]) > 1]) == joints
@@ -1070,19 +1088,14 @@ class TestNestedEngine:
             ],
             "sample_size_policy": {"computed": 10},
         }
-        built = []
-
-        def counting(m, class_card, blocks, rng, **kwargs):
-            built.append((m, sum(len(b.names) for b in blocks if b is not None)))
-            return generate_dataset(m, class_card, blocks, rng, **kwargs)
-
-        monkeypatch.setattr(harness, "generate_dataset", counting)
+        batches = _spy_batches(monkeypatch)
+        built = lambda: [(m, columns) for ids, m, columns in batches for _ in ids]
         uncapped = run_experiment(config_from_json(data))
-        assert built == [(160, 5)] * 2
-        built.clear()
+        assert built() == [(160, 5)] * 2
+        batches.clear()
         monkeypatch.setattr(harness, "MAX_DATASET_CELLS", 900)
         capped = run_experiment(config_from_json(data))
-        assert sorted(built) == [(40, 3)] * 2 + [(40, 4)] * 2 + [(160, 3)] * 2
+        assert sorted(built()) == [(40, 3)] * 2 + [(40, 4)] * 2 + [(160, 3)] * 2
         assert capped.measures == uncapped.measures and not capped.errors
 
     def test_point_past_the_cell_cap_is_skipped_before_any_draw(self, monkeypatch):
@@ -1154,16 +1167,10 @@ class TestNestedEngine:
             ],
             "sample_size_policy": {"computed": 10},
         }
-        built = []
-
-        def counting(m, class_card, blocks, rng, **kwargs):
-            built.append((m, sum(len(b.names) for b in blocks if b is not None)))
-            return generate_dataset(m, class_card, blocks, rng, **kwargs)
-
-        monkeypatch.setattr(harness, "generate_dataset", counting)
+        batches = _spy_batches(monkeypatch)
         buffer = io.StringIO()
         run_experiment(config_from_json(data)).write_csv(buffer)
-        assert sorted(built) == [(40, 41)] * 2 + [(4000, 2)] * 2
+        assert sorted((m, columns) for ids, m, columns in batches for _ in ids) == [(40, 41)] * 2 + [(4000, 2)] * 2
         header, *lines = buffer.getvalue().splitlines(keepends=True)
         alone = []
         for value in data["sweep"]["values"]:
@@ -1180,16 +1187,14 @@ def _hexed(layout_values):
 
 
 class TestBatches:
-    """Replicates measured as one stacked sample give, bit for bit, the
-    floats they give one at a time."""
+    """Replicates generated and measured as one sample give, bit for bit,
+    the floats they give one at a time."""
 
     @pytest.mark.parametrize("name", [name for name in CATALOG if name != "chi-scan"])
     def test_one_batch_matches_one_replicate_at_a_time(self, monkeypatch, name):
         config = _desk(preset(name), 3)
         points = {i: resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
-        sizes = []
-        real = harness.stacked
-        monkeypatch.setattr(harness, "stacked", lambda samples: sizes.append(len(samples)) or real(samples))
+        batches = _spy_batches(monkeypatch)
         for members in harness._nested_groups(config, points):
             layout = [points[i] for i in members]
             cells = harness._cells(max(p.m for p in layout), harness._widest(layout))
@@ -1198,24 +1203,24 @@ class TestBatches:
             monkeypatch.setattr(harness, "_BATCH_CELLS", 3 * cells)
             batched = harness._run_layout(config, layout, range(3))
             assert _hexed(batched) == _hexed(alone)
-            assert sizes[-4:] == [1, 1, 1, 3]
+            assert [ids for ids, _, _ in batches[-4:]] == [[0], [1], [2], [0, 1, 2]]
 
     def test_batch_boundary(self, monkeypatch):
         # fig-b1 is one layout of 50 rows and 3 columns: 150 cells a replicate
-        sizes = []
-        real = harness.stacked
-        monkeypatch.setattr(harness, "stacked", lambda samples: sizes.append(len(samples)) or real(samples))
+        batches = _spy_batches(monkeypatch)
+        sizes = lambda: [len(ids) for ids, _, _ in batches]
         per_batch = harness._BATCH_CELLS // 150
         assert per_batch > 1
         config = _desk(preset("fig-b1"), per_batch + 1)
         curve = run_experiment(config)
-        assert sizes == [per_batch, 1]
+        assert sizes() == [per_batch, 1]
+        assert [r for ids, _, _ in batches for r in ids] == list(range(per_batch + 1))
         cases = ((0, [1] * 5), (299, [1] * 5), (300, [2, 2, 1]), (750, [5]), (10**6, [5]))
         for batch_cells, expected in cases:
-            sizes.clear()
+            batches.clear()
             monkeypatch.setattr(harness, "_BATCH_CELLS", batch_cells)
             assert run_experiment(_desk(config, 5)) == run_experiment(_desk(config, 5))
-            assert sizes == expected * 2
+            assert sizes() == expected * 2
         monkeypatch.setattr(harness, "_BATCH_CELLS", 0)
         assert run_experiment(config) == curve
 
@@ -1241,6 +1246,7 @@ class TestRatioPrediction:
 
     REPLICATES = 2000
     FIG_D_REPLICATES = 300
+    FIG_F2_REPLICATES = 300
 
     def test_non_informative_su_curves(self):
         # Each member of fig-b2's XOR pair is independent of the class at any
@@ -1275,3 +1281,17 @@ class TestRatioPrediction:
                 prediction = _independent_msu(cards, 5000)
                 z = (stats.mean - prediction) / (stats.std / math.sqrt(stats.n))
                 assert abs(z) < 4, (v, cards, stats.mean, prediction, z)
+
+    def test_non_informative_pair_under_the_10x_rule(self):
+        # fig-f2's non-informative subset: two uniform columns of the swept
+        # cardinality V beside the uniform binary class, at m = 10 x 2 V^2
+        # rows. The largest |z| over the 10 cardinalities was 1.65 at 300
+        # replicates and 2.28 at 1,000.
+        config = dataclasses.replace(preset("fig-f2"), replicates=self.FIG_F2_REPLICATES)
+        curve = run_experiment(config)
+        assert curve.sweep_values == (2, 4, 5, 8, 10, 16, 20, 30, 32, 40)
+        for v, m, stats in zip(curve.sweep_values, curve.sample_sizes, curve.measures["msu_noninformative"]):
+            assert m == 20 * v * v and stats.n == self.FIG_F2_REPLICATES
+            prediction = _independent_msu([v, v, 2], m)
+            z = (stats.mean - prediction) / (stats.std / math.sqrt(stats.n))
+            assert abs(z) < 4, (v, m, stats.mean, prediction, z)

@@ -1109,6 +1109,11 @@ def _segments(seed, count, m, cards):
     return out
 
 
+def _stacked(segments):
+    """One sample holding the rows of `segments`, one after another."""
+    return CategoricalSample(np.concatenate([s.codes for s in segments]), segments[0].cardinalities)
+
+
 def _seen(block):
     """A count block with the columns it never counts dropped."""
     return block[:, block.any(axis=0)]
@@ -1128,7 +1133,7 @@ class TestPeriod:
     @pytest.mark.parametrize("limit", [None, "whole", "cut"])
     def test_segments_are_counted_as_alone(self, monkeypatch, cards, m, prefixes, limit):
         segments = _segments(len(cards) + m, 5, m, cards)
-        stack = sample_module.stacked(segments)
+        stack = _stacked(segments)
         cols = range(len(cards))
         own = [list(prefix_counts(s, *_key(s, cols, prefixes))) for s in segments]
         dense = math.prod(cards) <= sample_module._DENSE_FILL * prefixes[-1]
@@ -1175,7 +1180,7 @@ class TestPeriod:
     @pytest.mark.parametrize("cards, m", [((2, 2, 2), 150), ((40, 40, 7), 300), ((3, 4, 5, 2), 90)])
     def test_entropies_of_each_segment(self, cards, m):
         segments = _segments(m, 4, m, cards)
-        stack = sample_module.stacked(segments)
+        stack = _stacked(segments)
         prefixes = list(range(1, m + 1))  # 4 x m rows: in bulk
         cols = list(range(len(cards)))
         alone = [v for s in segments for v in subset_entropies(s, cols, prefixes)]
@@ -1200,7 +1205,7 @@ class TestPeriod:
 
     def test_default_prefix_is_a_whole_segment(self):
         segments = _segments(2, 3, 20, (4, 2))
-        stack = sample_module.stacked(segments)
+        stack = _stacked(segments)
         assert subset_entropies(stack, [0, 1], period=20) == tuple(
             v for s in segments for v in subset_entropies(s, [0, 1])
         )
@@ -1214,7 +1219,7 @@ class TestPeriod:
         ("20", "must be an integer"),
     ])
     def test_bad_period_rejected(self, period, match):
-        stack = sample_module.stacked(_segments(3, 3, 20, (2, 2)))
+        stack = _stacked(_segments(3, 3, 20, (2, 2)))
         for call in (
             lambda: subset_entropies(stack, [0, 1], [5], period),
             lambda: msu_values(stack, [0, 1], [5], period),
@@ -1235,7 +1240,7 @@ class TestPeriod:
     ])
     def test_period_then_prefixes_rejected(self, prefixes, period, message):
         # one rule, `normalize_prefixes`, for both entry points
-        stack = sample_module.stacked(_segments(3, 3, 20, (2, 2)))
+        stack = _stacked(_segments(3, 3, 20, (2, 2)))
         for call in (
             lambda: subset_entropies(stack, [0, 1], prefixes, period),
             lambda: msu_values(stack, [0, 1], prefixes, period),
@@ -1243,16 +1248,4 @@ class TestPeriod:
             with pytest.raises(InvalidInputError, match=f"^{message}$"):
                 call()
         assert stack._entropies == {}
-
-    def test_stacked_rejects_samples_of_other_layouts(self):
-        a, b = _segments(4, 2, 10, (2, 3))
-        assert sample_module.stacked([a]) is a
-        stack = sample_module.stacked([a, b])
-        assert stack.codes.tolist() == a.codes.tolist() + b.codes.tolist()
-        assert stack.codes.flags.f_contiguous and stack.codes.dtype == a.codes.dtype
-        with pytest.raises(InvalidInputError, match="share their cardinalities"):
-            sample_module.stacked([a, _segments(4, 1, 10, (2, 4))[0]])
-        named = CategoricalSample(a.codes, a.cardinalities, ("x", "y"))
-        with pytest.raises(InvalidInputError, match="column names"):
-            sample_module.stacked([a, named])
 

@@ -1,6 +1,7 @@
 """Tests for joint-space arithmetic and the chi-squared sample-size machinery."""
 
 import math
+import threading
 import time
 
 import numpy as np
@@ -36,6 +37,21 @@ class TestMultivariateCardinality:
 
     def test_empty_attribute_set(self):
         assert multivariate_cardinality(CardinalityProfile((), 2)) == 2
+
+    def test_mixed_cardinalities_multiply_in_any_order(self):
+        cards = (3, 2, 5, 3, 2, 2, 40)
+        assert multivariate_cardinality(CardinalityProfile(cards, 7)) == 7 * math.prod(cards)
+
+    def test_a_million_columns_take_linear_time(self):
+        # one power per distinct cardinality; a running product over the
+        # columns took seconds at a few hundred thousand
+        profile = CardinalityProfile((2,) * 1_000_000, 2)
+        space = []
+        thread = threading.Thread(target=lambda: space.append(multivariate_cardinality(profile)), daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert space, "multivariate_cardinality did not return"
+        assert space[0] == 2**1_000_001
 
     def test_constant_variables_flagged(self):
         assert CardinalityProfile((1, 3), 2).has_constant_variables

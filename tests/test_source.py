@@ -12,7 +12,9 @@ one caller, `measures._stored_entropies`, which hands it a key that only
 `measures.py` checks; `prefix_counts` alone decides a joint's layout. Only `generators.py` reads a
 stream's raw words (`random_raw`). A sweep point is plain integers: the
 harness builds attribute blocks only for a set of nested points, in
-`_run_layout`. README's section on JSON experiment configs names every
+`_run_layout`, and never looks a column up by name. Only `dataset.py` calls
+the column writers, which check nothing, and no module stacks samples: a
+batch of replicates is generated into one matrix. README's section on JSON experiment configs names every
 field of the config classes, which are the JSON keys.
 """
 
@@ -270,6 +272,24 @@ def test_the_harness_builds_blocks_only_for_a_layout():
         if caller.startswith("harness.py:")
     ]
     assert calls == ["harness.py:_run_layout"]
+
+
+def test_only_the_dataset_calls_the_writers():
+    # the writers check nothing, so only `dataset.py`, which checks every
+    # parameter once, calls them; a batch of replicates is generated into
+    # one matrix, so no module stacks samples; and the harness computes its
+    # measures' columns once a layout, without looking names up
+    for name in ("fill_uniform", "fill_kononenko", "fill_xor_pair"):
+        callers = _callers(name)
+        assert callers and all(c.startswith("dataset.py:") for c in callers), (name, callers)
+    defined = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "stacked"
+    ]
+    assert defined == [] and _callers("stacked") == []
+    assert not [c for c in _callers("column_index") if c.startswith("harness.py:")]
 
 
 def test_readme_names_every_config_field():
