@@ -169,7 +169,7 @@ def _cmd_measure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         print("degenerate: every selected column is constant")
 
     cards = [data.sample.cardinalities[i] for i in idx]
-    profile = CardinalityProfile(tuple(cards[1:]), cards[0])
+    profile = CardinalityProfile([(card, 1) for card in cards[1:]], cards[0])
     space = multivariate_cardinality(profile)
     recommended = heuristic_sample_size(profile)
     m = data.sample.n_rows
@@ -233,7 +233,7 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 def _cmd_recommend(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cards = _parse_int_list(args.cards, "--cards")
-    profile = CardinalityProfile(tuple(cards), args.class_card)
+    profile = CardinalityProfile([(card, 1) for card in cards], args.class_card)
     if profile.has_constant_variables:
         print("warning: a declared cardinality is 1; measures over it are degenerate",
               file=sys.stderr)

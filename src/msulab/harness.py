@@ -73,7 +73,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -367,16 +367,16 @@ def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
         m = policy.fixed
     else:
         m = max(
-            heuristic_sample_size(
-                CardinalityProfile(
-                    tuple(card for name in sub.groups for card in [size[name][1]] * size[name][0]),
-                    config.class_card,
-                ),
-                policy.computed,
-            )
+            heuristic_sample_size(_profile(config, [size[name] for name in sub.groups]), policy.computed)
             for sub in config.tracked
         )
     return ResolvedPoint(sweep_value, m, tuple(counts), tuple(cards))
+
+
+def _profile(config: ExperimentConfig, groups: Iterable[tuple[int, int]]) -> CardinalityProfile:
+    """The class and the (count, cardinality) `groups` that have columns, as
+    a profile of one (cardinality, count) pair each."""
+    return CardinalityProfile([(card, count) for count, card in groups if count], config.class_card)
 
 
 def _cells(m: int, counts: Sequence[int]) -> int:
@@ -595,9 +595,8 @@ def _run_representativeness_scan(config: ExperimentConfig) -> BiasCurve:
     for sweep_value in config.sweep.values:
         try:
             point = resolve_point(config, sweep_value)
-            cards = tuple(card for n, card in zip(point.counts, point.cards) for _ in range(n))
             report = representativeness_report(
-                CardinalityProfile(cards, config.class_card), SCAN_ALPHA, factor
+                _profile(config, zip(point.counts, point.cards)), SCAN_ALPHA, factor
             )
         except InvalidInputError as exc:
             errors.append((sweep_value, str(exc)))

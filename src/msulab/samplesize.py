@@ -21,6 +21,11 @@ m* lies in a window of about k/4 values, a few blocks of constant q. The float
 statistic that decides each m near the critical value, `extreme_sample_chi2`,
 takes O(1) time, since its k cell terms take only three distinct values.
 
+A joint space is declared by a `CardinalityProfile`: the class cardinality
+and (cardinality, count) pairs, one per distinct attribute cardinality. Its
+size, class_card x the product of cardinality**count over the pairs, takes
+one power per pair, however many attributes the counts add up to.
+
 `representativeness_report` is the one place that turns a joint space into
 its degrees of freedom, critical value, m* and 10x heuristic: `msulab
 recommend`, `msulab chi2-scan` and a representativeness-scan experiment all
@@ -37,12 +42,11 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .sample import _integers, int_text, integer, real
+from .sample import _integers, _shown, int_text, integer, items, real
 
 # Beyond 2**52 cells the cell counts q + 1 near m* stop being exact floats and
 # the float statistic drifts from the chi-squared statistic it computes.
@@ -51,17 +55,33 @@ MAX_CELLS = 2**52
 
 @dataclass(frozen=True)
 class CardinalityProfile:
-    """Declared cardinalities of a set of attributes plus the class."""
+    """Declared cardinalities of a set of attributes plus the class.
 
-    attribute_cards: tuple[int, ...]
+    `attributes` is a list or tuple of (cardinality, count) pairs, each
+    standing for `count` attributes of that cardinality: `[(2, 3), (5, 1)]`
+    is three binary attributes and one of five values. Both are integers of
+    at least 1. The pairs are stored as a tuple sorted by cardinality, with
+    the pairs of one cardinality merged, so equal profiles compare equal
+    however their pairs were listed, and no attribute takes an entry of its
+    own.
+    """
+
+    attributes: tuple[tuple[int, int], ...]
     class_card: int
 
     def __post_init__(self) -> None:
-        cards = tuple(_integers(self.attribute_cards, "attribute cardinalities"))
+        counts: dict[int, int] = {}
+        for pair in items(self.attributes, "attributes"):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise InvalidInputError(f"an attribute must be a (cardinality, count) pair, got {_shown(pair)}")
+            card, count = _integers(pair, "a (cardinality, count) pair")
+            if count < 1:
+                raise InvalidInputError(f"attribute counts must be positive, got {_shown(pair)}")
+            counts[card] = counts.get(card, 0) + count
         class_card = integer(self.class_card, "class cardinality")
-        if any(c < 1 for c in cards) or class_card < 1:
+        if any(card < 1 for card in counts) or class_card < 1:
             raise InvalidInputError("cardinalities must be positive")
-        object.__setattr__(self, "attribute_cards", cards)
+        object.__setattr__(self, "attributes", tuple(sorted(counts.items())))
         object.__setattr__(self, "class_card", class_card)
 
     @property
@@ -71,17 +91,14 @@ class CardinalityProfile:
         Such profiles are allowed but the measures over them are degenerate,
         so callers may want to warn.
         """
-        return self.class_card < 2 or any(c < 2 for c in self.attribute_cards)
+        return self.class_card < 2 or any(card < 2 for card, _ in self.attributes)
 
 
 def multivariate_cardinality(profile: CardinalityProfile) -> int:
     """Number of possible joint value combinations, class included."""
     if not isinstance(profile, CardinalityProfile):
         raise InvalidInputError(f"profile must be a CardinalityProfile, got {type(profile).__name__}")
-    # one power per distinct cardinality: a running product over every
-    # column would take time quadratic in their number
-    powers = Counter(profile.attribute_cards).items()
-    return profile.class_card * math.prod(card**count for card, count in powers)
+    return profile.class_card * math.prod(card**count for card, count in profile.attributes)
 
 
 def heuristic_sample_size(profile: CardinalityProfile, factor: float = 10.0) -> int:

@@ -58,7 +58,7 @@ RECORD_TYPES = {
 SAMPLE = CategoricalSample.from_columns(
     [[0, 1, 1, 0], [1, 0, 1, 1], [0, 0, 1, 1]], [2, 2, 2], ["a", "b", "c"]
 )
-PROFILE = CardinalityProfile((2, 3), 2)
+PROFILE = CardinalityProfile([(2, 1), (3, 1)], 2)
 SWEEP = Sweep("sample_size", (4, 6))
 GROUP = GroupSpec("a", "uniform", 2, 2)
 TRACKED = TrackedSubset("a", ("a",))
@@ -72,7 +72,7 @@ CONFIG_JSON = (
 # one argument filled in per test
 CALLS = {
     "AttributeBlock": (AttributeBlock, (("a1", "a2"), "uniform", 2)),
-    "CardinalityProfile": (CardinalityProfile, ((2, 3), 2)),
+    "CardinalityProfile": (CardinalityProfile, ([(2, 1), (3, 1)], 2)),
     "CategoricalSample": (CategoricalSample, ([[0, 1], [1, 0]], [2, 2], ["a", "b"])),
     "CountRule": (CountRule, (None, 0, (1, 3), False)),
     "ExperimentConfig": (ExperimentConfig, ("tiny", SWEEP, (GROUP,), (TRACKED,), 2, None, 2)),

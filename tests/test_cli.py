@@ -348,6 +348,13 @@ class TestRecommend:
         assert "critical=14.067140" in lines[2]
         m_star = int(lines[2].rsplit(":", 1)[1])
         assert 97 <= m_star <= 103
+        # an unsorted list with repeats gives the lines of its cards one by one
+        code, out, _ = run(capsys, "recommend", "--cards", "3,2,40,2,3", "--class-card", "3")
+        assert (code, out.splitlines()) == (0, [
+            "multivariate cardinality: 4320",
+            "heuristic sample size (factor 10): 43200",
+            "chi-squared minimal m* (alpha=0.05, df=4319, critical=4473.002636): 19318893",
+        ])
 
     def test_identity_factor(self, capsys):
         code, out, _ = run(capsys, "recommend", "--cards", "2,2", "--class-card", "2",

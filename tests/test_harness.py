@@ -8,6 +8,7 @@ import json
 import math
 import random
 import re
+import threading
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from msulab import (
     CATALOG,
+    CardinalityProfile,
     ExperimentConfig,
     GeneratorKind,
     GroupSpec,
@@ -178,6 +180,48 @@ class TestResolvePoint:
         })
         with pytest.raises(InvalidInputError, match="no tracked subset has columns at sweep value 10"):
             resolve_point(cfg, 10)
+
+    @pytest.mark.parametrize("name", ["fig-xor-2", "fig-h", "chi-scan"])
+    def test_a_profile_holds_one_pair_per_group(self, monkeypatch, name):
+        # a group's columns make one (cardinality, count) pair, not one
+        # entry each
+        built = []
+
+        def spy(attributes, class_card):
+            built.append(profile := CardinalityProfile(attributes, class_card))
+            return profile
+
+        monkeypatch.setattr(harness, "CardinalityProfile", spy)
+        config = preset(name)
+        subsets = [sub.groups for sub in config.tracked]
+        for value in config.sweep.values:
+            built.clear()
+            if config.representativeness_scan:  # resolves the point, then profiles all its groups
+                run_experiment(_desk(config, 1, [value]))
+                expected = subsets + [config.groups]
+            else:
+                resolve_point(config, value)
+                expected = subsets
+            assert len(built) == len(expected)
+            for profile, groups in zip(built, expected):
+                assert len(profile.attributes) <= len(groups), (value, profile)
+
+    def test_ten_million_columns_skipped_without_a_per_column_profile(self):
+        cfg = config_from_json({
+            "name": "wide", "replicates": 1,
+            "sweep": {"kind": "attribute_count", "values": [10_000_000]},
+            "groups": [_group("u", "uniform", {"offset": 0})],
+            "tracked": [{"label": "set", "groups": ["u"]}],
+            "sample_size_policy": {"computed": 10},
+        })
+        curves = []
+        thread = threading.Thread(target=lambda: curves.append(run_experiment(cfg)), daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert curves, "run_experiment did not return"
+        assert curves[0].errors == ((10_000_000, (
+            "sample size must not exceed 9223372036854775807, got at least 2**10000004"
+        )),)
 
 
 class TestCountRule:

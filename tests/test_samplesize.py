@@ -1,6 +1,7 @@
 """Tests for joint-space arithmetic and the chi-squared sample-size machinery."""
 
 import math
+import re
 import threading
 import time
 
@@ -30,61 +31,90 @@ NORMAL_975 = 1.959963984540054  # two-sided 5% normal quantile
 
 class TestMultivariateCardinality:
     def test_pair_of_four_valued_attributes(self):
-        assert multivariate_cardinality(CardinalityProfile((4, 4), 2)) == 32
+        assert multivariate_cardinality(CardinalityProfile([(4, 2)], 2)) == 32
 
     def test_four_binary_attributes(self):
-        assert multivariate_cardinality(CardinalityProfile((2, 2, 2, 2), 2)) == 32
+        assert multivariate_cardinality(CardinalityProfile([(2, 4)], 2)) == 32
 
     def test_empty_attribute_set(self):
         assert multivariate_cardinality(CardinalityProfile((), 2)) == 2
 
     def test_mixed_cardinalities_multiply_in_any_order(self):
         cards = (3, 2, 5, 3, 2, 2, 40)
-        assert multivariate_cardinality(CardinalityProfile(cards, 7)) == 7 * math.prod(cards)
+        profile = CardinalityProfile([(card, 1) for card in cards], 7)
+        assert multivariate_cardinality(profile) == 7 * math.prod(cards)
 
     def test_a_million_columns_take_linear_time(self):
-        # one power per distinct cardinality; a running product over the
-        # columns took seconds at a few hundred thousand
-        profile = CardinalityProfile((2,) * 1_000_000, 2)
+        # the pairs merge into one, and the space is one power of it; a
+        # running product over the columns took seconds at a few hundred
+        # thousand
+        pairs = [(2, 1)] * 1_000_000
         space = []
-        thread = threading.Thread(target=lambda: space.append(multivariate_cardinality(profile)), daemon=True)
+        build = lambda: space.append(multivariate_cardinality(CardinalityProfile(pairs, 2)))
+        thread = threading.Thread(target=build, daemon=True)
         thread.start()
         thread.join(timeout=10)
         assert space, "multivariate_cardinality did not return"
         assert space[0] == 2**1_000_001
 
     def test_constant_variables_flagged(self):
-        assert CardinalityProfile((1, 3), 2).has_constant_variables
-        assert not CardinalityProfile((2, 3), 2).has_constant_variables
+        assert CardinalityProfile([(1, 1), (3, 1)], 2).has_constant_variables
+        assert not CardinalityProfile([(2, 1), (3, 1)], 2).has_constant_variables
+
+
+class TestCardinalityProfile:
+    """A profile is (cardinality, count) pairs, stored sorted by cardinality
+    with the pairs of one cardinality merged."""
+
+    def test_pairs_in_any_order_merge_and_sort(self):
+        split = CardinalityProfile([(5, 1), [2, 2], (3, 1), (2, 1)], 2)
+        assert split.attributes == ((2, 3), (3, 1), (5, 1))
+        assert split == CardinalityProfile([(2, 3), (3, 1), (5, 1)], 2)
+        assert multivariate_cardinality(split) == 2 * 2**3 * 3 * 5
+
+    @pytest.mark.parametrize(
+        "attributes, message",
+        [
+            ((2, 3), "an attribute must be a (cardinality, count) pair, got 2"),
+            ([(2, 1, 1)], "an attribute must be a (cardinality, count) pair, got [2, 1, 1]"),
+            ([(2, True)], "a (cardinality, count) pair must be a sequence of integers, got [2, True]"),
+            ([(2, 0)], "attribute counts must be positive, got [2, 0]"),
+            ([(0, 1)], "cardinalities must be positive"),
+        ],
+        ids=["bare-int", "three-items", "bool-count", "zero-count", "zero-cardinality"],
+    )
+    def test_malformed_pairs_rejected(self, attributes, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            CardinalityProfile(attributes, 2)
 
 
 class TestHeuristicSampleSize:
     def test_two_binary_attributes(self):
-        assert heuristic_sample_size(CardinalityProfile((2, 2), 2)) == 80
+        assert heuristic_sample_size(CardinalityProfile([(2, 2)], 2)) == 80
 
     def test_eight_binary_attributes(self):
-        assert heuristic_sample_size(CardinalityProfile((2,) * 8, 2)) == 5120
+        assert heuristic_sample_size(CardinalityProfile([(2, 8)], 2)) == 5120
 
     def test_identity_factor(self):
-        assert heuristic_sample_size(CardinalityProfile((2, 2), 2), factor=1) == 8
+        assert heuristic_sample_size(CardinalityProfile([(2, 2)], 2), factor=1) == 8
 
     def test_fractional_factor_rounds_up(self):
-        assert heuristic_sample_size(CardinalityProfile((2, 2), 2), factor=1.1) == 9
+        assert heuristic_sample_size(CardinalityProfile([(2, 2)], 2), factor=1.1) == 9
 
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(InvalidInputError):
-            heuristic_sample_size(CardinalityProfile((2, 2), 2), factor=0)
+            heuristic_sample_size(CardinalityProfile([(2, 2)], 2), factor=0)
 
     @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
     def test_non_finite_factor_rejected(self, factor):
         with pytest.raises(InvalidInputError, match="factor"):
-            heuristic_sample_size(CardinalityProfile((2, 2), 2), factor=factor)
+            heuristic_sample_size(CardinalityProfile([(2, 2)], 2), factor=factor)
 
     def test_fractional_factor_past_float_range_rejected(self):
         # a whole factor multiplies exactly; a fraction goes through a float
-        huge = CardinalityProfile((10**310,), 2)
+        huge = CardinalityProfile([(10**310, 1)], 2)
         assert heuristic_sample_size(huge, factor=2.0) == 4 * 10**310
-        for profile in (huge, CardinalityProfile((10**308,), 1)):
+        for profile in (huge, CardinalityProfile([(10**308, 1)], 1)):
             with pytest.raises(InvalidInputError, match="past the float range"):
                 heuristic_sample_size(profile, factor=2.5)
 
@@ -125,16 +155,17 @@ class TestIntegerArguments:
             (lambda: extreme_sample_chi2(100, 8.9), "cell count"),
             (lambda: min_representative_m(8.9), "cell count"),
             (lambda: min_representative_m("8"), "cell count"),
-            (lambda: CardinalityProfile((2.5, 2), 2), "attribute cardinalities"),
-            (lambda: CardinalityProfile((2, 2), 2.0), "class cardinality"),
-            (lambda: heuristic_sample_size(CardinalityProfile((2,), 2), "10"),
+            (lambda: CardinalityProfile([(2.5, 2)], 2),
+             r"^a \(cardinality, count\) pair must be a sequence of integers, got \[2.5, 2\]$"),
+            (lambda: CardinalityProfile([(2, 2)], 2.0), "class cardinality"),
+            (lambda: heuristic_sample_size(CardinalityProfile([(2, 1)], 2), "10"),
              "^factor must be a finite number, got '10'$"),
-            (lambda: heuristic_sample_size(CardinalityProfile((2,), 2), True),
+            (lambda: heuristic_sample_size(CardinalityProfile([(2, 1)], 2), True),
              "^factor must be a finite number, got True$"),
             (lambda: chi2_critical("0.05", 3), "^alpha must be a finite number, got '0.05'$"),
             (lambda: chi2_critical(False, 3), "^alpha must be a finite number, got False$"),
             (lambda: min_representative_m(8, "0.05"), "^alpha must be a finite number, got '0.05'$"),
-            (lambda: representativeness_report(CardinalityProfile((2,), 2), "0.05"),
+            (lambda: representativeness_report(CardinalityProfile([(2, 1)], 2), "0.05"),
              "^alpha must be a finite number, got '0.05'$"),
         ],
         ids=["df", "m", "k", "m-star-k", "m-star-string", "attribute-cards", "class-card",
@@ -149,9 +180,10 @@ class TestIntegerArguments:
         assert chi2_critical(0.05, np.int64(7)) == chi2_critical(0.05, 7)
         assert extreme_sample_chi2(np.uint16(100), np.int8(8)) == extreme_sample_chi2(100, 8)
         assert min_representative_m(np.int64(8)) == min_representative_m(8) == 99
-        profile = CardinalityProfile((np.uint8(2), np.int64(3)), np.int32(2))
-        assert (profile.attribute_cards, profile.class_card) == ((2, 3), 2)
+        profile = CardinalityProfile([(np.uint8(2), np.int8(1)), (np.int64(3), np.uint64(1))], np.int32(2))
+        assert (profile.attributes, profile.class_card) == (((2, 1), (3, 1)), 2)
         assert type(profile.class_card) is int
+        assert all(type(v) is int for pair in profile.attributes for v in pair)
 
 
 class TestExtremeSample:
@@ -272,7 +304,7 @@ class TestMinRepresentativeM:
             (lambda: extreme_sample_chi2(-(10**5000), 3), r"m=at most -2\*\*16609 cannot fill 2 "),
             (lambda: extreme_sample_chi2(10**5000, 10**5001),
              r"m=at least 2\*\*16609 cannot fill at least 2\*\*16612 "),
-            (lambda: heuristic_sample_size(CardinalityProfile((2,), 2), -(10**5000)),
+            (lambda: heuristic_sample_size(CardinalityProfile([(2, 1)], 2), -(10**5000)),
              r"factor must be finite and positive, got at most -2\*\*16609$"),
             (lambda: chi2_critical(10**5000, 3), r"alpha must lie in \(0, 1\), got at least 2\*\*16609$"),
         ],
@@ -304,7 +336,7 @@ class TestClosedFormStatistic:
 
 class TestRepresentativenessReport:
     def test_binary_pair_profile(self):
-        report = representativeness_report(CardinalityProfile((2, 2), 2))
+        report = representativeness_report(CardinalityProfile([(2, 2)], 2))
         assert report.multivariate_cardinality == 8
         assert report.heuristic_m == 80
         assert report.chi2_m_star == 99
