@@ -59,11 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate a measure on columns of a CSV file")
     p.add_argument("csv", help="path to a CSV file with a header row")
     which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--entropy", metavar="COL", help="entropy of one column (bits)")
-    which.add_argument("--su", metavar="COLS", help="symmetrical uncertainty of two columns")
-    which.add_argument("--ig", metavar="COLS", help="information gain of two columns (bits)")
-    which.add_argument("--tc", metavar="COLS", help="total correlation of two or more columns (bits)")
-    which.add_argument("--msu", metavar="COLS", help="multivariate symmetrical uncertainty of two or more columns")
+    for name, (metavar, text, _, _) in _MEASURES.items():
+        which.add_argument(f"--{name}", metavar=metavar, help=text)
     p.set_defaults(handler=_cmd_measure)
 
     p = sub.add_parser("generate", help="write a synthetic categorical dataset as CSV")
@@ -132,37 +129,30 @@ def _emit(text: str, out_path: str | None) -> None:
         write_text_atomic(out_path, text)
 
 
-# measure arities: (minimum, maximum or None for unbounded)
-_ARITY = {"entropy": (1, 1), "su": (2, 2), "ig": (2, 2), "tc": (2, None), "msu": (2, None)}
+# The measures of `msulab measure`, by flag: metavar, help, arity (minimum,
+# maximum or None for unbounded) and the call on a sample's column indices.
+_MEASURES = {
+    "entropy": ("COL", "entropy of one column (bits)", (1, 1), measures.joint_entropy),
+    "su": ("COLS", "symmetrical uncertainty of two columns", (2, 2),
+           lambda sample, idx: measures.symmetrical_uncertainty(sample, *idx)),
+    "ig": ("COLS", "information gain of two columns (bits)", (2, 2),
+           lambda sample, idx: measures.information_gain(sample, idx[:1], idx[1:])),
+    "tc": ("COLS", "total correlation of two or more columns (bits)", (2, None), measures.total_correlation),
+    "msu": ("COLS", "multivariate symmetrical uncertainty of two or more columns", (2, None), measures.msu),
+}
 
 
 def _cmd_measure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    name, cols_text = next(
-        (n, v) for n, v in (("entropy", args.entropy), ("su", args.su), ("ig", args.ig),
-                            ("tc", args.tc), ("msu", args.msu)) if v is not None
-    )
-    col_names = [c.strip() for c in cols_text.split(",") if c.strip()]
-    lo, hi = _ARITY[name]
+    name = next(n for n in _MEASURES if getattr(args, n) is not None)
+    col_names = [c.strip() for c in getattr(args, name).split(",") if c.strip()]
+    _, _, (lo, hi), call = _MEASURES[name]
     if len(col_names) < lo or (hi is not None and len(col_names) > hi):
         bound = f"exactly {lo}" if lo == hi else f"at least {lo}"
         parser.error(f"--{name} takes {bound} column(s), got {len(col_names)}")
 
-    if not Path(args.csv).exists():
-        print(f"error: no such file: {args.csv}", file=sys.stderr)
-        return 1
     data = read_csv(args.csv)
     idx = [data.sample.column_index(c) for c in col_names]
-
-    if name == "entropy":
-        result = measures.joint_entropy(data.sample, idx)
-    elif name == "su":
-        result = measures.symmetrical_uncertainty(data.sample, idx[0], idx[1])
-    elif name == "ig":
-        result = measures.information_gain(data.sample, [idx[0]], [idx[1]])
-    elif name == "tc":
-        result = measures.total_correlation(data.sample, idx)
-    else:
-        result = measures.msu(data.sample, idx)
+    result = call(data.sample, idx)
 
     print(f"{name}({','.join(col_names)}) = {result.value:.6f}")
     if result.degenerate:

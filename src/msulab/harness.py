@@ -3,7 +3,10 @@
 An experiment sweeps one axis (attribute cardinality, sample size, attribute
 count, or count of added noise attributes), evaluates the configured measures
 on `replicates` independent datasets per sweep point, and aggregates means and
-standard deviations into a curve.
+standard deviations into a curve. `run_experiment` walks the sweep once per
+stage: it resolves every point (`resolve_point`), keeping the message of each
+point it skips; it measures each set of nested points (`_run_layout`); and it
+aggregates the measured points, in sweep order, into each measure's series.
 
 Its layout is one list of attribute groups (`GroupSpec`: a generator family, a
 column count and a cardinality, each fixed or following the sweep) and the
@@ -326,7 +329,6 @@ class ResolvedPoint:
     """Concrete layout of one sweep point: its sample size, and each group's
     column count and cardinality here, in group order."""
 
-    sweep_value: int
     m: int
     counts: tuple[int, ...]
     cards: tuple[int, ...]
@@ -370,7 +372,7 @@ def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
             heuristic_sample_size(_profile(config, [size[name] for name in sub.groups]), policy.computed)
             for sub in config.tracked
         )
-    return ResolvedPoint(sweep_value, m, tuple(counts), tuple(cards))
+    return ResolvedPoint(m, tuple(counts), tuple(cards))
 
 
 def _profile(config: ExperimentConfig, groups: Iterable[tuple[int, int]]) -> CardinalityProfile:
@@ -539,8 +541,14 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
 def run_experiment(config: ExperimentConfig) -> BiasCurve:
     """Run every sweep point for `config.replicates` replicates and aggregate.
 
-    Infeasible points are recorded in `errors` and skipped; the sweep itself
-    never aborts.
+    A Monte Carlo run makes three passes over the sweep. The first resolves
+    each point once: a point that cannot be resolved, or whose own dataset
+    would pass `MAX_DATASET_CELLS`, is skipped, and its message goes to
+    `errors`; the sweep itself never aborts. The curve's sample sizes and
+    errors come from this pass. The second measures each set of nested
+    points (`_nested_groups`) with `_run_layout`. The third turns each
+    measured point's values into `MeasureStats`, in sweep order, so a
+    measure's series comes in the order of the first point that lists it.
     """
     if not isinstance(config, ExperimentConfig):
         raise InvalidInputError(f"config must be an ExperimentConfig, got {type(config).__name__}")
@@ -549,7 +557,7 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
 
     n_points = len(config.sweep.values)
     points: dict[int, ResolvedPoint] = {}
-    failures: dict[int, str] = {}
+    failures: dict[int, str] = {}  # point index -> why the point is skipped
     for i, sweep_value in enumerate(config.sweep.values):
         try:
             point = resolve_point(config, sweep_value)
@@ -563,27 +571,19 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
         values = _run_layout(config, [points[i] for i in members], range(config.replicates))
         results.update(zip(members, values))
 
-    sample_sizes: list[int | None] = []
     per_measure: dict[str, list[MeasureStats | None]] = {}
-    errors: list[tuple[int, str]] = []
-    for i, sweep_value in enumerate(config.sweep.values):
-        if i in failures:
-            errors.append((sweep_value, failures[i]))
-            sample_sizes.append(None)
-            continue
-        sample_sizes.append(points[i].m)
-        for label, values in results[i].items():
-            series = per_measure.setdefault(label, [None] * n_points)
+    for i, measured in sorted(results.items()):
+        for label, values in measured.items():
             mean, std = _mean_std(values)
-            series[i] = MeasureStats(mean=mean, std=std, n=len(values))
+            per_measure.setdefault(label, [None] * n_points)[i] = MeasureStats(mean, std, len(values))
 
     return BiasCurve(
         name=config.name,
         sweep_kind=config.sweep.kind,
         sweep_values=config.sweep.values,
-        sample_sizes=tuple(sample_sizes),
+        sample_sizes=tuple(points[i].m if i in points else None for i in range(n_points)),
         measures=per_measure,
-        errors=tuple(errors),
+        errors=tuple((config.sweep.values[i], message) for i, message in failures.items()),
     )
 
 

@@ -83,7 +83,12 @@ class TestMeasure:
         code, out, err = run(capsys, "measure", "/no/such/file.csv", "--msu", "a,b")
         assert code == 1
         assert out == ""
-        assert "no such file" in err
+        assert err == "error: cannot read /no/such/file.csv: No such file or directory\n"
+
+    def test_directory(self, tmp_path, capsys):
+        code, out, err = run(capsys, "measure", str(tmp_path), "--msu", "a,b")
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot read {tmp_path}: Is a directory\n"
 
     def test_unknown_column(self, tmp_path, capsys):
         path = tmp_path / "table.csv"

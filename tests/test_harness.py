@@ -1050,6 +1050,36 @@ class TestNestedEngine:
                     assert curve.measures[label][i] == MeasureStats(*_mean_std(reps), 2)
         assert not curve.errors
 
+    def test_measures_follow_the_sweep_not_the_nested_sets(self):
+        # points 1 and 3 share a nested set (no XOR pair at either) and point
+        # 2 has its own, so the sets are measured in the order 1, 3, 2; each
+        # measure still takes its place from the first point that lists it.
+        config = config_from_json({
+            "name": "order",
+            "sweep": {"kind": "attribute_count", "values": [1, 2, 3]},
+            "groups": [
+                _group("u", "uniform", 2),
+                _group("xor", "xor_pair", {"fixed": 2, "window": [2, 2]}),
+                _group("late", "uniform", {"fixed": 1, "window": [3, 3]}),
+            ],
+            "tracked": [{"label": label, "groups": [name]}
+                        for label, name in (("u", "u"), ("set", "xor"), ("late", "late"))],
+            "sample_size_policy": {"fixed": 40},
+            "replicates": 3,
+        })
+        points = {i: resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
+        assert harness._nested_groups(config, points) == [[0, 2], [1]]
+        curve = run_experiment(config)
+        assert list(curve.measures) == ["msu_u", "msu_set", "msu_late"]
+        present = {label: [s is not None for s in series] for label, series in curve.measures.items()}
+        assert present == {
+            "msu_u": [True] * 3, "msu_set": [False, True, False], "msu_late": [False, False, True]
+        }
+        buffer = io.StringIO()
+        curve.write_csv(buffer)
+        rows = [tuple(row[:2]) for row in csv.reader(io.StringIO(buffer.getvalue()))][1:]
+        assert rows == [("1", "msu_u"), ("2", "msu_u"), ("2", "msu_set"), ("3", "msu_u"), ("3", "msu_late")]
+
     @pytest.mark.parametrize(
         "name, per_replicate",
         [("fig-xor-1", 1), ("fig-g", 2), ("fig-b2", 1), ("fig-f1", 10)],
@@ -1279,6 +1309,16 @@ def _independent_msu(cards, m):
     return n / (n - 1) * (total - joint) / total
 
 
+FIG_B2_REPLICATES = 2000
+
+
+@pytest.fixture(scope="module")
+def fig_b2():
+    """fig-b2 at FIG_B2_REPLICATES replicates, whose SU and MSU curves are
+    both held against ratio predictions."""
+    return run_experiment(dataclasses.replace(preset("fig-b2"), replicates=FIG_B2_REPLICATES))
+
+
 class TestRatioPrediction:
     """Curves of independent uniform columns against the ratio of exact
     plug-in expectations (`oracle_utils.expected_plugin_entropy`).
@@ -1288,24 +1328,22 @@ class TestRatioPrediction:
     share their replicates, so their z values are correlated.
     """
 
-    REPLICATES = 2000
     FIG_D_REPLICATES = 300
     FIG_F2_REPLICATES = 300
 
-    def test_non_informative_su_curves(self):
+    def test_non_informative_su_curves(self, fig_b2):
         # Each member of fig-b2's XOR pair is independent of the class at any
         # noise, and both are uniform binary, so each SU is that of two
         # independent uniform binary columns: 2 (E[Hx] + E[Hc] - E[Hxc]) /
         # (E[Hx] + E[Hc]) predicts its mean. At 2,000 replicates the largest
         # |z| over the curves' 286 points was 2.50 (2.96 at 500 replicates,
         # 2.95 at 1,000).
-        config = dataclasses.replace(preset("fig-b2"), replicates=self.REPLICATES)
-        curve = run_experiment(config)
+        curve = fig_b2
         assert curve.sweep_values == tuple(range(8, 151))
         for m, *stats in zip(curve.sweep_values, curve.measures["su_xor1"], curve.measures["su_xor2"]):
             prediction = _independent_msu([2, 2], m)  # an SU is the MSU of two columns
             for s in stats:
-                assert s.n == self.REPLICATES
+                assert s.n == FIG_B2_REPLICATES
                 z = (s.mean - prediction) / (s.std / math.sqrt(s.n))
                 assert abs(z) < 4, (m, s.mean, prediction, z)
 
@@ -1339,3 +1377,57 @@ class TestRatioPrediction:
             prediction = _independent_msu([v, v, 2], m)
             z = (stats.mean - prediction) / (stats.std / math.sqrt(stats.n))
             assert abs(z) < 4, (v, m, stats.mean, prediction, z)
+
+
+def _xor_msu(noise, m, uniform=0):
+    """The ratio of exact plug-in expectations that predicts the mean MSU of
+    m rows of a noisy XOR triple (a uniform binary pair and a class that is
+    their XOR but for a flip of probability `noise`) beside `uniform`
+    independent uniform binary columns: n/(n - 1) (sum E[Hi] - E[Hjoint]) /
+    sum E[Hi], every one of the n columns uniform binary."""
+    n, cells = 3 + uniform, 4 * 2**uniform
+    total = n * expected_plugin_entropy([0.5, 0.5], m)
+    joint = expected_plugin_entropy([(1 - noise) / cells] * cells + [noise / cells] * cells, m)
+    return n / (n - 1) * (total - joint) / total
+
+
+class TestXorRatioPrediction:
+    """Curves of an XOR pair, alone or with uniform columns, against the
+    ratio of exact plug-in expectations (`_xor_msu`), to 4 standard errors.
+
+    fig-b2's largest |z| over its 143 points was 2.23 at 2,000 replicates
+    (1.08 at 1,000); fig-xor-1's over its 13 points was 2.02 at 1,000
+    replicates (1.54 at 500). An oracle noise of 0.06 against the
+    generator's 0.05 gives fig-b2 a largest |z| of 25.9.
+    """
+
+    FIG_XOR_1_REPLICATES = 1000
+
+    @staticmethod
+    def _z(stats, prediction):
+        return (stats.mean - prediction) / (stats.std / math.sqrt(stats.n))
+
+    def test_xor_pair_over_sample_size(self, fig_b2):
+        assert fig_b2.sweep_values == tuple(range(8, 151)) and preset("fig-b2").xor_noise == 0.05
+        for m, stats in zip(fig_b2.sweep_values, fig_b2.measures["msu_set"]):
+            assert stats.n == FIG_B2_REPLICATES
+            z = self._z(stats, _xor_msu(0.05, m))
+            assert abs(z) < 4, (m, stats.mean, z)
+
+    def test_a_wrong_noise_is_caught(self, fig_b2):
+        # the same curve against an oracle whose class flips with 0.06
+        worst = max(
+            abs(self._z(stats, _xor_msu(0.06, m)))
+            for m, stats in zip(fig_b2.sweep_values, fig_b2.measures["msu_set"])
+        )
+        assert worst > 4
+
+    def test_xor_pair_beside_uniform_columns(self):
+        # fig-xor-1: the pair and s uniform binary columns at 600 rows
+        config = dataclasses.replace(preset("fig-xor-1"), replicates=self.FIG_XOR_1_REPLICATES)
+        curve = run_experiment(config)
+        assert curve.sweep_values == tuple(range(1, 14)) and set(curve.sample_sizes) == {600}
+        for s, stats in zip(curve.sweep_values, curve.measures["msu_set"]):
+            assert stats.n == self.FIG_XOR_1_REPLICATES
+            z = self._z(stats, _xor_msu(config.xor_noise, 600, uniform=s))
+            assert abs(z) < 4, (s, stats.mean, z)
