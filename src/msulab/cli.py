@@ -201,8 +201,9 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
-            print(f"error: cannot read {args.config}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
+            raise InvalidInputError(f"cannot read {args.config}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError:
+            raise InvalidInputError(f"{args.config}: not UTF-8 text") from None
         config = config_from_json(text)
     else:
         config = preset(args.preset)

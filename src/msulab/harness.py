@@ -496,7 +496,6 @@ class BiasCurve:
     """Aggregated sweep output: per-point statistics for each measure."""
 
     name: str
-    sweep_kind: str
     sweep_values: tuple[int, ...]
     sample_sizes: tuple[int | None, ...]
     measures: dict[str, list[MeasureStats | None]]
@@ -579,7 +578,6 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
 
     return BiasCurve(
         name=config.name,
-        sweep_kind=config.sweep.kind,
         sweep_values=config.sweep.values,
         sample_sizes=tuple(points[i].m if i in points else None for i in range(n_points)),
         measures=per_measure,
@@ -610,7 +608,6 @@ def _run_representativeness_scan(config: ExperimentConfig) -> BiasCurve:
             points.append(value)
     return BiasCurve(
         name=config.name,
-        sweep_kind=config.sweep.kind,
         sweep_values=config.sweep.values,
         sample_sizes=tuple([None] * len(config.sweep.values)),
         measures=series,

@@ -7,27 +7,25 @@ dictionary reproduces the original cell exactly. A file that is not UTF-8
 text, or that holds a field over the csv module's size limit, is rejected
 with `InvalidInputError` naming the file.
 
-A plain file is coded from its bytes. It is read in blocks of about
-`_BLOCK_BYTES`, each cut after its last line end. A first pass over the
-blocks runs the checks that need no field positions (no `"`, `\\r` or NUL
-byte, UTF-8 text, and as many commas in a block as the header has for each
-of its lines), so a file that fails one late, a row of the wrong length
-included, is never coded, and counts the lines. The coding pass finds each
-block's `,` and `\\n` bytes with numpy and keys each field by its bytes as
-one little-endian uint64 (fields of at most 8 bytes, none holding a NUL, so
-the key is unambiguous). One open-addressing hash table per file holds every
-column's known keys beside their codes, each column in a power-of-two region
-of its own, at most half full. A block is coded at once: every field's home
-slot comes from a multiplicative hash, one gather compares it with the key,
-and linear-probe rounds run over only the fields not yet found. A probe that
-ends on an empty slot has found a new label; new labels take their column's
-next codes in first-appearance order and are put in where their probes
-ended. The table is laid out anew when a region doubles, or with the next
-multiplier when a block needs more than `_MAX_ROUNDS` probe rounds, so
-crafted labels cannot make a read quadratic; codes never depend on the
-layout. Labels are decoded from their keys at the end. Without quotes, CRs
-or NULs, the csv module's excel dialect cuts fields at every `,` and rows at
-every `\\n`, so this gives exactly its split.
+A plain file is coded from its bytes in one pass. It is read in blocks of
+about `_BLOCK_BYTES`, each cut after its last line end. Each block is
+checked for a `"`, `\\r` or NUL byte and for UTF-8 text, and then coded:
+its `,` and `\\n` bytes are found with numpy, and each field is keyed by
+its bytes as one little-endian uint64 (fields of at most 8 bytes, none
+holding a NUL, so the key is unambiguous). One open-addressing hash table
+per file holds every column's known keys beside their codes, each column
+in a power-of-two region of its own, at most half full. A block is coded
+at once: every field's home slot comes from a multiplicative hash, one
+gather compares it with the key, and linear-probe rounds run over only the
+fields not yet found. A probe that ends on an empty slot has found a new
+label; new labels take their column's next codes in first-appearance order
+and are put in where their probes ended. The table is laid out anew when a
+region doubles, or with the next multiplier when a block needs more than
+`_MAX_ROUNDS` probe rounds, so crafted labels cannot make a read quadratic;
+codes never depend on the layout. Labels are decoded from their keys at
+the end. Without quotes, CRs or NULs, the csv module's excel dialect cuts
+fields at every `,` and rows at every `\\n`, so this gives exactly its
+split.
 
 Any other file is read with `csv.reader`, which is also the one reporter of
 errors: the byte-level coder never raises, it declines, and the file is
@@ -36,16 +34,16 @@ line, a row without as many fields as the header, a header that fails its
 checks, bytes that are not UTF-8, a field over 8 bytes or over
 `csv.field_size_limit()`, and a file without data rows. The csv path reads
 rows `_CHUNK_ROWS` at a time and codes each column of a chunk with one
-dictionary lookup per cell. The byte-level coder writes every block's
-codes into one row-major matrix of the rows counted; the csv path keeps a
-row-major chunk of codes per `_CHUNK_ROWS` rows. Either is in the narrowest
-dtype that holds every column's labels seen so far, and is copied into the
-sample's column-major matrix at the end. A row of the wrong length is
-reported, by the physical line it ends on, once its chunk is read, so a csv
-error or an undecodable byte later in the same chunk is reported first;
-either is an `InvalidInputError`. Both passes and the csv path read the
-file from its start, so a file that cannot seek (a pipe) is read into
-memory first.
+dictionary lookup per cell. The byte-level coder keeps a row-major chunk
+of codes per block, the csv path one per `_CHUNK_ROWS` rows, each in the
+narrowest dtype that holds every column's labels seen so far; the chunks
+are copied into the sample's column-major matrix at the end. A row of the
+wrong length is reported, by the physical line it ends on, once its chunk
+is read, so a csv error or an undecodable byte later in the same chunk is
+reported first; either is an `InvalidInputError`. A file the coder
+declines late has been coded up to the block that fails, and the csv path
+reads it again from its start, so a file that cannot seek (a pipe) is read
+into memory first.
 """
 
 from __future__ import annotations
@@ -286,9 +284,8 @@ class _Table:
 def _read_plain(fh: BinaryIO) -> tuple[list[str], list, list[np.ndarray]] | None:
     """`_dataset`'s arguments for a file coded from its bytes, or None where
     the csv path must read it."""
-    # the checks that need no field positions run first, so that a file
-    # failing one late is not coded; the lines counted size the codes
-    lines, commas = 0, None  # commas: the header's, which every line has
+    limit = csv.field_size_limit()
+    header, chunks = None, []
     for block in _blocks(fh):
         if b'"' in block or b"\r" in block or b"\0" in block:
             return None
@@ -296,18 +293,6 @@ def _read_plain(fh: BinaryIO) -> tuple[list[str], list, list[np.ndarray]] | None
             block.decode("utf-8")
         except UnicodeDecodeError:
             return None
-        if commas is None:
-            commas = block[: block.index(b"\n")].count(b",")
-        text = np.frombuffer(block, dtype=np.uint8)
-        ends = np.count_nonzero(text == ord("\n"))
-        # a line of another length shows in its block's commas
-        if np.count_nonzero(text == ord(",")) != commas * ends:
-            return None
-        lines += ends
-    fh.seek(0)
-    limit = csv.field_size_limit()
-    header, rows = None, 0
-    for block in _blocks(fh):
         if header is None:
             line, _, block = block.partition(b"\n")
             header = line.decode("utf-8").split(",")
@@ -318,20 +303,10 @@ def _read_plain(fh: BinaryIO) -> tuple[list[str], list, list[np.ndarray]] | None
                 continue
         if (keys := _keys(block, len(header), min(_KEY_BYTES, limit))) is None:
             return None
-        codes = table.code(keys)
-        if rows + len(codes) >= lines:  # the file grew after the first pass
-            return None
-        if not rows:
-            # every data row's codes, row by row, in one matrix: a chunk a
-            # block, kept to the end, would fragment the heap. It is made
-            # after the first block, whose new labels take the most memory.
-            coded = np.empty((lines - 1, len(header)), dtype=codes.dtype)
-        coded = coded.astype(codes.dtype, copy=False)  # as a column's labels outgrow it
-        coded[rows : rows + len(codes)] = codes
-        rows += len(codes)
-    if not rows:
+        chunks.append(table.code(keys))
+    if not chunks:
         return None
-    return header, table.labels(), [coded[:rows]]  # fewer if the file shrank
+    return header, table.labels(), chunks
 
 
 def _keys(block: bytes, p: int, longest: int) -> np.ndarray | None:

@@ -119,6 +119,19 @@ def kononenko_first_half_prob(i: int, k: float, class_card: int) -> float:
     return p if i % 2 == 0 else 1.0 - p
 
 
+def kononenko_cell_probs(n: int, k: float, class_card: int) -> list[float]:
+    """Cell probabilities of the joint of a uniform class and n binary
+    Kononenko columns, which are independent given the class: a class value
+    i and j columns in their lower half give p(i) q_i^j (1 - q_i)^(n - j),
+    q_i its `kononenko_first_half_prob`, in each of C(n, j) cells."""
+    probs = []
+    for i in range(1, class_card + 1):
+        q = kononenko_first_half_prob(i, k, class_card)
+        for j in range(n + 1):
+            probs += [q**j * (1.0 - q) ** (n - j) / class_card] * math.comb(n, j)
+    return probs
+
+
 def kononenko_codes(class_codes, cardinality: int, k: float, rng, class_card: int) -> np.ndarray:
     """A Kononenko column by the general arithmetic, row by row, from one
     (half, member) pair of draws per row: the lower half when the half draw

@@ -252,6 +252,19 @@ class TestExperiment:
         assert out == ""
         assert "JSON object" in err
 
+    def test_missing_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code, out, err = run(capsys, "experiment", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot read {path}: No such file or directory\n"
+
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "experiment", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: not UTF-8 text\n"
+
     def test_computed_sample_sizes_recorded(self, tmp_path, capsys):
         out_path = tmp_path / "curve.csv"
         code, _, _ = run(capsys, "experiment", "fig-xor-2", "--replicates", "2",

@@ -1,5 +1,6 @@
 """Tests for the synthetic attribute generators and dataset assembly."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -38,6 +39,7 @@ from msulab.measures import subset_entropies
 from oracle_utils import (
     binary_entropy,
     expected_plugin_entropy,
+    kononenko_cell_probs,
     kononenko_codes,
     kononenko_first_half_prob,
     xor_population_msu,
@@ -358,6 +360,20 @@ class TestKononenkoProbability:
     def test_non_finite_k_rejected(self, k):
         with pytest.raises(InvalidInputError, match="informativeness"):
             kononenko_first_half_prob(1, k, 2)
+
+    @pytest.mark.parametrize("n, k, class_card", [(2, 1.0, 2), (3, 0.4, 3), (1, 2.5, 4)])
+    def test_cell_probs_match_enumeration(self, n, k, class_card):
+        # every (class, lower-half flags) cell, its probability multiplied out
+        exact = [
+            math.prod(q if low else 1 - q for low in flags) / class_card
+            for i in range(1, class_card + 1)
+            for q in [kononenko_first_half_prob(i, k, class_card)]
+            for flags in itertools.product([True, False], repeat=n)
+        ]
+        probs = kononenko_cell_probs(n, k, class_card)
+        assert len(probs) == class_card * 2**n
+        assert sorted(probs) == pytest.approx(sorted(exact), rel=1e-12)
+        assert math.fsum(probs) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestGenKononenko:

@@ -396,7 +396,8 @@ class TestHashTableCoder:
         assert path.stat().st_size > 3 * _BLOCK_BYTES
         data = assert_byte_level_matches_reference(path, csv_path_calls)
         assert data.sample.codes.dtype == np.uint16
-        assert [c.dtype for c in coded] == [np.dtype(np.uint16)]
+        # each block's codes stay in the dtype of the labels seen by then
+        assert coded[0].dtype == np.uint8 and coded[-1].dtype == np.uint16
 
 
 @pytest.mark.parametrize(
@@ -407,7 +408,7 @@ class TestHashTableCoder:
     ],
     ids=["quote-in-last-row", "bad-utf8-in-last-block"],
 )
-def test_a_file_failing_a_byte_check_late_is_not_coded(tmp_path, csv_path_calls, lookups, data, message):
+def test_a_file_failing_a_byte_check_late_reaches_the_csv_path(tmp_path, csv_path_calls, data, message):
     path = tmp_path / "declined.csv"
     path.write_bytes(data)
     if message is None:
@@ -419,13 +420,12 @@ def test_a_file_failing_a_byte_check_late_is_not_coded(tmp_path, csv_path_calls,
         with pytest.raises(UnicodeDecodeError):
             reference_read_csv(path)
     assert csv_path_calls == [str(path)]
-    assert lookups["code"] == []
 
 
-def test_a_ragged_last_row_is_not_coded(tmp_path, csv_path_calls, lookups):
+def test_a_ragged_last_row_reaches_the_csv_path(tmp_path, csv_path_calls):
     # the benchmark's 100,000 x 19 measure file, its last row one field
-    # short: the first pass counts each block's commas, so no block is coded
-    # before the csv path reads the file and names the row
+    # short: the coder declines at the last block, and the csv path reads
+    # the file again and names the row
     kind = GeneratorKind
     blocks = [
         AttributeBlock(("x1", "x2"), kind.XOR_PAIR, 2),
@@ -440,27 +440,44 @@ def test_a_ragged_last_row_is_not_coded(tmp_path, csv_path_calls, lookups):
         read_csv(path)
     assert str(caught.value) == f"{path}:100001: expected 19 cells, got 18"
     assert csv_path_calls == [str(path)]
-    assert lookups["code"] == []
 
 
-@pytest.mark.parametrize("change", ["grows", "shrinks"])
-def test_a_file_changed_between_the_passes_is_read_as_it_then_is(tmp_path, monkeypatch, change):
-    path = tmp_path / "data.csv"
-    path.write_text(plain_text())
-    passes = []
+@pytest.mark.parametrize(
+    "text, message",
+    [(plain_text(), None), (replace_row(plain_text(), LAST, "12"), ":30001: expected 2 cells, got 1")],
+    ids=["plain", "ragged-last-row"],
+)
+def test_a_plain_file_is_read_in_one_pass(tmp_path, csv_path_calls, monkeypatch, text, message):
+    passes, seeks = [], []
+
+    class SeekRecorder:
+        """The file, its `seek` calls recorded."""
+
+        def __init__(self, fh):
+            self.read = fh.read
+            self.fh = fh
+
+        def seek(self, *args):
+            seeks.append(args)
+            return self.fh.seek(*args)
 
     def blocks(fh):
         passes.append(fh)
-        if len(passes) == 2:  # the coding pass, after the byte checks counted the lines
-            path.write_text(plain_text(30_100 if change == "grows" else 29_000))
         return read_blocks(fh)
 
-    read_blocks = ingest._blocks
+    read_blocks, read_plain = ingest._blocks, ingest._read_plain
     monkeypatch.setattr(ingest, "_blocks", blocks)
-    data = read_csv(path)
-    _, dictionaries, sample = reference_read_csv(path)
-    assert data.dictionaries == dictionaries and data.sample == sample
-    assert data.sample.n_rows == (30_100 if change == "grows" else 29_000)
+    monkeypatch.setattr(ingest, "_read_plain", lambda fh: read_plain(SeekRecorder(fh)))
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    if message is None:
+        assert_byte_level_matches_reference(path, csv_path_calls)
+    else:
+        with pytest.raises(InvalidInputError) as caught:
+            read_csv(path)
+        assert str(caught.value) == f"{path}{message}"
+        assert csv_path_calls == [str(path)]
+    assert len(passes) == 1 and seeks == []
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
