@@ -82,7 +82,7 @@ import numpy as np
 
 from .dataset import MAX_DATASET_CELLS, block, check_size, check_xor_class, generate_replicates
 from .errors import InvalidInputError
-from .generators import GeneratorKind, SeededRng, check_card, check_k, check_xor_noise
+from .generators import GeneratorKind, SeededRng, check_card, check_k, check_m, check_xor_noise
 from .ingest import csv_field
 from .measures import msu_values
 from .sample import int_text, integer, items, real, string
@@ -368,11 +368,23 @@ def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
     elif policy.fixed is not None:
         m = policy.fixed
     else:
-        m = max(
-            heuristic_sample_size(_profile(config, [size[name] for name in sub.groups]), policy.computed)
-            for sub in config.tracked
-        )
+        profiles = [_profile(config, [size[name] for name in sub.groups]) for sub in config.tracked]
+        if not config.representativeness_scan:  # which names a huge space by its own rule
+            _reject_past_int64(profiles, policy.computed)
+        m = max(heuristic_sample_size(profile, policy.computed) for profile in profiles)
     return ResolvedPoint(m, tuple(counts), tuple(cards))
+
+
+def _reject_past_int64(profiles: Sequence[CardinalityProfile], factor: float) -> None:
+    """Raise `check_m`'s error for the largest 10x rule over `profiles` at a
+    whole-number `factor`, where a log2 bound puts it past int64, before
+    any joint space is built (3**(10**8) takes minutes). The error names m
+    by its bit length, which the bound fixes unless its log2 lies too near
+    a whole number for a float; then nothing is raised here, and the caller
+    builds m."""
+    bits = max(math.log2(factor * p.class_card) + math.fsum(n * math.log2(c) for c, n in p.attributes) for p in profiles)
+    if factor.is_integer() and bits >= 64 and abs(bits - round(bits)) > bits * 2**-40:
+        check_m(1 << math.floor(bits))  # past int64, with m's bit length
 
 
 def _profile(config: ExperimentConfig, groups: Iterable[tuple[int, int]]) -> CardinalityProfile:

@@ -11,7 +11,13 @@ bijective relabelings of category codes (those only reorder the terms). A
 matrix of at least `_BULK_ROWS` rows is summed in bulk (`_fsum_rows`): each
 row whose terms fit is one exact int64 sum, which one cast rounds as fsum
 rounds the exact sum, and any other row is fsummed, so each entropy is
-fsum's float either way.
+fsum's float either way. In a smaller matrix, a row of at least
+`_WIDE_ROW` cells, which holds few distinct counts (under the 10x rule a
+65,536-cell row has about 24), is summed from them (`_distinct_sum`): each
+distinct count's term is the float the cell-by-cell path computes for it,
+and each term times its multiplicity is written as a few floats whose sum
+is exact (`_exact_products`), so one fsum rounds the same exact sum as the
+fsum of every cell, and the entropy is the same float.
 
 Every measure over a sample reads its entropies from one table that the
 sample carries, keyed exactly by (sorted column subset, row prefixes,
@@ -20,10 +26,11 @@ on a miss, `subset_entropies` hands the key to `msulab.sample.prefix_counts`
 (nothing else calls it) and keeps the floats. A dense joint of several
 columns gives, from the same scan of the rows, every member column's counts
 at those prefixes, and the table stores the entropies of those it lacks
-under each member's own key; a renumbered joint gives none. A public
-measure reads the table at all rows, one segment; the Monte Carlo engine
-reads it at each sweep point's row prefix, within each replicate of a
-sample that stacks several (a period, the segment's rows).
+under each member's own key, taken in one `entropy_rows` call over their
+count rows, each zero-padded to the widest; a renumbered joint gives none.
+A public measure reads the table at all rows, one segment; the Monte Carlo
+engine reads it at each sweep point's row prefix, within each replicate of
+a sample that stacks several (a period, the segment's rows).
 Counts are integers and each entropy is an fsum of its prefix's own cells,
 so a sample returns the same floats however often, in whatever order, and
 at whatever prefix sets it is measured, and a column's entropies are the
@@ -53,6 +60,7 @@ from .sample import (
     normalize_columns,
     normalize_prefixes,
     prefix_counts,
+    run_lengths,
     whole_numbers,
 )
 
@@ -66,6 +74,12 @@ _MAX_TOTAL = int(np.iinfo(np.int64).max)
 # bulk made fig-f1 and fig-g 1.45x and 1.5x as slow, fig-a1 and fig-xor-1
 # 1.2x (20 replicates, one CPU).
 _BULK_ROWS = 256
+# A row of at least this many cells, in a matrix of fewer than `_BULK_ROWS`
+# rows, is summed from its distinct counts (`_distinct_sum`); below it, a
+# term per cell costs less. Timed on one CPU over rows of about 1 and 10
+# rows a cell, the two cost the same at 768 cells (about 35 us a row); the
+# distinct counts took 0.9x at 1,024 cells, 0.5x at 2,048 and 0.1x at 65,536.
+_WIDE_ROW = 1024
 # The frexp exponent of a zero term: above every other, so never the least.
 _ZERO_EXPONENT = 1 << 16
 
@@ -85,13 +99,51 @@ def entropy_rows(counts: np.ndarray) -> list[float]:
     """Entropy in bits of each row of a count matrix with positive row sums.
 
     A zero cell contributes an exact 0 term, so a row gives the same float as
-    its positive counts alone.
+    its positive counts alone. Below `_BULK_ROWS` rows, a row of at least
+    `_WIDE_ROW` cells is summed from its distinct counts (`_distinct_sum`),
+    to the float that fsum of its cells' terms gives.
     """
-    p = counts / counts.sum(axis=1, keepdims=True)
+    if counts.shape[1] >= _WIDE_ROW and len(counts) < _BULK_ROWS:
+        return [0.0 - _distinct_sum(row) for row in counts]
+    terms = _terms(counts, counts.sum(axis=1, keepdims=True))
+    return (0.0 - _row_sums(terms)).tolist()  # 0.0 - avoids -0.0
+
+
+def _terms(counts: np.ndarray, totals) -> np.ndarray:
+    """p * log2(p) of each count, p = count / total, 0 for a zero count."""
+    p = counts / totals
     terms = np.where(counts > 0, p, 1.0)
     np.log2(terms, out=terms)
-    terms *= p  # p * log2(p), in place, as a batch's matrices are large
-    return (0.0 - _row_sums(terms)).tolist()  # 0.0 - avoids -0.0
+    terms *= p  # in place, as a batch's matrices are large
+    return terms
+
+
+def _distinct_sum(row: np.ndarray) -> float:
+    """`math.fsum` of a count row's terms, bit for bit, from one term per
+    distinct count: each is the float `_terms` gives that count in the row,
+    and `_exact_products` writes it times its multiplicity as floats whose
+    sum is exact, so fsum rounds the row's exact sum as it does cell by cell."""
+    ordered = np.sort(row)
+    multiplicities = run_lengths(ordered)
+    terms = _terms(ordered[np.cumsum(multiplicities) - 1], row.sum())
+    return math.fsum(_exact_products(terms, multiplicities).tolist())
+
+
+def _exact_products(terms: np.ndarray, multiplicities: np.ndarray) -> np.ndarray:
+    """Floats whose exact sum is that of each term times its multiplicity,
+    for multiplicities below 2**53.
+
+    A Veltkamp split writes each term as hi + lo, each of at most 26
+    significant bits; each multiplicity is its bits from 2**26 up plus the
+    26 below, at most 27 and 26 significant bits. Each of the four products
+    of a part of a term and a part of its multiplicity then holds at most
+    53 bits, so it is exact; terms are at most 1 in size, so none overflows.
+    """
+    scaled = terms * 134217729.0  # 2**27 + 1
+    hi = scaled - (scaled - terms)
+    low = multiplicities & (1 << 26) - 1
+    parts = np.array([multiplicities - low, low], dtype=np.float64)
+    return (np.array([hi, terms - hi])[:, np.newaxis] * parts).ravel()
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
@@ -195,14 +247,22 @@ def _stored_entropies(
     key = (subset, bounds, rows)
     if key not in table:
         members = [((c,), bounds, rows) for c in subset]  # each column's own key at these prefixes
+        lacking = [j for j, member in enumerate(members) if member not in table]
         joint: list[float] = []
-        marginals: dict[tuple, list[float]] = {}
+        marginals: list[np.ndarray] = []  # each chunk's, a row per lacking member
         for counts, columns in prefix_counts(sample, *key):
             joint += entropy_rows(counts)
-            for member, column in zip(members, columns):  # none where the joint is renumbered
-                if member not in table:
-                    marginals.setdefault(member, []).extend(entropy_rows(column))
-        table.update((member, tuple(entropies)) for member, entropies in marginals.items())
+            if columns and lacking:  # none where the joint is renumbered
+                # the lacking members' rows in one matrix, each zero-padded
+                # to the widest: a zero cell adds an exact 0 to a row's sum
+                width = max(columns[j].shape[1] for j in lacking)
+                padded = np.zeros((len(lacking), len(counts), width), np.int64)
+                for block, j in zip(padded, lacking):
+                    block[:, : columns[j].shape[1]] = columns[j]
+                marginals.append(np.reshape(entropy_rows(padded.reshape(-1, width)), (len(lacking), -1)))
+        if marginals:  # only a dense joint of several columns gives them
+            entropies = np.concatenate(marginals, axis=1).tolist()
+            table.update((members[j], tuple(e)) for j, e in zip(lacking, entropies))
         table[key] = tuple(joint)
     return table[key]
 

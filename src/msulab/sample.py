@@ -29,10 +29,14 @@ in the narrowest dtype of the joint space (the same rule). A joint is
 counted densely, over its whole grid of mixed-radix keys, only where the
 rows fill that grid; then each column's counts are the grid's sums over the
 other columns' axes, one for each code, so the rows are read once for all
-of them. Otherwise the keys are renumbered to the cells seen, and the joint
-gives no column's counts: a column is then counted from its own rows, as a
-subset of one. How a cell is keyed (a dense mixed-radix key, a renumbered
-key, or a row of codes past int64) is private to this module.
+of them. Otherwise the keys are renumbered to the cells seen, by one sort
+of the keys, and the joint gives no column's counts: a column is then
+counted from its own rows, as a subset of one. At one prefix of one
+segment, as every public measure counts, the cells' counts are the run
+lengths of the sorted keys, with no id written or counted; at several
+prefixes, each row's id comes from an argsort and the runs' starts. How a
+cell is keyed (a dense mixed-radix key, a renumbered key, or a row of
+codes past int64) is private to this module.
 
 A sample can hold datasets of one layout one after another, as
 `msulab.dataset.generate_replicates` writes a batch of replicates, and be
@@ -64,14 +68,18 @@ from .errors import InvalidInputError
 # The limit also caps the size of one prefix count matrix. The dense path
 # costs passes over the grid (the counts, their nonzeros, and past one
 # column every column's axis sums, each over a smaller grid than the last);
-# the renumbered one a sort of the rows, and a count of each member from
+# the renumbered one a sort of the keys, and a count of each member from
 # its own rows. Timed on one CPU over 600 to 100,000 rows, 2- to 40-valued
-# columns and 1/2 to 64 cells a row, dense took, of the renumbered time:
-# with no axis sums, 0.06-0.86 up to 8 cells a row, 0.86-1.6 at 10 to 16,
-# up to 4.6 past that; with every column's, as every dense joint of several
-# columns takes, 0.06-1.02 up to 8 at one prefix, but up to 10 at 4 to 8
-# cells a row and 10 prefixes. The presets timed no differently at 4, 8 or
-# 16 cells a row.
+# columns and 1/2 to 64 cells a row, at one prefix, with every member's axis
+# sums as every dense joint of several columns takes them, dense took, of
+# the time of the sorted keys' run lengths and each member counted alone:
+# 0.24-0.85 up to 4 cells a row, 0.52-1.25 at 5 to 8, 0.6-2.9 at 10 to 21,
+# and up to 22 past 100 on 5,000 rows. When a renumbered joint was still
+# counted through `np.unique`, dense took, of its time: with no axis sums,
+# 0.06-0.86 up to 8 cells a row, 0.86-1.6 at 10 to 16, up to 4.6 past that;
+# with every column's, 0.06-1.02 up to 8 at one prefix, but up to 10 at 4
+# to 8 cells a row and 10 prefixes. The presets timed no differently at 4,
+# 8 or 16 cells a row then.
 _DENSE_CELL_LIMIT = 1 << 21
 _DENSE_FILL = 8
 
@@ -427,10 +435,12 @@ def prefix_counts(
     empty list; a renumbered one is counted segment by segment, each
     renumbered to its own cells, so a segment is keyed as it would be alone
     and no row is as wide as all segments' cells together. No joint matrix
-    exceeds `_DENSE_CELL_LIMIT` elements unless a single row does. Every
-    matrix is counted from the rows' cell ids in one bincount: the ids are
-    keyed once, each row of a segment adds the rows after the previous
-    prefix to its counts, and a segment's first row starts from zero.
+    exceeds `_DENSE_CELL_LIMIT` elements unless a single row does. A
+    renumbered joint at one prefix of one segment is the run lengths of its
+    sorted keys. Every other matrix is counted from the rows' cell ids in
+    one bincount: the ids are keyed once, each row of a segment adds the
+    rows after the previous prefix to its counts, and a segment's first row
+    starts from zero.
     """
     dims = tuple(sample.cardinalities[c] for c in subset)
     top = bounds[-1]
@@ -464,6 +474,10 @@ def _counts(
     segments of `bounds[-1]` rows one after another, keyed densely or
     renumbered as `dense` says."""
     top, n = bounds[-1], len(bounds)
+    if not dense and n == segments == 1:
+        # one histogram of all the rows: its counts are the sorted keys' runs
+        yield _cell_ids(columns, dims, None)[0][np.newaxis], []
+        return
     ids, n_cells = _cell_ids(columns, dims, dense)
     per_chunk = max(1, _DENSE_CELL_LIMIT // n_cells)
     # a chunk is whole segments where one fits, else consecutive prefixes of one
@@ -521,19 +535,24 @@ def _axis_counts(grid: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
     return sums + [grid]
 
 
-def _cell_ids(columns: Sequence[np.ndarray], dims: Sequence[int], dense: bool) -> tuple[np.ndarray, int]:
+def _cell_ids(columns: Sequence[np.ndarray], dims: Sequence[int], dense: bool | None) -> tuple[np.ndarray, int]:
     """Per-row cell ids over equal-length code columns, and the id space size.
 
     A `dense` space's ids are the mixed-radix keys themselves (one column is
     its own key), over the whole grid. Any other is renumbered to the
-    observed keys in ascending order; past int64, to the observed rows of
-    codes. A space past int64 is never dense (`_dense`).
+    observed keys in ascending order, by one argsort of the keys and the
+    starts of their runs; past int64, to the observed rows of codes. With
+    `dense` None, for one histogram of all the rows, a space is renumbered
+    likewise, but each cell's count takes the place of the ids: the run
+    lengths of the keys sorted without their order, so no id is written and
+    none is counted. A space past int64 is never dense (`_dense`).
     """
     space = math.prod(dims)
     if space >= 1 << 62:
         # joint space not addressable in int64: number the distinct rows
         cells, ids = np.unique(np.column_stack(columns), axis=0, return_inverse=True)
-        return ids.reshape(-1), len(cells)
+        ids = ids.reshape(-1)
+        return (np.bincount(ids) if dense is None else ids), len(cells)
     # a one-valued column adds 0 to every key, so it is left out; then every
     # multiplier is at most half the key dtype's size
     radix = [(column, d) for column, d in zip(columns, dims) if d > 1] or [(columns[0], 1)]
@@ -550,5 +569,15 @@ def _cell_ids(columns: Sequence[np.ndarray], dims: Sequence[int], dense: bool) -
             np.add(keys, column, out=keys, casting="unsafe")
     if dense:
         return keys, space
-    cells, ids = np.unique(keys, return_inverse=True)
-    return ids.reshape(-1), len(cells)
+    if dense is None:
+        return (runs := run_lengths(np.sort(keys))), len(runs)
+    order = np.argsort(keys)
+    runs = run_lengths(keys[order])
+    ids = np.empty_like(order)
+    ids[order] = np.repeat(np.arange(len(runs)), runs)
+    return ids, len(runs)
+
+
+def run_lengths(ordered: np.ndarray) -> np.ndarray:
+    """The length of each run of equal values in a sorted array, in order."""
+    return np.diff(np.flatnonzero(np.diff(ordered)), prepend=-1, append=len(ordered) - 1)

@@ -223,6 +223,56 @@ class TestResolvePoint:
             "sample size must not exceed 9223372036854775807, got at least 2**10000004"
         )),)
 
+    @staticmethod
+    def _wide(count, cardinality, factor=10, scan=False):
+        return config_from_json({
+            "name": "wide", "replicates": 1,
+            "sweep": {"kind": "attribute_count", "values": [count]},
+            "groups": [_group("u", "uniform", {"offset": 0}, cardinality)],
+            "tracked": [{"label": "set", "groups": ["u"]}],
+            "sample_size_policy": {"computed": factor},
+            "representativeness_scan": scan,
+        })
+
+    @pytest.mark.parametrize("cardinality, exponent", [(3, 158_496_254), (2, 100_000_004)])
+    def test_a_hundred_million_columns_skipped_within_a_second(self, cardinality, exponent):
+        # 10 * 2 * 3**(10**8) took 111 s to build as an int before it was
+        # rejected; a log2 bound now names its bit length: floor(log2(20) +
+        # 10**8 * log2(3)) = 158,496,254
+        cfg = self._wide(100_000_000, cardinality)
+        curves = []
+        thread = threading.Thread(target=lambda: curves.append(run_experiment(cfg)), daemon=True)
+        thread.start()
+        thread.join(timeout=1)
+        assert curves, "run_experiment did not return within a second"
+        assert curves[0].errors == ((100_000_000, (
+            f"sample size must not exceed 9223372036854775807, got at least 2**{exponent}"
+        )),)
+
+    @pytest.mark.parametrize("count", [58, 59, 60, 200, 1000])
+    @pytest.mark.parametrize("factor", [8, 10, 12.5])
+    def test_a_point_past_int64_is_named_as_its_built_m_names_it(self, count, factor, monkeypatch):
+        # at factor 8, m = 8 * 2 * 2**count is a power of two, whose log2 a
+        # float bound cannot place on either side of a whole number, and
+        # 12.5 is no whole number: both build m as before; at 10, a point
+        # past 2**64 is named from the bound, with no m built
+        built = []
+        rule = harness.heuristic_sample_size
+        monkeypatch.setattr(harness, "heuristic_sample_size", lambda *a: built.append(rule(*a)) or built[-1])
+        m = math.ceil(factor * 2 * 2**count)
+        (error,) = run_experiment(self._wide(count, 2, factor)).errors
+        if m > 2**63 - 1:
+            assert error == (count, f"sample size must not exceed 9223372036854775807, got {sample_module.int_text(m)}")
+        else:
+            assert error[1].endswith(f"a generated dataset holds at most {dataset.MAX_DATASET_CELLS}")
+        assert built == ([] if factor == 10 and m >= 2**64 else [m])
+
+    def test_a_scan_names_a_huge_point_by_its_own_rule(self):
+        curve = run_experiment(self._wide(100, 3, scan=True))
+        assert curve.errors == ((100, (
+            "a joint space of at least 2**159 cells exceeds the 4503599627370496 the float statistic resolves"
+        )),)
+
 
 class TestCountRule:
     def test_window_gates_count(self):

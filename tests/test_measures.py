@@ -879,6 +879,72 @@ class TestDenseWhereTheRowsFill:
         assert any(not is_dense for _, is_dense in keyed)
 
 
+
+class TestSortRenumbering:
+    """A renumbered joint's counts and cell order are `np.unique`'s over its
+    int64 keys: ids from one argsort and the runs' starts, and at one prefix
+    of one segment, the run lengths of the sorted keys."""
+
+    # two-column spaces of 2**62 - 2**31 and a one-column one of 2**62 - 1
+    # cells, with keys near 2**62 - 1; a binary joint of 2**20 cells; 40**4 * 2
+    CARDS = [(2**31, 2**31 - 1), (2**62 - 1,), (2,) * 20, (40, 40, 40, 40, 2), (3, 1, 5, 2**33)]
+
+    @staticmethod
+    def _columns(cards, rows, seed):
+        rng = np.random.default_rng(seed)
+        # a few codes at the top of each alphabet, so keys repeat near the top
+        return [c - 1 - rng.integers(0, min(c, 6), size=rows) if c > 2**30 else rng.integers(0, c, size=rows)
+                for c in cards]
+
+    @pytest.mark.parametrize("cards", CARDS)
+    def test_ids_and_run_lengths_match_unique(self, cards):
+        columns = self._columns(cards, 3000, len(cards))
+        sample = CategoricalSample.from_columns(columns, cards)
+        keys = _int64_keys(columns, cards)
+        cells, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        assert not _dense(math.prod(cards), 3000)
+        ids, n_cells = _cell_ids(list(sample.codes.T), cards, False)
+        assert ids.tolist() == inverse.tolist() and n_cells == len(cells)
+        runs, n_cells = _cell_ids(list(sample.codes.T), cards, None)
+        assert runs.tolist() == counts.tolist() and n_cells == len(cells)
+        if math.prod(cards) > 2**61:
+            assert keys.max() > 2**61
+
+    @pytest.mark.parametrize("cards", CARDS)
+    @pytest.mark.parametrize("segments", [1, 3])
+    @pytest.mark.parametrize("prefixes", [[500], [1, 7, 250, 500]])
+    def test_counts_and_cell_order_match_unique(self, cards, segments, prefixes):
+        rows = 500
+        columns = self._columns(cards, rows * segments, sum(cards) % 1000 + segments)
+        sample = CategoricalSample.from_columns(columns, cards)
+        keys = _int64_keys(columns, cards)
+        chunks = list(prefix_counts(sample, *_key(sample, range(len(cards)), prefixes, rows)))
+        matrices = [counts for counts, members in chunks if members == []]
+        assert len(matrices) == len(chunks) == segments  # renumbered segment by segment
+        for s, counts in enumerate(matrices):
+            segment = keys[s * rows : (s + 1) * rows]
+            cells = np.unique(segment)  # ascending key order
+            expected = [[np.count_nonzero(segment[:n] == cell) for cell in cells] for n in prefixes]
+            assert counts.tolist() == expected
+
+    def test_one_prefix_takes_the_run_lengths(self, monkeypatch):
+        # no ids are written and none is counted: no bincount, and the keying
+        # is asked for counts (None), neither dense nor ids
+        cards = (2,) * 20
+        sample = CategoricalSample.from_columns(self._columns(cards, 1000, 1), cards)
+        asked, counted = [], []
+        real_ids, real_bincount = sample_module._cell_ids, np.bincount
+        monkeypatch.setattr(sample_module, "_cell_ids", lambda *a: asked.append(a[2]) or real_ids(*a))
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: counted.append(a) or real_bincount(*a, **k))
+        ((counts, members),) = prefix_counts(sample, *_key(sample, range(20)))
+        assert asked == [None] and counted == [] and members == []
+        keys = _int64_keys([sample.codes[:, j] for j in range(20)], cards)
+        assert counts[0].tolist() == np.unique(keys, return_counts=True)[1].tolist()
+        # several prefixes, or a past-int64 space, count ids
+        list(prefix_counts(sample, *_key(sample, range(20), [10, 1000])))
+        assert asked == [None, False] and len(counted) == 1
+
+
 class TestEntropyTable:
     """A sample counts each (column subset, row prefixes) histogram once."""
 
@@ -937,7 +1003,7 @@ class TestEntropyTable:
         sample = CategoricalSample(codes, (5, 5, 5))
         first = subset_entropies(sample, [1, 0], [40, 300])
         assert calls == [((0, 1), (40, 300))]
-        assert rows == [2, 2, 2]  # the joint gives both members
+        assert rows == [2, 4]  # the joint gives both members, measured in one matrix
         assert ((0,), (40, 300), 500) in sample._entropies and ((1,), (40, 300), 500) in sample._entropies
         # a repeated (subset, prefixes) is not counted again, however it is spelled
         assert subset_entropies(sample, [0, 1], np.array([40, 300])) == first
@@ -1092,6 +1158,93 @@ class TestBulkRowSums:
         assert run_experiment(config) == expected
         fits = np.concatenate(rows)
         assert len(fits) > 0 and fits.mean() > 0.5
+
+
+
+def _per_cell_entropy(row):
+    """The oracle: each cell's term by `entropy_rows`' NumPy operations over
+    the whole row, then one `math.fsum` of all of them."""
+    p = row / row.sum()
+    terms = np.where(row > 0, p, 1.0)
+    np.log2(terms, out=terms)
+    terms *= p
+    return (0.0 - math.fsum(terms.tolist())).hex()
+
+
+class TestDistinctCountEntropy:
+    """A wide count row's entropy, summed from one term per distinct count,
+    is the per-cell fsum's float, bit for bit."""
+
+    WIDE = measures._WIDE_ROW
+
+    @staticmethod
+    def _row(kind, width, rng):
+        if kind == "poisson":  # about ten rows a cell, as under the 10x rule
+            return rng.poisson(10, width)
+        if kind == "sparse":  # about one row a cell, zeros included
+            return rng.integers(0, 3, width)
+        if kind == "distinct":
+            return rng.permutation(width) + 1
+        if kind == "repeated":
+            return np.full(width, 7)
+        # counts up to 2**40, their total below 2**63
+        return rng.integers(0, 2**40, width, endpoint=True)
+
+    @pytest.mark.parametrize("kind", ["poisson", "sparse", "distinct", "repeated", "huge"])
+    @pytest.mark.parametrize("width", [1023, 1024, 1025, 4096, 65_536, 200_000])
+    def test_rows_match_a_per_cell_fsum(self, kind, width, monkeypatch):
+        rng = np.random.default_rng(width + len(kind))
+        counts = np.array([self._row(kind, width, rng) for _ in range(3)], dtype=np.int64)
+        counts[:, 0] += 1  # no row is all zeros
+        assert counts.sum(axis=1).max() < 2**63
+        distinct = []
+        real = measures._distinct_sum
+        monkeypatch.setattr(measures, "_distinct_sum", lambda row: distinct.append(row) or real(row))
+        assert _hex(measures.entropy_rows(counts)) == [_per_cell_entropy(row) for row in counts]
+        assert len(distinct) == (3 if width >= self.WIDE else 0)
+
+    def test_many_random_rows_and_a_batch_in_bulk(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        rows = [rng.multinomial(int(rng.integers(1, 10**6)), rng.dirichlet(np.full(w, 0.5)))
+                for w in rng.integers(self.WIDE, 3 * self.WIDE, size=100)]
+        width = max(map(len, rows))
+        counts = np.zeros((len(rows), width), np.int64)
+        for block, row in zip(counts, rows):
+            block[: len(row)] = row
+        expected = [_per_cell_entropy(row) for row in counts]
+        assert _hex(measures.entropy_rows(counts)) == expected
+        monkeypatch.setattr(measures, "_BULK_ROWS", 1)  # the same rows in bulk
+        assert _hex(measures.entropy_rows(counts)) == expected
+
+    @pytest.mark.parametrize("top", [2**26, 2**27, 2**40, 2**53 - 1])
+    def test_products_sum_exactly(self, top):
+        # multiplicities up to `top`, at the split's bounds and past 2**27,
+        # where a term's 26-bit half times a whole multiplicity would round
+        rng = np.random.default_rng(top % 1009)
+        p = rng.random(4000) ** 8
+        terms = p * np.log2(p)
+        terms[:3] = (0.0, -0.5, -(2.0**-60) * 60)
+        multiplicities = rng.integers(1, top, size=len(terms), endpoint=True)
+        multiplicities[:4] = (top, top - 1, 2**26 - 1, 1)
+        parts = measures._exact_products(terms, multiplicities)
+        exact = [Fraction(t) * m for t, m in zip(terms.tolist(), multiplicities.tolist())]
+        assert sum(map(Fraction, parts.tolist())) == sum(exact)
+        assert math.fsum(parts.tolist()) == float(sum(exact))  # the exact sum, rounded once
+        unsplit = (terms * multiplicities).tolist()
+        assert any(Fraction(u) != e for u, e in zip(unsplit, exact))  # which an unsplit product is not
+
+    def test_a_row_past_the_split_bound_stays_exact(self):
+        # a row of 2**27 + 3 cells of one count (a GiB of int64, so it is
+        # given by its distinct counts and their multiplicities): its per-cell
+        # fsum is its exact sum of terms rounded once, and so is this sum
+        values = np.array([0, 1, 2, 3, 5], dtype=np.int64)
+        multiplicities = np.array([9, 2**27 + 3, 1, 2**30 + 7, 1], dtype=np.int64)
+        terms = measures._terms(values, int(values @ multiplicities))
+        exact = sum(Fraction(t) * m for t, m in zip(terms.tolist(), multiplicities.tolist()))
+        parts = measures._exact_products(terms, multiplicities).tolist()
+        assert math.fsum(parts) == float(exact)
+        unsplit = (terms * multiplicities).tolist()
+        assert any(Fraction(u) != Fraction(t) * m for u, t, m in zip(unsplit, terms.tolist(), multiplicities.tolist()))
 
 
 def _segments(seed, count, m, cards):

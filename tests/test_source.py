@@ -195,7 +195,8 @@ def test_joint_keys_take_the_one_dtype_rule():
 def test_only_sample_counts_rows():
     # one counting path: a histogram built anywhere else would be a second
     # format of cells to keep in step with `sample.prefix_counts`; and only
-    # `_cell_ids` renumbers cells, so no count is summed over decoded ones
+    # `_cell_ids` renumbers cells (a unique or a sort of their keys), so no
+    # count is summed over decoded ones
     calls = [
         f"{path.name}:{node.lineno}: {_called_name(node)}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -204,13 +205,19 @@ def test_only_sample_counts_rows():
     ]
     assert calls, "no counting call found"
     assert all(where.startswith("sample.py:") for where in calls), calls
-    renumbering = [
-        f"sample.py:{node.lineno}: unique"
+    sorts = {"unique", "sort", "argsort"}
+    renumbering = sorted(
+        f"{node.lineno}: {_called_name(node)}"
         for node in ast.walk(_cell_ids())
-        if isinstance(node, ast.Call) and _called_name(node) == "unique"
-    ]
-    assert renumbering, "no renumbering found"
-    assert sorted(w for w in calls if w.endswith(": unique")) == sorted(renumbering), calls
+        if isinstance(node, ast.Call) and _called_name(node) in sorts
+    )
+    assert sorts <= {where.split()[-1] for where in renumbering}, renumbering
+    in_sample = sorted(
+        f"{node.lineno}: {_called_name(node)}"
+        for node in ast.walk(_tree(PACKAGE / "sample.py"))
+        if isinstance(node, ast.Call) and _called_name(node) in sorts
+    )
+    assert in_sample == renumbering, in_sample
 
 
 def _callers(name: str) -> list[str]:

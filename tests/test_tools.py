@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under `tools/`."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +38,45 @@ def f(x):  # a trailing comment
     return x, text
 '''
     assert tool.count(source) == (9, 4)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SRC_LINES.with_name("bench_pairs.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _run_output(wall_s, correct=True, failed=0):
+    """What `bench/run.py` prints: metric lines, then its JSON result line."""
+    result = {"correct": correct, "attempted": 40, "failed": failed,
+              "metrics": {"wall_s": {"value": wall_s, "unit": "s"}, "setup_s": {"value": 0.5, "unit": "s"}}}
+    return f"# machine {{}}\nmetric wall_s = {wall_s}\n{json.dumps(result)}\n"
+
+
+def test_bench_pairs_reads_the_last_result_line():
+    tool = _bench_pairs()
+    result = tool.result_of(_run_output(0.0995))
+    assert tool.wall_s(result) == 0.0995 and tool.problem(result) is None
+    assert tool.result_of("metric wall_s = 1\nTraceback (most recent call last):\n") is None
+    assert tool.problem(None) == "no result line"
+    assert tool.problem(tool.result_of(_run_output(0.1, correct=False, failed=3))) == "correct: false, 3 failed ops"
+
+
+def test_bench_pairs_summary_counts_wins_quartiles_and_problems():
+    tool = _bench_pairs()
+    before = [0.100, 0.102, 0.098, 0.101, 0.099]
+    after = [0.090, 0.091, 0.099, 0.092, 0.089]
+    pairs = [(tool.result_of(_run_output(b)), tool.result_of(_run_output(a))) for b, a in zip(before, after)]
+    pairs[3] = (pairs[3][0], tool.result_of(_run_output(0.092, correct=False, failed=2)))
+    pairs.append((tool.result_of(_run_output(0.1)), None))  # the after run printed no result
+    lines = tool.summary(pairs)
+    assert lines[0] == "before wall_s (ms), pair by pair: 100.00 102.00 98.00 101.00 99.00 100.00"
+    # inclusive quartiles of 98, 99, 100, 100, 101, 102: 99.25, 100, 100.75
+    assert lines[1] == "before: median 100.00 ms, quartiles 99.25-100.75 ms (IQR 1.50 ms), won 1 of 6 pairs"
+    assert lines[2] == "before medians: setup_s 0.5"
+    assert lines[3] == "after wall_s (ms), pair by pair: 90.00 91.00 99.00 92.00 89.00 -"
+    assert lines[4] == "after: median 91.00 ms, quartiles 90.00-92.00 ms (IQR 2.00 ms), won 4 of 6 pairs"
+    assert lines[5] == "after medians: setup_s 0.5"
+    assert lines[6] == "median gap (before - after): 9.00 ms (+9.0% of before)"
+    assert lines[7:] == ["problem: pair 4, after: correct: false, 2 failed ops", "problem: pair 6, after: no result line"]

@@ -1,0 +1,148 @@
+"""Compare two checkouts on one benchmark workload, in interleaved pairs of runs.
+
+    python3 tools/bench_pairs.py BEFORE AFTER --workload measure-csv [--seconds 4] [--seed N] [--pairs 10]
+
+Each pair runs `python3 bench/run.py --workload W --seconds S [--seed N]` once
+in each checkout, one after the other; the side that runs first alternates
+from pair to pair, so a drift of the host's speed falls on both sides alike.
+Each run's result is the JSON line that `bench/run.py` prints last. For each
+side this prints the `wall_s` of every run, their median and quartiles, and
+how many pairs that side won (the lower `wall_s`), and the median of each
+other metric the runs report, then every run that reported
+`correct: false`, failed ops, or no result at all. The script
+itself writes no file. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("before", "after")
+
+
+def result_of(stdout: str) -> dict | None:
+    """The result a `bench/run.py` run printed last: its last line that is a
+    JSON object with `metrics`; None if there is none."""
+    for line in reversed(stdout.splitlines()):
+        try:
+            result = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(result, dict) and "metrics" in result:
+            return result
+    return None
+
+
+def wall_s(result: dict | None) -> float | None:
+    """A result's `wall_s` in seconds, None if it has none."""
+    try:
+        return float(result["metrics"]["wall_s"]["value"])
+    except (TypeError, KeyError, ValueError):
+        return None
+
+
+def problem(result: dict | None) -> str | None:
+    """Why a run's result is not a clean one, None if it is."""
+    if result is None:
+        return "no result line"
+    if wall_s(result) is None:
+        return "no wall_s"
+    if result.get("correct") is not True or result.get("failed") != 0:
+        return f"correct: {json.dumps(result.get('correct'))}, {result.get('failed')} failed ops"
+    return None
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), by the inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summary(pairs: list[tuple[dict | None, dict | None]]) -> list[str]:
+    """The report of (before, after) result pairs, one line a list entry."""
+    lines = []
+    walls = {side: [wall_s(pair[i]) for pair in pairs] for i, side in enumerate(SIDES)}
+    won = {side: 0 for side in SIDES}
+    for before, after in zip(walls["before"], walls["after"]):
+        if before is not None and after is not None and before != after:
+            won["before" if before < after else "after"] += 1
+    medians = {}
+    for index, side in enumerate(SIDES):
+        shown = " ".join("-" if w is None else f"{w * 1e3:.2f}" for w in walls[side])
+        lines.append(f"{side} wall_s (ms), pair by pair: {shown}")
+        clean = [w for w in walls[side] if w is not None]
+        if clean:
+            q1, medians[side], q3 = quartiles(clean)
+            lines.append(
+                f"{side}: median {medians[side] * 1e3:.2f} ms, quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f} ms"
+                f" (IQR {(q3 - q1) * 1e3:.2f} ms), won {won[side]} of {len(pairs)} pairs"
+            )
+        else:
+            lines.append(f"{side}: no run reported wall_s")
+        others = {}  # every other metric the runs report, by name
+        for result in (pair[index] for pair in pairs):
+            for name, metric in (result or {}).get("metrics", {}).items():
+                if name != "wall_s":
+                    others.setdefault(name, []).append(metric["value"])
+        if others:
+            shown = ", ".join(f"{name} {statistics.median(v):.4g}" for name, v in sorted(others.items()))
+            lines.append(f"{side} medians: {shown}")
+    if len(medians) == 2:
+        gap = medians["before"] - medians["after"]
+        lines.append(f"median gap (before - after): {gap * 1e3:.2f} ms ({gap / medians['before']:+.1%} of before)")
+    for i, pair in enumerate(pairs, 1):
+        for side, result in zip(SIDES, pair):
+            if (why := problem(result)) is not None:
+                lines.append(f"problem: pair {i}, {side}: {why}")
+    return lines
+
+
+def run(checkout: Path, workload: str, seconds: float, seed: int | None) -> dict | None:
+    """One `bench/run.py` run in `checkout`, and its result line."""
+    command = [sys.executable, "bench/run.py", "--workload", workload, "--seconds", str(seconds)]
+    if seed is not None:
+        command += ["--seed", str(seed)]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        print(f"# {checkout}: exit {done.returncode}: {done.stderr.strip()[-500:]}", file=sys.stderr)
+    return result_of(done.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("before", type=Path, help="the checkout compared against")
+    parser.add_argument("after", type=Path, help="the checkout with the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seconds", type=float, default=4.0)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    for checkout in (args.before, args.after):
+        if not (checkout / "bench" / "run.py").is_file():
+            parser.error(f"{checkout} holds no bench/run.py")
+    pairs = []
+    for i in range(args.pairs):
+        order = (0, 1) if i % 2 == 0 else (1, 0)  # which side runs first alternates
+        results: list[dict | None] = [None, None]
+        for side in order:
+            checkout = (args.before, args.after)[side]
+            results[side] = run(checkout.resolve(), args.workload, args.seconds, args.seed)
+        pairs.append((results[0], results[1]))
+        walls = " vs ".join("-" if wall_s(r) is None else f"{wall_s(r) * 1e3:.2f}" for r in results)
+        print(f"# pair {i + 1} of {args.pairs}: {walls} ms", file=sys.stderr, flush=True)
+    print(f"workload {args.workload}, {args.seconds} s a run, seed {args.seed if args.seed is not None else 'default'}")
+    print("\n".join(summary(pairs)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
