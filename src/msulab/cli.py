@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,9 +26,6 @@ from .samplesize import (
     multivariate_cardinality,
     representativeness_report,
 )
-
-SEED_ENV_VAR = "MSULAB_SEED"
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -70,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class-card", type=int, default=2, dest="class_card")
     p.add_argument("--k", type=float, default=1.0, help="informativeness of mk attributes")
     p.add_argument("--noise", type=float, default=0.05, help="class flip probability for the xor rule")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(handler=_cmd_generate)
 
@@ -107,19 +103,6 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     if not values:
         raise InvalidInputError(f"{what} must not be empty")
     return values
-
-
-def _pick_seed(arg_seed: int | None, default: int) -> int:
-    """--seed, else the MSULAB_SEED environment variable, else `default`."""
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidInputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return default
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -186,7 +169,7 @@ def _cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         blocks = [
             AttributeBlock((f"f{i}",), kind, card) for i, card in enumerate(cards, start=1)
         ]
-    rng = SeededRng(master_seed=_pick_seed(args.seed, DEFAULT_MASTER_SEED), stream_id=0)
+    rng = SeededRng(master_seed=args.seed, stream_id=0)
     sample = generate_dataset(
         args.m, args.class_card, blocks, rng, k=args.k, xor_noise=args.noise
     )
@@ -207,7 +190,8 @@ def _cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         config = config_from_json(text)
     else:
         config = preset(args.preset)
-    config = replace(config, master_seed=_pick_seed(args.seed, config.master_seed))
+    if args.seed is not None:
+        config = replace(config, master_seed=args.seed)
     if args.replicates is not None:
         config = replace(config, replicates=args.replicates)
 

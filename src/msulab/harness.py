@@ -1,12 +1,14 @@
 """Monte Carlo engine for bias experiments over synthetic attribute sets.
 
-An experiment sweeps one axis (attribute cardinality, sample size, attribute
-count, or count of added noise attributes), evaluates the configured measures
-on `replicates` independent datasets per sweep point, and aggregates means and
-standard deviations into a curve. `run_experiment` walks the sweep once per
-stage: it resolves every point (`resolve_point`), keeping the message of each
-point it skips; it measures each set of nested points (`_run_layout`); and it
-aggregates the measured points, in sweep order, into each measure's series.
+An experiment sweeps a list of integer values, evaluates the configured
+measures on `replicates` independent datasets per sweep point, and aggregates
+means and standard deviations into a curve. A sweep is its values: what a
+value drives is set by the layout (a group's count rule and swept
+cardinality), and it is the sample size where the config has no sample-size
+policy. `run_experiment` walks the sweep once per stage: it resolves every
+point (`resolve_point`), keeping the message of each point it skips; it
+measures each set of nested points (`_run_layout`); and it aggregates the
+measured points, in sweep order, into each measure's series.
 
 Its layout is one list of attribute groups (`GroupSpec`: a generator family, a
 column count and a cardinality, each fixed or following the sweep) and the
@@ -18,12 +20,14 @@ included, when it is built, and stores each in one form: a group's count is
 always a `CountRule`. `config_from_json` reads the layout from its JSON
 form, whose keys are those fields, only mapping each object to its class;
 the preset catalog is written in that form too. `resolve_point` turns a
-sweep value into plain integers: each group's column count and cardinality,
-and the sample size. It checks only what the sweep value brings, a swept
-cardinality. The dataset's blocks, and with them every column name (by
-`msulab.dataset.block`), are built once per set of nested points, in
-`_run_layout`, which reads each point's measures from its counts and those
-blocks.
+sweep value into plain integers: each group's column count and cardinality
+(`_layout`, which checks only what the sweep value brings, such as a swept
+cardinality), and the sample size, from the policy alone, which it checks
+once with the point's dataset. A representativeness scan reads only
+`_layout`, so no Monte Carlo m is worked out for it. The dataset's blocks,
+and with them every column name (by `msulab.dataset.block`), are built once
+per set of nested points, in `_run_layout`, which reads each point's
+measures from its counts and those blocks.
 
 Replicate r of every sweep point draws from streams keyed by
 (master_seed, r, column path). Points of a sweep therefore share their
@@ -86,7 +90,7 @@ from .generators import GeneratorKind, SeededRng, check_card, check_k, check_m, 
 from .ingest import csv_field
 from .measures import msu_values
 from .sample import int_text, integer, items, real, string
-from .samplesize import CardinalityProfile, heuristic_sample_size, representativeness_report
+from .samplesize import CardinalityProfile, heuristic_sample_size, huge_space_bits, representativeness_report
 
 DEFAULT_MASTER_SEED = 20170707
 DEFAULT_REPLICATES = 1000
@@ -99,9 +103,6 @@ SCAN_ALPHA = 0.05
 # 0.51-0.61 s at 2**18, against 0.97-1.17 s at one replicate a batch; peak
 # memory grew by 0.6, 2.3 and 29 MB.
 _BATCH_CELLS = 1 << 15
-
-
-_SWEEP_KINDS = ("cardinality", "sample_size", "attribute_count", "noise_attribute_count")
 
 
 # The field checks of the config classes. Each returns the value as stored.
@@ -120,12 +121,13 @@ def _finite(value, what: str) -> float:
 
 @dataclass(frozen=True)
 class Sweep:
-    kind: str
+    """The values an experiment sweeps. What a value drives is set by the
+    layout, each group's count rule and swept cardinality; it is the sample
+    size where the config has no sample-size policy."""
+
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _SWEEP_KINDS:
-            raise InvalidInputError(f"unknown sweep kind {self.kind!r}, expected one of {_SWEEP_KINDS}")
         values = tuple(integer(v, "sweep value") for v in items(self.values, "sweep values"))
         if not values:
             raise InvalidInputError("sweep needs at least one value")
@@ -254,12 +256,13 @@ class TrackedSubset:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: attribute groups, tracked subsets, sweep axis, sizes, seeding.
+    """One experiment: attribute groups, tracked subsets, sweep values, sizes, seeding.
 
     `groups` lay out the generated columns in order. A group's position is
     the seed-stream slot of its columns (see `msulab.dataset`), so a group
     whose count is 0 at a point still holds its slot. `tracked` names the
-    groups whose columns are measured together.
+    groups whose columns are measured together. Without a
+    `sample_size_policy`, each point's sample size is its sweep value.
     """
 
     name: str
@@ -288,14 +291,9 @@ class ExperimentConfig:
         if self.replicates < 1:
             raise InvalidInputError("replicates must be at least 1")
         check_card(self.class_card, "class cardinality")
-        if self.sweep.kind == "sample_size":
-            if self.sample_size_policy is not None:
-                raise InvalidInputError("a sample-size sweep fixes m per point; drop the policy")
-        elif self.sample_size_policy is None:
-            raise InvalidInputError("experiments without a sample-size sweep need a policy")
-        elif not isinstance(self.sample_size_policy, SampleSizePolicy):
-            raise InvalidInputError(f"unknown sample size policy {self.sample_size_policy!r}")
         policy = self.sample_size_policy
+        if policy is not None and not isinstance(policy, SampleSizePolicy):
+            raise InvalidInputError(f"unknown sample size policy {policy!r}")
         if self.representativeness_scan and (policy is None or policy.computed is None):
             raise InvalidInputError("a representativeness scan needs a computed sample size policy")
         SeededRng(self.master_seed)  # rejects a negative seed
@@ -334,17 +332,14 @@ class ResolvedPoint:
     cards: tuple[int, ...]
 
 
-def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
-    """Turn a sweep value into each group's column count and cardinality
-    and a sample size.
+def _layout(config: ExperimentConfig, sweep_value: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each group's column count and cardinality at a sweep value, in group
+    order.
 
     The groups were checked when the config was built, so only the sweep
-    value is checked here: a count rule's binary equivalent of it, and a
-    swept cardinality where its group has columns. A computed m is the
-    largest 10x rule over the tracked subsets, each with the class: the
-    measures of a point share one dataset. A subset with no columns here,
-    or an SU of one column, asks for no more than a subset with columns.
-    Presets keep those requirements equal.
+    value is checked here: a count rule's binary equivalent of it, a swept
+    cardinality where its group has columns, and that some tracked subset
+    has columns.
     """
     sweep_value = integer(sweep_value, "sweep value")
     counts: list[int] = []
@@ -356,35 +351,38 @@ def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
             card = check_card(sweep_value) if count else sweep_value
         counts.append(count)
         cards.append(card)
-    size = {g.name: (count, card) for g, count, card in zip(config.groups, counts, cards)}
-    if not any(size[name][0] for sub in config.tracked for name in sub.groups):
+    present = {g.name for g, count in zip(config.groups, counts) if count}
+    if not any(name in present for sub in config.tracked for name in sub.groups):
         raise InvalidInputError(f"no tracked subset has columns at sweep value {sweep_value}")
+    return tuple(counts), tuple(cards)
 
+
+def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
+    """Turn a sweep value into each group's column count and cardinality
+    (`_layout`) and a sample size, or reject the point.
+
+    m comes from the sample-size policy alone: the sweep value where there
+    is none, else the fixed m, else the largest 10x rule over the tracked
+    subsets, each with the class: the measures of a point share one
+    dataset. A subset with no columns here, or an SU of one column, asks
+    for no more than a subset with columns. Presets keep those requirements
+    equal. m is checked once, with the point's dataset
+    (`msulab.dataset.check_size`), so a point is rejected here before
+    anything is built for it.
+    """
+    counts, cards = _layout(config, sweep_value)
     policy = config.sample_size_policy
-    if config.sweep.kind == "sample_size":
-        if sweep_value < 1:
-            raise InvalidInputError(f"sample size {sweep_value} is infeasible")
+    if policy is None:
         m = sweep_value
     elif policy.fixed is not None:
         m = policy.fixed
     else:
+        size = dict(zip((g.name for g in config.groups), zip(counts, cards)))
         profiles = [_profile(config, [size[name] for name in sub.groups]) for sub in config.tracked]
-        if not config.representativeness_scan:  # which names a huge space by its own rule
-            _reject_past_int64(profiles, policy.computed)
+        if policy.computed.is_integer() and (bits := huge_space_bits(profiles, policy.computed)):
+            check_m(1 << bits)  # past int64, with m's bit length
         m = max(heuristic_sample_size(profile, policy.computed) for profile in profiles)
-    return ResolvedPoint(m, tuple(counts), tuple(cards))
-
-
-def _reject_past_int64(profiles: Sequence[CardinalityProfile], factor: float) -> None:
-    """Raise `check_m`'s error for the largest 10x rule over `profiles` at a
-    whole-number `factor`, where a log2 bound puts it past int64, before
-    any joint space is built (3**(10**8) takes minutes). The error names m
-    by its bit length, which the bound fixes unless its log2 lies too near
-    a whole number for a float; then nothing is raised here, and the caller
-    builds m."""
-    bits = max(math.log2(factor * p.class_card) + math.fsum(n * math.log2(c) for c, n in p.attributes) for p in profiles)
-    if factor.is_integer() and bits >= 64 and abs(bits - round(bits)) > bits * 2**-40:
-        check_m(1 << math.floor(bits))  # past int64, with m's bit length
+    return ResolvedPoint(check_size(m, 1 + sum(counts)), counts, cards)
 
 
 def _profile(config: ExperimentConfig, groups: Iterable[tuple[int, int]]) -> CardinalityProfile:
@@ -571,9 +569,7 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
     failures: dict[int, str] = {}  # point index -> why the point is skipped
     for i, sweep_value in enumerate(config.sweep.values):
         try:
-            point = resolve_point(config, sweep_value)
-            check_size(point.m, 1 + sum(point.counts))
-            points[i] = point
+            points[i] = resolve_point(config, sweep_value)
         except InvalidInputError as exc:
             failures[i] = str(exc)
 
@@ -604,9 +600,8 @@ def _run_representativeness_scan(config: ExperimentConfig) -> BiasCurve:
     errors: list[tuple[int, str]] = []
     for sweep_value in config.sweep.values:
         try:
-            point = resolve_point(config, sweep_value)
             report = representativeness_report(
-                _profile(config, zip(point.counts, point.cards)), SCAN_ALPHA, factor
+                _profile(config, zip(*_layout(config, sweep_value))), SCAN_ALPHA, factor
             )
         except InvalidInputError as exc:
             errors.append((sweep_value, str(exc)))

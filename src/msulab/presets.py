@@ -32,18 +32,10 @@ def _tracked(label: str, *groups: str, with_su: bool = False) -> dict:
     return {"label": label, "groups": list(groups), "with_su": with_su}
 
 
-def _span(kind: str, start: int, stop: int) -> dict:
-    return {"kind": kind, "start": start, "stop": stop}
-
-
-def _cards(values: tuple[int, ...]) -> dict:
-    return {"kind": "cardinality", "values": values}
-
-
 def _fig_a(name: str, class_card: int) -> dict:
     return {
         "name": name,
-        "sweep": _cards(CARD_SWEEP_2_40),
+        "sweep": {"values": CARD_SWEEP_2_40},
         "groups": [_group("mk", "kononenko", 1, "sweep"), _group("u", "uniform", 1, "sweep")],
         "tracked": [_tracked("set", "mk", "u", with_su=True)],
         "class_card": class_card,
@@ -68,7 +60,7 @@ def _mk_pairs(name: str, sweep: dict, cardinality: int | str, policy=None) -> di
 def _fig_b(name: str, m_hi: int) -> dict:
     return {
         "name": name,
-        "sweep": _span("sample_size", 8, m_hi),
+        "sweep": {"start": 8, "stop": m_hi},
         "groups": [_group("xor", "xor_pair", 2)],
         "tracked": [_tracked("set", "xor", with_su=True)],
     }
@@ -79,7 +71,7 @@ def _paired_cardinality(name: str, family: str) -> dict:
     # the swept cardinality V versus 2*log2(V) binary attributes.
     return {
         "name": name,
-        "sweep": _cards(CARD_SWEEP_4_64),
+        "sweep": {"values": CARD_SWEEP_4_64},
         "groups": [
             _group("bin", family, {"binary_equivalent": True}),
             _group("wide", family, 2, "sweep"),
@@ -97,7 +89,7 @@ def _fig_g(name: str, policy: dict, hi_mk: int, hi_shared: int) -> dict:
     shared = [2, hi_shared]
     return {
         "name": name,
-        "sweep": _span("attribute_count", 2, hi_mk),
+        "sweep": {"start": 2, "stop": hi_mk},
         "groups": [
             _group("mk", "kononenko", {"window": [2, hi_mk]}),
             _group("u", "uniform", {"window": shared}),
@@ -116,7 +108,7 @@ def _fig_g(name: str, policy: dict, hi_mk: int, hi_shared: int) -> dict:
 def _fig_xor_noise(name: str, policy: dict) -> dict:
     return {
         "name": name,
-        "sweep": _span("noise_attribute_count", 1, 13),
+        "sweep": {"start": 1, "stop": 13},
         "groups": [_group("xor", "xor_pair", 2), _group("u", "uniform", {"window": [1, 13]})],
         "tracked": [_tracked("set", "xor", "u")],
         "sample_size_policy": policy,
@@ -127,7 +119,7 @@ def _fig_xor_mk(name: str, policy: dict) -> dict:
     # the informative count includes the XOR pair itself
     return {
         "name": name,
-        "sweep": _span("attribute_count", 3, 15),
+        "sweep": {"start": 3, "stop": 15},
         "groups": [
             _group("xor", "xor_pair", 2),
             _group("mk", "kononenko", {"offset": -2, "window": [3, 15]}),
@@ -140,14 +132,14 @@ def _fig_xor_mk(name: str, policy: dict) -> dict:
 _PRESETS = {
     "fig-a1": _fig_a("fig-a1", class_card=10),
     "fig-a2": _fig_a("fig-a2", class_card=2),
-    "fig-e1": _mk_pairs("fig-e1", _span("sample_size", 8, 50), 2),
-    "fig-e2": _mk_pairs("fig-e2", _span("sample_size", 8, 150), 2),
+    "fig-e1": _mk_pairs("fig-e1", {"start": 8, "stop": 50}, 2),
+    "fig-e2": _mk_pairs("fig-e2", {"start": 8, "stop": 150}, 2),
     "fig-b1": _fig_b("fig-b1", 50),
     "fig-b2": _fig_b("fig-b2", 150),
     "fig-c": _paired_cardinality("fig-c", "kononenko"),
     "fig-d": _paired_cardinality("fig-d", "uniform"),
-    "fig-f1": _mk_pairs("fig-f1", _cards(CARD_SWEEP_2_40), "sweep", {"fixed": 5000}),
-    "fig-f2": _mk_pairs("fig-f2", _cards(CARD_SWEEP_2_40), "sweep", {"computed": 10}),
+    "fig-f1": _mk_pairs("fig-f1", {"values": CARD_SWEEP_2_40}, "sweep", {"fixed": 5000}),
+    "fig-f2": _mk_pairs("fig-f2", {"values": CARD_SWEEP_2_40}, "sweep", {"computed": 10}),
     # fig-g runs up to 20 informative attributes at a fixed 1000 rows; its
     # computed-size twin stops at 13, where the 10x rule already asks for
     # 163840 rows per replicate.
@@ -159,7 +151,7 @@ _PRESETS = {
     "fig-xor-4": _fig_xor_mk("fig-xor-4", {"computed": 10}),
     "chi-scan": {
         "name": "chi-scan",
-        "sweep": {"kind": "attribute_count", "values": [2, 3, 4]},
+        "sweep": {"values": [2, 3, 4]},
         "groups": [_group("u", "uniform", {"window": [2, 4]})],
         "tracked": [_tracked("set", "u")],
         "sample_size_policy": {"computed": 10},

@@ -44,6 +44,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import InvalidInputError
 from .sample import _integers, _shown, int_text, integer, items, real
@@ -99,6 +100,19 @@ def multivariate_cardinality(profile: CardinalityProfile) -> int:
     if not isinstance(profile, CardinalityProfile):
         raise InvalidInputError(f"profile must be a CardinalityProfile, got {type(profile).__name__}")
     return profile.class_card * math.prod(card**count for card, count in profile.attributes)
+
+
+def huge_space_bits(profiles: Iterable[CardinalityProfile], factor: float = 1.0) -> int | None:
+    """floor(log2(factor x the largest joint space of `profiles`)) where that
+    is at least 64, found from a float sum of logs, so no space is built
+    (3**(10**8) takes minutes); an error names a number that large by these
+    bits (`msulab.sample.int_text`). None below 64, or where the log2 lies
+    too near a whole number for a float to place it: the caller then
+    builds the space."""
+    bits = math.log2(factor) + max(
+        math.log2(p.class_card) + math.fsum(n * math.log2(c) for c, n in p.attributes) for p in profiles
+    )
+    return math.floor(bits) if bits >= 64 and abs(bits - round(bits)) > bits * 2**-40 else None
 
 
 def heuristic_sample_size(profile: CardinalityProfile, factor: float = 10.0) -> int:
@@ -210,10 +224,7 @@ def _critical_and_m_star(k: int, alpha: float) -> tuple[float, int]:
     if k < 2:
         raise InvalidInputError(f"need at least two cells, got {int_text(k)}")
     if k > MAX_CELLS:
-        raise InvalidInputError(
-            f"a joint space of {int_text(k)} cells exceeds the {MAX_CELLS} "
-            "the float statistic resolves"
-        )
+        raise _too_many_cells(int_text(k))
     critical = chi2_critical(alpha, k - 1)
     n = k - 1
     # Up to MAX_CELLS the closed form and the float statistic each lie within
@@ -248,6 +259,11 @@ def _critical_and_m_star(k: int, alpha: float) -> tuple[float, int]:
                 return critical, found
             m = last + 1
         m = end + 1
+
+
+def _too_many_cells(shown: str) -> InvalidInputError:
+    """The error for a joint space of `shown` cells, past MAX_CELLS."""
+    return InvalidInputError(f"a joint space of {shown} cells exceeds the {MAX_CELLS} the float statistic resolves")
 
 
 def _extreme_terms(m: int, k: int) -> tuple[int, Fraction, Fraction, Fraction]:
@@ -315,7 +331,13 @@ def representativeness_report(
     """Full recommendation for a profile: joint space, heuristic m, chi-squared m*.
 
     The critical value is evaluated once and serves both the report and m*.
+    A space that a log2 bound puts past 2**64 cells, far past MAX_CELLS, is
+    rejected before it is built.
     """
+    if not isinstance(profile, CardinalityProfile):
+        raise InvalidInputError(f"profile must be a CardinalityProfile, got {type(profile).__name__}")
+    if bits := huge_space_bits([profile]):
+        raise _too_many_cells(f"at least 2**{bits}")
     space = multivariate_cardinality(profile)
     if space < 2:
         raise InvalidInputError("joint value space must have at least two combinations")

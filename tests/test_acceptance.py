@@ -149,10 +149,10 @@ def test_criterion_6_bias_control_comparative():
     t0 = time.perf_counter()
     cards = (2, 10, 20, 40)
     fixed = dataclasses.replace(
-        preset("fig-f1"), sweep=Sweep("cardinality", cards), replicates=DESK_REPLICATES
+        preset("fig-f1"), sweep=Sweep(cards), replicates=DESK_REPLICATES
     )
     computed = dataclasses.replace(
-        preset("fig-f2"), sweep=Sweep("cardinality", cards), replicates=DESK_REPLICATES
+        preset("fig-f2"), sweep=Sweep(cards), replicates=DESK_REPLICATES
     )
     fixed_curve = run_experiment(fixed)
     computed_curve = run_experiment(computed)

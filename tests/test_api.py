@@ -59,11 +59,11 @@ SAMPLE = CategoricalSample.from_columns(
     [[0, 1, 1, 0], [1, 0, 1, 1], [0, 0, 1, 1]], [2, 2, 2], ["a", "b", "c"]
 )
 PROFILE = CardinalityProfile([(2, 1), (3, 1)], 2)
-SWEEP = Sweep("sample_size", (4, 6))
+SWEEP = Sweep((4, 6))
 GROUP = GroupSpec("a", "uniform", 2, 2)
 TRACKED = TrackedSubset("a", ("a",))
 CONFIG_JSON = (
-    '{"name": "tiny", "sweep": {"kind": "sample_size", "values": [4, 6]},'
+    '{"name": "tiny", "sweep": {"values": [4, 6]},'
     ' "groups": [{"name": "a", "family": "uniform", "count": 2, "cardinality": 2}],'
     ' "tracked": [{"label": "a", "groups": ["a"]}], "replicates": 2}'
 )
@@ -81,7 +81,7 @@ CALLS = {
     "SampleSizePolicy": (SampleSizePolicy, (None, 10.0)),
     "SeededRng": (SeededRng, (1, 2)),
     "SeededRng.stream": (SeededRng(1).stream, (0, 1)),
-    "Sweep": (Sweep, ("sample_size", (4, 6))),
+    "Sweep": (Sweep, ((4, 6),)),
     "TrackedSubset": (TrackedSubset, ("a", ("a",), False)),
     "block": (block, ("a", "uniform", 2, 3)),
     "chi2_critical": (chi2_critical, (0.05, 3)),

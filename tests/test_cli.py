@@ -17,6 +17,7 @@ from msulab import InvalidInputError, msu, read_csv
 from msulab import cli
 from msulab.cli import main
 from msulab.dataset import MAX_DATASET_CELLS
+from msulab.harness import DEFAULT_MASTER_SEED
 
 TABLE_B_CSV = "f1,f2,clase\n" + "\n".join(
     f"{a},{b},{c}"
@@ -144,53 +145,12 @@ class TestGenerate:
         assert code == 0
         assert out.splitlines()[0] == f"msu(f1,f2,clase) = {value:.6f}"
 
-    def test_seed_environment_override(self, tmp_path, capsys, monkeypatch):
-        env_out = tmp_path / "env.csv"
-        flag_out = tmp_path / "flag.csv"
-        default_out = tmp_path / "default.csv"
-        monkeypatch.setenv("MSULAB_SEED", "424242")
-        run(capsys, "generate", "--rule", "uniform", "--cards", "4", "--m", "50",
-            "--out", str(env_out))
-        run(capsys, "generate", "--rule", "uniform", "--cards", "4", "--m", "50",
-            "--seed", "424242", "--out", str(flag_out))
-        monkeypatch.delenv("MSULAB_SEED")
-        run(capsys, "generate", "--rule", "uniform", "--cards", "4", "--m", "50",
-            "--out", str(default_out))
-        assert env_out.read_bytes() == flag_out.read_bytes()
-        assert env_out.read_bytes() != default_out.read_bytes()
-
-    def test_seed_environment_override_in_experiment(self, capsys, monkeypatch):
-        argv = ("experiment", "fig-b1", "--replicates", "2")
-        monkeypatch.setenv("MSULAB_SEED", "5")
-        _, env_out, _ = run(capsys, *argv)
-        _, flag_out, _ = run(capsys, *argv, "--seed", "7")
-        monkeypatch.delenv("MSULAB_SEED")
-        _, seed5_out, _ = run(capsys, *argv, "--seed", "5")
-        _, seed7_out, _ = run(capsys, *argv, "--seed", "7")
+    def test_seed_flag_wins_over_the_default(self, capsys):
+        argv = ("generate", "--rule", "uniform", "--cards", "4", "--m", "50")
         _, default_out, _ = run(capsys, *argv)
-        assert env_out == seed5_out != default_out
-        assert flag_out == seed7_out != env_out
-
-    def test_seed_environment_overrides_config_seed(self, tmp_path, capsys, monkeypatch):
-        cfg = {
-            "name": "tiny",
-            "sweep": {"kind": "sample_size", "values": [20]},
-            "groups": [group("u", "uniform", 2)],
-            "tracked": [{"label": "set", "groups": ["u"]}],
-            "replicates": 3,
-            "master_seed": 5,
-        }
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        _, config_out, _ = run(capsys, "experiment", "--config", str(path))
-        monkeypatch.setenv("MSULAB_SEED", "9")
-        _, env_out, _ = run(capsys, "experiment", "--config", str(path))
-        _, flag_out, _ = run(capsys, "experiment", "--config", str(path), "--seed", "5")
-        monkeypatch.setenv("MSULAB_SEED", "x")
-        code, out, err = run(capsys, "experiment", "--config", str(path))
-        assert env_out != config_out == flag_out
-        assert (code, out) == (1, "")
-        assert "MSULAB_SEED must be an integer" in err
+        _, same_out, _ = run(capsys, *argv, "--seed", str(DEFAULT_MASTER_SEED))
+        _, other_out, _ = run(capsys, *argv, "--seed", "424242")
+        assert default_out == same_out != other_out
 
     def test_xor_refuses_cards(self, capsys):
         with pytest.raises(SystemExit):
@@ -227,7 +187,7 @@ class TestExperiment:
     def test_config_file_run_and_rerun_identical(self, tmp_path, capsys):
         cfg = {
             "name": "tiny",
-            "sweep": {"kind": "sample_size", "start": 20, "stop": 24},
+            "sweep": {"start": 20, "stop": 24},
             "groups": [group("xor", "xor_pair", 2)],
             "tracked": [{"label": "set", "groups": ["xor"]}],
             "replicates": 3,
@@ -280,7 +240,7 @@ class TestExperiment:
     def test_replicate_count_recorded(self, tmp_path, capsys):
         cfg = {
             "name": "tiny",
-            "sweep": {"kind": "cardinality", "values": [2, 3]},
+            "sweep": {"values": [2, 3]},
             "groups": [group("u", "uniform", 2, "sweep")],
             "tracked": [{"label": "set", "groups": ["u"]}],
             "sample_size_policy": {"fixed": 40},
@@ -298,7 +258,7 @@ class TestExperiment:
     def test_skipped_points_warn_on_stderr(self, tmp_path, capsys):
         cfg = {
             "name": "tiny",
-            "sweep": {"kind": "sample_size", "values": [0, 12]},
+            "sweep": {"values": [0, 12]},
             "groups": [group("mk", "kononenko", 2)],
             "tracked": [{"label": "informative", "groups": ["mk"]}],
             "replicates": 2,
@@ -318,7 +278,7 @@ class TestExperiment:
     def test_config_wide_invalid_value_exits_1(self, tmp_path, capsys, field, value):
         cfg = {
             "name": "tiny",
-            "sweep": {"kind": "sample_size", "values": [12]},
+            "sweep": {"values": [12]},
             "groups": [group("xor", "xor_pair", 2), group("mk", "kononenko", 2)],
             "tracked": [{"label": "set", "groups": ["xor", "mk"]}],
             field: value,
@@ -340,7 +300,7 @@ class TestExperiment:
     def test_layout_failing_at_every_point_exits_1(self, tmp_path, capsys, groups):
         cfg = {
             "name": "tiny",
-            "sweep": {"kind": "sample_size", "values": [12, 20]},
+            "sweep": {"values": [12, 20]},
             "groups": groups,
             "tracked": [{"label": "set", "groups": [g["name"] for g in groups]}],
         }
@@ -349,6 +309,23 @@ class TestExperiment:
         code, out, err = run(capsys, "experiment", "--config", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_seed_flag_wins_over_the_preset_and_config_seed(self, tmp_path, capsys):
+        argv = ("experiment", "fig-b1", "--replicates", "2")
+        _, preset_out, _ = run(capsys, *argv)
+        _, same_out, _ = run(capsys, *argv, "--seed", str(DEFAULT_MASTER_SEED))
+        _, other_out, _ = run(capsys, *argv, "--seed", "7")
+        assert preset_out == same_out != other_out
+        argv = _config_file(tmp_path, sweep={"values": [20]}, replicates=3, master_seed=5)
+        _, config_out, _ = run(capsys, *argv)
+        _, same_out, _ = run(capsys, *argv, "--seed", "5")
+        _, other_out, _ = run(capsys, *argv, "--seed", "9")
+        assert config_out == same_out != other_out
+
+    def test_sweep_kind_is_an_unknown_field(self, tmp_path, capsys):
+        # a sweep is its values; m follows one only where there is no policy
+        argv = _config_file(tmp_path, sweep={"kind": "sample_size", "values": [12]})
+        assert run(capsys, *argv) == (1, "", "error: unknown sweep field(s): kind\n")
 
     def test_negative_seed_exits_1(self, capsys):
         code, out, err = run(capsys, "experiment", "fig-b2", "--seed", "-1")
@@ -544,7 +521,7 @@ class TestReadCsv:
 def _config_file(tmp_path, **changes):
     cfg = {
         "name": "tiny",
-        "sweep": {"kind": "sample_size", "values": [12]},
+        "sweep": {"values": [12]},
         "groups": [group("mk", "kononenko", 2)],
         "tracked": [{"label": "set", "groups": ["mk"]}],
         **changes,
@@ -592,7 +569,7 @@ MALFORMED = {
     "xor-pair-of-three": lambda tmp: _config_file(tmp, groups=[group("mk", "xor_pair", 3)]),
     # valid JSON that json.loads cannot load: past the int-string and the recursion limit
     "config-sweep-value-5000-digits": lambda tmp: _config_text(
-        tmp, '{"name": "x", "sweep": {"kind": "cardinality", "values": [' + "1" * 5000 + "]}}"
+        tmp, '{"name": "x", "sweep": {"values": [' + "1" * 5000 + "]}}"
     ),
     "config-nested-100000-deep": lambda tmp: _config_text(tmp, "[" * 100_000 + "]" * 100_000),
     # a joint space of 8,402 digits, which Python will not format
@@ -658,7 +635,7 @@ class TestMalformedInput:
     def test_binary_equivalent_point_below_one_is_skipped(self, tmp_path, capsys):
         argv = _config_file(
             tmp_path,
-            sweep={"kind": "cardinality", "values": [0, 4]},
+            sweep={"values": [0, 4]},
             groups=[group("b", "uniform", {"binary_equivalent": True})],
             tracked=[{"label": "set", "groups": ["b"]}],
             sample_size_policy={"computed": 10},
@@ -674,7 +651,7 @@ class TestMalformedInput:
         out_path = tmp_path / "curve.csv"
         argv = _config_file(
             tmp_path,
-            sweep={"kind": "cardinality", "values": [0, -2]},
+            sweep={"values": [0, -2]},
             groups=[group("b", "uniform", {"binary_equivalent": True})],
             tracked=[{"label": "set", "groups": ["b"]}],
             sample_size_policy={"computed": 10},
@@ -720,7 +697,7 @@ def test_only_chi2_critical_loads_scipy(tmp_path):
 def _card_sweep_file(tmp_path, value, policy):
     return _config_file(
         tmp_path,
-        sweep={"kind": "cardinality", "values": [value]},
+        sweep={"values": [value]},
         groups=[group("u", "uniform", 2, "sweep")],
         tracked=[{"label": "set", "groups": ["u"]}],
         sample_size_policy=policy,
@@ -749,7 +726,7 @@ LARGE_CARDINALITY = {
     "config-computed-size-2**64": (
         lambda tmp: _card_sweep_file(tmp, 2**64, {"computed": 10}), 1),
     "config-sample-size-sweep-2**64": (
-        lambda tmp: _config_file(tmp, sweep={"kind": "sample_size", "values": [2**64]}), 1),
+        lambda tmp: _config_file(tmp, sweep={"values": [2**64]}), 1),
     # a fractional factor times a joint space past the float range
     "chi2-scan-cells-1e310-factor-0.5": (
         lambda tmp: ["chi2-scan", "--cells", str(10**310), "--factor", "0.5"], 1),

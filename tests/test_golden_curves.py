@@ -13,7 +13,7 @@ import io
 
 import pytest
 
-from msulab import CATALOG, preset, run_experiment
+from msulab import CATALOG, harness, preset, run_experiment
 
 # preset -> (sha256 of the curve CSV, replicates)
 GOLDEN = {
@@ -48,3 +48,12 @@ def test_curve_csv_hash(name):
     buffer = io.StringIO()
     curve.write_csv(buffer)
     assert hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+def test_a_scan_works_out_no_monte_carlo_sample_size(monkeypatch):
+    # a representativeness scan reads each point's layout alone
+    def refuse(*args):
+        raise AssertionError("the scan worked out a Monte Carlo m")
+
+    monkeypatch.setattr(harness, "heuristic_sample_size", refuse)
+    test_curve_csv_hash("chi-scan")

@@ -118,7 +118,7 @@ def _curve_sha256(config):
 def _desk(config, replicates, sweep_values=None):
     updates = {"replicates": replicates}
     if sweep_values is not None:
-        updates["sweep"] = Sweep(config.sweep.kind, tuple(sweep_values))
+        updates["sweep"] = Sweep(tuple(sweep_values))
     return dataclasses.replace(config, **updates)
 
 
@@ -152,9 +152,15 @@ class TestResolvePoint:
         assert list(_measured_columns(cfg, 15)) == ["msu_informative"]
         assert "xor1" not in names_at(15)
 
-    def test_infeasible_sample_size_rejected(self):
-        with pytest.raises(InvalidInputError):
-            resolve_point(preset("fig-e2"), 0)
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_infeasible_sample_size_rejected(self, m):
+        # with no policy m is the sweep value, checked as every m is
+        message = f"sample size must be at least 1, got {m}"
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            resolve_point(preset("fig-e2"), m)
+        curve = run_experiment(_desk(preset("fig-e2"), 2, [m, 12]))
+        assert curve.errors == ((m, message),)
+        assert curve.sample_sizes == (None, 12)
 
     def test_measures_list_each_msu_then_its_su(self):
         assert list(_measured_columns(preset("fig-a1"), 4).items()) == [
@@ -163,7 +169,7 @@ class TestResolvePoint:
 
     def test_computed_size_is_the_largest_over_the_measures(self):
         cfg = config_from_json({
-            "name": "mixed", "sweep": {"kind": "attribute_count", "values": [1]},
+            "name": "mixed", "sweep": {"values": [1]},
             "groups": [_group("b", "kononenko", 1, 8), _group("c", "uniform", 2)],
             "tracked": [{"label": "narrow", "groups": ["c"], "with_su": True},
                         {"label": "wide", "groups": ["b"]}],
@@ -174,7 +180,7 @@ class TestResolvePoint:
 
     def test_point_where_no_subset_has_columns_is_an_error(self):
         cfg = config_from_json({
-            "name": "empty", "sweep": {"kind": "sample_size", "values": [10]},
+            "name": "empty", "sweep": {"values": [10]},
             "groups": [_group("u", "uniform", 0)],
             "tracked": [{"label": "set", "groups": ["u"]}],
         })
@@ -196,9 +202,9 @@ class TestResolvePoint:
         subsets = [sub.groups for sub in config.tracked]
         for value in config.sweep.values:
             built.clear()
-            if config.representativeness_scan:  # resolves the point, then profiles all its groups
+            if config.representativeness_scan:  # profiles all the point's groups, and no subset
                 run_experiment(_desk(config, 1, [value]))
-                expected = subsets + [config.groups]
+                expected = [config.groups]
             else:
                 resolve_point(config, value)
                 expected = subsets
@@ -209,7 +215,7 @@ class TestResolvePoint:
     def test_ten_million_columns_skipped_without_a_per_column_profile(self):
         cfg = config_from_json({
             "name": "wide", "replicates": 1,
-            "sweep": {"kind": "attribute_count", "values": [10_000_000]},
+            "sweep": {"values": [10_000_000]},
             "groups": [_group("u", "uniform", {"offset": 0})],
             "tracked": [{"label": "set", "groups": ["u"]}],
             "sample_size_policy": {"computed": 10},
@@ -227,7 +233,7 @@ class TestResolvePoint:
     def _wide(count, cardinality, factor=10, scan=False):
         return config_from_json({
             "name": "wide", "replicates": 1,
-            "sweep": {"kind": "attribute_count", "values": [count]},
+            "sweep": {"values": [count]},
             "groups": [_group("u", "uniform", {"offset": 0}, cardinality)],
             "tracked": [{"label": "set", "groups": ["u"]}],
             "sample_size_policy": {"computed": factor},
@@ -239,15 +245,29 @@ class TestResolvePoint:
         # 10 * 2 * 3**(10**8) took 111 s to build as an int before it was
         # rejected; a log2 bound now names its bit length: floor(log2(20) +
         # 10**8 * log2(3)) = 158,496,254
-        cfg = self._wide(100_000_000, cardinality)
+        curve = self._run_within_a_second(self._wide(100_000_000, cardinality))
+        assert curve.errors == ((100_000_000, (
+            f"sample size must not exceed 9223372036854775807, got at least 2**{exponent}"
+        )),)
+
+    @pytest.mark.parametrize("cardinality, exponent", [(3, 158_496_251), (2, 100_000_001)])
+    def test_a_hundred_million_columns_scanned_within_a_second(self, cardinality, exponent):
+        # the report names 2 * 3**(10**8) cells by a log2 bound, with no space
+        # built; 2 * 2**(10**8), whose log2 is whole, it builds as before
+        curve = self._run_within_a_second(self._wide(100_000_000, cardinality, scan=True))
+        assert curve.errors == ((100_000_000, (
+            f"a joint space of at least 2**{exponent} cells exceeds the 4503599627370496 "
+            "the float statistic resolves"
+        )),)
+
+    @staticmethod
+    def _run_within_a_second(cfg):
         curves = []
         thread = threading.Thread(target=lambda: curves.append(run_experiment(cfg)), daemon=True)
         thread.start()
         thread.join(timeout=1)
         assert curves, "run_experiment did not return within a second"
-        assert curves[0].errors == ((100_000_000, (
-            f"sample size must not exceed 9223372036854775807, got at least 2**{exponent}"
-        )),)
+        return curves[0]
 
     @pytest.mark.parametrize("count", [58, 59, 60, 200, 1000])
     @pytest.mark.parametrize("factor", [8, 10, 12.5])
@@ -336,7 +356,7 @@ class TestRunReplicate:
     def test_informative_pair_measurably_informative(self):
         cfg = config_from_json({
             "name": "mk-pair",
-            "sweep": {"kind": "sample_size", "values": [100_000]},
+            "sweep": {"values": [100_000]},
             "groups": [_group("mk", "kononenko", 2), _group("u", "uniform", 0)],
             "tracked": [{"label": "informative", "groups": ["mk"]},
                         {"label": "noninformative", "groups": ["u"]}],
@@ -416,7 +436,7 @@ class TestRunExperiment:
         # every row still reads back as 6 fields, with the names intact
         cfg = config_from_json({
             "name": "names", "replicates": 2,
-            "sweep": {"kind": "sample_size", "values": [10, 20]},
+            "sweep": {"values": [10, 20]},
             "groups": [_group("a,b", "uniform", 1), _group('q"\r', "kononenko", 1)],
             "tracked": [{"label": "s,t\nu", "groups": ["a,b", 'q"\r'], "with_su": True}],
         })
@@ -540,13 +560,13 @@ MK_LAYOUT = {
 
 
 class TestConfigJson:
-    BASE = {"name": "x", "sweep": {"kind": "sample_size", "values": [10]}, **MK_LAYOUT}
+    BASE = {"name": "x", "sweep": {"values": [10]}, **MK_LAYOUT}
 
     def test_round_trip(self):
         text = json.dumps(
             {
                 "name": "custom",
-                "sweep": {"kind": "sample_size", "start": 8, "stop": 20},
+                "sweep": {"start": 8, "stop": 20},
                 "groups": [_group("mk", "kononenko", 2), _group("u", "uniform", 1)],
                 "tracked": [{"label": "informative", "groups": ["mk"], "with_su": False},
                             {"label": "noninformative", "groups": ["u"]}],
@@ -572,7 +592,7 @@ class TestConfigJson:
 
     def test_policy_forms(self):
         base = {
-            "name": "c", "sweep": {"kind": "cardinality", "values": [3]},
+            "name": "c", "sweep": {"values": [3]},
             "groups": [_group("u", "uniform", 2, "sweep")],
             "tracked": [{"label": "set", "groups": ["u"]}],
         }
@@ -623,9 +643,12 @@ class TestConfigJson:
         with pytest.raises(InvalidInputError, match="replicate"):
             config_from_json({**self.BASE, "replicate": 5})
         # a sweep is given by its values or by start/stop, not both
-        sweep = {"kind": "sample_size", "values": [10], "start": 8, "stop": 9}
+        sweep = {"values": [10], "start": 8, "stop": 9}
         with pytest.raises(InvalidInputError, match=r"unknown sweep field\(s\): start, stop"):
             config_from_json({**self.BASE, "sweep": sweep})
+        # a sweep is its values: a kind no longer says what they drive
+        with pytest.raises(InvalidInputError, match=r"^unknown sweep field\(s\): kind$"):
+            config_from_json({**self.BASE, "sweep": {"kind": "sample_size", "values": [10]}})
 
     def test_boolean_count_rejected(self):
         for value in (True, False):
@@ -750,9 +773,9 @@ class TestConfigJson:
             ("class_card", False, "class_card must be an integer, got False"),
             ("representativeness_scan", 1, "representativeness_scan must be true or false, got 1"),
             ("representativeness_scan", "false", "representativeness_scan must be true or false"),
-            ("sweep", {"kind": "sample_size", "values": 5}, "sweep values must be a list or tuple, got 5"),
-            ("sweep", {"kind": "sample_size", "values": "12"}, "sweep values must be a list or tuple"),
-            ("sweep", {"kind": "sample_size", "values": [True]}, "sweep value must be an integer, got True"),
+            ("sweep", {"values": 5}, "sweep values must be a list or tuple, got 5"),
+            ("sweep", {"values": "12"}, "sweep values must be a list or tuple"),
+            ("sweep", {"values": [True]}, "sweep value must be an integer, got True"),
             ("sample_size_policy", {"computed": "10"}, "computed factor must be a finite number"),
         ],
     )
@@ -782,8 +805,8 @@ class TestConfigJson:
             ("kononenko_k", "1"),
             ("xor_noise", "0.05"),
             ("sample_size_policy", {"computed": "10"}),
-            ("sweep", {"kind": "sample_size", "values": ["20"]}),
-            ("sweep", {"kind": "sample_size", "start": "8", "stop": 10}),
+            ("sweep", {"values": ["20"]}),
+            ("sweep", {"start": "8", "stop": 10}),
             ("groups", [{**_group("mk", "kononenko", 2), "count": "1"}]),
             ("groups", [{**_group("mk", "kononenko", 2), "cardinality": "2"}]),
             ("groups", [{**_group("mk", "kononenko", {"fixed": "2"})}]),
@@ -816,12 +839,12 @@ class TestConfigJson:
 
     def test_whole_number_floats_in_json_text_are_integers(self):
         # JSON has one number type; a mapping built in Python follows the Python rule
-        text = json.dumps({**self.BASE, "replicates": 3.0, "sweep": {"kind": "sample_size", "values": [1e3]}})
+        text = json.dumps({**self.BASE, "replicates": 3.0, "sweep": {"values": [1e3]}})
         assert '"replicates": 3.0' in text and '"values": [1000.0]' in text
         cfg = config_from_json(text.replace("1000.0", "1e3"))
         assert (cfg.replicates, cfg.sweep.values) == (3, (1000,))
         assert type(cfg.replicates) is int and type(cfg.sweep.values[0]) is int
-        cfg = config_from_json('{"name": "x", "sweep": {"kind": "sample_size", "start": 8.0, "stop": 1e1},'
+        cfg = config_from_json('{"name": "x", "sweep": {"start": 8.0, "stop": 1e1},'
                                ' "groups": [{"name": "u", "family": "uniform", "count": 2.0,'
                                ' "cardinality": 4e0}], "tracked": [{"label": "s", "groups": ["u"]}],'
                                ' "kononenko_k": 2.0, "xor_noise": 0.0}')
@@ -843,7 +866,7 @@ class TestConfigJson:
         "changes",
         [
             {"sample_size_policy": {"fixed": 40}},
-            {"sample_size_policy": None, "sweep": {"kind": "sample_size", "values": [10]}},
+            {"sample_size_policy": None, "sweep": {"values": [10]}},
         ],
     )
     def test_scan_needs_computed_policy(self, changes):
@@ -863,38 +886,17 @@ class TestConfigValidation:
     GROUPS = (GroupSpec("mk", GeneratorKind.KONONENKO, 2, 2),)
     TRACKED = (TrackedSubset("informative", ("mk",)),)
 
-    def test_sample_size_sweep_refuses_policy(self):
-        with pytest.raises(InvalidInputError):
-            ExperimentConfig(
-                name="bad",
-                sweep=Sweep("sample_size", (10,)),
-                groups=self.GROUPS,
-                tracked=self.TRACKED,
-                sample_size_policy=SampleSizePolicy(fixed=10),
-            )
-
-    def test_other_sweeps_require_policy(self):
-        with pytest.raises(InvalidInputError):
-            ExperimentConfig(
-                name="bad",
-                sweep=Sweep("cardinality", (2, 4)),
-                groups=(GroupSpec("mk", GeneratorKind.KONONENKO, 2, "sweep"),),
-                tracked=self.TRACKED,
-            )
-
     def test_cardinality_sweep_needs_range_field(self):
-        # a cardinality sweep drives the groups whose cardinality is "sweep";
-        # every cataloged one has such a group
-        swept = [name for name in CATALOG if preset(name).sweep.kind == "cardinality"]
+        # a sweep drives the cardinality of the groups whose cardinality is
+        # "sweep"; the cataloged cardinality sweeps are the presets with one
+        swept = [name for name in CATALOG if any(g.cardinality == "sweep" for g in preset(name).groups)]
         assert swept == ["fig-a1", "fig-a2", "fig-c", "fig-d", "fig-f1", "fig-f2"]
-        for name in swept:
-            assert any(g.cardinality == "sweep" for g in preset(name).groups), name
 
     def test_duplicate_group_names_rejected(self):
         with pytest.raises(InvalidInputError, match="unique"):
             ExperimentConfig(
                 name="bad",
-                sweep=Sweep("sample_size", (10,)),
+                sweep=Sweep((10,)),
                 groups=self.GROUPS + (GroupSpec("mk", GeneratorKind.UNIFORM, 1, 2),),
                 tracked=self.TRACKED,
             )
@@ -903,7 +905,7 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match="unknown group.*noise"):
             ExperimentConfig(
                 name="bad",
-                sweep=Sweep("sample_size", (10,)),
+                sweep=Sweep((10,)),
                 groups=self.GROUPS,
                 tracked=self.TRACKED + (TrackedSubset("u", ("mk", "noise")),),
             )
@@ -914,14 +916,14 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match=r"labels must be unique, got \['s', 's'\]"):
             ExperimentConfig(
                 name="bad",
-                sweep=Sweep("sample_size", (10,)),
+                sweep=Sweep((10,)),
                 groups=groups,
                 tracked=(TrackedSubset("s", ("mk",)), TrackedSubset("s", ("u",))),
             )
         with pytest.raises(InvalidInputError, match="labels must be unique"):
             config_from_json({
                 "name": "bad",
-                "sweep": {"kind": "sample_size", "values": [10]},
+                "sweep": {"values": [10]},
                 "groups": [_group("mk", "kononenko", 2), _group("u", "uniform", 1)],
                 "tracked": [{"label": "s", "groups": ["mk"]}, {"label": "s", "groups": ["u"]}],
             })
@@ -942,15 +944,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match=f"^fixed sample size must be at least 1, got {shown}$"):
             SampleSizePolicy(fixed=m)
 
-    def test_unknown_sweep_kind(self):
-        with pytest.raises(InvalidInputError):
-            Sweep("verticality", (1, 2))
-
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: Sweep("sample_size", (10.7, 20)),
-            lambda: Sweep("sample_size", ("12", 20)),
+            lambda: Sweep((10.7, 20)),
+            lambda: Sweep(("12", 20)),
             lambda: GroupSpec("a", GeneratorKind.UNIFORM, count=2.9, cardinality=3),
             lambda: GroupSpec("a", GeneratorKind.UNIFORM, count=2, cardinality=3.5),
             lambda: GroupSpec("a", GeneratorKind.UNIFORM, count=None, cardinality=3),
@@ -982,7 +980,7 @@ class TestConfigValidation:
     def test_numpy_integer_fields_accepted(self):
         config = dataclasses.replace(
             preset("fig-b2"),
-            sweep=Sweep("sample_size", (np.int64(8), np.uint8(12))),
+            sweep=Sweep((np.int64(8), np.uint8(12))),
             groups=(GroupSpec("mk", GeneratorKind.KONONENKO, np.int32(2), np.uint16(2)),),
             tracked=(TrackedSubset("informative", ("mk",)),),
             replicates=np.int64(2),
@@ -1007,7 +1005,7 @@ class TestConfigValidation:
         assert by_name.family is GeneratorKind.UNIFORM
         configs = [
             dataclasses.replace(
-                preset("fig-b2"), replicates=20, sweep=Sweep("sample_size", (50, 2000)),
+                preset("fig-b2"), replicates=20, sweep=Sweep((50, 2000)),
                 groups=(GroupSpec("u", family, 2, 2),), tracked=(TrackedSubset("u", ("u",)),),
             )
             for family in ("uniform", GeneratorKind.UNIFORM)
@@ -1028,7 +1026,7 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match="unknown sample size policy"):
             ExperimentConfig(
                 name="bad",
-                sweep=Sweep("cardinality", (2, 4)),
+                sweep=Sweep((2, 4)),
                 groups=(GroupSpec("mk", GeneratorKind.KONONENKO, 2, "sweep"),),
                 tracked=self.TRACKED,
                 sample_size_policy=policy,
@@ -1043,7 +1041,7 @@ def _json_sample_size_sweep():
         "tracked": [{"label": "informative", "groups": ["mk"]},
                     {"label": "noninformative", "groups": ["u"]}],
         "class_card": 3, "replicates": 3,
-        "sweep": {"kind": "sample_size", "values": [40, 12, 0, 25, 12, 100]},
+        "sweep": {"values": [40, 12, 0, 25, 12, 100]},
     })
 
 
@@ -1106,7 +1104,7 @@ class TestNestedEngine:
         # measure still takes its place from the first point that lists it.
         config = config_from_json({
             "name": "order",
-            "sweep": {"kind": "attribute_count", "values": [1, 2, 3]},
+            "sweep": {"values": [1, 2, 3]},
             "groups": [
                 _group("u", "uniform", 2),
                 _group("xor", "xor_pair", {"fixed": 2, "window": [2, 2]}),
@@ -1200,7 +1198,7 @@ class TestNestedEngine:
         # stays under
         data = {
             "name": "capped", "replicates": 2,
-            "sweep": {"kind": "attribute_count", "values": [1, 2, 3]},
+            "sweep": {"values": [1, 2, 3]},
             "groups": [
                 _group("a", "uniform", {"offset": 0}),
                 _group("b", "kononenko", {"fixed": 1, "window": [1, 1]}, 8),
@@ -1230,7 +1228,7 @@ class TestNestedEngine:
             monkeypatch.setattr(dataset, name, failing)
         cfg = config_from_json({
             "name": "huge", "replicates": 2,
-            "sweep": {"kind": "cardinality", "values": [1_048_576]},
+            "sweep": {"values": [1_048_576]},
             "groups": [_group("u", "uniform", 2, "sweep")],
             "tracked": [{"label": "set", "groups": ["u"]}],
             "sample_size_policy": {"computed": 10},
@@ -1251,7 +1249,7 @@ class TestNestedEngine:
         # it would fail at every point, so the group rejects it
         data = {
             "name": "wide", "replicates": 1,
-            "sweep": {"kind": "attribute_count", "values": [1]},
+            "sweep": {"values": [1]},
             "groups": [_group("u", "uniform", 1, card)],
             "tracked": [{"label": "set", "groups": ["u"]}],
             "sample_size_policy": {"fixed": 20},
@@ -1261,7 +1259,7 @@ class TestNestedEngine:
     def test_a_swept_cardinality_of_1_skips_only_its_point(self):
         cfg = config_from_json({
             "name": "narrow", "replicates": 2,
-            "sweep": {"kind": "cardinality", "values": [1, 2, 3]},
+            "sweep": {"values": [1, 2, 3]},
             "groups": [_group("u", "uniform", 2, "sweep")],
             "tracked": [{"label": "set", "groups": ["u"]}],
             "sample_size_policy": {"fixed": 20},
@@ -1279,7 +1277,7 @@ class TestNestedEngine:
         # 40 x 42 cells)
         data = {
             "name": "guard", "replicates": 2,
-            "sweep": {"kind": "attribute_count", "values": [1, 40]},
+            "sweep": {"values": [1, 40]},
             "groups": [
                 _group("a", "uniform", {"offset": 0}),
                 _group("b", "kononenko", {"fixed": 1, "window": [1, 1]}, 200),

@@ -80,3 +80,23 @@ def test_bench_pairs_summary_counts_wins_quartiles_and_problems():
     assert lines[5] == "after medians: setup_s 0.5"
     assert lines[6] == "median gap (before - after): 9.00 ms (+9.0% of before)"
     assert lines[7:] == ["problem: pair 4, after: correct: false, 2 failed ops", "problem: pair 6, after: no result line"]
+
+
+def test_bench_pairs_flags_only_a_metric_worse_than_its_bound():
+    tool = _bench_pairs()
+    end_to_end = json.loads((SRC_LINES.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def result(wall, rss, ops):
+        metrics = {"wall_s": wall, "peak_rss_mb": rss, "ops_per_s": ops}
+        return {"correct": True, "failed": 0, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+    # after: wall_s 5% worse (bound 20%), peak_rss_mb 12% worse (bound 10%),
+    # ops_per_s 25% worse (bound 20%, higher is better); no run gave setup_s
+    pairs = [(result(0.100, 100.0, 10.0), result(0.105, 112.0, 7.5))] * 3
+    assert tool.bound_checks(pairs, end_to_end) == [
+        "bound setup_s: not reported by both sides",
+        "bound wall_s: median 0.1 -> 0.105 s (+5.0%), lower is better: within its bound",
+        "bound ops_per_s: median 10 -> 7.5 1/s (-25.0%), higher is better: WORSE by more than its bound 20%",
+        "bound peak_rss_mb: median 100 -> 112 MB (+12.0%), lower is better: WORSE by more than its bound 10%",
+    ]
+    assert tool.summary(pairs, end_to_end)[-4:] == tool.bound_checks(pairs, end_to_end)

@@ -1,16 +1,21 @@
-"""Compare two checkouts on one benchmark workload, in interleaved pairs of runs.
+"""Compare two checkouts on benchmark workloads, in interleaved pairs of runs.
 
-    python3 tools/bench_pairs.py BEFORE AFTER --workload measure-csv [--seconds 4] [--seed N] [--pairs 10]
+    python3 tools/bench_pairs.py BEFORE AFTER --workload measure-csv [--workload mc-small-m ...]
+        [--seconds 4] [--seed N] [--pairs 10]
 
-Each pair runs `python3 bench/run.py --workload W --seconds S [--seed N]` once
-in each checkout, one after the other; the side that runs first alternates
-from pair to pair, so a drift of the host's speed falls on both sides alike.
-Each run's result is the JSON line that `bench/run.py` prints last. For each
-side this prints the `wall_s` of every run, their median and quartiles, and
-how many pairs that side won (the lower `wall_s`), and the median of each
-other metric the runs report, then every run that reported
-`correct: false`, failed ops, or no result at all. The script
-itself writes no file. Standard library only.
+For each workload in turn, each pair runs
+`python3 bench/run.py --workload W --seconds S [--seed N]` once in each
+checkout, one after the other; the side that runs first alternates from pair
+to pair, so a drift of the host's speed falls on both sides alike. Each
+run's result is the JSON line that `bench/run.py` prints last. For each side
+this prints the `wall_s` of every run, their median and quartiles, and how
+many pairs that side won (the lower `wall_s`), and the median of each other
+metric the runs report. Then, for each end-to-end metric that BEFORE's
+`BENCHMARK.json` declares, it prints AFTER's median against BEFORE's and
+flags it where it is worse, in the metric's `better` direction, by more
+than the metric's `bound`; last, every run that reported `correct: false`,
+failed ops, or no result at all. The script itself writes no file.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -38,12 +43,17 @@ def result_of(stdout: str) -> dict | None:
     return None
 
 
-def wall_s(result: dict | None) -> float | None:
-    """A result's `wall_s` in seconds, None if it has none."""
+def metric(result: dict | None, name: str) -> float | None:
+    """A result's value of the metric `name`, None if it has none."""
     try:
-        return float(result["metrics"]["wall_s"]["value"])
+        return float(result["metrics"][name]["value"])
     except (TypeError, KeyError, ValueError):
         return None
+
+
+def wall_s(result: dict | None) -> float | None:
+    """A result's `wall_s` in seconds, None if it has none."""
+    return metric(result, "wall_s")
 
 
 def problem(result: dict | None) -> str | None:
@@ -65,8 +75,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summary(pairs: list[tuple[dict | None, dict | None]]) -> list[str]:
-    """The report of (before, after) result pairs, one line a list entry."""
+def summary(pairs: list[tuple[dict | None, dict | None]], end_to_end: list[dict] = ()) -> list[str]:
+    """The report of (before, after) result pairs, one line a list entry;
+    `end_to_end` is the metric list of `BENCHMARK.json` whose bounds are
+    checked (`bound_checks`)."""
     lines = []
     walls = {side: [wall_s(pair[i]) for pair in pairs] for i, side in enumerate(SIDES)}
     won = {side: 0 for side in SIDES}
@@ -97,10 +109,34 @@ def summary(pairs: list[tuple[dict | None, dict | None]]) -> list[str]:
     if len(medians) == 2:
         gap = medians["before"] - medians["after"]
         lines.append(f"median gap (before - after): {gap * 1e3:.2f} ms ({gap / medians['before']:+.1%} of before)")
+    lines += bound_checks(pairs, end_to_end)
     for i, pair in enumerate(pairs, 1):
         for side, result in zip(SIDES, pair):
             if (why := problem(result)) is not None:
                 lines.append(f"problem: pair {i}, {side}: {why}")
+    return lines
+
+
+def bound_checks(pairs: list[tuple[dict | None, dict | None]], end_to_end: list[dict]) -> list[str]:
+    """One line per metric of `end_to_end` (each a `BENCHMARK.json` entry with
+    `name`, `unit`, `better` and `bound`): the after median against the
+    before median, flagged where it is worse, in the `better` direction, by
+    more than `bound`, a fraction of the before median."""
+    lines = []
+    for spec in end_to_end:
+        name, unit, bound = spec["name"], spec["unit"], spec["bound"]
+        medians = []
+        for side in range(2):
+            values = [v for pair in pairs if (v := metric(pair[side], name)) is not None]
+            medians.append(statistics.median(values) if values else None)
+        before, after = medians
+        if before is None or after is None:
+            lines.append(f"bound {name}: not reported by both sides")
+            continue
+        worse = after - before if spec["better"] == "lower" else before - after
+        change = f" ({(after - before) / before:+.1%})" if before else ""
+        verdict = f"WORSE by more than its bound {bound:.0%}" if worse > bound * abs(before) else "within its bound"
+        lines.append(f"bound {name}: median {before:.4g} -> {after:.4g} {unit}{change}, {spec['better']} is better: {verdict}")
     return lines
 
 
@@ -119,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("before", type=Path, help="the checkout compared against")
     parser.add_argument("after", type=Path, help="the checkout with the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append", help="a workload; repeat for several")
     parser.add_argument("--seconds", type=float, default=4.0)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--pairs", type=int, default=10)
@@ -129,18 +165,23 @@ def main(argv: list[str] | None = None) -> int:
     for checkout in (args.before, args.after):
         if not (checkout / "bench" / "run.py").is_file():
             parser.error(f"{checkout} holds no bench/run.py")
-    pairs = []
-    for i in range(args.pairs):
-        order = (0, 1) if i % 2 == 0 else (1, 0)  # which side runs first alternates
-        results: list[dict | None] = [None, None]
-        for side in order:
-            checkout = (args.before, args.after)[side]
-            results[side] = run(checkout.resolve(), args.workload, args.seconds, args.seed)
-        pairs.append((results[0], results[1]))
-        walls = " vs ".join("-" if wall_s(r) is None else f"{wall_s(r) * 1e3:.2f}" for r in results)
-        print(f"# pair {i + 1} of {args.pairs}: {walls} ms", file=sys.stderr, flush=True)
-    print(f"workload {args.workload}, {args.seconds} s a run, seed {args.seed if args.seed is not None else 'default'}")
-    print("\n".join(summary(pairs)))
+    try:
+        end_to_end = json.loads((args.before / "BENCHMARK.json").read_text())["end_to_end"]
+    except (OSError, ValueError, KeyError) as exc:
+        parser.error(f"cannot read the end-to-end metrics of {args.before / 'BENCHMARK.json'}: {exc}")
+    for workload in args.workload:
+        pairs = []
+        for i in range(args.pairs):
+            order = (0, 1) if i % 2 == 0 else (1, 0)  # which side runs first alternates
+            results: list[dict | None] = [None, None]
+            for side in order:
+                checkout = (args.before, args.after)[side]
+                results[side] = run(checkout.resolve(), workload, args.seconds, args.seed)
+            pairs.append((results[0], results[1]))
+            walls = " vs ".join("-" if wall_s(r) is None else f"{wall_s(r) * 1e3:.2f}" for r in results)
+            print(f"# {workload} pair {i + 1} of {args.pairs}: {walls} ms", file=sys.stderr, flush=True)
+        print(f"workload {workload}, {args.seconds} s a run, seed {args.seed if args.seed is not None else 'default'}")
+        print("\n".join(summary(pairs, end_to_end)), flush=True)
     return 0
 
 
