@@ -22,7 +22,6 @@ from .harness import (
 from .ingest import IngestedDataset, read_csv, sample_to_csv
 from .measures import (
     MeasureValue,
-    entropy,
     information_gain,
     joint_entropy,
     msu,
@@ -37,7 +36,6 @@ from .samplesize import (
     chi2_critical,
     extreme_sample_chi2,
     heuristic_sample_size,
-    min_representative_m,
     multivariate_cardinality,
     representativeness_report,
 )
@@ -66,13 +64,11 @@ __all__ = [
     "block",
     "chi2_critical",
     "config_from_json",
-    "entropy",
     "extreme_sample_chi2",
     "generate_dataset",
     "heuristic_sample_size",
     "information_gain",
     "joint_entropy",
-    "min_representative_m",
     "msu",
     "multivariate_cardinality",
     "preset",

@@ -24,10 +24,13 @@ sweep value into plain integers: each group's column count and cardinality
 (`_layout`, which checks only what the sweep value brings, such as a swept
 cardinality), and the sample size, from the policy alone, which it checks
 once with the point's dataset. A representativeness scan reads only
-`_layout`, so no Monte Carlo m is worked out for it. The dataset's blocks,
-and with them every column name (by `msulab.dataset.block`), are built once
-per set of nested points, in `_run_layout`, which reads each point's
-measures from its counts and those blocks.
+`_layout`, so no Monte Carlo m is worked out for it. A set of nested points
+is planned, then run (`_run_layout`). The plan (`_plan`) is worked out from
+the config and the points alone, and generates nothing: the dataset's m and
+blocks, and with them every column name (by `msulab.dataset.block`); each
+measure's name and columns, with its row prefixes; each point's measures;
+and the replicates a batch. The run reads only the plan, and of the config
+the seed, the class cardinality, k and the XOR noise.
 
 Replicate r of every sweep point draws from streams keyed by
 (master_seed, r, column path). Points of a sweep therefore share their
@@ -44,7 +47,7 @@ path as its group grows, so a point's columns are the first columns of the
 widest block at each group position. Per replicate a set of nested points
 gets one dataset: it holds each position's widest block, generated at the
 set's largest m, and each point reads its own columns at its first m rows;
-each measure's column indices are worked out once for the set. A
+each measure's column indices are worked out once for the set, in its plan. A
 sample-size sweep is one such set, and so is a count sweep whose
 cardinalities stay fixed; the points of a cardinality sweep never nest. Where that union dataset would hold more cells
 (rows x columns) than the points' own datasets together, each point gets its
@@ -84,7 +87,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import MAX_DATASET_CELLS, block, check_size, check_xor_class, generate_replicates
+from .dataset import MAX_DATASET_CELLS, AttributeBlock, block, check_size, check_xor_class, generate_replicates
 from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_card, check_k, check_m, check_xor_noise
 from .ingest import csv_field
@@ -396,9 +399,10 @@ def _cells(m: int, counts: Sequence[int]) -> int:
     return m * (1 + sum(counts))
 
 
-def _widest(points: Sequence[ResolvedPoint]) -> list[int]:
-    """Each group's largest column count over `points`."""
-    return [max(position) for position in zip(*(p.counts for p in points))]
+def _union(points: Sequence[ResolvedPoint]) -> tuple[int, list[int]]:
+    """The shape of the one dataset that nested `points` share: its rows,
+    the largest point m, and each group's column count, its largest."""
+    return max(p.m for p in points), [max(position) for position in zip(*(p.counts for p in points))]
 
 
 def _nested_groups(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> list[list[int]]:
@@ -408,7 +412,8 @@ def _nested_groups(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]
     XOR group is present at each or absent at each, so the class comes from
     the same stream. A nested set whose union dataset would hold more cells
     than its points' own datasets together, or than MAX_DATASET_CELLS, is
-    split into single points.
+    split into single points. The set is planned (`_plan`) only when it is
+    run, so it is planned once.
     """
     by_key: dict[tuple, list[int]] = {}
     for i, point in points.items():
@@ -417,18 +422,32 @@ def _nested_groups(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]
     groups: list[list[int]] = []
     for members in by_key.values():
         nested = [points[i] for i in members]
-        union = _cells(max(p.m for p in nested), _widest(nested))
-        if union > min(MAX_DATASET_CELLS, sum(_cells(p.m, p.counts) for p in nested)):
+        if _cells(*_union(nested)) > min(MAX_DATASET_CELLS, sum(_cells(p.m, p.counts) for p in nested)):
             groups.extend([i] for i in members)
         else:
             groups.append(members)
     return groups
 
 
-def _run_layout(
-    config: ExperimentConfig, points: Sequence[ResolvedPoint], replicates: Sequence[int]
-) -> list[dict[str, tuple[float, ...]]]:
-    """Each point's measure values, measure name -> one value per replicate.
+_Measure = tuple[str, tuple[int, ...]]  # a measure's name and attribute columns
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What one set of nested points measures on its shared dataset (see
+    `_plan`)."""
+
+    m: int  # the dataset's rows: the largest point m
+    blocks: tuple[AttributeBlock | None, ...]  # each group position's widest block
+    columns: int  # the blocks' columns; the class is the column after them
+    measures: dict[_Measure, tuple[int, ...]]  # each measure's row prefixes, ascending
+    points: tuple[tuple[int, tuple[_Measure, ...]], ...]  # each point's m and measures, in order
+    batch: int  # replicates a batch
+
+
+def _plan(config: ExperimentConfig, points: Sequence[ResolvedPoint]) -> _Plan:
+    """What a set of nested points measures, from the config and the points
+    alone: nothing is generated here.
 
     The points nest (see `_nested_groups`), so one dataset per replicate
     serves them all: it holds each group position's widest block at the
@@ -437,61 +456,68 @@ def _run_layout(
     each point's measures are read from them: msu_<label> of each tracked
     subset with columns at the point, the first columns of each of its
     groups' blocks, followed by su_<column> for each of those columns when
-    it is tracked with_su. Each distinct measure is taken once per
-    replicate, at the row prefixes of the points that list it, in ascending
-    order. Each joint histogram is counted at its own prefixes only; a
-    dense joint's counts give every column's marginals, of which the table
-    keeps those it lacks, and a renumbered joint's columns are counted once
-    each (see `msulab.measures.subset_entropies`).
-
-    A batch of replicates (see `_BATCH_CELLS`) is generated into one sample
-    (`msulab.dataset.generate_replicates`), and each measure is taken once
-    a batch, with the dataset's rows as the period: its values come
-    replicate by replicate, a (replicates x prefixes) matrix. A measure's
-    matrices over the batches are stacked, and a point reads the column at
-    its m.
+    it is tracked with_su. Each distinct measure is taken at the row
+    prefixes of the points that list it, in ascending order, and a batch
+    holds as many replicates as `_BATCH_CELLS` allows, at least one.
     """
-    counts = _widest(points)
-    blocks = [
+    m, counts = _union(points)
+    blocks = tuple(
         block(g.name, g.family, n, card) if n else None
         for g, n, card in zip(config.groups, counts, points[0].cards)
-    ]
+    )
     names = [name for b in blocks if b is not None for name in b.names]
     # each group's columns in the dataset, whose last column is the class
     starts = accumulate(counts, initial=0)
-    columns = {g.name: range(start, start + n) for g, start, n in zip(config.groups, starts, counts)}
-    m = max(p.m for p in points)
-    # each point's measures, (name, attribute columns) in order, and the
-    # prefixes of each measure
-    measured: list[list[tuple[str, tuple[int, ...]]]] = []
-    prefixes: dict[tuple[str, tuple[int, ...]], set[int]] = {}
+    spans = {g.name: range(start, start + n) for g, start, n in zip(config.groups, starts, counts)}
+    measured: list[tuple[int, tuple[_Measure, ...]]] = []
+    prefixes: dict[_Measure, set[int]] = {}
     for p in points:
-        count = dict(zip(columns, p.counts))
-        measured.append(own := [])
+        count = dict(zip(spans, p.counts))
+        own: list[_Measure] = []
         for sub in config.tracked:
-            if cols := tuple(c for name in sub.groups for c in columns[name][: count[name]]):
+            if cols := tuple(c for name in sub.groups for c in spans[name][: count[name]]):
                 own += [(f"msu_{sub.label}", cols)] + [(f"su_{names[c]}", (c,)) for c in cols if sub.with_su]
+        measured.append((p.m, tuple(own)))
         for measure in own:
             prefixes.setdefault(measure, set()).add(p.m)
-    at = {measure: sorted(ms) for measure, ms in prefixes.items()}
-    # measure -> its (replicates x prefixes) matrix of each batch
-    values: dict[tuple[str, tuple[int, ...]], list[np.ndarray]] = {measure: [] for measure in at}
+    measures = {measure: tuple(sorted(ms)) for measure, ms in prefixes.items()}
+    return _Plan(m, blocks, sum(counts), measures, tuple(measured), max(1, _BATCH_CELLS // _cells(m, counts)))
 
-    batch = max(1, _BATCH_CELLS // _cells(m, counts))
-    for first in range(0, len(replicates), batch):
-        rngs = [SeededRng(config.master_seed, r) for r in replicates[first : first + batch]]
+
+def _run_layout(
+    config: ExperimentConfig, points: Sequence[ResolvedPoint], replicates: Sequence[int]
+) -> list[dict[str, tuple[float, ...]]]:
+    """Each point's measure values, measure name -> one value per replicate.
+
+    The points are planned (`_plan`), and then the plan is run: the run
+    reads nothing of the points, and of the config only the seed, the class
+    cardinality, k and the XOR noise. A batch of replicates (see
+    `_BATCH_CELLS`) is generated into one sample
+    (`msulab.dataset.generate_replicates`), and each measure is taken once a
+    batch, with the dataset's rows as the period: its values come replicate
+    by replicate, a (replicates x prefixes) matrix. Each joint histogram is
+    counted at its own prefixes only; a dense joint's counts give every
+    column's marginals, of which the table keeps those it lacks, and a
+    renumbered joint's columns are counted once each (see
+    `msulab.measures.subset_entropies`). A measure's matrices over the
+    batches are stacked, and a point reads the column at its m.
+    """
+    plan = _plan(config, points)
+    # measure -> its (replicates x prefixes) matrix of each batch
+    values: dict[_Measure, list[np.ndarray]] = {measure: [] for measure in plan.measures}
+    for first in range(0, len(replicates), plan.batch):
+        rngs = [SeededRng(config.master_seed, r) for r in replicates[first : first + plan.batch]]
         sample = generate_replicates(
-            m, config.class_card, blocks, rngs, config.kononenko_k, config.xor_noise
+            plan.m, config.class_card, plan.blocks, rngs, config.kononenko_k, config.xor_noise
         )
-        for (name, cols), ms in at.items():
-            subset = cols + (len(names),)  # the class is the last column
-            values[name, cols].append(msu_values(sample, subset, ms, m)[0].reshape(len(rngs), -1))
+        for (name, cols), ms in plan.measures.items():
+            values[name, cols].append(msu_values(sample, cols + (plan.columns,), ms, plan.m)[0].reshape(len(rngs), -1))
     # measure -> prefix -> its values, replicate by replicate
     column = {
-        measure: dict(zip(at[measure], np.concatenate(matrices).T.tolist()))
+        measure: dict(zip(plan.measures[measure], np.concatenate(matrices).T.tolist()))
         for measure, matrices in values.items()
     }
-    return [{name: tuple(column[name, cols][p.m]) for name, cols in own} for p, own in zip(points, measured)]
+    return [{name: tuple(column[name, cols][m]) for name, cols in own} for m, own in plan.points]
 
 
 @dataclass(frozen=True)
@@ -555,7 +581,8 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
     would pass `MAX_DATASET_CELLS`, is skipped, and its message goes to
     `errors`; the sweep itself never aborts. The curve's sample sizes and
     errors come from this pass. The second measures each set of nested
-    points (`_nested_groups`) with `_run_layout`. The third turns each
+    points (`_nested_groups`) with `_run_layout`, which plans the set and
+    runs the plan. The third turns each
     measured point's values into `MeasureStats`, in sweep order, so a
     measure's series comes in the order of the first point that lists it.
     """

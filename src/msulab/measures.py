@@ -61,13 +61,11 @@ from .sample import (
     normalize_prefixes,
     prefix_counts,
     run_lengths,
-    whole_numbers,
 )
 
 # Normalized measures may land a few ulp outside [0, 1]; anything farther out
 # signals a real defect and is raised instead of clamped.
 _UNIT_SLACK = 1e-9
-_MAX_TOTAL = int(np.iinfo(np.int64).max)
 # Row sums of matrices of at least this many rows are taken in bulk
 # (`_fsum_rows`); fewer rows are fsummed one by one, which costs less for
 # the single rows of public measures and of large samples: every matrix in
@@ -190,28 +188,6 @@ def _int64_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.left_shift(ints, shift, out=ints)
     sums = np.ldexp(ints.sum(axis=1).astype(np.float64), np.where(fits, least - 53, 0))
     return sums, fits
-
-
-def _clean_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:
-    arr = whole_numbers(counts, "counts")
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInputError("counts must be a non-empty 1-D sequence")
-    arr = arr.astype(np.int64)
-    if (arr < 0).any():
-        raise InvalidInputError("counts must be non-negative")
-    # the total is the divisor of every probability, so it must fit int64 too
-    total = sum(arr.tolist())
-    if total > _MAX_TOTAL:
-        raise InvalidInputError(f"counts total {total}, which is past int64 (max {_MAX_TOTAL})")
-    arr = arr[arr > 0]
-    if arr.size == 0:
-        raise InvalidInputError("at least one count must be positive")
-    return arr
-
-
-def entropy(counts: Sequence[int] | np.ndarray) -> MeasureValue:
-    """Shannon entropy H = -sum p_i log2 p_i of a count vector, in bits."""
-    return MeasureValue(entropy_rows(_clean_counts(counts)[np.newaxis])[0])
 
 
 def subset_entropies(

@@ -44,7 +44,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Sequence
 
 from .errors import InvalidInputError
 from .sample import _integers, _shown, int_text, integer, items, real
@@ -102,17 +102,30 @@ def multivariate_cardinality(profile: CardinalityProfile) -> int:
     return profile.class_card * math.prod(card**count for card, count in profile.attributes)
 
 
-def huge_space_bits(profiles: Iterable[CardinalityProfile], factor: float = 1.0) -> int | None:
+def huge_space_bits(profiles: Sequence[CardinalityProfile], factor: float = 1.0) -> int | None:
     """floor(log2(factor x the largest joint space of `profiles`)) where that
-    is at least 64, found from a float sum of logs, so no space is built
-    (3**(10**8) takes minutes); an error names a number that large by these
-    bits (`msulab.sample.int_text`). None below 64, or where the log2 lies
-    too near a whole number for a float to place it: the caller then
-    builds the space."""
-    bits = math.log2(factor) + max(
-        math.log2(p.class_card) + math.fsum(n * math.log2(c) for c, n in p.attributes) for p in profiles
-    )
-    return math.floor(bits) if bits >= 64 and abs(bits - round(bits)) > bits * 2**-40 else None
+    is at least 64, found without building a space that large (3**(10**8)
+    takes minutes); an error names a number that large by these bits
+    (`msulab.sample.int_text`). None only below 2**64.
+
+    The bits come from a float sum of logs. Where that lies too near a whole
+    number for a float to place it, they are counted in integers if the
+    factor and every cardinality are powers of two; else, next to 64, the
+    space is small enough to build and its bits are counted exactly; else
+    they are round(bits) - 1, a true lower bound."""
+    pairs = [((p.class_card, 1), *p.attributes) for p in profiles]  # the class is one more pair
+    bits = math.log2(factor) + max(math.fsum(n * math.log2(c) for c, n in each) for each in pairs)
+    whole = round(bits)
+    if abs(bits - whole) > bits * 2**-40 or whole < 64:
+        bits = math.floor(bits)
+    elif math.frexp(factor)[0] == 0.5 and all(c.bit_count() == 1 for each in pairs for c, _ in each):
+        # a power of two's log2 is its bit length less one
+        bits = round(math.log2(factor)) + max(sum(n * (c.bit_length() - 1) for c, n in each) for each in pairs)
+    elif whole == 64:  # a space this small is built, and its bits counted
+        bits = math.floor(Fraction(factor) * max(map(multivariate_cardinality, profiles))).bit_length() - 1
+    else:  # a float cannot place the log2: a true lower bound
+        bits = whole - 1
+    return bits if bits >= 64 else None
 
 
 def heuristic_sample_size(profile: CardinalityProfile, factor: float = 10.0) -> int:
@@ -194,8 +207,11 @@ def extreme_sample_chi2(m: int, k: int) -> float:
         ) from None
 
 
-def min_representative_m(k: int, alpha: float = 0.05) -> int:
-    """Smallest m >= k - 1 whose equiprobable extreme sample is rejected at level alpha.
+def _critical_and_m_star(k: int, alpha: float) -> tuple[float, int]:
+    """`chi2_critical(alpha, k - 1)` and m*, the smallest m >= k - 1 whose
+    equiprobable extreme sample is rejected at level alpha: the one search
+    for m*, which `representativeness_report` reads once it has checked
+    that k is at least 2.
 
     Degrees of freedom are k - 1 (no parameters are estimated from the data).
     The answer is the first m at which `extreme_sample_chi2(m, k)` exceeds the
@@ -216,13 +232,6 @@ def min_representative_m(k: int, alpha: float = 0.05) -> int:
       run the exact sum is linear in r and its first rejected r is solved
       for, not scanned. The rounding band holds a handful of runs at any k.
     """
-    return _critical_and_m_star(integer(k, "cell count"), alpha)[1]
-
-
-def _critical_and_m_star(k: int, alpha: float) -> tuple[float, int]:
-    """`chi2_critical(alpha, k - 1)` and the m* it gives: the one search for m*."""
-    if k < 2:
-        raise InvalidInputError(f"need at least two cells, got {int_text(k)}")
     if k > MAX_CELLS:
         raise _too_many_cells(int_text(k))
     critical = chi2_critical(alpha, k - 1)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from msulab import (
+    CardinalityProfile,
     CategoricalSample,
     GeneratorKind,
     Sweep,
@@ -22,9 +23,9 @@ from msulab import (
     generate_dataset,
     information_gain,
     joint_entropy,
-    min_representative_m,
     msu,
     preset,
+    representativeness_report,
     run_experiment,
     symmetrical_uncertainty,
     total_correlation,
@@ -88,8 +89,8 @@ def test_criterion_2_chi_squared_machinery():
 
 def test_criterion_3_minimal_representative_sizes():
     t0 = time.perf_counter()
-    m8 = min_representative_m(8, 0.05)
-    others = {k: min_representative_m(k, 0.05) for k in (12, 15, 18)}
+    m8 = representativeness_report(CardinalityProfile((), 8), 0.05).chi2_m_star
+    others = {k: representativeness_report(CardinalityProfile((), k), 0.05).chi2_m_star for k in (12, 15, 18)}
     elapsed = time.perf_counter() - t0
     references = {12: 216, 15: 330, 18: 468}
     within = all(abs(others[k] - ref) <= 0.05 * ref for k, ref in references.items())

@@ -27,13 +27,11 @@ from msulab import (
     block,
     chi2_critical,
     config_from_json,
-    entropy,
     extreme_sample_chi2,
     generate_dataset,
     heuristic_sample_size,
     information_gain,
     joint_entropy,
-    min_representative_m,
     msu,
     multivariate_cardinality,
     preset,
@@ -86,7 +84,6 @@ CALLS = {
     "block": (block, ("a", "uniform", 2, 3)),
     "chi2_critical": (chi2_critical, (0.05, 3)),
     "config_from_json": (config_from_json, (CONFIG_JSON,)),
-    "entropy": (entropy, ([3, 1],)),
     "extreme_sample_chi2": (extreme_sample_chi2, (12, 4)),
     "generate_dataset": (
         generate_dataset, (6, 2, [block("a", "uniform", 2, 3)], SeededRng(1), 1.0, 0.05)
@@ -94,7 +91,6 @@ CALLS = {
     "heuristic_sample_size": (heuristic_sample_size, (PROFILE, 10.0)),
     "information_gain": (information_gain, (SAMPLE, [0], [2])),
     "joint_entropy": (joint_entropy, (SAMPLE, [0, 1])),
-    "min_representative_m": (min_representative_m, (8, 0.05)),
     "msu": (msu, (SAMPLE, [0, 1, 2])),
     "multivariate_cardinality": (multivariate_cardinality, (PROFILE,)),
     "preset": (preset, ("fig-b2",)),

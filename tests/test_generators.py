@@ -706,17 +706,13 @@ def _union_dataset(name):
     config = preset(name)
     points = {i: harness.resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
     (members,) = harness._nested_groups(config, points)
-    nested = [points[i] for i in members]
-    blocks = [
-        block(g.name, g.family, n, card) if n else None
-        for g, n, card in zip(config.groups, harness._widest(nested), nested[0].cards)
-    ]
+    plan = harness._plan(config, [points[i] for i in members])
     return _traced(
         lambda m: generate_dataset(
-            m, config.class_card, blocks, SeededRng(3, 0),
+            m, config.class_card, plan.blocks, SeededRng(3, 0),
             k=config.kononenko_k, xor_noise=config.xor_noise,
         ),
-        max(p.m for p in nested),
+        plan.m,
     )
 
 

@@ -9,6 +9,7 @@ import math
 import random
 import re
 import threading
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -252,8 +253,8 @@ class TestResolvePoint:
 
     @pytest.mark.parametrize("cardinality, exponent", [(3, 158_496_251), (2, 100_000_001)])
     def test_a_hundred_million_columns_scanned_within_a_second(self, cardinality, exponent):
-        # the report names 2 * 3**(10**8) cells by a log2 bound, with no space
-        # built; 2 * 2**(10**8), whose log2 is whole, it builds as before
+        # the report names 2 * 3**(10**8) cells by a float log2 bound, and
+        # 2 * 2**(10**8) by its bits counted in integers, with no space built
         curve = self._run_within_a_second(self._wide(100_000_000, cardinality, scan=True))
         assert curve.errors == ((100_000_000, (
             f"a joint space of at least 2**{exponent} cells exceeds the 4503599627370496 "
@@ -272,10 +273,10 @@ class TestResolvePoint:
     @pytest.mark.parametrize("count", [58, 59, 60, 200, 1000])
     @pytest.mark.parametrize("factor", [8, 10, 12.5])
     def test_a_point_past_int64_is_named_as_its_built_m_names_it(self, count, factor, monkeypatch):
-        # at factor 8, m = 8 * 2 * 2**count is a power of two, whose log2 a
-        # float bound cannot place on either side of a whole number, and
-        # 12.5 is no whole number: both build m as before; at 10, a point
-        # past 2**64 is named from the bound, with no m built
+        # at a whole factor, a point past 2**64 is named from the bound, with
+        # no m built: at 8, m = 8 * 2 * 2**count is a power of two, whose
+        # bits are counted in integers, and at 10 a float places them; 12.5
+        # is no whole number, so m is built as before
         built = []
         rule = harness.heuristic_sample_size
         monkeypatch.setattr(harness, "heuristic_sample_size", lambda *a: built.append(rule(*a)) or built[-1])
@@ -285,7 +286,7 @@ class TestResolvePoint:
             assert error == (count, f"sample size must not exceed 9223372036854775807, got {sample_module.int_text(m)}")
         else:
             assert error[1].endswith(f"a generated dataset holds at most {dataset.MAX_DATASET_CELLS}")
-        assert built == ([] if factor == 10 and m >= 2**64 else [m])
+        assert built == ([] if float(factor).is_integer() and m >= 2**64 else [m])
 
     def test_a_scan_names_a_huge_point_by_its_own_rule(self):
         curve = run_experiment(self._wide(100, 3, scan=True))
@@ -1319,7 +1320,8 @@ class TestBatches:
         batches = _spy_batches(monkeypatch)
         for members in harness._nested_groups(config, points):
             layout = [points[i] for i in members]
-            cells = harness._cells(max(p.m for p in layout), harness._widest(layout))
+            plan = harness._plan(config, layout)
+            cells = plan.m * (1 + plan.columns)
             monkeypatch.setattr(harness, "_BATCH_CELLS", 0)
             alone = harness._run_layout(config, layout, range(3))
             monkeypatch.setattr(harness, "_BATCH_CELLS", 3 * cells)
@@ -1345,6 +1347,50 @@ class TestBatches:
             assert sizes() == expected * 2
         monkeypatch.setattr(harness, "_BATCH_CELLS", 0)
         assert run_experiment(config) == curve
+
+
+class TestPlan:
+    """`_plan` works out what a set of nested points measures from the
+    config and the points alone, and generates nothing."""
+
+    @pytest.mark.parametrize("name", [name for name in CATALOG if name != "chi-scan"])
+    def test_every_preset_is_planned_without_generating(self, monkeypatch, name):
+        def generate(*args):
+            raise AssertionError("a plan generates nothing")
+
+        monkeypatch.setattr(harness, "generate_replicates", generate)
+        config = preset(name)
+        points = {i: resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
+        for members in harness._nested_groups(config, points):
+            nested = [points[i] for i in members]
+            plan = harness._plan(config, nested)
+            assert plan.m == max(p.m for p in nested)
+            widest = [max(counts) for counts in zip(*(p.counts for p in nested))]
+            (cards,) = {p.cards for p in nested}
+            assert plan.blocks == tuple(
+                dataset.block(g.name, g.family, n, card) if n else None
+                for g, n, card in zip(config.groups, widest, cards)
+            )
+            # each group's first column in the dataset
+            first = dict(zip((g.name for g in config.groups), accumulate(widest, initial=0)))
+            expected = []
+            for p in nested:
+                count = dict(zip(first, p.counts))
+                own = []
+                for sub in config.tracked:
+                    columns = [(g, c) for g in sub.groups for c in range(count[g])]
+                    if columns:
+                        own.append((f"msu_{sub.label}", tuple(first[g] + c for g, c in columns)))
+                        if sub.with_su:
+                            own += [(f"su_{g}{c + 1}", (first[g] + c,)) for g, c in columns]
+                expected.append((p.m, tuple(own)))
+            assert plan.points == tuple(expected)
+            listed = {measure for _, own in expected for measure in own}
+            assert plan.measures == {
+                measure: tuple(sorted({m for m, own in expected if measure in own})) for measure in listed
+            }
+            assert plan.columns == sum(widest)
+            assert plan.batch == max(1, harness._BATCH_CELLS // (plan.m * (1 + sum(widest))))
 
 
 def _independent_msu(cards, m):

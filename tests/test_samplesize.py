@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 import threading
 import time
 
@@ -16,12 +17,17 @@ from msulab import (
     chi2_critical,
     extreme_sample_chi2,
     heuristic_sample_size,
-    min_representative_m,
     multivariate_cardinality,
     representativeness_report,
 )
-from msulab.samplesize import MAX_CELLS
+from msulab import samplesize
+from msulab.samplesize import MAX_CELLS, huge_space_bits
 from oracle_utils import chi2_statistic, extreme_sample, scan_min_representative_m
+
+def chi2_m_star(k, alpha=0.05):
+    """The chi-squared m* of k equiprobable cells."""
+    return representativeness_report(CardinalityProfile((), k), alpha).chi2_m_star
+
 
 # Values from standard chi-squared tables (6+ digits), frozen.
 CRITICAL_05_7 = 14.06714
@@ -153,8 +159,6 @@ class TestIntegerArguments:
             (lambda: chi2_critical(0.05, 7.5), "degrees of freedom"),
             (lambda: extreme_sample_chi2(100.9, 8), "sample size"),
             (lambda: extreme_sample_chi2(100, 8.9), "cell count"),
-            (lambda: min_representative_m(8.9), "cell count"),
-            (lambda: min_representative_m("8"), "cell count"),
             (lambda: CardinalityProfile([(2.5, 2)], 2),
              r"^a \(cardinality, count\) pair must be a sequence of integers, got \[2.5, 2\]$"),
             (lambda: CardinalityProfile([(2, 2)], 2.0), "class cardinality"),
@@ -164,13 +168,11 @@ class TestIntegerArguments:
              "^factor must be a finite number, got True$"),
             (lambda: chi2_critical("0.05", 3), "^alpha must be a finite number, got '0.05'$"),
             (lambda: chi2_critical(False, 3), "^alpha must be a finite number, got False$"),
-            (lambda: min_representative_m(8, "0.05"), "^alpha must be a finite number, got '0.05'$"),
             (lambda: representativeness_report(CardinalityProfile([(2, 1)], 2), "0.05"),
              "^alpha must be a finite number, got '0.05'$"),
         ],
-        ids=["df", "m", "k", "m-star-k", "m-star-string", "attribute-cards", "class-card",
-             "factor-string", "factor-bool", "alpha-string", "alpha-bool", "m-star-alpha-string",
-             "report-alpha-string"],
+        ids=["df", "m", "k", "attribute-cards", "class-card",
+             "factor-string", "factor-bool", "alpha-string", "alpha-bool", "report-alpha-string"],
     )
     def test_non_integers_rejected(self, call, what):
         with pytest.raises(InvalidInputError, match=what):
@@ -179,7 +181,7 @@ class TestIntegerArguments:
     def test_numpy_integers_accepted(self):
         assert chi2_critical(0.05, np.int64(7)) == chi2_critical(0.05, 7)
         assert extreme_sample_chi2(np.uint16(100), np.int8(8)) == extreme_sample_chi2(100, 8)
-        assert min_representative_m(np.int64(8)) == min_representative_m(8) == 99
+        assert chi2_m_star(np.int64(8)) == chi2_m_star(8) == 99
         profile = CardinalityProfile([(np.uint8(2), np.int8(1)), (np.int64(3), np.uint64(1))], np.int32(2))
         assert (profile.attributes, profile.class_card) == (((2, 1), (3, 1)), 2)
         assert type(profile.class_card) is int
@@ -244,36 +246,39 @@ class TestExtremeSampleChi2:
 
 
 class TestMinRepresentativeM:
+    """m* of k equiprobable cells, read from the one public path: the report
+    on a class of k values and no attributes."""
+
     def test_eight_cells(self):
-        assert min_representative_m(8, 0.05) == 99
-        assert 97 <= min_representative_m(8, 0.05) <= 103
+        assert chi2_m_star(8, 0.05) == 99
+        assert 97 <= chi2_m_star(8, 0.05) <= 103
 
     def test_larger_cell_counts(self):
         for k, reference in ((12, 216), (15, 330), (18, 468)):
-            m_star = min_representative_m(k, 0.05)
+            m_star = chi2_m_star(k, 0.05)
             assert abs(m_star - reference) <= 0.05 * reference
 
     def test_two_cells_closed_form(self):
         # statistic equals m, so the first exceedance of 3.8415 is m = 4
-        assert min_representative_m(2, 0.05) == 4
+        assert chi2_m_star(2, 0.05) == 4
 
     def test_monotone_in_k(self):
-        values = [min_representative_m(k, 0.05) for k in (8, 12, 15, 18)]
+        values = [chi2_m_star(k, 0.05) for k in (8, 12, 15, 18)]
         assert values == sorted(values)
 
     def test_matches_ascending_scan(self):
         for alpha in (0.01, 0.05, 0.10):
             for k in range(2, 61):
-                assert min_representative_m(k, alpha) == scan_min_representative_m(k, alpha), (k, alpha)
+                assert chi2_m_star(k, alpha) == scan_min_representative_m(k, alpha), (k, alpha)
 
     def test_benchmark_reference_values(self):
-        assert min_representative_m(128, 0.05) == 19581
-        assert min_representative_m(256, 0.05) == 74752
+        assert chi2_m_star(128, 0.05) == 19581
+        assert chi2_m_star(256, 0.05) == 74752
 
     def test_large_joint_space_answers_at_once(self):
         for k in (2**20, 10**9, MAX_CELLS):
             start = time.perf_counter()
-            m_star = min_representative_m(k, 0.05)
+            m_star = chi2_m_star(k, 0.05)
             elapsed = time.perf_counter() - start
             assert elapsed < 0.1, k
             critical = chi2_critical(0.05, k - 1)
@@ -281,7 +286,7 @@ class TestMinRepresentativeM:
 
     def test_joint_space_beyond_float_resolution_rejected(self):
         with pytest.raises(InvalidInputError, match="cells"):
-            min_representative_m(MAX_CELLS + 1, 0.05)
+            chi2_m_star(MAX_CELLS + 1, 0.05)
 
     def test_joint_space_past_the_int_string_limit_named_by_its_bits(self):
         # Python formats no int of more than 4,300 digits, so the message
@@ -290,16 +295,15 @@ class TestMinRepresentativeM:
         with pytest.raises(
             InvalidInputError, match=rf"^a joint space of at least 2\*\*{k.bit_length() - 1} cells"
         ):
-            min_representative_m(k, 0.05)
+            chi2_m_star(k, 0.05)
         for k in (2**64 - 1, 2**64):  # the last size printed in full, the first that is not
             shown = str(k) if k < 2**64 else r"at least 2\*\*64"
             with pytest.raises(InvalidInputError, match=f"^a joint space of {shown} cells"):
-                min_representative_m(k, 0.05)
+                chi2_m_star(k, 0.05)
 
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: min_representative_m(-(10**5000)), r"need at least two cells, got at most -"),
             (lambda: extreme_sample_chi2(10, -(10**5000)), r"need at least two cells, got at most -"),
             (lambda: extreme_sample_chi2(-(10**5000), 3), r"m=at most -2\*\*16609 cannot fill 2 "),
             (lambda: extreme_sample_chi2(10**5000, 10**5001),
@@ -308,7 +312,7 @@ class TestMinRepresentativeM:
              r"factor must be finite and positive, got at most -2\*\*16609$"),
             (lambda: chi2_critical(10**5000, 3), r"alpha must lie in \(0, 1\), got at least 2\*\*16609$"),
         ],
-        ids=["m-star-k", "statistic-k", "statistic-m", "statistic-m-and-k", "factor", "alpha"],
+        ids=["statistic-k", "statistic-m", "statistic-m-and-k", "factor", "alpha"],
     )
     def test_ints_too_long_to_print_named_by_their_bits(self, call, message):
         with pytest.raises(InvalidInputError, match=f"^{message}"):
@@ -372,3 +376,40 @@ class TestRepresentativenessReport:
         assert all(0.5 <= r <= 2.0 for k, r in ratios.items() if k <= 12)
         assert all(0.2 <= r <= 5.0 for r in ratios.values())
         assert list(ratios.values()) == sorted(ratios.values())
+
+
+class TestHugeSpaceBits:
+    """A joint space of 2**64 cells or more is named by its bits without
+    being built, and None is returned only below 2**64."""
+
+    @pytest.mark.parametrize(
+        "profile, bits",
+        [
+            # a power of two, whose bits are counted in integers
+            (CardinalityProfile([(2, 10**8)], 2), 100_000_001),
+            # log2 158,496,342.99994..., too near a whole number for a float
+            # to place: round(bits) - 1 bounds it, here exactly
+            (CardinalityProfile([(3, 100_000_058)], 2), 158_496_342),
+        ],
+        ids=["binary", "ternary"],
+    )
+    def test_a_huge_space_is_named_without_being_built(self, monkeypatch, profile, bits):
+        def build(profile):
+            raise AssertionError("the joint space was built")
+
+        monkeypatch.setattr(samplesize, "multivariate_cardinality", build)
+        assert huge_space_bits([profile]) == bits
+        with pytest.raises(InvalidInputError, match=rf"^a joint space of at least 2\*\*{bits} cells exceeds "):
+            representativeness_report(profile)
+
+    @pytest.mark.parametrize(
+        "class_card, factor",
+        [
+            (2**64 - 1, 1.0), (2**64, 1.0), (2**64 + 1, 1.0), (3 * 2**62, 1.0), (2**65 - 1, 1.0),
+            (2**61, 8.0), (2**65, 0.5), (2**62 + 1, 4.0), (2**63, 1.9999999), (2**63, 2.0000001),
+        ],
+    )
+    def test_none_only_below_2_to_64(self, class_card, factor):
+        cells = Fraction(factor) * class_card
+        floor = math.floor(cells).bit_length() - 1  # floor(log2(cells))
+        assert huge_space_bits([CardinalityProfile((), class_card)], factor) == (floor if floor >= 64 else None)

@@ -12,7 +12,7 @@ one caller, `measures._stored_entropies`, which hands it a key that only
 `measures.py` checks; `prefix_counts` alone decides a joint's layout. Only `generators.py` reads a
 stream's raw words (`random_raw`). A sweep point is plain integers: the
 harness builds attribute blocks only for a set of nested points, in
-`_run_layout`, and never looks a column up by name. Only `dataset.py` calls
+`_plan`, and never looks a column up by name. Only `dataset.py` calls
 the column writers, which check nothing, and no module stacks samples: a
 batch of replicates is generated into one matrix. README's section on JSON experiment configs names every
 field of the config classes, which are the JSON keys.
@@ -273,12 +273,12 @@ def test_only_generators_reads_raw_words():
 def test_the_harness_builds_blocks_only_for_a_layout():
     # the config classes check each field once, so a sweep point needs no
     # block to check its groups; the dataset's blocks are built once per
-    # set of nested points
+    # set of nested points, when it is planned
     calls = [
         caller for name in ("block", "AttributeBlock") for caller in _callers(name)
         if caller.startswith("harness.py:")
     ]
-    assert calls == ["harness.py:_run_layout"]
+    assert calls == ["harness.py:_plan"]
 
 
 def test_only_the_dataset_calls_the_writers():

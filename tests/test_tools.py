@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from msulab import CATALOG
+
 SRC_LINES = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
 
 
@@ -100,3 +104,46 @@ def test_bench_pairs_flags_only_a_metric_worse_than_its_bound():
         "bound peak_rss_mb: median 100 -> 112 MB (+12.0%), lower is better: WORSE by more than its bound 10%",
     ]
     assert tool.summary(pairs, end_to_end)[-4:] == tool.bound_checks(pairs, end_to_end)
+
+
+def _bench_file():
+    spec = importlib.util.spec_from_file_location("bench_file", SRC_LINES.with_name("bench_file.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_bench_file_keeps_each_clean_result_line():
+    tool = _bench_file()
+    read = tool.bench_pairs.result_of
+    results = tool.workload_results({"mc-small-m": read(_run_output(0.006)), "chi2-mstar": read(_run_output(0.0006))})
+    assert list(results) == ["mc-small-m", "chi2-mstar"]
+    assert results["chi2-mstar"] == json.loads(_run_output(0.0006).splitlines()[-1])
+    assert set(tool.PRESET_REPLICATES) <= set(CATALOG)
+
+
+def test_bench_file_refuses_every_flagged_run_and_writes_nothing(monkeypatch, tmp_path):
+    tool = _bench_file()
+    outputs = {
+        "mc-small-m": _run_output(0.006),
+        "mc-large-m": _run_output(0.07, correct=False, failed=2),
+        "measure-csv": "Traceback (most recent call last):\n",
+    }
+    with pytest.raises(ValueError, match=(
+        "^refused: mc-large-m: correct: false, 2 failed ops; measure-csv: no result line$"
+    )):
+        tool.workload_results({workload: tool.bench_pairs.result_of(stdout) for workload, stdout in outputs.items()})
+    # main runs each workload of BENCHMARK.json for its run_seconds, in this
+    # checkout; here each run's result is read from canned output
+    runs = []
+
+    def run(checkout, workload, seconds, seed):
+        runs.append((checkout, workload, seconds, seed))
+        return tool.bench_pairs.result_of(outputs.get(workload, ""))
+
+    monkeypatch.setattr(tool.bench_pairs, "run", run)
+    out = tmp_path / "BENCH.json"
+    assert tool.main([str(out)]) == 1
+    assert not out.exists()
+    spec = json.loads((tool.ROOT / "BENCHMARK.json").read_text())
+    assert runs == [(tool.ROOT, w["name"], spec["run_seconds"], None) for w in spec["workloads"]]
