@@ -44,6 +44,12 @@ reported first; either is an `InvalidInputError`. A file the coder
 declines late has been coded up to the block that fails, and the csv path
 reads it again from its start, so a file that cannot seek (a pipe) is read
 into memory first.
+
+`sample_to_csv` writes a sample back, `_WRITE_CELLS` codes at a time: numpy
+lays a block's rows out at fixed width, each code zero-padded to its
+column's widest, and a mask drops the padding, so no cell is formatted by
+Python; each block is decoded once as ASCII, and the blocks are joined
+after the header.
 """
 
 from __future__ import annotations
@@ -63,10 +69,15 @@ import numpy as np
 from .errors import InvalidInputError
 from .sample import CategoricalSample, _Filled, code_dtype, code_matrix
 
-# Rows read, transposed and coded at a time by the csv path, and written at
-# a time by `sample_to_csv`. A few thousand rows keep a chunk's cells in
-# cache; transposing the whole file at once is slower.
+# Rows read, transposed and coded at a time by the csv path. A few thousand
+# rows keep a chunk's cells in cache; transposing the whole file at once is
+# slower.
 _CHUNK_ROWS = 2048
+
+# Cells `sample_to_csv` turns into text at a time, so its temporaries stay
+# bounded however wide the sample: at most 20 bytes of fixed-width text and
+# 20 bytes of mask a cell. Fewer, or many more, made it slower.
+_WRITE_CELLS = 1 << 16
 
 # Bytes the byte-level coder reads at a time; a block runs on to its last
 # line end, so it holds whole rows.
@@ -399,19 +410,45 @@ def csv_field(text: str) -> str:
 
 def sample_to_csv(sample: CategoricalSample) -> str:
     """Render a coded sample as CSV text, codes written as decimal strings
-    and each column name as one `csv_field`, so `read_csv` reads it back."""
+    and each column name as one `csv_field`, so `read_csv` reads it back.
+
+    The codes are turned into text with numpy, `_WRITE_CELLS` at a time. A
+    block's rows are first laid out at a fixed width: each field as many
+    digits wide as its column's largest code, zeros padded on the left, then
+    its `,` or `\\n`. Columns of the same width are written together, one
+    digit position at a time from the right: `code - 10 * (code // 10)`,
+    plus ord("0"). A digit left of a code's last nonzero quotient is
+    padding, and a mask drops it; a block whose codes are all below 10 has
+    none. What is left is the block's text, decoded once as ASCII.
+    """
     if not isinstance(sample, CategoricalSample):
         raise InvalidInputError(f"sample must be a CategoricalSample, got {type(sample).__name__}")
     if sample.column_names is None:
         raise InvalidInputError("sample needs column names to be written as CSV")
-    out = io.StringIO()
-    out.write(",".join(map(csv_field, sample.column_names)) + "\n")
     codes = sample.codes
-    row = ",".join(["%d"] * codes.shape[1]) + "\n"
-    for lo in range(0, len(codes), _CHUNK_ROWS):
-        chunk = codes[lo : lo + _CHUNK_ROWS]
-        out.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
-    return out.getvalue()
+    digits = np.array([len(str(int(top))) for top in codes.max(axis=0)])
+    ends = np.cumsum(digits + 1)  # past each field's separator, in a fixed-width row
+    row = np.full(ends[-1], ord(","), np.uint8)  # its separators; each digit is written over
+    row[-1] = ord("\n")
+    widths = [(np.flatnonzero(digits == d), d) for d in set(digits.tolist())]
+    padded = digits.max() > 1
+    parts = [",".join(map(csv_field, sample.column_names)) + "\n"]
+    rows = max(1, _WRITE_CELLS // codes.shape[1])
+    for lo in range(0, len(codes), rows):
+        block = codes[lo : lo + rows]
+        text = np.tile(row, (len(block), 1))
+        keep = np.ones(text.shape, bool) if padded else None
+        for columns, width in widths:
+            left = block[:, columns]  # each code, then each of its quotients by 10
+            ones = ends[columns] - 2
+            for place in range(width - 1):
+                quotient = left // 10
+                text[:, ones - place] = left - quotient * 10 + ord("0")
+                left = quotient
+                keep[:, ones - place - 1] = left != 0  # else padding
+            text[:, ones - width + 1] = left + ord("0")  # the leading digit, below 10
+        parts.append(str(memoryview(text[keep] if padded else text.reshape(-1)), "ascii"))
+    return "".join(parts)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -569,9 +569,13 @@ def _cell_ids(columns: Sequence[np.ndarray], dims: Sequence[int], dense: bool | 
             np.add(keys, column, out=keys, casting="unsafe")
     if dense:
         return keys, space
+    # a stable sort of keys of 16 bits or fewer is a radix sort, ~10x as fast
+    # as the default argsort there; wider keys sort ~5x faster by the
+    # default. No id depends on the order of equal keys.
+    kind = "stable" if keys.dtype.itemsize <= 2 else None
     if dense is None:
-        return (runs := run_lengths(np.sort(keys))), len(runs)
-    order = np.argsort(keys)
+        return (runs := run_lengths(np.sort(keys, kind=kind))), len(runs)
+    order = np.argsort(keys, kind=kind)
     runs = run_lengths(keys[order])
     ids = np.empty_like(order)
     ids[order] = np.repeat(np.arange(len(runs)), runs)

@@ -643,3 +643,81 @@ class TestSampleToCsv:
         data = read_csv(path)
         assert data.sample == sample
         assert data.dictionaries == (("0", "1"),) * 6
+
+    @staticmethod
+    def _written_by_the_csv_writer(sample):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(sample.column_names)
+        writer.writerows(sample.codes.tolist())
+        return out.getvalue()
+
+    # the largest code each dtype holds: a cardinality of 2**63 - 1, the
+    # largest a sample takes, holds codes up to 2**63 - 2
+    @pytest.mark.parametrize(
+        "card, dtype", [(2**8, np.uint8), (2**16, np.uint16), (2**32, np.uint32), (2**63 - 1, np.int64)]
+    )
+    def test_codes_at_every_power_of_ten(self, card, dtype):
+        edges = [n for k in range(1, 19) for n in (10**k - 1, 10**k) if n < card] + [0, 1, card - 1]
+        rng = np.random.default_rng(card % 1000)
+        column = rng.permutation(np.array(edges * 3, dtype=np.int64))
+        small = rng.integers(0, 10, size=len(column))
+        sample = CategoricalSample.from_columns([small, column, column[::-1], small], [10, card, card, 10], list("abcd"))
+        assert sample.codes.dtype == dtype
+        assert sample_to_csv(sample) == self._written_by_the_csv_writer(sample)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_rows_around_a_block(self, offset):
+        cards = (2, 40, 1000)
+        m = ingest._WRITE_CELLS // len(cards) + offset
+        rng = np.random.default_rng(m)
+        sample = CategoricalSample(
+            np.column_stack([rng.integers(0, c, size=m) for c in cards]), cards, ("x", "y", "z")
+        )
+        assert sample_to_csv(sample) == self._written_by_the_csv_writer(sample)
+
+    @pytest.mark.parametrize("p, m", [(1, 5000), (2000, 70)])
+    def test_one_column_and_two_thousand(self, p, m):
+        rng = np.random.default_rng(p)
+        cards = rng.integers(1, 300, size=p)
+        codes = np.column_stack([rng.integers(0, c, size=m) for c in cards])
+        sample = CategoricalSample(codes, cards.tolist(), [f"c{j}" for j in range(p)])
+        assert sample_to_csv(sample) == self._written_by_the_csv_writer(sample)
+
+    def test_non_ascii_and_quoted_names(self):
+        # no lone CR: `csv.writer` with a "\n" terminator leaves it unquoted
+        names = [label for label in AWKWARD_LABELS if "\r" not in label and label]
+        rng = np.random.default_rng(5)
+        codes = rng.integers(0, 12, size=(300, len(names)))
+        sample = CategoricalSample(codes, [12] * len(names), names)
+        assert sample_to_csv(sample) == self._written_by_the_csv_writer(sample)
+
+    @pytest.mark.parametrize("cards", [(2, 40, 3), (70_000, 5), (2**40, 2**63 - 1)])
+    def test_read_csv_reads_the_same_sample_back(self, tmp_path, cards):
+        rng = np.random.default_rng(len(cards))
+        columns = [rng.integers(0, c, size=3000, dtype=np.int64) for c in cards]
+        sample = CategoricalSample.from_columns(columns, cards, ["é", "b,c", "d"][: len(cards)])
+        path = tmp_path / "sample.csv"
+        path.write_text(sample_to_csv(sample), encoding="utf-8")
+        data = read_csv(path)
+        labels = [np.array([int(label) for label in labels]) for labels in data.dictionaries]
+        decoded = [labels[j][data.sample.codes[:, j]] for j in range(len(cards))]
+        assert CategoricalSample.from_columns(decoded, cards, data.sample.column_names) == sample
+
+    def test_peak_stays_near_the_text(self):
+        rng = np.random.default_rng(11)
+        cards = [2, 2, 3] + [40] * 4 + [2] * 6 + [3] * 6
+        codes = np.column_stack([rng.integers(0, c, size=100_000) for c in cards])
+        sample = CategoricalSample(codes, tuple(cards), tuple(f"c{j}" for j in range(19)))
+        sample_to_csv(CategoricalSample([[0]], [1], ["a"]))  # warm caches out of the trace
+        tracemalloc.start()
+        try:
+            text = sample_to_csv(sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the text's blocks, then the 4.1 MB text they are joined into: 8.2 MB,
+        # as for one `str` of the text and its `StringIO` buffer; the fixed-
+        # width block and its mask add ~0.3 MB
+        assert len(text) == 4_100_298
+        assert peak <= 10_500_000

@@ -907,6 +907,24 @@ class TestSortRenumbering:
             expected = [[np.count_nonzero(segment[:n] == cell) for cell in cells] for n in prefixes]
             assert counts.tolist() == expected
 
+    @pytest.mark.parametrize("cards", [(300, 200), (250,), (7, 9000)], ids=["uint16", "uint8", "uint16-skewed"])
+    def test_narrow_keys_are_radix_sorted_and_renumbered_like_unique(self, cards, monkeypatch):
+        # keys of 16 bits or fewer are sorted stably (a radix sort), which
+        # leaves equal keys in row order: the ids are np.unique's all the same
+        columns = self._columns(cards, 6000, len(cards))
+        columns[0][::3] = 0  # many repeats of each key
+        sample = CategoricalSample.from_columns(columns, cards)
+        kinds, real_argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, **k: kinds.append((a.dtype.itemsize, k.get("kind"))) or real_argsort(a, **k))
+        for n in [1, 7, 500, 6000]:
+            prefix = [column[:n] for column in sample.codes.T]
+            cells, inverse, counts = np.unique(_int64_keys(prefix, cards), return_inverse=True, return_counts=True)
+            ids, n_cells = _cell_ids(prefix, cards, False)
+            assert ids.tolist() == inverse.tolist() and n_cells == len(cells)
+            runs, n_cells = _cell_ids(prefix, cards, None)
+            assert runs.tolist() == counts.tolist() and n_cells == len(cells)
+        assert kinds == [(sample.codes.itemsize if len(cards) == 1 else 2, "stable")] * 4
+
     def test_one_prefix_takes_the_run_lengths(self, monkeypatch):
         # no ids are written and none is counted: no bincount, and the keying
         # is asked for counts (None), neither dense nor ids

@@ -86,6 +86,41 @@ def test_bench_pairs_summary_counts_wins_quartiles_and_problems():
     assert lines[7:] == ["problem: pair 4, after: correct: false, 2 failed ops", "problem: pair 6, after: no result line"]
 
 
+def test_bench_pairs_counts_wins_on_a_named_metric(monkeypatch, capsys):
+    tool = _bench_pairs()
+    end_to_end = json.loads((SRC_LINES.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def result(wall, setup, ops):
+        metrics = {"wall_s": (wall, "s"), "setup_s": (setup, "s"), "ops_per_s": (ops, "1/s")}
+        return {"correct": True, "failed": 0, "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}
+
+    # after is slower on wall_s in every pair, but sets up faster in 2 of 3
+    # and does more ops in 2 of 3 (higher is better there)
+    pairs = [(result(0.1, 0.30, 10.0), result(0.2, 0.10, 11.0)),
+             (result(0.1, 0.32, 10.0), result(0.2, 0.12, 12.0)),
+             (result(0.1, 0.20, 10.0), result(0.2, 0.40, 9.0))]
+    lines = tool.summary(pairs, end_to_end, "setup_s")
+    assert lines[:3] == [
+        "before setup_s (ms), pair by pair: 300.00 320.00 200.00",
+        "before: median 300.00 ms, quartiles 250.00-310.00 ms (IQR 60.00 ms), won 1 of 3 pairs",
+        "before medians: ops_per_s 10, wall_s 0.1",
+    ]
+    assert lines[4] == "after: median 120.00 ms, quartiles 110.00-260.00 ms (IQR 150.00 ms), won 2 of 3 pairs"
+    assert lines[6] == "median gap (before - after): 180.00 ms (+60.0% of before)"
+    assert lines[7:] == tool.bound_checks(pairs, end_to_end)
+    ops = tool.summary(pairs, end_to_end, "ops_per_s")
+    assert ops[0] == "before ops_per_s, pair by pair: 10.00 10.00 10.00"
+    assert ops[1].endswith("won 1 of 3 pairs") and ops[4].endswith("won 2 of 3 pairs")
+    assert ops[6] == "median gap (before - after): -1.00 (-10.0% of before)"
+    # wall_s stays the default, and main passes the named metric on
+    assert tool.summary(pairs, end_to_end)[1].endswith("won 3 of 3 pairs")
+    outputs = iter([result(0.1, 0.30, 10.0), result(0.2, 0.10, 11.0)])
+    monkeypatch.setattr(tool, "run", lambda checkout, workload, seconds, seed: next(outputs))
+    root = SRC_LINES.parents[1]
+    assert tool.main([str(root), str(root), "--workload", "measure-csv", "--pairs", "1", "--metric", "setup_s"]) == 0
+    assert "after: median 100.00 ms, quartiles 100.00-100.00 ms (IQR 0.00 ms), won 1 of 1 pairs" in capsys.readouterr().out
+
+
 def test_bench_pairs_flags_only_a_metric_worse_than_its_bound():
     tool = _bench_pairs()
     end_to_end = json.loads((SRC_LINES.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]

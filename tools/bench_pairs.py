@@ -1,17 +1,19 @@
 """Compare two checkouts on benchmark workloads, in interleaved pairs of runs.
 
     python3 tools/bench_pairs.py BEFORE AFTER --workload measure-csv [--workload mc-small-m ...]
-        [--seconds 4] [--seed N] [--pairs 10]
+        [--seconds 4] [--seed N] [--pairs 10] [--metric wall_s]
 
 For each workload in turn, each pair runs
 `python3 bench/run.py --workload W --seconds S [--seed N]` once in each
 checkout, one after the other; the side that runs first alternates from pair
 to pair, so a drift of the host's speed falls on both sides alike. Each
 run's result is the JSON line that `bench/run.py` prints last. For each side
-this prints the `wall_s` of every run, their median and quartiles, and how
-many pairs that side won (the lower `wall_s`), and the median of each other
-metric the runs report. Then, for each end-to-end metric that BEFORE's
-`BENCHMARK.json` declares, it prints AFTER's median against BEFORE's and
+this prints the `--metric` (`wall_s` unless named) of every run, their
+median and quartiles, and how many pairs that side won (the better value,
+in the metric's `better` direction where BEFORE's `BENCHMARK.json` declares
+one, else the lower), and the median of each other metric the runs report;
+then the gap between the two medians. Then, for each end-to-end metric that
+BEFORE's `BENCHMARK.json` declares, it prints AFTER's median against BEFORE's and
 flags it where it is worse, in the metric's `better` direction, by more
 than the metric's `bound`; last, every run that reported `correct: false`,
 failed ops, or no result at all. The script itself writes no file.
@@ -75,40 +77,46 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summary(pairs: list[tuple[dict | None, dict | None]], end_to_end: list[dict] = ()) -> list[str]:
+def summary(
+    pairs: list[tuple[dict | None, dict | None]], end_to_end: list[dict] = (), compared: str = "wall_s"
+) -> list[str]:
     """The report of (before, after) result pairs, one line a list entry;
     `end_to_end` is the metric list of `BENCHMARK.json` whose bounds are
-    checked (`bound_checks`)."""
+    checked (`bound_checks`), and `compared` the metric whose pairs are won,
+    shown in ms where the runs give its unit as seconds."""
     lines = []
-    walls = {side: [wall_s(pair[i]) for pair in pairs] for i, side in enumerate(SIDES)}
+    lower = next((spec["better"] for spec in end_to_end if spec["name"] == compared), "lower") == "lower"
+    units = {(result or {}).get("metrics", {}).get(compared, {}).get("unit") for pair in pairs for result in pair}
+    scale, unit, label = (1e3, " ms", f"{compared} (ms)") if "s" in units else (1, "", compared)
+    values = {side: [metric(pair[i], compared) for pair in pairs] for i, side in enumerate(SIDES)}
     won = {side: 0 for side in SIDES}
-    for before, after in zip(walls["before"], walls["after"]):
+    for before, after in zip(values["before"], values["after"]):
         if before is not None and after is not None and before != after:
-            won["before" if before < after else "after"] += 1
+            won["before" if (before < after) == lower else "after"] += 1
     medians = {}
     for index, side in enumerate(SIDES):
-        shown = " ".join("-" if w is None else f"{w * 1e3:.2f}" for w in walls[side])
-        lines.append(f"{side} wall_s (ms), pair by pair: {shown}")
-        clean = [w for w in walls[side] if w is not None]
+        shown = " ".join("-" if v is None else f"{v * scale:.2f}" for v in values[side])
+        lines.append(f"{side} {label}, pair by pair: {shown}")
+        clean = [v for v in values[side] if v is not None]
         if clean:
             q1, medians[side], q3 = quartiles(clean)
             lines.append(
-                f"{side}: median {medians[side] * 1e3:.2f} ms, quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f} ms"
-                f" (IQR {(q3 - q1) * 1e3:.2f} ms), won {won[side]} of {len(pairs)} pairs"
+                f"{side}: median {medians[side] * scale:.2f}{unit}, quartiles {q1 * scale:.2f}-{q3 * scale:.2f}{unit}"
+                f" (IQR {(q3 - q1) * scale:.2f}{unit}), won {won[side]} of {len(pairs)} pairs"
             )
         else:
-            lines.append(f"{side}: no run reported wall_s")
+            lines.append(f"{side}: no run reported {compared}")
         others = {}  # every other metric the runs report, by name
         for result in (pair[index] for pair in pairs):
-            for name, metric in (result or {}).get("metrics", {}).items():
-                if name != "wall_s":
-                    others.setdefault(name, []).append(metric["value"])
+            for name, reported in (result or {}).get("metrics", {}).items():
+                if name != compared:
+                    others.setdefault(name, []).append(reported["value"])
         if others:
             shown = ", ".join(f"{name} {statistics.median(v):.4g}" for name, v in sorted(others.items()))
             lines.append(f"{side} medians: {shown}")
     if len(medians) == 2:
         gap = medians["before"] - medians["after"]
-        lines.append(f"median gap (before - after): {gap * 1e3:.2f} ms ({gap / medians['before']:+.1%} of before)")
+        lines.append(f"median gap (before - after): {gap * scale:.2f}{unit} ({gap / medians['before']:+.1%} of before)")
     lines += bound_checks(pairs, end_to_end)
     for i, pair in enumerate(pairs, 1):
         for side, result in zip(SIDES, pair):
@@ -159,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=4.0)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--metric", default="wall_s", help="the metric whose pairs are won (default wall_s)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -181,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             walls = " vs ".join("-" if wall_s(r) is None else f"{wall_s(r) * 1e3:.2f}" for r in results)
             print(f"# {workload} pair {i + 1} of {args.pairs}: {walls} ms", file=sys.stderr, flush=True)
         print(f"workload {workload}, {args.seconds} s a run, seed {args.seed if args.seed is not None else 'default'}")
-        print("\n".join(summary(pairs, end_to_end)), flush=True)
+        print("\n".join(summary(pairs, end_to_end, args.metric)), flush=True)
     return 0
 
 
