@@ -7,8 +7,9 @@ value drives is set by the layout (a group's count rule and swept
 cardinality), and it is the sample size where the config has no sample-size
 policy. `run_experiment` walks the sweep once per stage: it resolves every
 point (`resolve_point`), keeping the message of each point it skips; it
-measures each set of nested points (`_run_layout`); and it aggregates the
-measured points, in sweep order, into each measure's series.
+plans the points (`_plans`), one plan a set of points that share a dataset,
+and runs each plan (`_run_layout`); and it aggregates each planned point,
+in sweep order, into each measure's series.
 
 Its layout is one list of attribute groups (`GroupSpec`: a generator family, a
 column count and a cardinality, each fixed or following the sweep) and the
@@ -24,11 +25,14 @@ sweep value into plain integers: each group's column count and cardinality
 (`_layout`, which checks only what the sweep value brings, such as a swept
 cardinality), and the sample size, from the policy alone, which it checks
 once with the point's dataset. A representativeness scan reads only
-`_layout`, so no Monte Carlo m is worked out for it. A set of nested points
-is planned, then run (`_run_layout`). The plan (`_plan`) is worked out from
-the config and the points alone, and generates nothing: the dataset's m and
-blocks, and with them every column name (by `msulab.dataset.block`); each
-measure's name and columns, with its row prefixes; each point's measures;
+`_layout`, so no Monte Carlo m is worked out for it. The plan (`_plan`) is
+the engine's unit: `_plans` splits the points into the sets that share a
+dataset and plans each once, `_run_layout` runs a plan and gives each
+measure's values at each of its row prefixes, and each point's values are
+read from its plan's run. A plan is worked out from the config and the
+points alone, and generates nothing: the dataset's m and blocks, and with
+them every column name (by `msulab.dataset.block`); each measure's name and
+columns, with its row prefixes; each point's sweep index, m and measures;
 and the replicates a batch. The run reads only the plan, and of the config
 the seed, the class cardinality, k and the XOR noise.
 
@@ -49,9 +53,10 @@ gets one dataset: it holds each position's widest block, generated at the
 set's largest m, and each point reads its own columns at its first m rows;
 each measure's column indices are worked out once for the set, in its plan. A
 sample-size sweep is one such set, and so is a count sweep whose
-cardinalities stay fixed; the points of a cardinality sweep never nest. Where that union dataset would hold more cells
-(rows x columns) than the points' own datasets together, each point gets its
-own dataset instead. Every measure's values come from
+cardinalities stay fixed; the points of a cardinality sweep never nest.
+Where the set's planned dataset would hold more cells (rows x columns) than
+the points' own datasets together, each point is planned on its own and
+gets its own dataset instead. Every measure's values come from
 `msulab.measures.msu_values` at the row prefixes of the points that list
 it, so the dataset's entropy table counts each measure's joint once for all
 of them. A column's marginal at a prefix set, the class included, is summed
@@ -71,9 +76,9 @@ The engine fails only when a point is resolved. No dataset past
 `msulab.dataset.MAX_DATASET_CELLS` is generated: a point whose own dataset
 passes it is skipped there (`msulab.dataset.check_size`), with an error
 naming its rows and cells, before any name or block is built for it, and
-nested points whose union would pass it get their own datasets. A config
-that would fail at every point is rejected when it is built, so every
-layout that is run is generated and measured.
+nested points whose shared dataset would pass it get their own datasets. A
+config that would fail at every point is rejected when it is built, so
+every layout that is run is generated and measured.
 """
 
 from __future__ import annotations
@@ -202,12 +207,12 @@ class CountRule:
         if self.fixed is not None:
             return self.fixed
         if self.binary_equivalent:
-            # log2 needs a positive sweep value
-            if sweep_value < 1 or not (n := 2 * math.log2(sweep_value)).is_integer():
+            # a power of two, tested exactly: a float log2 takes 2**53 + 1 for 2**53
+            if sweep_value < 1 or sweep_value & (sweep_value - 1):
                 raise InvalidInputError(
                     f"sweep value {sweep_value} has no binary-equivalent attribute count"
                 )
-            return int(n)
+            return 2 * (sweep_value.bit_length() - 1)
         count = sweep_value + self.offset
         return max(count, 0)
 
@@ -382,7 +387,7 @@ def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
     else:
         size = dict(zip((g.name for g in config.groups), zip(counts, cards)))
         profiles = [_profile(config, [size[name] for name in sub.groups]) for sub in config.tracked]
-        if policy.computed.is_integer() and (bits := huge_space_bits(profiles, policy.computed)):
+        if bits := huge_space_bits(profiles, policy.computed):
             check_m(1 << bits)  # past int64, with m's bit length
         m = max(heuristic_sample_size(profile, policy.computed) for profile in profiles)
     return ResolvedPoint(check_size(m, 1 + sum(counts)), counts, cards)
@@ -399,36 +404,6 @@ def _cells(m: int, counts: Sequence[int]) -> int:
     return m * (1 + sum(counts))
 
 
-def _union(points: Sequence[ResolvedPoint]) -> tuple[int, list[int]]:
-    """The shape of the one dataset that nested `points` share: its rows,
-    the largest point m, and each group's column count, its largest."""
-    return max(p.m for p in points), [max(position) for position in zip(*(p.counts for p in points))]
-
-
-def _nested_groups(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> list[list[int]]:
-    """Indices of the points that share one dataset per replicate.
-
-    Points nest when every group has the same cardinality at each and the
-    XOR group is present at each or absent at each, so the class comes from
-    the same stream. A nested set whose union dataset would hold more cells
-    than its points' own datasets together, or than MAX_DATASET_CELLS, is
-    split into single points. The set is planned (`_plan`) only when it is
-    run, so it is planned once.
-    """
-    by_key: dict[tuple, list[int]] = {}
-    for i, point in points.items():
-        xor = any(n and g.family is GeneratorKind.XOR_PAIR for g, n in zip(config.groups, point.counts))
-        by_key.setdefault((point.cards, xor), []).append(i)
-    groups: list[list[int]] = []
-    for members in by_key.values():
-        nested = [points[i] for i in members]
-        if _cells(*_union(nested)) > min(MAX_DATASET_CELLS, sum(_cells(p.m, p.counts) for p in nested)):
-            groups.extend([i] for i in members)
-        else:
-            groups.append(members)
-    return groups
-
-
 _Measure = tuple[str, tuple[int, ...]]  # a measure's name and attribute columns
 
 
@@ -441,43 +416,70 @@ class _Plan:
     blocks: tuple[AttributeBlock | None, ...]  # each group position's widest block
     columns: int  # the blocks' columns; the class is the column after them
     measures: dict[_Measure, tuple[int, ...]]  # each measure's row prefixes, ascending
-    points: tuple[tuple[int, tuple[_Measure, ...]], ...]  # each point's m and measures, in order
+    points: tuple[tuple[int, int, tuple[_Measure, ...]], ...]  # each point's sweep index, m and measures
     batch: int  # replicates a batch
 
 
-def _plan(config: ExperimentConfig, points: Sequence[ResolvedPoint]) -> _Plan:
-    """What a set of nested points measures, from the config and the points
-    alone: nothing is generated here.
+def _plans(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> list[_Plan]:
+    """The plans of the resolved `points`, by sweep index: one a set of
+    points that share one dataset per replicate.
 
-    The points nest (see `_nested_groups`), so one dataset per replicate
-    serves them all: it holds each group position's widest block at the
-    largest m, and a point reads its own columns at its first m rows. Those
-    blocks are built here, once, from the points' shared cardinalities, and
-    each point's measures are read from them: msu_<label> of each tracked
-    subset with columns at the point, the first columns of each of its
-    groups' blocks, followed by su_<column> for each of those columns when
-    it is tracked with_su. Each distinct measure is taken at the row
-    prefixes of the points that list it, in ascending order, and a batch
-    holds as many replicates as `_BATCH_CELLS` allows, at least one.
+    Points nest when every group has the same cardinality at each and the
+    XOR group is present at each or absent at each, so the class comes from
+    the same stream. Each nested set is planned once; a set whose plan's
+    dataset would hold more cells than its points' own datasets together,
+    or than MAX_DATASET_CELLS, is split into single points, each planned on
+    its own.
     """
-    m, counts = _union(points)
+    by_key: dict[tuple, dict[int, ResolvedPoint]] = {}
+    for i, point in points.items():
+        xor = any(n and g.family is GeneratorKind.XOR_PAIR for g, n in zip(config.groups, point.counts))
+        by_key.setdefault((point.cards, xor), {})[i] = point
+    plans: list[_Plan] = []
+    for nested in by_key.values():
+        plan = _plan(config, nested)
+        own = sum(_cells(p.m, p.counts) for p in nested.values())
+        if plan.m * (1 + plan.columns) > min(MAX_DATASET_CELLS, own):
+            plans += [_plan(config, {i: p}) for i, p in nested.items()]
+        else:
+            plans.append(plan)
+    return plans
+
+
+def _plan(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> _Plan:
+    """What a set of nested points, by sweep index, measures, from the
+    config and the points alone: nothing is generated here.
+
+    The points nest (see `_plans`), so one dataset per replicate serves
+    them all: it holds each group position's widest block at the largest m,
+    and a point reads its own columns at its first m rows. Those blocks are
+    built here, once, from the points' shared cardinalities, and each
+    point's measures are read from them: msu_<label> of each tracked subset
+    with columns at the point, the first columns of each of its groups'
+    blocks, followed by su_<column> for each of those columns when it is
+    tracked with_su. Each distinct measure is taken at the row prefixes of
+    the points that list it, in ascending order, and a batch holds as many
+    replicates as `_BATCH_CELLS` allows, at least one.
+    """
+    counts = [max(position) for position in zip(*(p.counts for p in points.values()))]
+    m = max(p.m for p in points.values())
     blocks = tuple(
         block(g.name, g.family, n, card) if n else None
-        for g, n, card in zip(config.groups, counts, points[0].cards)
+        for g, n, card in zip(config.groups, counts, next(iter(points.values())).cards)
     )
     names = [name for b in blocks if b is not None for name in b.names]
     # each group's columns in the dataset, whose last column is the class
     starts = accumulate(counts, initial=0)
     spans = {g.name: range(start, start + n) for g, start, n in zip(config.groups, starts, counts)}
-    measured: list[tuple[int, tuple[_Measure, ...]]] = []
+    measured: list[tuple[int, int, tuple[_Measure, ...]]] = []
     prefixes: dict[_Measure, set[int]] = {}
-    for p in points:
+    for i, p in points.items():
         count = dict(zip(spans, p.counts))
         own: list[_Measure] = []
         for sub in config.tracked:
             if cols := tuple(c for name in sub.groups for c in spans[name][: count[name]]):
                 own += [(f"msu_{sub.label}", cols)] + [(f"su_{names[c]}", (c,)) for c in cols if sub.with_su]
-        measured.append((p.m, tuple(own)))
+        measured.append((i, p.m, tuple(own)))
         for measure in own:
             prefixes.setdefault(measure, set()).add(p.m)
     measures = {measure: tuple(sorted(ms)) for measure, ms in prefixes.items()}
@@ -485,12 +487,12 @@ def _plan(config: ExperimentConfig, points: Sequence[ResolvedPoint]) -> _Plan:
 
 
 def _run_layout(
-    config: ExperimentConfig, points: Sequence[ResolvedPoint], replicates: Sequence[int]
-) -> list[dict[str, tuple[float, ...]]]:
-    """Each point's measure values, measure name -> one value per replicate.
+    config: ExperimentConfig, plan: _Plan, replicates: Sequence[int]
+) -> dict[_Measure, dict[int, list[float]]]:
+    """Each measure's values at each of its row prefixes, one value per
+    replicate, from running `plan`.
 
-    The points are planned (`_plan`), and then the plan is run: the run
-    reads nothing of the points, and of the config only the seed, the class
+    The run reads only the plan, and of the config the seed, the class
     cardinality, k and the XOR noise. A batch of replicates (see
     `_BATCH_CELLS`) is generated into one sample
     (`msulab.dataset.generate_replicates`), and each measure is taken once a
@@ -500,9 +502,8 @@ def _run_layout(
     column's marginals, of which the table keeps those it lacks, and a
     renumbered joint's columns are counted once each (see
     `msulab.measures.subset_entropies`). A measure's matrices over the
-    batches are stacked, and a point reads the column at its m.
+    batches are stacked, and each prefix's column is its values.
     """
-    plan = _plan(config, points)
     # measure -> its (replicates x prefixes) matrix of each batch
     values: dict[_Measure, list[np.ndarray]] = {measure: [] for measure in plan.measures}
     for first in range(0, len(replicates), plan.batch):
@@ -512,12 +513,10 @@ def _run_layout(
         )
         for (name, cols), ms in plan.measures.items():
             values[name, cols].append(msu_values(sample, cols + (plan.columns,), ms, plan.m)[0].reshape(len(rngs), -1))
-    # measure -> prefix -> its values, replicate by replicate
-    column = {
+    return {
         measure: dict(zip(plan.measures[measure], np.concatenate(matrices).T.tolist()))
         for measure, matrices in values.items()
     }
-    return [{name: tuple(column[name, cols][m]) for name, cols in own} for m, own in plan.points]
 
 
 @dataclass(frozen=True)
@@ -580,11 +579,12 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
     each point once: a point that cannot be resolved, or whose own dataset
     would pass `MAX_DATASET_CELLS`, is skipped, and its message goes to
     `errors`; the sweep itself never aborts. The curve's sample sizes and
-    errors come from this pass. The second measures each set of nested
-    points (`_nested_groups`) with `_run_layout`, which plans the set and
-    runs the plan. The third turns each
-    measured point's values into `MeasureStats`, in sweep order, so a
-    measure's series comes in the order of the first point that lists it.
+    errors come from this pass. The second plans the resolved points
+    (`_plans`), one plan a set of points that share a dataset, and runs each
+    plan (`_run_layout`). The third reads each planned point's values from
+    its plan's run, each measure's at the point's m, and turns them into
+    `MeasureStats`, in sweep order, so a measure's series comes in the order
+    of the first point that lists it.
     """
     if not isinstance(config, ExperimentConfig):
         raise InvalidInputError(f"config must be an ExperimentConfig, got {type(config).__name__}")
@@ -600,16 +600,15 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
         except InvalidInputError as exc:
             failures[i] = str(exc)
 
-    results: dict[int, dict[str, tuple[float, ...]]] = {}  # point index -> measure -> values
-    for members in _nested_groups(config, points):
-        values = _run_layout(config, [points[i] for i in members], range(config.replicates))
-        results.update(zip(members, values))
-
+    measured = []  # each planned point with its plan's values
+    for plan in _plans(config, points):
+        values = _run_layout(config, plan, range(config.replicates))
+        measured += [(point, values) for point in plan.points]
     per_measure: dict[str, list[MeasureStats | None]] = {}
-    for i, measured in sorted(results.items()):
-        for label, values in measured.items():
-            mean, std = _mean_std(values)
-            per_measure.setdefault(label, [None] * n_points)[i] = MeasureStats(mean, std, len(values))
+    for (i, m, own), values in sorted(measured, key=lambda run: run[0][0]):  # in sweep order
+        for name, cols in own:
+            reps = values[name, cols][m]
+            per_measure.setdefault(name, [None] * n_points)[i] = MeasureStats(*_mean_std(reps), len(reps))
 
     return BiasCurve(
         name=config.name,

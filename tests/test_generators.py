@@ -705,8 +705,7 @@ def _union_dataset(name):
     and its traced peak."""
     config = preset(name)
     points = {i: harness.resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
-    (members,) = harness._nested_groups(config, points)
-    plan = harness._plan(config, [points[i] for i in members])
+    (plan,) = harness._plans(config, points)
     return _traced(
         lambda m: generate_dataset(
             m, config.class_card, plan.blocks, SeededRng(3, 0),

@@ -70,10 +70,23 @@ def _rejected_both_ways(data, match, python=True):
             build(data)
 
 
+def _layout_values(config, plan, replicates):
+    """Each of a plan's points' measure values, in its order: measure name ->
+    one value per replicate, from running the plan."""
+    values = harness._run_layout(config, plan, replicates)
+    return [{name: tuple(values[name, cols][m]) for name, cols in own} for _, m, own in plan.points]
+
+
+def _alone(config, point):
+    """The plan of one resolved point, planned on its own."""
+    (plan,) = harness._plans(config, {0: point})
+    return plan
+
+
 def run_replicate(config, sweep_value, replicate_index):
     """Measure values of one replicate of one sweep point, run on its own."""
-    point = resolve_point(config, sweep_value)
-    (values,) = harness._run_layout(config, [point], [replicate_index])
+    plan = _alone(config, resolve_point(config, sweep_value))
+    (values,) = _layout_values(config, plan, [replicate_index])
     return {label: value for label, (value,) in values.items()}
 
 
@@ -81,7 +94,7 @@ def _measured_columns(config, sweep_value):
     """Each measure of one sweep point run on its own, name -> the names of
     the attribute columns that `_run_layout` takes it over, in order; the
     class is the last column of each."""
-    point = resolve_point(config, sweep_value)
+    plan = _alone(config, resolve_point(config, sweep_value))
     taken = []
     real = harness.msu_values
 
@@ -92,7 +105,7 @@ def _measured_columns(config, sweep_value):
         return real(sample, subset, *args)
 
     with mock.patch.object(harness, "msu_values", spying):
-        (values,) = harness._run_layout(config, [point], [0])
+        (values,) = _layout_values(config, plan, [0])
     return dict(zip(values, taken))
 
 
@@ -241,12 +254,14 @@ class TestResolvePoint:
             "representativeness_scan": scan,
         })
 
+    @pytest.mark.parametrize("factor", [10, 10.5])
     @pytest.mark.parametrize("cardinality, exponent", [(3, 158_496_254), (2, 100_000_004)])
-    def test_a_hundred_million_columns_skipped_within_a_second(self, cardinality, exponent):
+    def test_a_hundred_million_columns_skipped_within_a_second(self, cardinality, exponent, factor):
         # 10 * 2 * 3**(10**8) took 111 s to build as an int before it was
         # rejected; a log2 bound now names its bit length: floor(log2(20) +
-        # 10**8 * log2(3)) = 158,496,254
-        curve = self._run_within_a_second(self._wide(100_000_000, cardinality))
+        # 10**8 * log2(3)) = 158,496,254, and floor(log2(21) + ...) at a
+        # factor of 10.5 is the same
+        curve = self._run_within_a_second(self._wide(100_000_000, cardinality, factor))
         assert curve.errors == ((100_000_000, (
             f"sample size must not exceed 9223372036854775807, got at least 2**{exponent}"
         )),)
@@ -273,10 +288,9 @@ class TestResolvePoint:
     @pytest.mark.parametrize("count", [58, 59, 60, 200, 1000])
     @pytest.mark.parametrize("factor", [8, 10, 12.5])
     def test_a_point_past_int64_is_named_as_its_built_m_names_it(self, count, factor, monkeypatch):
-        # at a whole factor, a point past 2**64 is named from the bound, with
-        # no m built: at 8, m = 8 * 2 * 2**count is a power of two, whose
-        # bits are counted in integers, and at 10 a float places them; 12.5
-        # is no whole number, so m is built as before
+        # a point past 2**64 is named from the bound, with no m built: at 8,
+        # m = 8 * 2 * 2**count is a power of two, whose bits are counted in
+        # integers, and at 10 and 12.5 a float places them
         built = []
         rule = harness.heuristic_sample_size
         monkeypatch.setattr(harness, "heuristic_sample_size", lambda *a: built.append(rule(*a)) or built[-1])
@@ -286,7 +300,7 @@ class TestResolvePoint:
             assert error == (count, f"sample size must not exceed 9223372036854775807, got {sample_module.int_text(m)}")
         else:
             assert error[1].endswith(f"a generated dataset holds at most {dataset.MAX_DATASET_CELLS}")
-        assert built == ([] if float(factor).is_integer() and m >= 2**64 else [m])
+        assert built == ([] if m >= 2**64 else [m])
 
     def test_a_scan_names_a_huge_point_by_its_own_rule(self):
         curve = run_experiment(self._wide(100, 3, scan=True))
@@ -311,8 +325,10 @@ class TestCountRule:
         assert rule.resolve(4) == 4
         assert rule.resolve(16) == 8
         assert rule.resolve(64) == 12
-        with pytest.raises(InvalidInputError):
-            rule.resolve(6)
+        assert rule.resolve(2**62) == 124
+        for value in (6, 2**53 + 1):  # 2**53 + 1 is 2**53 as a float
+            with pytest.raises(InvalidInputError):
+                rule.resolve(value)
 
     @pytest.mark.parametrize("value", [0, -4])
     def test_binary_equivalent_needs_positive_sweep_value(self, value):
@@ -1089,10 +1105,10 @@ class TestNestedEngine:
         config = _desk(preset(name), 2)
         curve = run_experiment(config)
         points = {i: resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
-        for members in harness._nested_groups(config, points):
-            shared = harness._run_layout(config, [points[i] for i in members], range(2))
-            for i, values in zip(members, shared):
-                (alone,) = harness._run_layout(config, [points[i]], range(2))
+        for plan in harness._plans(config, points):
+            shared = _layout_values(config, plan, range(2))
+            for (i, _, _), values in zip(plan.points, shared):
+                (alone,) = _layout_values(config, _alone(config, points[i]), range(2))
                 assert list(values.items()) == list(alone.items())  # labels in order, every float
                 assert curve.sample_sizes[i] == points[i].m
                 for label, reps in alone.items():
@@ -1117,7 +1133,7 @@ class TestNestedEngine:
             "replicates": 3,
         })
         points = {i: resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
-        assert harness._nested_groups(config, points) == [[0, 2], [1]]
+        assert [[i for i, _, _ in plan.points] for plan in harness._plans(config, points)] == [[0, 2], [1]]
         curve = run_experiment(config)
         assert list(curve.measures) == ["msu_u", "msu_set", "msu_late"]
         present = {label: [s is not None for s in series] for label, series in curve.measures.items()}
@@ -1318,14 +1334,10 @@ class TestBatches:
         config = _desk(preset(name), 3)
         points = {i: resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
         batches = _spy_batches(monkeypatch)
-        for members in harness._nested_groups(config, points):
-            layout = [points[i] for i in members]
-            plan = harness._plan(config, layout)
-            cells = plan.m * (1 + plan.columns)
-            monkeypatch.setattr(harness, "_BATCH_CELLS", 0)
-            alone = harness._run_layout(config, layout, range(3))
-            monkeypatch.setattr(harness, "_BATCH_CELLS", 3 * cells)
-            batched = harness._run_layout(config, layout, range(3))
+        for plan in harness._plans(config, points):
+            # one replicate a batch, then all three in one batch
+            alone = _layout_values(config, dataclasses.replace(plan, batch=1), range(3))
+            batched = _layout_values(config, dataclasses.replace(plan, batch=3), range(3))
             assert _hexed(batched) == _hexed(alone)
             assert [ids for ids, _, _ in batches[-4:]] == [[0], [1], [2], [0, 1, 2]]
 
@@ -1361,9 +1373,12 @@ class TestPlan:
         monkeypatch.setattr(harness, "generate_replicates", generate)
         config = preset(name)
         points = {i: resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
-        for members in harness._nested_groups(config, points):
-            nested = [points[i] for i in members]
-            plan = harness._plan(config, nested)
+        plans = harness._plans(config, points)
+        # every resolved point is in exactly one plan
+        assert sorted(i for plan in plans for i, _, _ in plan.points) == sorted(points)
+        for plan in plans:
+            indices = [i for i, _, _ in plan.points]
+            nested = [points[i] for i in indices]
             assert plan.m == max(p.m for p in nested)
             widest = [max(counts) for counts in zip(*(p.counts for p in nested))]
             (cards,) = {p.cards for p in nested}
@@ -1374,7 +1389,7 @@ class TestPlan:
             # each group's first column in the dataset
             first = dict(zip((g.name for g in config.groups), accumulate(widest, initial=0)))
             expected = []
-            for p in nested:
+            for i, p in zip(indices, nested):
                 count = dict(zip(first, p.counts))
                 own = []
                 for sub in config.tracked:
@@ -1383,14 +1398,24 @@ class TestPlan:
                         own.append((f"msu_{sub.label}", tuple(first[g] + c for g, c in columns)))
                         if sub.with_su:
                             own += [(f"su_{g}{c + 1}", (first[g] + c,)) for g, c in columns]
-                expected.append((p.m, tuple(own)))
+                expected.append((i, p.m, tuple(own)))
             assert plan.points == tuple(expected)
-            listed = {measure for _, own in expected for measure in own}
+            listed = {measure for _, _, own in expected for measure in own}
             assert plan.measures == {
-                measure: tuple(sorted({m for m, own in expected if measure in own})) for measure in listed
+                measure: tuple(sorted({m for _, m, own in expected if measure in own})) for measure in listed
             }
             assert plan.columns == sum(widest)
             assert plan.batch == max(1, harness._BATCH_CELLS // (plan.m * (1 + sum(widest))))
+
+    @pytest.mark.parametrize("name, sets", [("fig-b2", 1), ("fig-g", 2)])
+    def test_each_nested_set_is_planned_once(self, monkeypatch, name, sets):
+        calls = []
+        plan = harness._plan
+        monkeypatch.setattr(harness, "_plan", lambda *args: calls.append(args) or plan(*args))
+        config = _desk(preset(name), 1)
+        run_experiment(config)
+        assert len(calls) == sets
+        assert sorted(i for _, points in calls for i in points) == list(range(len(config.sweep.values)))
 
 
 def _independent_msu(cards, m):

@@ -23,7 +23,7 @@ from msulab import (
     ingest,
     read_csv,
 )
-from msulab.ingest import _BLOCK_BYTES, _CHUNK_ROWS, sample_to_csv
+from msulab.ingest import _BLOCK_BYTES, _CHUNK_ROWS, _WRITE_CELLS, sample_to_csv
 from oracle_utils import reference_read_csv
 
 CHUNK = _CHUNK_ROWS
@@ -619,9 +619,14 @@ class TestSampleToCsv:
         with pytest.raises(InvalidInputError, match=message):
             sample_to_csv(sample)
 
-    @pytest.mark.parametrize("m", [1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 1), (1, 0), (1, 1), (3, 5)], ids=["one-row", "block", "block+1", "3blocks+5"]
+    )
     @pytest.mark.parametrize("cards", [(2,), (3, 300, 2), (2**40, 5)], ids=["uint8", "uint16", "int64"])
-    def test_same_text_as_the_csv_writer(self, m, cards):
+    def test_same_text_as_the_csv_writer(self, blocks, extra, cards):
+        # the writer turns `_WRITE_CELLS` codes into text at a time: whole
+        # blocks of rows, and a last block that is cut short
+        m = blocks * (_WRITE_CELLS // len(cards)) + extra
         rng = np.random.default_rng(m)
         codes = np.column_stack([rng.integers(0, c, size=m) for c in cards])
         codes[0] = np.array(cards) - 1  # each column's widest code

@@ -12,9 +12,10 @@ one caller, `measures._stored_entropies`, which hands it a key that only
 `measures.py` checks; `prefix_counts` alone decides a joint's layout. Only `generators.py` reads a
 stream's raw words (`random_raw`). A sweep point is plain integers: the
 harness builds attribute blocks only for a set of nested points, in
-`_plan`, and never looks a column up by name. Only `dataset.py` calls
-the column writers, which check nothing, and no module stacks samples: a
-batch of replicates is generated into one matrix. README's section on JSON experiment configs names every
+`_plan`, which only `_plans` calls, and never looks a column up by name;
+the run takes its plan. Only `dataset.py` calls the column writers, which
+check nothing, and no module stacks samples: a batch of replicates is
+generated into one matrix. README's section on JSON experiment configs names every
 field of the config classes, which are the JSON keys.
 """
 
@@ -279,6 +280,9 @@ def test_the_harness_builds_blocks_only_for_a_layout():
         if caller.startswith("harness.py:")
     ]
     assert calls == ["harness.py:_plan"]
+    # a set is planned by `_plans` alone, and the run takes its plan
+    assert set(_callers("_plan")) == {"harness.py:_plans"}
+    assert "harness.py:_run_layout" not in _callers("_plans")
 
 
 def test_only_the_dataset_calls_the_writers():
