@@ -42,7 +42,7 @@ from .generators import (
     fill_xor_pair,
     row_first_half_probs,
 )
-from .sample import CategoricalSample, _Filled, code_matrix, int_text, integer, items, string
+from .sample import CategoricalSample, _Filled, _shown, code_matrix, integer, items, string
 
 CLASS_COLUMN = "clase"
 
@@ -87,9 +87,13 @@ def check_xor_class(class_card: int) -> None:
 
 def block(prefix: str, kind: GeneratorKind, count: int, cardinality: int) -> AttributeBlock:
     """Block with auto-numbered names prefix1..prefixN, `prefix` a string;
-    the block rejects a count below 1, which names no column."""
+    the block rejects a count below 1, which names no column. A count of
+    MAX_DATASET_CELLS or more, which no dataset holds beside its class
+    column, is rejected before a name is built."""
     prefix = string(prefix, "block prefix")
     count = integer(count, "block count")
+    if count >= MAX_DATASET_CELLS:
+        raise InvalidInputError(f"block count must be below {MAX_DATASET_CELLS}, got {_shown(count)}")
     return AttributeBlock(
         names=tuple(f"{prefix}{i}" for i in range(1, count + 1)),
         kind=kind,
@@ -104,7 +108,7 @@ def check_size(m: int, columns: int) -> int:
     anything for it, and `generate_replicates` before it allocates."""
     m = check_m(m)
     if m * columns > MAX_DATASET_CELLS:
-        cells = f"{m} rows x {int_text(columns)} columns (class included) make {int_text(m * columns)} cells"
+        cells = f"{m} rows x {_shown(columns)} columns (class included) make {_shown(m * columns)} cells"
         raise InvalidInputError(f"{cells}; a generated dataset holds at most {MAX_DATASET_CELLS}")
     return m
 
@@ -116,7 +120,7 @@ def generate_dataset(
     """Build an m-row sample from the streams of `rng`, a `SeededRng`: the
     one-replicate case of `generate_replicates`."""
     if not isinstance(rng, SeededRng):
-        raise InvalidInputError(f"rng must be a SeededRng, got {rng!r}")
+        raise InvalidInputError(f"rng must be a SeededRng, got {_shown(rng)}")
     return generate_replicates(m, class_card, blocks, [rng], k, xor_noise)
 
 
@@ -149,7 +153,7 @@ def generate_replicates(
         raise InvalidInputError("at least one rng is required")
     for b in blocks:
         if not (b is None or isinstance(b, AttributeBlock)):
-            raise InvalidInputError(f"a dataset block must be an AttributeBlock or None, got {b!r}")
+            raise InvalidInputError(f"a dataset block must be an AttributeBlock or None, got {_shown(b)}")
     present = [(i, b) for i, b in enumerate(blocks) if b is not None]
     if not present:
         raise InvalidInputError("at least one attribute block is required")

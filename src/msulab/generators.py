@@ -18,21 +18,23 @@ ones (`msulab.dataset.generate_replicates` is their one caller):
 
 Reproducibility contract: every column is produced by its own numpy generator
 derived from (master_seed, stream_id, column path) through SeedSequence spawn
-keys. Columns never share a stream, and each column consumes a fixed number of
-draws per row. Growing a sample therefore extends it without disturbing the
-rows already drawn, and distinct stream ids are independent replicates that
-can safely run in parallel. Only this module draws from a stream.
+keys. Each writer takes a fresh stream (`SeededRng.stream`) that nothing else
+reads, and a column's codes are a prefix-stable function of that stream: the
+first n codes of a longer column are the n-code column. Growing a sample
+therefore extends it without disturbing the rows already drawn, and distinct
+stream ids are independent replicates that can safely run in parallel. Only
+this module draws from a stream.
 
 Two columns are produced from the stream's numbers without NumPy's general
 routine, and both give the codes that routine would, from the same numbers:
 
 * A uniform column of cardinality 2**b <= 2**32 reads the stream's raw 64-bit
-  words. NumPy's int64 `integers` draws such a column from 32-bit halves of
-  those words, low half first, by Lemire's method, which never rejects at a
-  power of two, so each code is the top b bits of its half. This rests on
-  NumPy internals, checked on NumPy 2.4.6; the tests compare it with
-  `integers` at every b, so a NumPy release that draws otherwise fails them
-  instead of shifting a curve.
+  words. From a fresh stream NumPy's int64 `integers` draws such a column
+  from 32-bit halves of those words, low half first, by Lemire's method,
+  which never rejects at a power of two, so each code is the top b bits of
+  its half. This rests on NumPy internals, checked on NumPy 2.4.6; the tests
+  compare it with `integers` at every b, so a NumPy release that draws
+  otherwise fails them instead of shifting a curve.
 * A binary Kononenko column takes the same (m, 2) draws as any other, but
   its halves have one member each, so its code is the half draw alone.
 
@@ -53,18 +55,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .sample import MAX_CARDINALITY, int_text, integer, real
+from .sample import MAX_CARDINALITY, _shown, integer, real
 
 
-class GeneratorKind(enum.Enum):
+class _ByName(enum.EnumMeta):
+    def __call__(cls, value):
+        """The family named `value`, or `value` itself if it is one. Anything
+        else is rejected here: Enum's own rejection shows `value` by its repr,
+        which fails on an int of more than 4,300 digits."""
+        for kind in cls:
+            if value is kind or isinstance(value, str) and value == kind.value:
+                return kind
+        raise InvalidInputError(f"unknown family {_shown(value)}, expected one of {[k.value for k in cls]}")
+
+
+class GeneratorKind(enum.Enum, metaclass=_ByName):
     UNIFORM = "uniform"
     KONONENKO = "kononenko"
     XOR_PAIR = "xor_pair"
-
-    @classmethod
-    def _missing_(cls, value):
-        # `GeneratorKind(value)` reads a family from its name, or rejects it
-        raise InvalidInputError(f"unknown family {value!r}, expected one of {[k.value for k in cls]}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,7 @@ class SeededRng:
         """The stream of the column at `path`, a run of non-negative integers."""
         steps = tuple(integer(step, "stream path") for step in path)
         if any(step < 0 for step in steps):
-            raise InvalidInputError(f"stream path must be non-negative, got {steps}")
+            raise InvalidInputError(f"stream path must be non-negative, got {_shown(steps)}")
         key = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id, *steps))
         return np.random.default_rng(key)
 
@@ -97,9 +105,9 @@ def check_m(m: int) -> int:
     """`m` as an int, rejected unless it is a positive int64 row count."""
     m = integer(m, "sample size")
     if m < 1:
-        raise InvalidInputError(f"sample size must be at least 1, got {int_text(m)}")
+        raise InvalidInputError(f"sample size must be at least 1, got {_shown(m)}")
     if m > MAX_CARDINALITY:  # rows are counted in int64 like codes
-        raise InvalidInputError(f"sample size must not exceed {MAX_CARDINALITY}, got {int_text(m)}")
+        raise InvalidInputError(f"sample size must not exceed {MAX_CARDINALITY}, got {_shown(m)}")
     return m
 
 
@@ -107,10 +115,10 @@ def check_card(card: int, what: str = "cardinality") -> int:
     """`card` as an int, rejected below 2 or past the int64 codes."""
     card = integer(card, what)
     if card < 2:
-        raise InvalidInputError(f"{what} must be at least 2, got {int_text(card)}")
+        raise InvalidInputError(f"{what} must be at least 2, got {_shown(card)}")
     if card > MAX_CARDINALITY:
         raise InvalidInputError(
-            f"{what} must not exceed {MAX_CARDINALITY} (int64 codes), got {int_text(card)}"
+            f"{what} must not exceed {MAX_CARDINALITY} (int64 codes), got {_shown(card)}"
         )
     return card
 
@@ -120,40 +128,28 @@ def check_card(card: int, what: str = "cardinality") -> int:
 _RAW_BLOCK_ROWS = 1 << 14
 
 
-def _raw_halves_are_next(rng: np.random.Generator) -> bool:
-    """True when the next 32-bit values `rng` gives are the halves of its next
-    raw words, low half first: a PCG64 stream with no half left over."""
-    bits = rng.bit_generator
-    return type(bits) is np.random.PCG64 and not bits.state["has_uint32"]
-
-
 def fill_uniform(out: np.ndarray, card: int, rng: np.random.Generator) -> None:
     """Write a non-informative column, i.i.d. uniform over {0..card-1} and
     independent of everything else, into the integer column `out`. The
     class column of a dataset with no XOR pair is one.
 
-    The codes are `rng.integers(0, card, size=len(out), dtype=np.int64)`,
-    and `rng` then gives the numbers it would give after that call. At a
+    `rng` is a fresh stream from `SeededRng.stream`, read by this writer
+    alone. The codes are `rng.integers(0, card, size=len(out),
+    dtype=np.int64)`; where the stream is left is not promised. At a
     power-of-two `card` = 2**b <= 2**32 they are read from the stream's raw
     words: each code is the top b bits of a 32-bit half of a word, low half
     first, taken in blocks of `_RAW_BLOCK_ROWS` rows and shifted straight
-    into `out`. For an odd length the last word's high half is the one
-    `integers` would keep for the next 32-bit value, so it is put in the
-    generator's one-half buffer.
+    into `out`.
     """
-    m = len(out)
-    if card & (card - 1) or card > 1 << 32 or not _raw_halves_are_next(rng):
-        out[:] = rng.integers(0, card, size=m, dtype=np.int64)
+    if card & (card - 1) or card > 1 << 32:
+        out[:] = rng.integers(0, card, size=len(out), dtype=np.int64)
         return
     b = card.bit_length() - 1
-    bits = rng.bit_generator
-    for lo in range(0, m, _RAW_BLOCK_ROWS):
+    for lo in range(0, len(out), _RAW_BLOCK_ROWS):
         rows = out[lo:lo + _RAW_BLOCK_ROWS]
-        words = bits.random_raw((len(rows) + 1) // 2)
+        words = rng.bit_generator.random_raw((len(rows) + 1) // 2)
         halves = words.astype("<u8", copy=False).view("<u4")  # low half first on any host
         np.right_shift(halves[:len(rows)], 32 - b, out=rows)
-    if m % 2:
-        bits.state = {**bits.state, "has_uint32": 1, "uinteger": int(halves[-1])}
 
 
 def check_k(k: float) -> float:
@@ -161,7 +157,7 @@ def check_k(k: float) -> float:
     positive real number (`msulab.sample.real`)."""
     number = real(k, "informativeness k")
     if not (number > 0) or not math.isfinite(number):
-        raise InvalidInputError(f"informativeness k must be finite and positive, got {int_text(k)}")
+        raise InvalidInputError(f"informativeness k must be finite and positive, got {_shown(k)}")
     return number
 
 
@@ -238,7 +234,7 @@ def check_xor_noise(noise: float) -> float:
     class uncorrelated or anti-correlated with the pair."""
     number = real(noise, "noise")
     if not 0.0 <= number < 0.5:
-        raise InvalidInputError(f"noise must lie in [0, 0.5), got {int_text(noise)}")
+        raise InvalidInputError(f"noise must lie in [0, 0.5), got {_shown(noise)}")
     return number
 
 

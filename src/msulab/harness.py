@@ -97,7 +97,7 @@ from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_card, check_k, check_m, check_xor_noise
 from .ingest import csv_field
 from .measures import msu_values
-from .sample import int_text, integer, items, real, string
+from .sample import _shown, integer, items, real, string
 from .samplesize import CardinalityProfile, heuristic_sample_size, huge_space_bits, representativeness_report
 
 DEFAULT_MASTER_SEED = 20170707
@@ -116,7 +116,7 @@ _BATCH_CELLS = 1 << 15
 # The field checks of the config classes. Each returns the value as stored.
 def _flag(value, what: str) -> bool:
     if not isinstance(value, bool):
-        raise InvalidInputError(f"{what} must be true or false, got {value!r}")
+        raise InvalidInputError(f"{what} must be true or false, got {_shown(value)}")
     return value
 
 
@@ -153,12 +153,12 @@ class SampleSizePolicy:
     def __post_init__(self) -> None:
         if (self.fixed is None) == (self.computed is None):
             raise InvalidInputError(
-                f"unknown sample size policy {self!r}: give exactly one of fixed and computed"
+                f"unknown sample size policy {_shown(self)}: give exactly one of fixed and computed"
             )
         if self.fixed is not None:
             object.__setattr__(self, "fixed", integer(self.fixed, "fixed sample size"))
             if self.fixed < 1:
-                raise InvalidInputError(f"fixed sample size must be at least 1, got {int_text(self.fixed)}")
+                raise InvalidInputError(f"fixed sample size must be at least 1, got {_shown(self.fixed)}")
         else:
             object.__setattr__(self, "computed", _finite(self.computed, "computed factor"))
             if self.computed <= 0:
@@ -186,15 +186,15 @@ class CountRule:
         if self.fixed is not None:
             object.__setattr__(self, "fixed", integer(self.fixed, "count fixed"))
             if self.fixed < 0:
-                raise InvalidInputError(f"a fixed count must not be negative, got {int_text(self.fixed)}")
+                raise InvalidInputError(f"a fixed count must not be negative, got {_shown(self.fixed)}")
         object.__setattr__(self, "offset", integer(self.offset, "count offset"))
         _flag(self.binary_equivalent, "binary_equivalent")
         if self.window is not None:
             if len(items(self.window, "count window")) != 2:
-                raise InvalidInputError(f"count window must be a (lo, hi) pair, got {self.window!r}")
+                raise InvalidInputError(f"count window must be a (lo, hi) pair, got {_shown(self.window)}")
             lo, hi = (integer(v, "count window") for v in self.window)
             if lo > hi:  # an empty window would drop its group at every point
-                raise InvalidInputError(f"count window [{lo}, {hi}] is reversed: lo must not exceed hi")
+                raise InvalidInputError(f"count window {_shown([lo, hi])} is reversed: lo must not exceed hi")
             object.__setattr__(self, "window", (lo, hi))
         if self.fixed is not None and self.binary_equivalent:
             raise InvalidInputError("a count rule is either fixed or binary_equivalent, not both")
@@ -210,7 +210,7 @@ class CountRule:
             # a power of two, tested exactly: a float log2 takes 2**53 + 1 for 2**53
             if sweep_value < 1 or sweep_value & (sweep_value - 1):
                 raise InvalidInputError(
-                    f"sweep value {sweep_value} has no binary-equivalent attribute count"
+                    f"sweep value {_shown(sweep_value)} has no binary-equivalent attribute count"
                 )
             return 2 * (sweep_value.bit_length() - 1)
         count = sweep_value + self.offset
@@ -239,7 +239,7 @@ class GroupSpec:
             object.__setattr__(self, "cardinality", check_card(self.cardinality, "group cardinality"))
         if self.family is GeneratorKind.XOR_PAIR:
             if self.count.fixed != 2:
-                raise InvalidInputError(f"an xor_pair group must have a fixed count of 2, got {self.count}")
+                raise InvalidInputError(f"an xor_pair group must have a fixed count of 2, got {_shown(self.count)}")
             if self.cardinality != 2:
                 raise InvalidInputError(f"an xor_pair group must have cardinality 2, got {self.cardinality!r}")
 
@@ -288,7 +288,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         string(self.name, "experiment name")
         if not isinstance(self.sweep, Sweep):
-            raise InvalidInputError(f"sweep must be a Sweep, got {self.sweep!r}")
+            raise InvalidInputError(f"sweep must be a Sweep, got {_shown(self.sweep)}")
         object.__setattr__(self, "groups", items(self.groups, "groups", GroupSpec))
         object.__setattr__(self, "tracked", items(self.tracked, "tracked", TrackedSubset))
         for name in ("replicates", "class_card", "master_seed"):
@@ -301,7 +301,7 @@ class ExperimentConfig:
         check_card(self.class_card, "class cardinality")
         policy = self.sample_size_policy
         if policy is not None and not isinstance(policy, SampleSizePolicy):
-            raise InvalidInputError(f"unknown sample size policy {policy!r}")
+            raise InvalidInputError(f"unknown sample size policy {_shown(policy)}")
         if self.representativeness_scan and (policy is None or policy.computed is None):
             raise InvalidInputError("a representativeness scan needs a computed sample size policy")
         SeededRng(self.master_seed)  # rejects a negative seed
@@ -361,7 +361,7 @@ def _layout(config: ExperimentConfig, sweep_value: int) -> tuple[tuple[int, ...]
         cards.append(card)
     present = {g.name for g, count in zip(config.groups, counts) if count}
     if not any(name in present for sub in config.tracked for name in sub.groups):
-        raise InvalidInputError(f"no tracked subset has columns at sweep value {sweep_value}")
+        raise InvalidInputError(f"no tracked subset has columns at sweep value {_shown(sweep_value)}")
     return tuple(counts), tuple(cards)
 
 
@@ -541,7 +541,7 @@ class BiasCurve:
             stats = self.measures[measure]
         except KeyError:
             raise InvalidInputError(
-                f"unknown measure {measure!r}; curve has {sorted(self.measures)}"
+                f"unknown measure {_shown(measure)}; curve has {sorted(self.measures)}"
             ) from None
         return [s.mean if s is not None else None for s in stats]
 

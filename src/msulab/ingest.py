@@ -67,7 +67,7 @@ from typing import BinaryIO, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .sample import CategoricalSample, _Filled, code_dtype, code_matrix
+from .sample import CategoricalSample, _Filled, _shown, code_dtype, code_matrix
 
 # Rows read, transposed and coded at a time by the csv path. A few thousand
 # rows keep a chunk's cells in cache; transposing the whole file at once is
@@ -112,7 +112,7 @@ def read_csv(path: str | Path) -> IngestedDataset:
     try:
         path = Path(path)
     except TypeError:
-        raise InvalidInputError(f"path must be a str or os.PathLike, got {path!r}") from None
+        raise InvalidInputError(f"path must be a str or os.PathLike, got {_shown(path)}") from None
     try:
         with path.open("rb") as fh:
             # both paths read from the start, and a pipe can be read only once

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from .errors import InvalidInputError
 from .harness import ExperimentConfig, config_from_json
+from .sample import _shown
 
 # The univariate cardinalities exercised by the cardinality sweeps.
 CARD_SWEEP_2_40 = (2, 4, 5, 8, 10, 16, 20, 30, 32, 40)
@@ -169,5 +170,5 @@ def preset(name: str) -> ExperimentConfig:
         mapping = _PRESETS[name]
     except (KeyError, TypeError):  # a list, say, is no key
         known = ", ".join(CATALOG)
-        raise InvalidInputError(f"unknown preset {name!r}; catalog: {known}") from None
+        raise InvalidInputError(f"unknown preset {_shown(name)}; catalog: {known}") from None
     return config_from_json(mapping)

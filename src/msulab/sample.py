@@ -262,7 +262,7 @@ class CategoricalSample:
         try:
             return self.column_names.index(name)
         except ValueError:
-            raise InvalidInputError(f"unknown column {name!r}") from None
+            raise InvalidInputError(f"unknown column {_shown(name)}") from None
 
     @classmethod
     def from_columns(
@@ -280,8 +280,7 @@ class CategoricalSample:
         try:
             arrays = [whole_numbers(c) for c in columns]
         except TypeError:  # not iterable
-            message = f"columns must be an iterable of code columns, got {columns!r}"
-            raise InvalidInputError(message) from None
+            raise InvalidInputError(f"columns must be an iterable of code columns, got {_shown(columns)}") from None
         if not arrays:
             raise InvalidInputError("sample must have at least one column")
         for a in arrays:
@@ -295,16 +294,6 @@ class CategoricalSample:
         return cls(_Filled(_narrowed(arrays, cards)), cards, column_names)
 
 
-def int_text(n) -> str:
-    """`n` for an error message: an int in full below 2**64 in size, else
-    as the power of two it passes, since Python formats no int of more than
-    4,300 digits; any other number as `str` gives it."""
-    if not isinstance(n, int) or n.bit_length() <= 64:
-        return str(n)
-    power = f"2**{n.bit_length() - 1}"
-    return f"at least {power}" if n > 0 else f"at most -{power}"
-
-
 def integer(value, what: str) -> int:
     """`value` as a Python int; a bool, float, string or None is rejected,
     never truncated, while NumPy integers are accepted. `what` names it in
@@ -314,7 +303,7 @@ def integer(value, what: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    raise InvalidInputError(f"{what} must be an integer, got {_shown(value)}")
 
 
 def real(value, what: str) -> float:
@@ -327,13 +316,13 @@ def real(value, what: str) -> float:
             return float(value)
         except OverflowError:  # an int past the float range
             return math.inf if value > 0 else -math.inf
-    raise InvalidInputError(f"{what} must be a finite number, got {value!r}")
+    raise InvalidInputError(f"{what} must be a finite number, got {_shown(value)}")
 
 
 def string(value, what: str) -> str:
     """`value`, a string; `what` names it in an error."""
     if not isinstance(value, str):
-        raise InvalidInputError(f"{what} must be a string, got {value!r}")
+        raise InvalidInputError(f"{what} must be a string, got {_shown(value)}")
     return value
 
 
@@ -344,7 +333,7 @@ def items(value, what: str, kind: type = object) -> tuple:
     if isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value):
         return tuple(value)
     entries = "" if kind is object else f" of {kind.__name__}"
-    raise InvalidInputError(f"{what} must be a list or tuple{entries}, got {value!r}")
+    raise InvalidInputError(f"{what} must be a list or tuple{entries}, got {_shown(value)}")
 
 
 def _integers(values, what: str) -> list[int]:
@@ -356,14 +345,23 @@ def _integers(values, what: str) -> list[int]:
         raise InvalidInputError(f"{what} must be a sequence of integers, got {_shown(values)}") from None
 
 
-def _shown(value) -> str:
-    """`value` for an error message: an int by `int_text`, a list or tuple
-    item by item in brackets, anything else by its repr."""
-    if isinstance(value, int):
-        return int_text(value)
-    if isinstance(value, (list, tuple)):
-        return f"[{', '.join(map(_shown, value))}]"
-    return repr(value)
+def _shown(value, outer: bool = True) -> str:
+    """`value` for an error message, as its repr gives it, but a number as
+    `str` gives it (a NumPy scalar by its value), and an int past 2**64 in
+    size, on its own or as an item of a list or tuple, as the power of two
+    it passes, since Python formats no int of more than 4,300 digits; a
+    value whose repr still fails is named by its type. Only the outer list
+    or tuple is walked, so a list that holds itself never recurses here."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        power = f"2**{value.bit_length() - 1}"
+        return f"at least {power}" if value > 0 else f"at most -{power}"
+    if outer and isinstance(value, (list, tuple)):
+        shown = ", ".join(_shown(v, outer=False) for v in value)
+        return f"[{shown}]" if isinstance(value, list) else f"({shown}{',' * (len(value) == 1)})"
+    try:
+        return str(value) if isinstance(value, numbers.Number) else repr(value)
+    except (ValueError, RecursionError):  # an int past the digit limit inside it, or nesting too deep
+        return f"a {type(value).__name__}"
 
 
 def normalize_columns(sample: CategoricalSample, cols: Sequence[int]) -> tuple[int, ...]:
@@ -380,7 +378,7 @@ def normalize_columns(sample: CategoricalSample, cols: Sequence[int]) -> tuple[i
     p = sample.n_columns
     for c in subset:
         if not 0 <= c < p:
-            raise InvalidInputError(f"column index {int_text(c)} out of range for {p} columns")
+            raise InvalidInputError(f"column index {_shown(c)} out of range for {p} columns")
     if len(set(subset)) != len(subset):
         raise InvalidInputError(f"column subset contains duplicates: {tuple(subset)}")
     return tuple(sorted(subset))
@@ -396,15 +394,14 @@ def normalize_prefixes(
     m = sample.n_rows
     rows = m if period is None else integer(period, "period")
     if rows < 1 or m % rows:
-        raise InvalidInputError(f"a period of {int_text(rows)} rows does not divide the sample's {m}")
+        raise InvalidInputError(f"a period of {_shown(rows)} rows does not divide the sample's {m}")
     bounds = [rows] if prefixes is None else _integers(prefixes, "prefixes")
     if not bounds or bounds[0] < 1 or sorted(set(bounds)) != bounds:
-        shown = ", ".join(map(int_text, bounds))
-        raise InvalidInputError(f"prefixes must be strictly ascending and positive, got [{shown}]")
+        raise InvalidInputError(f"prefixes must be strictly ascending and positive, got {_shown(bounds)}")
     if bounds[-1] > m:
-        raise InvalidInputError(f"prefix of {int_text(bounds[-1])} rows exceeds the sample's {m}")
+        raise InvalidInputError(f"prefix of {_shown(bounds[-1])} rows exceeds the sample's {m}")
     if bounds[-1] > rows:
-        raise InvalidInputError(f"prefix of {int_text(bounds[-1])} rows exceeds the period of {rows}")
+        raise InvalidInputError(f"prefix of {_shown(bounds[-1])} rows exceeds the period of {rows}")
     return tuple(bounds), rows
 
 

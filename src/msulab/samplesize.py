@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInputError
-from .sample import _integers, _shown, int_text, integer, items, real
+from .sample import _integers, _shown, integer, items, real
 
 # Beyond 2**52 cells the cell counts q + 1 near m* stop being exact floats and
 # the float statistic drifts from the chi-squared statistic it computes.
@@ -106,7 +106,7 @@ def huge_space_bits(profiles: Sequence[CardinalityProfile], factor: float = 1.0)
     """floor(log2(factor x the largest joint space of `profiles`)) where that
     is at least 64, found without building a space that large (3**(10**8)
     takes minutes); an error names a number that large by these bits
-    (`msulab.sample.int_text`). None only below 2**64.
+    (`msulab.sample._shown`). None only below 2**64.
 
     The bits come from a float sum of logs. Where that lies too near a whole
     number for a float to place it, they are counted in integers if the
@@ -137,7 +137,7 @@ def _heuristic(space: int, factor: float) -> int:
     """factor x `space` joint cells, rounded up."""
     number = real(factor, "factor")
     if not (math.isfinite(number) and number > 0):
-        raise InvalidInputError(f"factor must be finite and positive, got {int_text(factor)}")
+        raise InvalidInputError(f"factor must be finite and positive, got {_shown(factor)}")
     if number.is_integer():
         return int(factor) * space
     try:
@@ -158,10 +158,10 @@ def chi2_critical(alpha: float, df: int) -> float:
     """
     number = real(alpha, "alpha")
     if not 0.0 < number < 1.0:
-        raise InvalidInputError(f"alpha must lie in (0, 1), got {int_text(alpha)}")
+        raise InvalidInputError(f"alpha must lie in (0, 1), got {_shown(alpha)}")
     df = integer(df, "degrees of freedom")
     if df < 1:
-        raise InvalidInputError(f"degrees of freedom must be at least 1, got {df}")
+        raise InvalidInputError(f"degrees of freedom must be at least 1, got {_shown(df)}")
     # imported here: loading scipy takes about 0.5 s, and only recommend, chi2-scan
     # and a representativeness scan need it
     from scipy.optimize import brentq
@@ -195,9 +195,9 @@ def extreme_sample_chi2(m: int, k: int) -> float:
     """
     m, k = integer(m, "sample size"), integer(k, "cell count")
     if k < 2:
-        raise InvalidInputError(f"need at least two cells, got {int_text(k)}")
+        raise InvalidInputError(f"need at least two cells, got {_shown(k)}")
     if m < k - 1:
-        raise InvalidInputError(f"m={int_text(m)} cannot fill {int_text(k - 1)} cells with at least one item each")
+        raise InvalidInputError(f"m={_shown(m)} cannot fill {_shown(k - 1)} cells with at least one item each")
     try:
         r, up, level, empty = _extreme_terms(m, k)
         return float(up * r + level * (k - 1 - r) + empty)
@@ -233,7 +233,7 @@ def _critical_and_m_star(k: int, alpha: float) -> tuple[float, int]:
       for, not scanned. The rounding band holds a handful of runs at any k.
     """
     if k > MAX_CELLS:
-        raise _too_many_cells(int_text(k))
+        raise _too_many_cells(_shown(k))
     critical = chi2_critical(alpha, k - 1)
     n = k - 1
     # Up to MAX_CELLS the closed form and the float statistic each lie within

@@ -2,17 +2,22 @@
 `InvalidInputError`.
 
 One valid call per callable in `msulab.__all__` (and `SeededRng.stream`)
-is taken apart: each positional argument in turn is replaced by None and by
-the string "x", and the call must then raise `InvalidInputError` or return,
-never leak another exception. The record types, built only by the package
-itself, are left out.
+is taken apart: each positional argument in turn is replaced by None, by
+the string "x" and by a list holding an int too long to print, and the call
+must then raise `InvalidInputError` or return, never leak another
+exception. The record types, built only by the package itself, are left
+out. An int too long to print is rejected as one, not by Python's refusal
+to format it, wherever a caller's value is echoed in an error.
 """
+
+import re
 
 import pytest
 
 import msulab
 from msulab import (
     AttributeBlock,
+    BiasCurve,
     CardinalityProfile,
     CategoricalSample,
     CountRule,
@@ -102,6 +107,13 @@ CALLS = {
     "total_correlation": (total_correlation, (SAMPLE, [0, 1])),
 }
 
+# Python formats no int of more than 4,300 digits
+HUGE = 10**5000
+# each bad argument by how a failure names it
+SELF = []  # a list that holds itself, which repr shows as [[...]]
+SELF.append(SELF)
+BAD = {"None": None, "'x'": "x", "[10**5000]": [HUGE], "[[...]]": SELF}
+
 
 def test_the_table_covers_every_exported_callable():
     assert set(CALLS) == set(msulab.__all__) - RECORD_TYPES | {"SeededRng.stream"}
@@ -117,14 +129,14 @@ def test_bad_arguments_raise_invalid_input(name, tmp_path):
     function(*args)  # the valid call
     leaks = []
     for position in range(len(args)):
-        for bad in (None, "x"):
+        for shown, bad in BAD.items():
             given = args[:position] + (bad,) + args[position + 1 :]
             try:
                 function(*given)
             except InvalidInputError:
                 pass
             except Exception as exc:  # any other exception is a leak
-                leaks.append(f"argument {position} = {bad!r}: {type(exc).__name__}: {exc}")
+                leaks.append(f"argument {position} = {shown}: {type(exc).__name__}: {exc}")
     assert not leaks, "\n".join(leaks)
 
 
@@ -148,4 +160,35 @@ def test_bad_arguments_raise_invalid_input(name, tmp_path):
 )
 def test_a_wrong_type_is_named(call, message):
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: chi2_critical(0.05, -HUGE), "got at most -2**16609"),
+        (lambda: CountRule(window=(HUGE, 0)), "[at least 2**16609, 0] is reversed"),
+        (lambda: CountRule(binary_equivalent=True).resolve(3 * HUGE), "sweep value at least 2**16611"),
+        (lambda: SeededRng(1).stream(-HUGE), "got (at most -2**16609,)"),
+        (lambda: TrackedSubset(HUGE, ("a",)), "got at least 2**16609"),
+        (lambda: CardinalityProfile({(2, HUGE)}, 2), "got a set"),
+        (lambda: block(HUGE, "uniform", 1, 2), "got at least 2**16609"),
+        (lambda: GeneratorKind(HUGE), "unknown family at least 2**16609,"),
+        (lambda: preset([HUGE]), "unknown preset [at least 2**16609];"),
+        (lambda: SampleSizePolicy(HUGE, 10.0), "unknown sample size policy a SampleSizePolicy:"),
+        (lambda: CategoricalSample([[0]], [2], [HUGE]), "got [at least 2**16609]"),
+        (lambda: CategoricalSample.from_columns(HUGE, [2]), "got at least 2**16609"),
+        (lambda: SAMPLE.column_index(HUGE), "unknown column at least 2**16609"),
+        (lambda: read_csv(HUGE), "got at least 2**16609"),
+        (lambda: generate_dataset(5, 2, [HUGE], SeededRng(1)), "got at least 2**16609"),
+        (lambda: BiasCurve("c", (4,), (4,), {}).mean_series(HUGE), "unknown measure at least 2**16609;"),
+    ],
+    ids=[
+        "chi2-df", "count-window", "binary-equivalent", "stream-path", "tracked-label", "profile-set",
+        "block-prefix", "family", "preset", "policy", "sample-names", "from-columns", "column-index",
+        "read-csv", "dataset-block", "mean-series",
+    ],
+)
+def test_an_int_too_long_to_print_is_shown_in_its_error(call, shown):
+    with pytest.raises(InvalidInputError, match=re.escape(shown)):
         call()

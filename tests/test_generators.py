@@ -73,14 +73,8 @@ def _xor_pair(m, noise, rng):
 
 
 def _assert_same_position(ours, theirs):
-    """Two generators give the same numbers from here on: for PCG64 streams
-    their state words and any 32-bit half left over are equal, and for any
-    stream their next draws are."""
-    a, b = ours.bit_generator.state, theirs.bit_generator.state
-    if a["bit_generator"] == "PCG64":
-        assert a["state"] == b["state"] and a["has_uint32"] == b["has_uint32"]
-        assert not a["has_uint32"] or a["uinteger"] == b["uinteger"]
-    # a leftover half goes first, then whole words
+    """Two generators give the same numbers from here on: their next draws,
+    32-bit halves first, then whole words, are equal."""
     a, b = ([rng.integers(0, 2**32, size=3, dtype=np.int64), rng.random(3)] for rng in (ours, theirs))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
@@ -120,6 +114,14 @@ class TestSeededRng:
         a = SeededRng(np.uint32(11), np.int64(3))
         assert (type(a.master_seed), type(a.stream_id)) == (int, int)
         assert np.array_equal(a.stream(2, 0).random(5), SeededRng(11, 3).stream(2, 0).random(5))
+
+    def test_a_stream_starts_with_no_half_left_over(self):
+        # `fill_uniform`'s raw-word path rests on this: a fresh stream's
+        # next 32-bit values are the halves of its next words
+        for seed, replicate, path in ((1, 0, (0, 0)), (20170707, 999, (3, 1)), (0, 5, (1,))):
+            bits = SeededRng(seed, replicate).stream(*path).bit_generator
+            assert type(bits) is np.random.PCG64
+            assert bits.state["has_uint32"] == 0
 
 
 class TestGenClass:
@@ -168,16 +170,15 @@ class TestGenUniform:
 
 
 class TestUniformDrawRule:
-    """Every uniform column is `integers`' int64 draw, in its codes and in the
-    state it leaves its generator in; a power-of-two one is read from the
-    stream's raw words, which holds only while NumPy draws it from their
-    32-bit halves."""
+    """Every uniform column, written from a fresh stream, has the codes of
+    `integers`' int64 draw; a power-of-two one is read from the stream's
+    raw words, which holds only while NumPy draws it from their 32-bit
+    halves."""
 
     @staticmethod
     def _assert_integers_draw(card, m, ours, theirs):
         codes = _uniform(card, m, ours)
         assert np.array_equal(codes, theirs.integers(0, card, size=m, dtype=np.int64)), (card, m)
-        _assert_same_position(ours, theirs)
 
     @pytest.mark.parametrize("b", range(1, 33))
     def test_power_of_two_column_is_the_integers_draw(self, b):
@@ -199,24 +200,6 @@ class TestUniformDrawRule:
             assert np.array_equal(sample.codes[:, -1], theirs.integers(0, card, size=m, dtype=np.int64))
         with pytest.raises(InvalidInputError, match="class cardinality must be at least 2"):
             generate_dataset(3, 1, blocks, SeededRng(5))
-
-    def test_stream_with_a_half_left_over(self):
-        # an odd int64 draw below 2**32 leaves the generator one 32-bit half,
-        # which the next such draw hands out first
-        ours, theirs = _rng(6), _rng(6)
-        for rng in (ours, theirs):
-            rng.integers(0, 2, size=3, dtype=np.int64)
-        assert ours.bit_generator.state["has_uint32"]
-        for m in (1, 2, 1001):
-            self._assert_integers_draw(4, m, ours, theirs)
-
-    @pytest.mark.parametrize(
-        "bits", [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM]
-    )
-    def test_other_bit_generators(self, bits):
-        ours, theirs = np.random.Generator(bits(7)), np.random.Generator(bits(7))
-        for card, m in ((2, 1001), (16, 3), (2**32, 5)):
-            self._assert_integers_draw(card, m, ours, theirs)
 
 
 class TestIntegerArguments:
@@ -899,7 +882,7 @@ class TestGenerateDataset:
              "kononenko-40"],
     )
     def test_writers_give_a_narrow_column_the_int64_columns_codes(self, family, card, dtype):
-        m = _RAW_BLOCK_ROWS + 1  # two raw-word blocks and a half left over
+        m = _RAW_BLOCK_ROWS + 1  # two raw-word blocks, the second one row on half a word
         cls = _uniform(7, m, _rng(3, 0, 0, 0))
 
         def write(column_dtype, rng):
@@ -976,3 +959,12 @@ class TestAttributeBlock:
             block("f", GeneratorKind.UNIFORM, 0, 2)
         with pytest.raises(InvalidInputError, match="at least one column"):
             block("f", GeneratorKind.UNIFORM, -3, 2)
+
+    def test_a_count_no_dataset_holds_is_rejected_before_naming_a_column(self, monkeypatch):
+        # one column short of the cap still fits with the class at one row;
+        # the cap itself would build as many names as it has cells
+        monkeypatch.setattr(dataset, "MAX_DATASET_CELLS", 16)
+        assert len(block("f", GeneratorKind.UNIFORM, 15, 2).names) == 15
+        for count in (16, 17, 10**5000):
+            with pytest.raises(InvalidInputError, match=r"^block count must be below 16, got "):
+                block("f", GeneratorKind.UNIFORM, count, 2)

@@ -297,7 +297,7 @@ class TestResolvePoint:
         m = math.ceil(factor * 2 * 2**count)
         (error,) = run_experiment(self._wide(count, 2, factor)).errors
         if m > 2**63 - 1:
-            assert error == (count, f"sample size must not exceed 9223372036854775807, got {sample_module.int_text(m)}")
+            assert error == (count, f"sample size must not exceed 9223372036854775807, got {sample_module._shown(m)}")
         else:
             assert error[1].endswith(f"a generated dataset holds at most {dataset.MAX_DATASET_CELLS}")
         assert built == ([] if m >= 2**64 else [m])
@@ -1286,6 +1286,19 @@ class TestNestedEngine:
         assert curve.sample_sizes == (None, 20, 20)
         assert curve.measures["msu_set"][0] is None
         assert None not in curve.measures["msu_set"][1:]
+
+    def test_an_uncovered_sweep_value_too_long_to_print_skips_only_its_point(self):
+        # Python formats no int of more than 4,300 digits, so the skip's
+        # message names the value by the power of two it passes
+        huge = 10**5000
+        cfg = ExperimentConfig(
+            "far", Sweep((4, huge)), (GroupSpec("u", "uniform", CountRule(window=(1, 10)), 2),),
+            (TrackedSubset("set", ("u",)),), replicates=2,
+        )
+        curve = run_experiment(cfg)
+        assert curve.errors == ((huge, "no tracked subset has columns at sweep value at least 2**16609"),)
+        assert curve.sample_sizes == (4, None)
+        assert curve.measures["msu_set"][0] is not None and curve.measures["msu_set"][1] is None
 
     def test_union_dataset_never_larger_than_the_points_own(self, monkeypatch):
         # the point with the largest m measures one 200-value attribute; the

@@ -170,7 +170,7 @@ class TestIndicesAreIntegers:
         [
             (lambda: msu(TABLE_B, [False, True]), "column indices", "[False, True]"),
             (lambda: subset_entropies(TABLE_B, [0], [True, 2]), "prefixes", "[True, 2]"),
-            (lambda: CardinalityProfile([(True, 2)], 2), "a (cardinality, count) pair", "[True, 2]"),
+            (lambda: CardinalityProfile([(True, 2)], 2), "a (cardinality, count) pair", "(True, 2)"),
             (lambda: CategoricalSample([[0, 1], [1, 0]], [True, 2]), "cardinalities", "[True, 2]"),
         ],
         ids=["columns", "prefixes", "profile", "sample"],

@@ -82,9 +82,9 @@ class TestCardinalityProfile:
         "attributes, message",
         [
             ((2, 3), "an attribute must be a (cardinality, count) pair, got 2"),
-            ([(2, 1, 1)], "an attribute must be a (cardinality, count) pair, got [2, 1, 1]"),
-            ([(2, True)], "a (cardinality, count) pair must be a sequence of integers, got [2, True]"),
-            ([(2, 0)], "attribute counts must be positive, got [2, 0]"),
+            ([(2, 1, 1)], "an attribute must be a (cardinality, count) pair, got (2, 1, 1)"),
+            ([(2, True)], "a (cardinality, count) pair must be a sequence of integers, got (2, True)"),
+            ([(2, 0)], "attribute counts must be positive, got (2, 0)"),
             ([(0, 1)], "cardinalities must be positive"),
         ],
         ids=["bare-int", "three-items", "bool-count", "zero-count", "zero-cardinality"],
@@ -160,7 +160,7 @@ class TestIntegerArguments:
             (lambda: extreme_sample_chi2(100.9, 8), "sample size"),
             (lambda: extreme_sample_chi2(100, 8.9), "cell count"),
             (lambda: CardinalityProfile([(2.5, 2)], 2),
-             r"^a \(cardinality, count\) pair must be a sequence of integers, got \[2.5, 2\]$"),
+             r"^a \(cardinality, count\) pair must be a sequence of integers, got \(2.5, 2\)$"),
             (lambda: CardinalityProfile([(2, 2)], 2.0), "class cardinality"),
             (lambda: heuristic_sample_size(CardinalityProfile([(2, 1)], 2), "10"),
              "^factor must be a finite number, got '10'$"),

@@ -10,7 +10,8 @@ joint cells are keyed in it too. Rows become counts only in `sample.py`: no
 other module calls `bincount` or `unique`, and `sample.prefix_counts` has
 one caller, `measures._stored_entropies`, which hands it a key that only
 `measures.py` checks; `prefix_counts` alone decides a joint's layout. Only `generators.py` reads a
-stream's raw words (`random_raw`). A sweep point is plain integers: the
+stream's raw words (`random_raw`), and no module reads or writes a bit
+generator's `state`. A sweep point is plain integers: the
 harness builds attribute blocks only for a set of nested points, in
 `_plan`, which only `_plans` calls, and never looks a column up by name;
 the run takes its plan. Only `dataset.py` calls the column writers, which
@@ -269,6 +270,19 @@ def test_only_generators_reads_raw_words():
             if draw in path.read_text(encoding="utf-8")
         ]
         assert readers == ["generators.py"], (draw, readers)
+
+
+def test_no_module_touches_a_bit_generators_state():
+    # a column's codes are a function of its fresh stream alone: no module
+    # reads where a generator stands, or moves it by hand
+    touches = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "state"
+        or isinstance(node, ast.Constant) and node.value in ("state", "has_uint32")
+    ]
+    assert touches == []
 
 
 def test_the_harness_builds_blocks_only_for_a_layout():
