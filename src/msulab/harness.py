@@ -8,8 +8,9 @@ cardinality), and it is the sample size where the config has no sample-size
 policy. `run_experiment` walks the sweep once per stage: it resolves every
 point (`resolve_point`), keeping the message of each point it skips; it
 plans the points (`_plans`), one plan a set of points that share a dataset,
-and runs each plan (`_run_layout`); and it aggregates each planned point,
-in sweep order, into each measure's series.
+and runs each plan (`_run_layout`); and it aggregates each plan's points
+into each measure's series, made once and filled by sweep index, the
+series in the order in which the points, in sweep order, list them.
 
 Its layout is one list of attribute groups (`GroupSpec`: a generator family, a
 column count and a cardinality, each fixed or following the sweep) and the
@@ -33,8 +34,11 @@ read from its plan's run. A plan is worked out from the config and the
 points alone, and generates nothing: the dataset's m and blocks, and with
 them every column name (by `msulab.dataset.block`); each measure's name and
 columns, with its row prefixes; each point's sweep index, m and measures;
-and the replicates a batch. The run reads only the plan, and of the config
-the seed, the class cardinality, k and the XOR noise.
+and the replicates a batch. A point's measures follow from its column
+counts alone, so they are worked out once per distinct column layout and
+shared by every point that has it: a sample-size sweep has one layout. The
+run reads only the plan, and of the config the seed, the class cardinality,
+k and the XOR noise.
 
 Replicate r of every sweep point draws from streams keyed by
 (master_seed, r, column path). Points of a sweep therefore share their
@@ -359,10 +363,11 @@ def _layout(config: ExperimentConfig, sweep_value: int) -> tuple[tuple[int, ...]
             card = check_card(sweep_value) if count else sweep_value
         counts.append(count)
         cards.append(card)
-    present = {g.name for g, count in zip(config.groups, counts) if count}
-    if not any(name in present for sub in config.tracked for name in sub.groups):
-        raise InvalidInputError(f"no tracked subset has columns at sweep value {_shown(sweep_value)}")
-    return tuple(counts), tuple(cards)
+    for sub in config.tracked:
+        for g, count in zip(config.groups, counts):
+            if count and g.name in sub.groups:
+                return tuple(counts), tuple(cards)
+    raise InvalidInputError(f"no tracked subset has columns at sweep value {_shown(sweep_value)}")
 
 
 def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
@@ -431,10 +436,10 @@ def _plans(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> lis
     or than MAX_DATASET_CELLS, is split into single points, each planned on
     its own.
     """
+    xor = next((j for j, g in enumerate(config.groups) if g.family is GeneratorKind.XOR_PAIR), None)
     by_key: dict[tuple, dict[int, ResolvedPoint]] = {}
     for i, point in points.items():
-        xor = any(n and g.family is GeneratorKind.XOR_PAIR for g, n in zip(config.groups, point.counts))
-        by_key.setdefault((point.cards, xor), {})[i] = point
+        by_key.setdefault((point.cards, xor is not None and point.counts[xor] > 0), {})[i] = point
     plans: list[_Plan] = []
     for nested in by_key.values():
         plan = _plan(config, nested)
@@ -457,9 +462,12 @@ def _plan(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> _Pla
     point's measures are read from them: msu_<label> of each tracked subset
     with columns at the point, the first columns of each of its groups'
     blocks, followed by su_<column> for each of those columns when it is
-    tracked with_su. Each distinct measure is taken at the row prefixes of
-    the points that list it, in ascending order, and a batch holds as many
-    replicates as `_BATCH_CELLS` allows, at least one.
+    tracked with_su. Those follow from the point's column counts alone, so
+    they are worked out once per distinct column layout, and the points
+    that share a layout share its measures. Each distinct measure is taken
+    at the row prefixes of the points that list it, in ascending order, and
+    a batch holds as many replicates as `_BATCH_CELLS` allows, at least
+    one.
     """
     counts = [max(position) for position in zip(*(p.counts for p in points.values()))]
     m = max(p.m for p in points.values())
@@ -471,19 +479,25 @@ def _plan(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> _Pla
     # each group's columns in the dataset, whose last column is the class
     starts = accumulate(counts, initial=0)
     spans = {g.name: range(start, start + n) for g, start, n in zip(config.groups, starts, counts)}
-    measured: list[tuple[int, int, tuple[_Measure, ...]]] = []
+    # a point's measures follow from its counts alone: each distinct layout
+    # is worked out once, with the m of every point that has it
+    layouts: dict[tuple[int, ...], set[int]] = {}
+    for p in points.values():
+        layouts.setdefault(p.counts, set()).add(p.m)
+    own: dict[tuple[int, ...], tuple[_Measure, ...]] = {}
     prefixes: dict[_Measure, set[int]] = {}
-    for i, p in points.items():
-        count = dict(zip(spans, p.counts))
-        own: list[_Measure] = []
+    for layout, ms in layouts.items():
+        count = dict(zip(spans, layout))
+        listed: list[_Measure] = []
         for sub in config.tracked:
             if cols := tuple(c for name in sub.groups for c in spans[name][: count[name]]):
-                own += [(f"msu_{sub.label}", cols)] + [(f"su_{names[c]}", (c,)) for c in cols if sub.with_su]
-        measured.append((i, p.m, tuple(own)))
-        for measure in own:
-            prefixes.setdefault(measure, set()).add(p.m)
+                listed += [(f"msu_{sub.label}", cols)] + [(f"su_{names[c]}", (c,)) for c in cols if sub.with_su]
+        own[layout] = tuple(listed)
+        for measure in listed:
+            prefixes.setdefault(measure, set()).update(ms)
     measures = {measure: tuple(sorted(ms)) for measure, ms in prefixes.items()}
-    return _Plan(m, blocks, sum(counts), measures, tuple(measured), max(1, _BATCH_CELLS // _cells(m, counts)))
+    measured = tuple((i, p.m, own[p.counts]) for i, p in points.items())
+    return _Plan(m, blocks, sum(counts), measures, measured, max(1, _BATCH_CELLS // _cells(m, counts)))
 
 
 def _run_layout(
@@ -581,10 +595,12 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
     `errors`; the sweep itself never aborts. The curve's sample sizes and
     errors come from this pass. The second plans the resolved points
     (`_plans`), one plan a set of points that share a dataset, and runs each
-    plan (`_run_layout`). The third reads each planned point's values from
-    its plan's run, each measure's at the point's m, and turns them into
-    `MeasureStats`, in sweep order, so a measure's series comes in the order
-    of the first point that lists it.
+    plan (`_run_layout`). The third reads each of a plan's points' values
+    from its run, each measure's at the point's m, and turns them into
+    `MeasureStats`: a measure's series is made once, before any plan runs,
+    and each point takes its slot by its sweep index. The series come in
+    the order of the first point that lists each measure, and the measures
+    of one point in that point's order.
     """
     if not isinstance(config, ExperimentConfig):
         raise InvalidInputError(f"config must be an ExperimentConfig, got {type(config).__name__}")
@@ -600,15 +616,17 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
         except InvalidInputError as exc:
             failures[i] = str(exc)
 
-    measured = []  # each planned point with its plan's values
-    for plan in _plans(config, points):
+    plans = _plans(config, points)
+    # each measure's series, made once, in the order its name first appears
+    # over the planned points in sweep order, whatever order the plans run in
+    names = dict.fromkeys(name for _, _, own in sorted(p for plan in plans for p in plan.points) for name, _ in own)
+    per_measure: dict[str, list[MeasureStats | None]] = {name: [None] * n_points for name in names}
+    for plan in plans:
         values = _run_layout(config, plan, range(config.replicates))
-        measured += [(point, values) for point in plan.points]
-    per_measure: dict[str, list[MeasureStats | None]] = {}
-    for (i, m, own), values in sorted(measured, key=lambda run: run[0][0]):  # in sweep order
-        for name, cols in own:
-            reps = values[name, cols][m]
-            per_measure.setdefault(name, [None] * n_points)[i] = MeasureStats(*_mean_std(reps), len(reps))
+        for i, m, own in plan.points:
+            for measure in own:
+                reps = values[measure][m]
+                per_measure[measure[0]][i] = MeasureStats(*_mean_std(reps), len(reps))
 
     return BiasCurve(
         name=config.name,

@@ -226,9 +226,9 @@ def _stored_entropies(
         lacking = [j for j, member in enumerate(members) if member not in table]
         joint: list[float] = []
         marginals: list[np.ndarray] = []  # each chunk's, a row per lacking member
-        for counts, columns in prefix_counts(sample, *key):
+        for counts, columns in prefix_counts(sample, *key, bool(lacking)):
             joint += entropy_rows(counts)
-            if columns and lacking:  # none where the joint is renumbered
+            if columns:  # none where the joint is renumbered or no member is lacking
                 # the lacking members' rows in one matrix, each zero-padded
                 # to the widest: a zero cell adds an exact 0 to a row's sum
                 width = max(columns[j].shape[1] for j in lacking)

@@ -23,20 +23,20 @@ the constructor is copied first, one that a path filled (wrapped in
 
 Rows become counts in one place, `prefix_counts`: it counts the joint
 histogram of a column subset at ascending row prefixes and, where the joint
-of two or more columns is dense, the counts of every one of its columns at
-the same prefixes. It keys each row's cell from the code columns directly,
-in the narrowest dtype of the joint space (the same rule). A joint is
-counted densely, over its whole grid of mixed-radix keys, only where the
-rows fill that grid; then each column's counts are the grid's sums over the
-other columns' axes, one for each code, so the rows are read once for all
-of them. Otherwise the keys are renumbered to the cells seen, by one sort
-of the keys, and the joint gives no column's counts: a column is then
-counted from its own rows, as a subset of one. At one prefix of one
-segment, as every public measure counts, the cells' counts are the run
-lengths of the sorted keys, with no id written or counted; at several
-prefixes, each row's id comes from an argsort and the runs' starts. How a
-cell is keyed (a dense mixed-radix key, a renumbered key, or a row of
-codes past int64) is private to this module.
+of two or more columns is dense and the caller asks for them, the counts of
+every one of its columns at the same prefixes. It keys each row's cell from
+the code columns directly, in the narrowest dtype of the joint space (the
+same rule). A joint is counted densely, over its whole grid of mixed-radix
+keys, only where the rows fill that grid; then each column's counts are the
+grid's sums over the other columns' axes, one for each code, so the rows
+are read once for all of them. Otherwise the keys are renumbered to the
+cells seen, by one sort of the keys, and the joint gives no column's
+counts: a column is then counted from its own rows, as a subset of one. At
+one prefix of one segment, as every public measure counts, the cells'
+counts are the run lengths of the sorted keys, with no id written or
+counted; at several prefixes, each row's id comes from an argsort and the
+runs' starts. How a cell is keyed (a dense mixed-radix key, a renumbered
+key, or a row of codes past int64) is private to this module.
 
 A sample can hold datasets of one layout one after another, as
 `msulab.dataset.generate_replicates` writes a batch of replicates, and be
@@ -406,11 +406,12 @@ def normalize_prefixes(
 
 
 def prefix_counts(
-    sample: CategoricalSample, subset: tuple[int, ...], bounds: tuple[int, ...], rows: int
+    sample: CategoricalSample, subset: tuple[int, ...], bounds: tuple[int, ...], rows: int, members: bool
 ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """Joint counts over the columns `subset` of the row prefixes
     `codes[:n]`, n in `bounds`, with the counts of each of those columns at
-    those prefixes where the joint of two or more columns is dense.
+    those prefixes where the joint of two or more columns is dense and
+    `members` asks for them.
 
     The arguments are an entropy table's key, checked by `normalize_columns`
     and `normalize_prefixes`, and are not checked again. The sample is read
@@ -428,8 +429,10 @@ def prefix_counts(
     columns comes with one matrix per column, in sorted subset order: each
     row the column's counts in the same row, its full cardinality wide in
     ascending code order, zeros included. Those are the grid's sums over its
-    other axes, so the rows are read once. Any other joint comes with an
-    empty list; a renumbered one is counted segment by segment, each
+    other axes, so the rows are read once; they are summed only where
+    `members` is true, as the entropy table asks for them only when it
+    lacks some member's entropies. Any other joint comes with an empty
+    list; a renumbered one is counted segment by segment, each
     renumbered to its own cells, so a segment is keyed as it would be alone
     and no row is as wide as all segments' cells together. No joint matrix
     exceeds `_DENSE_CELL_LIMIT` elements unless a single row does. A
@@ -449,9 +452,9 @@ def prefix_counts(
         # renumbered segment by segment, each to its own cells, so that no
         # count row is as wide as the cells of all segments together
         for s in range(0, segments * top, top):
-            yield from _counts([column[s : s + top] for column in columns], dims, bounds, 1, dense)
+            yield from _counts([column[s : s + top] for column in columns], dims, bounds, 1, dense, members)
     else:
-        yield from _counts(columns, dims, bounds, segments, dense)
+        yield from _counts(columns, dims, bounds, segments, dense, members)
 
 
 def _dense(space: int, rows: int) -> bool:
@@ -466,10 +469,12 @@ def _counts(
     bounds: tuple[int, ...],
     segments: int,
     dense: bool,
+    members: bool,
 ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """`prefix_counts` of the subset's code columns, which hold `segments`
     segments of `bounds[-1]` rows one after another, keyed densely or
-    renumbered as `dense` says."""
+    renumbered as `dense` says, with a dense joint's member counts where
+    `members` asks for them."""
     top, n = bounds[-1], len(bounds)
     if not dense and n == segments == 1:
         # one histogram of all the rows: its counts are the sorted keys' runs
@@ -504,7 +509,7 @@ def _counts(
         # the cells of each segment's last row
         observed = np.flatnonzero(running if s1 - s0 == 1 else counts[f1 - f0 - 1 :: f1 - f0].any(axis=0))
         # a dense joint's counts are the whole grid, before its zeros are dropped
-        yield counts[:, observed], _axis_counts(counts, dims) if dense and len(dims) > 1 else []
+        yield counts[:, observed], _axis_counts(counts, dims) if members and dense and len(dims) > 1 else []
 
 
 def _axis_counts(grid: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:

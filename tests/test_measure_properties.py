@@ -27,7 +27,7 @@ def _counts(sample, cols, prefixes=None):
     """`prefix_counts` of `cols` at `prefixes`, all rows by default, given
     the checked key it takes."""
     key = (normalize_columns(sample, cols), *normalize_prefixes(sample, prefixes))
-    return list(prefix_counts(sample, *key))
+    return list(prefix_counts(sample, *key, True))
 
 
 def joint_counts(sample, cols):

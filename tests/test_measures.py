@@ -61,7 +61,7 @@ def _key(sample, cols, prefixes=None, period=None):
 
 def joint_counts(sample, cols):
     """The observed cells' counts over `cols`, all rows: one prefix of `prefix_counts`."""
-    ((counts, _),) = prefix_counts(sample, *_key(sample, cols))
+    ((counts, _),) = prefix_counts(sample, *_key(sample, cols), True)
     return counts[0]
 
 
@@ -579,7 +579,7 @@ class TestCodeDtype:
             keys = keys * card + column
         _, expected = np.unique(keys, return_counts=True)
         cols = range(len(cards))
-        chunks = list(prefix_counts(sample, *_key(sample, cols, [5000])))
+        chunks = list(prefix_counts(sample, *_key(sample, cols, [5000]), True))
         ((counts, alone),) = chunks
         assert counts[0].tolist() == expected.tolist()
         if not _dense(math.prod(cards), 5000):  # renumbered
@@ -620,7 +620,7 @@ class TestCodeDtype:
         _, expected = np.unique(keys, return_counts=True)
         assert joint_counts(sample, cols).tolist() == expected.tolist()
         prefixes = [1, 7, 1000, 3000]
-        chunks = list(prefix_counts(sample, *_key(sample, cols, prefixes)))
+        chunks = list(prefix_counts(sample, *_key(sample, cols, prefixes), True))
         rows = [row for counts, _ in chunks for row in counts]
         for n, row in zip(prefixes, rows, strict=True):
             assert row[row > 0].tolist() == np.unique(keys[:n], return_counts=True)[1].tolist()
@@ -653,7 +653,7 @@ class TestCodeDtype:
         assert ids.tolist() == inverse.tolist() and n_cells == len(cells)
         cols = range(len(cards))
         prefixes = [1, 7, 1000, 3000]
-        chunks = list(prefix_counts(sample, *_key(sample, cols, prefixes)))
+        chunks = list(prefix_counts(sample, *_key(sample, cols, prefixes), True))
         assert (len(chunks) > 1) == (limit == 2)
         joint = [row for counts, _ in chunks for row in counts]
         for n, row in zip(prefixes, joint, strict=True):
@@ -779,9 +779,9 @@ class TestDenseWhereTheRowsFill:
         cols = range(len(cards))
         filled = CategoricalSample.from_columns(columns, cards)
         short = CategoricalSample.from_columns([c[:-1] for c in columns], cards)
-        ((_, members),) = prefix_counts(filled, *_key(filled, cols))
+        ((_, members),) = prefix_counts(filled, *_key(filled, cols), True)
         assert len(members) == len(cards)  # filled: dense, so it gives its members
-        ((_, members),) = prefix_counts(short, *_key(short, cols))
+        ((_, members),) = prefix_counts(short, *_key(short, cols), True)
         assert members == []  # one row short: renumbered
 
     @pytest.mark.parametrize(
@@ -805,7 +805,7 @@ class TestDenseWhereTheRowsFill:
         assert ids.tolist() == inverse.tolist() and n_cells == len(cells)
         cols = range(len(cards))
         prefixes = [*range(1, rows, max(1, rows // 40)), rows]
-        chunks = list(prefix_counts(sample, *_key(sample, cols, prefixes)))
+        chunks = list(prefix_counts(sample, *_key(sample, cols, prefixes), True))
         assert (len(chunks) > 1) == chunked
         joint = [row for counts, _ in chunks for row in counts]
         for n, row in zip(prefixes, joint, strict=True):
@@ -828,7 +828,7 @@ class TestDenseWhereTheRowsFill:
         assert _dense(math.prod(cards), rows)
         cols = range(len(cards))
         prefixes = [1, 7, rows]
-        chunks = list(prefix_counts(sample, *_key(sample, cols, prefixes)))
+        chunks = list(prefix_counts(sample, *_key(sample, cols, prefixes), True))
         assert (len(chunks) > 1) == chunked
         for j, card in enumerate(cards):
             alone = [row for _, members in chunks for row in members[j]]
@@ -898,7 +898,7 @@ class TestSortRenumbering:
         columns = self._columns(cards, rows * segments, sum(cards) % 1000 + segments)
         sample = CategoricalSample.from_columns(columns, cards)
         keys = _int64_keys(columns, cards)
-        chunks = list(prefix_counts(sample, *_key(sample, range(len(cards)), prefixes, rows)))
+        chunks = list(prefix_counts(sample, *_key(sample, range(len(cards)), prefixes, rows), True))
         matrices = [counts for counts, members in chunks if members == []]
         assert len(matrices) == len(chunks) == segments  # renumbered segment by segment
         for s, counts in enumerate(matrices):
@@ -934,12 +934,12 @@ class TestSortRenumbering:
         real_ids, real_bincount = sample_module._cell_ids, np.bincount
         monkeypatch.setattr(sample_module, "_cell_ids", lambda *a: asked.append(a[2]) or real_ids(*a))
         monkeypatch.setattr(np, "bincount", lambda *a, **k: counted.append(a) or real_bincount(*a, **k))
-        ((counts, members),) = prefix_counts(sample, *_key(sample, range(20)))
+        ((counts, members),) = prefix_counts(sample, *_key(sample, range(20)), True)
         assert asked == [None] and counted == [] and members == []
         keys = _int64_keys([sample.codes[:, j] for j in range(20)], cards)
         assert counts[0].tolist() == np.unique(keys, return_counts=True)[1].tolist()
         # several prefixes, or a past-int64 space, count ids
-        list(prefix_counts(sample, *_key(sample, range(20), [10, 1000])))
+        list(prefix_counts(sample, *_key(sample, range(20), [10, 1000]), True))
         assert asked == [None, False] and len(counted) == 1
 
 
@@ -950,9 +950,9 @@ class TestEntropyTable:
         calls = []
         counts = measures.prefix_counts
 
-        def counting(sample, subset, bounds, rows):
+        def counting(sample, subset, bounds, rows, members):
             calls.append(subset)
-            return counts(sample, subset, bounds, rows)
+            return counts(sample, subset, bounds, rows, members)
 
         monkeypatch.setattr(measures, "prefix_counts", counting)
         sample = CategoricalSample(TABLE_C.codes, TABLE_C.cardinalities)
@@ -966,6 +966,26 @@ class TestEntropyTable:
         copy = dataclasses.replace(sample)
         assert msu(copy, [0, 1, 2]) == first
         assert len(calls) == 3  # a new sample starts with an empty table
+
+    def test_stored_members_are_not_summed_again(self, monkeypatch):
+        # a dense joint sums its members' counts only where the table lacks
+        # one of them: after the first MSU every marginal is stored
+        sums = []
+        axis_counts = sample_module._axis_counts
+
+        def summing(grid, dims):
+            sums.append(dims)
+            return axis_counts(grid, dims)
+
+        monkeypatch.setattr(sample_module, "_axis_counts", summing)
+        codes = np.random.default_rng(4).integers(0, 3, size=(500, 3))
+        sample = CategoricalSample(codes, (3, 3, 3))
+        msu(sample, [0, 1, 2])
+        assert sums == [(3, 3, 3)]
+        second = msu(sample, [2, 0])
+        assert ((0, 2), (500,), 500) in sample._entropies  # the joint was counted
+        assert sums == [(3, 3, 3)]
+        assert second == msu(CategoricalSample(codes, (3, 3, 3)), [2, 0])  # members summed there
 
     def test_prefixes_are_part_of_the_key(self):
         sample = CategoricalSample(np.random.default_rng(3).integers(0, 3, size=(40, 3)), (3, 3, 3))
@@ -984,10 +1004,10 @@ class TestEntropyTable:
         calls = []
         counts = measures.prefix_counts
 
-        def counting(counted, subset, bounds, rows):
+        def counting(counted, subset, bounds, rows, members):
             if counted is sample:  # not the fresh samples below
                 calls.append((subset, bounds))
-            return counts(counted, subset, bounds, rows)
+            return counts(counted, subset, bounds, rows, members)
 
         def entropies(counts):
             rows.append(len(counts))
@@ -1286,7 +1306,7 @@ class TestPeriod:
         segments = _segments(len(cards) + m, 5, m, cards)
         stack = _stacked(segments)
         cols = range(len(cards))
-        own = [list(prefix_counts(s, *_key(s, cols, prefixes))) for s in segments]
+        own = [list(prefix_counts(s, *_key(s, cols, prefixes), True)) for s in segments]
         dense = math.prod(cards) <= sample_module._DENSE_FILL * prefixes[-1]
         if limit is not None:
             # a chunk holds two segments (one where the joint is renumbered,
@@ -1294,7 +1314,7 @@ class TestPeriod:
             width = math.prod(cards) if dense else max(chunks[0][0].shape[1] for chunks in own)
             per = 2 * len(prefixes) if limit == "whole" else len(prefixes) // 2
             monkeypatch.setattr(sample_module, "_DENSE_CELL_LIMIT", per * width)
-        chunks = list(prefix_counts(stack, *_key(stack, cols, prefixes, m)))
+        chunks = list(prefix_counts(stack, *_key(stack, cols, prefixes, m), True))
         if dense:  # one chunk, 3 of two segments, or half a segment's prefixes each
             cut = 5 * -(-len(prefixes) // max(1, len(prefixes) // 2))
             assert len(chunks) == {None: 1, "whole": 3, "cut": cut}[limit]
