@@ -8,9 +8,10 @@ cardinality), and it is the sample size where the config has no sample-size
 policy. `run_experiment` walks the sweep once per stage: it resolves every
 point (`resolve_point`), keeping the message of each point it skips; it
 plans the points (`_plans`), one plan a set of points that share a dataset,
-and runs each plan (`_run_layout`); and it aggregates each plan's points
-into each measure's series, made once and filled by sweep index, the
-series in the order in which the points, in sweep order, list them.
+and runs each plan (`_run_layout`); and it aggregates every plan's values
+in one matrix, a row per measure and row prefix, into each measure's
+series, made once and filled by sweep index, the series in the order in
+which the points, in sweep order, list them.
 
 Its layout is one list of attribute groups (`GroupSpec`: a generator family, a
 column count and a cardinality, each fixed or following the sweep) and the
@@ -29,8 +30,9 @@ once with the point's dataset. A representativeness scan reads only
 `_layout`, so no Monte Carlo m is worked out for it. The plan (`_plan`) is
 the engine's unit: `_plans` splits the points into the sets that share a
 dataset and plans each once, `_run_layout` runs a plan and gives each
-measure's values at each of its row prefixes, and each point's values are
-read from its plan's run. A plan is worked out from the config and the
+measure's (prefixes x replicates) matrix of values, and the rows of every
+plan's matrices are aggregated as one matrix (`_mean_std`), each point's
+statistics read from its plan's rows. A plan is worked out from the config and the
 points alone, and generates nothing: the dataset's m and blocks, and with
 them every column name (by `msulab.dataset.block`); each measure's name and
 columns, with its row prefixes; each point's sweep index, m and measures;
@@ -91,7 +93,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -100,7 +102,7 @@ from .dataset import MAX_DATASET_CELLS, AttributeBlock, block, check_size, check
 from .errors import InvalidInputError
 from .generators import GeneratorKind, SeededRng, check_card, check_k, check_m, check_xor_noise
 from .ingest import csv_field
-from .measures import msu_values
+from .measures import _row_sums, msu_values
 from .sample import _shown, integer, items, real, string
 from .samplesize import CardinalityProfile, heuristic_sample_size, huge_space_bits, representativeness_report
 
@@ -115,6 +117,10 @@ SCAN_ALPHA = 0.05
 # 0.51-0.61 s at 2**18, against 0.97-1.17 s at one replicate a batch; peak
 # memory grew by 0.6, 2.3 and 29 MB.
 _BATCH_CELLS = 1 << 15
+# The aggregate squares this many deviations at a time, as Python floats for
+# libm's pow (see `_mean_std`): fig-b2 at 1,000 replicates, its 429,000
+# deviations squared at once, peaked at 80 MB of memory, against 58 MB.
+_SQUARES = 1 << 16
 
 
 # The field checks of the config classes. Each returns the value as stored.
@@ -500,11 +506,9 @@ def _plan(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> _Pla
     return _Plan(m, blocks, sum(counts), measures, measured, max(1, _BATCH_CELLS // _cells(m, counts)))
 
 
-def _run_layout(
-    config: ExperimentConfig, plan: _Plan, replicates: Sequence[int]
-) -> dict[_Measure, dict[int, list[float]]]:
-    """Each measure's values at each of its row prefixes, one value per
-    replicate, from running `plan`.
+def _run_layout(config: ExperimentConfig, plan: _Plan, replicates: Sequence[int]) -> dict[_Measure, np.ndarray]:
+    """Each measure's (prefixes x replicates) matrix of values, a row per
+    row prefix in the plan's ascending order, from running `plan`.
 
     The run reads only the plan, and of the config the seed, the class
     cardinality, k and the XOR noise. A batch of replicates (see
@@ -516,7 +520,7 @@ def _run_layout(
     column's marginals, of which the table keeps those it lacks, and a
     renumbered joint's columns are counted once each (see
     `msulab.measures.subset_entropies`). A measure's matrices over the
-    batches are stacked, and each prefix's column is its values.
+    batches are stacked and transposed.
     """
     # measure -> its (replicates x prefixes) matrix of each batch
     values: dict[_Measure, list[np.ndarray]] = {measure: [] for measure in plan.measures}
@@ -527,13 +531,10 @@ def _run_layout(
         )
         for (name, cols), ms in plan.measures.items():
             values[name, cols].append(msu_values(sample, cols + (plan.columns,), ms, plan.m)[0].reshape(len(rngs), -1))
-    return {
-        measure: dict(zip(plan.measures[measure], np.concatenate(matrices).T.tolist()))
-        for measure, matrices in values.items()
-    }
+    return {measure: np.concatenate(matrices).T for measure, matrices in values.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen field is set by object.__setattr__, 3x slower
 class MeasureStats:
     mean: float
     std: float
@@ -572,18 +573,26 @@ class BiasCurve:
                 out.write(f"{v},{name},{s.mean!r},{s.std!r},{s.n},{size_text}\n")
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    # fsum aggregation: replicate order cannot change the result. The
-    # squares stay per value in Python: `(x - mean) ** 2` calls libm's pow,
-    # which does not always give the float NumPy's `x * x` gives (on glibc
-    # 2.36, 8,404 of 10,000,000 uniform doubles in [0, 1) square otherwise),
-    # so a vectorized variance would move curve bytes.
-    n = len(values)
-    mean = math.fsum(values) / n
+def _mean_std(matrix: np.ndarray) -> tuple[list[float], list[float]]:
+    """Each row's mean and sample standard deviation (0.0 at one column):
+    the floats of `fsum(v) / n` and `sqrt(fsum((x - mean) ** 2 for x in v)
+    / (n - 1))` over the row's n values."""
+    # A run aggregates all its points at once: a row per measure and row
+    # prefix, a column per replicate. The sums are fsums (`_row_sums`), so
+    # replicate order cannot change the result, and each deviation is the
+    # IEEE subtraction Python makes. The squares stay per value in Python:
+    # `(x - mean) ** 2` calls libm's pow, which does not always give the
+    # float NumPy's `x * x` gives (on glibc 2.36, 8,404 of 10,000,000
+    # uniform doubles in [0, 1) square otherwise, and `np.power`'s vector
+    # loop differed in 75,948 of 2,000,000), so `pow` is mapped over them.
+    n = matrix.shape[1]
+    means = _row_sums(matrix) / n
     if n < 2:
-        return mean, 0.0
-    var = math.fsum((x - mean) ** 2 for x in values) / (n - 1)
-    return mean, math.sqrt(var)
+        return means.tolist(), [0.0] * len(matrix)
+    squares = (matrix - means[:, np.newaxis]).ravel()  # the deviations, squared in place
+    for i in range(0, squares.size, _SQUARES):
+        squares[i : i + _SQUARES] = list(map(pow, squares[i : i + _SQUARES].tolist(), repeat(2)))
+    return means.tolist(), np.sqrt(_row_sums(squares.reshape(matrix.shape)) / (n - 1)).tolist()
 
 
 def run_experiment(config: ExperimentConfig) -> BiasCurve:
@@ -595,12 +604,13 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
     `errors`; the sweep itself never aborts. The curve's sample sizes and
     errors come from this pass. The second plans the resolved points
     (`_plans`), one plan a set of points that share a dataset, and runs each
-    plan (`_run_layout`). The third reads each of a plan's points' values
-    from its run, each measure's at the point's m, and turns them into
-    `MeasureStats`: a measure's series is made once, before any plan runs,
-    and each point takes its slot by its sweep index. The series come in
-    the order of the first point that lists each measure, and the measures
-    of one point in that point's order.
+    plan (`_run_layout`). The third stacks the rows of every plan's
+    matrices, one row per measure and row prefix, and aggregates them in
+    one `_mean_std` call; each point reads each of its measures' row, at
+    the point's m, as `MeasureStats`: a measure's series is made once,
+    before any plan runs, and each point takes its slot by its sweep
+    index. The series come in the order of the first point that lists each
+    measure, and the measures of one point in that point's order.
     """
     if not isinstance(config, ExperimentConfig):
         raise InvalidInputError(f"config must be an ExperimentConfig, got {type(config).__name__}")
@@ -621,12 +631,16 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
     # over the planned points in sweep order, whatever order the plans run in
     names = dict.fromkeys(name for _, _, own in sorted(p for plan in plans for p in plan.points) for name, _ in own)
     per_measure: dict[str, list[MeasureStats | None]] = {name: [None] * n_points for name in names}
+    # every plan's (measure, prefix) rows in one matrix, which outlives the
+    # plans' own matrices; it has no row where every point is skipped
+    runs = (_run_layout(config, plan, range(config.replicates)) for plan in plans)
+    matrix = np.concatenate([np.empty((0, config.replicates)), *(rows for run in runs for rows in run.values())])
+    stats = map(MeasureStats, *_mean_std(matrix), repeat(config.replicates))
     for plan in plans:
-        values = _run_layout(config, plan, range(config.replicates))
+        at = {(measure, m): next(stats) for measure, ms in plan.measures.items() for m in ms}
         for i, m, own in plan.points:
             for measure in own:
-                reps = values[measure][m]
-                per_measure[measure[0]][i] = MeasureStats(*_mean_std(reps), len(reps))
+                per_measure[measure[0]][i] = at[measure, m]
 
     return BiasCurve(
         name=config.name,

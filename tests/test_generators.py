@@ -123,6 +123,16 @@ class TestSeededRng:
             assert type(bits) is np.random.PCG64
             assert bits.state["has_uint32"] == 0
 
+    def test_random_is_the_top_53_bits_of_each_raw_word(self):
+        # the Kononenko and XOR columns rest on `Generator.random`, which
+        # NumPy documents as (word >> 11) * 2**-53 of each 64-bit word; if a
+        # release draws it otherwise, this names the method that moved
+        for seed, replicate, path in ((1, 0, (0, 0)), (20170707, 999, (3, 1)), (0, 5, (1,))):
+            for n in (1, 2, 1001):
+                ours = SeededRng(seed, replicate).stream(*path).random(n)
+                words = SeededRng(seed, replicate).stream(*path).bit_generator.random_raw(n)
+                assert np.array_equal(ours, (words >> np.uint64(11)) * 2.0**-53), (seed, path, n)
+
 
 class TestGenClass:
     """A class column with no XOR pair is a uniform column on stream (0, 0)."""

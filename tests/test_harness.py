@@ -32,7 +32,7 @@ from msulab import (
 from msulab import dataset, harness, measures, presets
 from msulab import sample as sample_module
 from msulab.dataset import CLASS_COLUMN, generate_replicates
-from msulab.harness import CountRule, MeasureStats, _mean_std, resolve_point
+from msulab.harness import CountRule, MeasureStats, resolve_point
 from oracle_utils import expected_plugin_entropy, kononenko_cell_probs, kononenko_first_half_prob
 
 
@@ -73,8 +73,18 @@ def _rejected_both_ways(data, match, python=True):
 def _layout_values(config, plan, replicates):
     """Each of a plan's points' measure values, in its order: measure name ->
     one value per replicate, from running the plan."""
-    values = harness._run_layout(config, plan, replicates)
+    values = {
+        measure: dict(zip(plan.measures[measure], matrix.tolist()))
+        for measure, matrix in harness._run_layout(config, plan, replicates).items()
+    }
     return [{name: tuple(values[name, cols][m]) for name, cols in own} for _, m, own in plan.points]
+
+
+def _mean_std(values):
+    """The mean and standard deviation of one point's replicate values:
+    `harness._mean_std` of a one-row matrix."""
+    (mean,), (std,) = harness._mean_std(np.array([values], dtype=np.float64))
+    return mean, std
 
 
 def _alone(config, point):
@@ -511,6 +521,45 @@ class TestAggregation:
         if x is None:
             pytest.skip("this libm squares every searched value as x * x does")
         assert _mean_std([-x, x]) == (0.0, math.sqrt(2 * x**2))
+
+
+class TestAggregateMatrix:
+    """`harness._mean_std` of a run's (values x replicates) matrix gives each
+    row, bit for bit, the floats of the scalar formulas."""
+
+    @staticmethod
+    def _scalar(v):
+        n = len(v)
+        mean = math.fsum(v) / n
+        return mean, math.sqrt(math.fsum((x - mean) ** 2 for x in v) / (n - 1)) if n > 1 else 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64])
+    @pytest.mark.parametrize("rows", [1, 255, 256, 700])
+    def test_rows_match_the_scalar_formula(self, rows, n):
+        rng = np.random.default_rng(rows * 1000 + n)
+        matrix = rng.random((rows, n)) ** rng.integers(1, 40, size=(rows, 1))  # values down to tiny ones
+        matrix[rng.random((rows, n)) < 0.1] = 0.0  # degenerate replicates measure 0
+        matrix[0] = 0.37  # a row of equal values
+        if n >= 3 and rows > 1:
+            # deviations -1, 1 and 2**-51 about a mean of exactly 2: squares
+            # 102 binades apart, past what an int64 sum holds, so fsummed
+            matrix[1] = [1.0, 3.0, 2.0 + 2.0**-51] + [2.0] * (n - 3)
+            squares = [(x - 2.0) ** 2 for x in matrix[1].tolist()]
+            assert not measures._int64_sums(np.array([squares]))[1].all()
+        if rows > 2:
+            matrix[2] = [2.0**-1000] * (n - 1) + [1.0]  # a least exponent below -969
+        means, stds = harness._mean_std(matrix)
+        want = [self._scalar(row) for row in matrix.tolist()]
+        assert [x.hex() for x in means] == [mean.hex() for mean, _ in want]
+        assert [x.hex() for x in stds] == [std.hex() for _, std in want]
+        assert all(type(x) is float for x in means + stds)
+
+    def test_a_run_without_points(self):
+        means, stds = harness._mean_std(np.empty((0, 3)))
+        assert means == stds == []
+        config = _desk(preset("fig-b2"), 2, (10**12, 10**13))
+        curve = run_experiment(config)  # every point is skipped
+        assert curve.measures == {} and len(curve.errors) == 2
 
 
 class TestPresets:

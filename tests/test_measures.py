@@ -1178,6 +1178,57 @@ class TestBulkRowSums:
         assert len(fits) > 0 and fits.mean() > 0.5
 
 
+class TestRowSumLayouts:
+    """`_int64_sums` gives the same sums and fits, bit for bit, whether it
+    reduces a matrix as it is, over axis 1, or as its contiguous transpose,
+    over axis 0 (`_NARROW_ROW`)."""
+
+    @staticmethod
+    def _same_both_ways(monkeypatch, terms):
+        monkeypatch.setattr(measures, "_NARROW_ROW", 0)
+        assert measures._along_rows(terms)[1] == 1
+        sums, fits = measures._int64_sums(terms)
+        monkeypatch.setattr(measures, "_NARROW_ROW", 10**6)
+        # a matrix of more rows than columns is transposed; another never is
+        assert measures._along_rows(terms)[1] == (0 if len(terms) > terms.shape[1] else 1)
+        narrow_sums, narrow_fits = measures._int64_sums(terms)
+        assert np.array_equal(narrow_sums.view(np.int64), sums.view(np.int64))
+        assert narrow_fits.tolist() == fits.tolist()
+        return fits
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 20_000])
+    def test_random_rows_of_every_narrow_width(self, monkeypatch, rows):
+        rng = np.random.default_rng(rows)
+        fits = []
+        for width in range(1, 33):
+            # exponents spread over 0 to 11 binades a row, as in TestBulkRowSums
+            spread = rng.integers(0, 12, size=(rows, 1))
+            exps = -rng.integers(0, spread + 1, size=(rows, width)) - rng.integers(0, 40, size=(rows, 1))
+            terms = np.ldexp(rng.random((rows, width)) + 0.5, exps) * rng.choice([-1.0, 1.0], size=(rows, width))
+            terms[rng.random((rows, width)) < 0.2] = 0.0
+            fits.append(self._same_both_ways(monkeypatch, terms))
+        if rows > 1:
+            fits = np.concatenate(fits)
+            assert 0 < fits.mean() < 1  # rows that fit and rows that fall back
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_tie_rows(self, monkeypatch, k):
+        terms = TestBulkRowSums._tie_rows(np.random.default_rng(k), 300, k, -1)
+        assert self._same_both_ways(monkeypatch, terms).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9])
+    def test_rows_at_the_edge_of_int64(self, monkeypatch, k):
+        # the largest mantissas at the widest shift that fits and one past
+        # it, stacked with zero, tiny and subnormal rows
+        room = 9 - (k - 1).bit_length()
+        top = 1 - 2.0**-53
+        rows = [[-top * 2.0**spread] * (k - 1) + [-top] for spread in (room, room + 1)]
+        rows += [[0.0] * k, [5e-324] * k, [2.0**-1000] * k, [2.0**-900] * (k - 1) + [3 * 2.0**-901]]
+        terms = np.array([sign * np.array(row) for row in rows for sign in (1, -1)] * 40)
+        fits = self._same_both_ways(monkeypatch, terms)
+        assert fits[:2].all() and (k == 1 or not fits[2:4].any())
+
+
 
 def _per_cell_entropy(row):
     """The oracle: each cell's term by `entropy_rows`' NumPy operations over

@@ -61,7 +61,7 @@ def _run_output(wall_s, correct=True, failed=0):
 def test_bench_pairs_reads_the_last_result_line():
     tool = _bench_pairs()
     result = tool.result_of(_run_output(0.0995))
-    assert tool.wall_s(result) == 0.0995 and tool.problem(result) is None
+    assert tool.metric(result, "wall_s") == 0.0995 and tool.problem(result) is None
     assert tool.result_of("metric wall_s = 1\nTraceback (most recent call last):\n") is None
     assert tool.problem(None) == "no result line"
     assert tool.problem(tool.result_of(_run_output(0.1, correct=False, failed=3))) == "correct: false, 3 failed ops"
@@ -139,6 +139,37 @@ def test_bench_pairs_flags_only_a_metric_worse_than_its_bound():
         "bound peak_rss_mb: median 100 -> 112 MB (+12.0%), lower is better: WORSE by more than its bound 10%",
     ]
     assert tool.summary(pairs, end_to_end)[-4:] == tool.bound_checks(pairs, end_to_end)
+
+
+def test_bench_pairs_times_presets_in_process_in_each_checkout(capsys):
+    # BEFORE given twice: the A/A comparison, here at one replicate a run
+    tool = _bench_pairs()
+    root = str(SRC_LINES.parents[1])
+    assert tool.main([root, root, "--presets", "fig-b1,fig-e1", "--replicates", "1", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("preset ")] == [
+        f"preset {name}, 1 replicates a run, seed default, pinned to CPU {min(tool.os.sched_getaffinity(0))}"
+        for name in ("fig-b1", "fig-e1")
+    ]
+    for side in tool.SIDES:
+        runs = [line for line in out if line.startswith(f"{side} wall_s_per_replicate (ms), pair by pair: ")]
+        assert len(runs) == 2 and all(len(line.split(": ")[1].split()) == 2 for line in runs)
+        assert sum(line.startswith(f"{side}: median ") and line.endswith("of 2 pairs") for line in out) == 2
+    assert sum(line.startswith("median gap (before - after): ") for line in out) == 2
+    assert not [line for line in out if line.startswith("problem")]
+
+
+def test_bench_pairs_flags_a_preset_that_gave_no_result():
+    tool = _bench_pairs()
+    root = SRC_LINES.parents[1]
+    cpu = min(tool.os.sched_getaffinity(0))
+    (result,) = tool.time_presets(root, ["fig-b1"], 1, 7, cpu)
+    assert result["preset"] == "fig-b1" and tool.problem(result, "wall_s_per_replicate") is None
+    assert tool.problem(result) == "no wall_s"
+    # the child stops at an unknown preset: it and every later one gave nothing
+    assert tool.time_presets(root, ["no-such-preset", "fig-b1"], 1, None, cpu) == [None, None]
+    lines = tool.summary([(result, None)], [], "wall_s_per_replicate")
+    assert lines[-1] == "problem: pair 1, after: no result line"
 
 
 def _bench_file():

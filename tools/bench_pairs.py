@@ -1,7 +1,9 @@
-"""Compare two checkouts on benchmark workloads, in interleaved pairs of runs.
+"""Compare two checkouts on benchmark workloads or presets, in interleaved pairs of runs.
 
     python3 tools/bench_pairs.py BEFORE AFTER --workload measure-csv [--workload mc-small-m ...]
         [--seconds 4] [--seed N] [--pairs 10] [--metric wall_s]
+    python3 tools/bench_pairs.py BEFORE AFTER --presets fig-b2,fig-e2 [--replicates 100]
+        [--seed N] [--pairs 10]
 
 For each workload in turn, each pair runs
 `python3 bench/run.py --workload W --seconds S [--seed N]` once in each
@@ -16,7 +18,20 @@ then the gap between the two medians. Then, for each end-to-end metric that
 BEFORE's `BENCHMARK.json` declares, it prints AFTER's median against BEFORE's and
 flags it where it is worse, in the metric's `better` direction, by more
 than the metric's `bound`; last, every run that reported `correct: false`,
-failed ops, or no result at all. The script itself writes no file.
+failed ops, no result at all, or no value of the metric compared. The
+script itself writes no file.
+
+With `--presets`, each pair runs one child process in each checkout, the
+side that runs first alternating as above. The child imports msulab from
+the checkout's `src/` and pins itself to one CPU, the same one on both
+sides. It runs each named preset once at one replicate, untimed, and then
+times `run_experiment` in process once per preset, in order, at
+`--replicates` replicates (100 unless given) and the preset's own seed
+unless `--seed` is given. For each preset this prints the same report,
+on `wall_s_per_replicate`, the wall time of the run over its replicates,
+shown in ms. Giving BEFORE twice, as both checkouts, prints the A/A floor:
+the gap and the spread that two runs of the same code show on this host, to
+quote beside any gap between two different checkouts.
 Standard library only.
 """
 
@@ -24,12 +39,34 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("before", "after")
+# The child of `--presets`: argv is the CPU, the replicates, the seed ("" for
+# each preset's own) and the presets; it prints one result line a preset.
+PRESET_TIMER = """
+import dataclasses, json, os, sys, time
+cpu, replicates, seed, *names = sys.argv[1:]
+os.sched_setaffinity(0, {int(cpu)})
+sys.path.insert(0, os.path.join(os.getcwd(), "src"))
+from msulab import preset, run_experiment
+replicates = int(replicates)
+for name in names:  # first calls pay for lazy imports and caches: untimed
+    run_experiment(dataclasses.replace(preset(name), replicates=1))
+for name in names:
+    config = dataclasses.replace(preset(name), replicates=replicates)
+    if seed:
+        config = dataclasses.replace(config, master_seed=int(seed))
+    start = time.perf_counter()
+    run_experiment(config)
+    wall = time.perf_counter() - start
+    metrics = {"wall_s_per_replicate": {"value": wall / replicates, "unit": "s"}}
+    print(json.dumps({"preset": name, "correct": True, "failed": 0, "metrics": metrics}), flush=True)
+"""
 
 
 def result_of(stdout: str) -> dict | None:
@@ -53,17 +90,13 @@ def metric(result: dict | None, name: str) -> float | None:
         return None
 
 
-def wall_s(result: dict | None) -> float | None:
-    """A result's `wall_s` in seconds, None if it has none."""
-    return metric(result, "wall_s")
-
-
-def problem(result: dict | None) -> str | None:
-    """Why a run's result is not a clean one, None if it is."""
+def problem(result: dict | None, timed: str = "wall_s") -> str | None:
+    """Why a run's result is not a clean one, None if it is: `timed` names
+    the metric it must report."""
     if result is None:
         return "no result line"
-    if wall_s(result) is None:
-        return "no wall_s"
+    if metric(result, timed) is None:
+        return f"no {timed}"
     if result.get("correct") is not True or result.get("failed") != 0:
         return f"correct: {json.dumps(result.get('correct'))}, {result.get('failed')} failed ops"
     return None
@@ -120,7 +153,7 @@ def summary(
     lines += bound_checks(pairs, end_to_end)
     for i, pair in enumerate(pairs, 1):
         for side, result in zip(SIDES, pair):
-            if (why := problem(result)) is not None:
+            if (why := problem(result, compared)) is not None:
                 lines.append(f"problem: pair {i}, {side}: {why}")
     return lines
 
@@ -159,37 +192,93 @@ def run(checkout: Path, workload: str, seconds: float, seed: int | None) -> dict
     return result_of(done.stdout)
 
 
+def time_presets(checkout: Path, presets: list[str], replicates: int, seed: int | None, cpu: int) -> list[dict | None]:
+    """One `PRESET_TIMER` child in `checkout`, and each preset's result line
+    (None where it printed none)."""
+    command = [sys.executable, "-c", PRESET_TIMER, str(cpu), str(replicates), "" if seed is None else str(seed)]
+    threads = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **threads}
+    done = subprocess.run(command + presets, cwd=checkout, capture_output=True, text=True, env=env)
+    if done.returncode:
+        print(f"# {checkout}: exit {done.returncode}: {done.stderr.strip()[-500:]}", file=sys.stderr)
+    results = {}
+    for line in done.stdout.splitlines():
+        result = result_of(line)
+        if result is not None:
+            results[result.get("preset")] = result
+    return [results.get(name) for name in presets]
+
+
+def interleaved(pairs: int, timed, label: str, shown) -> list[tuple]:
+    """`pairs` pairs of (BEFORE's, AFTER's) results of `timed(side)`, the
+    side that runs first alternating from pair to pair; each pair is shown
+    on stderr, as `shown` gives its results."""
+    done = []
+    for i in range(pairs):
+        results = [None, None]
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            results[side] = timed(side)
+        done.append(tuple(results))
+        print(f"# {label} pair {i + 1} of {pairs}: {shown(results)}", file=sys.stderr, flush=True)
+    return done
+
+
+def _ms(result: dict | None, name: str) -> str:
+    value = metric(result, name)
+    return "-" if value is None else f"{value * 1e3:.2f}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("before", type=Path, help="the checkout compared against")
     parser.add_argument("after", type=Path, help="the checkout with the change")
-    parser.add_argument("--workload", required=True, action="append", help="a workload; repeat for several")
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", action="append", help="a workload; repeat for several")
+    what.add_argument("--presets", help="comma-separated presets, timed in process")
     parser.add_argument("--seconds", type=float, default=4.0)
+    parser.add_argument("--replicates", type=int, default=100, help="replicates a preset run (default 100)")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--metric", default="wall_s", help="the metric whose pairs are won (default wall_s)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    for checkout in (args.before, args.after):
+    if args.replicates < 1:
+        parser.error("--replicates must be at least 1")
+    checkouts = (args.before.resolve(), args.after.resolve())
+    for checkout in checkouts:
         if not (checkout / "bench" / "run.py").is_file():
             parser.error(f"{checkout} holds no bench/run.py")
+    seed = "default" if args.seed is None else args.seed
+    if args.presets is not None:
+        presets = [name for name in args.presets.split(",") if name]
+        cpu = min(os.sched_getaffinity(0))
+        runs = interleaved(
+            args.pairs,
+            lambda side: time_presets(checkouts[side], presets, args.replicates, args.seed, cpu),
+            "presets",
+            lambda results: ", ".join(
+                f"{name} {_ms(b, 'wall_s_per_replicate')} vs {_ms(a, 'wall_s_per_replicate')}"
+                for name, b, a in zip(presets, *results)
+            ) + " ms a replicate",
+        )
+        for j, name in enumerate(presets):
+            print(f"preset {name}, {args.replicates} replicates a run, seed {seed}, pinned to CPU {cpu}")
+            pairs = [(before[j], after[j]) for before, after in runs]
+            print("\n".join(summary(pairs, [], "wall_s_per_replicate")), flush=True)
+        return 0
     try:
         end_to_end = json.loads((args.before / "BENCHMARK.json").read_text())["end_to_end"]
     except (OSError, ValueError, KeyError) as exc:
         parser.error(f"cannot read the end-to-end metrics of {args.before / 'BENCHMARK.json'}: {exc}")
     for workload in args.workload:
-        pairs = []
-        for i in range(args.pairs):
-            order = (0, 1) if i % 2 == 0 else (1, 0)  # which side runs first alternates
-            results: list[dict | None] = [None, None]
-            for side in order:
-                checkout = (args.before, args.after)[side]
-                results[side] = run(checkout.resolve(), workload, args.seconds, args.seed)
-            pairs.append((results[0], results[1]))
-            walls = " vs ".join("-" if wall_s(r) is None else f"{wall_s(r) * 1e3:.2f}" for r in results)
-            print(f"# {workload} pair {i + 1} of {args.pairs}: {walls} ms", file=sys.stderr, flush=True)
-        print(f"workload {workload}, {args.seconds} s a run, seed {args.seed if args.seed is not None else 'default'}")
+        pairs = interleaved(
+            args.pairs,
+            lambda side: run(checkouts[side], workload, args.seconds, args.seed),
+            workload,
+            lambda results: " vs ".join(_ms(result, "wall_s") for result in results) + " ms",
+        )
+        print(f"workload {workload}, {args.seconds} s a run, seed {seed}")
         print("\n".join(summary(pairs, end_to_end, args.metric)), flush=True)
     return 0
 
