@@ -340,7 +340,7 @@ class ExperimentConfig:
             raise InvalidInputError(f"tracked subsets name unknown group(s): {', '.join(unknown)}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen, as `MeasureStats`: a sweep builds one a point, 3x faster
 class ResolvedPoint:
     """Concrete layout of one sweep point: its sample size, and each group's
     column count and cardinality here, in group order."""
@@ -354,12 +354,12 @@ def _layout(config: ExperimentConfig, sweep_value: int) -> tuple[tuple[int, ...]
     """Each group's column count and cardinality at a sweep value, in group
     order.
 
-    The groups were checked when the config was built, so only the sweep
-    value is checked here: a count rule's binary equivalent of it, a swept
-    cardinality where its group has columns, and that some tracked subset
-    has columns.
+    The groups and the sweep values were checked when the config was
+    built, and `resolve_point` checks the value it is given, so only what
+    an integer sweep value brings is checked here: a count rule's binary
+    equivalent of it, a swept cardinality where its group has columns, and
+    that some tracked subset has columns.
     """
-    sweep_value = integer(sweep_value, "sweep value")
     counts: list[int] = []
     cards: list[int] = []
     for g in config.groups:
@@ -387,8 +387,10 @@ def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
     for no more than a subset with columns. Presets keep those requirements
     equal. m is checked once, with the point's dataset
     (`msulab.dataset.check_size`), so a point is rejected here before
-    anything is built for it.
+    anything is built for it. The sweep value is checked here, as `Sweep`
+    checks each of its values, since a caller may pass any.
     """
+    sweep_value = integer(sweep_value, "sweep value")
     counts, cards = _layout(config, sweep_value)
     policy = config.sample_size_policy
     if policy is None:
@@ -584,14 +586,15 @@ def _mean_std(matrix: np.ndarray) -> tuple[list[float], list[float]]:
     # `(x - mean) ** 2` calls libm's pow, which does not always give the
     # float NumPy's `x * x` gives (on glibc 2.36, 8,404 of 10,000,000
     # uniform doubles in [0, 1) square otherwise, and `np.power`'s vector
-    # loop differed in 75,948 of 2,000,000), so `pow` is mapped over them.
+    # loop differed in 75,948 of 2,000,000), so `math.pow(x, 2.0)`, the same
+    # libm call without `** 2`'s int-to-float conversion, is mapped over them.
     n = matrix.shape[1]
     means = _row_sums(matrix) / n
     if n < 2:
         return means.tolist(), [0.0] * len(matrix)
     squares = (matrix - means[:, np.newaxis]).ravel()  # the deviations, squared in place
     for i in range(0, squares.size, _SQUARES):
-        squares[i : i + _SQUARES] = list(map(pow, squares[i : i + _SQUARES].tolist(), repeat(2)))
+        squares[i : i + _SQUARES] = list(map(math.pow, squares[i : i + _SQUARES].tolist(), repeat(2.0)))
     return means.tolist(), np.sqrt(_row_sums(squares.reshape(matrix.shape)) / (n - 1)).tolist()
 
 

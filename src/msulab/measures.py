@@ -27,7 +27,10 @@ Every measure over a sample reads its entropies from one table that the
 sample carries, keyed exactly by (sorted column subset, row prefixes,
 segment rows), as `normalize_columns` and `normalize_prefixes` check them:
 on a miss, `subset_entropies` hands the key to `msulab.sample.prefix_counts`
-(nothing else calls it) and keeps the floats. A dense joint of several
+(nothing else calls it) and keeps the entropies as a read-only float64
+array, so no caller can change a stored value. `msu_values` reads those
+arrays as they are; only `subset_entropies` turns one into a tuple of
+Python floats, which the other public measures read. A dense joint of several
 columns gives, from the same scan of the rows, every member column's counts
 at those prefixes, and the table stores the entropies of those it lacks
 under each member's own key, taken in one `entropy_rows` call over their
@@ -104,8 +107,9 @@ class MeasureValue:
         return self.value
 
 
-def entropy_rows(counts: np.ndarray) -> list[float]:
-    """Entropy in bits of each row of a count matrix with positive row sums.
+def entropy_rows(counts: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of a count matrix with positive row sums,
+    as a float64 array.
 
     A zero cell contributes an exact 0 term, so a row gives the same float as
     its positive counts alone. Below `_BULK_ROWS` rows, a row of at least
@@ -113,10 +117,10 @@ def entropy_rows(counts: np.ndarray) -> list[float]:
     to the float that fsum of its cells' terms gives.
     """
     if counts.shape[1] >= _WIDE_ROW and len(counts) < _BULK_ROWS:
-        return [0.0 - _distinct_sum(row) for row in counts]
+        return np.array([0.0 - _distinct_sum(row) for row in counts])
     laid, axis = _along_rows(counts)
     terms = _terms(counts, laid.sum(axis=axis).reshape(-1, 1))
-    return (0.0 - _row_sums(terms)).tolist()  # 0.0 - avoids -0.0
+    return 0.0 - _row_sums(terms)  # 0.0 - avoids -0.0
 
 
 def _terms(counts: np.ndarray, totals) -> np.ndarray:
@@ -233,25 +237,27 @@ def subset_entropies(
     under the same prefixes and period, the entropies of each member column
     that the table lacks there, from the member counts the joint gives.
     """
-    return _stored_entropies(
+    stored = _stored_entropies(
         sample, normalize_columns(sample, cols), *normalize_prefixes(sample, prefixes, period)
     )
+    return tuple(stored.tolist())
 
 
 def _stored_entropies(
     sample: CategoricalSample, subset: tuple[int, ...], bounds: tuple[int, ...], rows: int
-) -> tuple[float, ...]:
+) -> np.ndarray:
     """`subset_entropies` at the table's key (subset, prefixes, segment rows),
-    already checked by `normalize_columns` and `normalize_prefixes`."""
+    already checked by `normalize_columns` and `normalize_prefixes`, as the
+    table holds it: a read-only float64 array, which no caller can change."""
     table = sample._entropies
     key = (subset, bounds, rows)
     if key not in table:
         members = [((c,), bounds, rows) for c in subset]  # each column's own key at these prefixes
         lacking = [j for j, member in enumerate(members) if member not in table]
-        joint: list[float] = []
+        joint: list[np.ndarray] = []  # each chunk's
         marginals: list[np.ndarray] = []  # each chunk's, a row per lacking member
         for counts, columns in prefix_counts(sample, *key, bool(lacking)):
-            joint += entropy_rows(counts)
+            joint.append(entropy_rows(counts))
             if columns:  # none where the joint is renumbered or no member is lacking
                 # the lacking members' rows in one matrix, each zero-padded
                 # to the widest: a zero cell adds an exact 0 to a row's sum
@@ -259,11 +265,14 @@ def _stored_entropies(
                 padded = np.zeros((len(lacking), len(counts), width), np.int64)
                 for block, j in zip(padded, lacking):
                     block[:, : columns[j].shape[1]] = columns[j]
-                marginals.append(np.reshape(entropy_rows(padded.reshape(-1, width)), (len(lacking), -1)))
+                marginals.append(entropy_rows(padded.reshape(-1, width)).reshape(len(lacking), -1))
         if marginals:  # only a dense joint of several columns gives them
-            entropies = np.concatenate(marginals, axis=1).tolist()
-            table.update((members[j], tuple(e)) for j, e in zip(lacking, entropies))
-        table[key] = tuple(joint)
+            entropies = np.concatenate(marginals, axis=1)
+            entropies.setflags(write=False)  # before its rows are taken: they are read-only views
+            table.update((members[j], entropies[i]) for i, j in enumerate(lacking))
+        entropies = np.concatenate(joint)
+        entropies.setflags(write=False)
+        table[key] = entropies
     return table[key]
 
 
@@ -333,8 +342,8 @@ def msu_values(
     if n < 2:
         raise InvalidInputError("msu needs at least two columns")
     bounds, rows = normalize_prefixes(sample, prefixes, period)
-    h_joint = np.array(_stored_entropies(sample, subset, bounds, rows))  # first: it gives the marginals
-    marginals = [_stored_entropies(sample, (c,), bounds, rows) for c in subset]
+    h_joint = np.asarray(_stored_entropies(sample, subset, bounds, rows))  # first: it gives the marginals
+    marginals = [np.asarray(_stored_entropies(sample, (c,), bounds, rows)) for c in subset]
     h_sum = np.add(*marginals) if n == 2 else _row_sums(np.array(marginals).T)
     degenerate = h_sum == 0.0
     values = (n / (n - 1)) * (h_sum - h_joint) / np.where(degenerate, 1.0, h_sum)

@@ -212,9 +212,9 @@ class CategoricalSample:
     codes: np.ndarray
     cardinalities: tuple[int, ...]
     column_names: tuple[str, ...] | None = None
-    # (sorted column subset, row prefixes, segment rows) -> entropy at each
-    # prefix of each segment; only `msulab.measures.subset_entropies` fills
-    # and reads it
+    # (sorted column subset, row prefixes, segment rows) -> a read-only
+    # float64 array of the entropy at each prefix of each segment; only
+    # `msulab.measures` fills and reads it
     _entropies: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -338,7 +338,11 @@ def items(value, what: str, kind: type = object) -> tuple:
 
 def _integers(values, what: str) -> list[int]:
     """`values` as Python ints, each by the rule of `integer`, which rejects
-    a bool."""
+    a bool. A list or tuple of exact ints is one already, checked in one
+    pass; anything else, a bool, a NumPy integer or an int subclass among
+    its items included, is checked item by item."""
+    if isinstance(values, (list, tuple)) and set(map(type, values)) <= {int}:
+        return list(values)
     try:
         return [integer(v, what) for v in values]
     except (TypeError, InvalidInputError):  # not a sequence, or not all integers

@@ -186,6 +186,14 @@ class TestResolvePoint:
         assert curve.errors == ((m, message),)
         assert curve.sample_sizes == (None, 12)
 
+    @pytest.mark.parametrize("name", ["fig-c", "fig-g", "fig-xor-1", "chi-scan"])
+    def test_sweep_value_checked_where_the_config_has_not(self, name):
+        # `_layout` takes the value as checked; a direct caller's is checked
+        # here, or a float or a bool would resolve, or a string leak a TypeError
+        for bad in (8.5, True, "x", None):
+            with pytest.raises(InvalidInputError, match="^sweep value must be an integer"):
+                resolve_point(preset(name), bad)
+
     def test_measures_list_each_msu_then_its_su(self):
         assert list(_measured_columns(preset("fig-a1"), 4).items()) == [
             ("msu_set", ("mk1", "u1")), ("su_mk1", ("mk1",)), ("su_u1", ("u1",)),

@@ -208,6 +208,27 @@ class TestIndicesAreIntegers:
         with pytest.raises(InvalidInputError, match=f"^{message}"):
             call()
 
+    @pytest.mark.parametrize(
+        "values", [[], [3], (0, 2, 1), list(range(8, 151)), (5, -1, 10**5000), [4, 4]]
+    )
+    def test_exact_ints_pass_in_one_step_as_item_by_item(self, values):
+        # a list or tuple of exact ints takes the one-pass check, an iterator
+        # of the same ints the item-by-item one: the same list either way
+        fast = sample_module._integers(values, "prefixes")
+        assert fast == sample_module._integers(iter(values), "prefixes") == list(values)
+        assert type(fast) is list and fast is not values
+
+    def test_other_items_are_checked_one_by_one(self):
+        class Count(int):
+            pass
+
+        message = "prefixes must be a sequence of integers, got [True, 2]"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            sample_module._integers([True, 2], "prefixes")
+        for values in ([2, np.int64(3)], (2, Count(3))):
+            checked = sample_module._integers(values, "prefixes")
+            assert checked == [2, 3] and [type(v) for v in checked] == [int, int]
+
 
 class TestConditionalEntropy:
     """H(X|Y) as the joint-entropy difference H(X,Y) - H(Y)."""
@@ -1046,6 +1067,31 @@ class TestEntropyTable:
             with pytest.raises(InvalidInputError):
                 subset_entropies(sample, [1], bad)
         assert len(calls) == 4
+
+    def test_table_holds_read_only_float64_arrays(self):
+        codes = np.random.default_rng(5).integers(0, 3, size=(60, 3))
+        sample = CategoricalSample(codes, (3, 3, 3))
+        msu(sample, [0, 1, 2])
+        msu_values(sample, [0, 2], [10, 60])
+        assert len(sample._entropies) == 7  # two joints, with their three and two members
+        for key, stored in sample._entropies.items():
+            assert type(stored) is np.ndarray and stored.dtype == np.float64 and stored.shape == (len(key[1]),)
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0.0
+
+    def test_public_measures_give_python_floats(self):
+        sample = CategoricalSample(TABLE_C.codes, TABLE_C.cardinalities)
+        entropies = subset_entropies(sample, [0, 1], [2, 8])
+        assert type(entropies) is tuple and [type(v) for v in entropies] == [float, float]
+        results = [
+            joint_entropy(sample, [0, 2]),
+            information_gain(sample, [0], [1, 2]),
+            total_correlation(sample, [0, 1, 2]),
+            msu(sample, [0, 1, 2]),
+            symmetrical_uncertainty(sample, 0, 2),
+        ]
+        assert [type(r.value) for r in results] == [float] * 5
 
 
 def _hex(values):

@@ -141,10 +141,13 @@ def test_bench_pairs_flags_only_a_metric_worse_than_its_bound():
     assert tool.summary(pairs, end_to_end)[-4:] == tool.bound_checks(pairs, end_to_end)
 
 
-def test_bench_pairs_times_presets_in_process_in_each_checkout(capsys):
+def test_bench_pairs_times_presets_in_process_in_each_checkout(capsys, monkeypatch):
     # BEFORE given twice: the A/A comparison, here at one replicate a run
     tool = _bench_pairs()
     root = str(SRC_LINES.parents[1])
+    children = []  # each child's result lines
+    timed = tool.time_presets
+    monkeypatch.setattr(tool, "time_presets", lambda *args: children.append(timed(*args)) or children[-1])
     assert tool.main([root, root, "--presets", "fig-b1,fig-e1", "--replicates", "1", "--pairs", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("preset ")] == [
@@ -157,6 +160,13 @@ def test_bench_pairs_times_presets_in_process_in_each_checkout(capsys):
         assert sum(line.startswith(f"{side}: median ") and line.endswith("of 2 pairs") for line in out) == 2
     assert sum(line.startswith("median gap (before - after): ") for line in out) == 2
     assert not [line for line in out if line.startswith("problem")]
+    # each child times every preset in 3 rounds and reports the least time
+    assert tool.ROUNDS == 3 and len(children) == 4
+    for results in children:
+        assert [result["preset"] for result in results] == ["fig-b1", "fig-e1"]
+        for result in results:
+            assert len(result["timings"]) == 3
+            assert result["metrics"]["wall_s_per_replicate"]["value"] == min(result["timings"])
 
 
 def test_bench_pairs_flags_a_preset_that_gave_no_result():

@@ -13,10 +13,11 @@ exits 1 and writes nothing.
 Then it pins itself to one CPU (`os.sched_setaffinity`) and times
 `run_experiment` in process, once per preset at the preset's own seed and a
 fixed replicate count (`PRESET_REPLICATES`), and records wall time per
-replicate. Last it records the commit, whether the tree differs from it,
-the git tree id of `src/` as measured (uncommitted edits to tracked files
-included, by `git stash create`), Python, NumPy and the CPU count, and
-writes the file. The tree id ties the file to its code: it equals
+replicate. Each preset first runs once at one replicate, untimed, so its
+time carries no first-call costs (lazy imports, caches). Last it records
+the commit, whether the tree differs from it, the git tree id of `src/` as
+measured (uncommitted edits to tracked files included, by `git stash
+create`), Python, NumPy and the CPU count, and writes the file. The tree id ties the file to its code: it equals
 `git rev-parse C:src` for any commit C whose `src/` is the code measured.
 Standard library plus msulab from `src/`.
 """
@@ -56,12 +57,14 @@ def workload_results(results: Mapping[str, dict | None]) -> dict[str, dict]:
 
 
 def preset_times(replicates: Mapping[str, int]) -> dict[str, dict]:
-    """Each preset's wall time at its replicate count, in this process."""
+    """Each preset's wall time at its replicate count, in this process,
+    after an untimed run at one replicate."""
     sys.path.insert(0, str(ROOT / "src"))
     from msulab import preset, run_experiment
 
     times = {}
     for name, count in replicates.items():
+        run_experiment(dataclasses.replace(preset(name), replicates=1))  # first-call costs: untimed
         config = dataclasses.replace(preset(name), replicates=count)
         start = time.perf_counter()
         run_experiment(config)

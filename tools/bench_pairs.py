@@ -25,13 +25,17 @@ With `--presets`, each pair runs one child process in each checkout, the
 side that runs first alternating as above. The child imports msulab from
 the checkout's `src/` and pins itself to one CPU, the same one on both
 sides. It runs each named preset once at one replicate, untimed, and then
-times `run_experiment` in process once per preset, in order, at
-`--replicates` replicates (100 unless given) and the preset's own seed
-unless `--seed` is given. For each preset this prints the same report,
-on `wall_s_per_replicate`, the wall time of the run over its replicates,
-shown in ms. Giving BEFORE twice, as both checkouts, prints the A/A floor:
-the gap and the spread that two runs of the same code show on this host, to
-quote beside any gap between two different checkouts.
+times `run_experiment` in process at `--replicates` replicates (100 unless
+given) and the preset's own seed unless `--seed` is given: `ROUNDS` (3)
+rounds, each timing every preset once, in order, so a slow stretch of the
+host falls on one round rather than on one preset. Each preset's result
+is its least time of the rounds, as `wall_s_per_replicate`, the wall time
+of a run over its replicates, and every round's time is listed beside it
+(`timings`). For each preset this prints the same report on
+`wall_s_per_replicate`, shown in ms. Giving BEFORE twice, as both
+checkouts, prints the A/A floor: the gap and the spread that two runs of
+the same code show on this host, to quote beside any gap between two
+different checkouts.
 Standard library only.
 """
 
@@ -46,26 +50,32 @@ import sys
 from pathlib import Path
 
 SIDES = ("before", "after")
-# The child of `--presets`: argv is the CPU, the replicates, the seed ("" for
-# each preset's own) and the presets; it prints one result line a preset.
+# Rounds of timings a `--presets` child takes of each preset; it reports the least.
+ROUNDS = 3
+# The child of `--presets`: argv is the CPU, the rounds, the replicates, the
+# seed ("" for each preset's own) and the presets; it prints one result line
+# a preset, once every round is done.
 PRESET_TIMER = """
 import dataclasses, json, os, sys, time
-cpu, replicates, seed, *names = sys.argv[1:]
+cpu, rounds, replicates, seed, *names = sys.argv[1:]
 os.sched_setaffinity(0, {int(cpu)})
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 from msulab import preset, run_experiment
 replicates = int(replicates)
-for name in names:  # first calls pay for lazy imports and caches: untimed
-    run_experiment(dataclasses.replace(preset(name), replicates=1))
+configs = {}
 for name in names:
     config = dataclasses.replace(preset(name), replicates=replicates)
-    if seed:
-        config = dataclasses.replace(config, master_seed=int(seed))
-    start = time.perf_counter()
-    run_experiment(config)
-    wall = time.perf_counter() - start
-    metrics = {"wall_s_per_replicate": {"value": wall / replicates, "unit": "s"}}
-    print(json.dumps({"preset": name, "correct": True, "failed": 0, "metrics": metrics}), flush=True)
+    run_experiment(dataclasses.replace(config, replicates=1))  # first calls pay for lazy imports: untimed
+    configs[name] = dataclasses.replace(config, master_seed=int(seed)) if seed else config
+timings = {name: [] for name in names}
+for _ in range(int(rounds)):
+    for name, config in configs.items():
+        start = time.perf_counter()
+        run_experiment(config)
+        timings[name].append((time.perf_counter() - start) / replicates)
+for name, times in timings.items():
+    metrics = {"wall_s_per_replicate": {"value": min(times), "unit": "s"}}
+    print(json.dumps({"preset": name, "correct": True, "failed": 0, "timings": times, "metrics": metrics}))
 """
 
 
@@ -195,7 +205,8 @@ def run(checkout: Path, workload: str, seconds: float, seed: int | None) -> dict
 def time_presets(checkout: Path, presets: list[str], replicates: int, seed: int | None, cpu: int) -> list[dict | None]:
     """One `PRESET_TIMER` child in `checkout`, and each preset's result line
     (None where it printed none)."""
-    command = [sys.executable, "-c", PRESET_TIMER, str(cpu), str(replicates), "" if seed is None else str(seed)]
+    command = [sys.executable, "-c", PRESET_TIMER, str(cpu), str(ROUNDS), str(replicates)]
+    command.append("" if seed is None else str(seed))
     threads = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env = {**os.environ, **threads}
     done = subprocess.run(command + presets, cwd=checkout, capture_output=True, text=True, env=env)
