@@ -6,12 +6,14 @@ means and standard deviations into a curve. A sweep is its values: what a
 value drives is set by the layout (a group's count rule and swept
 cardinality), and it is the sample size where the config has no sample-size
 policy. `run_experiment` walks the sweep once per stage: it resolves every
-point (`resolve_point`), keeping the message of each point it skips; it
-plans the points (`_plans`), one plan a set of points that share a dataset,
-and runs each plan (`_run_layout`); and it aggregates every plan's values
-in one matrix, a row per measure and row prefix, into each measure's
-series, made once and filled by sweep index, the series in the order in
-which the points, in sweep order, list them.
+point (`resolve_point`), keeping the message of each point it skips, and
+lays a sweep out once where the layout ignores the sweep value, as along a
+sample-size sweep (`_resolver`); it plans the points (`_plans`), one plan a
+set of points that share a dataset, and runs each plan (`_run_layout`);
+and it aggregates every plan's values in one matrix, a row per measure and
+row prefix, into each measure's series, made once and filled by sweep
+index, the series in the order in which the points, in sweep order, list
+them.
 
 Its layout is one list of attribute groups (`GroupSpec`: a generator family, a
 column count and a cardinality, each fixed or following the sweep) and the
@@ -72,11 +74,12 @@ run on its own is the isolated recomputation of that point, with the same
 floats.
 
 Replicates are measured in batches of at most `_BATCH_CELLS` dataset cells
-(at least one replicate a batch, so a large dataset is measured alone). A
-batch is generated into one matrix (`msulab.dataset.generate_replicates`),
-each replicate's rows from its own streams, one replicate after another,
-and each measure is one `msu_values` call with the dataset's rows as its
-period, which gives each replicate's values, the floats it gives alone.
+and `_BATCH_REPLICATES` replicates (at least one replicate a batch, so a
+large dataset is measured alone). A batch is generated into one matrix
+(`msulab.dataset.generate_replicates`), each replicate's rows from its own
+streams, one replicate after another, and each measure is one
+`msu_values` call with the dataset's rows as its period, which gives each
+replicate's values, the floats it gives alone.
 
 The engine fails only when a point is resolved. No dataset past
 `msulab.dataset.MAX_DATASET_CELLS` is generated: a point whose own dataset
@@ -92,9 +95,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -110,13 +114,22 @@ DEFAULT_MASTER_SEED = 20170707
 DEFAULT_REPLICATES = 1000
 # Significance level of the chi-squared m* reported by a representativeness scan.
 SCAN_ALPHA = 0.05
-# Replicates are measured in batches of at most this many dataset cells,
-# generated into one sample, but at least one replicate a batch. fig-b2 (450
-# cells a replicate) at 1,000 replicates, timed in turn on one CPU of a
-# 2-vCPU Xeon VM, took 0.45-0.65 s at 2**13 cells, 0.45-0.62 s at 2**15 and
-# 0.51-0.61 s at 2**18, against 0.97-1.17 s at one replicate a batch; peak
-# memory grew by 0.6, 2.3 and 29 MB.
-_BATCH_CELLS = 1 << 15
+# Replicates are measured in batches of at most this many dataset cells and
+# `_BATCH_REPLICATES` replicates, generated into one sample, but at least one
+# replicate a batch. fig-b2 (450 cells a replicate) at 1,000 replicates,
+# timed in turn on one CPU of a 2-vCPU Xeon VM, took 0.45-0.65 s at 2**13
+# cells, 0.45-0.62 s at 2**15 and 0.51-0.61 s at 2**18, against 0.97-1.17 s
+# at one replicate a batch; peak memory grew by 0.6, 2.3 and 29 MB. 2**15
+# ran every dataset past 16,384 cells one replicate a batch. Against it,
+# 2**19 with the cap of 72 took, per replicate at 100 replicates (medians of
+# 5 interleaved pairs of in-process runs, one CPU), 4.2 ms against 8.9 for
+# fig-g, 3.9 against 6.2 for fig-f1, 1.0 against 1.7 for fig-xor-1 and 4.0
+# against 5.3 for fig-c; at 1,000 replicates peak memory rose by at most
+# 4.7 MB (fig-xor-3) and fell by 11 MB for fig-g. The cap keeps fig-b2 at
+# 72 replicates a batch: all 1,000 in one batch raised its peak memory
+# from 59 to 124 MB for no gain in time.
+_BATCH_CELLS = 1 << 19
+_BATCH_REPLICATES = 72
 # The aggregate squares this many deviations at a time, as Python floats for
 # libm's pow (see `_mean_std`): fig-b2 at 1,000 replicates, its 429,000
 # deviations squared at once, peaked at 80 MB of memory, against 58 MB.
@@ -406,6 +419,22 @@ def resolve_point(config: ExperimentConfig, sweep_value: int) -> ResolvedPoint:
     return ResolvedPoint(check_size(m, 1 + sum(counts)), counts, cards)
 
 
+def _resolver(config: ExperimentConfig) -> Callable[[int], ResolvedPoint]:
+    """`resolve_point` of `config` at a value of its sweep, laid out once
+    where no group's count or cardinality follows the sweep value (a fixed
+    count without a window, a fixed cardinality): a sample-size sweep. Its
+    first point is resolved in full, and each point is then only its m,
+    checked by `check_size`: the sweep value where there is no sample-size
+    policy, else the first point's m. Where the first point fails, every
+    point is resolved in full, so each keeps its own message."""
+    if all(g.cardinality != "sweep" and g.count.fixed is not None and g.count.window is None for g in config.groups):
+        with suppress(InvalidInputError):
+            first = resolve_point(config, config.sweep.values[0])
+            m, columns = None if config.sample_size_policy is None else first.m, 1 + sum(first.counts)
+            return lambda value: ResolvedPoint(check_size(value if m is None else m, columns), first.counts, first.cards)
+    return lambda value: resolve_point(config, value)
+
+
 def _profile(config: ExperimentConfig, groups: Iterable[tuple[int, int]]) -> CardinalityProfile:
     """The class and the (count, cardinality) `groups` that have columns, as
     a profile of one (cardinality, count) pair each."""
@@ -430,7 +459,7 @@ class _Plan:
     columns: int  # the blocks' columns; the class is the column after them
     measures: dict[_Measure, tuple[int, ...]]  # each measure's row prefixes, ascending
     points: tuple[tuple[int, int, tuple[_Measure, ...]], ...]  # each point's sweep index, m and measures
-    batch: int  # replicates a batch
+    batch: int  # replicates a batch by its cells; a run takes at most `_BATCH_REPLICATES`
 
 
 def _plans(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> list[_Plan]:
@@ -514,7 +543,7 @@ def _run_layout(config: ExperimentConfig, plan: _Plan, replicates: Sequence[int]
 
     The run reads only the plan, and of the config the seed, the class
     cardinality, k and the XOR noise. A batch of replicates (see
-    `_BATCH_CELLS`) is generated into one sample
+    `_BATCH_CELLS` and `_BATCH_REPLICATES`) is generated into one sample
     (`msulab.dataset.generate_replicates`), and each measure is taken once a
     batch, with the dataset's rows as the period: its values come replicate
     by replicate, a (replicates x prefixes) matrix. Each joint histogram is
@@ -526,8 +555,9 @@ def _run_layout(config: ExperimentConfig, plan: _Plan, replicates: Sequence[int]
     """
     # measure -> its (replicates x prefixes) matrix of each batch
     values: dict[_Measure, list[np.ndarray]] = {measure: [] for measure in plan.measures}
-    for first in range(0, len(replicates), plan.batch):
-        rngs = [SeededRng(config.master_seed, r) for r in replicates[first : first + plan.batch]]
+    batch = min(plan.batch, _BATCH_REPLICATES)
+    for first in range(0, len(replicates), batch):
+        rngs = [SeededRng(config.master_seed, r) for r in replicates[first : first + batch]]
         sample = generate_replicates(
             plan.m, config.class_card, plan.blocks, rngs, config.kononenko_k, config.xor_noise
         )
@@ -563,16 +593,16 @@ class BiasCurve:
         return [s.mean if s is not None else None for s in stats]
 
     def write_csv(self, out: IO[str]) -> None:
-        out.write("sweep_value,measure_name,mean,stddev,n_replicates,sample_size_used\n")
-        names = {measure: csv_field(measure) for measure in self.measures}
+        """The curve as CSV, a line per point and measure with statistics,
+        written as one string; each float is its `repr`."""
+        lines = ["sweep_value,measure_name,mean,stddev,n_replicates,sample_size_used\n"]
+        series = [(csv_field(measure), stats) for measure, stats in self.measures.items()]
         for i, v in enumerate(self.sweep_values):
-            size = self.sample_sizes[i]
-            size_text = "" if size is None else str(size)
-            for measure, name in names.items():
-                s = self.measures[measure][i]
-                if s is None:
-                    continue
-                out.write(f"{v},{name},{s.mean!r},{s.std!r},{s.n},{size_text}\n")
+            size = "" if self.sample_sizes[i] is None else str(self.sample_sizes[i])
+            for name, stats in series:
+                if (s := stats[i]) is not None:
+                    lines.append(f"{v},{name},{s.mean!r},{s.std!r},{s.n},{size}\n")
+        out.write("".join(lines))
 
 
 def _mean_std(matrix: np.ndarray) -> tuple[list[float], list[float]]:
@@ -604,12 +634,14 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
     A Monte Carlo run makes three passes over the sweep. The first resolves
     each point once: a point that cannot be resolved, or whose own dataset
     would pass `MAX_DATASET_CELLS`, is skipped, and its message goes to
-    `errors`; the sweep itself never aborts. The curve's sample sizes and
+    `errors`; the sweep itself never aborts. A sweep whose layout ignores
+    the sweep value, such as a sample-size sweep, is laid out once, and each
+    point is then only its m (`_resolver`). The curve's sample sizes and
     errors come from this pass. The second plans the resolved points
     (`_plans`), one plan a set of points that share a dataset, and runs each
     plan (`_run_layout`). The third stacks the rows of every plan's
     matrices, one row per measure and row prefix, and aggregates them in
-    one `_mean_std` call; each point reads each of its measures' row, at
+    one `_mean_std` call; each point reads each of its measures' row, by
     the point's m, as `MeasureStats`: a measure's series is made once,
     before any plan runs, and each point takes its slot by its sweep
     index. The series come in the order of the first point that lists each
@@ -623,9 +655,10 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
     n_points = len(config.sweep.values)
     points: dict[int, ResolvedPoint] = {}
     failures: dict[int, str] = {}  # point index -> why the point is skipped
+    resolve = _resolver(config)
     for i, sweep_value in enumerate(config.sweep.values):
         try:
-            points[i] = resolve_point(config, sweep_value)
+            points[i] = resolve(sweep_value)
         except InvalidInputError as exc:
             failures[i] = str(exc)
 
@@ -640,10 +673,12 @@ def run_experiment(config: ExperimentConfig) -> BiasCurve:
     matrix = np.concatenate([np.empty((0, config.replicates)), *(rows for run in runs for rows in run.values())])
     stats = map(MeasureStats, *_mean_std(matrix), repeat(config.replicates))
     for plan in plans:
-        at = {(measure, m): next(stats) for measure, ms in plan.measures.items() for m in ms}
+        # each measure's statistics by m: zip reads `ms` first, so it takes
+        # exactly the measure's rows from `stats`
+        rows = {measure: dict(zip(ms, stats)) for measure, ms in plan.measures.items()}
         for i, m, own in plan.points:
             for measure in own:
-                per_measure[measure[0]][i] = at[measure, m]
+                per_measure[measure[0]][i] = rows[measure][m]
 
     return BiasCurve(
         name=config.name,

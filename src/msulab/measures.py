@@ -8,6 +8,8 @@ multivariate symmetrical uncertainty) are dimensionless in [0, 1].
 Entropy terms are accumulated with math.fsum, which rounds the exact sum.
 That makes every measure invariant, bit for bit, under row permutations and
 bijective relabelings of category codes (those only reorder the terms). A
+matrix of one or two columns, such as a binary column's counts, is summed
+with one IEEE add a row, which rounds as fsum does (`_row_sums`). A wider
 matrix of at least `_BULK_ROWS` rows is summed in bulk (`_fsum_rows`): each
 row whose terms fit is one exact int64 sum, which one cast rounds as fsum
 rounds the exact sum, and any other row is fsummed, so each entropy is
@@ -161,8 +163,12 @@ def _exact_products(terms: np.ndarray, multiplicities: np.ndarray) -> np.ndarray
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """`math.fsum` of each row of a finite float matrix: one row at a time
-    below `_BULK_ROWS` rows, else in bulk (`_fsum_rows`)."""
+    """`math.fsum` of each row of a finite float matrix: of one or two
+    columns, 0.0 plus each column in turn, one IEEE add a row (fsum of two
+    finite floats is their correctly rounded sum, and of zeros 0.0); else
+    one row at a time below `_BULK_ROWS` rows, else in bulk (`_fsum_rows`)."""
+    if terms.shape[1] in (1, 2):
+        return sum(terms.T, 0.0)
     if len(terms) < _BULK_ROWS:
         return np.array([math.fsum(row) for row in terms.tolist()])
     return _fsum_rows(terms)
@@ -332,10 +338,9 @@ def msu_values(
     column is constant the ratio is 0/0; the value there is 0 and the mask is
     set. The columns and the prefixes are checked once, and the formula is
     evaluated over the prefixes as arrays, with the IEEE operations of the
-    scalar formula in its order: two marginals are added with one rounding,
-    which is their fsum, and more are fsummed per prefix (`_row_sums`). A
-    value that lands past the unit interval by more than a few ulp is
-    raised, not clamped.
+    scalar formula in its order: the marginals are fsummed per prefix
+    (`_row_sums`), two of them with one IEEE add. A value that lands past
+    the unit interval by more than a few ulp is raised, not clamped.
     """
     subset = normalize_columns(sample, cols)
     n = len(subset)
@@ -343,8 +348,7 @@ def msu_values(
         raise InvalidInputError("msu needs at least two columns")
     bounds, rows = normalize_prefixes(sample, prefixes, period)
     h_joint = np.asarray(_stored_entropies(sample, subset, bounds, rows))  # first: it gives the marginals
-    marginals = [np.asarray(_stored_entropies(sample, (c,), bounds, rows)) for c in subset]
-    h_sum = np.add(*marginals) if n == 2 else _row_sums(np.array(marginals).T)
+    h_sum = _row_sums(np.array([_stored_entropies(sample, (c,), bounds, rows) for c in subset]).T)
     degenerate = h_sum == 0.0
     values = (n / (n - 1)) * (h_sum - h_joint) / np.where(degenerate, 1.0, h_sum)
     values[degenerate] = 0.0

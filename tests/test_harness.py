@@ -33,6 +33,7 @@ from msulab import dataset, harness, measures, presets
 from msulab import sample as sample_module
 from msulab.dataset import CLASS_COLUMN, generate_replicates
 from msulab.harness import CountRule, MeasureStats, resolve_point
+from msulab.ingest import csv_field
 from oracle_utils import expected_plugin_entropy, kononenko_cell_probs, kononenko_first_half_prob
 
 
@@ -327,6 +328,45 @@ class TestResolvePoint:
         )),)
 
 
+class TestResolver:
+    """`_resolver` gives, at every sweep value, the point `resolve_point`
+    gives, and lays a sample-size sweep out once."""
+
+    @pytest.mark.parametrize("name", [name for name in CATALOG if name != "chi-scan"])
+    def test_every_point_is_the_one_resolve_point_gives(self, name):
+        config = preset(name)
+        resolve = harness._resolver(config)
+        for value in config.sweep.values:
+            assert resolve(value) == resolve_point(config, value)
+
+    def test_a_sample_size_sweep_is_laid_out_once(self, monkeypatch):
+        values = []
+        layout = harness._layout
+        monkeypatch.setattr(harness, "_layout", lambda config, value: values.append(value) or layout(config, value))
+        run_experiment(_desk(preset("fig-b2"), 1))
+        assert values == [8]
+        # a fixed m along the sweep is checked once, and shared
+        fixed = dataclasses.replace(_desk(preset("fig-b1"), 1), sample_size_policy=SampleSizePolicy(fixed=20))
+        assert run_experiment(fixed).sample_sizes == (20,) * len(fixed.sweep.values)
+        # counts and cardinalities that follow the sweep are laid out at each point
+        values.clear()
+        run_experiment(_desk(preset("fig-g"), 1))
+        assert values == list(preset("fig-g").sweep.values)
+
+    @pytest.mark.parametrize("sweep", [(8, 10**8, 9), (10**8, 8, 9)])
+    def test_a_skipped_point_keeps_its_message(self, sweep):
+        # the point past MAX_DATASET_CELLS is skipped, whether or not it is
+        # the point the layout is worked out at
+        config = _desk(preset("fig-b2"), 1, sweep)
+        curve = run_experiment(config)
+        assert curve.sample_sizes == tuple(None if v == 10**8 else v for v in sweep)
+        with pytest.raises(InvalidInputError) as skipped:
+            resolve_point(config, 10**8)
+        assert curve.errors == ((10**8, str(skipped.value)),)
+        alone = run_experiment(_desk(config, 1, [v for v in sweep if v != 10**8]))
+        assert {name: [s for s in series if s is not None] for name, series in curve.measures.items()} == alone.measures
+
+
 class TestCountRule:
     def test_window_gates_count(self):
         rule = CountRule(window=(2, 13))
@@ -529,6 +569,64 @@ class TestAggregation:
         if x is None:
             pytest.skip("this libm squares every searched value as x * x does")
         assert _mean_std([-x, x]) == (0.0, math.sqrt(2 * x**2))
+
+
+def _csv_line_by_line(curve):
+    """The reference writer: the curve's CSV written a line at a time, with
+    each float's `repr`."""
+    out = io.StringIO()
+    out.write("sweep_value,measure_name,mean,stddev,n_replicates,sample_size_used\n")
+    names = {measure: csv_field(measure) for measure in curve.measures}
+    for i, v in enumerate(curve.sweep_values):
+        size = curve.sample_sizes[i]
+        size_text = "" if size is None else str(size)
+        for measure, name in names.items():
+            s = curve.measures[measure][i]
+            if s is None:
+                continue
+            out.write(f"{v},{name},{s.mean!r},{s.std!r},{s.n},{size_text}\n")
+    return out.getvalue()
+
+
+class TestWriteCsv:
+    """`BiasCurve.write_csv` writes, byte for byte, what the line-by-line
+    reference writes."""
+
+    @staticmethod
+    def _written(curve):
+        buffer = io.StringIO()
+        curve.write_csv(buffer)
+        return buffer.getvalue()
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_every_preset(self, name):
+        curve = run_experiment(_desk(preset(name), 2))
+        assert self._written(curve) == _csv_line_by_line(curve)
+
+    def test_a_skipped_point_a_missing_measure_and_a_quoted_name(self):
+        data = {
+            "name": "quoted",
+            "sweep": {"values": [8, 9, 10, 10**8]},
+            "groups": [_group("xor", "xor_pair", 2), _group("u", "uniform", {"window": [9, 10**8]})],
+            "tracked": [
+                {"label": 'x,"y"', "groups": ["xor"], "with_su": True},
+                {"label": "u", "groups": ["u"]},
+            ],
+            "replicates": 2,
+        }
+        curve = run_experiment(config_from_json(data))
+        assert curve.sample_sizes == (8, 9, 10, None) and len(curve.errors) == 1
+        assert curve.measures["msu_u"][0] is None and curve.measures["msu_u"][1] is not None
+        written = self._written(curve)
+        assert written == _csv_line_by_line(curve)
+        assert '\n8,"msu_x,""y""",' in written and "\n8,msu_u," not in written
+        # a point with statistics and no sample size, floats of every kind
+        stats = [MeasureStats(5e-324, 1e300, 3), MeasureStats(1 / 3, 0.0, 1)]
+        curve = harness.BiasCurve("made", (1, 2, 3), (None, 7, None), {"a\rb": [stats[0], None, stats[1]], "c": [None] * 3})
+        assert self._written(curve) == _csv_line_by_line(curve) == (
+            "sweep_value,measure_name,mean,stddev,n_replicates,sample_size_used\n"
+            '1,"a\rb",5e-324,1e+300,3,\n3,"a\rb",0.3333333333333333,0.0,1,\n'
+        )
 
 
 class TestAggregateMatrix:
@@ -1454,7 +1552,7 @@ class TestBatches:
         # fig-b1 is one layout of 50 rows and 3 columns: 150 cells a replicate
         batches = _spy_batches(monkeypatch)
         sizes = lambda: [len(ids) for ids, _, _ in batches]
-        per_batch = harness._BATCH_CELLS // 150
+        per_batch = min(harness._BATCH_CELLS // 150, harness._BATCH_REPLICATES)
         assert per_batch > 1
         config = _desk(preset("fig-b1"), per_batch + 1)
         curve = run_experiment(config)

@@ -1276,6 +1276,37 @@ class TestRowSumLayouts:
 
 
 
+class TestNarrowRowSums:
+    """A matrix of one or two columns is summed with one IEEE add a row, to
+    the float `math.fsum` gives, and so is the entropy of a count matrix of
+    two columns."""
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 20_000])
+    def test_binary_count_rows(self, rows):
+        rng = np.random.default_rng(rows)
+        totals = rng.integers(1, 10**6, size=(rows, 1))
+        first = rng.integers(0, totals + 1)
+        first[1::4] = 0  # a zero term
+        first[2::4] = totals[2::4]  # a count equal to the total
+        counts = np.hstack([first, totals - first])
+        p = counts / totals
+        terms = p * np.log2(np.where(counts > 0, p, 1.0))
+        for columns in (terms, terms[:, :1], terms[:, 1:]):
+            assert _hex(measures._row_sums(columns)) == _fsum_hex(columns)
+        assert _hex(measures.entropy_rows(counts)) == [_per_cell_entropy(row) for row in counts]
+        if rows > 2:
+            assert sorted(set(_hex(measures.entropy_rows(counts[1:3])))) == ["0x0.0p+0"]
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 20_000])
+    def test_random_floats_of_both_signs(self, rows):
+        rng = np.random.default_rng(rows + 1)
+        terms = np.ldexp(rng.random((rows, 2)) + 0.5, rng.integers(-60, 4, size=(rows, 2)))
+        terms *= rng.choice([-1.0, 1.0], size=(rows, 2))
+        terms[rng.random((rows, 2)) < 0.1] = 0.0
+        terms[::7, 1] = -terms[::7, 0]  # sums that cancel to zero
+        assert _hex(measures._row_sums(terms)) == _fsum_hex(terms)
+
+
 def _per_cell_entropy(row):
     """The oracle: each cell's term by `entropy_rows`' NumPy operations over
     the whole row, then one `math.fsum` of all of them."""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from msulab import CATALOG
+from msulab import CATALOG, preset
 
 SRC_LINES = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
 
@@ -196,6 +196,21 @@ def test_bench_file_keeps_each_clean_result_line():
     assert list(results) == ["mc-small-m", "chi2-mstar"]
     assert results["chi2-mstar"] == json.loads(_run_output(0.0006).splitlines()[-1])
     assert set(tool.PRESET_REPLICATES) <= set(CATALOG)
+
+
+def test_bench_file_times_each_preset_in_rounds_and_keeps_the_least(capsys):
+    tool = _bench_file()
+    times = tool.preset_times({"fig-b1": 2, "fig-e1": 1})
+    assert list(times) == ["fig-b1", "fig-e1"]
+    for name, record in times.items():
+        assert record["replicates"] == {"fig-b1": 2, "fig-e1": 1}[name]
+        assert record["master_seed"] == preset(name).master_seed
+        assert len(record["timings"]) == tool.bench_pairs.ROUNDS == 3
+        assert record["wall_s_per_replicate"] == min(record["timings"])
+        assert record["wall_s"] / record["replicates"] == record["wall_s_per_replicate"]
+    # each round times every preset once, in order
+    progress = [line.split(":")[0] for line in capsys.readouterr().err.splitlines()]
+    assert progress == ["# fig-b1", "# fig-e1"] * 3
 
 
 def test_bench_file_refuses_every_flagged_run_and_writes_nothing(monkeypatch, tmp_path):

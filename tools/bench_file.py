@@ -11,10 +11,14 @@ result, `correct: false` or failed ops) is refused: the script names it,
 exits 1 and writes nothing.
 
 Then it pins itself to one CPU (`os.sched_setaffinity`) and times
-`run_experiment` in process, once per preset at the preset's own seed and a
-fixed replicate count (`PRESET_REPLICATES`), and records wall time per
-replicate. Each preset first runs once at one replicate, untimed, so its
-time carries no first-call costs (lazy imports, caches). Last it records
+`run_experiment` in process, at each preset's own seed and a fixed replicate
+count (`PRESET_REPLICATES`), as a `bench_pairs.py --presets` child does:
+`bench_pairs.ROUNDS` rounds, each timing every preset once, in order, so a
+slow stretch of the host falls on one round rather than on one preset. Each
+preset's record is its least wall time of the rounds, and per replicate,
+with every round's time per replicate listed beside it (`timings`). Each
+preset first runs once at one replicate, untimed, so its time carries no
+first-call costs (lazy imports, caches). Last it records
 the commit, whether the tree differs from it, the git tree id of `src/` as
 measured (uncommitted edits to tracked files included, by `git stash
 create`), Python, NumPy and the CPU count, and writes the file. The tree id ties the file to its code: it equals
@@ -57,24 +61,31 @@ def workload_results(results: Mapping[str, dict | None]) -> dict[str, dict]:
 
 
 def preset_times(replicates: Mapping[str, int]) -> dict[str, dict]:
-    """Each preset's wall time at its replicate count, in this process,
-    after an untimed run at one replicate."""
+    """Each preset's least wall time of `bench_pairs.ROUNDS` rounds at its
+    replicate count, in this process, after an untimed run at one
+    replicate; each round times every preset once, in order."""
     sys.path.insert(0, str(ROOT / "src"))
     from msulab import preset, run_experiment
 
-    times = {}
+    configs = {}
     for name, count in replicates.items():
         run_experiment(dataclasses.replace(preset(name), replicates=1))  # first-call costs: untimed
-        config = dataclasses.replace(preset(name), replicates=count)
-        start = time.perf_counter()
-        run_experiment(config)
-        wall = time.perf_counter() - start
-        times[name] = {
-            "replicates": count, "master_seed": config.master_seed,
-            "wall_s": wall, "wall_s_per_replicate": wall / count,
+        configs[name] = dataclasses.replace(preset(name), replicates=count)
+    walls = {name: [] for name in configs}
+    for _ in range(bench_pairs.ROUNDS):
+        for name, config in configs.items():
+            start = time.perf_counter()
+            run_experiment(config)
+            walls[name].append(time.perf_counter() - start)
+            print(f"# {name}: {config.replicates} replicates in {walls[name][-1]:.3f} s", file=sys.stderr, flush=True)
+    return {
+        name: {
+            "replicates": config.replicates, "master_seed": config.master_seed, "wall_s": min(walls[name]),
+            "wall_s_per_replicate": min(walls[name]) / config.replicates,
+            "timings": [wall / config.replicates for wall in walls[name]],
         }
-        print(f"# {name}: {count} replicates in {wall:.3f} s", file=sys.stderr, flush=True)
-    return times
+        for name, config in configs.items()
+    }
 
 
 def _git(*args: str) -> str:
