@@ -38,11 +38,11 @@ statistics read from its plan's rows. A plan is worked out from the config and t
 points alone, and generates nothing: the dataset's m and blocks, and with
 them every column name (by `msulab.dataset.block`); each measure's name and
 columns, with its row prefixes; each point's sweep index, m and measures;
-and the replicates a batch. A point's measures follow from its column
-counts alone, so they are worked out once per distinct column layout and
-shared by every point that has it: a sample-size sweep has one layout. The
-run reads only the plan, and of the config the seed, the class cardinality,
-k and the XOR noise.
+and the replicates a batch its run takes. A point's measures follow from
+its column counts alone, so they are worked out once per distinct column
+layout and shared by every point that has it: a sample-size sweep has one
+layout. The run reads only the plan, and of the config the seed, the class
+cardinality, k and the XOR noise.
 
 Replicate r of every sweep point draws from streams keyed by
 (master_seed, r, column path). Points of a sweep therefore share their
@@ -73,9 +73,10 @@ rows, and later measures at the same set read it from the table. A point
 run on its own is the isolated recomputation of that point, with the same
 floats.
 
-Replicates are measured in batches of at most `_BATCH_CELLS` dataset cells
-and `_BATCH_REPLICATES` replicates (at least one replicate a batch, so a
-large dataset is measured alone). A batch is generated into one matrix
+Replicates are measured in batches, which the plan sizes and the run
+takes: at most `_BATCH_CELLS` dataset cells and `_BATCH_REPLICATES`
+replicates a batch (at least one replicate, so a large dataset is measured
+alone; the last batch holds the rest). A batch is generated into one matrix
 (`msulab.dataset.generate_replicates`), each replicate's rows from its own
 streams, one replicate after another, and each measure is one
 `msu_values` call with the dataset's rows as its period, which gives each
@@ -459,7 +460,7 @@ class _Plan:
     columns: int  # the blocks' columns; the class is the column after them
     measures: dict[_Measure, tuple[int, ...]]  # each measure's row prefixes, ascending
     points: tuple[tuple[int, int, tuple[_Measure, ...]], ...]  # each point's sweep index, m and measures
-    batch: int  # replicates a batch by its cells; a run takes at most `_BATCH_REPLICATES`
+    batch: int  # the replicates a batch of its run takes
 
 
 def _plans(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> list[_Plan]:
@@ -503,8 +504,8 @@ def _plan(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> _Pla
     they are worked out once per distinct column layout, and the points
     that share a layout share its measures. Each distinct measure is taken
     at the row prefixes of the points that list it, in ascending order, and
-    a batch holds as many replicates as `_BATCH_CELLS` allows, at least
-    one.
+    a batch of the run holds as many replicates as `_BATCH_CELLS` allows, at
+    most `_BATCH_REPLICATES` and at least one.
     """
     counts = [max(position) for position in zip(*(p.counts for p in points.values()))]
     m = max(p.m for p in points.values())
@@ -534,7 +535,8 @@ def _plan(config: ExperimentConfig, points: Mapping[int, ResolvedPoint]) -> _Pla
             prefixes.setdefault(measure, set()).update(ms)
     measures = {measure: tuple(sorted(ms)) for measure, ms in prefixes.items()}
     measured = tuple((i, p.m, own[p.counts]) for i, p in points.items())
-    return _Plan(m, blocks, sum(counts), measures, measured, max(1, _BATCH_CELLS // _cells(m, counts)))
+    batch = min(max(1, _BATCH_CELLS // _cells(m, counts)), _BATCH_REPLICATES)
+    return _Plan(m, blocks, sum(counts), measures, measured, batch)
 
 
 def _run_layout(config: ExperimentConfig, plan: _Plan, replicates: Sequence[int]) -> dict[_Measure, np.ndarray]:
@@ -542,8 +544,8 @@ def _run_layout(config: ExperimentConfig, plan: _Plan, replicates: Sequence[int]
     row prefix in the plan's ascending order, from running `plan`.
 
     The run reads only the plan, and of the config the seed, the class
-    cardinality, k and the XOR noise. A batch of replicates (see
-    `_BATCH_CELLS` and `_BATCH_REPLICATES`) is generated into one sample
+    cardinality, k and the XOR noise. A batch of `plan.batch` replicates,
+    the last batch holding the rest, is generated into one sample
     (`msulab.dataset.generate_replicates`), and each measure is taken once a
     batch, with the dataset's rows as the period: its values come replicate
     by replicate, a (replicates x prefixes) matrix. Each joint histogram is
@@ -555,9 +557,8 @@ def _run_layout(config: ExperimentConfig, plan: _Plan, replicates: Sequence[int]
     """
     # measure -> its (replicates x prefixes) matrix of each batch
     values: dict[_Measure, list[np.ndarray]] = {measure: [] for measure in plan.measures}
-    batch = min(plan.batch, _BATCH_REPLICATES)
-    for first in range(0, len(replicates), batch):
-        rngs = [SeededRng(config.master_seed, r) for r in replicates[first : first + batch]]
+    for first in range(0, len(replicates), plan.batch):
+        rngs = [SeededRng(config.master_seed, r) for r in replicates[first : first + plan.batch]]
         sample = generate_replicates(
             plan.m, config.class_card, plan.blocks, rngs, config.kononenko_k, config.xor_noise
         )

@@ -1612,7 +1612,19 @@ class TestPlan:
                 measure: tuple(sorted({m for _, m, own in expected if measure in own})) for measure in listed
             }
             assert plan.columns == sum(widest)
-            assert plan.batch == max(1, harness._BATCH_CELLS // (plan.m * (1 + sum(widest))))
+            assert plan.batch == min(max(1, harness._BATCH_CELLS // (plan.m * (1 + sum(widest)))), harness._BATCH_REPLICATES)
+
+    def test_a_run_takes_the_batch_of_its_plan(self, monkeypatch):
+        # fig-b2 is one plan; every batch of its run holds `plan.batch`
+        # replicates but the last, which holds the rest
+        config = _desk(preset("fig-b2"), 100)
+        points = {i: resolve_point(config, v) for i, v in enumerate(config.sweep.values)}
+        (plan,) = harness._plans(config, points)
+        batches = _spy_batches(monkeypatch)
+        run_experiment(config)
+        sizes = [len(ids) for ids, _, _ in batches]
+        assert sizes[:-1] == [plan.batch] * (len(sizes) - 1) and sum(sizes) == 100
+        assert sizes == [72, 28]
 
     @pytest.mark.parametrize("name, sets", [("fig-b2", 1), ("fig-g", 2)])
     def test_each_nested_set_is_planned_once(self, monkeypatch, name, sets):

@@ -167,6 +167,9 @@ def test_bench_pairs_times_presets_in_process_in_each_checkout(capsys, monkeypat
         for result in results:
             assert len(result["timings"]) == 3
             assert result["metrics"]["wall_s_per_replicate"]["value"] == min(result["timings"])
+            # and gives the replicates, the seed and the least raw wall time
+            assert result["replicates"] == 1 and result["master_seed"] == preset(result["preset"]).master_seed
+            assert result["wall_s"] / result["replicates"] == min(result["timings"])
 
 
 def test_bench_pairs_flags_a_preset_that_gave_no_result():
@@ -192,25 +195,30 @@ def _bench_file():
 def test_bench_file_keeps_each_clean_result_line():
     tool = _bench_file()
     read = tool.bench_pairs.result_of
-    results = tool.workload_results({"mc-small-m": read(_run_output(0.006)), "chi2-mstar": read(_run_output(0.0006))})
+    results = tool.clean_results({"mc-small-m": read(_run_output(0.006)), "chi2-mstar": read(_run_output(0.0006))})
     assert list(results) == ["mc-small-m", "chi2-mstar"]
     assert results["chi2-mstar"] == json.loads(_run_output(0.0006).splitlines()[-1])
     assert set(tool.PRESET_REPLICATES) <= set(CATALOG)
 
 
-def test_bench_file_times_each_preset_in_rounds_and_keeps_the_least(capsys):
+def test_bench_file_times_each_preset_in_rounds_and_keeps_the_least(monkeypatch):
+    # every record comes from a `bench_pairs.time_presets` child, one a
+    # replicate count, which times each preset in ROUNDS rounds
     tool = _bench_file()
-    times = tool.preset_times({"fig-b1": 2, "fig-e1": 1})
-    assert list(times) == ["fig-b1", "fig-e1"]
-    for name, record in times.items():
+    cpu = min(tool.os.sched_getaffinity(0))
+    children = []
+    timed = tool.bench_pairs.time_presets
+    monkeypatch.setattr(tool.bench_pairs, "time_presets", lambda *args: children.append(args) or timed(*args))
+    records = tool.preset_records({"fig-b1": 2, "fig-e1": 1}, cpu)
+    assert children == [(tool.ROOT, ["fig-b1"], 2, None, cpu), (tool.ROOT, ["fig-e1"], 1, None, cpu)]
+    assert list(records) == ["fig-b1", "fig-e1"]
+    for name, record in records.items():
+        assert list(record) == ["replicates", "master_seed", "wall_s", "wall_s_per_replicate", "timings"]
         assert record["replicates"] == {"fig-b1": 2, "fig-e1": 1}[name]
         assert record["master_seed"] == preset(name).master_seed
         assert len(record["timings"]) == tool.bench_pairs.ROUNDS == 3
         assert record["wall_s_per_replicate"] == min(record["timings"])
         assert record["wall_s"] / record["replicates"] == record["wall_s_per_replicate"]
-    # each round times every preset once, in order
-    progress = [line.split(":")[0] for line in capsys.readouterr().err.splitlines()]
-    assert progress == ["# fig-b1", "# fig-e1"] * 3
 
 
 def test_bench_file_refuses_every_flagged_run_and_writes_nothing(monkeypatch, tmp_path):
@@ -223,7 +231,7 @@ def test_bench_file_refuses_every_flagged_run_and_writes_nothing(monkeypatch, tm
     with pytest.raises(ValueError, match=(
         "^refused: mc-large-m: correct: false, 2 failed ops; measure-csv: no result line$"
     )):
-        tool.workload_results({workload: tool.bench_pairs.result_of(stdout) for workload, stdout in outputs.items()})
+        tool.clean_results({workload: tool.bench_pairs.result_of(stdout) for workload, stdout in outputs.items()})
     # main runs each workload of BENCHMARK.json for its run_seconds, in this
     # checkout; here each run's result is read from canned output
     runs = []
@@ -238,3 +246,20 @@ def test_bench_file_refuses_every_flagged_run_and_writes_nothing(monkeypatch, tm
     assert not out.exists()
     spec = json.loads((tool.ROOT / "BENCHMARK.json").read_text())
     assert runs == [(tool.ROOT, w["name"], spec["run_seconds"], None) for w in spec["workloads"]]
+
+
+def test_bench_file_refuses_every_preset_without_a_clean_result(monkeypatch, tmp_path, capsys):
+    tool = _bench_file()
+    monkeypatch.setattr(tool.bench_pairs, "run", lambda *args: tool.bench_pairs.result_of(_run_output(0.006)))
+    # canned child lines: fig-b2 clean, fig-f1 incorrect, every other preset none
+    clean = {"preset": "fig-b2", "correct": True, "failed": 0, "replicates": 20, "master_seed": 1, "wall_s": 0.02,
+             "timings": [0.001] * 3, "metrics": {"wall_s_per_replicate": {"value": 0.001, "unit": "s"}}}
+    canned = {"fig-b2": clean, "fig-f1": {**clean, "preset": "fig-f1", "correct": False}}
+    monkeypatch.setattr(tool.bench_pairs, "time_presets", lambda root, names, *args: [canned.get(n) for n in names])
+    out = tmp_path / "BENCH.json"
+    assert tool.main([str(out)]) == 1
+    assert not out.exists()
+    refused = ["fig-f1: correct: false, 0 failed ops"] + [
+        f"{name}: no result line" for name in tool.PRESET_REPLICATES if name not in canned
+    ]
+    assert capsys.readouterr().err.splitlines()[-1] == "error: refused: " + "; ".join(refused)

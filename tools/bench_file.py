@@ -10,32 +10,28 @@ prints last (`bench_pairs.run`). A run that `bench_pairs.problem` flags (no
 result, `correct: false` or failed ops) is refused: the script names it,
 exits 1 and writes nothing.
 
-Then it pins itself to one CPU (`os.sched_setaffinity`) and times
-`run_experiment` in process, at each preset's own seed and a fixed replicate
-count (`PRESET_REPLICATES`), as a `bench_pairs.py --presets` child does:
-`bench_pairs.ROUNDS` rounds, each timing every preset once, in order, so a
-slow stretch of the host falls on one round rather than on one preset. Each
-preset's record is its least wall time of the rounds, and per replicate,
-with every round's time per replicate listed beside it (`timings`). Each
-preset first runs once at one replicate, untimed, so its time carries no
-first-call costs (lazy imports, caches). Last it records
-the commit, whether the tree differs from it, the git tree id of `src/` as
-measured (uncommitted edits to tracked files included, by `git stash
-create`), Python, NumPy and the CPU count, and writes the file. The tree id ties the file to its code: it equals
-`git rev-parse C:src` for any commit C whose `src/` is the code measured.
-Standard library plus msulab from `src/`.
+Then it times the presets of `PRESET_REPLICATES`, each at its own seed
+and replicate count, with `bench_pairs.time_presets`: one `--presets` child
+of `tools/bench_pairs.py` per count, pinned to this process's first CPU,
+which times them as that tool's docstring says. Each preset's record is
+copied from the child's result line: `replicates`, `master_seed`, `wall_s`,
+`wall_s_per_replicate` and `timings`. A preset without a clean result is
+refused as a workload run is. Last it records the commit, whether the tree
+differs from it, the git tree id of `src/` as measured (uncommitted edits
+to tracked files included, by `git stash create`), Python, NumPy and the
+CPU count, and writes the file. The tree id ties the file to its code: it
+equals `git rev-parse C:src` for any commit C whose `src/` is the code
+measured. Standard library, plus NumPy for its version.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import platform
 import subprocess
 import sys
-import time
 from pathlib import Path
 from typing import Mapping
 
@@ -51,40 +47,29 @@ PRESET_REPLICATES = {
 }
 
 
-def workload_results(results: Mapping[str, dict | None]) -> dict[str, dict]:
-    """Each workload's result line (workload -> the line, None where the run
-    printed none); ValueError names every run that is not clean."""
-    refused = [f"{workload}: {why}" for workload, result in results.items() if (why := bench_pairs.problem(result))]
+def clean_results(results: Mapping[str, dict | None], timed: str = "wall_s") -> dict[str, dict]:
+    """The result lines, by run (a workload or a preset; None where the run
+    printed none), each of which must report the metric `timed`;
+    ValueError names every run that is not clean."""
+    refused = [f"{run}: {why}" for run, result in results.items() if (why := bench_pairs.problem(result, timed))]
     if refused:
         raise ValueError("refused: " + "; ".join(refused))
     return dict(results)
 
 
-def preset_times(replicates: Mapping[str, int]) -> dict[str, dict]:
-    """Each preset's least wall time of `bench_pairs.ROUNDS` rounds at its
-    replicate count, in this process, after an untimed run at one
-    replicate; each round times every preset once, in order."""
-    sys.path.insert(0, str(ROOT / "src"))
-    from msulab import preset, run_experiment
-
-    configs = {}
-    for name, count in replicates.items():
-        run_experiment(dataclasses.replace(preset(name), replicates=1))  # first-call costs: untimed
-        configs[name] = dataclasses.replace(preset(name), replicates=count)
-    walls = {name: [] for name in configs}
-    for _ in range(bench_pairs.ROUNDS):
-        for name, config in configs.items():
-            start = time.perf_counter()
-            run_experiment(config)
-            walls[name].append(time.perf_counter() - start)
-            print(f"# {name}: {config.replicates} replicates in {walls[name][-1]:.3f} s", file=sys.stderr, flush=True)
+def preset_records(replicates: Mapping[str, int], cpu: int) -> dict[str, dict]:
+    """Each preset's record at its replicate count, by count, from one
+    `bench_pairs.time_presets` child per count, pinned to `cpu`; ValueError
+    names every preset without a clean result."""
+    results = {}
+    for count in dict.fromkeys(replicates.values()):
+        names = [name for name, n in replicates.items() if n == count]
+        print(f"# presets at {count} replicates: {', '.join(names)}", file=sys.stderr, flush=True)
+        results.update(zip(names, bench_pairs.time_presets(ROOT, names, count, None, cpu)))
     return {
-        name: {
-            "replicates": config.replicates, "master_seed": config.master_seed, "wall_s": min(walls[name]),
-            "wall_s_per_replicate": min(walls[name]) / config.replicates,
-            "timings": [wall / config.replicates for wall in walls[name]],
-        }
-        for name, config in configs.items()
+        name: {**{key: result[key] for key in ("replicates", "master_seed", "wall_s")},
+               "wall_s_per_replicate": bench_pairs.metric(result, "wall_s_per_replicate"), "timings": result["timings"]}
+        for name, result in clean_results(results, "wall_s_per_replicate").items()
     }
 
 
@@ -118,20 +103,18 @@ def main(argv: list[str] | None = None) -> int:
     for entry in spec["workloads"]:
         print(f"# {entry['name']}: {seconds} s", file=sys.stderr, flush=True)
         results[entry["name"]] = bench_pairs.run(ROOT, entry["name"], seconds, None)
+    cpu = min(os.sched_getaffinity(0))
     try:
-        workloads = workload_results(results)
+        workloads = clean_results(results)
+        presets = preset_records(PRESET_REPLICATES, cpu)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")  # before NumPy is first imported here
-    cpu = min(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {cpu})
     document = {
         "command": f"python3 tools/bench_file.py {args.out.name}",
         "workload_seconds": seconds,
         "workloads": workloads,
-        "presets": preset_times(PRESET_REPLICATES),
+        "presets": presets,
         "provenance": provenance(cpu),
     }
     args.out.write_text(json.dumps(document, indent=2) + "\n")

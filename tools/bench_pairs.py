@@ -29,13 +29,15 @@ times `run_experiment` in process at `--replicates` replicates (100 unless
 given) and the preset's own seed unless `--seed` is given: `ROUNDS` (3)
 rounds, each timing every preset once, in order, so a slow stretch of the
 host falls on one round rather than on one preset. Each preset's result
-is its least time of the rounds, as `wall_s_per_replicate`, the wall time
-of a run over its replicates, and every round's time is listed beside it
-(`timings`). For each preset this prints the same report on
-`wall_s_per_replicate`, shown in ms. Giving BEFORE twice, as both
-checkouts, prints the A/A floor: the gap and the spread that two runs of
-the same code show on this host, to quote beside any gap between two
-different checkouts.
+line gives its least time of the rounds as the metric
+`wall_s_per_replicate`, the wall time of a run over its replicates, and raw
+as `wall_s`, every round's time per replicate (`timings`), and the
+`replicates` and `master_seed` it ran at. This child is the one timer of a
+preset: `tools/bench_file.py` takes its preset times from it too. For each
+preset this prints the same report on `wall_s_per_replicate`, shown in ms.
+Giving BEFORE twice, as both checkouts, prints the A/A floor: the gap and
+the spread that two runs of the same code show on this host, to quote
+beside any gap between two different checkouts.
 Standard library only.
 """
 
@@ -52,9 +54,9 @@ from pathlib import Path
 SIDES = ("before", "after")
 # Rounds of timings a `--presets` child takes of each preset; it reports the least.
 ROUNDS = 3
-# The child of `--presets`: argv is the CPU, the rounds, the replicates, the
-# seed ("" for each preset's own) and the presets; it prints one result line
-# a preset, once every round is done.
+# The child of `--presets`, and the only timer of a preset: argv is the CPU,
+# the rounds, the replicates, the seed ("" for each preset's own) and the
+# presets; it prints one result line a preset, once every round is done.
 PRESET_TIMER = """
 import dataclasses, json, os, sys, time
 cpu, rounds, replicates, seed, *names = sys.argv[1:]
@@ -67,15 +69,17 @@ for name in names:
     config = dataclasses.replace(preset(name), replicates=replicates)
     run_experiment(dataclasses.replace(config, replicates=1))  # first calls pay for lazy imports: untimed
     configs[name] = dataclasses.replace(config, master_seed=int(seed)) if seed else config
-timings = {name: [] for name in names}
+walls = {name: [] for name in names}
 for _ in range(int(rounds)):
     for name, config in configs.items():
         start = time.perf_counter()
         run_experiment(config)
-        timings[name].append((time.perf_counter() - start) / replicates)
-for name, times in timings.items():
-    metrics = {"wall_s_per_replicate": {"value": min(times), "unit": "s"}}
-    print(json.dumps({"preset": name, "correct": True, "failed": 0, "timings": times, "metrics": metrics}))
+        walls[name].append(time.perf_counter() - start)
+for name, config in configs.items():
+    timings = [wall / replicates for wall in walls[name]]
+    metrics = {"wall_s_per_replicate": {"value": min(walls[name]) / replicates, "unit": "s"}}
+    print(json.dumps({"preset": name, "correct": True, "failed": 0, "replicates": replicates,
+        "master_seed": config.master_seed, "wall_s": min(walls[name]), "timings": timings, "metrics": metrics}))
 """
 
 
